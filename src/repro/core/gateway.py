@@ -90,8 +90,6 @@ class _PendingRequest:
 class Gateway(Process):
     """One gateway processor on the edge of a fault tolerance domain."""
 
-    _indexes = itertools.count(0)
-
     def __init__(self, domain: "FaultToleranceDomain", host: Host, port: int,
                  mirror_requests: bool = True,
                  response_cache_limit: int = 10_000,
@@ -104,7 +102,10 @@ class Gateway(Process):
         self.port = port
         self.mirror_requests = mirror_requests
         self.response_cache_limit = response_cache_limit
-        self.index = next(Gateway._indexes)
+        # Ordinal among the domain's gateways (the domain appends this
+        # one after construction): a pure function of the seeded world,
+        # never of what else the process built before it.
+        self.index = len(domain.gateways)
         self.rm = domain.rms[host.name]
         self.rm.attach_gateway(self)
         self.rm.on_membership_change(self._on_membership)
@@ -185,10 +186,9 @@ class Gateway(Process):
         }
 
         # Style-era metrics (live style switching, unservable voting
-        # targets) are created on first use so pre-existing scenarios
-        # keep their exact metric key set.
-        # reprolint: disable=AUD001 -- metric-object cache, bounded by the fixed name set
-        self._lazy_counters: Dict[str, Any] = {}
+        # targets) are looked up by name at their call sites, so they
+        # are created on first use and pre-existing scenarios keep
+        # their exact metric key set.
 
         # World-shared metrics (one registry per world; every gateway of
         # the world aggregates into the same series).  The response
@@ -463,10 +463,10 @@ class Gateway(Process):
         # client gives up.  Fail it now with the standard CORBA "try
         # again later" signal.  Checked before mirroring so peer
         # gateways never record a request that was never forwarded.
-        votes = self._votes_for(info)
+        votes = self.rm.votes_needed(info)
         if votes is None and request.response_expected:
             self.stats["requests_unservable"] += 1
-            self._lazy_counter("gateway.req.unservable").inc()
+            self.metrics.counter("gateway.req.unservable").inc()
             if container:
                 spans.end(container, outcome="unservable")
             if connection.open:
@@ -672,32 +672,6 @@ class Gateway(Process):
         self._conn_ids[connection] = client_id
         self._conn_members[connection] = {client_id}
         return client_id
-
-    def _lazy_counter(self, name: str):
-        """Counter created on first use: keeps the metric key set of
-        scenarios that never exercise the style-era paths unchanged."""
-        counter = self._lazy_counters.get(name)
-        if counter is None:
-            counter = self._lazy_counters[name] = self.metrics.counter(name)
-        return counter
-
-    def _votes_for(self, info) -> Optional[int]:
-        """Majority size for a voting target; 1 for non-voting styles.
-
-        ``None`` means the voting group has no live replica at all: no
-        majority can ever form, so the invocation is unservable and the
-        caller must fail fast instead of registering an expectation that
-        can never resolve.  Before the first membership view (bootstrap)
-        the static placement stands in for liveness.
-        """
-        if not info.style.needs_voting:
-            return 1
-        live_hosts = self.rm.live_hosts
-        live = (len(info.live_replicas(live_hosts)) if live_hosts
-                else len(info.placement))
-        if live == 0:
-            return None
-        return live // 2 + 1
 
     def _release_admission(self, record: _PendingRequest) -> None:
         """Free the window slot an admitted request held and pull queued
@@ -923,7 +897,7 @@ class Gateway(Process):
         response_expected = msg.data.get("response_expected", True)
         info = self.rm.registry.get(msg.data["target_group"])
         if (response_expected and info is not None
-                and self._votes_for(info) is None):
+                and self.rm.votes_needed(info) is None):
             # A two-way mirror for a voting target with zero live
             # replicas, delivered after the membership sweep already
             # failed the request: reconstructing a pending record (or a
@@ -952,7 +926,7 @@ class Gateway(Process):
             # The record is dropped when the forwarded INVOCATION is
             # observed delivered, or by TTL if it never is.
             return
-        votes = (self._votes_for(info) or 1) if info is not None else 1
+        votes = (self.rm.votes_needed(info) or 1) if info is not None else 1
         self._filter.expect((msg.data["target_group"], msg.client_id,
                              msg.op_id), votes_needed=votes)
 
@@ -990,7 +964,7 @@ class Gateway(Process):
         _, client_id, op_id = filter_key
         cache_key = (client_id, op_id)
         self.stats["votes_relaxed"] += 1
-        self._lazy_counter("gateway.style.vote_relaxed").inc()
+        self.metrics.counter("gateway.style.vote_relaxed").inc()
         self._cache[cache_key] = payload
         while len(self._cache) > self.response_cache_limit:
             self._cache.pop(next(iter(self._cache)))
@@ -1052,7 +1026,7 @@ class Gateway(Process):
             info = self.rm.registry.get(gid)
             if info is None or not info.style.needs_voting:
                 continue
-            voting_targets[gid] = self._votes_for(info)
+            voting_targets[gid] = self.rm.votes_needed(info)
         for gid in sorted(voting_targets):
             votes = voting_targets[gid]
             if votes is None:
@@ -1075,7 +1049,7 @@ class Gateway(Process):
             self._filter.cancel((group_id, client_id, op_id))
             self._release_admission(record)
             self.stats["requests_unservable"] += 1
-            self._lazy_counter("gateway.req.unservable").inc()
+            self.metrics.counter("gateway.req.unservable").inc()
             if record.order_span:
                 spans.end(record.order_span)
                 record.order_span = 0

@@ -195,12 +195,10 @@ class ReplicationMechanisms(Process):
         self._m_transfer_bytes = m.histogram("fault.state_transfer.bytes", unit="B")
         self._m_recovery_duration = m.histogram("fault.recovery.duration", unit="s")
         # Leader-follower / style-switch counters (`rm.style.*`,
-        # `rm.invoke.unservable`) are created lazily through
-        # _lazy_counter(): a world that never uses the semi-active
-        # engine keeps byte-identical metric snapshots (the same
-        # contract the audit gauges honour).
-        # reprolint: disable=AUD001 -- metric-object cache, bounded by the fixed name set
-        self._lazy_counters: Dict[str, Any] = {}
+        # `rm.invoke.unservable`) are looked up by name where they are
+        # incremented, hence created on first use: a world that never
+        # uses the semi-active engine keeps byte-identical metric
+        # snapshots (the same contract the audit gauges honour).
 
         # Exhaustive kind -> handler table for :meth:`_dispatch` (hot
         # path, and the SM001 contract: adding a MsgKind without wiring
@@ -275,13 +273,6 @@ class ReplicationMechanisms(Process):
         if log is None:
             log = self.logs[group_id] = GroupLog(group_id, metrics=self.metrics)
         return log
-
-    def _lazy_counter(self, name: str):
-        """Counter created on first use (see the __init__ note)."""
-        counter = self._lazy_counters.get(name)
-        if counter is None:
-            counter = self._lazy_counters[name] = self.metrics.counter(name)
-        return counter
 
     def _should_respond(self, info: GroupInfo) -> bool:
         """Does this replica multicast the response it computed?
@@ -512,7 +503,7 @@ class ReplicationMechanisms(Process):
                 # resend every reply the dead leader never delivered.
                 self._lf_unacked.setdefault(info.group_id, {})[key] = original
                 self.stats["responses_withheld"] += 1
-                self._lazy_counter("rm.style.responses_withheld").inc()
+                self.metrics.counter("rm.style.responses_withheld").inc()
         self._post_execution(original, info)
 
     def _post_execution(self, original: DomainMessage, info: GroupInfo) -> None:
@@ -568,11 +559,11 @@ class ReplicationMechanisms(Process):
             return
         target_iface = self.interfaces[target_info.interface_name]
         nested_op = target_iface.operation(call.operation)
-        votes = self._votes_needed(target_info)
+        votes = self.votes_needed(target_info)
         if votes is None and not nested_op.oneway:
             # Fail fast: a voting target with zero live replicas can
-            # never assemble a quorum (see _votes_needed).
-            self._lazy_counter("rm.invoke.unservable").inc()
+            # never assemble a quorum (see votes_needed).
+            self.metrics.counter("rm.invoke.unservable").inc()
             self.tracer.emit(self.scheduler.now, "eternal.unservable",
                              self.name,
                              f"nested call to voting group {call.target!r} "
@@ -622,7 +613,7 @@ class ReplicationMechanisms(Process):
                 # The leader's ordering record: followers verify their
                 # locally-derived identifiers against it (Figure 6
                 # determinism made checkable at runtime).
-                self._lazy_counter("rm.style.order.records").inc()
+                self.metrics.counter("rm.style.order.records").inc()
                 self.multicast(DomainMessage(
                     kind=MsgKind.ORDER_RECORD,
                     source_group=info.group_id,
@@ -658,8 +649,9 @@ class ReplicationMechanisms(Process):
             trace = (tr[0], execution.trace_span or tr[1], tr[2] + 1)
         self._egress.issue(info.group_id, op_id, call, trace=trace)
 
-    def _votes_needed(self, info: GroupInfo) -> Optional[int]:
+    def votes_needed(self, info: GroupInfo) -> Optional[int]:
         """Votes a response needs before delivery; None = unservable.
+        Shared by intra-domain invocations and this host's gateway.
 
         For voting groups the majority is computed over the *live*
         replicas.  With zero live replicas there is no population to
@@ -797,11 +789,11 @@ class ReplicationMechanisms(Process):
             self.multicast(message)
             promise.resolve(None)
             return promise
-        votes = self._votes_needed(info)
+        votes = self.votes_needed(info)
         if votes is None:
             # Fail fast instead of registering a vote no population of
             # live replicas can ever complete.
-            self._lazy_counter("rm.invoke.unservable").inc()
+            self.metrics.counter("rm.invoke.unservable").inc()
             self.tracer.emit(self.scheduler.now, "eternal.unservable",
                              self.name,
                              f"invocation of voting group {target_group_id} "
@@ -1029,9 +1021,9 @@ class ReplicationMechanisms(Process):
         wait_key = (msg.target_group, msg.source_group, msg.op_id)
         if (wait_key in self._waiting_nested
                 or self._response_filter.was_delivered(wait_key)):
-            self._lazy_counter("rm.style.order.followed").inc()
+            self.metrics.counter("rm.style.order.followed").inc()
         else:
-            self._lazy_counter("rm.style.order.mismatch").inc()
+            self.metrics.counter("rm.style.order.mismatch").inc()
 
     def _apply_style_switch(self, msg: DomainMessage) -> None:
         """Apply a runtime replication-style change.
@@ -1056,7 +1048,7 @@ class ReplicationMechanisms(Process):
         if old_style is new_style:
             return  # epoch advanced, engine unchanged
         self.stats["style_switches"] += 1
-        self._lazy_counter("rm.style.switches").inc()
+        self.metrics.counter("rm.style.switches").inc()
         if self._span_collector.enabled:
             self._span_collector.instant(
                 f"style/{group_id}/{epoch}", "rm.style.switch",
@@ -1091,7 +1083,7 @@ class ReplicationMechanisms(Process):
             ready = self._response_filter.reduce_votes(
                 lambda k: k[0] == group_id, 1)
             for relaxed_key, payload in ready:
-                self._lazy_counter("rm.style.vote_relaxed").inc()
+                self.metrics.counter("rm.style.vote_relaxed").inc()
                 if relaxed_key in self._waiting_external:
                     self._deliver_external(relaxed_key, payload)
                 else:
@@ -1119,7 +1111,7 @@ class ReplicationMechanisms(Process):
             f"{old_style.value}")
         seen = self._invocations_seen.setdefault(info.group_id, {})
         for msg in replay:
-            self._lazy_counter("rm.style.catchup_replays").inc()
+            self.metrics.counter("rm.style.catchup_replays").inc()
             request = decode_request(msg.iiop)
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
             seen[key] = _InvocationRecord(
@@ -1228,7 +1220,7 @@ class ReplicationMechanisms(Process):
         if record is None:
             return
         self._m_failovers.inc()
-        self._lazy_counter("rm.style.promotions").inc()
+        self.metrics.counter("rm.style.promotions").inc()
         seen = self._invocations_seen.get(info.group_id, {})
         resent = 0
         for key, original in list(self._lf_unacked.get(info.group_id,
@@ -1247,7 +1239,7 @@ class ReplicationMechanisms(Process):
                 continue
             self.multicast(waiting.message)
             if not waiting.nested_op.oneway:
-                self._lazy_counter("rm.style.order.records").inc()
+                self.metrics.counter("rm.style.order.records").inc()
                 self.multicast(DomainMessage(
                     kind=MsgKind.ORDER_RECORD,
                     source_group=info.group_id,
@@ -1266,7 +1258,7 @@ class ReplicationMechanisms(Process):
         A vote registered against the pre-crash live set can demand more
         responders than will ever speak again.  Per voting target: zero
         live replicas fails every wait fast (TransientError — the same
-        fail-fast _votes_needed applies to new invocations); a
+        fail-fast votes_needed applies to new invocations); a
         shrunken-but-alive group has its quorum relaxed to the new
         majority, delivering immediately where already-counted votes
         suffice.  Deterministic across processors: every input (registry,
@@ -1281,19 +1273,19 @@ class ReplicationMechanisms(Process):
             t_info = self.registry.get(target_gid)
             if t_info is None or not t_info.style.needs_voting:
                 continue
-            needed[target_gid] = self._votes_needed(t_info)
+            needed[target_gid] = self.votes_needed(t_info)
         for target_gid, votes in needed.items():
             if votes is None:
                 err = TransientError(
                     f"voting group {target_gid} lost all replicas")
                 for wait_key in [k for k in self._waiting_external
                                  if k[0] == target_gid]:
-                    self._lazy_counter("rm.invoke.unservable").inc()
+                    self.metrics.counter("rm.invoke.unservable").inc()
                     self._response_filter.cancel(wait_key)
                     self._waiting_external.pop(wait_key).promise.reject(err)
                 for wait_key in [k for k in self._waiting_nested
                                  if k[0] == target_gid]:
-                    self._lazy_counter("rm.invoke.unservable").inc()
+                    self.metrics.counter("rm.invoke.unservable").inc()
                     self._response_filter.cancel(wait_key)
                     waiting = self._waiting_nested.pop(wait_key)
                     parent_info = self.registry.get(waiting.group_id)
@@ -1310,7 +1302,7 @@ class ReplicationMechanisms(Process):
                 ready = self._response_filter.reduce_votes(
                     lambda k, g=target_gid: k[0] == g, votes)
                 for relaxed_key, payload in ready:
-                    self._lazy_counter("rm.style.vote_relaxed").inc()
+                    self.metrics.counter("rm.style.vote_relaxed").inc()
                     if relaxed_key in self._waiting_external:
                         self._deliver_external(relaxed_key, payload)
                     else:

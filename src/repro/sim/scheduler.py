@@ -7,17 +7,25 @@ simulated time fire in the order they were scheduled (a monotonically
 increasing tie-break counter), which makes every run exactly
 reproducible for a given seed and script of events.
 
-The kernel is a two-tier calendar queue tuned for the protocol-timer
-regime (dominant sub-10ms delays, deep queues at gateway-farm scale):
+The kernel is a two-tier calendar queue with **one** enqueue and
+**one** event loop:
 
 * **Tier 1 — slot buckets.**  Simulated time is divided into fixed
   slots of ``slot_width`` seconds; each occupied slot owns an unsorted
   list of event entries.  Scheduling is an O(1) dict lookup + append
-  instead of an O(log n) heap sift, and a whole same-slot cohort is
-  sorted and drained in one batch with a tight tuple-unpacking loop.
+  instead of an O(log n) heap sift; a slot's cohort is sorted once,
+  when the loop reaches it.
 * **Tier 2 — slot heap.**  Occupied slot indices live in a small int
   min-heap, so far-future timers cost one heap entry per *slot*, not
-  per event, and the drain always knows the globally next slot.
+  per event, and the loop always knows the globally next slot.
+
+Every entry enters the calendar through :meth:`Scheduler._push` and
+every event is fired by :meth:`Scheduler._loop`; ``run()``,
+``run(until=)``, ``run_until(predicate)`` and ``step()`` are thin
+wrappers that pick the loop's budget, time limit and predicate.  The
+traffic drives the kernel almost entirely through ``run_until`` (see
+the drive-mode census in ``docs/PERFORMANCE.md``), so there is no
+separate loop for any other entry point to drift away from it.
 
 Determinism argument: ``int(t * inv)`` is monotone non-decreasing in
 ``t`` (multiplication by a positive constant and truncation both
@@ -26,26 +34,24 @@ bucket is sorted by the exact ``(time, tiebreak)`` key before draining.
 Events scheduled *into the currently draining slot* are placed by
 binary insertion; their key is strictly greater than every entry
 already consumed (``time >= now`` and the tiebreak counter is
-monotone), so the list iterator meets them at their correct sorted
-position.  The firing order is therefore byte-for-byte the order the
-pre-overhaul binary-heap kernel (preserved as
+monotone), so the loop meets them at their correct sorted position.
+The firing order is therefore byte-for-byte the order the pre-overhaul
+binary-heap kernel (preserved as
 :class:`repro.sim.reference_scheduler.ReferenceScheduler`) produces —
 a property enforced by the twin-kernel differential harness in
 ``tests/test_scheduler_differential.py``.
 
-Allocation is kept off the hot paths: entries are plain tuples carrying
-``(time, tiebreak, timer_or_None, fn, args)``; ``post`` schedules
-fire-and-forget events (network datagram deliveries) with **no** Timer
-object at all, and ``call_every`` re-arms periodic timers inside the
-drain loop, eliminating the per-period Python re-scheduling call.
+Entries are plain tuples carrying ``(time, tiebreak, timer_or_None,
+fn, args)``; ``post`` schedules fire-and-forget events (network
+datagram deliveries) with **no** Timer object at all, and
+``call_every`` timers are re-armed by the loop itself.
 Instrumentation stays lazy: ``attach_metrics`` exports plain int
 attributes through callback-backed counters, so metrics cost nothing
-on the scheduling fast paths.
+on the scheduling paths.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from bisect import insort
 from heapq import heappop, heappush
@@ -63,6 +69,12 @@ _SLOT_WIDTH = 0.008
 # An entry is (time, tiebreak, timer_or_None, fn, args).
 _Entry = Tuple[float, int, Optional["Timer"], Callable[..., Any], tuple]
 
+# Why ``Scheduler._loop`` stopped.
+_SATISFIED = "predicate"    # the predicate returned true
+_QUIESCED = "quiesced"      # nothing live is queued
+_TIME_LIMIT = "limit"       # the next live event lies beyond the limit
+_BUDGET = "budget"          # the event budget is spent
+
 
 class Timer:
     """Handle for a scheduled callback; cancellable until it fires.
@@ -75,7 +87,7 @@ class Timer:
     authoritative position only while a lazy ``reschedule`` to a later
     time is pending, in which case the stale entry re-pushes the timer
     at its authoritative key when it surfaces.  ``interval`` is set for
-    ``call_every`` timers, which the drain loop re-arms in place.
+    ``call_every`` timers, which the event loop re-arms in place.
     """
 
     __slots__ = ("time", "fn", "args", "interval", "cancelled", "fired",
@@ -120,7 +132,6 @@ class Scheduler:
             raise SimulationError(f"slot_width must be positive, got {slot_width}")
         self.now: float = 0.0
         self._inv = 1.0 / slot_width
-        self._width = slot_width
         # slot index -> unsorted list of entries for that slot.
         self._buckets: Dict[int, List[_Entry]] = {}
         # Min-heap of occupied slot indices (disjoint from _active_slot).
@@ -145,7 +156,7 @@ class Scheduler:
         """Export reschedule/compaction counts through a metrics registry.
 
         Uses callback-backed counters reading the plain int attributes,
-        so the hot paths never touch a metric object.
+        so the scheduling paths never touch a metric object.
         """
         registry.counter_fn("sched.timers.rescheduled",
                             lambda: self.timers_rescheduled)
@@ -158,66 +169,53 @@ class Scheduler:
     # Scheduling
     # ------------------------------------------------------------------
 
+    def _push(self, entry: _Entry) -> None:
+        """Place ``entry`` in the calendar — the kernel's only enqueue."""
+        slot = int(entry[0] * self._inv)
+        bucket = self._buckets.get(slot)
+        if bucket is not None:
+            bucket.append(entry)
+        elif slot == self._active_slot:
+            insort(self._active, entry)
+        else:
+            self._buckets[slot] = [entry]
+            heappush(self._slot_heap, slot)
+
+    def _arm(self, timer: Timer, time: float) -> None:
+        """Queue ``timer`` at ``time`` under a freshly drawn tiebreak."""
+        tb = next(self._tiebreak)
+        timer.time = time
+        timer._tb = tb
+        timer._queued_time = time
+        timer._queued_tb = tb
+        self._push((time, tb, timer, timer.fn, timer.args))
+
+    def _new_timer(self, time: float, fn: Callable[..., Any], args: tuple,
+                   interval: Optional[float] = None) -> Timer:
+        """Create this scheduler's Timer for ``fn(*args)`` and arm it."""
+        timer = Timer(time, fn, args)
+        timer.interval = interval
+        timer._sched = self
+        self._arm(timer, time)
+        return timer
+
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        timer = Timer.__new__(Timer)
-        timer.time = time
-        timer.fn = fn
-        timer.args = args
-        timer.interval = None
-        timer.cancelled = False
-        timer.fired = False
-        timer._sched = self
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, fn, args)]
-            heappush(self._slot_heap, slot)
-        return timer
+        return self._new_timer(time, fn, args)
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` after a relative ``delay`` (>= 0)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        timer = Timer.__new__(Timer)
-        timer.time = time
-        timer.fn = fn
-        timer.args = args
-        timer.interval = None
-        timer.cancelled = False
-        timer.fired = False
-        timer._sched = self
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, fn, args)]
-            heappush(self._slot_heap, slot)
-        return timer
+        return self._new_timer(self.now + delay, fn, args)
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Timer:
         """Schedule ``fn(*args)`` at the current time (after pending events)."""
-        return self.call_at(self.now, fn, *args)
+        return self._new_timer(self.now, fn, args)
 
     def post(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget ``call_after``: no Timer, no handle.
@@ -229,17 +227,7 @@ class Scheduler:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        time = self.now + delay
-        tb = next(self._tiebreak)
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, None, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, None, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, None, fn, args)]
-            heappush(self._slot_heap, slot)
+        self._push((self.now + delay, next(self._tiebreak), None, fn, args))
 
     def post_batch(self, delay: float, fn: Callable[..., Any],
                    argss: List[tuple]) -> None:
@@ -248,10 +236,11 @@ class Scheduler:
 
         Semantically identical to ``for args in argss: post(delay, fn,
         *args)``: each element draws its own consecutive tiebreak, so
-        the batch fires in iteration order.  The whole cohort costs one
-        slot lookup and one ``list.extend`` instead of a full scheduling
-        call per event, which is what makes broadcast fan-out (one
-        delivery per gateway at the same simulated instant) cheap.
+        the batch fires in iteration order.  A cohort landing in an
+        occupied slot costs one slot lookup and one ``list.extend``
+        instead of a full scheduling call per event, which is what
+        makes broadcast fan-out (one delivery per gateway at the same
+        simulated instant) cheap.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -264,53 +253,26 @@ class Scheduler:
         tiebreaks = itertools.islice(self._tiebreak, len(argss))
         entries = [(time, tb, None, fn, args)
                    for tb, args in zip(tiebreaks, argss)]
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
+        bucket = self._buckets.get(int(time * self._inv))
         if bucket is not None:
             bucket.extend(entries)
-        elif slot == self._active_slot:
-            for entry in entries:
-                insort(self._active, entry)
         else:
-            self._buckets[slot] = entries
-            heappush(self._slot_heap, slot)
+            for entry in entries:
+                self._push(entry)
 
     def call_every(self, interval: float, fn: Callable[..., Any],
                    *args: Any) -> Timer:
         """Schedule ``fn(*args)`` every ``interval`` until cancelled.
 
-        The first firing is at ``now + interval``.  The drain loop
+        The first firing is at ``now + interval``.  The event loop
         re-arms the timer *before* running ``fn`` — drawing exactly one
         fresh tiebreak per period, like the chained-``call_after`` idiom
-        it replaces — without a Python-level re-scheduling call per
-        period.  Cancel the returned handle to stop the series.
+        it replaces.  Cancel the returned handle to stop the series.
         """
         if interval <= 0:
             raise SimulationError(
                 f"call_every requires a positive interval, got {interval}")
-        time = self.now + interval
-        timer = Timer.__new__(Timer)
-        timer.time = time
-        timer.fn = fn
-        timer.args = args
-        timer.interval = interval
-        timer.cancelled = False
-        timer.fired = False
-        timer._sched = self
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, fn, args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, fn, args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, fn, args)]
-            heappush(self._slot_heap, slot)
-        return timer
+        return self._new_timer(self.now + interval, fn, args, interval)
 
     def reschedule(self, timer: Timer, time: float) -> Timer:
         """Move a pending timer to absolute ``time`` without re-allocating.
@@ -331,54 +293,19 @@ class Scheduler:
             raise SimulationError(
                 f"cannot reschedule event to t={time} before now={self.now}"
             )
-        timer.time = time
-        tb = next(self._tiebreak)
-        timer._tb = tb
         if time < timer._queued_time:
-            timer._queued_time = time
-            timer._queued_tb = tb
-            slot = int(time * self._inv)
-            bucket = self._buckets.get(slot)
-            if bucket is not None:
-                bucket.append((time, tb, timer, timer.fn, timer.args))
-            elif slot == self._active_slot:
-                insort(self._active, (time, tb, timer, timer.fn, timer.args))
-            else:
-                self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-                heappush(self._slot_heap, slot)
+            self._arm(timer, time)
+        else:
+            timer.time = time
+            timer._tb = next(self._tiebreak)
         self.timers_rescheduled += 1
         return timer
 
     def reschedule_after(self, timer: Timer, delay: float) -> Timer:
-        """Move a pending timer to ``now + delay``; see ``reschedule``.
-
-        Inlined body of ``reschedule`` — this is the once-per-token-pass
-        loss-timer path, and ``delay >= 0`` makes ``time >= now``.
-        """
+        """Move a pending timer to ``now + delay``; see ``reschedule``."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        if timer.cancelled or timer.fired:
-            raise SimulationError(f"cannot reschedule inactive timer {timer!r}")
-        if timer._sched is not self:
-            raise SimulationError("timer belongs to a different scheduler")
-        time = self.now + delay
-        timer.time = time
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        if time < timer._queued_time:
-            timer._queued_time = time
-            timer._queued_tb = tb
-            slot = int(time * self._inv)
-            bucket = self._buckets.get(slot)
-            if bucket is not None:
-                bucket.append((time, tb, timer, timer.fn, timer.args))
-            elif slot == self._active_slot:
-                insort(self._active, (time, tb, timer, timer.fn, timer.args))
-            else:
-                self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-                heappush(self._slot_heap, slot)
-        self.timers_rescheduled += 1
-        return timer
+        return self.reschedule(timer, self.now + delay)
 
     def rearm_after(self, timer: Timer, delay: float) -> Timer:
         """Re-schedule a timer that has already *fired*, reusing the
@@ -394,21 +321,7 @@ class Scheduler:
         if timer._sched is not self:
             raise SimulationError("timer belongs to a different scheduler")
         timer.fired = False
-        time = self.now + delay
-        timer.time = time
-        tb = next(self._tiebreak)
-        timer._tb = tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, timer.fn, timer.args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, timer.fn, timer.args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-            heappush(self._slot_heap, slot)
+        self._arm(timer, self.now + delay)
         return timer
 
     # ------------------------------------------------------------------
@@ -424,10 +337,7 @@ class Scheduler:
         # which is pinned at the exact point `stale > total // 2` could
         # first hold, keeping the audit contract (stale bounded by half
         # the queue) intact without per-cancel scans.
-        total = sum(map(len, self._buckets.values()))
-        active = self._active
-        if active is not None:
-            total += len(active) - self._active_i
+        total = self.pending_events
         if (total >= _COMPACT_MIN_QUEUE
                 and self._cancelled_in_queue > total // 2):
             self._compact()
@@ -435,45 +345,35 @@ class Scheduler:
             self._compact_watermark = max(total // 2 + 1,
                                           self._cancelled_in_queue + 1)
 
+    def _drop_stale(self, tb: int, timer: Timer) -> None:
+        """Bookkeeping for a dead entry (its tiebreak ``tb`` is no longer
+        the timer's) leaving the calendar."""
+        if timer.cancelled:
+            if self._cancelled_in_queue:
+                self._cancelled_in_queue -= 1
+        elif tb == timer._queued_tb:
+            # The entry carrying a lazily rescheduled timer surfaced:
+            # queue the timer at its authoritative (time, tiebreak) key.
+            timer._queued_time = timer.time
+            timer._queued_tb = timer._tb
+            self._push((timer.time, timer._tb, timer, timer.fn, timer.args))
+        # else: superseded duplicate of an earlier-move push.
+
     def _compact(self) -> None:
         """Drop cancelled/duplicate entries and normalise pending lazy
         reschedules to their authoritative keys, rebuilding the calendar
         in one pass.  The active cohort is left untouched (it is being
         iterated); its handful of stale entries drain normally."""
-        inv = self._inv
-        active = self._active
-        active_slot = self._active_slot
-        fresh: Dict[int, List[_Entry]] = {}
-        for bucket in self._buckets.values():
+        stale = self._buckets
+        self._buckets = {}
+        self._slot_heap = []
+        for bucket in stale.values():
             for entry in bucket:
-                time, tb, timer, fn, args = entry
-                if timer is None:
-                    pass  # fire-and-forget entries are always live
-                elif timer._tb == tb:
-                    pass  # authoritative entry
-                elif not timer.cancelled and tb == timer._queued_tb:
-                    # Pending lazy reschedule: normalise to the
-                    # authoritative key.
-                    time = timer.time
-                    tb = timer._tb
-                    timer._queued_time = time
-                    timer._queued_tb = tb
-                    entry = (time, tb, timer, fn, args)
+                timer = entry[2]
+                if timer is None or timer._tb == entry[1]:
+                    self._push(entry)
                 else:
-                    continue  # cancelled or superseded duplicate
-                slot = int(time * inv)
-                if slot == active_slot and active is not None:
-                    insort(active, entry)
-                else:
-                    kept = fresh.get(slot)
-                    if kept is None:
-                        fresh[slot] = [entry]
-                    else:
-                        kept.append(entry)
-        heap = list(fresh)
-        heapq.heapify(heap)
-        self._buckets = fresh
-        self._slot_heap = heap
+                    self._drop_stale(entry[1], timer)
         self._cancelled_in_queue = 0
         self._compact_watermark = _COMPACT_MIN_QUEUE // 2 + 1
         self.queue_compactions += 1
@@ -504,28 +404,23 @@ class Scheduler:
         """Make ``self._active`` the cohort holding the globally next
         entry.  Returns False when nothing is queued.
 
-        A stashed active cohort (left by ``step``/``run(until=)``/an
-        exception) normally resumes directly, but if an *earlier* slot
-        has been scheduled since the stash, the unconsumed remainder is
-        returned to the calendar first so slots drain in order.
+        A stashed active cohort (left by a stopped loop) normally
+        resumes directly, but if an *earlier* slot has been scheduled
+        since the stash, the unconsumed remainder is returned to the
+        calendar first so slots drain in order.
         """
         active = self._active
+        heap = self._slot_heap
         if active is not None:
-            if self._active_i >= len(active):
-                self._active = None
-                self._active_slot = -1
-                self._active_i = 0
-            else:
-                heap = self._slot_heap
+            i = self._active_i
+            if i < len(active):
                 if not heap or heap[0] > self._active_slot:
                     return True
-                i = self._active_i
                 self._buckets[self._active_slot] = active[i:] if i else active
                 heappush(heap, self._active_slot)
-                self._active = None
-                self._active_slot = -1
-                self._active_i = 0
-        heap = self._slot_heap
+            self._active = None
+            self._active_slot = -1
+            self._active_i = 0
         if not heap:
             return False
         slot = heappop(heap)
@@ -534,7 +429,6 @@ class Scheduler:
             bucket.sort()
         self._active = bucket
         self._active_slot = slot
-        self._active_i = 0
         return True
 
     def _seal_active(self) -> None:
@@ -544,263 +438,69 @@ class Scheduler:
         below the unconsumed entries (a ``run(until=...)`` bound), so a
         new ``insort`` key is NOT guaranteed to exceed the consumed
         prefix — skipped garbage there may hold larger keys.  Deleting
-        the prefix restores the invariant the insertion paths rely on:
+        the prefix restores the invariant ``_push`` relies on:
         everything in ``_active`` at or past ``_active_i`` is
-        unconsumed.  (While the loop is running this holds for free:
-        the bucket is sorted, so every visited key is bounded by the
-        firing entry's key, and a handler's insertion key — ``time >=
-        now`` with a fresh maximal tie-break — always exceeds it.)
+        unconsumed.  (While an event is firing this holds for free: the
+        bucket is sorted, so every visited key is bounded by the firing
+        entry's key, and a handler's insertion key — ``time >= now``
+        with a fresh maximal tie-break — always exceeds it.)
         """
-        if self._active is not None and self._active_i:
+        if self._active_i:
             del self._active[:self._active_i]
             self._active_i = 0
 
-    def _next_live(self) -> Optional[_Entry]:
-        """Advance past garbage to the next live entry, leaving
-        ``_active_i`` pointing *at* it; None when the queue is empty."""
-        while True:
-            if not self._checkout_bucket():
-                return None
-            bucket = self._active
-            assert bucket is not None
-            i = self._active_i
-            while i < len(bucket):
-                entry = bucket[i]
-                timer = entry[2]
-                if timer is None or timer._tb == entry[1]:
-                    self._active_i = i
-                    return entry
-                i += 1
-                if timer.cancelled:
-                    if self._cancelled_in_queue:
-                        self._cancelled_in_queue -= 1
-                elif entry[1] == timer._queued_tb:
-                    self._repush_authoritative(timer)
-                # else: superseded duplicate — drop silently
-            self._active = None
-            self._active_slot = -1
-            self._active_i = 0
-
-    def _repush_authoritative(self, timer: Timer) -> None:
-        """A lazy-reschedule entry surfaced: push the timer at its
-        authoritative ``(time, tiebreak)`` key."""
-        time = timer.time
-        tb = timer._tb
-        timer._queued_time = time
-        timer._queued_tb = tb
-        slot = int(time * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append((time, tb, timer, timer.fn, timer.args))
-        elif slot == self._active_slot:
-            insort(self._active, (time, tb, timer, timer.fn, timer.args))
-        else:
-            self._buckets[slot] = [(time, tb, timer, timer.fn, timer.args)]
-            heappush(self._slot_heap, slot)
-
-    def _consume(self, entry: _Entry) -> None:
-        """Fire one live entry already pointed at by ``_active_i``."""
-        self._active_i += 1
-        time, tb, timer, fn, args = entry
-        if timer is not None:
-            interval = timer.interval
-            if interval is None:
-                timer.fired = True
-            else:
-                # Periodic: re-arm before firing (fresh tiebreak first).
-                ntime = time + interval
-                ntb = next(self._tiebreak)
-                timer.time = ntime
-                timer._tb = ntb
-                timer._queued_time = ntime
-                timer._queued_tb = ntb
-                slot = int(ntime * self._inv)
-                bucket = self._buckets.get(slot)
-                if bucket is not None:
-                    bucket.append((ntime, ntb, timer, fn, args))
-                elif slot == self._active_slot:
-                    insort(self._active, (ntime, ntb, timer, fn, args))
-                else:
-                    self._buckets[slot] = [(ntime, ntb, timer, fn, args)]
-                    heappush(self._slot_heap, slot)
-        self.now = time
-        self._events_processed += 1
-        if args:
-            fn(*args)
-        else:
-            fn()
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        try:
-            entry = self._next_live()
-            if entry is None:
-                return False
-            self._consume(entry)
-            return True
-        finally:
-            self._seal_active()
-
-    def _drain(self, budget: int) -> int:
-        """Drain everything (no time bound); returns events processed.
-
-        This is the hot loop: one sorted cohort at a time, tuple
-        unpacking straight out of the bucket list, liveness decided by a
-        single int comparison, and periodic timers re-armed in place.
+    def _loop(self, budget: int, limit: Optional[float],
+              predicate: Optional[Callable[[], bool]]) -> Tuple[int, str]:
+        """Fire events in ``(time, tiebreak)`` order — the kernel's only
+        event loop.  Returns ``(fired, why)``, ``why`` naming the first
+        stop condition met: the ``predicate`` held (it is asked before
+        every event), nothing live was queued, the next live event lay
+        beyond ``limit`` (it stays queued), or ``budget`` events fired.
         """
-        n = 0
-        ct = self._tiebreak
-        inv = self._inv
-        while self._checkout_bucket():
-            bucket = self._active
-            if self._active_i:
-                # Resuming mid-cohort (after step()/run(until=)/raise):
-                # generic indexed loop for the remainder.
-                n = self._drain_active(n, budget, None)
-                if self._active is not None:
-                    return n
-                continue
-            i = 0
-            n0 = n
-            try:
-                for t, tb, tm, fn, args in bucket:
-                    if tm is None:
-                        if n >= budget:
-                            return n
-                        i += 1
-                        self.now = t
-                        n += 1
-                        self._active_i = i
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    elif tm._tb == tb:
-                        if n >= budget:
-                            return n
-                        i += 1
-                        itv = tm.interval
-                        if itv is None:
-                            tm.fired = True
-                        else:
-                            nt = t + itv
-                            ntb = next(ct)
-                            tm.time = nt
-                            tm._tb = ntb
-                            tm._queued_time = nt
-                            tm._queued_tb = ntb
-                            nslot = int(nt * inv)
-                            nb = self._buckets.get(nslot)
-                            if nb is not None:
-                                nb.append((nt, ntb, tm, fn, args))
-                            elif nslot == self._active_slot:
-                                insort(bucket, (nt, ntb, tm, fn, args))
-                            else:
-                                self._buckets[nslot] = [(nt, ntb, tm, fn, args)]
-                                heappush(self._slot_heap, nslot)
-                        self.now = t
-                        n += 1
-                        self._active_i = i
-                        if args:
-                            fn(*args)
-                        else:
-                            fn()
-                    else:
-                        i += 1
-                        if tm.cancelled:
-                            if self._cancelled_in_queue:
-                                self._cancelled_in_queue -= 1
-                        elif tb == tm._queued_tb:
-                            self._repush_authoritative(tm)
-            finally:
-                self._events_processed += n - n0
-                if i >= len(bucket):
-                    self._active = None
-                    self._active_slot = -1
-                    self._active_i = 0
-                else:
-                    # Stopping mid-cohort (budget or exception): seal so
-                    # later insertions can't land below the resume point.
-                    del bucket[:i]
-                    self._active_i = 0
-        return n
-
-    def _drain_active(self, n: int, budget: int,
-                      limit: Optional[float]) -> int:
-        """Generic cohort drain: honours a time ``limit`` and resumes at
-        ``_active_i``.  Used by ``run(until=)`` and for cohorts stashed
-        mid-drain; slower than the fast loop but fully general."""
-        bucket = self._active
-        assert bucket is not None
-        i = self._active_i
-        n0 = n
+        fired = 0
         try:
-            while i < len(bucket):
-                entry = bucket[i]
-                tm = entry[2]
-                if tm is not None and tm._tb != entry[1]:
-                    i += 1
-                    if tm.cancelled:
-                        if self._cancelled_in_queue:
-                            self._cancelled_in_queue -= 1
-                    elif entry[1] == tm._queued_tb:
-                        self._repush_authoritative(tm)
-                    continue
-                t = entry[0]
-                if limit is not None and t > limit:
-                    break
-                if n >= budget:
-                    break
-                i += 1
-                self._active_i = i
-                t, tb, tm, fn, args = entry
-                if tm is not None:
-                    itv = tm.interval
-                    if itv is None:
-                        tm.fired = True
+            while fired < budget:
+                if predicate is not None:
+                    # The predicate is arbitrary user code (it may
+                    # cancel, reschedule or schedule into the cohort),
+                    # so the loop counts as stopped while it runs.
+                    self._seal_active()
+                    if predicate():
+                        return fired, _SATISFIED
+                while True:
+                    if not self._checkout_bucket():
+                        return fired, _QUIESCED
+                    i = self._active_i
+                    time, tb, timer, fn, args = self._active[i]
+                    if timer is None or timer._tb == tb:
+                        break
+                    self._active_i = i + 1
+                    self._drop_stale(tb, timer)
+                if limit is not None and time > limit:
+                    return fired, _TIME_LIMIT
+                self._active_i = i + 1
+                self.now = time
+                if timer is not None:
+                    if timer.interval is None:
+                        timer.fired = True
                     else:
-                        nt = t + itv
-                        ntb = next(self._tiebreak)
-                        tm.time = nt
-                        tm._tb = ntb
-                        tm._queued_time = nt
-                        tm._queued_tb = ntb
-                        nslot = int(nt * self._inv)
-                        nb = self._buckets.get(nslot)
-                        if nb is not None:
-                            nb.append((nt, ntb, tm, fn, args))
-                        elif nslot == self._active_slot:
-                            insort(bucket, (nt, ntb, tm, fn, args))
-                        else:
-                            self._buckets[nslot] = [(nt, ntb, tm, fn, args)]
-                            heappush(self._slot_heap, nslot)
-                self.now = t
-                n += 1
+                        # Periodic: re-arm (fresh tiebreak) before firing.
+                        self._arm(timer, time + timer.interval)
+                self._events_processed += 1
+                fired += 1
                 if args:
                     fn(*args)
                 else:
                     fn()
+            return fired, _BUDGET
         finally:
-            self._events_processed += n - n0
-            if i >= len(bucket):
-                self._active = None
-                self._active_slot = -1
-                self._active_i = 0
-            else:
-                # Stopping mid-cohort (limit, budget, or exception):
-                # seal — see _seal_active for the invariant.
-                del bucket[:i]
-                self._active_i = 0
-        return n
+            # Stopping (or raising) mid-cohort: seal, so insertions made
+            # while stopped cannot land below the resume point.
+            self._seal_active()
 
-    def _drain_until_time(self, limit: float, budget: int) -> int:
-        n = 0
-        while self._checkout_bucket():
-            n = self._drain_active(n, budget, limit)
-            if self._active is not None:
-                # Stopped on the time bound or the budget mid-cohort.
-                return n
-        return n
+    def step(self) -> bool:
+        """Run the next event.  Returns False when the queue is empty."""
+        return self._loop(1, None, None)[0] == 1
 
     def run(
         self,
@@ -818,16 +518,13 @@ class Scheduler:
             raise SimulationError("scheduler re-entered: run() called from an event")
         self._running = True
         try:
-            if until is None:
-                processed = self._drain(max_events)
-            else:
-                processed = self._drain_until_time(until, max_events)
-            if processed >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted ({max_events} events): likely a livelock"
-                )
+            processed, _ = self._loop(max_events, until, None)
         finally:
             self._running = False
+        if processed >= max_events:
+            raise SimulationError(
+                f"event budget exhausted ({max_events} events): likely a livelock"
+            )
         if until is not None and self.now < until:
             self.now = until
         return processed
@@ -851,34 +548,19 @@ class Scheduler:
             raise SimulationError(
                 "scheduler re-entered: run_until() called from an event")
         self._running = True
-        processed = 0
-        deadline = self.now + timeout
         try:
-            while True:
-                # The predicate is arbitrary user code (it may cancel or
-                # reschedule timers), so seal the stashed cohort before
-                # every call, as at any other stopped-loop boundary.
-                self._seal_active()
-                if predicate():
-                    break
-                entry = self._next_live()
-                if entry is None:
-                    raise SimulationError(
-                        "simulation quiesced before condition became true"
-                    )
-                if entry[0] > deadline:
-                    raise SimulationError(
-                        f"condition not reached within {timeout}s of simulated time"
-                    )
-                self._consume(entry)
-                processed += 1
-                if processed >= max_events:
-                    raise SimulationError(
-                        f"event budget exhausted in run_until "
-                        f"({max_events} events)")
+            _, why = self._loop(max_events, self.now + timeout, predicate)
         finally:
-            self._seal_active()
             self._running = False
+        if why == _QUIESCED:
+            raise SimulationError(
+                "simulation quiesced before condition became true")
+        if why == _TIME_LIMIT:
+            raise SimulationError(
+                f"condition not reached within {timeout}s of simulated time")
+        if why == _BUDGET:
+            raise SimulationError(
+                f"event budget exhausted in run_until ({max_events} events)")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Scheduler now={self.now:.6f} queued={self.pending_events}>"

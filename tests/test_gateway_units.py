@@ -16,7 +16,7 @@ def test_votes_for_plain_group_is_one(world):
     group = make_counter_group(domain)
     domain.await_ready(group)
     gateway = domain.gateways[0]
-    assert gateway._votes_for(group.info()) == 1
+    assert gateway.rm.votes_needed(group.info()) == 1
 
 
 def test_votes_for_voting_group_is_majority(world):
@@ -26,7 +26,7 @@ def test_votes_for_voting_group_is_majority(world):
                                replicas=3)
     domain.await_ready(group)
     gateway = domain.gateways[0]
-    assert gateway._votes_for(group.info()) == 2
+    assert gateway.rm.votes_needed(group.info()) == 2
 
 
 def test_votes_shrink_with_live_replicas(world):
@@ -39,7 +39,7 @@ def test_votes_shrink_with_live_replicas(world):
     world.run(until=world.now + 0.5)
     gateway = domain.gateways[0]
     info = gateway.rm.registry.get(group.group_id)
-    assert gateway._votes_for(info) == 2  # 2 live -> majority still 2
+    assert gateway.rm.votes_needed(info) == 2  # 2 live -> majority still 2
 
 
 def test_connection_keeps_its_client_id_across_requests(world):
@@ -89,13 +89,31 @@ def test_unused_client_id_responses_never_reach_gateway_routing(world):
 
 
 def test_gateway_index_partitions_counter_space(world):
+    """The index is the gateway's ordinal within its own domain, so the
+    plain-ORB client ids (index * 1_000_000 + n) of one domain's
+    gateways can never collide."""
     domain = make_domain(world, gateways=2)
-    a, b = domain.gateways
-    assert a.index != b.index
-    # Counter ids from different gateways can never collide.
-    id_a = a.index * 1_000_000 + 1
-    id_b = b.index * 1_000_000 + 1
-    assert id_a != id_b
+    assert [gw.index for gw in domain.gateways] == [0, 1]
+    other = make_domain(world, name="other", gateways=1)
+    assert other.gateways[0].index == 0
+
+
+def _plain_client_run():
+    world = World(seed=3, trace_spans=True)
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    _, stub, _ = external_client(world, domain, group, enhanced=False)
+    world.await_promise(stub.call("increment", 1))
+    return sorted(domain.gateways[0]._routing), world.trace_chrome_json()
+
+
+def test_same_seeded_world_twice_in_one_process_is_identical():
+    """Regression: the gateway index came from a process-global counter,
+    so the second identical world assigned client id 1000001 instead of
+    1 and its Chrome trace differed byte-for-byte."""
+    first = _plain_client_run()
+    assert first[0] == [1]
+    assert _plain_client_run() == first
 
 
 def test_purge_client_clears_all_tables(world):

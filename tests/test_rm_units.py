@@ -40,8 +40,8 @@ def test_votes_needed_by_style(world):
     domain.await_ready(plain)
     domain.await_ready(voting)
     rm = domain.coordinator_rm()
-    assert rm._votes_needed(rm.registry.get(plain.group_id)) == 1
-    assert rm._votes_needed(rm.registry.get(voting.group_id)) == 2
+    assert rm.votes_needed(rm.registry.get(plain.group_id)) == 1
+    assert rm.votes_needed(rm.registry.get(voting.group_id)) == 2
 
 
 def test_external_invoke_unknown_group_rejects(world):

@@ -17,8 +17,9 @@ that promise three ways:
   running events, and both
   kernels must produce identical firing logs, final clocks and event
   counts;
-* segmented ``run(until=...)`` / ``step()`` drives (which exercise the
-  calendar kernel's partially drained cohort stash) must match the
+* segmented ``run(until=...)`` / ``step()`` / ``run_until(predicate)``
+  drives (which exercise the calendar kernel's partially drained cohort
+  stash, and the seal before every predicate call) must match the
   reference at every cut point.
 
 Any future kernel change that alters observable ordering fails here
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 from repro.analysis.scenarios import (GOLDEN_SCENARIOS,
                                       run_failover_scenario)
 from repro.analysis.race import drop_metric_series
+from repro.errors import SimulationError
 from repro.sim.reference_scheduler import ReferenceScheduler
 from repro.sim.scheduler import Scheduler
 
@@ -170,19 +172,65 @@ def test_random_programs_fire_identically(program):
     assert new_result == ref_result
 
 
+_PREDICATE_ACTIONS = ("none", "cancel", "earlier", "same_slot")
+
+
+def _drive_until(sched, log, predicate, **limits):
+    """One ``run_until`` drive; the outcome is the stop reason plus
+    everything observable at the boundary, garbage accounting included."""
+    try:
+        sched.run_until(predicate, **limits)
+        outcome = "satisfied"
+    except SimulationError as exc:
+        outcome = str(exc)
+    return ("run_until", outcome, sched.now, tuple(log),
+            sched.pending_events, sched.stale_entries)
+
+
+def _mutating_predicate(sched, log, handles, mutate_at, stop_at, action):
+    """True once ``stop_at`` more events have fired; mutates the queue
+    from *inside* the predicate, once, when ``mutate_at`` have.  (Once:
+    the reference kernel also polls the predicate between garbage
+    pops, so a per-call side effect would not be comparable.)"""
+    start = len(log)
+    pending = [action]
+
+    def predicate():
+        fired = len(log) - start
+        if pending and fired >= mutate_at:
+            active = [h for h in handles if h.active]
+            kind = pending.pop()
+            if kind == "cancel" and active:
+                active[0].cancel()
+            elif kind == "earlier" and active:
+                sched.reschedule(active[-1], sched.now)
+            elif kind == "same_slot":
+                handles.append(sched.call_at(sched.now + 0.0005, log.append,
+                                             ("predicate", start)))
+        return fired >= stop_at
+
+    return predicate
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     timers=st.lists(st.tuples(_TIMES, st.booleans()), min_size=1,
                     max_size=25),
     cuts=st.lists(st.integers(1, 70), min_size=1, max_size=5),
     steps=st.integers(0, 3),
+    predicates=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 5),
+                  st.sampled_from(_PREDICATE_ACTIONS)),
+        min_size=1, max_size=3),
 )
-def test_segmented_until_and_step_drives_match(timers, cuts, steps):
+def test_segmented_until_and_step_drives_match(timers, cuts, steps,
+                                               predicates):
     """run(until=...) leaves partially drained state behind (the
     calendar kernel stashes a half-consumed cohort; the heap kernel
     leaves entries queued).  Driving both kernels through the same cut
-    points — with step() calls and mid-segment cancels thrown in — must
-    keep them in lockstep at every boundary."""
+    points — with step() calls, run_until(predicate) drives whose
+    predicates mutate the queue, and mid-segment cancels thrown in —
+    must keep them in lockstep at every boundary."""
     bounds = sorted(k * 0.0025 for k in cuts)
     results = []
     for kernel in KERNELS:
@@ -198,6 +246,22 @@ def test_segmented_until_and_step_drives_match(timers, cuts, steps):
         for _ in range(steps):
             observations.append(("step", sched.step(), sched.now,
                                  tuple(log)))
+        # run_until(predicate) is the drive the traffic uses.  Each
+        # drive stops after k fired events (k = 0: true on entry),
+        # quiesces, or times out with the due event left queued.
+        for mutate_at, stop_at, action in predicates:
+            observations.append(_drive_until(
+                sched, log, _mutating_predicate(sched, log, handles,
+                                                mutate_at, stop_at, action),
+                timeout=0.03))
+        # Strict budget: the predicate would hold after the one event
+        # the budget allows, and the drive raises all the same.
+        base = len(log)
+        observations.append(_drive_until(
+            sched, log, lambda: len(log) > base, max_events=1))
+        # Zero timeout: only events due right now may run.
+        observations.append(_drive_until(sched, log, lambda: False,
+                                         timeout=0.0))
         for bound in bounds:
             processed = sched.run(until=bound)
             observations.append(("run", bound, processed, sched.now,
@@ -212,6 +276,8 @@ def test_segmented_until_and_step_drives_match(timers, cuts, steps):
         final = sched.run()
         observations.append(("final", final, sched.now, tuple(log),
                              sched.events_processed))
+        # Already true on entry, nothing queued: returns, fires nothing.
+        observations.append(_drive_until(sched, log, lambda: True))
         results.append(observations)
     assert results[0] == results[1]
 

@@ -11,7 +11,6 @@ The script
 
 * runs ``benchmarks/bench_totem_ring.py``,
   ``benchmarks/bench_gateway_scaling.py``,
-  ``benchmarks/bench_scheduler_throughput.py``,
   ``benchmarks/bench_gateway_farm.py`` and
   ``benchmarks/bench_replication_styles.py`` under pytest-benchmark,
 * writes the dated raw results plus the comparison to
@@ -19,14 +18,13 @@ The script
 * reports the headline speedup of each benchmark against the recorded
   pre-overhaul means (``pre_pr_mean_s``),
 * **fails (exit 1)** when any benchmark's wall-clock mean regresses more
-  than ``--threshold`` (default 20%; the sim-kernel microbenches use a
-  tighter fixed 15%) over the committed ``mean_s``, or when any
-  simulated-time scalar in ``extra_info`` (latencies, completion times,
-  delivery counts — everything the discrete-event simulation fully
-  determines) differs from the baseline.  Simulated numbers are
+  than ``--threshold`` (default 20%) over the committed ``mean_s``, or
+  when any simulated-time scalar in ``extra_info`` (latencies,
+  completion times, delivery counts — everything the discrete-event
+  simulation fully determines) differs from the baseline.  Simulated numbers are
   deterministic, so *any* drift there is a semantic change, not noise.
-  With ``--gate-scheduler-only`` (the CI mode) only scheduler-bench
-  failures block; end-to-end regressions print as advisory.
+  CI runs this step advisory (``continue-on-error``); the blocking
+  gate is the ``bench`` job (``python3 -m bench --quick``).
 
 Wall-clock numbers depend on the machine; refresh the baseline on the
 reference runner with ``--update-baseline`` (this preserves the
@@ -63,7 +61,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_FILES = [
     "benchmarks/bench_totem_ring.py",
     "benchmarks/bench_gateway_scaling.py",
-    "benchmarks/bench_scheduler_throughput.py",
     "benchmarks/bench_gateway_farm.py",
     "benchmarks/bench_replication_styles.py",
 ]
@@ -76,11 +73,6 @@ STYLE_COMPARISON_PATH = "STYLE_COMPARISON.json"
 # nested blobs rather than simulated scalars.
 EXTRA_INFO_IGNORED = {"metrics", "events_processed", "events_per_sec",
                       "reference_events_per_sec", "speedup_vs_reference"}
-# The sim-kernel microbenches gate *blocking* in CI at a tighter
-# threshold (the kernel is the multiplier under every other number);
-# the end-to-end benches stay advisory there.
-SCHEDULER_BENCH_PREFIX = "test_sched_"
-SCHEDULER_THRESHOLD = 0.15
 
 
 def run_benchmarks() -> dict:
@@ -110,25 +102,14 @@ def scalar_extra_info(bench: dict) -> dict:
             if k not in EXTRA_INFO_IGNORED}
 
 
-def bench_threshold(name: str, default: float) -> float:
-    """Scheduler microbenches use their own (tighter) gate threshold."""
-    if name.startswith(SCHEDULER_BENCH_PREFIX):
-        return SCHEDULER_THRESHOLD
-    return default
-
-
 def compare(baseline: dict, fresh: dict, threshold: float) -> dict:
-    """Build the comparison report; report['failures'] drives the gate.
-
-    Each failure is a ``(name, message)`` pair so callers can split the
-    blocking scheduler-bench failures from advisory end-to-end ones.
-    """
+    """Build the comparison report; report['failures'] drives the gate."""
     fresh_by_name = {b["name"]: b for b in fresh["benchmarks"]}
     rows, failures = [], []
     for name, ref in sorted(baseline["benchmarks"].items()):
         cur = fresh_by_name.get(name)
         if cur is None:
-            failures.append((name, f"{name}: benchmark missing from run"))
+            failures.append(f"{name}: benchmark missing from run")
             continue
         mean = cur["stats"]["mean"]
         best = cur["stats"]["min"]
@@ -147,17 +128,16 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> dict:
         }
         if "pre_pr_mean_s" in ref:
             row["speedup_vs_pre_pr"] = ref["pre_pr_mean_s"] / mean
-        limit = bench_threshold(name, threshold)
-        if ratio > 1.0 + limit:
-            failures.append((name,
+        if ratio > 1.0 + threshold:
+            failures.append(
                 f"{name}: wall-clock regression {ratio:.2f}x over baseline "
                 f"min ({gate_ref * 1000:.2f}ms -> {best * 1000:.2f}ms, "
-                f"allowed {1.0 + limit:.2f}x)"))
+                f"allowed {1.0 + threshold:.2f}x)")
         extra = scalar_extra_info(cur)
         if extra != ref.get("extra_info", {}):
-            failures.append((name,
+            failures.append(
                 f"{name}: simulated extra_info drifted "
-                f"(expected {ref.get('extra_info')}, got {extra})"))
+                f"(expected {ref.get('extra_info')}, got {extra})")
         rows.append(row)
     for name in sorted(set(fresh_by_name) - set(baseline["benchmarks"])):
         rows.append({
@@ -167,36 +147,6 @@ def compare(baseline: dict, fresh: dict, threshold: float) -> dict:
             "note": "not in baseline",
         })
     return {"rows": rows, "failures": failures}
-
-
-def write_job_summary(fresh: dict) -> None:
-    """Publish kernel throughput to the CI job summary (and stdout).
-
-    One line per scheduler microbench: events/sec on the calendar
-    kernel and the measured speedup over the pre-overhaul heap.
-    """
-    lines = []
-    for bench in fresh["benchmarks"]:
-        if not bench["name"].startswith(SCHEDULER_BENCH_PREFIX):
-            continue
-        info = bench.get("extra_info", {})
-        if "events_per_sec" not in info:
-            continue
-        lines.append(
-            f"{bench['name']}: {info['events_per_sec']:,} events/sec "
-            f"({info.get('speedup_vs_reference', '?')}x vs pre-overhaul "
-            f"heap)")
-    if not lines:
-        return
-    print("\nscheduler throughput:")
-    for line in lines:
-        print(f"  {line}")
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a") as f:
-            f.write("### Sim-kernel throughput\n\n")
-            for line in lines:
-                f.write(f"- {line}\n")
 
 
 def write_farm_summary(fresh: dict) -> None:
@@ -455,10 +405,6 @@ def main() -> int:
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite the baseline means from this run "
                              "(keeps pre_pr_mean_s anchors)")
-    parser.add_argument("--gate-scheduler-only", action="store_true",
-                        help="exit non-zero only for scheduler-microbench "
-                             "failures; end-to-end bench regressions are "
-                             "reported as advisory (the CI mode)")
     parser.add_argument("--trace-overhead", action="store_true",
                         help="measure causal-tracing overhead on the "
                              "gateway-scaling workload instead of running "
@@ -513,27 +459,15 @@ def main() -> int:
         print(f"baseline updated: {args.baseline}")
         return 0
 
-    write_job_summary(fresh)
     write_farm_summary(fresh)
     write_styles_summary(fresh)
 
-    blocking = report["failures"]
-    advisory = []
-    if args.gate_scheduler_only:
-        blocking = [(n, m) for n, m in report["failures"]
-                    if n.startswith(SCHEDULER_BENCH_PREFIX)]
-        advisory = [(n, m) for n, m in report["failures"]
-                    if not n.startswith(SCHEDULER_BENCH_PREFIX)]
-    if advisory:
-        print("\nadvisory (non-blocking) regressions:")
-        for _, failure in advisory:
-            print(f"  - {failure}")
-    if blocking:
+    if report["failures"]:
         print("\nREGRESSIONS DETECTED:")
-        for _, failure in blocking:
+        for failure in report["failures"]:
             print(f"  - {failure}")
         return 1
-    print("\nno blocking regressions: wall-clock within thresholds, "
+    print("\nno regressions: wall-clock within thresholds, "
           "simulated numbers identical")
     return 0
 

@@ -36,7 +36,6 @@ EXPERIMENT_OF_FILE = {
     "bench_state_transfer": "E12 State transfer vs state size",
     "bench_ablation_totem_tuning": "E13 Totem tuning ablation",
     "bench_gateway_state_lifecycle": "E14 Gateway state lifecycle & audit",
-    "bench_scheduler_throughput": "E15 Sim-kernel throughput",
     "bench_gateway_farm": "E16 Gateway farm scaling",
 }
 
