@@ -24,7 +24,6 @@ survive gateway failover.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -218,12 +217,12 @@ class MuxRequester(FtRequester):
 class FtClientLayer:
     """Factory for fault-tolerance-aware stubs over a plain ORB."""
 
-    _uids = itertools.count(1)
-
     def __init__(self, orb: Orb, client_uid: Optional[str] = None,
                  incarnation: int = 1) -> None:
         self.orb = orb
-        uid = client_uid or f"ftclient/{orb.host.name}/{next(FtClientLayer._uids)}"
+        # The uid is the consistent-hash routing key, so an auto-named
+        # one is numbered by the client's host, not by the process.
+        uid = client_uid or f"ftclient/{orb.host.name}/{orb.host.next_serial()}"
         self.context = ClientIdContext(client_uid=uid, incarnation=incarnation)
         self.requesters: List[FtRequester] = []
         self.failover_log: List[Tuple[float, Tuple[str, int]]] = []

@@ -39,6 +39,7 @@ collects the original response, never a re-execution.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..iiop.ior import Ior
@@ -170,9 +171,15 @@ class GatewayPool:
         self.admission_queue_limit = admission_queue_limit
         self.virtual_nodes = virtual_nodes
         self.gateways: List[Gateway] = []
-        # Ring of (point, gateway) pairs, sorted by point; rebuilt only
-        # when membership changes (never per request).
-        self._ring: List[Tuple[int, Gateway]] = []
+        # The ring, rebuilt only when membership changes (never per
+        # request): the sorted virtual-node points, and for each of
+        # them the distinct gateways met walking the ring from there
+        # (so entry 0 of a walk is the gateway owning that point).
+        self._ring_points: List[int] = []
+        self._ring_walks: List[Tuple[Gateway, ...]] = []
+        # Published IORs by (group id, ring position): a pure function
+        # of the ring, so dropped whenever it is rebuilt.
+        self._iors: Dict[Tuple[int, int], Ior] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breaker_config = (failure_threshold, reset_timeout,
                                 probe_quota, close_after)
@@ -248,7 +255,18 @@ class GatewayPool:
         # Ties between virtual nodes (CRC32 collisions) break on the
         # deterministic host name, never on object identity.
         ring.sort(key=lambda pair: (pair[0], pair[1].host.name))
-        self._ring = ring
+        # Each walk is its successor's with this position's gateway
+        # moved to the front; the wrap-around seeds the recurrence.
+        walk: Tuple[Gateway, ...] = tuple(dict.fromkeys(
+            gateway for _, gateway in ring))
+        walks = []
+        for _, gateway in reversed(ring):
+            walk = (gateway,) + tuple(gw for gw in walk if gw is not gateway)
+            walks.append(walk)
+        walks.reverse()
+        self._ring_points = [point for point, _ in ring]
+        self._ring_walks = walks
+        self._iors = {}
 
     # ------------------------------------------------------------------
     # Availability and breaker feedback
@@ -301,27 +319,17 @@ class GatewayPool:
     # Routing
     # ------------------------------------------------------------------
 
-    def _ring_walk(self, key: str) -> List[Gateway]:
+    def _ring_position(self, key: str) -> int:
+        """Index of the first ring point at or after ``key``'s hash,
+        wrapping past the last point to the first (0 on an empty ring)."""
+        points = self._ring_points
+        return bisect_left(points, ring_hash(key)) % (len(points) or 1)
+
+    def _ring_walk(self, key: str) -> Tuple[Gateway, ...]:
         """All distinct gateways in ring order from ``key``'s position;
         the first entry is the key's hash owner."""
-        ring = self._ring
-        if not ring:
-            return []
-        point = ring_hash(key)
-        # Binary search would be O(log n); the ring is tiny (pools of
-        # 1-16 gateways) and rebuilds are rare, so a scan keeps it
-        # simple and allocation-free.
-        start = 0
-        for i, (node_point, _) in enumerate(ring):
-            if node_point >= point:
-                start = i
-                break
-        walk: List[Gateway] = []
-        for i in range(len(ring)):
-            gateway = ring[(start + i) % len(ring)][1]
-            if gateway not in walk:
-                walk.append(gateway)
-        return walk
+        walks = self._ring_walks
+        return walks[self._ring_position(key)] if walks else ()
 
     def hash_owner(self, key: str) -> Optional[Gateway]:
         """The key's ring owner, dead or alive (pure hash, no health)."""
@@ -396,9 +404,13 @@ class GatewayPool:
         key range."""
         handle = self.domain.resolve(group)
         self._m_ior_issued.inc()
-        return self.domain.interceptor.published_ior(
-            handle.group_id, handle.interface.repo_id,
-            addresses=self._walk_addresses(client_key))
+        slot = (handle.group_id, self._ring_position(client_key))
+        ior = self._iors.get(slot)
+        if ior is None:
+            ior = self._iors[slot] = self.domain.interceptor.published_ior(
+                handle.group_id, handle.interface.repo_id,
+                addresses=self._walk_addresses(client_key))
+        return ior
 
     def locate_forward(self, gateway: Gateway, group_id: int,
                        connection: "IiopServerConnection") -> Optional[Ior]:
@@ -435,17 +447,27 @@ class GatewayPool:
     # ------------------------------------------------------------------
 
     def _register_audit(self) -> None:
-        """The pool's own tables are bounded by membership, never by
-        client activity: declare exact floors so the leak audit sees
-        them (AUD001) without ever flagging them."""
+        """The pool's own tables are bounded by membership (the IOR
+        table: by ring positions times groups), never by client
+        activity: declare exact floors so the leak audit sees them
+        (AUD001) without ever flagging them."""
         scope = self.domain.world.audit_scope
         owner = f"pool@{self.domain.name}"
         scope.register("pool.gateways", lambda: len(self.gateways),
                        floor=lambda: len(self.gateways), owner=owner,
                        gauge="pool.state.gateways")
-        scope.register("pool.ring", lambda: len(self._ring),
-                       floor=lambda: len(self.gateways) * self.virtual_nodes,
-                       owner=owner, gauge="pool.state.ring")
+
+        def ring_size() -> int:
+            return len(self.gateways) * self.virtual_nodes
+
+        scope.register("pool.ring", lambda: len(self._ring_points),
+                       floor=ring_size, owner=owner, gauge="pool.state.ring")
+        scope.register("pool.ring_walks", lambda: len(self._ring_walks),
+                       floor=ring_size, owner=owner,
+                       gauge="pool.state.ring_walks")
+        scope.register("pool.iors", lambda: len(self._iors),
+                       floor=lambda: ring_size() * len(self.domain._handles),
+                       owner=owner, gauge="pool.state.iors")
         scope.register("pool.breakers", lambda: len(self._breakers),
                        floor=lambda: len(self.gateways), owner=owner,
                        gauge="pool.state.breakers")

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..core.identifiers import ClientId, OperationId, UNUSED_CLIENT_ID
+from ..iiop.giop import RequestMessage, decode_request
 
 
 class MsgKind(enum.Enum):
@@ -85,6 +86,21 @@ class DomainMessage:
     # weight already approximates.)
     trace: Optional[tuple] = field(default=None, repr=False, compare=False)
     _trace_order: int = field(default=0, repr=False, compare=False)
+    # The decoded form of ``iiop`` on an INVOCATION (see request()).
+    _request: Optional[RequestMessage] = field(default=None, repr=False,
+                                               compare=False)
+
+    def request(self) -> RequestMessage:
+        """The IIOP request this INVOCATION carries, decoded.
+
+        ``iiop`` never changes and every receiver is handed this same
+        message object, so the bytes are parsed by whoever asks first
+        and the (read-only) result is shared: each simulated replica
+        still executes the request, the host parses it once."""
+        request = self._request
+        if request is None:
+            request = self._request = decode_request(self.iiop)
+        return request
 
     def size_hint(self) -> int:
         """Approximate wire size, for network accounting.

@@ -39,7 +39,7 @@ from ..core.identifiers import (
     external_operation_id,
 )
 from ..errors import ConfigurationError, TransientError
-from ..iiop.giop import RequestMessage, decode_reply, decode_request, encode_request
+from ..iiop.giop import RequestMessage, decode_reply, encode_request
 from ..orb.dispatch import (
     decode_result,
     encode_arguments,
@@ -374,7 +374,7 @@ class ReplicationMechanisms(Process):
                 tr[0], "rm.delivery", parent=tr[1], source=self.name,
                 seq=msg.timestamp)
         # Record before executing so re-entrant deliveries see it.
-        request = decode_request(msg.iiop)
+        request = msg.request()
         seen[key] = _InvocationRecord(
             status="executing", response_expected=request.response_expected)
         while len(seen) > DEDUP_TABLE_LIMIT:
@@ -1112,7 +1112,7 @@ class ReplicationMechanisms(Process):
         seen = self._invocations_seen.setdefault(info.group_id, {})
         for msg in replay:
             self.metrics.counter("rm.style.catchup_replays").inc()
-            request = decode_request(msg.iiop)
+            request = msg.request()
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
             seen[key] = _InvocationRecord(
                 status="executing",
@@ -1198,7 +1198,7 @@ class ReplicationMechanisms(Process):
         for msg in replay:
             self.stats["replays"] += 1
             self._m_replays.inc()
-            request = decode_request(msg.iiop)
+            request = msg.request()
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
             # Mark executing (we may have logged it without executing).
             seen = self._invocations_seen.setdefault(info.group_id, {})

@@ -16,13 +16,19 @@ endpoint.  Two paper mechanisms live here:
 ``IOR:`` stringification uses the standard hex-of-CDR-encapsulation
 form, so references can be passed around as opaque strings exactly as
 CORBA applications do.
+
+An :class:`Ior` is an immutable value, so everything derived from it —
+the decoded IIOP profiles, the ``IOR:`` string — is computed at most
+once per instance, and :meth:`Ior.from_string` hands every holder of
+the same text the same instance.
 """
 
 from __future__ import annotations
 
 import binascii
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Sequence, Tuple
 
 from ..errors import MarshalError
 from .cdr import CdrInputStream, CdrOutputStream, decapsulate, encapsulate
@@ -74,12 +80,25 @@ class TaggedProfile:
     data: bytes
 
 
-@dataclass
+# Stringified references parsed by this process (Ior.from_string),
+# oldest first.  Sharing across worlds is invisible: an Ior is immutable
+# and equal texts parse to equal values.
+INTERN_LIMIT = 1024
+_INTERNED: Dict[str, "Ior"] = {}
+
+
+@dataclass(frozen=True)
 class Ior:
     """A CORBA object reference: type id + ordered tagged profiles."""
 
     type_id: str
-    profiles: List[TaggedProfile] = field(default_factory=list)
+    profiles: Tuple[TaggedProfile, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Accept any sequence, hold a tuple: the value never changes
+        # after construction, which is what makes the memoised views
+        # below (and the intern table) safe to share.
+        object.__setattr__(self, "profiles", tuple(self.profiles))
 
     # -- construction ----------------------------------------------------
 
@@ -87,23 +106,25 @@ class Ior:
     def for_endpoints(type_id: str, endpoints: Sequence[Tuple[str, int]],
                       object_key: bytes) -> "Ior":
         """Build an IOR with one IIOP profile per (host, port) endpoint."""
-        profiles = [
+        return Ior(type_id, tuple(
             TaggedProfile(TAG_INTERNET_IOP,
                           IiopProfile(host, port, object_key).encode())
-            for host, port in endpoints
-        ]
-        return Ior(type_id=type_id, profiles=profiles)
+            for host, port in endpoints))
 
     # -- profile access ---------------------------------------------------
 
-    def iiop_profiles(self) -> List[IiopProfile]:
+    @cached_property
+    def _iiop_profiles(self) -> Tuple[IiopProfile, ...]:
+        return tuple(IiopProfile.decode(p.data) for p in self.profiles
+                     if p.tag == TAG_INTERNET_IOP)
+
+    def iiop_profiles(self) -> Tuple[IiopProfile, ...]:
         """All TAG_INTERNET_IOP profiles, decoded, in IOR order."""
-        return [IiopProfile.decode(p.data) for p in self.profiles
-                if p.tag == TAG_INTERNET_IOP]
+        return self._iiop_profiles
 
     def primary_profile(self) -> IiopProfile:
         """The first IIOP profile — all a non-enhanced ORB ever uses."""
-        profiles = self.iiop_profiles()
+        profiles = self._iiop_profiles
         if not profiles:
             raise MarshalError(f"IOR for {self.type_id} has no IIOP profile")
         return profiles[0]
@@ -128,22 +149,35 @@ class Ior:
             tag = stream.read_ulong()
             data = stream.read_octets()
             profiles.append(TaggedProfile(tag, data))
-        return Ior(type_id=type_id, profiles=profiles)
+        return Ior(type_id, tuple(profiles))
 
-    def to_string(self) -> str:
-        """Standard ``IOR:<hex>`` stringified reference."""
+    @cached_property
+    def _string(self) -> str:
         data = encapsulate(self.encode)
         return "IOR:" + binascii.hexlify(data).decode("ascii")
 
+    def to_string(self) -> str:
+        """Standard ``IOR:<hex>`` stringified reference."""
+        return self._string
+
     @staticmethod
     def from_string(text: str) -> "Ior":
-        if not text.startswith("IOR:"):
-            raise MarshalError("stringified reference must start with 'IOR:'")
-        try:
-            data = binascii.unhexlify(text[4:])
-        except (binascii.Error, ValueError) as exc:
-            raise MarshalError(f"bad IOR hex: {exc}") from exc
-        return Ior.decode(decapsulate(data))
+        """Parse a stringified reference.  The result is a pure function
+        of ``text``, so one instance per distinct text is interned (only
+        successful parses: malformed text raises on every call)."""
+        ior = _INTERNED.get(text)
+        if ior is None:
+            if not text.startswith("IOR:"):
+                raise MarshalError(
+                    "stringified reference must start with 'IOR:'")
+            try:
+                data = binascii.unhexlify(text[4:])
+            except (binascii.Error, ValueError) as exc:
+                raise MarshalError(f"bad IOR hex: {exc}") from exc
+            ior = _INTERNED[text] = Ior.decode(decapsulate(data))
+            if len(_INTERNED) > INTERN_LIMIT:
+                _INTERNED.pop(next(iter(_INTERNED)))  # FIFO, bounded memory
+        return ior
 
 
 def replace_addresses(ior: Ior, address: Tuple[str, int]) -> Ior:
@@ -163,7 +197,7 @@ def replace_addresses(ior: Ior, address: Tuple[str, int]) -> Ior:
             new_profiles.append(TaggedProfile(TAG_INTERNET_IOP, replacement.encode()))
         else:
             new_profiles.append(profile)
-    return Ior(type_id=ior.type_id, profiles=new_profiles)
+    return Ior(ior.type_id, tuple(new_profiles))
 
 
 def stitch_profiles(type_id: str, addresses: Sequence[Tuple[str, int]],

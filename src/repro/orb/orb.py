@@ -22,9 +22,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CommFailure, ConfigurationError, NoResponse, ObjectNotExist
 from ..iiop.giop import (
+    MsgType,
     RequestMessage,
     ServiceContext,
+    decode_request,
     encode_request,
+    parse_header,
 )
 from ..iiop.ior import Ior
 from ..sim.host import Host, Process
@@ -246,7 +249,6 @@ class Orb(Process):
 
     def _handle_message(self, message: bytes,
                         connection: IiopServerConnection) -> None:
-        from ..iiop.giop import MsgType, decode_request, parse_header
         message_type, _, _ = parse_header(message)
         if message_type != MsgType.REQUEST:
             return

@@ -15,6 +15,7 @@ semantics a real crashed processor exhibits.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, List, TYPE_CHECKING
 
 from ..errors import ConfigurationError
@@ -39,6 +40,13 @@ class Host:
         self.last_crash_at: Any = None
         self._crash_listeners: List[Callable[["Host"], None]] = []
         self._recovery_listeners: List[Callable[["Host"], None]] = []
+        self._serials = itertools.count(1)
+
+    def next_serial(self) -> int:
+        """A number never handed out before on this host (as a pid is):
+        a pure function of what the seeded world built here, never of
+        what else the Python process built before it."""
+        return next(self._serials)
 
     # ------------------------------------------------------------------
     # Process management

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CommFailure, FtClientLayer, Orb, World
+from repro import CommFailure, FtClientLayer, GatewayPool, Orb, World
 from repro.iiop import (
     ETERNAL_CLIENT_ID_CONTEXT,
     ClientIdContext,
@@ -20,6 +20,24 @@ def test_layer_assigns_unique_client_uids(world):
     layer_a = FtClientLayer(orb)
     layer_b = FtClientLayer(orb)
     assert layer_a.client_uid != layer_b.client_uid
+    # A second client process on the same host is a different client.
+    layer_c = FtClientLayer(Orb(world, host))
+    assert layer_c.client_uid not in (layer_a.client_uid, layer_b.client_uid)
+
+
+def test_auto_named_uid_is_a_function_of_the_seeded_world():
+    """The uid is the consistent-hash routing key: the same seeded world
+    must name (and so route) its clients the same however many worlds
+    the process built before it."""
+    def build():
+        world = World(seed=3)
+        domain = make_domain(world, gateways=0)
+        pool = GatewayPool(domain, size=4)
+        orb = Orb(world, world.add_host("c"))
+        uids = [FtClientLayer(orb).client_uid for _ in range(3)]
+        return uids, [pool.hash_owner(f"{uid}#1").host.name for uid in uids]
+
+    assert build() == build()
 
 
 def test_stub_requests_carry_client_id_service_context(world):

@@ -9,9 +9,15 @@ exactly-once guarantees the farm inherits from request mirroring and
 duplicate suppression.
 """
 
-import pytest
+from types import SimpleNamespace
+from unittest import mock
 
-from repro import CircuitBreaker, FtClientLayer, GatewayPool, Orb
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import CircuitBreaker, FtClientLayer, GatewayPool, Orb, World
+from repro.core import gateway_pool
 from repro.eternal.naming import make_object_key
 from repro.iiop import (
     GiopFramer,
@@ -185,13 +191,146 @@ def test_breaker_probes_and_recloses_through_the_pool(world):
 
 
 def test_pool_state_is_audit_registered(world):
-    _, pool = make_pool(world, size=2)
+    domain, pool = make_pool(world, size=2)
+    group = make_counter_group(domain)
+    # Client activity must not grow the pool's tables: many more
+    # distinct clients than the ring has positions.
+    for i in range(500):
+        pool.route(f"client/{i}#1")
+        pool.ior_for(group, f"client/{i}#1")
     world.run(until=world.now + 2.0)   # let the ring quiesce (totem gc)
     report = world.audit()
     assert report.ok
     snapshot = world.metrics.snapshot()
     assert snapshot["pool.state.gateways"]["value"] == 2
     assert snapshot["pool.state.breakers"]["value"] == 2
+    ring_size = 2 * pool.virtual_nodes
+    assert snapshot["pool.state.ring"]["value"] == ring_size
+    assert snapshot["pool.state.ring_walks"]["value"] == ring_size
+    assert 0 < snapshot["pool.state.iors"]["value"] <= ring_size
+    audited = {row.name for row in report.rows}
+    assert {"pool.ring", "pool.ring_walks", "pool.iors"} <= audited
+
+
+# ----------------------------------------------------------------------
+# The ring walk is a bisect + table lookup: check it against a scan
+# ----------------------------------------------------------------------
+
+real_ring_hash = gateway_pool.ring_hash
+
+
+def pinned_ring_hash(pins):
+    """``ring_hash`` with chosen positions: pinned keys, and ``@<n>``
+    for any point ``n``; everything else hashes as usual."""
+    def ring_hash(key):
+        if key in pins:
+            return pins[key]
+        if key.startswith("@") and key[1:].isdigit():
+            return int(key[1:])
+        return real_ring_hash(key)
+    return ring_hash
+
+
+def reference_walk(pool, key):
+    """The walk as a linear scan over a ring built from scratch — the
+    implementation ``_ring_walk`` had before the bisect, kept here as
+    the oracle."""
+    ring = sorted(
+        (gateway_pool.ring_hash(f"{gw.host.name}#{v}"), gw.host.name, gw)
+        for gw in pool.gateways for v in range(pool.virtual_nodes))
+    point = gateway_pool.ring_hash(key)
+    start = 0
+    for i, (node_point, _, _) in enumerate(ring):
+        if node_point >= point:
+            start = i
+            break
+    walk = []
+    for i in range(len(ring)):
+        gateway = ring[(start + i) % len(ring)][2]
+        if gateway not in walk:
+            walk.append(gateway)
+    return walk
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 16),
+       tied=st.sets(st.integers(0, 15), max_size=4),
+       tie_point=st.integers(0, 2**32 - 1),
+       keys=st.lists(st.one_of(
+           st.text(max_size=30),
+           st.integers(0, 2**32 - 1).map(lambda n: f"@{n}")), max_size=20))
+def test_ring_walk_matches_a_reference_linear_scan(size, tied, tie_point,
+                                                   keys):
+    # Forced CRC ties: one virtual node of each ``tied`` gateway lands
+    # on the same point, so the order there is the host-name tie-break.
+    pins = {f"dom-gw{i}#0": tie_point for i in tied}
+    with mock.patch.object(gateway_pool, "ring_hash", pinned_ring_hash(pins)):
+        domain = make_domain(World(seed=1), gateways=0)
+        pool = GatewayPool(domain, size=size)
+        points = pool._ring_points
+        assert points == sorted(points) and len(points) == size * 32
+        # Always probe the edges: before the first point, exactly on
+        # and either side of the tie, and above the last point (the
+        # wrap-around to position 0).
+        edges = {0, points[0], points[-1], min(points[-1] + 1, 2**32 - 1),
+                 2**32 - 1, tie_point, max(tie_point - 1, 0),
+                 min(tie_point + 1, 2**32 - 1)}
+        for key in keys + [f"@{n}" for n in sorted(edges)]:
+            expected = reference_walk(pool, key)
+            assert list(pool._ring_walk(key)) == expected
+            addresses = [(gw.host.name, gw.port) for gw in expected]
+            assert pool._walk_addresses(key) == addresses
+            assert pool.hash_owner(key) is expected[0]
+            assert pool.route(key) is expected[0]     # everyone healthy
+            connection = SimpleNamespace(
+                endpoint=SimpleNamespace(remote_addr=(key, 40000)))
+            for gateway in pool.gateways:
+                at_home = gateway is expected[0]
+                assert pool.is_hash_owner(gateway, key, None) == at_home
+                assert pool.is_hash_owner(gateway, 7, connection) == at_home
+                forward = pool.locate_forward(gateway, 10, connection)
+                if at_home:
+                    assert forward is None
+                else:
+                    assert [p.address
+                            for p in forward.iiop_profiles()] == addresses
+
+
+def test_empty_ring_routes_nowhere(world):
+    pool = GatewayPool(make_domain(world, gateways=0))
+    assert pool._ring_walk("anyone#1") == ()
+    assert pool.hash_owner("anyone#1") is None
+    assert pool.route("anyone#1") is None
+    assert pool._walk_addresses("anyone#1") == []
+
+
+def test_membership_change_drops_the_interned_iors(world):
+    domain, pool = make_pool(world, size=2)
+    group = make_counter_group(domain)
+    key = "alice#1"
+
+    def addresses(ior):
+        return [p.address for p in ior.iiop_profiles()]
+
+    held = pool.ior_for(group, key)
+    assert pool.ior_for(group, key) is held      # one IOR per ring position
+    held_text, held_addresses = held.to_string(), addresses(held)
+    assert len(held_addresses) == 2
+
+    added = pool.add_gateway()
+    grown = pool.ior_for(group, key)
+    assert grown is not held
+    assert (added.host.name, added.port) in addresses(grown)
+    assert addresses(grown) == pool._walk_addresses(key)
+
+    adopted = pool.adopt(domain.add_gateway(port=2809))
+    regrown = pool.ior_for(group, key)
+    assert (adopted.host.name, adopted.port) in addresses(regrown)
+    assert len(addresses(regrown)) == 4
+
+    # The reference a client already holds is a value, not a view.
+    assert addresses(held) == held_addresses
+    assert held.to_string() == held_text
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MarshalError
+from repro.iiop import ior as ior_module
 from repro.iiop import (
     IiopProfile,
     Ior,
     TAG_INTERNET_IOP,
+    TaggedProfile,
     replace_addresses,
     stitch_profiles,
 )
@@ -88,12 +90,80 @@ def test_stitch_requires_at_least_one_gateway():
 
 
 def test_non_iiop_profiles_are_preserved_by_replace():
-    from repro.iiop.ior import TaggedProfile
-    ior = Ior.for_endpoints("IDL:x:1.0", [("h", 1)], b"k")
-    ior.profiles.append(TaggedProfile(99, b"opaque"))
+    endpoint = Ior.for_endpoints("IDL:x:1.0", [("h", 1)], b"k").profiles[0]
+    ior = Ior("IDL:x:1.0", [endpoint, TaggedProfile(99, b"opaque")])
     rewritten = replace_addresses(ior, ("gw", 2))
+    assert rewritten.primary_profile().address == ("gw", 2)
     assert rewritten.profiles[-1].tag == 99
     assert rewritten.profiles[-1].data == b"opaque"
+
+
+# ----------------------------------------------------------------------
+# An Ior is an immutable value: derived once, interned by text
+# ----------------------------------------------------------------------
+
+def test_ior_rejects_mutation():
+    ior = Ior.for_endpoints("IDL:x:1.0", [("h", 1)], b"k")
+    with pytest.raises(AttributeError):
+        ior.profiles = ()
+    with pytest.raises(AttributeError):
+        ior.type_id = "IDL:y:1.0"
+    with pytest.raises(AttributeError):
+        ior.profiles.append(TaggedProfile(99, b"opaque"))
+    # A sequence passed in is copied, not aliased.
+    source = list(ior.profiles)
+    built = Ior("IDL:x:1.0", source)
+    source.clear()
+    assert built == ior and hash(built) == hash(ior)
+
+
+def test_derived_views_are_computed_once_per_instance(monkeypatch):
+    ior = Ior.for_endpoints("IDL:x:1.0", [("a", 1), ("b", 2)], b"k")
+    decodes = []
+    real_decode = IiopProfile.decode
+    monkeypatch.setattr(
+        IiopProfile, "decode",
+        staticmethod(lambda data: decodes.append(data) or real_decode(data)))
+    first = ior.iiop_profiles()
+    assert ior.iiop_profiles() is first
+    assert ior.primary_profile() is first[0]
+    assert len(decodes) == 2
+    assert ior.to_string() is ior.to_string()
+
+
+def test_from_string_interns_by_text():
+    text = Ior.for_endpoints("IDL:x:1.0", [("h", 1)], b"intern").to_string()
+    assert Ior.from_string(text) is Ior.from_string(text)
+    # Keyed by the text, not by the value: the upper-case spelling of
+    # the same reference is its own entry, equal but not identical.
+    upper = "IOR:" + text[4:].upper()
+    assert Ior.from_string(upper) == Ior.from_string(text)
+    assert Ior.from_string(upper).to_string() == text
+
+
+@pytest.mark.parametrize("text", [
+    "ior:deadbeef",                      # bad prefix
+    "IOR:zzzz",                          # bad hex
+    "IOR:00",                            # truncated encapsulation
+    "IOR:" + "00" * 4 + "ffffffff",      # implausible string length
+])
+def test_malformed_string_raises_every_time_and_is_never_interned(text):
+    for _ in range(3):
+        with pytest.raises(MarshalError):
+            Ior.from_string(text)
+    assert text not in ior_module._INTERNED
+
+
+def test_intern_table_stays_bounded():
+    first = Ior.for_endpoints("IDL:x:1.0", [("h", 1)], b"k0").to_string()
+    kept = Ior.from_string(first)
+    for i in range(1, 10_000):
+        Ior.from_string(
+            Ior.for_endpoints("IDL:x:1.0", [("h", 1)], b"k%d" % i).to_string())
+    assert len(ior_module._INTERNED) <= ior_module.INTERN_LIMIT
+    # Evicted, so parsed afresh: equal to the instance a holder kept.
+    assert first not in ior_module._INTERNED
+    assert Ior.from_string(first) == kept
 
 
 @given(st.lists(st.tuples(host_names, ports), min_size=1, max_size=8),
