@@ -16,7 +16,7 @@ the per-server-group counter of section 3.2), maps the socket to that
 identifier, generates the operation identifier, builds the Figure 4
 header, and multicasts header + IIOP message into the domain.  For
 every multicast response it: extracts the operation identifier, filters
-duplicates (one response arrives per server replica — section 3.3),
+duplicates (every replica's copy that reached the ring — section 3.3),
 finds the socket for the TCP client identifier, and forwards the IIOP
 reply bytes verbatim.
 

@@ -102,6 +102,16 @@ class DomainMessage:
             request = self._request = decode_request(self.iiop)
         return request
 
+    def copy_key(self) -> tuple:
+        """The Figure 4 header without its timestamp, plus the kind.
+
+        Every replica of the sending group derives the same operation
+        identifier (Figure 6), so this is equal on — and only on — the
+        copies of one RESPONSE or one nested INVOCATION, wherever they
+        are seen: at the receiver or in the sender's own send queue."""
+        return (self.kind, self.source_group, self.target_group,
+                self.client_id, self.op_id)
+
     def size_hint(self) -> int:
         """Approximate wire size, for network accounting.
 

@@ -8,7 +8,9 @@ a fault tolerance domain, layered on the local Totem member.  It:
   detecting and suppressing duplicate invocations via the
   (source group, client id, operation id) key and caching responses so
   duplicates can be answered without re-execution;
-* multicasts replica responses back to the invoking group or gateway;
+* multicasts replica responses back to the invoking group or gateway,
+  withdrawing its own still-queued copy when a sibling replica's
+  identical one is delivered first (sender-side duplicate suppression);
 * drives nested invocations (generator servants) with deterministic
   Figure 6 identifiers;
 * implements the replication styles (active, active with voting, warm
@@ -51,7 +53,7 @@ from ..orb.servant import NestedCall, Servant
 from ..sim.host import Host, Process
 from ..sim.trace import Tracer
 from ..sim.world import Promise
-from ..totem.member import TotemMember
+from ..totem.member import Queued, TotemMember
 from .execution import Execution, Outcome
 from .logging_recovery import GroupLog
 from .messages import DomainMessage, MsgKind
@@ -160,6 +162,10 @@ class ReplicationMechanisms(Process):
         # leader's response for the same operation is delivered in total
         # order; on promotion the survivor resends the cached replies.
         self._lf_unacked: Dict[int, Dict[Tuple, DomainMessage]] = {}
+        # Our own RESPONSE / nested INVOCATION copies still in the Totem
+        # send queue, by DomainMessage.copy_key(), for groups whose
+        # style says any copy suffices.  Consulted in _on_deliver.
+        self._outbound_copies: Dict[Tuple, Queued] = {}
 
         self._gateway = None               # attached repro.core.gateway.Gateway
         self._egress = None                # attached cross-domain egress client
@@ -189,6 +195,8 @@ class ReplicationMechanisms(Process):
         self._m_invocations = m.counter("eternal.invocations.executed")
         self._m_dup_invocations = m.counter("eternal.invocations.duplicate")
         self._m_state_updates = m.counter("eternal.state.updates")
+        self._m_copies_queued = m.counter("rm.copies.queued")
+        self._m_copies_withdrawn = m.counter("rm.copies.withdrawn")
         self._m_checkpoints_sent = m.counter("eternal.checkpoint.multicasts")
         self._m_replays = m.counter("fault.recovery.replays")
         self._m_failovers = m.counter("fault.failover.count")
@@ -267,6 +275,20 @@ class ReplicationMechanisms(Process):
     def multicast(self, message: DomainMessage) -> None:
         self.totem.multicast(message, size=message.size_hint())
 
+    def _multicast_copy(self, message: DomainMessage) -> None:
+        """Multicast a local replica's RESPONSE or nested INVOCATION:
+        a message every replica of the sending group
+        (``message.source_group``) computes identically.
+
+        Where any one copy serves the receiver, ours is remembered
+        while it waits for the token so that :meth:`_on_deliver` can
+        withdraw it if a sibling's copy is agreed first."""
+        entry = self.totem.multicast(message, size=message.size_hint())
+        info = self.registry.get(message.source_group)
+        if info is not None and info.style.any_copy_suffices:
+            self._m_copies_queued.inc()
+            self._outbound_copies[message.copy_key()] = entry
+
     def _log_for(self, group_id: int) -> GroupLog:
         """The group's invocation log, created metrics-wired on demand."""
         log = self.logs.get(group_id)
@@ -304,7 +326,7 @@ class ReplicationMechanisms(Process):
             response._trace_order = self._span_collector.start(
                 tr[0], "totem.order.response", parent=tr[1],
                 source=self.name, responder=self.host.name)
-        self.multicast(response)
+        self._multicast_copy(response)
 
     # ==================================================================
     # Delivery entry point
@@ -314,6 +336,20 @@ class ReplicationMechanisms(Process):
         if not isinstance(payload, DomainMessage):
             return
         payload.timestamp = seq  # same value stamped by every receiver
+        mine = (self._outbound_copies.pop(payload.copy_key(), None)
+                if self._outbound_copies else None)
+        if (mine is not None and mine.payload is not payload
+                and self.totem.withdraw(mine)):
+            # A sibling replica's identical copy was agreed first, here
+            # and at every other live member: ours would only be thrown
+            # away on receipt, so it never takes a sequence number.
+            # (Delivery of our own copy just retires the entry; a copy
+            # already sequenced crosses on the ring and the receiver's
+            # DuplicateSuppressor drops it, as it always has.)
+            self._m_copies_withdrawn.inc()
+            if mine.payload._trace_order:
+                self._span_collector.end(mine.payload._trace_order,
+                                         outcome="withdrawn")
         if not self.synced:
             if payload.kind is MsgKind.REGISTRY_SYNC:
                 self._apply_registry_sync(payload)
@@ -436,6 +472,9 @@ class ReplicationMechanisms(Process):
                        lambda: sum(len(d) for d in self._lf_unacked.values()),
                        floor=0, owner=owner, active=alive,
                        gauge="rm.state.lf_unacked")
+        scope.register("rm.outbound_copies", lambda: len(self._outbound_copies),
+                       floor=0, owner=owner, active=alive,
+                       gauge="rm.state.outbound_copies")
         # Hosted replicas are capacity, not churn: one entry per group
         # this processor hosts, so the registration is snapshot-only.
         scope.register("rm.replicas", lambda: len(self.replicas),
@@ -608,7 +647,7 @@ class ReplicationMechanisms(Process):
         lf_follower = (info.style.is_semi_active and not execution.replay
                        and info.primary(self.live_hosts) != self.host.name)
         if not lf_follower:
-            self.multicast(message)
+            self._multicast_copy(message)
             if info.style.is_semi_active and not nested_op.oneway:
                 # The leader's ordering record: followers verify their
                 # locally-derived identifiers against it (Figure 6
@@ -1128,6 +1167,12 @@ class ReplicationMechanisms(Process):
         previous = self._prev_members
         self._prev_members = tuple(members)
         self.live_hosts = tuple(members)
+        # The cut delivered or dropped everything sequenced on the old
+        # ring: an own copy that left the queue without coming back to
+        # retire its entry never will now.
+        self._outbound_copies = {
+            key: entry for key, entry in self._outbound_copies.items()
+            if entry.queued}
         # Registry synchronization for joiners: the lowest-named incumbent
         # (present in both the old and new membership) multicasts the
         # directory snapshot; every incumbent computes the same incumbent.

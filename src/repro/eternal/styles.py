@@ -10,7 +10,7 @@ family.  The semantics implemented by the Replication Mechanisms:
 ============== =================================================================
 STATELESS       Every replica executes every invocation; no state is
                 checkpointed or transferred (there is none).  Responses are
-                deduplicated at the receiver.
+                deduplicated as for ACTIVE.
 COLD_PASSIVE    Only the primary executes.  Backups log delivered invocations;
                 the primary's state is checkpointed periodically and multicast.
                 On failover the new primary restores the latest checkpoint and
@@ -19,9 +19,11 @@ WARM_PASSIVE    Only the primary executes, and after every operation the
                 primary multicasts a state update to the backups.  Failover
                 replays only the (usually empty) log suffix after the last
                 update.
-ACTIVE          Every replica executes every invocation deterministically;
-                every replica's response is multicast and duplicates are
-                suppressed at the receiver (gateway or invoking group).
+ACTIVE          Every replica executes every invocation deterministically
+                and queues its response; a replica whose copy is still
+                queued when a sibling's is delivered withdraws it, and
+                copies that cross on the ring are suppressed at the
+                receiver (gateway or invoking group).
 ACTIVE_WITH_VOTING
                 As ACTIVE, but the receiver delivers a response only once a
                 majority of the group's replicas returned byte-identical
@@ -41,17 +43,17 @@ Because ``is_active`` historically conflated "executes everywhere" with
 "participates in voting/response logic", the predicate is split into
 orthogonal properties.  The full matrix:
 
-=================== ========= ============ =========== ======== ==========
-style               executes_ responds_    is_semi_    needs_   has_state
-                    everywhere from_all    active      voting
-=================== ========= ============ =========== ======== ==========
-STATELESS           yes       yes          no          no       no
-COLD_PASSIVE        no        no           no          no       yes
-WARM_PASSIVE        no        no           no          no       yes
-ACTIVE              yes       yes          no          no       yes
-ACTIVE_WITH_VOTING  yes       yes          no          yes      yes
-LEADER_FOLLOWER     yes       no           yes         no       yes
-=================== ========= ============ =========== ======== ==========
+=================== ========= ============ =========== ======== ========== ============
+style               executes_ responds_    is_semi_    needs_   has_state  any_copy_
+                    everywhere from_all    active      voting              suffices
+=================== ========= ============ =========== ======== ========== ============
+STATELESS           yes       yes          no          no       no         yes
+COLD_PASSIVE        no        no           no          no       yes        no
+WARM_PASSIVE        no        no           no          no       yes        no
+ACTIVE              yes       yes          no          no       yes        yes
+ACTIVE_WITH_VOTING  yes       yes          no          yes      yes        no
+LEADER_FOLLOWER     yes       no           yes         no       yes        no
+=================== ========= ============ =========== ======== ========== ============
 
 * ``executes_everywhere`` — every live replica runs the servant for
   every delivered invocation (the ``i_execute`` decision).
@@ -60,6 +62,12 @@ LEADER_FOLLOWER     yes       no           yes         no       yes
 * ``is_semi_active`` — executes everywhere but only the leader speaks;
   followers withhold responses and follow ordering records.
 * ``is_passive`` — only the primary executes; backups log.
+* ``any_copy_suffices`` — every replica queues the same RESPONSE or
+  nested INVOCATION and the receiver wants just one of them, so a
+  replica that sees a sibling's copy delivered in total order while its
+  own is still in the Totem send queue withdraws it (sender-side
+  duplicate suppression).  Voting needs every copy; the passive and
+  semi-active styles only ever queue one.
 """
 
 from __future__ import annotations
@@ -104,6 +112,12 @@ class ReplicationStyle(enum.Enum):
     @property
     def needs_voting(self) -> bool:
         return self is ReplicationStyle.ACTIVE_WITH_VOTING
+
+    @property
+    def any_copy_suffices(self) -> bool:
+        """Every replica sends and the receiver takes the first copy,
+        so a still-queued copy is redundant once a sibling's is agreed."""
+        return self.responds_from_all and not self.needs_voting
 
     @property
     def has_state(self) -> bool:

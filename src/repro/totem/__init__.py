@@ -8,7 +8,7 @@ single-ring protocol: rotating token, token-loss detection, membership
 gather/commit, retransmission, and aru-based stability.
 """
 
-from .member import TotemConfig, TotemMember
+from .member import Queued, TotemConfig, TotemMember
 from .messages import (
     CommitMessage,
     INITIAL_RING,
@@ -23,6 +23,7 @@ __all__ = [
     "CommitMessage",
     "INITIAL_RING",
     "JoinMessage",
+    "Queued",
     "RegularMessage",
     "RingId",
     "Token",

@@ -12,8 +12,9 @@ Protocol sketch (a faithful simplification of Totem's single-ring
 ordering and membership protocols):
 
 * OPERATIONAL — a token rotates around the ring in member-name order.
-  The token holder assigns sequence numbers to its queued payloads and
-  broadcasts them, serves retransmission requests carried on the token,
+  The token holder assigns sequence numbers to its queued payloads
+  (those their sender has not withdrawn meanwhile) and broadcasts
+  them, serves retransmission requests carried on the token,
   folds its received-up-to into the token's aru computation, and
   forwards the token.  Token receipt re-arms a loss timer.
 * GATHER — entered on token loss, on hearing a foreign Join, or at
@@ -34,8 +35,9 @@ change is the consistency cut, as in virtually synchronous systems.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..sim.host import Host, Process
 from ..sim.scheduler import Timer
@@ -64,6 +66,20 @@ class TotemConfig:
     rejoin_backoff: float = 0.005       # wait before re-gathering when excluded
     max_messages_per_token: int = 16    # flow control: sends per token visit
     gap_give_up_rotations: int = 8      # rotations before skipping a dead gap
+
+
+class Queued:
+    """One send-queue entry, handed back by :meth:`TotemMember.multicast`.
+
+    ``queued`` is true from ``multicast`` until the entry is sequenced
+    at a token visit or withdrawn, whichever comes first."""
+
+    __slots__ = ("payload", "size", "queued")
+
+    def __init__(self, payload: Any, size: int) -> None:
+        self.payload = payload
+        self.size = size
+        self.queued = True
 
 
 class TotemMember(Process):
@@ -102,7 +118,7 @@ class TotemMember(Process):
         self._buffer: Dict[int, RegularMessage] = {}   # undelivered, seq > aru
         self._store: Dict[int, RegularMessage] = {}    # for retransmission, GC'd at aru
         self._gap_age: Dict[int, int] = {}             # seq -> rotations waited
-        self._pending: List[Tuple[Any, int]] = []      # (payload, size) to send
+        self._pending: Deque[Queued] = deque()         # send queue, FIFO
 
         # Gather state.
         self._candidates: Set[str] = set()
@@ -138,6 +154,7 @@ class TotemMember(Process):
         m = self.metrics
         self._m_delivered = m.counter("totem.msg.delivered")
         self._m_sent = m.counter("totem.msg.sent")
+        self._m_withdrawn = m.counter("totem.msg.withdrawn")
         self._m_token_passes = m.counter("totem.token.passes")
         self._m_rotations = m.counter("totem.token.rotation")
         self._m_retransmits = m.counter("totem.retransmit.count")
@@ -171,7 +188,8 @@ class TotemMember(Process):
                        gauge="totem.state.store")
         scope.register("totem.gap_age", lambda: len(self._gap_age),
                        floor=0, owner=owner, active=alive)
-        scope.register("totem.pending", lambda: len(self._pending),
+        scope.register("totem.pending",
+                       lambda: sum(e.queued for e in self._pending),
                        floor=0, owner=owner, active=alive,
                        gauge="totem.state.pending")
         # Gather scratch: holds the last gather's candidate set while
@@ -199,13 +217,34 @@ class TotemMember(Process):
         delivery lags agreed delivery by roughly one token rotation."""
         self._safe_listeners.append(fn)
 
-    def multicast(self, payload: Any, size: int = 64) -> None:
-        """Queue ``payload`` for totally-ordered broadcast to the ring."""
-        self._pending.append((payload, size))
+    def multicast(self, payload: Any, size: int = 64) -> Queued:
+        """Queue ``payload`` for totally-ordered broadcast to the ring.
+
+        The returned entry can be handed to :meth:`withdraw` for as
+        long as it has not been sequenced."""
+        entry = Queued(payload, size)
+        self._pending.append(entry)
+        return entry
+
+    def withdraw(self, entry: Queued) -> bool:
+        """Take a queued payload back before it is sequenced.
+
+        True if ``entry`` was still waiting for the token: it will take
+        no sequence number, no flow-control quota and no broadcast.
+        False if it was already sequenced (or withdrawn) — too late,
+        the caller's message is on the ring.  O(1): the entry stays in
+        the deque as a tombstone and is dropped when it surfaces."""
+        if not entry.queued:
+            return False
+        entry.queued = False
+        self._m_withdrawn.inc()
+        return True
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        """Payloads still waiting to be sequenced (withdrawn ones are
+        not waiting for anything)."""
+        return sum(e.queued for e in self._pending)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -297,13 +336,18 @@ class TotemMember(Process):
                     token.rtr.add(seq)
 
         # 3. Broadcast queued payloads under flow control.
-        if self._pending:
+        pending = self._pending
+        if pending:
             quota = self.config.max_messages_per_token
-            while self._pending and quota > 0:
-                payload, size = self._pending.pop(0)
+            while pending and quota > 0:
+                entry = pending.popleft()
+                if not entry.queued:
+                    continue  # withdrawn while it waited
+                entry.queued = False
                 token.seq += 1
+                size = entry.size
                 msg = RegularMessage(self.ring_id, token.seq, self.name,
-                                     payload, size)
+                                     entry.payload, size)
                 self.stats["sent"] += 1
                 self._m_sent.inc()
                 self.transport.broadcast(self, msg, size=size)

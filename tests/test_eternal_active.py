@@ -23,11 +23,15 @@ def test_exactly_one_response_reaches_the_caller(world):
     domain = make_domain(world)
     group = make_counter_group(domain, replicas=3)
     assert world.await_promise(group.invoke("increment", 5)) == 5
-    world.run(until=world.now + 0.1)  # let the trailing duplicates arrive
+    world.run(until=world.now + 0.1)  # let any trailing duplicates arrive
     rm = domain.coordinator_rm()
-    # The two extra replica responses were suppressed at the caller side.
     assert rm.stats["responses_delivered"] == 1
-    assert rm.stats["responses_suppressed"] == 2
+    # The two extra replica responses never reached the caller twice:
+    # each was withdrawn at its sender (a sibling's copy was delivered
+    # first) or, had it crossed on the ring, suppressed on receipt.
+    withdrawn = world.metrics.value("rm.copies.withdrawn")
+    assert withdrawn + rm.stats["responses_suppressed"] == 3 - 1
+    assert withdrawn == 2  # uniform LAN: the first speaker's copy wins
 
 
 def test_user_exception_propagates_from_replicas(world):

@@ -38,8 +38,12 @@ def test_client_is_unaware_of_replication(world):
 
 
 def test_duplicate_responses_suppressed_at_gateway(world):
-    """Figure 3: the actively replicated server returns one response per
-    replica; the gateway delivers exactly one to the client."""
+    """Figure 3: every replica of the actively replicated server
+    computes a response; the gateway delivers exactly one to the client.
+    The other n-1 per operation are split between copies withdrawn at
+    their sender and copies suppressed at the gateway (on a uniform LAN
+    all of them are withdrawn; tests/test_sender_side_suppression.py
+    makes copies cross so the gateway's share is non-zero)."""
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain, replicas=3)
     gateway = domain.gateways[0]
@@ -48,7 +52,9 @@ def test_duplicate_responses_suppressed_at_gateway(world):
         world.await_promise(stub.call("increment", 1))
     world.run(until=world.now + 0.2)
     assert gateway.stats["responses_delivered"] == 4
-    assert gateway.stats["duplicates_suppressed"] == 8  # (3-1) x 4
+    withdrawn = world.metrics.value("rm.copies.withdrawn")
+    assert withdrawn + gateway.stats["duplicates_suppressed"] == 8  # (3-1) x 4
+    assert world.metrics.value("gateway.resp.received") == 12 - withdrawn
 
 
 def test_gateway_spawns_socket_per_client(world):

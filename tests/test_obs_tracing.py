@@ -251,6 +251,15 @@ def test_span_tree_covers_every_hop():
     assert len(by_name["rm.execute"]) == 3
     assert all(s.attrs["outcome"] == "done" for s in by_name["rm.execute"])
     assert all(s.closed for s in tree)
+    # One ordering-wait span per replica's copy of the response: the
+    # first speaker's closes at delivery, the two withdrawn at their
+    # senders close there — at that same delivery — as "withdrawn".
+    waits = by_name["totem.order.response"]
+    assert len(waits) == 3
+    assert sorted(s.attrs.get("outcome", "sent") for s in waits) == [
+        "sent", "withdrawn", "withdrawn"]
+    sent = next(s for s in waits if "seq" in s.attrs)
+    assert all(s.end >= sent.end for s in waits)
     # Chronology along the critical path.
     order = by_name["totem.order.invocation"][0]
     execute = by_name["rm.execute"][0]
@@ -271,6 +280,12 @@ def test_failover_reissue_lands_in_same_trace():
     assert any(s.attrs.get("outcome") == "delivered" for s in containers)
     root = next(s for s in tree if s.name == "client.request")
     assert all(s.end <= root.end for s in tree)
+    # The reissue is a duplicate inside the domain: every replica
+    # re-sends its cached response and all but one copy are withdrawn
+    # again — closed, not left dangling.
+    waits = [s for s in tree if s.name == "totem.order.response"]
+    assert waits and all(s.closed for s in waits)
+    assert any(s.attrs.get("outcome") == "withdrawn" for s in waits)
 
 
 def test_chrome_export_byte_identical_across_seeded_runs():

@@ -1,12 +1,32 @@
-"""Golden-file determinism gate for the hot-path overhaul.
+"""Golden-file determinism gate.
 
-The committed files under ``tests/golden/`` were captured from the
-pre-optimisation implementation.  Every perf change to the scheduler,
-network, Totem, or wire layer must keep seeded runs *byte-for-byte*
-identical to these artefacts — same delivery order, same final replica
-states, same metrics JSON — except for the counters the overhaul
-itself introduced, which did not exist in the seed and are filtered
-out of the comparison by name.
+The committed files under ``tests/golden/`` are straight dumps of two
+seeded scenarios' artefacts — the Totem delivery trace at every member,
+the final replica states, the canonical metrics JSON — taken at the
+last commit that *declared* a protocol change (sender-side duplicate
+suppression: an ACTIVE group puts one RESPONSE per operation on the
+ring instead of one per replica, so delivery and broadcast counts fell
+while every latency histogram stayed put).  A change that only makes
+the host faster must keep seeded runs *byte-for-byte* identical to
+them: same delivery order, same final states, same metrics.  The
+host-effort counters in ``NEW_COUNTERS`` are excluded from the
+comparison by name, on both sides — they count how the kernel did its
+work (reschedules, compactions, batched posts), which an optimisation
+may legitimately move.
+
+A change that moves a protocol count on purpose says so up front
+(docs/PERFORMANCE.md, "The prime directive"), regenerates the files::
+
+    deliveries, finals, metrics = run_chaos_scenario()
+    chaos_trace_seed5.json        json.dumps({"deliveries": deliveries,
+                                  "final_counts": finals},
+                                  sort_keys=True, indent=1)
+    chaos_metrics_seed5.json      metrics
+    failover_metrics_seed350.json run_failover_scenario().metrics_json()
+
+and reports a semantic diff against the previous files: which
+deliveries disappeared and why, which counters moved, and that
+``final_counts`` and the latency histograms did not.
 """
 
 from __future__ import annotations
@@ -19,9 +39,10 @@ from repro.analysis.scenarios import (run_chaos_scenario,
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-# Counters added after the goldens were captured (hot-path overhaul,
-# then the state-lifecycle hardening): absent from the goldens,
-# excluded from byte-for-byte comparison.  Everything else must match.
+# Host-effort counters of the hot-path overhaul and the lifecycle
+# counters of the gateway retention layer: excluded from byte-for-byte
+# comparison (the name dates from when the goldens predated them).
+# Everything else must match.
 NEW_COUNTERS = {
     "sched.timers.rescheduled",
     "sched.queue.compactions",

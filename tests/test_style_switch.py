@@ -35,18 +35,18 @@ def test_style_property_matrix():
     matrix = {
         # style:            (executes_everywhere, responds_from_all,
         #                    is_semi_active, is_passive, needs_voting,
-        #                    has_state)
-        S.STATELESS:         (True, True, False, False, False, False),
-        S.COLD_PASSIVE:      (False, False, False, True, False, True),
-        S.WARM_PASSIVE:      (False, False, False, True, False, True),
-        S.ACTIVE:            (True, True, False, False, False, True),
-        S.ACTIVE_WITH_VOTING: (True, True, False, False, True, True),
-        S.LEADER_FOLLOWER:   (True, False, True, False, False, True),
+        #                    has_state, any_copy_suffices)
+        S.STATELESS:         (True, True, False, False, False, False, True),
+        S.COLD_PASSIVE:      (False, False, False, True, False, True, False),
+        S.WARM_PASSIVE:      (False, False, False, True, False, True, False),
+        S.ACTIVE:            (True, True, False, False, False, True, True),
+        S.ACTIVE_WITH_VOTING: (True, True, False, False, True, True, False),
+        S.LEADER_FOLLOWER:   (True, False, True, False, False, True, False),
     }
     for style, expected in matrix.items():
         got = (style.executes_everywhere, style.responds_from_all,
                style.is_semi_active, style.is_passive, style.needs_voting,
-               style.has_state)
+               style.has_state, style.any_copy_suffices)
         assert got == expected, style
     assert not hasattr(S.ACTIVE, "is_active")
 

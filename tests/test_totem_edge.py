@@ -106,6 +106,38 @@ def test_flow_control_quota_respected_per_token_visit(world):
     assert delivered["m1"] == list(range(10))
 
 
+def test_withdrawn_payload_takes_no_sequence_number_or_quota(world):
+    """`withdraw` is generic: any queued payload can be taken back until
+    a token visit sequences it, and then it never existed as far as the
+    ring is concerned."""
+    config = TotemConfig(max_messages_per_token=3)
+    transport, members, delivered = build(world, 2, config=config)
+    seqs = []
+    members[1].on_deliver(lambda seq, sender, payload: seqs.append(seq))
+    sent_before = transport.broadcasts
+    visits_before = members[0].stats["token_passes"]
+    entries = [members[0].multicast(i) for i in range(5)]
+    assert members[0].withdraw(entries[1])
+    assert members[0].withdraw(entries[3])
+    assert not members[0].withdraw(entries[3])      # only once
+    assert members[0].pending_count == 3            # tombstones don't count
+    world.audit()
+    assert world.metrics.value("totem.state.pending") == 3
+    # One token visit carries all three survivors: the two withdrawn
+    # entries used none of the quota of 3.
+    world.scheduler.run_until(lambda: len(delivered["m1"]) == 3,
+                              timeout=60.0)
+    assert delivered["m1"] == [0, 2, 4]
+    assert members[0].stats["token_passes"] - visits_before == 1
+    assert seqs == list(range(seqs[0], seqs[0] + 3))   # no holes
+    assert transport.broadcasts - sent_before == 3
+    assert not members[0].withdraw(entries[0])      # already sequenced
+    assert world.metrics.value("totem.msg.withdrawn") == 2
+    world.run(until=world.now + 0.1)
+    assert members[0].pending_count == 0
+    world.audit(strict=True)
+
+
 def test_stability_aru_garbage_collects_store(world):
     transport, members, delivered = build(world, 3)
     for i in range(20):
