@@ -7,15 +7,20 @@ its adoption into client ORBs — is a thin interception layer on the
 client side that:
 
 * connects the client to the **first** gateway profile of the stitched
-  multi-profile IOR;
+  multi-profile IOR *and keeps one idle connection to the next* — the
+  IOR named that gateway at bind time, so a failover need not wait out
+  a TCP handshake across the WAN;
 * inserts a **unique client identifier** into the service context of
   every IIOP request (safely ignored by ORBs that don't understand it);
-* on gateway failure, **transparently skips to the next profile**,
-  connects to the next operational gateway, and **reissues every
-  pending invocation** with the same client identifier and the same
-  request identifiers, so the new gateway (and the domain's duplicate
-  detection) can recognise reinvocations and return the original
-  responses without re-executing anything.
+* on gateway failure, **transparently skips to the next profile** —
+  promoting the standby connection when it is usable, connecting to
+  the next profile when it is not — and **reissues every pending
+  invocation** in the same event, with the same client identifier and
+  the same request identifiers, so the new gateway (and the domain's
+  duplicate detection) can recognise reinvocations and return the
+  original responses without re-executing anything.  It rebinds when
+  the connection is *lost*, not when the next request is sent, so an
+  idle or one-way-only client fails over too.
 
 :class:`FtClientLayer` wraps a plain :class:`~repro.orb.orb.Orb`;
 stubs created through it behave exactly like ordinary stubs, but
@@ -46,7 +51,9 @@ class _PendingInvocation:
 
 
 class FtRequester(Requester):
-    """Profile-traversing requester with reissue-on-failover."""
+    """Profile-traversing requester: a warm standby connection to the
+    next gateway profile, promoted and reissued on when the active
+    connection is lost."""
 
     def __init__(self, layer: "FtClientLayer", ior: Ior) -> None:
         self.layer = layer
@@ -58,9 +65,13 @@ class FtRequester(Requester):
         self.profile_index = 0
         self.pending: Dict[int, _PendingInvocation] = {}
         self.connection: Optional[IiopClientConnection] = None
+        # The warm standby, opened whenever ``connection`` is bound:
+        # (profile offset from the active one, idle connection).
+        self.standby: Optional[Tuple[int, IiopClientConnection]] = None
         self._failover_scheduled = False
         self._failovers_since_reply = 0
-        self.stats = {"sent": 0, "reissued": 0, "failovers": 0}
+        self.stats = {"sent": 0, "reissued": 0, "failovers": 0,
+                      "standby_promotions": 0}
         # Open client.request root spans, keyed by request id (causal
         # tracing; empty unless the world's collector is enabled).
         self._trace_roots: Dict[int, int] = {}
@@ -68,6 +79,10 @@ class FtRequester(Requester):
     # ------------------------------------------------------------------
     # Requester interface
     # ------------------------------------------------------------------
+
+    def _trace_id(self, request_id: int) -> str:
+        ctx = self.layer.context
+        return f"{ctx.client_uid}#{ctx.incarnation}/{request_id}"
 
     def service_contexts(self,
                          request_id: Optional[int] = None) -> List[ServiceContext]:
@@ -80,9 +95,8 @@ class FtRequester(Requester):
             # root it finds in this context.  Reissues after a failover
             # retransmit the same encoded bytes, so the whole failover
             # story lands in one trace.
-            ctx = self.layer.context
-            trace_id = f"{ctx.client_uid}#{ctx.incarnation}/{request_id}"
-            source = f"client/{ctx.client_uid}"
+            trace_id = self._trace_id(request_id)
+            source = f"client/{self.layer.client_uid}"
             root = spans.start(trace_id, "client.request", source=source,
                                request_id=request_id)
             spans.instant(trace_id, "client.marshal", parent=root,
@@ -111,18 +125,67 @@ class FtRequester(Requester):
         self._transmit(request.request_id)
 
     # ------------------------------------------------------------------
-    # Transmission and failover
+    # Binding: the active connection and its warm standby
     # ------------------------------------------------------------------
 
     @property
     def current_address(self) -> Tuple[str, int]:
         return self.profiles[self.profile_index % len(self.profiles)]
 
+    def _open(self, address: Tuple[str, int],
+              standby: bool = False) -> IiopClientConnection:
+        """Where a connection comes from — the one seam
+        :class:`MuxRequester` overrides.  Here: a private connection,
+        watched so that its loss is acted on when it happens."""
+        connection = IiopClientConnection(self.orb.tcp, self.orb.host,
+                                          address)
+        connection.on_closed(lambda: self._on_lost(connection))
+        return connection
+
     def _ensure_connection(self) -> IiopClientConnection:
-        if self.connection is None or not self.connection.usable:
-            self.connection = IiopClientConnection(
-                self.orb.tcp, self.orb.host, self.current_address)
+        if self.connection is None:
+            self._bind()
         return self.connection
+
+    def _bind(self, connection: Optional[IiopClientConnection] = None) -> None:
+        """Make ``connection`` (a promoted standby; by default a fresh
+        connection to the current profile) the active one and open its
+        standby.  The only place ``self.connection`` is given a
+        connection, so the standby is established per bind, never per
+        transmission."""
+        if connection is None:
+            connection = self._open(self.current_address)
+        self.connection = connection
+        self._open_standby(1)
+
+    def _open_standby(self, first_offset: int) -> None:
+        """Open one idle connection to the nearest profile at least
+        ``first_offset`` places after the active one that names a
+        different gateway.  Offsets stop short of a full turn, so one
+        bind makes at most ``len(profiles) - 1`` speculative connects
+        however many of them are refused."""
+        self.standby = None
+        count = len(self.profiles)
+        for offset in range(first_offset, count):
+            address = self.profiles[(self.profile_index + offset) % count]
+            if address != self.current_address:
+                self.standby = (offset, self._open(address, standby=True))
+                return
+
+    def _on_lost(self, connection: IiopClientConnection) -> None:
+        """A watched connection closed, whatever was or was not pending
+        on it: rebind if it was the active one, move the standby on to
+        the following profile if it was the standby."""
+        if connection is self.connection:
+            self._schedule_failover()
+        elif self.standby is not None and connection is self.standby[1]:
+            if connection.endpoint is None:
+                self.orb.metrics.counter("client.standby.refused").inc()
+            self._open_standby(self.standby[0] + 1)
+
+    # ------------------------------------------------------------------
+    # Transmission and failover
+    # ------------------------------------------------------------------
 
     def _transmit(self, request_id: int) -> None:
         entry = self.pending.get(request_id)
@@ -160,8 +223,9 @@ class FtRequester(Requester):
         self._schedule_failover()
 
     def _schedule_failover(self) -> None:
-        """Coalesce the per-request failure callbacks of one connection
-        loss into a single profile advance + bulk reissue."""
+        """Coalesce the callbacks of one connection loss (one per
+        request in flight, one from the watch) into a single profile
+        advance + bulk reissue."""
         if self._failover_scheduled:
             return
         self._failover_scheduled = True
@@ -169,26 +233,59 @@ class FtRequester(Requester):
 
     def _failover(self) -> None:
         self._failover_scheduled = False
-        if not self.pending:
+        if self.connection is not None and self.connection.usable:
             return
         self._failovers_since_reply += 1
         if self._failovers_since_reply > 2 * len(self.profiles):
             # Every gateway profile failed repeatedly: give up like the
-            # paper's client would once the IOR is exhausted.
+            # paper's client would once the IOR is exhausted, and stay
+            # unbound until the next request asks again.
             error = CommFailure("all gateway profiles unreachable")
             for request_id, entry in list(self.pending.items()):
                 self.orb.spans.end(self._trace_roots.pop(request_id, 0),
                                    op=entry.op.name, error="CommFailure")
                 entry.promise.reject(error)
             self.pending.clear()
+            self.connection = self.standby = None
+            self._failovers_since_reply = 0
             return
         self.stats["failovers"] += 1
-        self.profile_index = (self.profile_index + 1) % len(self.profiles)
-        self.connection = None
+        origin = self.current_address
+        standby = self.standby
+        if standby is not None and standby[1].usable:
+            # The warm path: the next gateway's connection is already
+            # open, so the reissue leaves in this very event.
+            (offset, connection), path = standby, "standby"
+            self.stats["standby_promotions"] += 1
+        else:
+            offset, connection, path = 1, None, "cold"
+        self.profile_index = (self.profile_index + offset) % len(self.profiles)
+        self._bind(connection)
         self.layer.on_failover(self.current_address)
+        self._record_failover(origin, path)
         for request_id in sorted(self.pending):
             self.stats["reissued"] += 1
             self._transmit(request_id)
+
+    def _record_failover(self, origin: Tuple[str, int], path: str) -> None:
+        """The client's side of a failover: world counters, one flight
+        record, and one instant under every reissued request's root."""
+        metrics = self.orb.metrics
+        metrics.counter("client.failover.count").inc()
+        if path == "standby":
+            metrics.counter("client.failover.standby").inc()
+        hop = {"from": "%s:%d" % origin, "to": "%s:%d" % self.current_address}
+        self.orb.flight.record("flight.failover", client=self.layer.client_uid,
+                               path=path, pending=len(self.pending), **hop)
+        spans = self.orb.spans
+        if spans.enabled:
+            source = f"client/{self.layer.client_uid}"
+            for request_id in sorted(self.pending):
+                root = self._trace_roots.get(request_id, 0)
+                if root:
+                    spans.instant(self._trace_id(request_id),
+                                  "client.failover", parent=root,
+                                  source=source, path=path, **hop)
 
 
 class MuxRequester(FtRequester):
@@ -203,15 +300,25 @@ class MuxRequester(FtRequester):
     gateway's per-connection member tracking keeps gone/purge handling
     correct for every multiplexed identity.
 
-    Failover semantics are unchanged: when the shared connection dies,
+    Failover is the inherited one: when the shared connection dies,
     each multiplexed requester's pending invocations fail, and each
-    advances to its next IOR profile and reissues — landing on the ring
-    successor that inherits its key range under a gateway pool.
+    promotes the cache entry for its next IOR profile and reissues —
+    landing on the ring successor that inherits its key range under a
+    gateway pool.  A shared connection is never watched (the farm puts
+    10^5 logical clients on one), so a requester that was idle at the
+    loss learns of it from its next transmission.
     """
 
-    def _ensure_connection(self) -> IiopClientConnection:
-        self.connection = self.orb.connection_to(self.current_address)
-        return self.connection
+    def _open(self, address: Tuple[str, int],
+              standby: bool = False) -> IiopClientConnection:
+        if standby:
+            # A speculative open never replaces a cached entry, usable
+            # or not: a dead next gateway costs one connect attempt per
+            # ORB, not one per logical client.
+            cached = self.orb.cached_connection(address)
+            if cached is not None:
+                return cached
+        return self.orb.connection_to(address)
 
 
 class FtClientLayer:

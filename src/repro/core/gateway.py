@@ -137,6 +137,10 @@ class Gateway(Process):
         # accidentally alias (a crash/restart still reuses ids, which is
         # the section 3.4 weakness the paper analyses).
         self._counters: Dict[int, itertools.count] = {}
+        # Every accepted connection, in accept order, whether or not it
+        # has carried a request yet: an enhanced client's warm standby
+        # sits here idle until its active gateway dies.
+        self._connections: Dict[IiopServerConnection, None] = {}
         self._conn_ids: Dict[IiopServerConnection, ClientId] = {}
         # Every ClientId a connection has carried: one TCP connection
         # may multiplex many logical clients (farm workloads), and each
@@ -274,6 +278,11 @@ class Gateway(Process):
                            1 for c in self._routing.values() if c.open),
                        owner=owner, active=alive,
                        gauge="gateway.state.routing")
+        scope.register("gateway.connections", lambda: len(self._connections),
+                       floor=lambda: sum(
+                           1 for c in self._connections if c.open),
+                       owner=owner, active=alive,
+                       gauge="gateway.state.connections")
         scope.register("gateway.conn_ids", lambda: len(self._conn_ids),
                        floor=lambda: sum(1 for c in self._conn_ids if c.open),
                        owner=owner, active=alive,
@@ -323,12 +332,13 @@ class Gateway(Process):
         if self._listener is not None:
             self._listener.close()
             self._listener = None
-        # On a *graceful* stop, close client connections so clients
-        # detect the retirement promptly.  On a host crash the TCP stack
-        # itself severs them (closing here would unregister the
+        # On a *graceful* stop, close every client connection — the
+        # idle ones too — so clients detect the retirement promptly and
+        # none can reach a stopped gateway.  On a host crash the TCP
+        # stack itself severs them (closing here would unregister the
         # endpoints before the stack can notify the peers).
         if self.host.alive:
-            for connection in list(self._conn_ids):
+            for connection in list(self._connections):
                 connection.close()
 
     def drain(self, poll_interval: float = 0.01, grace: float = 0.25):
@@ -372,11 +382,17 @@ class Gateway(Process):
     def _on_accept(self, endpoint: TcpEndpoint) -> None:
         self.stats["clients_connected"] += 1
         self._m_clients.inc()
-        IiopServerConnection(endpoint, self._on_client_message,
-                             on_close=self._on_client_close)
+        connection = IiopServerConnection(endpoint, self._on_client_message,
+                                          on_close=self._on_client_close)
+        self._connections[connection] = None
 
     def _on_client_message(self, message: bytes,
                            connection: IiopServerConnection) -> None:
+        if not self.running:
+            # A stopped gateway is out of the gateway group: it must
+            # not translate, forward or answer anything.  (A crashed
+            # host's endpoints are aborted; nothing reaches it at all.)
+            return
         message_type, _, _ = parse_header(message)
         if message_type == MsgType.CLOSE_CONNECTION:
             connection.close()
@@ -708,6 +724,11 @@ class Gateway(Process):
                                   received_at, from_queue=True)
 
     def _on_client_close(self, connection: IiopServerConnection) -> None:
+        self._connections.pop(connection, None)
+        if not self.alive:
+            # Stopping: the clients fail over to a peer, which needs
+            # the state held on their behalf — nobody is "gone".
+            return
         members = self._conn_members.pop(connection, None)
         client_id = self._conn_ids.pop(connection, None)
         if members is None:

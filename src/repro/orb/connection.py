@@ -244,8 +244,11 @@ class IiopServerConnection:
             self.endpoint.send(data)
 
     def close(self) -> None:
+        """Hang up.  The owner hears of it exactly as it hears of the
+        peer hanging up, so it keeps no record of a dead connection."""
         if self.endpoint.open:
             self.endpoint.close()
+            self._on_close()
 
     def _on_data(self, data: bytes) -> None:
         self._m_bytes_in.inc(len(data))

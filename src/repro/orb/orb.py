@@ -194,6 +194,12 @@ class Orb(Process):
             self._connections[address] = connection
         return connection
 
+    def cached_connection(
+            self, address: Tuple[str, int]) -> Optional[IiopClientConnection]:
+        """The cache entry for ``address`` as it stands — possibly
+        failed, never replaced — or None when there is none."""
+        return self._connections.get(address)
+
     def string_to_object(self, ior: Any, interface: Interface,
                          requester: Optional[Requester] = None) -> Stub:
         """Create a stub from an ``IOR:`` string or an :class:`Ior`."""

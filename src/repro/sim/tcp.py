@@ -28,15 +28,15 @@ Address = Tuple[str, int]
 class TcpEndpoint:
     """One side of an established simulated TCP connection."""
 
-    _ids = itertools.count(1)
-
     def __init__(self, stack: "TcpStack", host: Host, local_addr: Address,
                  remote_addr: Address) -> None:
         self.stack = stack
         self.host = host
         self.local_addr = local_addr
         self.remote_addr = remote_addr
-        self.conn_id = next(TcpEndpoint._ids)
+        # Numbered per stack: a pure function of the seeded world,
+        # never of what else the process built before it.
+        self.conn_id = next(stack._conn_ids)
         self.open = True
         self.peer: Optional["TcpEndpoint"] = None
         self.bytes_sent = 0
@@ -131,6 +131,7 @@ class TcpStack:
         self._listeners: Dict[Address, TcpListener] = {}
         self._endpoints_by_host: Dict[str, List[TcpEndpoint]] = {}
         self._ephemeral = itertools.count(30000)
+        self._conn_ids = itertools.count(1)
         network.on_host_crash(self._handle_host_crash)
 
     # ------------------------------------------------------------------

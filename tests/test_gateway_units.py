@@ -104,15 +104,22 @@ def _plain_client_run():
     group = make_counter_group(domain)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
     world.await_promise(stub.call("increment", 1))
-    return sorted(domain.gateways[0]._routing), world.trace_chrome_json()
+    conn_ids = sorted(endpoint.conn_id
+                      for endpoints in world.tcp._endpoints_by_host.values()
+                      for endpoint in endpoints)
+    return (sorted(domain.gateways[0]._routing), conn_ids,
+            world.trace_chrome_json())
 
 
 def test_same_seeded_world_twice_in_one_process_is_identical():
     """Regression: the gateway index came from a process-global counter,
     so the second identical world assigned client id 1000001 instead of
-    1 and its Chrome trace differed byte-for-byte."""
+    1 and its Chrome trace differed byte-for-byte.  TCP connection ids
+    (in every endpoint repr) came from a class-level one in the same
+    way; they are numbered per stack."""
     first = _plain_client_run()
     assert first[0] == [1]
+    assert first[1] == [1, 2]       # one connection, two endpoints
     assert _plain_client_run() == first
 
 

@@ -3,10 +3,12 @@
 The committed files under ``tests/golden/`` are straight dumps of two
 seeded scenarios' artefacts — the Totem delivery trace at every member,
 the final replica states, the canonical metrics JSON — taken at the
-last commit that *declared* a protocol change (sender-side duplicate
-suppression: an ACTIVE group puts one RESPONSE per operation on the
-ring instead of one per replica, so delivery and broadcast counts fell
-while every latency histogram stayed put).  A change that only makes
+last commit that *declared* a change to simulated behaviour (the warm
+standby of the enhanced client layer: after a gateway crash the
+reissue leaves one WAN round trip sooner, so the failover scenario
+ends 80 ms earlier and its run-length-proportional token and datagram
+counts fell, and every enhanced client holds one more accepted
+connection; the delivery trace did not move).  A change that only makes
 the host faster must keep seeded runs *byte-for-byte* identical to
 them: same delivery order, same final states, same metrics.  The
 host-effort counters in ``NEW_COUNTERS`` are excluded from the
