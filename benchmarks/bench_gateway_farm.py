@@ -128,7 +128,7 @@ def run_farm(pool_size, arrivals, interarrival="exponential",
         "batched_deliveries": count("totem.broadcast.batched_deliveries"),
         "logical_clients": sum(
             len(members) for gw in pool.gateways
-            for members in gw._conn_members.values()),
+            for members in gw._conn_clients.values()),
         "client_connections": sum(
             gw.stats["clients_connected"] for gw in pool.gateways),
         "lat_p50_s": latency.get("p50", 0.0),

@@ -65,7 +65,9 @@ def run_clients(num_clients, trace_spans=False, series=False):
         "clients": num_clients,
         "total_requests": len(promises),
         "simulated_completion_s": round(elapsed, 4),
-        "distinct_client_ids": len({cid for cid in gateway._conn_ids.values()}),
+        "distinct_client_ids": len({
+            cid for carried in gateway._conn_clients.values()
+            for cid in carried}),
         "responses_delivered": gateway.stats["responses_delivered"],
         "responses_unroutable": gateway.stats["responses_unroutable"],
         "serializable": results == list(range(1, len(promises) + 1)),

@@ -36,6 +36,9 @@ class DuplicateSuppressor:
     PENDING = "pending"        # voting: not enough agreeing votes yet
     UNEXPECTED = "unexpected"  # no expectation registered for this key
 
+    # requorum(): "whatever it needs already" — no requirement is raised.
+    UNCHANGED = float("inf")
+
     def __init__(self, remember_delivered: int = 100_000) -> None:
         self._pending: Dict[Hashable, _Pending] = {}
         self._delivered: "OrderedDict[Hashable, bool]" = OrderedDict()
@@ -99,15 +102,6 @@ class DuplicateSuppressor:
         """Expectations still awaiting delivery (0 at quiescence)."""
         return len(self._pending)
 
-    @property
-    def delivered_count(self) -> int:
-        """Delivered-memory entries (bounded by the remember window)."""
-        return len(self._delivered)
-
-    @property
-    def remember_limit(self) -> int:
-        return self._remember
-
     def register_audit(self, scope, owner: str = "", active=None,
                        prefix: str = "filter",
                        gauge_prefix: Optional[str] = None) -> None:
@@ -126,33 +120,44 @@ class DuplicateSuppressor:
                        active=active,
                        gauge=None if gp is None else f"{gp}.delivered")
 
-    def reduce_votes(self, predicate, votes_needed: int = 1):
-        """Lower the vote requirement of matching pending expectations.
+    def requorum(self, votes_needed):
+        """Re-decide every pending expectation against what its
+        responder group needs *now*; returns what that settles.
 
-        A live VOTING→non-voting style switch strands in-flight
-        expectations that were registered with a majority requirement:
-        after the switch only one responder will ever speak, so the
-        quorum can never form.  Receivers relax those expectations to
-        ``votes_needed`` at the switch point (a total-order event, hence
-        consistent everywhere).  Any payload that already satisfies the
-        relaxed requirement is delivered immediately; the newly-ready
-        ``(key, payload)`` pairs are returned (in pending-map insertion
-        order) for the caller to route.
+        Keys are ``(responder group, ...)`` tuples.  ``votes_needed``
+        maps a responder group to the votes a response from it needs at
+        this instant: ``None`` when the group can never answer again,
+        :attr:`UNCHANGED` when the caller has no opinion on it.  The
+        caller invokes this whenever the answer may have dropped — a
+        membership install, a live style switch; both are total-order
+        events, so every receiver re-decides at the same point.
+
+        In registration order: an expectation whose group can never
+        answer is dropped (a late copy is ``UNEXPECTED``) and returned
+        as ``(key, None)``; a requirement is only ever lowered, never
+        raised; a payload that already has the lowered number of votes
+        is marked delivered (late copies are ``DUPLICATE``) and
+        returned as ``(key, payload)`` for the caller to route.
         """
-        target = max(1, votes_needed)
-        ready = []
-        for key in [k for k in self._pending if predicate(k)]:
-            pending = self._pending[key]
-            if pending.votes_needed <= target:
-                continue
-            pending.votes_needed = target
-            for payload, count in pending.counts.items():
-                if count >= target:
-                    self._mark_delivered(key)
-                    self.stats["delivered"] += 1
-                    ready.append((key, payload))
-                    break
-        return ready
+        settled = []
+        needs: Dict[Hashable, Optional[float]] = {}  # asked once per group
+        for key, pending in list(self._pending.items()):
+            group = key[0]
+            if group not in needs:
+                needs[group] = votes_needed(group)
+            need = needs[group]
+            if need is None:
+                del self._pending[key]
+                settled.append((key, None))
+            elif need < pending.votes_needed:
+                pending.votes_needed = need
+                for payload, count in pending.counts.items():
+                    if count >= need:
+                        self._mark_delivered(key)
+                        self.stats["delivered"] += 1
+                        settled.append((key, payload))
+                        break
+        return settled
 
     def forget_where(self, predicate) -> int:
         """Drop pending expectations and delivered-memory whose key

@@ -35,12 +35,11 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import ObjectNotExist, TransientError
 from ..eternal.messages import DomainMessage, MsgKind
 from ..eternal.naming import GATEWAY_GROUP, parse_object_key
-from ..eternal.styles import ReplicationStyle
 from ..iiop.giop import (
     LocateStatus,
     MsgType,
@@ -126,7 +125,6 @@ class Gateway(Process):
         self.rm = domain.rms[host.name]
         self.rm.attach_gateway(self)
         self.rm.on_membership_change(self._on_membership)
-        self.tracer = domain.world.tracer
         # World-shared causal-trace collector, cached off the property
         # for the hot path; every hook below checks ``.enabled`` first.
         self._span_collector = host.network.spans
@@ -137,15 +135,14 @@ class Gateway(Process):
         # accidentally alias (a crash/restart still reuses ids, which is
         # the section 3.4 weakness the paper analyses).
         self._counters: Dict[int, itertools.count] = {}
-        # Every accepted connection, in accept order, whether or not it
-        # has carried a request yet: an enhanced client's warm standby
-        # sits here idle until its active gateway dies.
-        self._connections: Dict[IiopServerConnection, None] = {}
-        self._conn_ids: Dict[IiopServerConnection, ClientId] = {}
-        # Every ClientId a connection has carried: one TCP connection
-        # may multiplex many logical clients (farm workloads), and each
-        # of them needs gone/purge handling when the socket closes.
-        self._conn_members: Dict[IiopServerConnection, Set[ClientId]] = {}
+        # Every accepted connection, in accept order, with every
+        # ClientId it has carried, most recent last.  Empty until the
+        # first request: an enhanced client's warm standby sits here
+        # idle until its active gateway dies.  One TCP connection may
+        # multiplex many logical clients (farm workloads), and each of
+        # them needs gone/purge handling when the socket closes.
+        self._conn_clients: Dict[IiopServerConnection,
+                                 Dict[ClientId, None]] = {}
         self._routing: Dict[ClientId, IiopServerConnection] = {}
         self._pending: Dict[Tuple[ClientId, OperationId], _PendingRequest] = {}
         self._cache: Dict[Tuple[ClientId, OperationId], bytes] = {}
@@ -278,20 +275,16 @@ class Gateway(Process):
                            1 for c in self._routing.values() if c.open),
                        owner=owner, active=alive,
                        gauge="gateway.state.routing")
-        scope.register("gateway.connections", lambda: len(self._connections),
+        scope.register("gateway.connections", lambda: len(self._conn_clients),
                        floor=lambda: sum(
-                           1 for c in self._connections if c.open),
+                           1 for c in self._conn_clients if c.open),
                        owner=owner, active=alive,
                        gauge="gateway.state.connections")
-        scope.register("gateway.conn_ids", lambda: len(self._conn_ids),
-                       floor=lambda: sum(1 for c in self._conn_ids if c.open),
-                       owner=owner, active=alive,
-                       gauge="gateway.state.conn_ids")
         scope.register("gateway.conn_members",
-                       lambda: sum(len(s)
-                                   for s in self._conn_members.values()),
+                       lambda: sum(len(ids)
+                                   for ids in self._conn_clients.values()),
                        floor=lambda: sum(
-                           len(s) for c, s in self._conn_members.items()
+                           len(ids) for c, ids in self._conn_clients.items()
                            if c.open),
                        owner=owner, active=alive,
                        gauge="gateway.state.conn_members")
@@ -338,7 +331,7 @@ class Gateway(Process):
         # stack itself severs them (closing here would unregister the
         # endpoints before the stack can notify the peers).
         if self.host.alive:
-            for connection in list(self._connections):
+            for connection in list(self._conn_clients):
                 connection.close()
 
     def drain(self, poll_interval: float = 0.01, grace: float = 0.25):
@@ -384,7 +377,7 @@ class Gateway(Process):
         self._m_clients.inc()
         connection = IiopServerConnection(endpoint, self._on_client_message,
                                           on_close=self._on_client_close)
-        self._connections[connection] = None
+        self._conn_clients[connection] = {}
 
     def _on_client_message(self, message: bytes,
                            connection: IiopServerConnection) -> None:
@@ -488,12 +481,12 @@ class Gateway(Process):
                 spans.end(container, outcome="cache_replay")
             return
 
-        # Unservable fail-fast: a voting target with zero live replicas
-        # can never assemble a majority, so a two-way request to it
-        # would pin a pending record (and an admission slot) until the
-        # client gives up.  Fail it now with the standard CORBA "try
-        # again later" signal.  Checked before mirroring so peer
-        # gateways never record a request that was never forwarded.
+        # Unservable fail-fast: a target with zero live replicas can
+        # never answer, so a two-way request to it would pin a pending
+        # record (and an admission slot) until the client gives up.
+        # Fail it now with the standard CORBA "try again later" signal.
+        # Checked before mirroring so peer gateways never record a
+        # request that was never forwarded.
         votes = self.rm.votes_needed(info)
         if votes is None and request.response_expected:
             self.stats["requests_unservable"] += 1
@@ -625,9 +618,10 @@ class Gateway(Process):
         The invocation may already have executed inside the domain (the
         CORBA spec makes no promise there, and neither does the paper)."""
         cancelled_id = decode_cancel_request(message)
-        client_id = self._conn_ids.get(connection)
-        if client_id is None:
+        carried = self._conn_clients.get(connection)
+        if not carried:
             return
+        client_id = next(reversed(carried))
         op_id = external_operation_id(cancelled_id)
         key = (client_id, op_id)
         record = self._pending.pop(key, None)
@@ -641,11 +635,15 @@ class Gateway(Process):
             # would sit until its TTL.
             return
         self._cancelled.add(key)
-        # The tombstone is discarded when the late response arrives
-        # (_on_domain_response) or, if no response ever comes, by TTL.
+        # The tombstone is discarded when the operation is settled (a
+        # late response, or its target lost) or, failing both, by TTL.
         self._schedule_reap("cancel", key, record, self.cancel_ttl)
         if record is not None:
             self._release_admission(record)
+            # This gateway's handling ends here, whatever becomes of
+            # the invocation inside the domain.
+            self._span_collector.end(record.trace_span, outcome="cancelled",
+                                     by=self.name)
 
     def _forward(self, pending: _PendingRequest) -> None:
         self.stats["requests_forwarded"] += 1
@@ -678,23 +676,18 @@ class Gateway(Process):
                          target_group: int) -> ClientId:
         """Enhanced clients carry their identity; plain clients get a
         counter for the target server group (section 3.2)."""
+        carried = self._conn_clients[connection]
         ctx = extract_client_id(request)
         if ctx is not None:
             client_id = f"{ctx.client_uid}#{ctx.incarnation}"
-            self._conn_ids[connection] = client_id
-            members = self._conn_members.get(connection)
-            if members is None:
-                self._conn_members[connection] = {client_id}
-            else:
-                members.add(client_id)
-            return client_id
-        known = self._conn_ids.get(connection)
-        if known is not None:
-            return known
-        counter = self._counters.setdefault(target_group, itertools.count(1))
-        client_id = self.index * 1_000_000 + next(counter)
-        self._conn_ids[connection] = client_id
-        self._conn_members[connection] = {client_id}
+            carried.pop(client_id, None)  # re-inserted as most recent
+        elif carried:
+            return next(reversed(carried))
+        else:
+            counter = self._counters.setdefault(target_group,
+                                                itertools.count(1))
+            client_id = self.index * 1_000_000 + next(counter)
+        carried[client_id] = None
         return client_id
 
     def _release_admission(self, record: _PendingRequest) -> None:
@@ -724,21 +717,15 @@ class Gateway(Process):
                                   received_at, from_queue=True)
 
     def _on_client_close(self, connection: IiopServerConnection) -> None:
-        self._connections.pop(connection, None)
+        carried = self._conn_clients.pop(connection, ())
         if not self.alive:
             # Stopping: the clients fail over to a peer, which needs
             # the state held on their behalf — nobody is "gone".
             return
-        members = self._conn_members.pop(connection, None)
-        client_id = self._conn_ids.pop(connection, None)
-        if members is None:
-            if client_id is None:
-                return
-            members = {client_id}
         # A multiplexed connection carried many logical clients; each
         # departs independently (sorted for deterministic broadcast
         # order — ids are ints or strings, never mixed on one socket).
-        for cid in sorted(members, key=str):
+        for cid in sorted(carried, key=str):
             if self._routing.get(cid) is connection:
                 del self._routing[cid]
             has_pending = any(k[0] == cid for k in self._pending)
@@ -806,7 +793,10 @@ class Gateway(Process):
                     self._m_oneway_completed.inc()
                     self._maybe_flush_client_gone(msg.client_id)
         elif kind is MsgKind.STYLE_SWITCH:
-            self._on_style_switch(msg)
+            # Applied to the registry by the Replication Mechanisms just
+            # before this call: a dropped voting requirement is simply
+            # what votes_needed answers from here on.
+            self._requorum()
         elif kind is MsgKind.CLIENT_GONE:
             self._purge_client(msg.client_id)
         else:
@@ -848,38 +838,62 @@ class Gateway(Process):
         if verdict != DuplicateSuppressor.DELIVER:
             self._m_resp_vote_pending.inc()
             return  # voting still pending
-        cache_key = (msg.client_id, msg.op_id)
-        self._cache[cache_key] = payload
-        while len(self._cache) > self.response_cache_limit:
-            # FIFO eviction: the oldest responses are the least likely
-            # to be reclaimed by a reissue (bounded gateway memory).
-            self._cache.pop(next(iter(self._cache)))
-        record = self._pending.pop(cache_key, None)
+        if self._settle((msg.client_id, msg.op_id), payload, "delivered"):
+            self.stats["responses_delivered"] += 1
+            self._m_resp_delivered.inc()
+        else:
+            # Cancelled, or the client's socket is not (or no longer) at
+            # this gateway — the normal case at a mirror observer.
+            self.stats["responses_unroutable"] += 1
+            self._m_resp_unroutable.inc()
+
+    def _settle(self, key: Tuple[ClientId, OperationId], reply: bytes,
+                outcome: str) -> bool:
+        """The one way a two-way operation leaves this gateway: let go
+        of everything held for ``key`` and hand ``reply`` to the client
+        if it is still here to take it; returns whether it was.
+
+        The causes differ in data only.  ``outcome`` is ``"delivered"``
+        (the agreed response), ``"vote_relaxed"`` (a response freed by a
+        lowered vote requirement) or ``"unservable"`` (a TRANSIENT made
+        here because the target can never answer — not a response, so
+        neither cached for reissues nor observed as a latency).
+        """
+        served = outcome != "unservable"
+        if served:
+            self._cache[key] = reply
+            while len(self._cache) > self.response_cache_limit:
+                # FIFO eviction: the oldest responses are the least
+                # likely to be reclaimed by a reissue (bounded memory).
+                self._cache.pop(next(iter(self._cache)))
+        spans = self._span_collector
+        record = self._pending.pop(key, None)
+        container = 0
         if record is not None:
             # Resolving the slot *before* routing the reply lets the
             # freed window capacity pull queued work in this same event.
             self._release_admission(record)
-        container = (record.trace_span if record is not None
-                     and record.trace_span else (tr[1] if tr else 0))
-        if cache_key in self._cancelled:
-            # The client withdrew interest (CancelRequest): keep the
-            # cached response (a reissue may still claim it) but do not
-            # write to the socket.  The tombstone has now served its
+            if record.order_span:
+                # Settled before this gateway saw its own (re-)forward
+                # come back in the total order.
+                spans.end(record.order_span)
+                record.order_span = 0
+            container = record.trace_span
+        client_id = key[0]
+        connection = self._routing.get(client_id)
+        sent = False
+        if key in self._cancelled:
+            # The client withdrew interest (CancelRequest): a response
+            # stays cached (a reissue may still claim it) but nothing is
+            # written to the socket.  The tombstone has now served its
             # purpose — discard it, or it pins this (client, op) pair
             # forever.
-            self._cancelled.discard(cache_key)
-            self.stats["responses_unroutable"] += 1
-            self._m_resp_unroutable.inc()
-            if tr is not None:
-                spans.end(container, outcome="cancelled", by=self.name)
-            self._maybe_flush_client_gone(msg.client_id)
-            return
-        connection = self._routing.get(msg.client_id)
-        if connection is not None and connection.open:
-            connection.send(payload)
-            self.stats["responses_delivered"] += 1
-            self._m_resp_delivered.inc()
-            if record is not None and record.received_at is not None:
+            self._cancelled.discard(key)
+            spans.end(container, outcome="cancelled", by=self.name)
+        elif connection is not None and connection.open:
+            connection.send(reply)
+            sent = True
+            if served and record is not None and record.received_at is not None:
                 # Socket receipt to socket write: the latency an
                 # unreplicated client observes at this gateway.
                 elapsed = self.scheduler.now - record.received_at
@@ -890,28 +904,49 @@ class Gateway(Process):
                                group=record.target_group)
                     sr.observe("series.gateway.latency", elapsed,
                                gateway=self.name)
-            if tr is not None:
+            if container:
                 # The egress instant and the container close share this
                 # event's clock with the latency observation above, so
                 # metrics and trace are provably consistent
                 # (tests/test_obs_tracing.py).
-                spans.instant(tr[0], "gateway.egress", parent=container,
-                              source=self.name)
-                spans.end(container, outcome="delivered", by=self.name)
-            self.tracer.emit(self.scheduler.now, "gateway.deliver", self.name,
-                             "response delivered",
-                             client=msg.client_id, op=str(msg.op_id))
-        else:
-            self.stats["responses_unroutable"] += 1
-            self._m_resp_unroutable.inc()
-            if (tr is not None and record is not None and record.trace_span
-                    and record.forwarder == self.host.name):
-                # Only the gateway that owned the request closes here;
-                # mirror observers without the client socket routinely
-                # take this branch and must not close the container the
-                # routing gateway is about to stamp its egress into.
-                spans.end(container, outcome="unroutable", by=self.name)
-        self._maybe_flush_client_gone(msg.client_id)
+                spans.instant(record.trace_id, "gateway.egress",
+                              parent=container, source=self.name)
+                spans.end(container, outcome=outcome, by=self.name)
+        elif container and record.forwarder == self.host.name:
+            # Only the gateway that owned the request closes here;
+            # mirror observers without the client socket routinely take
+            # this branch and must not close the container the routing
+            # gateway is about to stamp its egress into.
+            spans.end(container, outcome="unroutable", by=self.name)
+        self._maybe_flush_client_gone(client_id)
+        return sent
+
+    def _requorum(self) -> None:
+        """Re-decide every expectation after a membership install or a
+        style switch (total-order events, so every gateway settles the
+        same operations at the same point): TRANSIENT for those whose
+        target lost every replica (the domain keeps its dedup memory, so
+        a reissue after replicas return is re-servable), and the held
+        response for those a lowered quorum already satisfies.
+
+        Counted here, not under ``gateway.resp.*``: that family
+        partitions ``gateway.resp.received`` exactly and must not
+        absorb settlements no freshly received response carried in."""
+        for (group_id, client_id, op_id), payload in self._filter.requorum(
+                self.rm.votes_now):
+            if payload is None:
+                self.stats["requests_unservable"] += 1
+                self.metrics.counter("gateway.req.unservable").inc()
+                # The external request id was recovered into the child
+                # sequence of the operation id.
+                self._settle((client_id, op_id), reply_for_exception(
+                    op_id.child_seq, TransientError(
+                        f"server group {group_id} lost all replicas")),
+                    "unservable")
+            else:
+                self.stats["votes_relaxed"] += 1
+                self.metrics.counter("gateway.style.vote_relaxed").inc()
+                self._settle((client_id, op_id), payload, "vote_relaxed")
 
     def _on_mirror(self, msg: DomainMessage) -> None:
         if not self.mirror_requests:
@@ -921,13 +956,13 @@ class Gateway(Process):
         cache_key = (msg.client_id, msg.op_id)
         response_expected = msg.data.get("response_expected", True)
         info = self.rm.registry.get(msg.data["target_group"])
-        if (response_expected and info is not None
-                and self.rm.votes_needed(info) is None):
-            # A two-way mirror for a voting target with zero live
-            # replicas, delivered after the membership sweep already
-            # failed the request: reconstructing a pending record (or a
-            # filter expectation) here would pin state that no response
-            # and no later sweep will ever resolve.
+        votes = self.rm.votes_needed(info) if info is not None else 1
+        if response_expected and votes is None:
+            # A two-way mirror for a target with zero live replicas,
+            # delivered after the membership sweep already failed the
+            # request: reconstructing a pending record (or a filter
+            # expectation) here would pin state that no response and no
+            # later sweep will ever resolve.
             return
         if cache_key not in self._pending and cache_key not in self._cache:
             tr = msg.trace
@@ -951,152 +986,8 @@ class Gateway(Process):
             # The record is dropped when the forwarded INVOCATION is
             # observed delivered, or by TTL if it never is.
             return
-        votes = (self.rm.votes_needed(info) or 1) if info is not None else 1
         self._filter.expect((msg.data["target_group"], msg.client_id,
                              msg.op_id), votes_needed=votes)
-
-    def _on_style_switch(self, msg: DomainMessage) -> None:
-        """A live replication-style switch (a total-order event, hence
-        observed at the same logical instant by every gateway).
-
-        If the group left a voting style, in-flight expectations
-        registered with the old majority requirement can never fill —
-        only one responder will speak from now on.  Relax them to a
-        single vote and flush any response that already satisfies the
-        relaxed requirement."""
-        data = msg.data or {}
-        group_id = data.get("group_id")
-        try:
-            style = ReplicationStyle(data.get("style"))
-        except ValueError:
-            return
-        if group_id is None or style.needs_voting:
-            return
-        ready = self._filter.reduce_votes(
-            lambda key, g=group_id: key[0] == g, 1)
-        for key, payload in ready:
-            self._deliver_relaxed(key, payload)
-
-    def _deliver_relaxed(self, filter_key, payload: bytes) -> None:
-        """Route one response freed by a vote-requirement relaxation.
-
-        Mirrors the DELIVER arm of :meth:`_on_domain_response`, but the
-        delivery is counted under ``gateway.style.vote_relaxed`` — not
-        the ``gateway.resp.*`` family, which partitions
-        ``gateway.resp.received`` exactly and must not absorb
-        deliveries that no freshly received response carried in."""
-        _, client_id, op_id = filter_key
-        cache_key = (client_id, op_id)
-        self.stats["votes_relaxed"] += 1
-        self.metrics.counter("gateway.style.vote_relaxed").inc()
-        self._cache[cache_key] = payload
-        while len(self._cache) > self.response_cache_limit:
-            self._cache.pop(next(iter(self._cache)))
-        record = self._pending.pop(cache_key, None)
-        if record is not None:
-            self._release_admission(record)
-            if record.order_span:
-                self._span_collector.end(record.order_span)
-                record.order_span = 0
-        if cache_key in self._cancelled:
-            self._cancelled.discard(cache_key)
-            self._maybe_flush_client_gone(client_id)
-            return
-        connection = self._routing.get(client_id)
-        if connection is not None and connection.open:
-            connection.send(payload)
-            if record is not None and record.received_at is not None:
-                elapsed = self.scheduler.now - record.received_at
-                self._m_req_latency.observe(elapsed)
-                sr = self._series
-                if sr.enabled:
-                    sr.observe("series.gateway.group.latency", elapsed,
-                               group=record.target_group)
-                    sr.observe("series.gateway.latency", elapsed,
-                               gateway=self.name)
-            if record is not None and record.trace_span:
-                spans = self._span_collector
-                spans.instant(record.trace_id, "gateway.egress",
-                              parent=record.trace_span, source=self.name)
-                spans.end(record.trace_span, outcome="vote_relaxed",
-                          by=self.name)
-            self.tracer.emit(self.scheduler.now, "gateway.deliver", self.name,
-                             "response delivered (votes relaxed)",
-                             client=client_id, op=str(op_id))
-        elif (record is not None and record.trace_span
-                and record.forwarder == self.host.name):
-            self._span_collector.end(record.trace_span,
-                                     outcome="unroutable", by=self.name)
-        self._maybe_flush_client_gone(client_id)
-
-    def _fail_unservable_pending(self) -> None:
-        """Membership changed: re-examine pending two-way requests whose
-        target is a voting group.
-
-        A voting group with zero live replicas can never again form a
-        majority — those requests are failed fast with TRANSIENT (the
-        domain keeps its dedup memory, so a reissue after replicas
-        return is re-servable).  A voting group that merely shrank has
-        a smaller live majority; expectations registered with the old
-        quorum are relaxed to the new one and flushed if satisfied.
-        """
-        voting_targets: Dict[int, Optional[int]] = {}
-        for record in self._pending.values():
-            if not record.response_expected:
-                continue
-            gid = record.target_group
-            if gid in voting_targets:
-                continue
-            info = self.rm.registry.get(gid)
-            if info is None or not info.style.needs_voting:
-                continue
-            voting_targets[gid] = self.rm.votes_needed(info)
-        for gid in sorted(voting_targets):
-            votes = voting_targets[gid]
-            if votes is None:
-                self._fail_group_pending(gid)
-            else:
-                ready = self._filter.reduce_votes(
-                    lambda key, g=gid: key[0] == g, votes)
-                for key, payload in ready:
-                    self._deliver_relaxed(key, payload)
-
-    def _fail_group_pending(self, group_id: int) -> None:
-        """Fail every pending two-way request addressed to a voting
-        group that lost all replicas: TRANSIENT reply to the client,
-        filter expectation cancelled, admission slot freed."""
-        spans = self._span_collector
-        for key in [k for k, r in self._pending.items()
-                    if r.response_expected and r.target_group == group_id]:
-            record = self._pending.pop(key)
-            client_id, op_id = key
-            self._filter.cancel((group_id, client_id, op_id))
-            self._release_admission(record)
-            self.stats["requests_unservable"] += 1
-            self.metrics.counter("gateway.req.unservable").inc()
-            if record.order_span:
-                spans.end(record.order_span)
-                record.order_span = 0
-            if key in self._cancelled:
-                # The client already withdrew interest: no reply, and
-                # the tombstone has now served its purpose.
-                self._cancelled.discard(key)
-            else:
-                connection = self._routing.get(client_id)
-                if connection is not None and connection.open:
-                    # The external request id was recovered into the
-                    # child sequence of the operation id.
-                    connection.send(reply_for_exception(
-                        op_id.child_seq,
-                        TransientError(
-                            f"server group {group_id} lost all "
-                            f"replicas")))
-            if record.trace_span and record.forwarder == self.host.name:
-                # Only the owning gateway closes the container; mirror
-                # observers share the span id but must not close it.
-                spans.end(record.trace_span, outcome="unservable",
-                          by=self.name)
-            self._maybe_flush_client_gone(client_id)
 
     def _purge_client(self, client_id: ClientId) -> None:
         self.stats["clients_gone"] += 1
@@ -1104,6 +995,9 @@ class Gateway(Process):
         for key in [k for k in self._pending if k[0] == client_id]:
             record = self._pending.pop(key)
             self._release_admission(record)
+            if record.forwarder == self.host.name:
+                self._span_collector.end(record.trace_span,
+                                         outcome="client_gone", by=self.name)
         for key in [k for k in self._cache if k[0] == client_id]:
             del self._cache[key]
         self._routing.pop(client_id, None)
@@ -1188,7 +1082,7 @@ class Gateway(Process):
         """
         if not self.alive:
             return
-        self._fail_unservable_pending()
+        self._requorum()
         if not self.mirror_requests:
             return
         leader = min(self._live_gateway_hosts())

@@ -478,9 +478,6 @@ class FaultToleranceDomain:
     def await_ready(self, handle: GroupHandle, timeout: float = 30.0) -> None:
         self.world.scheduler.run_until(handle.is_ready, timeout=timeout)
 
-    def rm_on(self, host_name: str) -> ReplicationMechanisms:
-        return self.rms[host_name]
-
     def restart_host(self, host_name: str) -> ReplicationMechanisms:
         """Restart the Eternal software on a recovered replica processor.
 

@@ -26,7 +26,7 @@ suspended executions at the same point in the total order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple
 
 from ..core.identifiers import OperationId, UNUSED_CLIENT_ID
 from ..errors import ConfigurationError
@@ -39,9 +39,7 @@ from ..orb.idl import Operation
 from ..orb.servant import NestedCall
 from .messages import DomainMessage, MsgKind
 from .naming import EXTERNAL_GROUP
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .replication import ReplicationMechanisms
+from .replication import ReplicationMechanisms, _deterministic_request_id
 
 
 @dataclass
@@ -108,7 +106,7 @@ class DomainEgress:
         ior = Ior.from_string(call.target)
         profiles = [p.address for p in ior.iiop_profiles()]
         object_key = ior.primary_profile().object_key
-        request_id = ((op_id.parent_ts & 0xFFFFFF) << 8) | (op_id.child_seq & 0xFF)
+        request_id = _deterministic_request_id(op_id)
         contexts = [ClientIdContext(
             self._client_uid(source_group)).to_service_context()]
         if trace is not None:

@@ -31,7 +31,8 @@ receiver sets to the same value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union)
 
 from ..core.duplicates import DuplicateSuppressor
 from ..core.identifiers import (
@@ -90,27 +91,19 @@ class _InvocationRecord:
 
 
 @dataclass
-class _WaitingNested:
-    """A local execution suspended on a nested invocation's response."""
+class _Waiter:
+    """Someone on this processor awaiting a replicated response: an
+    ambassador invocation (``promise``) or a local execution suspended
+    on a nested call (``execution``, resumed under ``original``)."""
 
-    execution: Execution
-    original: DomainMessage            # the parent invocation message
-    nested_op: Operation               # for result decoding
-    group_id: int                      # the invoking (local) group
-    call: NestedCall
-    op_id: OperationId
+    op: Operation                      # for result decoding
+    promise: Optional[Promise] = None
+    execution: Optional[Execution] = None
+    original: Optional[DomainMessage] = None   # the parent invocation
     # The multicast-ready nested invocation (None for egress waits).  A
     # leader-follower promotion re-multicasts it: the dead leader may
     # have crashed before issuing it, and targets deduplicate anyway.
     message: Optional[DomainMessage] = None
-
-
-@dataclass
-class _ExternalWaiter:
-    """A locally-originated (ambassador) invocation awaiting its response."""
-
-    promise: Promise
-    op: Operation
 
 
 class ReplicationMechanisms(Process):
@@ -153,10 +146,11 @@ class ReplicationMechanisms(Process):
         self._invocations_seen: Dict[int, Dict[Tuple, _InvocationRecord]] = {}
         # Duplicate response suppression / voting for nested + external calls.
         self._response_filter = DuplicateSuppressor()
-        # Suspended executions keyed by (responder group, invoking group, op id).
-        self._waiting_nested: Dict[Tuple, _WaitingNested] = {}
-        # Ambassador invocations keyed by (responder group, client id, op id).
-        self._waiting_external: Dict[Tuple, _ExternalWaiter] = {}
+        # Everyone waiting on a response, by the filter's key: (responder
+        # group, invoking group id, op id) for a suspended execution,
+        # (responder group, client uid, op id) for an ambassador call —
+        # group ids are ints and client uids strings, so never equal.
+        self._waiting: Dict[Tuple, _Waiter] = {}
         # Leader-follower followers' withheld responses, group -> parent
         # dedup key -> original invocation.  An entry retires when the
         # leader's response for the same operation is delivered in total
@@ -456,14 +450,9 @@ class ReplicationMechanisms(Process):
                                       * max(1, len(self._invocations_seen))),
                        owner=owner, active=alive,
                        gauge="rm.state.dedup_entries")
-        scope.register("rm.waiting_nested",
-                       lambda: len(self._waiting_nested),
+        scope.register("rm.waiting", lambda: len(self._waiting),
                        floor=0, owner=owner, active=alive,
-                       gauge="rm.state.waiting_nested")
-        scope.register("rm.waiting_external",
-                       lambda: len(self._waiting_external),
-                       floor=0, owner=owner, active=alive,
-                       gauge="rm.state.waiting_external")
+                       gauge="rm.state.waiting")
         scope.register("rm.presync_buffer",
                        lambda: len(self._presync_buffer),
                        floor=0, owner=owner, active=alive,
@@ -600,15 +589,15 @@ class ReplicationMechanisms(Process):
         nested_op = target_iface.operation(call.operation)
         votes = self.votes_needed(target_info)
         if votes is None and not nested_op.oneway:
-            # Fail fast: a voting target with zero live replicas can
-            # never assemble a quorum (see votes_needed).
+            # Fail fast: a target with zero live replicas can never
+            # answer (see votes_needed).
             self.metrics.counter("rm.invoke.unservable").inc()
             self.tracer.emit(self.scheduler.now, "eternal.unservable",
                              self.name,
-                             f"nested call to voting group {call.target!r} "
+                             f"nested call to group {call.target!r} "
                              "with zero live replicas")
             outcome = execution.resume_error(TransientError(
-                f"voting group {call.target!r} has no live replicas"))
+                f"group {call.target!r} has no live replicas"))
             self._handle_outcome(execution, outcome, original, info, key)
             return
         request = RequestMessage(
@@ -633,11 +622,12 @@ class ReplicationMechanisms(Process):
             # visible in the exported tree.  Hop count is unchanged —
             # the call stays inside this domain.
             message.trace = (tr[0], execution.trace_span or tr[1], tr[2])
-        wait_key = (target_info.group_id, info.group_id, op_id)
-        self._waiting_nested[wait_key] = _WaitingNested(
-            execution=execution, original=original, nested_op=nested_op,
-            group_id=info.group_id, call=call, op_id=op_id, message=message)
-        self._response_filter.expect(wait_key, votes_needed=votes or 1)
+        if not nested_op.oneway:
+            wait_key = (target_info.group_id, info.group_id, op_id)
+            self._waiting[wait_key] = _Waiter(
+                op=nested_op, execution=execution, original=original,
+                message=message)
+            self._response_filter.expect(wait_key, votes_needed=votes)
         # Leader-follower: only the leader puts the nested invocation on
         # the ring (one copy instead of N); followers derive the same
         # operation id, register the same expectation, and resume on the
@@ -649,22 +639,25 @@ class ReplicationMechanisms(Process):
         if not lf_follower:
             self._multicast_copy(message)
             if info.style.is_semi_active and not nested_op.oneway:
-                # The leader's ordering record: followers verify their
-                # locally-derived identifiers against it (Figure 6
-                # determinism made checkable at runtime).
-                self.metrics.counter("rm.style.order.records").inc()
-                self.multicast(DomainMessage(
-                    kind=MsgKind.ORDER_RECORD,
-                    source_group=info.group_id,
-                    target_group=target_info.group_id,
-                    op_id=op_id,
-                    data={"op": nested_op.name}))
+                self._multicast_order_record(message, nested_op)
         if nested_op.oneway:
             # No response will come; resume immediately with None.
-            self._waiting_nested.pop(wait_key, None)
-            self._response_filter.cancel(wait_key)
             outcome = execution.resume(None)
             self._handle_outcome(execution, outcome, original, info, key)
+
+    def _multicast_order_record(self, nested: DomainMessage,
+                                nested_op: Operation) -> None:
+        """The leader's ordering record for the two-way nested
+        invocation ``nested``: followers verify their locally-derived
+        identifiers against it (Figure 6 determinism made checkable at
+        runtime)."""
+        self.metrics.counter("rm.style.order.records").inc()
+        self.multicast(DomainMessage(
+            kind=MsgKind.ORDER_RECORD,
+            source_group=nested.source_group,
+            target_group=nested.target_group,
+            op_id=nested.op_id,
+            data={"op": nested_op.name}))
 
     def _issue_egress(self, execution: Execution, call: NestedCall,
                       original: DomainMessage, info: GroupInfo,
@@ -676,10 +669,9 @@ class ReplicationMechanisms(Process):
             self._handle_outcome(execution, outcome, original, info, key)
             return
         wait_key = (EXTERNAL_GROUP, info.group_id, op_id)
-        self._waiting_nested[wait_key] = _WaitingNested(
-            execution=execution, original=original,
-            nested_op=self._egress.operation_for(call), group_id=info.group_id,
-            call=call, op_id=op_id)
+        self._waiting[wait_key] = _Waiter(
+            op=self._egress.operation_for(call), execution=execution,
+            original=original)
         self._response_filter.expect(wait_key, votes_needed=1)
         tr = original.trace
         trace = None
@@ -692,21 +684,43 @@ class ReplicationMechanisms(Process):
         """Votes a response needs before delivery; None = unservable.
         Shared by intra-domain invocations and this host's gateway.
 
-        For voting groups the majority is computed over the *live*
-        replicas.  With zero live replicas there is no population to
-        take a majority over — the old fallback to ``len(placement)``
-        demanded a quorum of dead hosts, a vote that could never
-        complete — so the caller must fail fast instead (None).  Before
+        One copy suffices unless the style votes, where it is the
+        majority of the *live* replicas.  With zero live replicas
+        nobody will ever answer, whatever the style (and the old voting
+        fallback to ``len(placement)`` demanded a quorum of dead
+        hosts), so the caller must fail fast instead (None).  Before
         the first membership install the full placement stands in for
         the live set (nothing can be delivered yet anyway).
         """
-        if not info.style.needs_voting:
-            return 1
         live = (len(info.live_replicas(self.live_hosts))
                 if self.live_hosts else len(info.placement))
         if live == 0:
             return None
-        return live // 2 + 1
+        return live // 2 + 1 if info.style.needs_voting else 1
+
+    def votes_now(self, group_id: int) -> Optional[float]:
+        """:meth:`votes_needed` by group id, as ``requorum`` asks it:
+        no opinion on a responder the registry does not hold (a removed
+        group, the EXTERNAL pseudo-group of egress waits)."""
+        info = self.registry.get(group_id)
+        if info is None:
+            return DuplicateSuppressor.UNCHANGED
+        return self.votes_needed(info)
+
+    def _requorum(self) -> None:
+        """Re-decide every wait after a membership install or a style
+        switch (total-order events, so every processor settles the same
+        waits at the same point): fail those whose responder group lost
+        every replica, resume those a lowered quorum already satisfies."""
+        for wait_key, payload in self._response_filter.requorum(
+                self.votes_now):
+            if payload is None:
+                self.metrics.counter("rm.invoke.unservable").inc()
+                self._settle(wait_key, TransientError(
+                    f"group {wait_key[0]} lost all replicas"))
+            else:
+                self.metrics.counter("rm.style.vote_relaxed").inc()
+                self._settle(wait_key, payload)
 
     # ==================================================================
     # Responses
@@ -726,70 +740,62 @@ class ReplicationMechanisms(Process):
             # Close the response's ordering-wait span at delivery (first
             # receiver wins; every receiver observes the same instant).
             self._span_collector.end(msg._trace_order, seq=msg.timestamp)
-        if msg.target_group == EXTERNAL_GROUP and msg.client_id != UNUSED_CLIENT_ID:
-            self._resolve_external(msg)
-            return
-        wait_key = (msg.source_group, msg.target_group, msg.op_id)
-        verdict, payload = self._response_filter.offer(
-            wait_key, msg.iiop, responder=msg.data.get("responder"))
-        if verdict != DuplicateSuppressor.DELIVER:
-            if verdict == DuplicateSuppressor.DUPLICATE:
-                self.stats["responses_suppressed"] += 1
-            return
-        self._deliver_nested(wait_key, payload)
-
-    def _deliver_nested(self, wait_key: Tuple, payload: bytes) -> None:
-        """Resume the execution suspended on ``wait_key`` with the
-        filter-approved response payload."""
-        waiting = self._waiting_nested.pop(wait_key, None)
-        if waiting is None:
-            return
-        self.stats["responses_delivered"] += 1
-        if wait_key[0] == EXTERNAL_GROUP and self._egress is not None:
-            self._egress.complete(wait_key[1], wait_key[2])
-        reply = decode_reply(payload)
-        info = self.registry.get(waiting.group_id)
-        if info is None:
-            return
-        try:
-            value = decode_result(waiting.nested_op, reply,
-                                  little_endian=reply.little_endian)
-        except Exception as exc:
-            outcome = waiting.execution.resume_error(exc)
+        response_filter = self._response_filter
+        if (msg.target_group == EXTERNAL_GROUP
+                and msg.client_id != UNUSED_CLIENT_ID):
+            wait_key = (msg.source_group, msg.client_id, msg.op_id)
+            if not (response_filter.is_expected(wait_key)
+                    or response_filter.was_delivered(wait_key)):
+                return  # another processor's driver invocation
         else:
-            outcome = waiting.execution.resume(value)
-        parent_key = dedup_key(waiting.original.source_group,
-                               waiting.original.client_id,
-                               waiting.original.op_id)
-        self._handle_outcome(waiting.execution, outcome, waiting.original,
-                             info, parent_key)
-
-    def _resolve_external(self, msg: DomainMessage) -> None:
-        wait_key = (msg.source_group, msg.client_id, msg.op_id)
-        if (not self._response_filter.is_expected(wait_key)
-                and not self._response_filter.was_delivered(wait_key)):
-            return  # another processor's driver invocation
-        verdict, payload = self._response_filter.offer(
+            wait_key = (msg.source_group, msg.target_group, msg.op_id)
+        verdict, payload = response_filter.offer(
             wait_key, msg.iiop, responder=msg.data.get("responder"))
-        if verdict != DuplicateSuppressor.DELIVER:
-            if verdict == DuplicateSuppressor.DUPLICATE:
-                self.stats["responses_suppressed"] += 1
-            return
-        self._deliver_external(wait_key, payload)
+        if verdict == DuplicateSuppressor.DELIVER:
+            self._settle(wait_key, payload)
+        elif verdict == DuplicateSuppressor.DUPLICATE:
+            self.stats["responses_suppressed"] += 1
+        else:
+            return  # a vote short of its quorum, or nobody waits here
 
-    def _deliver_external(self, wait_key: Tuple, payload: bytes) -> None:
-        waiter = self._waiting_external.pop(wait_key, None)
+    def _settle(self, wait_key: Tuple,
+                result: Union[bytes, Exception]) -> None:
+        """End the wait registered under ``wait_key`` — the only way
+        one ends: with the response payload the filter agreed on (from
+        :meth:`_on_response`, or freed by :meth:`_requorum`), or with
+        the error to raise at the waiter because no response will come.
+        Resolves the ambassador's promise or resumes the suspended
+        execution."""
+        waiter = self._waiting.pop(wait_key, None)
         if waiter is None:
             return
-        self.stats["responses_delivered"] += 1
-        reply = decode_reply(payload)
-        try:
-            value = decode_result(waiter.op, reply,
-                                  little_endian=reply.little_endian)
-        except Exception as exc:
-            waiter.promise.reject(exc)
-        else:
-            waiter.promise.resolve(value)
+        if not isinstance(result, Exception):
+            self.stats["responses_delivered"] += 1
+            if wait_key[0] == EXTERNAL_GROUP and self._egress is not None:
+                self._egress.complete(wait_key[1], wait_key[2])
+            reply = decode_reply(result)
+            try:
+                result = decode_result(waiter.op, reply,
+                                       little_endian=reply.little_endian)
+            except Exception as exc:
+                result = exc
+        failed = isinstance(result, Exception)
+        if waiter.promise is not None:
+            if failed:
+                waiter.promise.reject(result)
+            else:
+                waiter.promise.resolve(result)
+            return
+        info = self.registry.get(wait_key[1])  # the invoking group
+        if info is None:
+            return
+        execution, original = waiter.execution, waiter.original
+        outcome = (execution.resume_error(result) if failed
+                   else execution.resume(result))
+        self._handle_outcome(
+            execution, outcome, original, info,
+            dedup_key(original.source_group, original.client_id,
+                      original.op_id))
 
     # ==================================================================
     # Ambassador: locally-originated invocations (testing/driver API)
@@ -830,18 +836,18 @@ class ReplicationMechanisms(Process):
             return promise
         votes = self.votes_needed(info)
         if votes is None:
-            # Fail fast instead of registering a vote no population of
-            # live replicas can ever complete.
+            # Fail fast instead of registering a wait no live replica
+            # can ever end.
             self.metrics.counter("rm.invoke.unservable").inc()
             self.tracer.emit(self.scheduler.now, "eternal.unservable",
                              self.name,
-                             f"invocation of voting group {target_group_id} "
+                             f"invocation of group {target_group_id} "
                              "with zero live replicas")
             promise.reject(TransientError(
-                f"voting group {target_group_id} has no live replicas"))
+                f"group {target_group_id} has no live replicas"))
             return promise
         wait_key = (target_group_id, client_uid, op_id)
-        self._waiting_external[wait_key] = _ExternalWaiter(promise=promise, op=op)
+        self._waiting[wait_key] = _Waiter(op=op, promise=promise)
         self._response_filter.expect(wait_key, votes_needed=votes)
         self.multicast(message)
         return promise
@@ -1013,7 +1019,6 @@ class ReplicationMechanisms(Process):
         ))
 
     def _apply_checkpoint(self, msg: DomainMessage) -> None:
-        group_id = msg.data.get("group_id", msg.target_group)
         if msg.target_group not in self.replicas:
             return
         log = self._log_for(msg.target_group)
@@ -1058,7 +1063,7 @@ class ReplicationMechanisms(Process):
         if info.primary(self.live_hosts) == self.host.name:
             return  # the leader checking its own record is vacuous
         wait_key = (msg.target_group, msg.source_group, msg.op_id)
-        if (wait_key in self._waiting_nested
+        if (wait_key in self._waiting
                 or self._response_filter.was_delivered(wait_key)):
             self.metrics.counter("rm.style.order.followed").inc()
         else:
@@ -1069,9 +1074,10 @@ class ReplicationMechanisms(Process):
 
         The switch point is the message's position in the total order,
         so every processor partitions the group's history identically:
-        operations ordered before it complete under the old engine (a
-        dropped voting requirement is relaxed below, so nothing
-        strands), operations after it run entirely under the new one.
+        operations ordered before it complete under the old engine (the
+        closing :meth:`_requorum` lowers a dropped voting requirement,
+        so nothing strands), operations after it run entirely under the
+        new one.
         Epoch-guarded via the registry, so the redundant copies emitted
         by replicated managers apply exactly once.
         """
@@ -1115,18 +1121,9 @@ class ReplicationMechanisms(Process):
                 self._catch_up_from_log(info, record, old_style)
             self.logs.pop(group_id, None)
         # (3) Voting dropped: in-flight majority expectations can never
-        # fill once only the leader speaks — relax them to a single vote
-        # at the switch point (consistent everywhere: this is a
-        # total-order event) and flush any vote that already suffices.
-        if old_style.needs_voting and not new_style.needs_voting:
-            ready = self._response_filter.reduce_votes(
-                lambda k: k[0] == group_id, 1)
-            for relaxed_key, payload in ready:
-                self.metrics.counter("rm.style.vote_relaxed").inc()
-                if relaxed_key in self._waiting_external:
-                    self._deliver_external(relaxed_key, payload)
-                else:
-                    self._deliver_nested(relaxed_key, payload)
+        # fill once only the leader speaks — votes_needed says so from
+        # here on, which is all the sweep needs to know.
+        self._requorum()
 
     def _catch_up_from_log(self, info: GroupInfo, record: ReplicaRecord,
                            old_style: ReplicationStyle) -> None:
@@ -1148,16 +1145,25 @@ class ReplicationMechanisms(Process):
             self.scheduler.now, "eternal.style_catchup", self.name,
             f"group {info.group_id}: replaying {len(replay)} ops to leave "
             f"{old_style.value}")
+        if replay:
+            self.metrics.counter("rm.style.catchup_replays").inc(len(replay))
+        self._replay(info, record, replay, silent=True)
+
+    def _replay(self, info: GroupInfo, record: ReplicaRecord,
+                messages: Sequence[DomainMessage], silent: bool) -> None:
+        """Re-execute logged invocations at this replica, which may
+        have logged them without executing: audibly on promotion to
+        primary (the dead primary's responses may be lost), silently
+        to catch up for a style switch (see :meth:`_catch_up_from_log`)."""
         seen = self._invocations_seen.setdefault(info.group_id, {})
-        for msg in replay:
-            self.metrics.counter("rm.style.catchup_replays").inc()
+        for msg in messages:
             request = msg.request()
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
             seen[key] = _InvocationRecord(
                 status="executing",
                 response_expected=request.response_expected)
             self._execute(msg, record, info, request, key,
-                          silent=True, replay=True)
+                          silent=silent, replay=silent)
 
     # ==================================================================
     # Membership changes: failover and recovery
@@ -1206,7 +1212,7 @@ class ReplicationMechanisms(Process):
                              self.name, "replicas pruned",
                              removed=[f"{g}@{h}" for g, h in removed])
         self._check_primary_changes()
-        self._fail_unservable_waits()
+        self._requorum()
         for fn in list(self._membership_listeners):
             fn(self.live_hosts)
         if self._egress is not None:
@@ -1240,17 +1246,9 @@ class ReplicationMechanisms(Process):
         self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
                          f"promoting to primary of group {info.group_id}",
                          style=info.style.value, replayed=len(replay))
-        for msg in replay:
-            self.stats["replays"] += 1
-            self._m_replays.inc()
-            request = msg.request()
-            key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
-            # Mark executing (we may have logged it without executing).
-            seen = self._invocations_seen.setdefault(info.group_id, {})
-            seen[key] = _InvocationRecord(
-                status="executing",
-                response_expected=request.response_expected)
-            self._execute(msg, record, info, request, key)
+        self.stats["replays"] += len(replay)
+        self._m_replays.inc(len(replay))
+        self._replay(info, record, replay, silent=False)
 
     def _promote_leader_follower(self, info: GroupInfo) -> None:
         """Leader-follower failover: the new leader's state is already
@@ -1279,79 +1277,16 @@ class ReplicationMechanisms(Process):
         # The resends retire their own unacked entries when they come
         # back around in total order (_on_response pops them).
         reissued = 0
-        for wait_key, waiting in list(self._waiting_nested.items()):
-            if waiting.group_id != info.group_id or waiting.message is None:
+        for wait_key, waiter in list(self._waiting.items()):
+            if wait_key[1] != info.group_id or waiter.message is None:
                 continue
-            self.multicast(waiting.message)
-            if not waiting.nested_op.oneway:
-                self.metrics.counter("rm.style.order.records").inc()
-                self.multicast(DomainMessage(
-                    kind=MsgKind.ORDER_RECORD,
-                    source_group=info.group_id,
-                    target_group=wait_key[0],
-                    op_id=waiting.op_id,
-                    data={"op": waiting.nested_op.name}))
+            self.multicast(waiter.message)
+            self._multicast_order_record(waiter.message, waiter.op)
             reissued += 1
         self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
                          f"promoting to leader of group {info.group_id}",
                          style=info.style.value, resent=resent,
                          reissued=reissued)
-
-    def _fail_unservable_waits(self) -> None:
-        """Re-evaluate voting expectations after a membership change.
-
-        A vote registered against the pre-crash live set can demand more
-        responders than will ever speak again.  Per voting target: zero
-        live replicas fails every wait fast (TransientError — the same
-        fail-fast votes_needed applies to new invocations); a
-        shrunken-but-alive group has its quorum relaxed to the new
-        majority, delivering immediately where already-counted votes
-        suffice.  Deterministic across processors: every input (registry,
-        live set, filter state) evolves in total order.
-        """
-        needed: Dict[int, Optional[int]] = {}
-        for wait_key in (list(self._waiting_nested)
-                         + list(self._waiting_external)):
-            target_gid = wait_key[0]
-            if target_gid == EXTERNAL_GROUP or target_gid in needed:
-                continue
-            t_info = self.registry.get(target_gid)
-            if t_info is None or not t_info.style.needs_voting:
-                continue
-            needed[target_gid] = self.votes_needed(t_info)
-        for target_gid, votes in needed.items():
-            if votes is None:
-                err = TransientError(
-                    f"voting group {target_gid} lost all replicas")
-                for wait_key in [k for k in self._waiting_external
-                                 if k[0] == target_gid]:
-                    self.metrics.counter("rm.invoke.unservable").inc()
-                    self._response_filter.cancel(wait_key)
-                    self._waiting_external.pop(wait_key).promise.reject(err)
-                for wait_key in [k for k in self._waiting_nested
-                                 if k[0] == target_gid]:
-                    self.metrics.counter("rm.invoke.unservable").inc()
-                    self._response_filter.cancel(wait_key)
-                    waiting = self._waiting_nested.pop(wait_key)
-                    parent_info = self.registry.get(waiting.group_id)
-                    if parent_info is None:
-                        continue
-                    outcome = waiting.execution.resume_error(err)
-                    parent_key = dedup_key(waiting.original.source_group,
-                                           waiting.original.client_id,
-                                           waiting.original.op_id)
-                    self._handle_outcome(waiting.execution, outcome,
-                                         waiting.original, parent_info,
-                                         parent_key)
-            else:
-                ready = self._response_filter.reduce_votes(
-                    lambda k, g=target_gid: k[0] == g, votes)
-                for relaxed_key, payload in ready:
-                    self.metrics.counter("rm.style.vote_relaxed").inc()
-                    if relaxed_key in self._waiting_external:
-                        self._deliver_external(relaxed_key, payload)
-                    else:
-                        self._deliver_nested(relaxed_key, payload)
 
 
 def _call_factory(factory: Callable[..., Servant],

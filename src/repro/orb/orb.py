@@ -60,9 +60,6 @@ class ObjectAdapter:
         self._servants[key] = servant
         return key
 
-    def deactivate(self, key: bytes) -> None:
-        self._servants.pop(key, None)
-
     def lookup(self, key: bytes) -> Servant:
         servant = self._servants.get(key)
         if servant is None:

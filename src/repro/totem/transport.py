@@ -40,9 +40,6 @@ class TotemTransport:
     def deregister(self, member_name: str) -> None:
         self._members.pop(member_name, None)
 
-    def member_names(self) -> list:
-        return sorted(self._members)
-
     def lookup(self, name: str) -> Optional["TotemMember"]:
         return self._members.get(name)
 

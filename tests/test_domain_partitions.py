@@ -65,8 +65,11 @@ def test_heal_and_rejoin_restores_single_ring(world):
 def test_gateway_cut_off_from_domain_fails_client_cleanly(world):
     """A partition between the gateway and the replicas: the client's
     request cannot reach the domain; with a single gateway the client
-    observes a timeout/failure rather than silent corruption."""
-    from repro.errors import CommFailure, NoResponse
+    observes a typed failure rather than silent corruption.  On the
+    gateway's side of the cut the group has no live replica, so the
+    gateway answers TRANSIENT at once — the client no longer sits out
+    its own 5 s timeout for a NoResponse."""
+    from repro.errors import CorbaSystemException
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain)
     domain.await_ready(group)
@@ -76,9 +79,13 @@ def test_gateway_cut_off_from_domain_fails_client_cleanly(world):
     world.await_promise(stub.call("increment", 1))
     world.network.partition({gateway_host}, replica_side)
     world.run(until=world.now + 1.0)
+    issued = world.now
     promise = stub.call("increment", 1, timeout=5.0)
-    with pytest.raises((NoResponse, CommFailure)):
+    with pytest.raises(CorbaSystemException) as exc:
         world.await_promise(promise, timeout=600)
+    assert "Transient" in str(exc.value)
+    assert world.now - issued < 1.0      # one WAN round trip, no timeout
+    world.audit(strict=True)
     # State inside the domain never moved.
     world.network.heal_partitions()
     world.run(until=world.now + 1.0)

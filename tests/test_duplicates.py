@@ -1,5 +1,6 @@
 """Unit tests for duplicate response suppression and voting (section 3.3)."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -107,3 +108,101 @@ def test_exactly_one_delivery_property(replicas, votes_needed):
         if verdict == DuplicateSuppressor.DELIVER:
             delivered += 1
     assert delivered == (1 if replicas >= votes_needed else 0)
+
+
+# ----------------------------------------------------------------------
+# requorum: the one place a pending expectation is re-decided
+# ----------------------------------------------------------------------
+
+D = DuplicateSuppressor
+KEEP = DuplicateSuppressor.UNCHANGED
+
+# (name,
+#  expectations in registration order: (key, votes registered, votes held
+#    as (payload, responder) pairs),
+#  what each responder group needs now,
+#  what requorum must return, in order,
+#  verdict of one late copy b"v" from a fresh responder per key afterwards)
+REQUORUM_CASES = [
+    ("lowered requirement frees the payload that has enough votes",
+     [((7, "c", 1), 2, [(b"v", "r0")])],
+     {7: 1},
+     [((7, "c", 1), b"v")],
+     {(7, "c", 1): D.DUPLICATE}),
+    ("lowered but still short stays pending under the new requirement",
+     [((7, "c", 1), 3, [(b"v", "r0")])],
+     {7: 2},
+     [],
+     {(7, "c", 1): D.DELIVER}),
+    ("the payload with enough votes wins, not the first one seen",
+     [((7, "c", 1), 3, [(b"x", "r0"), (b"v", "r1"), (b"v", "r2")])],
+     {7: 2},
+     [((7, "c", 1), b"v")],
+     {(7, "c", 1): D.DUPLICATE}),
+    ("an unanswerable group drops the expectation, with no payload",
+     [((7, "c", 1), 2, [(b"v", "r0")])],
+     {7: None},
+     [((7, "c", 1), None)],
+     {(7, "c", 1): D.UNEXPECTED}),
+    ("unanswerable is not a voting matter: one vote needed, none held",
+     [((7, "c", 1), 1, [])],
+     {7: None},
+     [((7, "c", 1), None)],
+     {(7, "c", 1): D.UNEXPECTED}),
+    ("a requirement is never raised",
+     [((7, "c", 1), 1, [])],
+     {7: 3},
+     [],
+     {(7, "c", 1): D.DELIVER}),
+    ("an equal requirement changes nothing",
+     [((7, "c", 1), 2, [(b"v", "r0")])],
+     {7: 2},
+     [],
+     {(7, "c", 1): D.DELIVER}),
+    ("no opinion leaves the group alone",
+     [((-1, "c", 1), 2, [(b"v", "r0")])],
+     {-1: KEEP},
+     [],
+     {(-1, "c", 1): D.DELIVER}),
+    ("mixed groups settle in registration order, not group order",
+     [((9, "c", 1), 2, [(b"v", "r0")]),
+      ((7, "c", 2), 2, []),
+      ((-1, "c", 3), 2, [(b"v", "r0")]),
+      ((8, "c", 4), 2, [(b"v", "r0")]),
+      ((9, "c", 5), 2, []),
+      ((7, "d", 6), 1, [])],
+     {9: 1, 7: None, -1: KEEP, 8: 2},
+     [((9, "c", 1), b"v"), ((7, "c", 2), None), ((7, "d", 6), None)],
+     {(9, "c", 1): D.DUPLICATE, (7, "c", 2): D.UNEXPECTED,
+      (-1, "c", 3): D.DELIVER, (8, "c", 4): D.DELIVER,
+      (9, "c", 5): D.DELIVER, (7, "d", 6): D.UNEXPECTED}),
+]
+
+
+@pytest.mark.parametrize(
+    "expectations, needs, settled, late", [c[1:] for c in REQUORUM_CASES],
+    ids=[c[0] for c in REQUORUM_CASES])
+def test_requorum(expectations, needs, settled, late):
+    s = DuplicateSuppressor()
+    for key, votes, held in expectations:
+        s.expect(key, votes_needed=votes)
+        for payload, responder in held:
+            assert s.offer(key, payload, responder=responder)[0] == D.PENDING
+    delivered_before = s.stats["delivered"]
+    asked = []
+
+    def votes_needed(group):
+        asked.append(group)
+        return needs[group]
+
+    assert s.requorum(votes_needed) == settled
+    # Each responder group is asked once, however many expectations it has.
+    assert sorted(asked) == sorted(needs)
+    freed = [key for key, payload in settled if payload is not None]
+    assert s.stats["delivered"] == delivered_before + len(freed)
+    assert all(s.was_delivered(key) for key in freed)
+    assert s.pending_count == len(expectations) - len(settled)
+    # A second sweep with the same answers settles nothing more.
+    assert s.requorum(needs.__getitem__) == []
+    for key, verdict in late.items():
+        assert s.offer(key, b"v", responder="late")[0] == verdict, key

@@ -13,11 +13,19 @@ random crash schedules — and check the invariants the paper promises:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import FtClientLayer, Orb, ReplicationStyle, World
+from repro import (
+    FaultToleranceDomain,
+    FtClientLayer,
+    Orb,
+    ReplicationStyle,
+    World,
+)
 from repro.apps import COUNTER_INTERFACE, CounterServant
+from repro.errors import CommFailure, ConfigurationError
+from repro.iiop import encode_cancel_request
 
 from tests.helpers import make_counter_group, make_domain, replica_counts
 
@@ -125,3 +133,109 @@ def test_different_seeds_still_converge_semantically():
     b = run_fingerprint(2)
     # Timing details may differ, but the semantic outcome is identical.
     assert a[2] == b[2]
+
+
+# ----------------------------------------------------------------------
+# Everyone who waits on a replicated response gets an answer
+# ----------------------------------------------------------------------
+
+SWITCHABLE = [ReplicationStyle.ACTIVE, ReplicationStyle.ACTIVE_WITH_VOTING,
+              ReplicationStyle.LEADER_FOLLOWER]
+ACTIONS = st.one_of(
+    st.sampled_from(["call", "cancel", "reconnect", "kill", "recover"]),
+    st.sampled_from(SWITCHABLE))
+PAUSES = st.sampled_from([0.0, 0.005, 0.05, 0.3, 1.5])
+
+
+def ternary(value):
+    digits = []
+    while value:
+        value, digit = divmod(value, 3)
+        digits.append(digit)
+    return digits
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(ACTIONS, PAUSES), min_size=1, max_size=14))
+@example([(ReplicationStyle.ACTIVE, 0.3), ("call", 0.0), ("kill", 0.0),
+          ("kill", 0.0), ("kill", 1.5), ("call", 0.0)])
+def test_every_call_is_answered_whatever_dies_or_switches_property(steps):
+    """A voting group behind two mirrored gateways with an admission
+    window of two; an enhanced client calls, cancels its last request
+    and drops its connection while replica hosts die (up to all of
+    them) and come back and the group's style is switched live.  At
+    quiescence every call that was not cancelled has an answer — a
+    value, TRANSIENT or COMM_FAILURE — no value was produced by
+    executing a call twice, and nothing is retained for any of it.
+
+    Call *i* adds 3**i, so the ternary digits of a counter value say
+    how often each call had executed when it was read."""
+    world = World(seed=7, trace=False)
+    domain = FaultToleranceDomain(world, "dom")
+    for _ in range(2):
+        domain.add_gateway(admission_window=2)
+    domain.await_stable()
+    group = make_counter_group(
+        domain, style=ReplicationStyle.ACTIVE_WITH_VOTING, min_replicas=2)
+    domain.await_ready(group)
+    orb = Orb(world, world.add_host("browser"), request_timeout=None)
+    stub = FtClientLayer(orb).string_to_object(
+        domain.ior_for(group).to_string(), COUNTER_INTERFACE)
+    requester = stub.requester
+    calls, request_ids, cancelled, dead = [], {}, set(), []
+    lost_everything = False
+    for action, pause in steps:
+        connection = requester.connection
+        if action == "call":
+            calls.append(stub.call("increment", 3 ** len(calls)))
+            request_ids[max(requester.pending)] = len(calls) - 1
+        elif action == "cancel":
+            if connection is not None and connection.endpoint is not None:
+                in_flight = connection.pending_request_ids()
+                if in_flight:
+                    connection.endpoint.send(
+                        encode_cancel_request(in_flight[-1]))
+                    cancelled.add(request_ids[in_flight[-1]])
+        elif action == "reconnect":
+            if connection is not None:
+                connection.close()
+        elif action == "kill":
+            live = [name for name in domain.replica_host_names
+                    if world.network.host(name).alive]
+            if live:
+                world.faults.crash_now(live[0])
+                dead.append(live[0])
+                lost_everything = lost_everything or len(live) == 1
+        elif action == "recover":
+            if dead:
+                world.faults.recover_now(dead[-1])
+                domain.restart_host(dead.pop())
+        else:
+            try:
+                domain.switch_style(group, action)
+            except ConfigurationError:
+                pass  # the driver's processor has only just restarted
+        world.run(until=world.now + pause)
+    # Past the gateways' 30 s cancel-tombstone TTL.
+    world.run(until=world.now + 35.0)
+
+    served = {}
+    for index, promise in enumerate(calls):
+        if not promise.done:
+            assert index in cancelled, f"call {index} hangs"
+        elif promise.failed:
+            assert (isinstance(promise.error, CommFailure)
+                    or "Transient" in str(promise.error)), promise.error
+        else:
+            served[index] = ternary(promise.value)
+            assert served[index][index] == 1
+            assert set(served[index]) <= {0, 1}, (index, promise.value)
+    counts = set(replica_counts(domain, group).values())
+    assert len(counts) <= 1
+    if counts and not lost_everything:
+        # No replica set was ever re-created empty, so the survivors
+        # hold every served call, once.
+        final = ternary(counts.pop())
+        assert set(final) <= {0, 1}
+        assert all(final[index] == 1 for index in served)
+    world.audit(strict=True)

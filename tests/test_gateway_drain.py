@@ -87,13 +87,29 @@ def test_idle_connection_is_closed_when_its_gateway_drains(world):
     assert not state["ep"].open
 
 
+def test_stopped_gateway_keeps_no_connection_table(world):
+    """A graceful stop closes every connection, and each close drops its
+    entry — the clients it carried included — although nobody is
+    announced as gone (they fail over to a peer)."""
+    domain = make_domain(world, gateways=2)
+    group = make_counter_group(domain)
+    gateway = domain.gateways[0]
+    _, stub, _ = external_client(world, domain, group, enhanced=True)
+    assert world.await_promise(stub.call("increment", 1)) == 1
+    assert any(gateway._conn_clients.values())
+    world.await_promise(gateway.drain(), timeout=600)
+    world.run(until=world.now + 0.1)
+    assert gateway._conn_clients == {}
+    assert world.metrics.value("gateway.clients.gone") == 0
+
+
 def test_request_reaching_a_stopped_gateway_is_a_no_op(world):
     domain = make_domain(world, gateways=2)
     group = make_counter_group(domain)
     gateway = domain.gateways[0]
     _, stub, _ = external_client(world, domain, group, enhanced=True)
     assert world.await_promise(stub.call("increment", 1)) == 1
-    connection = next(iter(gateway._conn_ids))
+    connection = next(iter(gateway._conn_clients))
     gateway.stop()
     before = dict(gateway.stats)
     gateway._on_client_message(encode_request(RequestMessage(
@@ -111,7 +127,7 @@ def test_idle_connections_are_audited_and_dropped_on_close(world):
     assert world.metrics.value("gateway.state.connections") == 1
     state["ep"].close()
     world.run(until=world.now + 0.1)
-    assert gateway._connections == {}
+    assert gateway._conn_clients == {}
     world.audit(strict=True)
 
 
@@ -124,5 +140,5 @@ def test_connection_the_gateway_hangs_up_on_is_not_retained(world):
     state["ep"].send(b"this is not GIOP, not even close")
     world.run(until=world.now + 0.1)
     assert state["closed"]
-    assert gateway._connections == {}
+    assert gateway._conn_clients == {}
     world.audit(strict=True)

@@ -24,7 +24,8 @@ def test_plain_and_enhanced_clients_coexist(world):
     world.run_until_done(promises, timeout=600)
     assert sorted(p.result() for p in promises) == [1, 2, 3, 4]
     gateway = domain.gateways[0]
-    kinds = {type(cid) for cid in gateway._conn_ids.values()}
+    kinds = {type(cid) for carried in gateway._conn_clients.values()
+             for cid in carried}
     assert kinds == {int, str}  # one counter id, one uid
 
 
@@ -51,8 +52,8 @@ def test_counter_partitioning_prevents_cross_gateway_aliasing(world):
                           [(gw1.host.name, gw1.port)], key), group.interface)
     world.run_until_done([stub_a.call("increment", 1),
                           stub_b.call("increment", 1)], timeout=600)
-    ids_a = {cid for cid in gw0._conn_ids.values()}
-    ids_b = {cid for cid in gw1._conn_ids.values()}
+    ids_a = {cid for carried in gw0._conn_clients.values() for cid in carried}
+    ids_b = {cid for carried in gw1._conn_clients.values() for cid in carried}
     assert ids_a and ids_b
     assert ids_a.isdisjoint(ids_b)
     world.run(until=world.now + 0.3)
@@ -97,5 +98,6 @@ def test_many_clients_ids_remain_unique(world):
         stubs.append(stub)
     promises = [stub.call("increment", 1) for stub in stubs]
     world.run_until_done(promises, timeout=600)
-    ids = list(gateway._conn_ids.values())
+    ids = [cid for carried in gateway._conn_clients.values()
+           for cid in carried]
     assert len(ids) == len(set(ids)) == 6

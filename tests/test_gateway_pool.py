@@ -536,7 +536,7 @@ def test_mux_clients_share_one_connection(world):
                                    timeout=240) == i + 1
     # One shared TCP connection carries every logical client identity.
     gateway = pool.gateways[0]
-    assert len(gateway._conn_members) == 1
-    members = sum(len(ids) for ids in gateway._conn_members.values())
-    assert members == clients
+    carrying = [ids for ids in gateway._conn_clients.values() if ids]
+    assert len(carrying) == 1
+    assert len(carrying[0]) == clients
     assert set(replica_counts(domain, group).values()) == {clients}

@@ -16,11 +16,16 @@ grew without bound:
 
 import pytest
 
-from repro import ReplicationStyle, Servant, World
+from repro import GatewayPool, ReplicationStyle, Servant, World
 from repro.iiop import TC_LONG, TC_STRING, TC_VOID, encode_cancel_request
 from repro.orb import Interface, Operation, Param
 
-from tests.helpers import external_client, make_counter_group, make_domain
+from tests.helpers import (
+    external_client,
+    make_counter_group,
+    make_domain,
+    replica_counts,
+)
 
 EVENTS = Interface("EventSink", [
     Operation("emit", [Param("note", TC_STRING)], TC_VOID, oneway=True),
@@ -134,7 +139,8 @@ def test_client_gone_deferred_until_last_pending_resolves(world):
     group = make_counter_group(domain)
     orb, stub, _ = external_client(world, domain, group, enhanced=False)
     world.await_promise(stub.call("increment", 1))
-    origin = next(gw for gw in domain.gateways if gw._conn_ids)
+    origin = next(gw for gw in domain.gateways
+                  if any(gw._conn_clients.values()))
     peer = next(gw for gw in domain.gateways if gw is not origin)
     held, original = hold_forward(origin)
     stub.call("increment", 10)
@@ -212,6 +218,36 @@ def test_cancel_after_response_delivery_leaves_no_tombstone(world):
     world.audit(strict=True)
 
 
+def test_response_overtaking_a_reforward_closes_its_ordering_wait():
+    """A takeover re-forward opens an ordering-wait span for the copy
+    it queues.  If the response to the original forward is agreed
+    first, settling the operation closes that span; the queued copy is
+    a duplicate inside the domain and nothing else ever would."""
+    world = World(seed=1234, trace_spans=True)
+    domain = make_domain(world, gateways=2)
+    group = make_counter_group(domain)
+    _, stub, _ = external_client(world, domain, group, enhanced=False,
+                                 first_gateway_only=True)
+    peer = domain.gateways[1]
+    on_domain_response = peer._on_domain_response
+
+    def reforward_then_observe(msg):
+        record = peer._pending.get((msg.client_id, msg.op_id))
+        if record is not None:
+            peer._forward(record)
+            assert record.order_span
+        on_domain_response(msg)
+
+    peer._on_domain_response = reforward_then_observe
+    assert world.await_promise(stub.call("increment", 1)) == 1
+    world.run(until=world.now + 1.0)
+    assert peer.stats["requests_forwarded"] == 1
+    waits = world.network.spans.select(name="totem.order.invocation")
+    assert len(waits) == 2 and all(span.closed for span in waits)
+    assert set(replica_counts(domain, group).values()) == {1}
+    world.audit(strict=True)
+
+
 def test_cancel_stat_and_counter_declared_up_front(world):
     domain = make_domain(world, gateways=1)
     gateway = domain.gateways[0]
@@ -234,4 +270,184 @@ def test_warm_passive_primary_log_is_truncated_by_its_own_updates(world):
     primary = group.info().primary(domain.coordinator_rm().live_hosts)
     log = domain.rms[primary].logs[group.group_id]
     assert len(log) <= group.info().checkpoint_interval + 1
+    world.audit(strict=True)
+
+
+# ----------------------------------------------------------------------
+# Every exit lets go of everything
+# ----------------------------------------------------------------------
+
+# How a two-way operation can end at the gateway that read it off its
+# client socket -> the outcome its gateway.request container closes with.
+EXITS = {
+    "response": "delivered",
+    "style_switch": "vote_relaxed",
+    "membership_shrink": "vote_relaxed",
+    "unanswerable": "unservable",
+    "cancel_then_response": "cancelled",
+    "cancel_then_unanswerable": "cancelled",
+    "close_then_response": "unroutable",
+    "client_gone": "client_gone",
+}
+
+
+@pytest.mark.parametrize("windowed", [False, True],
+                         ids=["no_window", "window_1_one_queued"])
+@pytest.mark.parametrize("cause", list(EXITS))
+def test_every_exit_lets_go_of_everything(cause, windowed):
+    """Client A's operation is held in flight at its gateway and then
+    ended by ``cause``.  Whatever the cause, nothing held for it
+    survives at either gateway, its trace container is closed once with
+    the cause's outcome, and — with an admission window of one — client
+    B's queued request takes the freed slot in the same event."""
+    world = World(seed=1234, trace_spans=True)
+    domain = make_domain(world, gateways=0 if windowed else 2)
+    if windowed:
+        GatewayPool(domain, size=2, admission_window=1)
+        domain.await_stable()
+    group = make_counter_group(
+        domain, style=ReplicationStyle.ACTIVE_WITH_VOTING, min_replicas=1)
+    domain.await_ready(group)
+    origin, peer = domain.gateways
+    orb, stub, _ = external_client(world, domain, group, enhanced=False,
+                                   host_name="a", first_gateway_only=True)
+    _, stub_b, _ = external_client(world, domain, group, enhanced=False,
+                                   host_name="b", first_gateway_only=True)
+    assert world.await_promise(stub.call("increment", 1)) == 1
+    assert world.await_promise(stub_b.call("increment", 1)) == 2
+    executed = 2
+    metrics, spans, scheduler = (world.metrics, world.network.spans,
+                                 world.scheduler)
+    admitted_before = metrics.value("gateway.adm.admitted")
+    served_before = metrics.value("pool.admission.served")
+
+    # The scheduler event in which A's slot was freed, and the one in
+    # which B left the admission queue.
+    freed, dequeued = [], []
+    release_admission, process_request = (origin._release_admission,
+                                          origin._process_request)
+
+    def note_release(record):
+        if record.admitted:
+            freed.append(scheduler.events_processed)
+        release_admission(record)
+
+    def note_dequeue(*args, from_queue=False):
+        if from_queue:
+            dequeued.append(scheduler.events_processed)
+        process_request(*args, from_queue=from_queue)
+
+    origin._release_admission = note_release
+    origin._process_request = note_dequeue
+
+    held, forward = hold_forward(origin)
+    first = stub.call("increment", 1)
+    world.run(until=world.now + 0.1)
+    key = (held[0].client_id, held[0].op_id)
+    container = spans.select(name="gateway.request")[-1]
+    closes = []
+    end = spans.end
+
+    def note_close(span_id, **attrs):
+        if span_id == container.span_id:
+            closes.append(attrs.get("outcome"))
+        end(span_id, **attrs)
+
+    spans.end = note_close
+    second = None
+    if windowed:
+        second = stub_b.call("increment", 1)
+        world.run(until=world.now + 0.1)
+        assert len(origin._admission_queue) == 1
+
+    def release(records):
+        origin._forward = forward
+        for record in records:
+            forward(record)
+
+    def hold_one_vote():
+        """Two of the three voters execute but have not answered yet:
+        both gateways sit on one vote of the two they need."""
+        for host in slow:
+            domain.rms[host]._respond = lambda invocation, reply: None
+        release(held)
+        world.run(until=world.now + 0.5)
+        assert key in origin._pending and key in peer._pending
+
+    placement = group.info().placement
+    slow = placement[1:]
+    if cause == "response":
+        release(held)
+        executed += 1
+    elif cause == "style_switch":
+        hold_one_vote()
+        domain.switch_style(group, ReplicationStyle.LEADER_FOLLOWER)
+        executed += 1
+    elif cause == "membership_shrink":
+        hold_one_vote()
+        for host in slow:
+            world.faults.crash_now(host)
+        executed += 1
+    elif cause == "unanswerable":
+        for host in placement:
+            world.faults.crash_now(host)
+    elif cause == "cancel_then_response":
+        send_cancel_for_last_request(world, orb)
+        release(held)
+        executed += 1
+    elif cause == "cancel_then_unanswerable":
+        send_cancel_for_last_request(world, orb)
+        for host in placement:
+            world.faults.crash_now(host)
+        # Settled with the membership install, not by the 30 s reaper.
+        world.run(until=world.now + 2.0)
+        assert origin._cancelled == set()
+        assert origin.stats["cancels_reaped"] == 0
+    elif cause == "close_then_response":
+        orb._connections[next(iter(orb._connections))].close()
+        world.run(until=world.now + 0.2)
+        assert origin._gone_pending == {key[0]}
+        release(held)
+        executed += 1
+    else:
+        # What a peer says when the last connection this client had to
+        # it closes; A's held forward is never multicast.
+        peer._broadcast_client_gone(key[0])
+        world.run(until=world.now + 0.5)
+        release(held[1:])
+    world.run(until=world.now + 2.0)
+
+    unanswerable = cause in ("unanswerable", "cancel_then_unanswerable")
+    if cause in ("response", "style_switch", "membership_shrink"):
+        assert first.value == 3
+    elif cause == "unanswerable":
+        assert "Transient" in str(first.error)
+    elif cause != "close_then_response":
+        assert not first.done           # withdrawn or purged: no reply
+    if unanswerable:
+        # Counted once per operation, cancelled or not.
+        assert origin.stats["requests_unservable"] == 1 + windowed
+    for gateway in (origin, peer):
+        assert gateway._pending == {}
+        assert gateway._cancelled == set()
+        assert gateway._gone_pending == set()
+        assert not gateway._admission_queue
+        assert gateway._filter.pending_count == 0
+        assert gateway._own_inflight == 0
+    assert container.closed
+    assert container.attrs["outcome"] == EXITS[cause]
+    assert container.attrs["by"] == origin.name
+    assert closes == [EXITS[cause]]
+    if windowed:
+        # B was pulled out of the queue by the very event that freed
+        # A's slot, and every admitted request gave its slot back once.
+        assert dequeued == freed[:1]
+        if unanswerable:
+            assert "Transient" in str(second.error)
+        else:
+            assert second.value == executed + 1
+        admitted = metrics.value("gateway.adm.admitted") - admitted_before
+        assert admitted == 2 - (cause == "unanswerable")
+        assert (metrics.value("pool.admission.served") - served_before
+                == admitted)
     world.audit(strict=True)

@@ -49,7 +49,8 @@ def test_connection_keeps_its_client_id_across_requests(world):
     _, stub, _ = external_client(world, domain, group, enhanced=False)
     world.await_promise(stub.call("increment", 1))
     world.await_promise(stub.call("increment", 1))
-    ids = set(gateway._conn_ids.values())
+    ids = {cid for carried in gateway._conn_clients.values()
+           for cid in carried}
     assert len(ids) == 1  # one connection, one id, however many requests
 
 

@@ -29,6 +29,24 @@ def test_every_design_bench_reference_exists():
     assert not missing, f"DESIGN.md references absent benches: {missing}"
 
 
+def test_every_design_module_reference_exists():
+    """The Modules column of DESIGN.md's per-experiment index names
+    `pkg.module` (or `pkg`, `pkg.*`) under ``src/repro/``."""
+    design = (ROOT / "DESIGN.md").read_text()
+    rows = re.findall(r"^\| E\d+b? \|(?:[^|]*\|){2}([^|]*)\|", design, re.M)
+    assert len(rows) >= 15, "DESIGN.md per-experiment index not found"
+    modules = {name for row in rows
+               for name in re.findall(r"`([a-z_]+(?:\.[a-z_*]+)*)`", row)}
+    assert {"core.gateway", "eternal.*", "totem"} <= modules
+    src = ROOT / "src" / "repro"
+    missing = set()
+    for name in modules:
+        path = src.joinpath(*name.removesuffix(".*").split("."))
+        if not (path.is_dir() or path.with_suffix(".py").is_file()):
+            missing.add(name)
+    assert not missing, f"DESIGN.md names absent modules: {missing}"
+
+
 def test_every_bench_file_is_indexed_in_design():
     design = (ROOT / "DESIGN.md").read_text()
     unindexed = {stem for stem in bench_stems() if stem not in design}

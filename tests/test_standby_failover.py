@@ -301,7 +301,7 @@ def test_mux_clients_make_one_speculative_connect_per_orb(world):
     assert connects == [address(home), address(neighbour)]
     # And no logical client hangs a listener on the shared connection.
     assert orb.cached_connection(address(home))._closed_listeners == []
-    assert len(home._conn_members) == 1
+    assert sum(1 for ids in home._conn_clients.values() if ids) == 1
 
 
 def test_mux_clients_promote_the_shared_standby_together(world):
