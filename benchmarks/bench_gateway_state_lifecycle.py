@@ -5,8 +5,8 @@ benchmark drives them in bulk and reports what the retention layer
 costs and reclaims:
 
 * one-way churn — every one-way request parks a record in ``_pending``
-  (takeover re-forwards need it) that is retired on observed delivery,
-  not by a response;
+  at the gateway that accepted it, retired on observed delivery, not by
+  a response;
 * cancellation churn — every CancelRequest leaves a tombstone that the
   late response consumes (or the TTL reaper, if it never comes);
 * the domain-wide resource audit itself — ``world.audit()`` walks every
@@ -55,7 +55,7 @@ def plain_client(world, domain, group, host_name="browser"):
 
 
 def test_oneway_churn_reclaims_all_pending(benchmark):
-    """Wall cost of a one-way burst through two mirroring gateways,
+    """Wall cost of a one-way burst through a group of two gateways,
     every record retired by observed delivery — none by TTL."""
 
     def run():

@@ -60,7 +60,7 @@ def replica_value(domain, group):
 
 def run_plain():
     print("=" * 64)
-    print("PLAIN CLIENT, section 3.4 (no mirroring, first profile only)")
+    print("PLAIN CLIENT, section 3.4 (isolated gateways, first profile only)")
     print("=" * 64)
     world = World(seed=1)
     domain, group = build(world, mirror=False)
@@ -93,7 +93,7 @@ def run_plain():
 def run_enhanced():
     print()
     print("=" * 64)
-    print("ENHANCED CLIENT, section 3.5 (mirroring + interception layer)")
+    print("ENHANCED CLIENT, section 3.5 (gateway group + interception layer)")
     print("=" * 64)
     world = World(seed=1)
     domain, group = build(world, mirror=True)

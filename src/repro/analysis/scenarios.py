@@ -39,7 +39,7 @@ def _make_domain(world: World, num_hosts: int,
                  gateways: int) -> FaultToleranceDomain:
     domain = FaultToleranceDomain(world, "dom", num_hosts=num_hosts)
     for _ in range(gateways):
-        domain.add_gateway(port=2809, mirror_requests=True)
+        domain.add_gateway(port=2809)
     domain.await_stable()
     return domain
 

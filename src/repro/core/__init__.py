@@ -2,8 +2,8 @@
 
 * :class:`Gateway` — the TCP <-> totally-ordered-multicast bridge on a
   domain's edge, with duplicate response suppression, per-server-group
-  client-id counters, request mirroring across redundant gateways, and
-  crashed-peer takeover (paper sections 3.1-3.5).
+  client-id counters, and the redundant-gateway group that reads every
+  request off its forwarder's INVOCATION (paper sections 3.1-3.5).
 * :class:`GatewayPool` / :class:`CircuitBreaker` — the gateway farm:
   consistent-hash sharding of the client population across N gateways,
   pool-aware multi-profile IORs, admission control, and per-gateway

@@ -20,13 +20,16 @@ duplicates (every replica's copy that reached the ring — section 3.3),
 finds the socket for the TCP client identifier, and forwards the IIOP
 reply bytes verbatim.
 
-With ``mirror_requests`` (section 3.5), each request is first multicast
-to the *gateway group* so every redundant gateway records it; the
-gateway group — not the connected gateway alone — receives the
-response, so any gateway can serve the reply after a failover, and a
-surviving gateway re-forwards requests a crashed peer had accepted but
-not yet forwarded.  Gateways also tell their peers when a client goes
-away so per-client state can be deleted everywhere.
+With ``mirror_requests`` (section 3.5) the redundant gateways act as a
+*gateway group*: every gateway is delivered every gateway-sourced
+INVOCATION in the total order, and that message is the group's record
+of the request — a peer reads client id, operation id and target group
+off it and expects the response, so the gateway group — not the
+connected gateway alone — receives the response and any gateway can
+serve the reply after a failover.  A request its gateway accepted but
+never got sequenced is recovered by the enhanced client's reissue.
+Gateways also tell their peers when a client goes away so per-client
+state can be deleted everywhere.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import ObjectNotExist, TransientError
 from ..eternal.messages import DomainMessage, MsgKind
@@ -71,35 +74,24 @@ class _PendingRequest:
     op_id: OperationId
     target_group: int
     iiop: bytes
-    forwarder: str
     # ``iiop`` as decoded by the gateway that read it off its client
     # socket, handed on to the domain's receivers so none of them
-    # parses the bytes again; None on records reconstructed from
-    # mirrors (a takeover's first receiver decodes).
-    request: Optional[RequestMessage] = None
-    forwarded: bool = False
-    response_expected: bool = True
+    # parses the bytes again.
+    request: RequestMessage
     # Simulated receipt time at the gateway that read the request off its
-    # client socket; None for records reconstructed from mirrors (the
-    # mirror observer never saw the request arrive).
-    received_at: float = None  # type: ignore[assignment]
-    # The INVOCATION message built on first forward and reused for
-    # takeover re-forwards: its payload (marshalled request bytes and
-    # header fields) never changes between forwards, so there is no
-    # reason to rebuild and re-weigh it per forward.
-    forward_message: DomainMessage = None  # type: ignore[assignment]
+    # client socket.
+    received_at: float
     # Causal tracing (repro.obs.tracing): the invocation's trace id,
     # hop count, container span (gateway.request, receipt -> egress)
-    # and the open ordering-wait span of the last forward.  All zero
-    # when tracing is disabled or the record came from an untraced
-    # mirror.
+    # and the open ordering-wait span of the forward.  All zero when
+    # tracing is disabled.
     trace_id: str = ""
     trace_hop: int = 0
     trace_span: int = 0
     order_span: int = 0
     # True while this request occupies a slot of the gateway's bounded
     # admission window (gateway-farm backpressure); always False when
-    # admission control is disabled or on mirror-reconstructed records.
+    # admission control is disabled.
     admitted: bool = False
 
 
@@ -150,8 +142,8 @@ class Gateway(Process):
         self._filter = DuplicateSuppressor()
         # Clients that closed their connection while operations were
         # still pending: the CLIENT_GONE broadcast is deferred until the
-        # last pending operation resolves, so peers keep the mirror
-        # records they need to collect the in-flight responses
+        # last pending operation resolves, so peers keep the
+        # expectations they need to collect the in-flight responses
         # (section 3.5) and the records themselves are reclaimed.
         self._gone_pending: set = set()
         # Retention layer: cancel tombstones and one-way pending records
@@ -187,7 +179,6 @@ class Gateway(Process):
             "responses_unroutable": 0,
             "responses_unexpected": 0,
             "mirrors_recorded": 0,
-            "takeover_forwards": 0,
             "clients_connected": 0,
             "clients_gone": 0,
             "bad_object_key": 0,
@@ -229,7 +220,9 @@ class Gateway(Process):
         self._m_resp_unroutable = m.counter("gateway.resp.unroutable")
         self._m_resp_vote_pending = m.counter("gateway.resp.vote_pending")
         self._m_mirrors = m.counter("gateway.mirror.recorded")
-        self._m_takeovers = m.counter("gateway.takeover.forwards")
+        # Registered, never incremented: goes with bench/ledger.py's row in
+        # the `benchmark` PR (ROADMAP item 1).
+        m.counter("gateway.takeover.forwards")
         self._m_clients = m.counter("gateway.clients.connected")
         self._m_clients_gone = m.counter("gateway.clients.gone")
         self._m_bad_key = m.counter("gateway.req.bad_object_key")
@@ -356,10 +349,9 @@ class Gateway(Process):
             if not self.alive:
                 promise.resolve(None)
                 return
-            own_pending = [p for p in self._pending.values()
-                           if p.forwarder == self.host.name
-                           and p.response_expected]
-            if not own_pending and not self._admission_queue:
+            if not self._admission_queue and not any(
+                    p.request.response_expected
+                    for p in self._pending.values()):
                 self.stop()
                 promise.resolve(None)
             else:
@@ -485,8 +477,6 @@ class Gateway(Process):
         # never answer, so a two-way request to it would pin a pending
         # record (and an admission slot) until the client gives up.
         # Fail it now with the standard CORBA "try again later" signal.
-        # Checked before mirroring so peer gateways never record a
-        # request that was never forwarded.
         votes = self.rm.votes_needed(info)
         if votes is None and request.response_expected:
             self.stats["requests_unservable"] += 1
@@ -542,9 +532,8 @@ class Gateway(Process):
 
         pending = _PendingRequest(
             client_id=client_id, op_id=op_id, target_group=target_group,
-            iiop=message, forwarder=self.host.name, request=request,
-            response_expected=request.response_expected,
-            received_at=received_at, admitted=admitted,
+            iiop=message, request=request, received_at=received_at,
+            admitted=admitted,
             trace_id=trace_id, trace_hop=trace_hop, trace_span=container)
         if container:
             # IIOP -> Totem translation (Figure 5a: identify, build the
@@ -561,31 +550,6 @@ class Gateway(Process):
             # delivered, or by TTL if the forward is lost.
             self._schedule_reap("oneway", cache_key, pending,
                                 self.oneway_ttl)
-
-        if self.mirror_requests:
-            # Section 3.5: record the request group-wide before forwarding.
-            data = {"target_group": target_group,
-                    "forwarder": self.host.name}
-            if not request.response_expected:
-                # Key present only for one-ways, so the mirror's weight
-                # (and the totem byte metrics) is unchanged for the
-                # common two-way case.
-                data["response_expected"] = False
-            mirror = DomainMessage(
-                kind=MsgKind.GATEWAY_MIRROR,
-                source_group=GATEWAY_GROUP,
-                target_group=GATEWAY_GROUP,
-                client_id=client_id,
-                op_id=op_id,
-                iiop=message,
-                data=data,
-            )
-            if container:
-                # Out-of-band: lets peer gateways keep tracing the
-                # invocation after a takeover (weightless, see
-                # DomainMessage.trace).
-                mirror.trace = (trace_id, container, trace_hop)
-            self.rm.multicast(mirror)
         self._forward(pending)
 
     def _on_locate_request(self, message: bytes,
@@ -648,25 +612,21 @@ class Gateway(Process):
     def _forward(self, pending: _PendingRequest) -> None:
         self.stats["requests_forwarded"] += 1
         self._m_req_forwarded.inc()
-        message = pending.forward_message
-        if message is None:
-            message = pending.forward_message = DomainMessage(
-                kind=MsgKind.INVOCATION,
-                source_group=GATEWAY_GROUP,
-                target_group=pending.target_group,
-                client_id=pending.client_id,
-                op_id=pending.op_id,
-                iiop=pending.iiop,
-                _request=pending.request,
-            )
-            if pending.trace_span:
-                message.trace = (pending.trace_id, pending.trace_span,
-                                 pending.trace_hop)
+        message = DomainMessage(
+            kind=MsgKind.INVOCATION,
+            source_group=GATEWAY_GROUP,
+            target_group=pending.target_group,
+            client_id=pending.client_id,
+            op_id=pending.op_id,
+            iiop=pending.iiop,
+            _request=pending.request,
+        )
         if pending.trace_span:
+            message.trace = (pending.trace_id, pending.trace_span,
+                             pending.trace_hop)
             # Ordering wait: multicast into the ring until this
             # gateway observes the agreed delivery (ended in
-            # observe_delivered); a takeover re-forward opens a fresh
-            # one, so the dead forwarder's wait stays truthfully open.
+            # observe_delivered).
             pending.order_span = self._span_collector.start(
                 pending.trace_id, "totem.order.invocation",
                 parent=pending.trace_span, source=self.name)
@@ -732,10 +692,10 @@ class Gateway(Process):
             if has_pending:
                 # Operations are still in flight: defer the domain-wide
                 # purge until the last one resolves, so peers keep the
-                # mirror records they need to collect the responses
-                # (section 3.5).  Without the deferral those records
-                # leak — CLIENT_GONE is never re-sent once suppressed
-                # here.
+                # expectations they need to collect the responses
+                # (section 3.5).  Without the deferral this gateway's
+                # records leak — CLIENT_GONE is never re-sent once
+                # suppressed here.
                 self._gone_pending.add(cid)
                 self.stats["client_gone_deferred"] += 1
                 self._m_gone_deferred.inc()
@@ -772,20 +732,22 @@ class Gateway(Process):
         kind = msg.kind
         if kind is MsgKind.RESPONSE and msg.target_group == GATEWAY_GROUP:
             self._on_domain_response(msg)
-        elif kind is MsgKind.GATEWAY_MIRROR:
-            self._on_mirror(msg)
         elif kind is MsgKind.INVOCATION and msg.source_group == GATEWAY_GROUP:
             key = (msg.client_id, msg.op_id)
             record = self._pending.get(key)
-            if record is not None:
+            if record is None:
+                # A peer's forward: section 3.5's gateway group (unlike
+                # section 3.4's isolated gateway) takes it as its record.
+                if self.mirror_requests:
+                    self._record_peer_request(msg)
+            else:
                 if record.order_span:
                     # The forwarding gateway saw its own multicast come
                     # back in the total order: the ordering wait is over.
                     self._span_collector.end(record.order_span,
                                              seq=msg.timestamp)
                     record.order_span = 0
-                record.forwarded = True
-                if not record.response_expected:
+                if not record.request.response_expected:
                     # One-way: the delivered forward *is* the operation's
                     # completion — no response will ever pop the record.
                     del self._pending[key]
@@ -800,9 +762,9 @@ class Gateway(Process):
         elif kind is MsgKind.CLIENT_GONE:
             self._purge_client(msg.client_id)
         else:
-            # Group-management, logging, and ordering kinds are owned by
-            # the Replication Mechanisms; the gateway reacts only to the
-            # five kinds above.
+            # Group-management and logging kinds are owned by the
+            # Replication Mechanisms; the gateway reacts only to the
+            # four kinds above.
             return
 
     def _on_domain_response(self, msg: DomainMessage) -> None:
@@ -829,9 +791,9 @@ class Gateway(Process):
             self._m_dup_suppressed.inc()
             return
         if verdict == DuplicateSuppressor.UNEXPECTED:
-            # No record of this client here: with plain counter-assigned
-            # client ids and no mirroring, a response surviving its
-            # gateway cannot be routed (section 3.4).
+            # No record of this client here: an isolated gateway
+            # (section 3.4) does not record its peers' requests, so a
+            # response surviving its gateway cannot be routed.
             self.stats["responses_unexpected"] += 1
             self._m_resp_unexpected.inc()
             return
@@ -843,7 +805,7 @@ class Gateway(Process):
             self._m_resp_delivered.inc()
         else:
             # Cancelled, or the client's socket is not (or no longer) at
-            # this gateway — the normal case at a mirror observer.
+            # this gateway — the normal case at a peer of the forwarder.
             self.stats["responses_unroutable"] += 1
             self._m_resp_unroutable.inc()
 
@@ -874,8 +836,8 @@ class Gateway(Process):
             # freed window capacity pull queued work in this same event.
             self._release_admission(record)
             if record.order_span:
-                # Settled before this gateway saw its own (re-)forward
-                # come back in the total order.
+                # Settled before this gateway saw its own forward come
+                # back in the total order (a reissue's duplicate).
                 spans.end(record.order_span)
                 record.order_span = 0
             container = record.trace_span
@@ -893,7 +855,7 @@ class Gateway(Process):
         elif connection is not None and connection.open:
             connection.send(reply)
             sent = True
-            if served and record is not None and record.received_at is not None:
+            if served and record is not None:
                 # Socket receipt to socket write: the latency an
                 # unreplicated client observes at this gateway.
                 elapsed = self.scheduler.now - record.received_at
@@ -912,14 +874,14 @@ class Gateway(Process):
                 spans.instant(record.trace_id, "gateway.egress",
                               parent=container, source=self.name)
                 spans.end(container, outcome=outcome, by=self.name)
-        elif container and record.forwarder == self.host.name:
-            # Only the gateway that owned the request closes here;
-            # mirror observers without the client socket routinely take
-            # this branch and must not close the container the routing
-            # gateway is about to stamp its egress into.
+        elif container:
             spans.end(container, outcome="unroutable", by=self.name)
         self._maybe_flush_client_gone(client_id)
         return sent
+
+    def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
+        if self.alive:
+            self._requorum()
 
     def _requorum(self) -> None:
         """Re-decide every expectation after a membership install or a
@@ -948,56 +910,48 @@ class Gateway(Process):
                 self.metrics.counter("gateway.style.vote_relaxed").inc()
                 self._settle((client_id, op_id), payload, "vote_relaxed")
 
-    def _on_mirror(self, msg: DomainMessage) -> None:
-        if not self.mirror_requests:
+    def _record_peer_request(self, msg: DomainMessage) -> None:
+        """A peer gateway's INVOCATION, delivered in the total order, is
+        the gateway group's record of the request (section 3.5): expect
+        its response here too, so the reply is cached for a client that
+        fails over to this gateway.
+
+        A forward with no pending record is not always a peer's: this
+        gateway's own comes back to none after a cancel or after an
+        earlier copy's response settled it (a reissue's duplicate), and
+        a peer's reissue repeats a request already recorded.  In each
+        the filter knows the key, so nothing new is recorded.  (After
+        ``_purge_client`` the own forward cannot be told from a peer's;
+        it is then recorded here exactly as every peer records it.)"""
+        if not msg.request().response_expected:
+            return  # one-way: no response to collect, nothing to hold
+        key = (msg.target_group, msg.client_id, msg.op_id)
+        if self._filter.is_expected(key) or self._filter.was_delivered(key):
+            return
+        info = self.rm.registry.get(msg.target_group)
+        votes = self.rm.votes_needed(info) if info is not None else None
+        if votes is None:
+            # Nobody is left to answer (the membership sweep failed the
+            # request at its gateway): nothing would ever resolve this.
             return
         self.stats["mirrors_recorded"] += 1
         self._m_mirrors.inc()
-        cache_key = (msg.client_id, msg.op_id)
-        response_expected = msg.data.get("response_expected", True)
-        info = self.rm.registry.get(msg.data["target_group"])
-        votes = self.rm.votes_needed(info) if info is not None else 1
-        if response_expected and votes is None:
-            # A two-way mirror for a target with zero live replicas,
-            # delivered after the membership sweep already failed the
-            # request: reconstructing a pending record (or a filter
-            # expectation) here would pin state that no response and no
-            # later sweep will ever resolve.
-            return
-        if cache_key not in self._pending and cache_key not in self._cache:
-            tr = msg.trace
-            record = _PendingRequest(
-                client_id=msg.client_id, op_id=msg.op_id,
-                target_group=msg.data["target_group"], iiop=msg.iiop,
-                forwarder=msg.data["forwarder"],
-                response_expected=response_expected,
-                # Mirrored trace linkage: a takeover re-forward keeps
-                # reporting into the original invocation's container.
-                trace_id=tr[0] if tr else "",
-                trace_span=tr[1] if tr else 0,
-                trace_hop=tr[2] if tr else 0)
-            self._pending[cache_key] = record
-            if not response_expected:
-                self._schedule_reap("oneway", cache_key, record,
-                                    self.oneway_ttl)
-        if not response_expected:
-            # One-way mirrors never get a response: registering a filter
-            # expectation would pin an entry that can never resolve.
-            # The record is dropped when the forwarded INVOCATION is
-            # observed delivered, or by TTL if it never is.
-            return
-        self._filter.expect((msg.data["target_group"], msg.client_id,
-                             msg.op_id), votes_needed=votes)
+        self._filter.expect(key, votes_needed=votes)
 
     def _purge_client(self, client_id: ClientId) -> None:
+        connection = self._routing.get(client_id)
+        if connection is not None and connection.open:
+            # The gateway this client left says it is gone, but its
+            # requests now arrive here (an enhanced client's failover):
+            # it moved, and what is held for it here is still owed.
+            return
         self.stats["clients_gone"] += 1
         self._m_clients_gone.inc()
         for key in [k for k in self._pending if k[0] == client_id]:
             record = self._pending.pop(key)
             self._release_admission(record)
-            if record.forwarder == self.host.name:
-                self._span_collector.end(record.trace_span,
-                                         outcome="client_gone", by=self.name)
+            self._span_collector.end(record.trace_span,
+                                     outcome="client_gone", by=self.name)
         for key in [k for k in self._cache if k[0] == client_id]:
             del self._cache[key]
         self._routing.pop(client_id, None)
@@ -1062,36 +1016,3 @@ class Gateway(Process):
             self._reap_timer = self.after(heap[0][0] - now, self._run_reaper)
         else:
             self._reap_timer = None
-
-    # ==================================================================
-    # Gateway-group failover (section 3.5)
-    # ==================================================================
-
-    def _live_gateway_hosts(self) -> List[str]:
-        info = self.rm.registry.get(GATEWAY_GROUP)
-        if info is None:
-            return [self.host.name]
-        live = [h for h in info.placement if h in self.rm.live_hosts]
-        return live or [self.host.name]
-
-    def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
-        """Re-forward requests a crashed peer accepted but never forwarded.
-
-        Deterministic takeover: the lowest-named live gateway re-issues;
-        duplicate detection inside the domain makes over-forwarding safe.
-        """
-        if not self.alive:
-            return
-        self._requorum()
-        if not self.mirror_requests:
-            return
-        leader = min(self._live_gateway_hosts())
-        if leader != self.host.name:
-            return
-        live = set(live_hosts)
-        for record in list(self._pending.values()):
-            if record.forwarder not in live and not record.forwarded:
-                record.forwarder = self.host.name
-                self.stats["takeover_forwards"] += 1
-                self._m_takeovers.inc()
-                self._forward(record)

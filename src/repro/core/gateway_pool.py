@@ -30,7 +30,7 @@ them with the GIOP-standard redirect instead: a LocateRequest answered
 (:meth:`locate_forward`, used by ``Gateway._on_locate_request``).
 
 Exactly-once semantics across all of this come from the machinery the
-farm reuses unchanged: request mirroring, the
+farm reuses unchanged: the gateway group's shared view of requests, the
 :class:`~repro.core.duplicates.DuplicateSuppressor`, and the response
 cache — a client rerouted mid-operation reissues to its new gateway and
 collects the original response, never a re-execution.

@@ -231,6 +231,9 @@ class FaultToleranceDomain:
                     **gateway_kwargs: Any) -> Any:
         """Add a gateway processor on the domain's edge (section 3).
 
+        ``mirror_requests``: does this gateway record the requests its
+        peers forward (section 3.5's gateway group, the default) or
+        only its own (section 3.4's isolated gateway)?
         ``gateway_kwargs`` pass through to :class:`repro.core.gateway.
         Gateway` (admission window/queue limits, TTLs, cache size) —
         the gateway-pool seam.

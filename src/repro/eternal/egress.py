@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..core.identifiers import OperationId, UNUSED_CLIENT_ID
-from ..errors import ConfigurationError
+from ..errors import CommFailure, ConfigurationError
 from ..iiop.giop import RequestMessage, encode_reply, encode_request
 from ..iiop.ior import Ior
 from ..iiop.service_context import ClientIdContext, SpanContext
 from ..orb.connection import IiopClientConnection
-from ..orb.dispatch import encode_arguments
+from ..orb.dispatch import encode_arguments, reply_for_exception
 from ..orb.idl import Operation
 from ..orb.servant import NestedCall
 from .messages import DomainMessage, MsgKind
@@ -132,7 +132,13 @@ class DomainEgress:
         if record.completed or not record.profiles:
             return
         if record.attempts >= 3 * len(record.profiles):
-            return  # give up quietly; the waiting execution times out upstream
+            # Give up, out loud: nothing upstream times out, so answer
+            # in the remote domain's stead and every replica resumes
+            # with the error at the same point in the total order.
+            self._multicast_reply(record, reply_for_exception(
+                record.request_id, CommFailure(
+                    f"no gateway of {record.profiles} answered")))
+            return
         address = record.profiles[record.profile_index % len(record.profiles)]
         connection = self._connections.get(address)
         if connection is None or not connection.usable:
@@ -142,7 +148,7 @@ class DomainEgress:
         self.stats["issued" if record.attempts == 1 else "reissued"] += 1
 
         def on_reply(reply) -> None:
-            self._on_remote_reply(record, reply)
+            self._multicast_reply(record, encode_reply(reply))
 
         def on_failure(exc: Exception) -> None:
             if record.completed:
@@ -161,7 +167,7 @@ class DomainEgress:
     # Remote reply -> local multicast
     # ------------------------------------------------------------------
 
-    def _on_remote_reply(self, record: _EgressRecord, reply) -> None:
+    def _multicast_reply(self, record: _EgressRecord, iiop: bytes) -> None:
         if record.completed:
             return
         self.rm.multicast(DomainMessage(
@@ -170,7 +176,7 @@ class DomainEgress:
             target_group=record.source_group,
             client_id=UNUSED_CLIENT_ID,
             op_id=record.op_id,
-            iiop=encode_reply(reply),
+            iiop=iiop,
             data={"responder": f"egress/{self.rm.host.name}"},
         ))
 

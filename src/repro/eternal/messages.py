@@ -10,10 +10,15 @@ in Figure 4(c).
 
 Beyond the paper's two application kinds (IIOP invocation / IIOP
 response), the infrastructure multicasts control messages for group
-management, checkpointing, state transfer, gateway request mirroring
-(section 3.5), and client-failure cleanup.  All control messages are
-*idempotent* at the receiver, which lets replicated managers emit them
-redundantly without coordination.
+management, checkpointing, state transfer, and client-failure cleanup.
+All control messages are *idempotent* at the receiver, which lets
+replicated managers emit them redundantly without coordination.
+
+An application message is its own record: the operation identifiers of
+Figure 6 make any copy recognisable wherever it is delivered, so the
+gateway group reads a client request off the gateway-sourced INVOCATION
+(section 3.5) and leader-follower followers check the leader's ordering
+off its nested INVOCATION — neither needs a shadow message.
 """
 
 from __future__ import annotations
@@ -44,11 +49,9 @@ class MsgKind(enum.Enum):
     STATE_TRANSFER = "state_transfer"      # donor -> joining replica
 
     # Gateway coordination (section 3.5).
-    GATEWAY_MIRROR = "gateway_mirror"      # record a client request group-wide
     CLIENT_GONE = "client_gone"            # purge per-client gateway state
 
-    # Leader-follower (semi-active) replication.
-    ORDER_RECORD = "order_record"          # leader's nested-call ordering decision
+    # Replication-style management.
     STYLE_SWITCH = "style_switch"          # runtime replication-style change
 
     # Membership support.

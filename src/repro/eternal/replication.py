@@ -217,9 +217,7 @@ class ReplicationMechanisms(Process):
             MsgKind.CHECKPOINT: self._apply_checkpoint,
             MsgKind.STATE_UPDATE: self._apply_state_update,
             MsgKind.STATE_TRANSFER: self._apply_state_transfer,
-            MsgKind.GATEWAY_MIRROR: self._on_gateway_kind,
             MsgKind.CLIENT_GONE: self._on_gateway_kind,
-            MsgKind.ORDER_RECORD: self._apply_order_record,
             MsgKind.STYLE_SWITCH: self._apply_style_switch,
             MsgKind.REGISTRY_SYNC: self._on_registry_sync_delivered,
             MsgKind.REGISTRY_SYNC_REQUEST: self._on_registry_sync_request,
@@ -364,6 +362,8 @@ class ReplicationMechanisms(Process):
     # ==================================================================
 
     def _on_invocation(self, msg: DomainMessage) -> None:
+        if msg.source_group in self.replicas:
+            self._check_leader_order(msg)
         record = self.replicas.get(msg.target_group)
         if record is None:
             return  # not hosted here
@@ -638,26 +638,10 @@ class ReplicationMechanisms(Process):
                        and info.primary(self.live_hosts) != self.host.name)
         if not lf_follower:
             self._multicast_copy(message)
-            if info.style.is_semi_active and not nested_op.oneway:
-                self._multicast_order_record(message, nested_op)
         if nested_op.oneway:
             # No response will come; resume immediately with None.
             outcome = execution.resume(None)
             self._handle_outcome(execution, outcome, original, info, key)
-
-    def _multicast_order_record(self, nested: DomainMessage,
-                                nested_op: Operation) -> None:
-        """The leader's ordering record for the two-way nested
-        invocation ``nested``: followers verify their locally-derived
-        identifiers against it (Figure 6 determinism made checkable at
-        runtime)."""
-        self.metrics.counter("rm.style.order.records").inc()
-        self.multicast(DomainMessage(
-            kind=MsgKind.ORDER_RECORD,
-            source_group=nested.source_group,
-            target_group=nested.target_group,
-            op_id=nested.op_id,
-            data={"op": nested_op.name}))
 
     def _issue_egress(self, execution: Execution, call: NestedCall,
                       original: DomainMessage, info: GroupInfo,
@@ -861,8 +845,8 @@ class ReplicationMechanisms(Process):
             fn(msg.data["group_id"], msg.data["host"], msg.data["version"])
 
     def _on_gateway_kind(self, msg: DomainMessage) -> None:
-        """GATEWAY_MIRROR / CLIENT_GONE: owned by the attached gateway,
-        which observes every delivery through :meth:`_dispatch`."""
+        """CLIENT_GONE: owned by the attached gateway, which observes
+        every delivery through :meth:`_dispatch`."""
 
     def _on_registry_sync_delivered(self, msg: DomainMessage) -> None:
         """Incumbents already hold the directory (joiners apply the
@@ -1045,23 +1029,29 @@ class ReplicationMechanisms(Process):
     # Leader-follower ordering and runtime style switching
     # ==================================================================
 
-    def _apply_order_record(self, msg: DomainMessage) -> None:
-        """Verify the leader's nested-call ordering against our own.
+    def _check_leader_order(self, msg: DomainMessage) -> None:
+        """Verify the leader's nested-call ordering against our own, on
+        delivery of its nested INVOCATION from a group hosted here.
 
         Followers derived the same child operation id when they executed
         the parent (total order + deterministic Figure 6 counters); the
-        leader's record makes that a *checked* property.  A mismatch
+        leader's message makes that a *checked* property.  A mismatch
         would mean replica divergence — counted, never silently ignored
         (`rm.style.order.mismatch` is asserted zero by the test suite).
+        Any copy from the group counts, not the leader's alone: once the
+        style is settled only the leader sends them, and a copy a replica
+        queued under ACTIVE that is sequenced after a live switch to
+        this style is held to the same wait, at its sender too.
         """
         info = self.registry.get(msg.source_group)
         if info is None or not info.style.is_semi_active:
             return
-        record = self.replicas.get(msg.source_group)
-        if record is None or not record.ready:
+        if not self.replicas[msg.source_group].ready:
             return  # joining replica: it never executed the parent
         if info.primary(self.live_hosts) == self.host.name:
-            return  # the leader checking its own record is vacuous
+            return  # the leader checking its own message is vacuous
+        if not msg.request().response_expected:
+            return  # one-way: nobody waits, so there is nothing to compare
         wait_key = (msg.target_group, msg.source_group, msg.op_id)
         if (wait_key in self._waiting
                 or self._response_filter.was_delivered(wait_key)):
@@ -1281,7 +1271,6 @@ class ReplicationMechanisms(Process):
             if wait_key[1] != info.group_id or waiter.message is None:
                 continue
             self.multicast(waiter.message)
-            self._multicast_order_record(waiter.message, waiter.op)
             reissued += 1
         self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
                          f"promoting to leader of group {info.group_id}",

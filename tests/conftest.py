@@ -5,8 +5,15 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import settings
 
 from repro import World
+
+# ``pytest --hypothesis-profile=search``: the randomised end-to-end
+# property (tests/test_end_to_end_properties.py) runs this many
+# derandomised examples instead of tier-1's 20.
+settings.register_profile("search", max_examples=400, derandomize=True,
+                          deadline=None)
 
 
 @pytest.fixture

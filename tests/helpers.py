@@ -11,8 +11,28 @@ from repro import (
     World,
 )
 from repro.apps import COUNTER_INTERFACE, CounterServant
+from repro.iiop import TC_LONG, TC_STRING, TC_VOID
+from repro.orb import Interface, Operation, Param, Servant
+
+EVENTS = Interface("EventSink", [
+    Operation("emit", [Param("note", TC_STRING)], TC_VOID, oneway=True),
+    Operation("count", [], TC_LONG),
+])
 
 
+class EventSinkServant(Servant):
+    """One-way ``emit`` appends a note; two-way ``count`` reads them."""
+
+    interface = EVENTS
+
+    def __init__(self):
+        self.notes = []
+
+    def emit(self, note):
+        self.notes.append(note)
+
+    def count(self):
+        return len(self.notes)
 
 
 def make_domain(world, name="dom", num_hosts=3, gateways=0, mirror=True,

@@ -36,7 +36,7 @@ def count_calls(monkeypatch, name, real):
 
 def test_one_request_is_decoded_once_for_gateways_and_replicas(
         world, monkeypatch):
-    domain = make_domain(world, gateways=2)       # mirrored pair
+    domain = make_domain(world, gateways=2)       # a gateway group of two
     group = make_counter_group(domain, replicas=3)
     domain.await_ready(group)
     _, stub, _ = external_client(world, domain, group)
@@ -55,7 +55,7 @@ def test_one_request_is_decoded_once_for_gateways_and_replicas(
     assert set(replica_counts(domain, group).values()) == {3}
     assert len(executed) == 3
     # ...from the one parse made by the gateway that read it off the
-    # socket: no mirror observer and no replica parsed the bytes again.
+    # socket: no peer gateway and no replica parsed the bytes again.
     assert len(decodes) == 1
     assert all(e.request is executed[0].request for e in executed)
     assert executed[0].request.operation == "increment"

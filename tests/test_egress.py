@@ -9,7 +9,7 @@ from repro.apps import (
     SETTLEMENT_INTERFACE,
     SettlementServant,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, CorbaSystemException
 from repro.iiop import TC_LONG
 from repro.orb import Interface, Operation, Param
 
@@ -120,3 +120,42 @@ def test_egress_retries_next_profile_when_first_gateway_down(world):
     local.register_interface(SETTLEMENT_INTERFACE)
     caller = local.create_group("Caller", CALLER, make_caller_servant(ior))
     assert world.await_promise(caller.invoke("call_out", 3), timeout=600) == 1
+
+
+def test_egress_gives_up_with_comm_failure_when_every_remote_gateway_is_dead(world):
+    """With no remote gateway left, the egress host stops retrying after
+    three rounds over the profiles and says so: a COMM_FAILURE reply is
+    multicast as the EXTERNAL response, every replica of the invoking
+    group resumes with the error at the same point in the total order,
+    and nothing is left waiting (it used to give up quietly and the
+    cross-domain call never resolved)."""
+    remote = make_domain(world, name="remote", gateways=2)
+    settlement = remote.create_group("Settlement", SETTLEMENT_INTERFACE,
+                                     SettlementServant)
+    remote.await_ready(settlement)
+    ior = remote.ior_for(settlement).to_string()
+    for gateway in remote.gateways:
+        world.faults.crash_now(gateway.host.name)
+    world.run(until=world.now + 0.5)
+    local = make_domain(world, name="local")
+    local.register_interface(SETTLEMENT_INTERFACE)
+
+    class CatchingServant(Servant):
+        interface = CALLER
+
+        def call_out(self, amount):
+            try:
+                yield NestedCall(ior, "settle", ["egress-test", amount],
+                                 interface="Settlement")
+            except CorbaSystemException as exc:
+                return -1 if "CommFailure" in str(exc) else -2
+
+    caller = local.create_group("Caller", CALLER, CatchingServant)
+    assert world.await_promise(caller.invoke("call_out", 3), timeout=120) == -1
+    world.run(until=world.now + 1.0)
+    egress = local.egresses[caller.info().placement[0]]
+    assert egress.stats["issued"] + egress.stats["reissued"] == 6
+    assert all(e.stats["completed"] == 1 for e in local.egresses.values()
+               if e.rm.host.name in caller.info().placement)
+    assert not any(e.outstanding for e in local.egresses.values())
+    world.audit(strict=True)

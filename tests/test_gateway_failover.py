@@ -12,6 +12,8 @@ from repro import CommFailure, Orb, World
 from repro.apps import COUNTER_INTERFACE
 
 from tests.helpers import (
+    EVENTS,
+    EventSinkServant,
     SLOW_TOTEM,
     crash_gateway_on_response,
     external_client,
@@ -78,8 +80,9 @@ def test_plain_client_cannot_use_backup_gateway_profiles(world):
 
 
 def test_response_for_unknown_client_is_unroutable_at_peer_gateway(world):
-    """Without mirroring, a peer gateway receiving a response for a
-    client it never saw cannot route it (section 3.4)."""
+    """An isolated gateway does not record its peers' requests, so a
+    response for a client it never saw is unexpected there and cannot
+    be routed (section 3.4)."""
     domain = make_domain(world, gateways=2, mirror=False)
     group = make_counter_group(domain)
     peer = domain.gateways[1]
@@ -90,8 +93,10 @@ def test_response_for_unknown_client_is_unroutable_at_peer_gateway(world):
     with pytest.raises(CommFailure):
         world.await_promise(promise, timeout=240)
     world.run(until=world.now + 1.0)
+    assert peer.stats["mirrors_recorded"] == 0
     assert peer.stats["responses_unexpected"] >= 1
     assert peer.stats["responses_delivered"] == 0
+    assert peer._cache == {}
 
 
 # ----------------------------------------------------------------------
@@ -138,32 +143,62 @@ def test_enhanced_client_recovers_response_from_mirrored_cache(world):
     promise = stub.call("increment", 10)
     assert world.await_promise(promise, timeout=240) == 11
     # The reply came either from peer's cache or via domain dedup resend;
-    # in both cases the peer held the mirrored request.
+    # in both cases the peer had read the request off the forwarding
+    # gateway's INVOCATION and expected its response.
     assert peer.stats["mirrors_recorded"] >= 1
 
 
-def test_surviving_gateway_forwards_unforwarded_mirrored_requests(world):
-    """If the first gateway dies between mirroring and forwarding, the
-    surviving gateway takes over the forward (section 3.5)."""
+def test_request_accepted_but_never_sequenced_is_recovered_by_reissue(world):
+    """A gateway that dies holding an accepted two-way request whose
+    INVOCATION never reached the total order leaves no trace of it in
+    the domain; the enhanced client's reissue is forwarded — once — by
+    the surviving gateway and executes exactly once (section 3.5)."""
     domain = make_domain(world, gateways=2)
     group = make_counter_group(domain)
-    gateway = domain.gateways[0]
-    peer = domain.gateways[1]
+    gateway, peer = domain.gateways
     _, stub, _ = external_client(world, domain, group, enhanced=True)
     world.await_promise(stub.call("increment", 1))
+    assert peer.stats["mirrors_recorded"] == 1   # saw gateway's forward
 
-    # Suppress the gateway's own forward to force the takeover path: the
-    # mirror is multicast, then the gateway dies before forwarding.  The
-    # crash fires when the peer has observed the mirror.
-    gateway._forward = lambda pending: None
+    held = []
+    gateway._forward = held.append   # accepted, never multicast
     promise = stub.call("increment", 10)
-    world.scheduler.run_until(lambda: peer.stats["mirrors_recorded"] >= 2,
-                              timeout=240)
+    world.scheduler.run_until(lambda: held, timeout=240)
     world.faults.crash_now(gateway.host.name)
     assert world.await_promise(promise, timeout=240) == 11
-    assert peer.stats["takeover_forwards"] >= 1
+    assert peer.stats["requests_forwarded"] == 1
+    assert peer.stats["cache_replays"] == 0
     world.run(until=world.now + 1.0)
     assert set(replica_counts(domain, group).values()) == {11}
+    world.audit(strict=True)
+
+
+def test_oneway_accepted_but_never_sequenced_executes_at_most_once(world):
+    """The same window for a one-way: there is no reply whose absence
+    would make the client reissue, so the request is lost with its
+    gateway — best effort, as CORBA one-ways are — and never runs
+    twice; the client carries on through the peer."""
+    domain = make_domain(world, gateways=2)
+    group = domain.create_group("Events", EVENTS, EventSinkServant)
+    gateway, peer = domain.gateways
+    _, stub, _ = external_client(world, domain, group, enhanced=True)
+    stub.call("emit", "sequenced")
+    assert world.await_promise(stub.call("count")) == 1
+
+    held = []
+    gateway._forward = held.append
+    stub.call("emit", "caught in the window")
+    world.scheduler.run_until(lambda: held, timeout=240)
+    world.faults.crash_now(gateway.host.name)
+    assert world.await_promise(stub.call("count"), timeout=240) in (1, 2)
+    world.run(until=world.now + 1.0)
+    notes = {tuple(rm.replicas[group.group_id].servant.notes)
+             for rm in domain.rms.values()
+             if rm.alive and group.group_id in rm.replicas}
+    assert len(notes) == 1
+    assert notes.pop().count("caught in the window") <= 1
+    assert peer._pending == {}
+    world.audit(strict=True)
 
 
 def test_three_gateways_second_crash_also_survived(world):

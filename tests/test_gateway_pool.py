@@ -5,7 +5,7 @@ circuit-breaker state machine units, consistent-hash routing and
 rebalancing, enhanced-client failover across pool-aware IOR profiles,
 plain-ORB re-homing via GIOP ``OBJECT_FORWARD``, admission-control
 shedding, and logical-client identity multiplexing — all with the
-exactly-once guarantees the farm inherits from request mirroring and
+exactly-once guarantees the farm inherits from the gateway group and
 duplicate suppression.
 """
 

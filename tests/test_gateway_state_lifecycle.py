@@ -9,42 +9,24 @@ grew without bound:
 * one-way requests parked in ``_pending`` were never popped (no
   response ever arrives to pop them);
 * a client closing with operations still pending suppressed the
-  CLIENT_GONE broadcast forever, stranding mirror state at every peer;
+  CLIENT_GONE broadcast forever, stranding its state at every gateway;
 * the warm-passive primary logged every invocation but never truncated
   its own log.
 """
 
 import pytest
 
-from repro import GatewayPool, ReplicationStyle, Servant, World
-from repro.iiop import TC_LONG, TC_STRING, TC_VOID, encode_cancel_request
-from repro.orb import Interface, Operation, Param
+from repro import CommFailure, GatewayPool, ReplicationStyle, World
+from repro.iiop import encode_cancel_request
 
 from tests.helpers import (
+    EVENTS,
+    EventSinkServant,
     external_client,
     make_counter_group,
     make_domain,
     replica_counts,
 )
-
-EVENTS = Interface("EventSink", [
-    Operation("emit", [Param("note", TC_STRING)], TC_VOID, oneway=True),
-    Operation("count", [], TC_LONG),
-])
-
-
-class EventSinkServant(Servant):
-    interface = EVENTS
-
-    def __init__(self):
-        self.notes = []
-
-    def emit(self, note):
-        self.notes.append(note)
-
-    def count(self):
-        return len(self.notes)
-
 
 def hold_forward(gateway):
     """Intercept the gateway's domain forward so requests stay pending."""
@@ -110,9 +92,10 @@ def test_cancel_tombstone_reaped_by_ttl_when_no_response_comes(world):
 
 
 def test_oneway_pending_records_reclaimed_on_observed_delivery(world):
-    """One-way requests get a ``_pending`` record (takeover re-forwards
-    need it) but no response ever pops it; observing the forwarded
-    INVOCATION's delivery must."""
+    """One-way requests get a ``_pending`` record at the gateway that
+    accepted them (a departing client's CLIENT_GONE waits for it) but
+    no response ever pops it; observing the forwarded INVOCATION's
+    delivery must.  Peers hold nothing for a one-way."""
     domain = make_domain(world, gateways=2)
     group = domain.create_group("Events", EVENTS, EventSinkServant)
     _, stub, _ = external_client(world, domain, group)
@@ -124,9 +107,7 @@ def test_oneway_pending_records_reclaimed_on_observed_delivery(world):
     for gateway in domain.gateways:
         assert gateway._pending == {}
         completed += gateway.stats["oneways_completed"]
-    # Both the forwarding gateway's records and the mirror records at
-    # its peer are reclaimed the same way.
-    assert completed >= 20
+    assert completed == 20
     world.audit(strict=True)
 
 
@@ -150,15 +131,18 @@ def test_client_gone_deferred_until_last_pending_resolves(world):
     # The client disconnects while the operation is still pending.
     orb._connections[next(iter(orb._connections))].close()
     world.run(until=world.now + 0.5)
-    # The broadcast is deferred: the peer still needs its mirror record
-    # to collect the response (section 3.5).
     assert origin.stats["client_gone_deferred"] == 1
     assert client_id in origin._gone_pending
     assert origin.stats["clients_gone"] == 0
-    assert (client_id, held[0].op_id) in peer._pending
-    # Let the operation complete: the deferred broadcast now fires.
+    # Let the operation complete.  The broadcast stays deferred while
+    # the peer, having read the request off the forward, still expects
+    # the response (section 3.5); it fires once that is delivered.
     origin._forward = original
     origin._forward(held[0])
+    world.scheduler.run_until(
+        lambda: peer._filter.is_expected(
+            (group.group_id, client_id, held[0].op_id)), timeout=1.0)
+    assert origin.stats["clients_gone"] == peer.stats["clients_gone"] == 0
     world.run(until=world.now + 1.0)
     assert origin._gone_pending == set()
     for gateway in domain.gateways:
@@ -200,6 +184,36 @@ def test_returning_client_voids_deferred_departure(world):
     world.audit(strict=True)
 
 
+def test_client_gone_from_the_gateway_a_client_left_spares_the_one_it_moved_to():
+    """An enhanced client drops its idle connection and calls again: the
+    gateway it left sees the close with nothing pending and multicasts
+    CLIENT_GONE, while the call is already pending at the gateway the
+    client moved to (its warm standby).  That gateway holds an open,
+    routed connection for the id — the client moved, it is not gone —
+    and must keep what it holds for it; it used to purge the fresh
+    record and the route, and the call never resolved."""
+    world = World(seed=7, trace=False)
+    domain = make_domain(world, gateways=0)
+    for _ in range(2):
+        domain.add_gateway(admission_window=2)
+    domain.await_stable()
+    group = make_counter_group(
+        domain, style=ReplicationStyle.ACTIVE_WITH_VOTING, min_replicas=2)
+    domain.await_ready(group)
+    _, stub, _ = external_client(world, domain, group)
+    left, moved_to = domain.gateways
+    calls = [stub.call("increment", 3 ** index) for index in range(4)]
+    world.run(until=world.now + 1.5)
+    stub.requester.connection.close()
+    calls.append(stub.call("increment", 3 ** 4))
+    world.run(until=world.now + 5.0)
+    assert [call.value for call in calls] == [1, 4, 13, 40, 121]
+    assert left.stats["clients_gone"] == 1
+    assert moved_to.stats["clients_gone"] == 0
+    assert moved_to.stats["responses_delivered"] == 1
+    world.audit(strict=True)
+
+
 def test_cancel_after_response_delivery_leaves_no_tombstone(world):
     """A CancelRequest that loses the race against the reply (the
     response was already written back) must not leave a tombstone —
@@ -219,29 +233,30 @@ def test_cancel_after_response_delivery_leaves_no_tombstone(world):
 
 
 def test_response_overtaking_a_reforward_closes_its_ordering_wait():
-    """A takeover re-forward opens an ordering-wait span for the copy
-    it queues.  If the response to the original forward is agreed
-    first, settling the operation closes that span; the queued copy is
-    a duplicate inside the domain and nothing else ever would."""
+    """Forwarding an operation again (a reissue reaching a gateway that
+    still holds it) opens an ordering-wait span for the copy it queues.
+    If the response to the original forward is agreed first, settling
+    the operation closes that span; the queued copy is a duplicate
+    inside the domain and nothing else ever would."""
     world = World(seed=1234, trace_spans=True)
     domain = make_domain(world, gateways=2)
     group = make_counter_group(domain)
     _, stub, _ = external_client(world, domain, group, enhanced=False,
                                  first_gateway_only=True)
-    peer = domain.gateways[1]
-    on_domain_response = peer._on_domain_response
+    origin = domain.gateways[0]
+    on_domain_response = origin._on_domain_response
 
     def reforward_then_observe(msg):
-        record = peer._pending.get((msg.client_id, msg.op_id))
+        record = origin._pending.get((msg.client_id, msg.op_id))
         if record is not None:
-            peer._forward(record)
+            origin._forward(record)
             assert record.order_span
         on_domain_response(msg)
 
-    peer._on_domain_response = reforward_then_observe
+    origin._on_domain_response = reforward_then_observe
     assert world.await_promise(stub.call("increment", 1)) == 1
     world.run(until=world.now + 1.0)
-    assert peer.stats["requests_forwarded"] == 1
+    assert origin.stats["requests_forwarded"] == 2
     waits = world.network.spans.select(name="totem.order.invocation")
     assert len(waits) == 2 and all(span.closed for span in waits)
     assert set(replica_counts(domain, group).values()) == {1}
@@ -372,7 +387,8 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
             domain.rms[host]._respond = lambda invocation, reply: None
         release(held)
         world.run(until=world.now + 0.5)
-        assert key in origin._pending and key in peer._pending
+        assert key in origin._pending
+        assert peer._filter.is_expected((group.group_id,) + key)
 
     placement = group.info().placement
     slow = placement[1:]
@@ -410,8 +426,11 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         release(held)
         executed += 1
     else:
-        # What a peer says when the last connection this client had to
-        # it closes; A's held forward is never multicast.
+        # A has left this gateway with its operation still held here
+        # (never multicast), and now the peer says what a gateway says
+        # when the last connection the client had to *it* closes.
+        orb._connections[next(iter(orb._connections))].close()
+        world.run(until=world.now + 0.2)
         peer._broadcast_client_gone(key[0])
         world.run(until=world.now + 0.5)
         release(held[1:])
@@ -422,8 +441,10 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         assert first.value == 3
     elif cause == "unanswerable":
         assert "Transient" in str(first.error)
-    elif cause != "close_then_response":
-        assert not first.done           # withdrawn or purged: no reply
+    elif cause in ("close_then_response", "client_gone"):
+        assert isinstance(first.error, CommFailure)   # A hung up itself
+    else:
+        assert not first.done           # withdrawn: no reply
     if unanswerable:
         # Counted once per operation, cancelled or not.
         assert origin.stats["requests_unservable"] == 1 + windowed

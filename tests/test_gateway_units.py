@@ -6,7 +6,7 @@ from repro import ReplicationStyle, World
 from repro.core import UNUSED_CLIENT_ID
 from repro.core.identifiers import external_operation_id
 from repro.eternal.messages import DomainMessage, MsgKind
-from repro.eternal.naming import GATEWAY_GROUP
+from repro.iiop import encode_cancel_request
 
 from tests.helpers import external_client, make_counter_group, make_domain
 
@@ -54,26 +54,61 @@ def test_connection_keeps_its_client_id_across_requests(world):
     assert len(ids) == 1  # one connection, one id, however many requests
 
 
-def test_live_gateway_hosts_falls_back_to_self(world):
-    domain = make_domain(world, gateways=1)
-    gateway = domain.gateways[0]
-    # Before the gateway-group announce is applied, fall back to self.
-    gateway.rm.registry.remove(GATEWAY_GROUP)
-    assert gateway._live_gateway_hosts() == [gateway.host.name]
-
-
-def test_forwarded_flag_set_when_invocation_observed(world):
+def test_peer_expects_response_when_invocation_observed(world):
+    """The gateway-sourced INVOCATION is the gateway group's record: a
+    peer that saw it in the total order expected the response, so it
+    holds the reply for a client that fails over — and nothing else."""
     domain = make_domain(world, gateways=2)
     group = make_counter_group(domain)
-    gateway = domain.gateways[0]
-    peer = domain.gateways[1]
-    _, stub, _ = external_client(world, domain, group, enhanced=True)
+    gateway, peer = domain.gateways
+    _, stub, layer = external_client(world, domain, group, enhanced=True)
     world.await_promise(stub.call("increment", 1))
     world.run(until=world.now + 0.5)
-    # The peer recorded the mirror and saw the forward in the total
-    # order, so its copy is marked forwarded (no takeover needed).
-    mirrored = [p for p in peer._pending.values()]
-    assert all(p.forwarded for p in mirrored) or not mirrored
+    key = (f"{layer.client_uid}#1", external_operation_id(1))
+    assert peer.stats["mirrors_recorded"] == 1
+    assert gateway.stats["mirrors_recorded"] == 0    # its own forward
+    assert peer._filter.was_delivered((group.group_id,) + key)
+    assert peer._cache[key] == gateway._cache[key]
+    assert peer._pending == {}
+
+
+def test_only_a_peers_first_forward_is_recorded(world):
+    """``mirrors_recorded`` counts peer requests recorded, once each: a
+    gateway's own forward that comes back to no pending record (the
+    client cancelled meanwhile) and a repeated copy of a forward already
+    recorded (a reissue's duplicate) record nothing anywhere."""
+    domain = make_domain(world, gateways=2)
+    group = make_counter_group(domain)
+    gateway, peer = domain.gateways
+    orb, stub, _ = external_client(world, domain, group, enhanced=False)
+    world.await_promise(stub.call("increment", 1))
+    world.run(until=world.now + 0.5)
+    assert (gateway.stats["mirrors_recorded"],
+            peer.stats["mirrors_recorded"]) == (0, 1)
+
+    # Hold the next forward until the client's cancel has landed.
+    forward, held, sent = gateway._forward, [], []
+    gateway._forward = held.append
+    stub.call("increment", 10)
+    world.run(until=world.now + 0.1)
+    connection = orb._connections[next(iter(orb._connections))]
+    connection.endpoint.send(
+        encode_cancel_request(connection.pending_request_ids()[-1]))
+    world.run(until=world.now + 0.1)
+    assert gateway.stats["cancels"] == 1 and gateway._pending == {}
+    multicast = gateway.rm.multicast
+    gateway.rm.multicast = lambda m: (sent.append(m), multicast(m))
+    forward(held[0])
+    world.run(until=world.now + 1.0)
+    assert (gateway.stats["mirrors_recorded"],
+            peer.stats["mirrors_recorded"]) == (0, 2)
+
+    # The same forward again, after its response settled everywhere.
+    for observer in (gateway, peer):
+        observer.observe_delivered(sent[0])
+    assert (gateway.stats["mirrors_recorded"],
+            peer.stats["mirrors_recorded"]) == (0, 2)
+    world.audit(strict=True)
 
 
 def test_unused_client_id_responses_never_reach_gateway_routing(world):
@@ -133,6 +168,11 @@ def test_purge_client_clears_all_tables(world):
     world.run(until=world.now + 0.2)
     client_id = f"{layer.client_uid}#1"
     assert client_id in gateway._routing
+    # Connected here, so a peer's CLIENT_GONE means "moved", not "gone".
+    gateway._purge_client(client_id)
+    assert client_id in gateway._routing
+    assert any(k[0] == client_id for k in gateway._cache)
+    gateway._routing[client_id].close()
     gateway._purge_client(client_id)
     assert client_id not in gateway._routing
     assert not any(k[0] == client_id for k in gateway._pending)

@@ -107,11 +107,13 @@ def test_metric_invariants_hold_under_faults(victim_index, crash_delay):
     assert recovery.min > 0
 
     # The client completed every operation, so each request the gateways
-    # accepted was forwarded at most once more than received (takeover
-    # re-forwards), and latency was observed for each delivered reply.
+    # accepted was forwarded exactly once, and latency was observed for
+    # each delivered reply.
     latency = m.histogram("gateway.req.latency")
     assert latency.count >= OPERATIONS
     assert m.value("gateway.req.received") >= OPERATIONS
+    assert (m.value("gateway.req.forwarded") + m.value("gateway.cache.replays")
+            == m.value("gateway.req.received"))
 
     # Totem bookkeeping agrees with the per-member stats dicts: the
     # registry aggregates exactly what the members counted locally.

@@ -3,12 +3,12 @@
 The committed files under ``tests/golden/`` are straight dumps of two
 seeded scenarios' artefacts — the Totem delivery trace at every member,
 the final replica states, the canonical metrics JSON — taken at the
-last commit that *declared* a change to simulated behaviour (the warm
-standby of the enhanced client layer: after a gateway crash the
-reissue leaves one WAN round trip sooner, so the failover scenario
-ends 80 ms earlier and its run-length-proportional token and datagram
-counts fell, and every enhanced client holds one more accepted
-connection; the delivery trace did not move).  A change that only makes
+last commit that *declared* a change to simulated behaviour (the
+retirement of GATEWAY_MIRROR and ORDER_RECORD: the four mirror
+deliveries per member left the chaos trace — what remains is the old
+trace entry for entry — and the broadcast, byte, datagram and
+delivery counts fell with them; final states and every latency
+histogram did not move).  A change that only makes
 the host faster must keep seeded runs *byte-for-byte* identical to
 them: same delivery order, same final states, same metrics.  The
 host-effort counters in ``NEW_COUNTERS`` are excluded from the

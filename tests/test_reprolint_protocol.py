@@ -1,7 +1,7 @@
 """The protocol extractor, pinned against the real repro surface.
 
 These tests lint ``src/`` once and assert the extracted protocol
-surface matches what docs/PROTOCOL.md documents: the 16 ``MsgKind``
+surface matches what docs/PROTOCOL.md documents: the 14 ``MsgKind``
 members (each sent *and* dispatched), the four Totem wire messages,
 the GIOP codec pairs, and the ``MsgType`` octet table.  A refactor
 that silently drops a handler or a codec moves one of these sets and
@@ -26,9 +26,8 @@ SRC = REPO_ROOT / "src"
 MSG_KINDS = {
     "INVOCATION", "RESPONSE", "GROUP_ANNOUNCE", "GROUP_REMOVE",
     "ADD_REPLICA", "REMOVE_REPLICA", "REPLICA_READY", "CHECKPOINT",
-    "STATE_UPDATE", "STATE_TRANSFER", "GATEWAY_MIRROR", "CLIENT_GONE",
-    "ORDER_RECORD", "STYLE_SWITCH", "REGISTRY_SYNC",
-    "REGISTRY_SYNC_REQUEST",
+    "STATE_UPDATE", "STATE_TRANSFER", "CLIENT_GONE", "STYLE_SWITCH",
+    "REGISTRY_SYNC", "REGISTRY_SYNC_REQUEST",
 }
 
 TOTEM_CLASSES = {

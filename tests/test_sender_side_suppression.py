@@ -269,6 +269,9 @@ def test_live_switch_away_from_active_under_load(world, new_style):
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain, replicas=3)
     gateway = domain.gateways[0]
+    order = []   # (sequence number, kind) as the gateway's member saw it
+    domain.members[gateway.host.name].on_deliver(
+        lambda seq, sender, payload: order.append((seq, payload.kind)))
     _, stub, _ = external_client(world, domain, group, enhanced=False)
     assert world.await_promise(stub.call("increment", 1)) == 1  # connect
     promises = [stub.call("increment", 1) for _ in range(12)]
@@ -284,11 +287,14 @@ def test_live_switch_away_from_active_under_load(world, new_style):
     assert gateway.stats["responses_delivered"] \
         + gateway.stats["votes_relaxed"] == 25
     m = world.metrics
-    # The cut split the first batch: more operations than the connect
-    # call ran under ACTIVE (three copies queued each, two withdrawn),
-    # but not all thirteen sent before the switch.
-    active_ops, rest = divmod(m.value("rm.copies.queued"), 3)
-    assert rest == 0 and 1 < active_ops < 13
+    # The operations sequenced ahead of the switch — more than the
+    # connect call, fewer than all 25 — ran under ACTIVE (three copies
+    # queued each, two withdrawn); those behind it did not.
+    cut = next(seq for seq, kind in order if kind is MsgKind.STYLE_SWITCH)
+    active_ops = sum(1 for seq, kind in order
+                     if kind is MsgKind.INVOCATION and seq < cut)
+    assert 1 < active_ops < 25
+    assert m.value("rm.copies.queued") == 3 * active_ops
     assert m.value("rm.copies.withdrawn") == 2 * active_ops
     assert_response_partition(world)
     world.audit(strict=True)

@@ -115,9 +115,9 @@ def test_lf_leader_crash_promotes_without_replay(world):
 
 
 def test_lf_nested_calls_follow_leader_ordering(world):
-    """The leader multicasts an ordering record per two-way nested call;
-    followers verify their own interleaving against it (zero
-    mismatches in a deterministic domain)."""
+    """Only the leader multicasts each nested INVOCATION; followers
+    verify the identifiers they derived themselves against it on
+    delivery (zero mismatches in a deterministic domain)."""
     from repro.apps import (
         ACCOUNT_INTERFACE,
         AccountServant,
@@ -140,9 +140,60 @@ def test_lf_nested_calls_follow_leader_ordering(world):
     world.run(until=world.now + 0.3)
     assert world.await_promise(accounts.invoke("balance", "alice")) == 60
     assert world.await_promise(ledger.invoke("entries")) == 1
-    assert world.metrics.value("rm.style.order.records") >= 3
-    assert world.metrics.value("rm.style.order.followed") >= 1
+    # Three nested INVOCATIONs from the leader, each checked by every
+    # follower's host on delivery.
+    followers = len(agent.info().placement) - 1
+    assert world.metrics.value("rm.style.order.followed") == 3 * followers
     assert world.metrics.value("rm.style.order.mismatch") == 0
+
+
+def test_lf_order_check_across_a_live_switch_under_load(world):
+    """Every copy of a nested INVOCATION sequenced after the group's
+    switch to LEADER_FOLLOWER is held to the followers' own waits — the
+    leader's, and the ones replicas queued under ACTIVE just before the
+    cut (sent by whichever replica won the ring, checked at its own
+    processor too).  None mismatches."""
+    from repro.apps import (
+        ACCOUNT_INTERFACE,
+        AccountServant,
+        LEDGER_INTERFACE,
+        LedgerServant,
+        TRANSFER_INTERFACE,
+        TransferAgentServant,
+    )
+    from repro.eternal.messages import MsgKind
+    domain = make_domain(world, num_hosts=4)
+    accounts = domain.create_group("Accounts", ACCOUNT_INTERFACE,
+                                   AccountServant)
+    domain.create_group("Ledger", LEDGER_INTERFACE, LedgerServant)
+    agent = domain.create_group("Transfers", TRANSFER_INTERFACE,
+                                TransferAgentServant)
+    world.await_promise(accounts.invoke("deposit", "alice", 100))
+    order = []   # (sequence number, sender, message) as one member saw it
+    next(iter(domain.members.values())).on_deliver(
+        lambda seq, sender, payload: order.append((seq, sender, payload)))
+    promises = [agent.invoke("transfer", "alice", "bob", 1)
+                for _ in range(6)]
+    # Queued right behind the batch: the six transfers execute under
+    # ACTIVE, and every nested copy they queue lands behind the switch.
+    domain.switch_style(agent, ReplicationStyle.LEADER_FOLLOWER)
+    promises += [agent.invoke("transfer", "alice", "bob", 1)
+                 for _ in range(6)]
+    world.run_until_done(promises, timeout=240)
+    assert world.await_promise(accounts.invoke("balance", "bob")) == 12
+    world.run(until=world.now + 0.3)
+    cut = next(seq for seq, _, m in order if m.kind is MsgKind.STYLE_SWITCH)
+    after = [sender for seq, sender, m in order
+             if seq > cut and m.kind is MsgKind.INVOCATION
+             and m.source_group == agent.group_id]
+    leader = agent.info().placement[0]
+    assert any(sender != leader for sender in after)   # ACTIVE-era copies
+    assert any(sender == leader for sender in after)   # the leader's own
+    followers = len(agent.info().placement) - 1
+    assert world.metrics.value("rm.style.order.followed") \
+        == followers * len(after)
+    assert world.metrics.value("rm.style.order.mismatch") == 0
+    world.audit(strict=True)
 
 
 # ======================================================================
