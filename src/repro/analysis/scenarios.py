@@ -1,6 +1,6 @@
 """Canonical golden scenarios, shared by tests and analysis tools.
 
-These are the two seeded end-to-end runs whose artifacts are pinned
+The first two are the seeded end-to-end runs whose artifacts are pinned
 byte-for-byte under ``tests/golden/``:
 
 * :func:`run_failover_scenario` — the section 3.5 failover: the first
@@ -9,6 +9,14 @@ byte-for-byte under ``tests/golden/``:
 * :func:`run_chaos_scenario` — a four-host domain with a scripted
   host crash mid-stream, recording the Totem delivery trace and final
   replica states.
+
+A third exists for the race detector alone:
+
+* :func:`run_parked_scenario` — a quiet ring whose token is parked,
+  and two clients whose requests reach the two gateways in the same
+  instant, so both gateways' ``TokenWanted`` reach the holder in the
+  same instant too: who is served first must not depend on the order
+  the LAN delivered them in.
 
 They used to live inside the test files; they moved here so the race
 detector (``tools/race_sweep.py``, ``python -m repro --race-sweep``)
@@ -27,7 +35,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .. import FaultToleranceDomain, FtClientLayer, Orb, World
+from .. import FaultToleranceDomain, FtClientLayer, Ior, Orb, World
 from ..apps import COUNTER_INTERFACE, CounterServant
 from ..sim.world import SchedulerLike
 from .race import partition_metric_series
@@ -58,6 +66,17 @@ def _replica_counts(domain: FaultToleranceDomain, group: Any
         if record is not None and rm.alive:
             values[host_name] = record.servant.count
     return values
+
+
+def _trace_deliveries(domain: FaultToleranceDomain) -> DeliveryTrace:
+    """Record (seq, sender, payload description) at every member."""
+    deliveries: DeliveryTrace = {name: [] for name in domain.members}
+    for name, member in domain.members.items():
+        member.on_deliver(
+            lambda seq, sender, payload, n=name: deliveries[n].append(
+                (seq, sender,
+                 getattr(payload, "describe", lambda: repr(payload))())))
+    return deliveries
 
 
 def run_failover_scenario(seed: int = 350,
@@ -96,12 +115,7 @@ def run_chaos_scenario(victim_index: int = 0, crash_delay: float = 0.09,
     world = World(seed=seed, trace=False, scheduler=scheduler)
     domain = _make_domain(world, num_hosts=4, gateways=2)
     group = _make_counter_group(domain, min_replicas=2)
-    deliveries: DeliveryTrace = {name: [] for name in domain.members}
-    for name, member in domain.members.items():
-        member.on_deliver(
-            lambda seq, sender, payload, n=name: deliveries[n].append(
-                (seq, sender,
-                 getattr(payload, "describe", lambda: repr(payload))())))
+    deliveries = _trace_deliveries(domain)
     host = world.add_host("browser")
     orb = Orb(world, host, request_timeout=None)
     layer = FtClientLayer(orb, client_uid="chaos")
@@ -120,6 +134,44 @@ def run_chaos_scenario(victim_index: int = 0, crash_delay: float = 0.09,
         if record is not None and rm.alive:
             finals[host_name] = record.servant.count
     return deliveries, finals, world.metrics_json()
+
+
+def run_parked_scenario(seed: int = 9,
+                        scheduler: Optional[SchedulerLike] = None
+                        ) -> Tuple[DeliveryTrace, List[int], Dict[str, int],
+                                   str]:
+    """Three rounds of two simultaneous calls through different gateways
+    into a ring whose token is parked; returns (delivery trace, replies
+    in call order, final counts, metrics JSON)."""
+    world = World(seed=seed, trace=False, scheduler=scheduler)
+    domain = _make_domain(world, num_hosts=3, gateways=2)
+    group = _make_counter_group(domain)
+    deliveries = _trace_deliveries(domain)
+    ior = domain.ior_for(group)
+    stubs = []
+    for index, profiles in enumerate((ior.profiles, ior.profiles[::-1])):
+        # The second client reads the profiles back to front, so it
+        # binds to the other gateway.
+        orb = Orb(world, world.add_host(f"browser{index}"),
+                  request_timeout=None)
+        layer = FtClientLayer(orb, client_uid=f"parked{index}")
+        stubs.append(layer.string_to_object(
+            Ior(ior.type_id, profiles).to_string(), COUNTER_INTERFACE))
+    for stub in stubs:      # connect, one after the other
+        world.await_promise(stub.call("increment", 0), timeout=600)
+    replies: List[int] = []
+    for round_ in range(3):
+        # Long enough to park; the requests then arrive between two
+        # keep-alive rotations or inside one, depending on the round.
+        world.run(until=world.now + 0.020 + 0.001 * round_)
+        calls = [stub.call("increment", 10 ** (2 * round_ + index))
+                 for index, stub in enumerate(stubs)]
+        replies.extend(world.await_promise(call, timeout=600)
+                       for call in calls)
+    world.run(until=world.now + 1.0)
+    assert world.metrics.value("totem.token.handoffs") >= 3
+    return (deliveries, replies, _replica_counts(domain, group),
+            world.metrics_json())
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +198,21 @@ def chaos_artifacts(scheduler: Optional[SchedulerLike] = None
     return {"trace": trace, "metrics": semantic, "effort:metrics": effort}
 
 
+def parked_artifacts(scheduler: Optional[SchedulerLike] = None
+                     ) -> Mapping[str, str]:
+    """Sweep artifacts for the parked-ring scenario."""
+    deliveries, replies, finals, metrics_json = run_parked_scenario(
+        scheduler=scheduler)
+    trace = json.dumps({"deliveries": deliveries, "replies": replies,
+                        "final_counts": finals},
+                       sort_keys=True, separators=(",", ":"))
+    semantic, effort = partition_metric_series(metrics_json)
+    return {"trace": trace, "metrics": semantic, "effort:metrics": effort}
+
+
 #: Name -> artifact builder, as swept by ``tools/race_sweep.py`` and CI.
 GOLDEN_SCENARIOS = {
     "failover_seed350": failover_artifacts,
     "chaos_seed5": chaos_artifacts,
+    "parked_seed9": parked_artifacts,
 }

@@ -176,12 +176,18 @@ class Network:
         payload: Any,
         deliver: DeliverFn,
         size: int = 0,
+        hold: float = 0.0,
     ) -> None:
         """Send ``payload`` from ``src`` to ``dst``; call ``deliver`` there.
 
         Delivery is dropped silently when either endpoint is dead at
         send *or* delivery time, or when a partition separates them —
         matching a real network where packets to dead hosts vanish.
+
+        ``hold`` is time the datagram spends at ``src`` before it leaves
+        (the sender's processing delay): it arrives ``hold`` + latency
+        from now in a single scheduler event, and a ``src`` that crashes
+        while it is held takes it down with it.
         """
         self.datagrams_sent += 1
         self.bytes_sent += size
@@ -192,8 +198,21 @@ class Network:
         delay = self.latency_model.latency(src.name, dst.name)
         # post(): an in-flight datagram is never cancelled or
         # rescheduled, so the delivery needs no Timer handle at all.
-        self.scheduler.post(
-            delay, self._arrive, src.name, dst, payload, deliver)
+        if hold:
+            now = self.scheduler.now
+            self.scheduler.post(hold + delay, self._arrive_held, now,
+                                now + hold, src, dst, payload, deliver)
+        else:
+            self.scheduler.post(
+                delay, self._arrive, src.name, dst, payload, deliver)
+
+    def _arrive_held(self, sent_at: float, left_at: float, src: Host,
+                     dst: Host, payload: Any, deliver: DeliverFn) -> None:
+        """:meth:`_arrive` for a datagram ``src`` held until ``left_at``."""
+        crashed_at = src.last_crash_at
+        if crashed_at is not None and sent_at <= crashed_at <= left_at:
+            return
+        self._arrive(src.name, dst, payload, deliver)
 
     def _arrive(self, src_name: str, dst: Host, payload: Any,
                 deliver: DeliverFn) -> None:

@@ -313,7 +313,8 @@ class Scheduler:
         ``call_after(delay, timer.fn, *timer.args)`` would consume — so
         event ordering is identical to recreating the timer; only the
         allocation is saved.  Meant for strictly periodic hot-path
-        timers (e.g. the Totem token hold timer)."""
+        timers (its one client, the Totem token hold timer, is gone:
+        the hold now travels inside the token datagram)."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         if timer.cancelled or not timer.fired:

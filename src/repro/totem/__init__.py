@@ -4,8 +4,8 @@ Eternal conveys all intra-domain traffic over a group communication
 system providing reliable delivery and a single total order; the
 paper's identifiers (Figure 6) are built from its message sequence
 numbers.  This package implements a faithful simplification of Totem's
-single-ring protocol: rotating token, token-loss detection, membership
-gather/commit, retransmission, and aru-based stability.
+single-ring protocol: a token that parks when idle, token-loss
+detection, membership gather/commit, retransmission, aru stability.
 """
 
 from .member import Queued, TotemConfig, TotemMember
@@ -16,6 +16,7 @@ from .messages import (
     RegularMessage,
     RingId,
     Token,
+    TokenWanted,
 )
 from .transport import TotemTransport
 
@@ -27,6 +28,7 @@ __all__ = [
     "RegularMessage",
     "RingId",
     "Token",
+    "TokenWanted",
     "TotemConfig",
     "TotemMember",
     "TotemTransport",

@@ -17,6 +17,22 @@ ordering and membership protocols):
   them, serves retransmission requests carried on the token,
   folds its received-up-to into the token's aru computation, and
   forwards the token.  Token receipt re-arms a loss timer.
+  The token moves only while there is something to order
+  (docs/PROTOCOL.md section 5.1): it counts consecutive *idle* visits,
+  and the member at which the count reaches the ring size **parks**
+  it — everyone was just seen to hold everything up to ``seq``, so
+  ``aru = seq``.  A parked holder that multicasts runs its visit at
+  once; any other member knows from the count on the last token it
+  forwarded where that token parks, and sends a ``TokenWanted`` there.
+  The holder hands the token, count zero, *directly* to the nearest
+  requester in ring order.  The jump cannot advance ``aru`` past a
+  skipped member: the park pinned ``aru_candidate`` to ``aru``, and the
+  fresh count forces a full rotation before the next park.  With nobody
+  asking, the holder releases a keep-alive rotation every
+  ``token_loss_timeout / 12``: loss timers stay fed, and a dead member
+  still swallows the token.  (A twelfth, not a half: an idle ring then
+  costs two thirds of what a busy one does, so what a run costs depends
+  little on how its requests happen to bunch — docs/PERFORMANCE.md.)
 * GATHER — entered on token loss, on hearing a foreign Join, or at
   start-up.  Members broadcast Join messages naming the candidates they
   have heard from; after the gather window the lowest-named candidate
@@ -49,6 +65,7 @@ from .messages import (
     RegularMessage,
     RingId,
     Token,
+    TokenWanted,
 )
 from .transport import TotemTransport
 
@@ -104,7 +121,7 @@ class TotemMember(Process):
         self.state = TotemMember.GATHER
         self.ring_id: RingId = INITIAL_RING
         self.members: Tuple[str, ...] = ()
-        self._succ: Optional[str] = None   # ring successor, fixed per ring
+        self._index = 0                    # own position in members
         self._gc_floor = 0                 # _store GC'd up to this seq
 
         # Ordering state.
@@ -120,13 +137,20 @@ class TotemMember(Process):
         self._gap_age: Dict[int, int] = {}             # seq -> rotations waited
         self._pending: Deque[Queued] = deque()         # send queue, FIFO
 
+        # Idle-token state (dropped at reformation).
+        self._parked: Optional[Token] = None   # the token, while it rests here
+        self._parked_since = 0.0
+        self._parked_seq = -1                  # token.seq at our last park
+        self._wanted: Set[str] = set()         # members that asked us for it
+        self._park_at: Optional[str] = None    # where our last token parks
+        self._keepalive_timer: Optional[Timer] = None
+
         # Gather state.
         self._candidates: Set[str] = set()
         self._gather_max_seq = 0
         self._max_ring_gen = 0
         self._gather_timer: Optional[Timer] = None
         self._loss_timer: Optional[Timer] = None
-        self._fwd_timer: Optional[Timer] = None   # reused token-hold timer
 
         # Listener callbacks (upper layer: Eternal Replication Mechanisms).
         # reprolint: disable=AUD001 -- listener list, fixed at wiring time
@@ -139,6 +163,7 @@ class TotemMember(Process):
         self._dispatch = {
             RegularMessage: self._on_regular,
             Token: self._on_token,
+            TokenWanted: self._on_wanted,
             JoinMessage: self._on_join,
             CommitMessage: self._on_commit,
         }
@@ -161,6 +186,11 @@ class TotemMember(Process):
         self._m_gaps = m.counter("totem.gap.skipped")
         self._m_reformations = m.counter("totem.ring.reformations")
         self._m_token_loss = m.counter("totem.token.loss")
+        self._m_parked = m.counter("totem.token.parked")
+        self._m_wanted = m.counter("totem.token.wanted")
+        self._m_handoffs = m.counter("totem.token.handoffs")
+        self._m_keepalives = m.counter("totem.token.keepalives")
+        self._m_parked_time = m.histogram("totem.token.parked_time", unit="s")
         self._m_detect_latency = m.histogram("fault.detection.latency", unit="s")
 
         self._register_audit()
@@ -168,11 +198,14 @@ class TotemMember(Process):
     def _register_audit(self) -> None:
         """Declare the ordering-state collections to the world audit
         scope (see :mod:`repro.obs.audit`).  A quiescent operational
-        ring keeps rotating the token, so every buffer drains: regular
-        messages deliver (``_buffer``), stabilise and safe-deliver
-        (``_safe_buffer``), get GC'd from the retransmission store at
-        aru (``_store``), and gaps resolve or are skipped
-        (``_gap_age``); anything left at quiescence is a leak."""
+        ring parks its token, which sets ``aru = seq`` — at the holder at
+        once, elsewhere at the next keep-alive rotation — so every buffer
+        drains: regular messages deliver (``_buffer``), stabilise and
+        safe-deliver (``_safe_buffer``), get GC'd from the retransmission
+        store at aru (``_store``), gaps resolve or are skipped before the
+        token may park (``_gap_age``), requests for it are served or
+        dropped at the holder's next visit (``_wanted``); anything left
+        at quiescence is a leak."""
         scope, owner = self.audit, self.name
 
         def alive() -> bool:
@@ -192,6 +225,8 @@ class TotemMember(Process):
                        lambda: sum(e.queued for e in self._pending),
                        floor=0, owner=owner, active=alive,
                        gauge="totem.state.pending")
+        scope.register("totem.wanted", lambda: len(self._wanted),
+                       floor=0, owner=owner, active=alive)
         # Gather scratch: holds the last gather's candidate set while
         # operational (it is overwritten, not cleared), so it is
         # snapshot-only — bounded by domain size, never a leak signal.
@@ -224,6 +259,14 @@ class TotemMember(Process):
         long as it has not been sequenced."""
         entry = Queued(payload, size)
         self._pending.append(entry)
+        if self._parked is not None:
+            self._on_token(self._unpark("send"))
+        elif self._park_at is not None:
+            # Ask once: the answer is a token visit, which renews _park_at.
+            target, self._park_at = self._park_at, None
+            self._m_wanted.inc()
+            self.transport.unicast(
+                self, target, TokenWanted(self.name, self.ring_id), size=24)
         return entry
 
     def withdraw(self, entry: Queued) -> bool:
@@ -246,6 +289,11 @@ class TotemMember(Process):
         not waiting for anything)."""
         return sum(e.queued for e in self._pending)
 
+    @property
+    def parked(self) -> bool:
+        """True while the idle token rests at this (live) member."""
+        return self._parked is not None and self.alive
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -264,7 +312,7 @@ class TotemMember(Process):
     def receive(self, message: Any) -> None:
         if not (self.running and self.host.alive):
             return
-        # The four message classes are final, so exact-type dispatch is
+        # The five message classes are final, so exact-type dispatch is
         # equivalent to the isinstance chain and constant-time.
         handler = self._dispatch.get(type(message))
         if handler is not None:
@@ -277,6 +325,7 @@ class TotemMember(Process):
     def _on_regular(self, msg: RegularMessage) -> None:
         if msg.ring_id != self.ring_id:
             return
+        self._park_at = None  # someone sent: the token is on a full rotation
         if msg.seq <= self.delivered_up_to or msg.seq in self._buffer:
             return  # duplicate (retransmission already received)
         self._buffer[msg.seq] = msg
@@ -309,9 +358,12 @@ class TotemMember(Process):
         self.stats["token_passes"] += 1
         self._m_token_passes.inc()
         self._reset_loss_timer()
+        self._park_at = None    # the token is here: nobody to ask
+        arrived_seq = token.seq
+        repairing = bool(token.rtr)
 
         # 1. Serve retransmission requests we can satisfy.
-        if token.rtr:
+        if repairing:
             for seq in sorted(token.rtr):
                 stored = self._store.get(seq)
                 if stored is not None:
@@ -358,12 +410,21 @@ class TotemMember(Process):
         my_aru = self.my_aru
         if my_aru < token.aru_candidate:
             token.aru_candidate = my_aru
-        if self.members and self.name == self.members[0]:
+        if self._index == 0:
             token.rotation += 1
             self._m_rotations.inc()
             if token.aru_candidate > token.aru:
                 token.aru = token.aru_candidate
             token.aru_candidate = my_aru
+        #    A full rotation of idle visits (nothing sequenced, asked for
+        #    or missing) proves everyone holds everything up to seq: stable.
+        if repairing or token.seq != arrived_seq or my_aru != arrived_seq:
+            token.idle = 0
+        else:
+            token.idle += 1
+        ring_size = len(self.members)
+        if token.idle >= ring_size:
+            token.aru = token.aru_candidate = token.seq
         # Every member truncates its retransmission store at stability:
         # messages at or below aru have been received everywhere.
         aru = token.aru
@@ -373,45 +434,95 @@ class TotemMember(Process):
             self.stable_up_to = aru
         if self._safe_buffer:
             self._flush_safe(self.stable_up_to)
+        if pending:
+            token.idle = 0  # over quota, or a safe listener sent just now
 
-        # 5. Forward to the ring successor after the hold time.  The
-        #    same token object circulates for the life of the ring, so
-        #    the hold timer is rearmed in place (fresh tie-break drawn
-        #    now, same as scheduling anew) instead of allocated per pass.
-        fwd = self._fwd_timer
-        if fwd is not None and fwd.fired and not fwd.cancelled \
-                and fwd.args[0] is token:
-            self.scheduler.rearm_after(fwd, self.config.token_hold)
-        else:
-            self._fwd_timer = self.scheduler.call_after(
-                self.config.token_hold, self._forward_guarded, token)
-
-    def _forward_guarded(self, token: Token) -> None:
-        # Liveness guard equivalent to Process.after's trampoline: the
-        # reused timer is not tracked in self._timers, so a stopped or
-        # crashed member suppresses the forward here instead.
-        if self.running and self.host.alive:
-            self._forward_token(token)
-
-    def _forward_token(self, token: Token) -> None:
-        if self.state != TotemMember.OPERATIONAL or token.ring_id != self.ring_id:
+        # 5. After a full idle rotation the token stops here: handed to
+        #    whoever asked for it, or parked until somebody does.  At any
+        #    other visit a request is stale: the rotation serves its sender.
+        if token.idle >= ring_size:
+            (self._hand_off if self._wanted else self._park)(token)
             return
-        successor = self._successor()
+        self._wanted.clear()
+        if token.idle:
+            self._park_at = self.members[(self._index - token.idle) % ring_size]
+
+        # 6. Forward to the ring successor after the hold time.
+        self._forward_token(token, self.config.token_hold)
+
+    def _forward_token(self, token: Token, hold: float = 0.0) -> None:
+        """Pass the token on.  The hold time is spent inside the
+        datagram — one scheduler event per hop, not a timer and then a
+        delivery.  A host that crashes while holding it still takes it
+        down; a member that leaves the ring meanwhile says so by
+        broadcast, which overtakes the token, so it is dropped on
+        arrival."""
+        successor = self.members[(self._index + 1) % len(self.members)]
         if successor == self.name:
             # Singleton ring: re-process our own token after a beat.
-            self.after(self.config.token_hold, self._on_token, token)
+            self.after(hold + self.config.token_hold, self._on_token, token)
         else:
-            self.transport.unicast(self, successor, token, size=32)
+            self.transport.unicast(self, successor, token, size=32, hold=hold)
 
-    def _successor(self) -> str:
-        # The ring is fixed between reformations, so the successor is
-        # computed once at install time instead of an index scan per hop.
-        succ = self._succ
-        if succ is None:
-            index = self.members.index(self.name)
-            succ = self.members[(index + 1) % len(self.members)]
-            self._succ = succ
-        return succ
+    def _park(self, token: Token) -> None:
+        """Keep the idle token until somebody wants it, or for a twelfth
+        of the loss timeout: then a keep-alive rotation feeds every loss
+        timer."""
+        self._parked = token
+        self._parked_since = self.scheduler.now
+        self._m_parked.inc()
+        fl = self.flight
+        if fl.enabled and token.seq != self._parked_seq:
+            # Coming back from a keep-alive rotation is not news.
+            self._parked_seq = token.seq
+            fl.record("flight.token_parked", member=self.name,
+                      ring=str(self.ring_id), seq=token.seq)
+        self._keepalive_timer = self.reschedule_after(
+            self._keepalive_timer, self.config.token_loss_timeout / 12,
+            self._on_keepalive)
+
+    def _unpark(self, why: str) -> Token:
+        """Take the parked token up again."""
+        token, self._parked = self._parked, None
+        self._m_parked_time.observe(self.scheduler.now - self._parked_since)
+        fl = self.flight
+        if fl.enabled and why != "keepalive":
+            fl.record("flight.token_released", member=self.name,
+                      ring=str(self.ring_id), why=why)
+        return token
+
+    def _on_keepalive(self) -> None:
+        # Moved at every park, never cancelled: may find nothing parked.
+        if self._parked is not None:
+            self._m_keepalives.inc()
+            token = self._unpark("keepalive")
+            token.idle = 0   # a full rotation, then park again
+            self._forward_token(token)
+
+    def _on_wanted(self, msg: TokenWanted) -> None:
+        if self.state != TotemMember.OPERATIONAL \
+                or msg.ring_id != self.ring_id or msg.sender not in self.members:
+            return
+        if self._parked is not None and not self._wanted:
+            # Decide once this instant's arrivals are in: nearest first,
+            # whatever order the LAN delivered them in.
+            self.soon(self._serve_wanted)
+        self._wanted.add(msg.sender)
+
+    def _serve_wanted(self) -> None:
+        if self._parked is not None and self._wanted:
+            self._hand_off(self._unpark("handoff"))
+
+    def _hand_off(self, token: Token) -> None:
+        """Send the idle token straight to the nearest requester in ring
+        order; the rotation from there serves the others in turn."""
+        position, size = self.members.index, len(self.members)
+        target = min(self._wanted,
+                     key=lambda name: (position(name) - self._index) % size)
+        self._wanted.clear()
+        token.idle = 0
+        self._m_handoffs.inc()
+        self.transport.unicast(self, target, token, size=32)
 
     def _current_gaps(self, highest: int) -> List[int]:
         if not self._buffer and highest <= self.delivered_up_to:
@@ -496,8 +607,16 @@ class TotemMember(Process):
     # Membership: gather and commit
     # ------------------------------------------------------------------
 
+    def _drop_idle_token(self) -> None:
+        """The old ring's token, and what we knew of it, die with it."""
+        if self._parked is not None:
+            self._unpark("reformation")
+        self._wanted.clear()
+        self._park_at = None
+
     def _enter_gather(self, reason: str) -> None:
         self.state = TotemMember.GATHER
+        self._drop_idle_token()
         if self._loss_timer is not None:
             self._loss_timer.cancel()
             self._loss_timer = None
@@ -606,9 +725,9 @@ class TotemMember(Process):
         self.state = TotemMember.OPERATIONAL
         self.ring_id = commit.ring_id
         self.members = commit.members
-        self._succ = None       # recomputed lazily for the new ring
+        self._index = commit.members.index(self.name)
+        self._drop_idle_token()
         self._gc_floor = 0      # new ring: GC floor restarts with the token aru
-        self._fwd_timer = None  # new ring, new token object
         self._max_ring_gen = commit.ring_id[0]
         self._gap_age.clear()
         self.stats["reformations"] += 1

@@ -1,14 +1,15 @@
 """Wire messages of the Totem-style single-ring protocol.
 
-Four message kinds circulate among ring members:
+Five message kinds circulate among ring members:
 
 * :class:`RegularMessage` — an application payload stamped with a ring
   identity and a totally-ordered sequence number.  These sequence
   numbers are the "message timestamps" of the paper's Figure 6: Eternal
   derives invocation/response identifier timestamps from them.
 * :class:`Token` — the circulating token: sequencing authority,
-  all-received-up-to (aru) stability tracking, and retransmission
-  requests.
+  all-received-up-to (aru) stability tracking, retransmission
+  requests, and the idle-visit count that parks it on a quiet ring.
+* :class:`TokenWanted` — asks the member the idle token is parked at.
 * :class:`JoinMessage` — membership gathering after token loss or a
   joining processor.
 * :class:`CommitMessage` — installs a new ring (membership change).
@@ -45,7 +46,9 @@ class Token:
     ``aru`` trails ``seq``: it is the minimum received-up-to observed
     over the previous full rotation, so every message with
     ``seq <= aru`` is stable (received everywhere) and can be garbage
-    collected from retransmission stores.
+    collected from retransmission stores.  ``idle`` counts consecutive
+    visits with nothing sequenced, retransmitted or missing; the member
+    at which it reaches the ring size parks the token.
     """
 
     ring_id: RingId
@@ -54,6 +57,15 @@ class Token:
     aru_candidate: int
     rotation: int = 0
     rtr: Set[int] = field(default_factory=set)
+    idle: int = 0
+
+
+@dataclass
+class TokenWanted:
+    """``sender`` asks the member the idle token is parked at for it."""
+
+    sender: str
+    ring_id: RingId
 
 
 @dataclass

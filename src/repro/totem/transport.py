@@ -48,14 +48,17 @@ class TotemTransport:
     # ------------------------------------------------------------------
 
     def unicast(self, sender: "TotemMember", target_name: str, message: Any,
-                size: int = 64) -> None:
+                size: int = 64, hold: float = 0.0) -> None:
+        """Send ``message`` to one member, after holding it ``hold``
+        seconds at the sender (see :meth:`Network.send`)."""
         target = self._members.get(target_name)
         if target is None:
             return
         self.datagrams += 1
         self._m_datagrams.inc()
         self.network.send(
-            sender.host, target.host, message, target.receive, size=size)
+            sender.host, target.host, message, target.receive, size=size,
+            hold=hold)
 
     def broadcast(self, sender: "TotemMember", message: Any,
                   size: int = 64) -> None:

@@ -144,7 +144,8 @@ SWITCHABLE = [ReplicationStyle.ACTIVE, ReplicationStyle.ACTIVE_WITH_VOTING,
               ReplicationStyle.LEADER_FOLLOWER]
 ACTIONS = st.one_of(
     st.sampled_from(["call", "oneway", "cancel", "reconnect", "kill",
-                     "kill_gateway", "recover"]),
+                     "kill_gateway", "recover", "kill_parked",
+                     "cut_parked"]),
     st.sampled_from(SWITCHABLE))
 PAUSES = st.sampled_from([0.0, 0.005, 0.05, 0.3, 1.5])
 
@@ -161,6 +162,19 @@ class TallyServant(CounterServant):
 
     def bump(self, amount):
         self.count += amount
+
+
+def parked_holder(world, domain, cut_off):
+    """The connected processor the idle token rests at, waiting for it
+    to come to rest if need be; None if the ring is still reforming
+    50 ms on."""
+    deadline = world.now + 0.05
+    while True:
+        holders = [name for name, member in domain.members.items()
+                   if member.parked and name not in cut_off]
+        if holders or world.now >= deadline:
+            return holders[0] if holders else None
+        world.run(until=min(deadline, world.now + 0.0007))   # one hop
 
 
 def ternary(value, length):
@@ -191,7 +205,9 @@ def test_every_call_is_answered_whatever_dies_or_switches_property(steps):
     cancels its last request and drops its connection while replica
     hosts die (up to all of them) and come back, the gateway it is
     bound to dies (at pause 0.0: between accepting a request and seeing
-    its INVOCATION sequenced) and the group's style is switched live.
+    its INVOCATION sequenced), the processor the idle token is parked
+    at dies or is cut off from all the others for good, and the group's
+    style is switched live.
     At quiescence every two-way call that was not cancelled has an
     answer — a value, TRANSIENT or COMM_FAILURE — no value was produced
     by executing a call twice, every value shows the calls answered
@@ -213,7 +229,7 @@ def test_every_call_is_answered_whatever_dies_or_switches_property(steps):
     stub = FtClientLayer(orb).string_to_object(
         domain.ior_for(group).to_string(), TALLY)
     requester = stub.requester
-    calls, request_ids, cancelled, dead = [], {}, set(), []
+    calls, request_ids, cancelled, dead, cut_off = [], {}, set(), [], set()
     answered_before = []     # per call: the values it was issued after
     lost_everything = False
     for action, pause in steps:
@@ -238,16 +254,35 @@ def test_every_call_is_answered_whatever_dies_or_switches_property(steps):
         elif action == "reconnect":
             if connection is not None:
                 connection.close()
-        elif action == "kill":
+        elif action in ("kill", "kill_parked", "cut_parked"):
             live = [name for name in domain.replica_host_names
-                    if world.network.host(name).alive]
-            if live:
-                world.faults.crash_now(live[0])
-                dead.append(live[0])
-                lost_everything = lost_everything or len(live) == 1
+                    if world.network.host(name).alive
+                    and name not in cut_off]
+            victim = live[0] if live else None
+            if action != "kill":
+                # Wait (a rotation at most, unless the ring is reforming)
+                # for the token to come to rest, and hit its holder.
+                victim = parked_holder(world, domain, cut_off)
+                if victim not in live and not all(
+                        gateway.host.alive
+                        and gateway.host.name not in cut_off
+                        for gateway in domain.gateways):
+                    victim = None   # keep one gateway in the domain
+            if victim is not None:
+                if action == "cut_parked":
+                    cut_off.add(victim)
+                    world.network.partition(
+                        {victim}, {host.name for host in domain.hosts
+                                   if host.name != victim})
+                else:
+                    world.faults.crash_now(victim)
+                    if victim in live:
+                        dead.append(victim)
+                lost_everything = lost_everything or live == [victim]
         elif action == "kill_gateway":
             bound_to = requester.current_address[0]
-            if all(gateway.host.alive for gateway in domain.gateways):
+            if all(gateway.host.alive and gateway.host.name not in cut_off
+                   for gateway in domain.gateways):
                 world.faults.crash_now(bound_to)
         elif action == "recover":
             if dead:
@@ -273,7 +308,9 @@ def test_every_call_is_answered_whatever_dies_or_switches_property(steps):
             served[index] = ternary(promise.value, len(calls))
             assert served[index][index] == 1
             assert set(served[index]) <= {0, 1}, (index, promise.value)
-    counts = set(replica_counts(domain, group).values())
+    # A replica cut off for good serves nobody and learns nothing more.
+    counts = {count for host, count in replica_counts(domain, group).items()
+              if host not in cut_off}
     assert len(counts) <= 1
     if counts and not lost_everything:
         # No replica set was ever re-created empty, so the survivors

@@ -55,6 +55,34 @@ def test_delivery_to_host_that_dies_in_flight_dropped():
     assert received == []
 
 
+def test_held_datagram_arrives_hold_plus_latency_later_in_one_event():
+    scheduler, network = make_network()
+    a = network.add_host("a", site="s")
+    b = network.add_host("b", site="s")
+    received = []
+    network.send(a, b, "held", received.append, hold=0.004)
+    scheduler.run()
+    assert received == ["held"]
+    assert scheduler.now == pytest.approx(0.005)
+    assert scheduler.events_processed == 1
+
+
+@pytest.mark.parametrize("crash_at, delivered", [
+    (0.002, []),            # while the sender still holds it
+    (0.0045, ["held"]),     # after it left: in flight, like any datagram
+])
+def test_sender_crashing_while_it_holds_a_datagram_takes_it_down(
+        crash_at, delivered):
+    scheduler, network = make_network()
+    a = network.add_host("a", site="s")
+    b = network.add_host("b", site="s")
+    received = []
+    network.send(a, b, "held", received.append, hold=0.004)
+    scheduler.call_at(crash_at, a.crash)
+    scheduler.run()
+    assert received == delivered
+
+
 def test_partition_blocks_and_heals():
     scheduler, network = make_network()
     a = network.add_host("a")

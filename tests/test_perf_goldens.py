@@ -4,13 +4,16 @@ The committed files under ``tests/golden/`` are straight dumps of two
 seeded scenarios' artefacts — the Totem delivery trace at every member,
 the final replica states, the canonical metrics JSON — taken at the
 last commit that *declared* a change to simulated behaviour (the
-retirement of GATEWAY_MIRROR and ORDER_RECORD: the four mirror
-deliveries per member left the chaos trace — what remains is the old
-trace entry for entry — and the broadcast, byte, datagram and
-delivery counts fell with them; final states and every latency
-histogram did not move).  A change that only makes
-the host faster must keep seeded runs *byte-for-byte* identical to
-them: same delivery order, same final states, same metrics.  The
+idle token parks: token visits, token datagrams and bytes and
+loss-timer reschedules fell by a third, the ``totem.token.parked`` /
+``wanted`` / ``handoffs`` / ``keepalives`` / ``parked_time`` series
+appeared, each request waits a different time for the token, and the
+one crash on an idle ring is detected 1.2 ms later, still within the
+loss timeout; the chaos delivery trace and final states did not move
+at all).  A change that
+only makes the host faster must keep seeded runs *byte-for-byte*
+identical to them: same delivery order, same final states, same
+metrics.  The
 host-effort counters in ``NEW_COUNTERS`` are excluded from the
 comparison by name, on both sides — they count how the kernel did its
 work (reschedules, compactions, batched posts), which an optimisation

@@ -2,7 +2,7 @@
 
 These tests lint ``src/`` once and assert the extracted protocol
 surface matches what docs/PROTOCOL.md documents: the 14 ``MsgKind``
-members (each sent *and* dispatched), the four Totem wire messages,
+members (each sent *and* dispatched), the five Totem wire messages,
 the GIOP codec pairs, and the ``MsgType`` octet table.  A refactor
 that silently drops a handler or a codec moves one of these sets and
 fails here even before the FLOW rules anchor a violation.
@@ -33,6 +33,7 @@ MSG_KINDS = {
 TOTEM_CLASSES = {
     "repro.totem.messages.RegularMessage",
     "repro.totem.messages.Token",
+    "repro.totem.messages.TokenWanted",
     "repro.totem.messages.JoinMessage",
     "repro.totem.messages.CommitMessage",
 }

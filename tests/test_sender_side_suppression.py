@@ -270,15 +270,24 @@ def test_live_switch_away_from_active_under_load(world, new_style):
     group = make_counter_group(domain, replicas=3)
     gateway = domain.gateways[0]
     order = []   # (sequence number, kind) as the gateway's member saw it
-    domain.members[gateway.host.name].on_deliver(
-        lambda seq, sender, payload: order.append((seq, payload.kind)))
+    switch_after = 4   # INVOCATIONs in the order, the connect call included
+
+    def watch(seq, sender, payload):
+        order.append((seq, payload.kind))
+        # Issued from inside the total order, not after a sleep (a
+        # multicast that finds the token parked is sequenced within a
+        # hop or two, ahead of a batch still crossing the WAN).  The 24
+        # pipelined requests need two token visits under the 16-message
+        # quota; this fires while the first visit's invocations are
+        # being delivered, so the switch is sequenced between the two.
+        if payload.kind is MsgKind.INVOCATION and sum(
+                kind is MsgKind.INVOCATION for _, kind in order) == switch_after:
+            domain.switch_style(group, new_style)
+
+    domain.members[gateway.host.name].on_deliver(watch)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
     assert world.await_promise(stub.call("increment", 1)) == 1  # connect
-    promises = [stub.call("increment", 1) for _ in range(12)]
-    # One WAN latency: the batch is arriving at the gateway right now.
-    world.run(until=world.now + world.network.latency_model.wan_latency)
-    domain.switch_style(group, new_style)
-    promises += [stub.call("increment", 1) for _ in range(12)]
+    promises = [stub.call("increment", 1) for _ in range(24)]
     world.run_until_done(promises, timeout=240)
     assert sorted(p.value for p in promises) == list(range(2, 26))
     world.run(until=world.now + 0.3)

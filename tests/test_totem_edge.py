@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import World
+from repro.sim.network import LatencyModel
 from repro.totem import (
     CommitMessage,
     JoinMessage,
@@ -181,3 +182,316 @@ def test_join_from_unknown_process_triggers_reformation(world):
         lambda: all(set(m.members) == {"m0", "m1", "m9"}
                     for m in members + [joiner]), timeout=30.0)
     assert members[0].ring_id != old_ring
+
+
+# ----------------------------------------------------------------------
+# The idle token: park, want, hand off, keep alive
+# ----------------------------------------------------------------------
+
+LAN = LatencyModel().local_latency
+HOP = TotemConfig().token_hold + LAN          # one token pass
+LOSS = TotemConfig().token_loss_timeout
+KEEPALIVE = LOSS / 12                         # a parked token's rest
+
+
+def settle(world, members):
+    """Run until the idle token has come to rest; returns its holder."""
+    world.scheduler.run_until(
+        lambda: any(m.parked for m in members if m.alive), timeout=1.0)
+    return next(m for m in members if m.parked)
+
+
+def watch_tokens(members):
+    """name -> time of that member's latest token sighting."""
+    seen = {}
+    for member in members:
+        def spy(token, member=member, inner=member._dispatch[Token]):
+            seen[member.name] = member.scheduler.now
+            inner(token)
+        member._dispatch[Token] = spy
+    return seen
+
+
+def token_losses(world):
+    return {e["detail"]["member"]: e["t"]
+            for e in world.flight.events("flight.token_loss")}
+
+
+def reformed(members):
+    names = {m.name for m in members}
+    return lambda: all(m.state == TotemMember.OPERATIONAL
+                       and set(m.members) == names for m in members)
+
+
+def test_a_second_of_silence_costs_keepalives_and_nothing_else(world):
+    transport, members, delivered = build(world, 5)
+    members[2].multicast("last words")
+    holder = settle(world, members)
+    assert holder is members[2]          # the last sender keeps the token
+    m = world.metrics
+    reformations = m.value("totem.ring.reformations")
+    visits = m.value("totem.token.passes")
+    world.run(until=world.now + 1.0)
+    assert settle(world, members) is holder     # let the last one finish
+    assert m.value("totem.token.loss") == 0
+    assert m.value("totem.ring.reformations") == reformations
+    # One rotation, then a twelfth of the loss timeout at rest: about
+    # two thirds of the visits of a token that never stops.
+    keepalives = m.value("totem.token.keepalives")
+    # (The holder releases it without a hold: four hops and a LAN hop.)
+    assert keepalives == pytest.approx(1.0 / (KEEPALIVE + 4 * HOP + LAN),
+                                       abs=1)
+    assert m.value("totem.token.passes") - visits == 5 * keepalives
+    assert m.histogram("totem.token.parked_time").max <= KEEPALIVE + 1e-9
+    # The park declared everything stable; the keep-alive carried it.
+    assert all(not member._store and not member._buffer
+               and member.stable_up_to == member.delivered_up_to
+               for member in members)
+    assert holder.parked
+    world.audit(strict=True)
+
+
+def test_a_token_hop_is_one_scheduler_event(world):
+    """The hold time travels inside the token datagram: on a quiet ring
+    the scheduler fires one event per token visit and one per keep-alive
+    timer, nothing else."""
+    transport, members, delivered = build(world, 5)
+    holder = settle(world, members)
+    m, scheduler = world.metrics, world.scheduler
+    before = (scheduler.events_processed, m.value("totem.token.passes"),
+              m.value("totem.token.keepalives"))
+    world.run(until=world.now + 0.5)
+    assert settle(world, members) is holder
+    events, passes, keepalives = (
+        now - then for now, then in zip(
+            (scheduler.events_processed, m.value("totem.token.passes"),
+             m.value("totem.token.keepalives")), before))
+    assert keepalives > 50 and passes == 5 * keepalives
+    assert events == passes + keepalives
+
+
+def test_holder_crashing_during_its_hold_takes_the_token_down(world):
+    """The token is already in a datagram when its holder's hold time
+    starts, but a crash before that time is up still loses it: nobody
+    sees it again, and the ring reforms without the holder."""
+    transport, members, delivered = build(world, 4)
+    seen = watch_tokens(members)
+    members[0].multicast("rotate")
+    world.scheduler.run_until(lambda: delivered["m3"], timeout=1.0)
+    before = dict(seen)
+    world.scheduler.run_until(lambda: seen["m2"] != before["m2"],
+                              timeout=1.0)
+    arrived = seen["m2"]
+    world.run(until=arrived + TotemConfig().token_hold / 2)
+    world.faults.crash_now("m2")
+    survivors = [m for m in members if m.name != "m2"]
+    world.scheduler.run_until(reformed(survivors), timeout=1.0)
+    assert seen["m3"] < arrived                # m2 never passed it on
+    for name, at in token_losses(world).items():
+        assert at == pytest.approx(seen[name] + LOSS)
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+
+
+def test_singleton_ring_parks_and_sends_at_once(world):
+    transport, (alone,), delivered = build(world, 1)
+    assert settle(world, [alone]) is alone
+    sent = world.now
+    alone.multicast("to myself")
+    world.scheduler.run_until(lambda: delivered["m0"], timeout=1.0)
+    assert world.now - sent <= LAN / 10 + 1e-9     # the loopback, no wait
+    world.run(until=world.now + 1.0)
+    assert world.metrics.value("totem.token.loss") == 0
+    assert alone.parked
+    world.audit(strict=True)
+
+
+def test_holder_dies_parked(world):
+    """Nobody sees the token again: every survivor's loss timer runs out
+    exactly one timeout after its own last sighting — no later than had
+    the token been rotating — and what was queued meanwhile is
+    delivered once on the new ring."""
+    transport, members, delivered = build(world, 4)
+    seen = watch_tokens(members)
+    members[1].multicast("before")
+    holder = settle(world, members)
+    world.run(until=world.now + 0.001)        # before the next keep-alive
+    assert holder.parked
+    survivors = [m for m in members if m is not holder]
+    crashed = world.now
+    world.faults.crash_now(holder.name)
+    survivors[0].multicast("queued-a")        # its TokenWanted dies with
+    survivors[2].multicast("queued-b")        # the holder
+    world.scheduler.run_until(reformed(survivors), timeout=1.0)
+    losses = token_losses(world)
+    assert losses
+    for name, at in losses.items():
+        assert at == pytest.approx(seen[name] + LOSS)
+        assert at <= crashed + LOSS
+    world.run(until=world.now + 0.1)
+    for member in survivors:
+        assert delivered[member.name] == ["before", "queued-a", "queued-b"]
+    world.audit(strict=True)
+
+
+def test_another_member_dies_while_the_token_is_parked(world):
+    """The next keep-alive rotation is swallowed by the dead member, so
+    the members behind it — the holder included — time out on a
+    sighting older than the crash."""
+    transport, members, delivered = build(world, 5)
+    seen = watch_tokens(members)
+    holder = settle(world, members)
+    victim = members[(members.index(holder) + 2) % 5]
+    crashed = world.now
+    world.faults.crash_now(victim.name)
+    survivors = [m for m in members if m is not victim]
+    world.scheduler.run_until(reformed(survivors), timeout=1.0)
+    assert world.metrics.value("totem.token.keepalives") >= 1
+    losses = token_losses(world)
+    first = min(losses.values())
+    assert crashed < first <= crashed + LOSS
+    for name, at in losses.items():
+        assert at == pytest.approx(seen[name] + LOSS)
+    survivors[0].multicast("after")
+    world.scheduler.run_until(
+        lambda: all("after" in delivered[m.name] for m in survivors),
+        timeout=1.0)
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+
+
+def test_partition_while_parked_reforms_both_sides(world):
+    transport, members, delivered = build(world, 5)
+    holder = settle(world, members)
+    index = members.index(holder)
+    with_token = [holder, members[(index + 1) % 5]]
+    without = [m for m in members if m not in with_token]
+    cut = world.now
+    world.network.partition({m.name for m in with_token},
+                            {m.name for m in without})
+    world.scheduler.run_until(
+        lambda: reformed(with_token)() and reformed(without)(), timeout=1.0)
+    # Each side missed the token within one timeout of the cut.
+    assert max(token_losses(world).values()) <= cut + LOSS + 5 * HOP
+    with_token[1].multicast("kept the token")
+    without[0].multicast("lost the token")
+    world.run(until=world.now + 0.1)
+    for member in with_token:
+        assert delivered[member.name] == ["kept the token"]
+    for member in without:
+        assert delivered[member.name] == ["lost the token"]
+    world.audit(strict=True)
+
+
+@pytest.mark.parametrize("askers", [(1, 3), (4, 1), (3, 1, 4)])
+def test_members_asking_in_the_same_instant_are_served_nearest_first(
+        world, askers):
+    """All the requests reach the parked holder in one instant; it hands
+    the token to the nearest asker in ring order whatever order they
+    arrived in, and the rotation from there serves the others in turn:
+    nobody waits longer than a rotation and a LAN hop."""
+    transport, members, delivered = build(world, 5)
+    members[0].multicast("park at m0")
+    assert settle(world, members) is members[0]
+    world.run(until=world.now + 0.001)
+    handoffs = world.metrics.value("totem.token.handoffs")
+    asked = world.now
+    for index in askers:
+        members[index].multicast(f"from m{index}")
+    done = lambda: all(len(delivered[m.name]) == 1 + len(askers)
+                       for m in members)
+    world.scheduler.run_until(done, timeout=1.0)
+    assert world.now - asked <= 5 * HOP + 2 * LAN
+    for member in members:
+        assert delivered[member.name][1:] == [
+            f"from m{index}" for index in sorted(askers)]
+    assert world.metrics.value("totem.token.wanted") >= len(askers)
+    assert world.metrics.value("totem.token.handoffs") == handoffs + 1
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+
+
+def test_request_overtaken_by_a_send_is_dropped_at_the_next_visit(world):
+    """m1 asks m0, where the token it has just forwarded was going to
+    park; m3 sends before the token gets there, so the visit at m0 is an
+    ordinary one: the stale request is dropped, and the rotation that
+    m3's send restarted serves m1 in its turn."""
+    transport, members, delivered = build(world, 5)
+    m0, m1, _, m3, _ = members
+    settle(world, members)
+    inner = m1._dispatch[Token]
+    armed = []
+
+    def after_m1s_idle_visit(token):
+        inner(token)
+        if armed and token.idle == 1:       # heading for m0, four hops on
+            armed.clear()
+            world.scheduler.call_after(0.0003, m1.multicast, "asked m0")
+            world.scheduler.call_after(0.0003, m3.multicast, "cut in")
+
+    m1._dispatch[Token] = after_m1s_idle_visit
+    m0.multicast("rotate")                  # sequenced at m0: idle count 0
+    armed.append(True)
+    world.scheduler.run_until(lambda: delivered["m0"], timeout=1.0)
+    handoffs = world.metrics.value("totem.token.handoffs")
+    asked = world.metrics.value("totem.token.wanted")
+    world.scheduler.run_until(lambda: len(delivered["m0"]) == 3, timeout=1.0)
+    assert delivered["m0"] == ["rotate", "cut in", "asked m0"]
+    # m1 asked; m3, which has heard "rotate" since its last visit, knows
+    # the token is on a full rotation and did not.
+    assert world.metrics.value("totem.token.wanted") == asked + 1
+    assert not m0._wanted
+    assert world.metrics.value("totem.token.handoffs") == handoffs
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+
+
+def test_withdrawn_before_the_hand_off_arrives(world):
+    """The token comes as asked, finds nothing to sequence and keeps
+    rotating: it parks a full rotation later, at the predecessor."""
+    transport, members, delivered = build(world, 5)
+    members[0].multicast("park at m0")
+    assert settle(world, members) is members[0]
+    parks = world.metrics.value("totem.token.parked")
+    asked = world.now
+    entry = members[3].multicast("changed my mind")
+    assert members[3].withdraw(entry)
+    world.scheduler.run_until(lambda: not members[0].parked, timeout=1.0)
+    assert settle(world, members) is members[2]
+    assert world.now - asked == pytest.approx(2 * LAN + 4 * HOP)
+    assert world.metrics.value("totem.token.parked") == parks + 1
+    assert world.metrics.value("totem.msg.sent") == 1
+    assert all(delivered[m.name] == ["park at m0"] for m in members)
+    world.audit(strict=True)
+
+
+def test_hand_off_over_a_dead_member_delays_its_detection_by_one_rest(
+        world):
+    """The price of the direct hand-off, at its worst: m2 dies while the
+    token is parked at m0, and just before the keep-alive that would
+    have run into it m3 asks — the jump passes over m2 and the rotation
+    refreshes every survivor's loss timer once more before the token is
+    swallowed.  A rotating token would have been swallowed within a
+    rotation of the crash; this one is missed no later than one rest
+    (a twelfth of the timeout) after that."""
+    transport, members, delivered = build(world, 5)
+    seen = watch_tokens(members)
+    members[0].multicast("park at m0")
+    assert settle(world, members) is members[0]
+    world.run(until=world.now + 0.0005)
+    crashed = world.now
+    world.faults.crash_now("m2")
+    handoffs = world.metrics.value("totem.token.handoffs")
+    world.scheduler.call_after(0.001, members[3].multicast, "over m2")
+    survivors = [m for m in members if m.name != "m2"]
+    world.scheduler.run_until(reformed(survivors), timeout=1.0)
+    assert world.metrics.value("totem.token.handoffs") == handoffs + 1
+    losses = token_losses(world)
+    for name, at in losses.items():
+        assert at == pytest.approx(seen[name] + LOSS)
+    assert crashed + LOSS < min(losses.values()) \
+        <= crashed + LOSS + KEEPALIVE + HOP
+    world.run(until=world.now + 0.1)
+    assert all(delivered[m.name] == ["park at m0", "over m2"]
+               for m in survivors)
+    world.audit(strict=True)

@@ -7,11 +7,12 @@ prefix-free sequence — identical order, no duplicates; (2) per-sender
 FIFO is preserved within the total order.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import World
-from repro.totem import TotemMember, TotemTransport
+from repro.sim.network import LatencyModel
+from repro.totem import TotemConfig, TotemMember, TotemTransport
 
 
 def build_ring(world, count):
@@ -110,3 +111,70 @@ def test_sequence_numbers_survive_reformation_property(n, seed):
     seqs = [s for (s, _, _) in delivered[members[0].name]]
     assert seqs == sorted(seqs)
     assert len(set(seqs)) == len(seqs)
+
+
+# ----------------------------------------------------------------------
+# The idle token: a parked ring must not make a sender wait longer than
+# a rotating one did
+# ----------------------------------------------------------------------
+
+LAN = LatencyModel().local_latency
+HOLD = TotemConfig().token_hold
+HOP = HOLD + LAN
+# Park to park on the largest ring tried: covers every phase of a cycle.
+KEEPALIVE_CYCLE = TotemConfig().token_loss_timeout / 12 + 6 * HOP
+
+
+def waits_to_sequencing(n, sends):
+    """``sends``: (member index, seconds after a common start).  Returns
+    each send's wait from ``multicast`` to the token visit that
+    sequenced it (its own delivery, less the loopback)."""
+    world = World(seed=1, trace=False)
+    members, delivered = build_ring(world, n)
+    world.run(until=world.now + 0.05)         # parked, keep-alives running
+    start, sent, got = world.now, {}, {}
+    for member in members:
+        member.on_deliver(
+            lambda seq, sender, tag, me=member.name:
+            got.setdefault(tag, world.now) if sender == me else None)
+    for tag, (index, offset) in enumerate(sends):
+        def fire(member=members[index % n], tag=tag):
+            sent[tag] = world.now
+            member.multicast(tag)
+        world.scheduler.call_at(start + offset, fire)
+    world.scheduler.run_until(lambda: len(got) == len(sends), timeout=1.0)
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+    return [got[tag] - sent[tag] - LAN / 10 for tag in range(len(sends))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(0, 5),
+       st.floats(0.0, KEEPALIVE_CYCLE, allow_nan=False))
+def test_lone_sender_waits_at_most_one_rotation_property(n, sender, phase):
+    """Whatever the phase of the keep-alive cycle it sends in, a lone
+    sender in a quiet ring reaches the token no later than the worst
+    case of a token in constant rotation, n x (token_hold + LAN): it is
+    the holder, or it asks the holder (one LAN hop there, one back), or
+    it knows the token is on its way round."""
+    (wait,) = waits_to_sequencing(n, [(sender, phase)])
+    assert wait <= n * HOP + 1e-9
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 5), st.integers(0, 5),
+       st.floats(0.0, KEEPALIVE_CYCLE, allow_nan=False),
+       st.floats(0.0, 0.004, allow_nan=False))
+@example(5, 1, 0, 0.0043983, 0.0013)  # 3.79 ms against a 3.5 ms rotation
+@example(3, 1, 0, 0.0021543, 0.0001)  # 2.38 ms against 2.1 ms
+@example(3, 1, 0, 0.0027833, 0.0001)  # 2.30 ms: the worst with a long rest
+def test_pair_of_senders_wait_is_bounded_property(n, first, second, phase,
+                                                  gap):
+    """Two senders, any phase, any distance apart.  Each is visited
+    within a rotation of the hand-off that serves the first of them; the
+    one case that exceeds n x (token_hold + LAN) is a member the
+    hand-off jumped over while its own TokenWanted was still in flight,
+    and it exceeds it by what a LAN hop costs over a token hold."""
+    waits = waits_to_sequencing(n, [(first, phase), (second, phase + gap)])
+    assert max(waits) <= n * HOP + max(0.0, LAN - HOLD) + 1e-9
+    assert min(waits) <= n * HOP + 1e-9

@@ -10,6 +10,11 @@ workload and checks the exactly-once invariants.  With ``--double``,
 additionally sweeps ordered pairs of faults (victim A at t1, victim B
 at t2 > t1) — quadratic, so expect a few minutes.
 
+A third sweep aims at the idle token: at every instant of the grid it
+waits for the token to come to rest and then crashes the processor it
+is parked at, or cuts that processor — or its ring successor, which the
+next keep-alive rotation must reach — off from all the others for good.
+
 Prints a summary and exits non-zero if any scenario violated an
 invariant.  Every world runs with the flight recorder armed (it is
 purely passive, so arming it never perturbs the schedule); a failing
@@ -54,8 +59,14 @@ def build(seed):
     return world, domain, group, stub
 
 
+#: Faults aimed at the parked token instead of at a fixed victim.
+PARKED_FAULTS = ("crash-holder", "cut-holder", "cut-successor")
+
+
 def run(faults, operations, seed=5, audit=False):
-    """faults: list of (victim host name index, delay seconds).
+    """faults: list of (victim host name index, delay seconds); in place
+    of an index, one of ``PARKED_FAULTS`` strikes at the first moment
+    from ``delay`` on at which the idle token is parked.
 
     Returns ``(ok, detail, world)`` — the world so a failing caller can
     dump its flight recorder.  With ``audit=True`` the scenario
@@ -71,41 +82,62 @@ def run(faults, operations, seed=5, audit=False):
 def _run_checks(world, domain, group, stub, faults, operations, audit):
     victims = [h.name for h in domain.hosts]
     gateway_hosts = {gw.host.name for gw in domain.gateways}
-    chosen = {victims[index % len(victims)] for index, _ in faults}
-    all_gateways_die = gateway_hosts <= chosen
-    for index, delay in faults:
-        victim = victims[index % len(victims)]
-        world.scheduler.call_after(delay,
-                                   lambda v=victim: world.faults.crash_now(v))
+    crashed, cut_off = set(), set()
+
+    def strike(fault):
+        if fault not in PARKED_FAULTS:
+            crashed.add(victims[fault % len(victims)])
+            world.faults.crash_now(victims[fault % len(victims)])
+            return
+        holder = next((name for name, member in domain.members.items()
+                       if member.parked and name not in cut_off), None)
+        if holder is None:    # moving, or the ring is reforming: next hop
+            world.scheduler.call_after(0.0007, strike, fault)
+        elif fault == "crash-holder":
+            crashed.add(holder)
+            world.faults.crash_now(holder)
+        else:
+            ring = domain.members[holder].members
+            victim = (holder if fault == "cut-holder"
+                      else ring[(ring.index(holder) + 1) % len(ring)])
+            cut_off.add(victim)
+            world.flight.record("flight.fault", action="partition",
+                                target=victim)
+            world.network.partition(
+                {victim}, {name for name in victims if name != victim})
+
+    def connected_counts():
+        counts = set()
+        for host_name, rm in domain.rms.items():
+            record = rm.replicas.get(group.group_id)
+            if (record is not None and rm.alive and record.ready
+                    and host_name not in cut_off):
+                counts.add(record.servant.count)
+        return counts
+
+    for fault, delay in faults:
+        world.scheduler.call_after(delay, strike, fault)
     results = []
     try:
         for _ in range(operations):
             results.append(world.await_promise(stub.call("increment", 1),
                                                timeout=600))
     except Exception as exc:
-        if all_gateways_die:
+        if gateway_hosts <= crashed or gateway_hosts & cut_off:
             # With every gateway dead, a clean COMM_FAILURE is the
-            # *correct* outcome (no entry point remains) — provided the
-            # domain itself stayed consistent.
+            # *correct* outcome (no entry point remains), and so is a
+            # TRANSIENT from a gateway cut off from every replica —
+            # provided the domain itself stayed consistent.
             world.run(until=world.now + 2.0)
-            counts = set()
-            for rm in domain.rms.values():
-                record = rm.replicas.get(group.group_id)
-                if record is not None and rm.alive and record.ready:
-                    counts.add(record.servant.count)
-            if len(counts) <= 1:
+            if len(connected_counts()) <= 1:
                 if audit:
                     leak = _audit_detail(world)
                     if leak is not None:
                         return False, leak
-                return True, "all gateways dead: clean failure"
+                return True, "no gateway into the domain: clean failure"
         return False, f"client error: {type(exc).__name__}: {exc}"
     world.run(until=world.now + 2.0)
-    counts = set()
-    for rm in domain.rms.values():
-        record = rm.replicas.get(group.group_id)
-        if record is not None and rm.alive and record.ready:
-            counts.add(record.servant.count)
+    counts = connected_counts()
     if results != list(range(1, operations + 1)):
         return False, f"results {results}"
     if counts != {operations}:
@@ -158,15 +190,22 @@ def main() -> int:
     started = time.time()
     total = 0
 
-    print(f"single-fault sweep: {processors} victims x {len(grid)} instants")
-    for index, delay in itertools.product(range(processors), grid):
+    def attempt(name, faults):
+        nonlocal total
         total += 1
-        ok, detail, world = run([(index, delay)], args.ops,
-                                audit=args.audit)
+        ok, detail, world = run(faults, args.ops, audit=args.audit)
         if not ok:
-            name = f"single victim={index} t={delay}"
             dump = _dump_flight(world, name, args.flight_dir)
             failures.append((name, f"{detail} [flight: {dump}]"))
+
+    print(f"single-fault sweep: {processors} victims x {len(grid)} instants")
+    for index, delay in itertools.product(range(processors), grid):
+        attempt(f"single victim={index} t={delay}", [(index, delay)])
+
+    print(f"parked-token sweep: {len(PARKED_FAULTS)} faults x "
+          f"{len(grid)} instants")
+    for fault, delay in itertools.product(PARKED_FAULTS, grid):
+        attempt(f"parked {fault} t={delay}", [(fault, delay)])
 
     if args.double:
         print("double-fault sweep (this takes a while) ...")
@@ -174,13 +213,7 @@ def main() -> int:
                 itertools.product(range(processors), grid[::2]), repeat=2):
             if t2 <= t1 or i1 == i2:
                 continue
-            total += 1
-            ok, detail, world = run([(i1, t1), (i2, t2)], args.ops,
-                                    audit=args.audit)
-            if not ok:
-                name = f"double ({i1}@{t1}, {i2}@{t2})"
-                dump = _dump_flight(world, name, args.flight_dir)
-                failures.append((name, f"{detail} [flight: {dump}]"))
+            attempt(f"double ({i1}@{t1}, {i2}@{t2})", [(i1, t1), (i2, t2)])
 
     elapsed = time.time() - started
     print(f"\n{total} scenarios in {elapsed:.1f}s wall; "
