@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .callgraph import _aliases_for, _resolve, build_callgraph
 from .lint import LintContext, ProjectContext, ProjectRule, Violation
@@ -121,6 +121,8 @@ class _SurfaceBuilder:
         self.config = project.config
         self.surface = ProtocolSurface()
         self._wire_by_name: Dict[str, str] = {}  # class name -> qname
+        #: wire-class qname -> names its field annotations mention.
+        self._field_types: Dict[str, Set[str]] = {}
 
     def build(self) -> ProtocolSurface:
         for ctx in self.project.contexts:
@@ -130,6 +132,13 @@ class _SurfaceBuilder:
             self._collect_kind_sites(ctx)
             self._collect_wire_sites(ctx, aliases)
             self._collect_obs_names(ctx)
+        # A wire class that is a field of another travels inside it (a
+        # RegularMessage in a Frame): dispatching the carrier unpacks it.
+        wire = self.surface.wire_classes
+        for carrier, names in self._field_types.items():
+            for carried in {self._wire_by_name.get(name) for name in names}:
+                if carried is not None and carried != carrier:
+                    wire[carried].dispatches.extend(wire[carrier].dispatches)
         self.surface.flight_kinds = sorted(set(self.surface.flight_kinds))
         self.surface.span_names = sorted(set(self.surface.span_names))
         return self.surface
@@ -146,6 +155,11 @@ class _SurfaceBuilder:
                     self.surface.wire_classes[qname] = WireClassUsage(
                         qname=qname, definition=_ref(ctx, node))
                     self._wire_by_name[node.name] = qname
+                    self._field_types[qname] = {
+                        sub.id for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        for sub in ast.walk(item.annotation)
+                        if isinstance(sub, ast.Name)}
                 if (node.name == "MsgType"
                         and ctx.module in self.config.giop_codec_modules):
                     self._collect_msg_types(node)

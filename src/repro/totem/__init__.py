@@ -11,6 +11,7 @@ detection, membership gather/commit, retransmission, aru stability.
 from .member import Queued, TotemConfig, TotemMember
 from .messages import (
     CommitMessage,
+    Frame,
     INITIAL_RING,
     JoinMessage,
     RegularMessage,
@@ -22,6 +23,7 @@ from .transport import TotemTransport
 
 __all__ = [
     "CommitMessage",
+    "Frame",
     "INITIAL_RING",
     "JoinMessage",
     "Queued",

@@ -12,11 +12,13 @@ Protocol sketch (a faithful simplification of Totem's single-ring
 ordering and membership protocols):
 
 * OPERATIONAL — a token rotates around the ring in member-name order.
-  The token holder assigns sequence numbers to its queued payloads
-  (those their sender has not withdrawn meanwhile) and broadcasts
-  them, serves retransmission requests carried on the token,
-  folds its received-up-to into the token's aru computation, and
-  forwards the token.  Token receipt re-arms a loss timer.
+  The token holder serves retransmission requests carried on the
+  token, assigns sequence numbers to its queued payloads (those not
+  withdrawn meanwhile), broadcasts all of that in frames — a quota's
+  worth of new messages fits ``FRAMES_PER_VISIT`` datagrams, however
+  large the quota (docs/PROTOCOL.md section 5.2) — folds its
+  received-up-to into the token's aru, and forwards the token.  Token
+  receipt re-arms a loss timer.
   The token moves only while there is something to order
   (docs/PROTOCOL.md section 5.1): it counts consecutive *idle* visits,
   and the member at which the count reaches the ring size **parks**
@@ -60,6 +62,7 @@ from ..sim.scheduler import Timer
 from ..sim.trace import Tracer
 from .messages import (
     CommitMessage,
+    Frame,
     INITIAL_RING,
     JoinMessage,
     RegularMessage,
@@ -68,6 +71,11 @@ from .messages import (
     TokenWanted,
 )
 from .transport import TotemTransport
+
+#: Datagrams of new messages one token visit may put on the LAN: a frame
+#: holds ceil(quota / FRAMES_PER_VISIT) messages, so one at the default
+#: quota (docs/PROTOCOL.md section 5.2 says why the default must not pack).
+FRAMES_PER_VISIT = 16
 
 DeliverFn = Callable[[int, str, Any], None]
 MembershipFn = Callable[[Tuple[str, ...], RingId], None]
@@ -161,7 +169,7 @@ class TotemMember(Process):
         # Exact-type dispatch table for :meth:`receive` (hot path).
         # reprolint: disable=AUD001 -- fixed message-type table, never grows
         self._dispatch = {
-            RegularMessage: self._on_regular,
+            Frame: self._on_frame,
             Token: self._on_token,
             TokenWanted: self._on_wanted,
             JoinMessage: self._on_join,
@@ -312,7 +320,7 @@ class TotemMember(Process):
     def receive(self, message: Any) -> None:
         if not (self.running and self.host.alive):
             return
-        # The five message classes are final, so exact-type dispatch is
+        # The five datagram classes are final, so exact-type dispatch is
         # equivalent to the isinstance chain and constant-time.
         handler = self._dispatch.get(type(message))
         if handler is not None:
@@ -322,15 +330,20 @@ class TotemMember(Process):
     # Operational: regular messages
     # ------------------------------------------------------------------
 
-    def _on_regular(self, msg: RegularMessage) -> None:
-        if msg.ring_id != self.ring_id:
-            return
-        self._park_at = None  # someone sent: the token is on a full rotation
-        if msg.seq <= self.delivered_up_to or msg.seq in self._buffer:
-            return  # duplicate (retransmission already received)
-        self._buffer[msg.seq] = msg
-        self._store[msg.seq] = msg
-        self._try_deliver()
+    def _on_frame(self, frame: Frame) -> None:
+        """Take a frame's messages in sequence order, each on its own
+        terms: stale-ring and duplicate ones are dropped singly."""
+        for msg in frame.messages:
+            if msg.ring_id != self.ring_id:
+                continue
+            self._park_at = None  # someone sent: the token is on a full rotation
+            if msg.seq <= self.delivered_up_to or msg.seq in self._buffer:
+                continue  # duplicate (retransmission already received)
+            self._buffer[msg.seq] = msg
+            self._store[msg.seq] = msg
+            self._try_deliver()
+            if not (self.running and self.host.alive):
+                return  # a listener crashed this host: the rest is lost
 
     def _try_deliver(self) -> None:
         while self.delivered_up_to + 1 in self._buffer:
@@ -363,6 +376,7 @@ class TotemMember(Process):
         repairing = bool(token.rtr)
 
         # 1. Serve retransmission requests we can satisfy.
+        frame: List[RegularMessage] = []   # what this visit broadcasts, in order
         if repairing:
             for seq in sorted(token.rtr):
                 stored = self._store.get(seq)
@@ -372,7 +386,7 @@ class TotemMember(Process):
                     self._m_retransmits.inc()
                     self.tracer.emit(self.scheduler.now, "totem.retransmit",
                                      self.name, f"retransmitting seq {seq}")
-                    self.transport.broadcast(self, stored, size=stored.size_hint)
+                    frame.append(stored)
 
         # 2. Request retransmission of our own gaps; age them out when
         #    nobody can serve them (sender crashed pre-broadcast).  The
@@ -387,7 +401,7 @@ class TotemMember(Process):
                 else:
                     token.rtr.add(seq)
 
-        # 3. Broadcast queued payloads under flow control.
+        # 3. Sequence queued payloads under flow control; send the frames.
         pending = self._pending
         if pending:
             quota = self.config.max_messages_per_token
@@ -397,13 +411,17 @@ class TotemMember(Process):
                     continue  # withdrawn while it waited
                 entry.queued = False
                 token.seq += 1
-                size = entry.size
-                msg = RegularMessage(self.ring_id, token.seq, self.name,
-                                     entry.payload, size)
+                frame.append(RegularMessage(self.ring_id, token.seq, self.name,
+                                            entry.payload, entry.size))
                 self.stats["sent"] += 1
                 self._m_sent.inc()
-                self.transport.broadcast(self, msg, size=size)
                 quota -= 1
+        if frame:
+            per_frame = -(-self.config.max_messages_per_token
+                          // FRAMES_PER_VISIT)
+            for first in range(0, len(frame), per_frame):
+                self.transport.broadcast_frame(
+                    self, frame[first:first + per_frame])
 
         # 4. Stability: aru is the minimum received-up-to over the
         #    previous full rotation, folded at the ring leader.
@@ -547,12 +565,13 @@ class TotemMember(Process):
     def _gc_store(self, aru: int) -> None:
         # Everything at or below the floor was already collected, and
         # within a ring no message at seq <= a past aru can re-enter the
-        # store (``_on_regular`` rejects seq <= delivered_up_to >= aru),
+        # store (``_on_frame`` rejects seq <= delivered_up_to >= aru),
         # so an unchanged aru means there is nothing to scan for.
         if aru <= self._gc_floor:
             return
-        for seq in [s for s in self._store if s <= aru]:
-            del self._store[seq]
+        # Sequence numbers are contiguous; a skipped gap was never stored.
+        for seq in range(self._gc_floor + 1, aru + 1):
+            self._store.pop(seq, None)
         self._gc_floor = aru
 
     def _flush_safe(self, stable_up_to: int) -> None:
@@ -727,7 +746,7 @@ class TotemMember(Process):
         self.members = commit.members
         self._index = commit.members.index(self.name)
         self._drop_idle_token()
-        self._gc_floor = 0      # new ring: GC floor restarts with the token aru
+        self._gc_floor = commit.start_seq   # _store is empty: flushed at the cut
         self._max_ring_gen = commit.ring_id[0]
         self._gap_age.clear()
         self.stats["reformations"] += 1

@@ -1,11 +1,15 @@
 """Wire messages of the Totem-style single-ring protocol.
 
-Five message kinds circulate among ring members:
+Five datagram kinds circulate among ring members:
 
-* :class:`RegularMessage` — an application payload stamped with a ring
-  identity and a totally-ordered sequence number.  These sequence
-  numbers are the "message timestamps" of the paper's Figure 6: Eternal
-  derives invocation/response identifier timestamps from them.
+* :class:`Frame` — :class:`RegularMessage` s of one token visit, the
+  only form sequenced traffic travels in: one message at the default
+  flow-control quota, more where the quota is raised
+  (docs/PROTOCOL.md section 5.2).  A ``RegularMessage`` is
+  an application payload stamped with a ring identity and a
+  totally-ordered sequence number.  These sequence numbers are the
+  "message timestamps" of the paper's Figure 6: Eternal derives
+  invocation/response identifier timestamps from them.
 * :class:`Token` — the circulating token: sequencing authority,
   all-received-up-to (aru) stability tracking, retransmission
   requests, and the idle-visit count that parks it on a quiet ring.
@@ -18,7 +22,7 @@ Five message kinds circulate among ring members:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Set, Tuple
+from typing import Any, FrozenSet, Sequence, Set, Tuple
 
 # A ring is identified by (generation counter, leader name): the leader
 # component keeps concurrently formed rings (during a partition) distinct.
@@ -36,6 +40,16 @@ class RegularMessage:
     sender: str
     payload: Any
     size_hint: int = 64
+
+
+@dataclass
+class Frame:
+    """One datagram of what a token visit retransmitted and sequenced,
+    lowest ``seq`` first (docs/PROTOCOL.md section 5.2).  Bounded by a
+    message count derived from the flow-control quota, not by bytes;
+    its wire size is the sum of its messages' sizes."""
+
+    messages: Sequence[RegularMessage]
 
 
 @dataclass

@@ -3,17 +3,21 @@
 Totem runs over a LAN broadcast medium; here the broadcast is modelled
 as one datagram per registered member, fanned out by the network in a
 batched delivery event per distinct latency, which makes every
-broadcast *atomic with respect to crashes*: a message is either offered
+broadcast *atomic with respect to crashes*: a datagram is either offered
 to all live members or (if the sender was already dead) to none.  This
 matches the paper's fault model, where message loss comes from
-processor failure and partition, not per-link drops.
+processor failure and partition, not per-link drops.  What is broadcast
+is a :class:`Frame` (messages of one token visit), a Join or a
+Commit: ``totem.broadcasts`` / ``totem.datagrams`` count those, and
+``totem.frame.messages`` how many messages a frame held.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..sim.network import Network
+from .messages import Frame, RegularMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .member import TotemMember
@@ -30,6 +34,8 @@ class TotemTransport:
         self.datagrams = 0
         self._m_broadcasts = network.metrics.counter("totem.broadcasts")
         self._m_datagrams = network.metrics.counter("totem.datagrams")
+        self._m_frame_messages = network.metrics.histogram(
+            "totem.frame.messages", unit="")
         self._m_bytes = network.metrics.counter("totem.bytes.broadcast", unit="B")
         self._m_batched = network.metrics.counter(
             "totem.broadcast.batched_deliveries")
@@ -59,6 +65,16 @@ class TotemTransport:
         self.network.send(
             sender.host, target.host, message, target.receive, size=size,
             hold=hold)
+
+    def broadcast_frame(self, sender: "TotemMember",
+                        messages: List[RegularMessage]) -> None:
+        """Broadcast ``messages`` (of one token visit, in sequence
+        order) as a single datagram as large as they are together."""
+        self._m_frame_messages.observe(len(messages))
+        size = 0
+        for msg in messages:
+            size += msg.size_hint
+        self.broadcast(sender, Frame(messages), size=size)
 
     def broadcast(self, sender: "TotemMember", message: Any,
                   size: int = 64) -> None:

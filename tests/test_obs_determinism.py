@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import FtClientLayer, Orb, World
-from repro.analysis.scenarios import run_failover_scenario
+from repro import FtClientLayer, Orb, TotemConfig, World
+from repro.analysis.scenarios import (_trace_deliveries,
+                                      run_failover_scenario)
 from repro.apps import COUNTER_INTERFACE
 from repro.obs import parse_json
 
@@ -131,3 +132,47 @@ def test_chaos_runs_are_individually_deterministic():
     a = run_chaos(0, 0.09)[0].metrics_json()
     b = run_chaos(0, 0.09)[0].metrics_json()
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# Observing a run does not change what goes on the wire
+# ----------------------------------------------------------------------
+
+def _burst_scenario(**observability):
+    """Twelve overlapping calls through one gateway of a ring whose
+    quota packs four messages to a frame: their INVOCATIONs and
+    RESPONSEs share token visits, so they share frames."""
+    world = World(seed=7, trace=False, **observability)
+    domain = make_domain(world, num_hosts=3, gateways=1,
+                         totem_config=TotemConfig(max_messages_per_token=64))
+    group = make_counter_group(domain)
+    deliveries = _trace_deliveries(domain)
+    host = world.add_host("browser")
+    layer = FtClientLayer(Orb(world, host, request_timeout=None))
+    stub = layer.string_to_object(domain.ior_for(group).to_string(),
+                                  COUNTER_INTERFACE)
+    for promise in [stub.call("increment", 1) for _ in range(12)]:
+        world.await_promise(promise, timeout=600)
+    world.run(until=world.now + 0.5)
+    return world, deliveries
+
+
+def test_armed_world_puts_the_same_datagrams_on_the_ring_as_a_dark_one():
+    """An armed world's requests are 80 bytes longer (the trace context
+    rides in every INVOCATION), and nothing Totem decides may depend on
+    that: same frames, same datagrams, same messages, same delivery
+    order.  (A frame bounded by bytes as well as by message count —
+    600, say — fails here.)"""
+    dark, dark_trace = _burst_scenario()
+    armed, armed_trace = _burst_scenario(trace_spans=True, series=True,
+                                         flight=True)
+    assert armed.trace_collector.trace_ids()    # it did observe
+    for name in ("totem.broadcasts", "net.datagrams.sent", "totem.msg.sent"):
+        assert armed.metrics.value(name) == dark.metrics.value(name), name
+    assert armed_trace == dark_trace
+    frames = dark.metrics.histogram("totem.frame.messages")
+    assert frames.max == 4 and frames.sum == dark.metrics.value("totem.msg.sent")
+    # The armed run's frames are the same frames, only bigger.
+    assert armed.metrics.histogram("totem.frame.messages").sum == frames.sum
+    assert armed.metrics.value("totem.bytes.broadcast") \
+        > dark.metrics.value("totem.bytes.broadcast")

@@ -2,7 +2,8 @@
 
 These tests lint ``src/`` once and assert the extracted protocol
 surface matches what docs/PROTOCOL.md documents: the 14 ``MsgKind``
-members (each sent *and* dispatched), the five Totem wire messages,
+members (each sent *and* dispatched), the five Totem datagrams and the
+message a frame carries,
 the GIOP codec pairs, and the ``MsgType`` octet table.  A refactor
 that silently drops a handler or a codec moves one of these sets and
 fails here even before the FLOW rules anchor a violation.
@@ -31,7 +32,8 @@ MSG_KINDS = {
 }
 
 TOTEM_CLASSES = {
-    "repro.totem.messages.RegularMessage",
+    "repro.totem.messages.Frame",
+    "repro.totem.messages.RegularMessage",   # a Frame's field, unpacked
     "repro.totem.messages.Token",
     "repro.totem.messages.TokenWanted",
     "repro.totem.messages.JoinMessage",
@@ -77,6 +79,11 @@ def test_totem_wire_classes_are_constructed_and_dispatched(project):
     for qname, usage in surface.wire_classes.items():
         assert usage.constructs, f"{qname} is never constructed"
         assert usage.dispatches, f"{qname} is never dispatched"
+    # Nothing dispatches a RegularMessage by type: it is handled where
+    # the frame that carries it is.
+    carried = surface.wire_classes["repro.totem.messages.RegularMessage"]
+    carrier = surface.wire_classes["repro.totem.messages.Frame"]
+    assert carried.dispatches == carrier.dispatches
 
 
 def test_giop_codec_pairs_match_the_documented_table(project):

@@ -6,6 +6,7 @@ from repro.sim import World
 from repro.sim.network import LatencyModel
 from repro.totem import (
     CommitMessage,
+    Frame,
     JoinMessage,
     RegularMessage,
     Token,
@@ -13,6 +14,11 @@ from repro.totem import (
     TotemMember,
     TotemTransport,
 )
+from repro.totem.member import FRAMES_PER_VISIT
+
+
+#: A quota of 64 packs four messages to a frame (FRAMES_PER_VISIT = 16).
+PACKING = TotemConfig(max_messages_per_token=64)
 
 
 def build(world, count, config=None):
@@ -66,9 +72,17 @@ def test_stale_ring_traffic_is_ignored(world):
     transport, members, delivered = build(world, 2)
     stale = RegularMessage(ring_id=(0, "ghost"), seq=999, sender="ghost",
                            payload="stale")
-    members[0].receive(stale)
+    members[0].multicast("current")
+    world.scheduler.run_until(lambda: delivered["m0"], timeout=1.0)
+    # Ignored message by message: the frame's other message, one past
+    # what m0 holds on the current ring, is taken.
+    fresh = RegularMessage(ring_id=members[0].ring_id,
+                           seq=members[0].delivered_up_to + 1, sender="m1",
+                           payload="fresh")
+    members[0].receive(Frame((stale, fresh)))
     world.run(until=world.now + 0.5)
-    assert "stale" not in delivered["m0"]
+    assert delivered["m0"] == ["current", "fresh"]
+    assert not members[0]._buffer
 
 
 def test_stale_commit_is_ignored(world):
@@ -90,9 +104,15 @@ def test_duplicate_regular_messages_are_dropped(world):
     replay = RegularMessage(ring_id=members[1].ring_id,
                             seq=members[1].delivered_up_to,
                             sender="m0", payload="once")
-    members[1].receive(replay)
+    members[1].receive(Frame((replay, replay)))
     world.run(until=world.now + 0.2)
     assert delivered["m1"].count("once") == 1
+    # A bare message is not a wire form: sequenced traffic travels in
+    # frames only.
+    members[1].receive(RegularMessage(
+        ring_id=members[1].ring_id, seq=members[1].delivered_up_to + 1,
+        sender="m0", payload="bare"))
+    assert "bare" not in delivered["m1"] and not members[1]._buffer
 
 
 def test_flow_control_quota_respected_per_token_visit(world):
@@ -115,7 +135,8 @@ def test_withdrawn_payload_takes_no_sequence_number_or_quota(world):
     transport, members, delivered = build(world, 2, config=config)
     seqs = []
     members[1].on_deliver(lambda seq, sender, payload: seqs.append(seq))
-    sent_before = transport.broadcasts
+    sent_before = world.metrics.value("totem.msg.sent")
+    frames_before = transport.broadcasts
     visits_before = members[0].stats["token_passes"]
     entries = [members[0].multicast(i) for i in range(5)]
     assert members[0].withdraw(entries[1])
@@ -131,11 +152,74 @@ def test_withdrawn_payload_takes_no_sequence_number_or_quota(world):
     assert delivered["m1"] == [0, 2, 4]
     assert members[0].stats["token_passes"] - visits_before == 1
     assert seqs == list(range(seqs[0], seqs[0] + 3))   # no holes
-    assert transport.broadcasts - sent_before == 3
+    # Three messages, three sequence numbers; at a quota of 3 (anything
+    # up to FRAMES_PER_VISIT) a frame holds one message.
+    assert world.metrics.value("totem.msg.sent") - sent_before == 3
+    assert transport.broadcasts - frames_before == 3
+    assert world.metrics.histogram("totem.frame.messages").max == 1
     assert not members[0].withdraw(entries[0])      # already sequenced
     assert world.metrics.value("totem.msg.withdrawn") == 2
     world.run(until=world.now + 0.1)
     assert members[0].pending_count == 0
+    world.audit(strict=True)
+
+
+def test_frame_capacity_follows_the_quota(world):
+    """A visit puts at most FRAMES_PER_VISIT datagrams of new messages
+    on the LAN: a quota above that is met by packing, ceil(quota / 16)
+    messages to a frame, in sequence order; at the default quota every
+    message still has a datagram to itself."""
+    assert FRAMES_PER_VISIT == TotemConfig().max_messages_per_token
+    transport, members, delivered = build(world, 2, config=PACKING)
+    seen = []
+    inner = transport.broadcast
+
+    def spy(sender, message, size=64):
+        if isinstance(message, Frame):
+            seen.append([msg.payload for msg in message.messages])
+        inner(sender, message, size=size)
+
+    transport.broadcast = spy
+    for i in range(10):
+        members[0].multicast(i)
+    world.scheduler.run_until(lambda: len(delivered["m1"]) == 10, timeout=1.0)
+    assert seen == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    assert delivered["m0"] == delivered["m1"] == list(range(10))
+    assert members[0].stats["token_passes"] <= 2   # one visit sent them all
+
+    plain = World(seed=1)
+    transport, members, delivered = build(plain, 2)
+    before = transport.broadcasts
+    for i in range(10):
+        members[0].multicast(i)
+    plain.scheduler.run_until(lambda: len(delivered["m1"]) == 10, timeout=1.0)
+    assert transport.broadcasts - before == 10
+    assert plain.metrics.histogram("totem.frame.messages").max == 1
+
+
+def test_listener_crashing_its_host_mid_frame_stops_the_unpacking(world):
+    """m2 dies delivering the second of a frame's four messages: what the
+    frame held behind it is lost with the host, not delivered to a dead
+    process, and the survivors take all four and agree."""
+    transport, members, delivered = build(world, 3, config=PACKING)
+
+    def poisoned(seq, sender, payload):
+        if payload == "poison":
+            world.faults.crash_now("m2")
+
+    members[2].on_deliver(poisoned)
+    for payload in ("a", "poison", "b", "c"):
+        members[0].multicast(payload)
+    survivors = members[:2]
+    world.scheduler.run_until(reformed(survivors), timeout=1.0)
+    assert world.metrics.histogram("totem.frame.messages").max == 4
+    assert delivered["m2"] == ["a", "poison"]
+    assert not members[2]._buffer
+    assert delivered["m0"] == delivered["m1"] == ["a", "poison", "b", "c"]
+    survivors[1].multicast("after")
+    world.run(until=world.now + 0.1)
+    assert delivered["m0"] == delivered["m1"] \
+        == ["a", "poison", "b", "c", "after"]
     world.audit(strict=True)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.sim import World
 from repro.totem import TotemConfig, TotemMember, TotemTransport
-from repro.totem.messages import RegularMessage, Token
+from repro.totem.messages import Frame, RegularMessage, Token
 
 
 def build(world, count, config=None):
@@ -33,26 +33,33 @@ def build(world, count, config=None):
     return transport, members, delivered
 
 
-def test_lossy_broadcast_gap_repaired_by_retransmission(world):
-    """One broadcast drops its copy to t2 (the lossy-LAN case Totem is
-    designed for); t2 detects the gap via the token and the message is
-    retransmitted by a member that holds it."""
-    transport, members, delivered = build(world, 3)
+def lose_one_frame(transport, victim, payload):
+    """The first frame carrying ``payload`` drops its copy to ``victim``
+    (the lossy-LAN case Totem is designed for).  Returns the payloads of
+    every frame broadcast from here on, one list per frame."""
     original_broadcast = transport.broadcast
-    dropped = {"done": False}
+    frames = []
 
     def lossy_broadcast(sender, message, size=64):
-        if (isinstance(message, RegularMessage)
-                and message.payload == "lost-for-t2"
-                and not dropped["done"]):
-            dropped["done"] = True  # only the original copy is lost
-            for name in list(transport._members):
-                if name != "t2":
-                    transport.unicast(sender, name, message, size=size)
-            return
+        if isinstance(message, Frame):
+            payloads = [msg.payload for msg in message.messages]
+            frames.append(payloads)
+            if payload in payloads and frames.count(payloads) == 1:
+                for name in list(transport._members):   # only the original
+                    if name != victim:                  # copy is lost
+                        transport.unicast(sender, name, message, size=size)
+                return
         original_broadcast(sender, message, size=size)
 
     transport.broadcast = lossy_broadcast
+    return frames
+
+
+def test_lossy_broadcast_gap_repaired_by_retransmission(world):
+    """t2 misses one frame, detects the gap via the token, and the
+    message is retransmitted by a member that holds it."""
+    transport, members, delivered = build(world, 3)
+    lose_one_frame(transport, "t2", "lost-for-t2")
     members[0].multicast("lost-for-t2")
     members[1].multicast("follow-up")  # traffic behind the gap
     world.scheduler.run_until(
@@ -66,6 +73,41 @@ def test_lossy_broadcast_gap_repaired_by_retransmission(world):
     # all count the same retransmission events.
     assert world.metrics.value("totem.retransmit.count") == retransmits
     assert world.tracer.count("totem.retransmit") == retransmits
+
+
+def test_a_lost_frame_is_as_many_gaps_repaired_by_one_frame(world):
+    """A frame of four never reaches t2: the next token carries four
+    retransmission requests, the first member that holds them answers
+    all four in one frame, and t2 delivers in the order everyone did.
+    (A quota of 64 is what makes a frame hold four.)"""
+    transport, members, delivered = build(
+        world, 3, config=TotemConfig(max_messages_per_token=64))
+    frames = lose_one_frame(transport, "t2", "b")
+    asked = []
+    inner = members[0]._dispatch[Token]
+
+    def spy(token):
+        asked.append(sorted(token.rtr))
+        inner(token)
+
+    members[0]._dispatch[Token] = spy
+    lost = ["a", "b", "c", "d"]
+    for payload in lost:
+        members[0].multicast(payload)
+    members[1].multicast("follow-up")
+    world.scheduler.run_until(
+        lambda: len(delivered["t2"]) == 5, timeout=1.0)
+    assert delivered["t0"] == delivered["t1"] == delivered["t2"]
+    assert sorted(delivered["t2"]) == sorted(lost + ["follow-up"])
+    # The lost frame, a frame of traffic beside it, one repair frame.
+    assert sorted(frames) == [lost, lost, ["follow-up"]]
+    requests = max(asked, key=len)
+    assert requests == list(range(requests[0], requests[0] + 4))
+    assert world.metrics.value("totem.retransmit.count") == 4
+    assert world.metrics.value("totem.msg.sent") == 5
+    assert world.metrics.histogram("totem.frame.messages").count == 3
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
 
 
 def test_unrecoverable_gap_is_skipped_after_bounded_rotations(world):
@@ -96,7 +138,7 @@ def test_retransmitted_duplicates_are_ignored(world):
                               timeout=30.0)
     target = members[1]
     seq = target.delivered_up_to
-    target.receive(RegularMessage(ring_id=target.ring_id, seq=seq,
-                                  sender="t0", payload="once"))
+    target.receive(Frame((RegularMessage(ring_id=target.ring_id, seq=seq,
+                                         sender="t0", payload="once"),)))
     world.run(until=world.now + 0.2)
     assert delivered["t1"].count("once") == 1
