@@ -15,8 +15,9 @@ a fault tolerance domain, layered on the local Totem member.  It:
   Figure 6 identifiers;
 * implements the replication styles (active, active with voting, warm
   and cold passive, stateless), including primary election, periodic
-  checkpoints, per-operation state updates, log replay on failover, and
-  state transfer to joining replicas;
+  checkpoints and per-operation state updates (both riding the
+  primary's reply), log replay on failover, and state transfer to
+  joining replicas;
 * maintains the group registry from idempotent control messages so all
   processors share an identical directory;
 * hands gateway-targeted traffic to an attached gateway (the gateway is
@@ -299,7 +300,15 @@ class ReplicationMechanisms(Process):
             return True
         return info.primary(self.live_hosts) == self.host.name
 
-    def _respond(self, invocation: DomainMessage, reply_iiop: bytes) -> None:
+    def _respond(self, invocation: DomainMessage, reply_iiop: bytes,
+                 carried: Optional[Dict[str, Any]] = None) -> None:
+        """Multicast the reply; ``carried`` is what a passive primary
+        owes its backups for this operation (:meth:`_post_execution`),
+        applied in :meth:`_on_response` at the reply's own position."""
+        data: Dict[str, Any] = {"responder": self.host.name}
+        if carried:
+            data.update(carried)
+            self.metrics.counter("eternal.state.carried").inc()
         response = DomainMessage(
             kind=MsgKind.RESPONSE,
             source_group=invocation.target_group,
@@ -307,7 +316,7 @@ class ReplicationMechanisms(Process):
             client_id=invocation.client_id,
             op_id=invocation.op_id,
             iiop=reply_iiop,
-            data={"responder": self.host.name},
+            data=data,
         )
         tr = invocation.trace
         if tr is not None and self._span_collector.enabled:
@@ -520,10 +529,12 @@ class ReplicationMechanisms(Process):
         seen = self._invocations_seen.setdefault(original.target_group, {})
         seen[key] = _InvocationRecord(status="done", response_iiop=reply,
                                       response_expected=execution.request.response_expected)
+        owed = self._post_execution(original, info)
         if execution.request.response_expected and not execution.silent:
             if self._should_respond(info):
-                self._respond(original, reply)
-            elif info.style.is_semi_active:
+                self._respond(original, reply, owed)
+                return
+            if info.style.is_semi_active:
                 # Leader-follower follower: the reply is computed and
                 # cached but withheld — the leader's copy is the one on
                 # the wire.  Track it until the leader's response is
@@ -532,41 +543,41 @@ class ReplicationMechanisms(Process):
                 self._lf_unacked.setdefault(info.group_id, {})[key] = original
                 self.stats["responses_withheld"] += 1
                 self.metrics.counter("rm.style.responses_withheld").inc()
-        self._post_execution(original, info)
-
-    def _post_execution(self, original: DomainMessage, info: GroupInfo) -> None:
-        """Style-specific after-effects at the executing primary."""
-        record = self.replicas.get(info.group_id)
-        if record is None:
-            return
-        if info.style is ReplicationStyle.WARM_PASSIVE:
-            self.stats["state_updates"] += 1
-            self._m_state_updates.inc()
-            self.multicast(DomainMessage(
-                kind=MsgKind.STATE_UPDATE,
-                source_group=info.group_id,
-                target_group=info.group_id,
-                data={"state": record.servant.get_state(),
-                      "upto_ts": original.timestamp},
-            ))
-        elif info.style is ReplicationStyle.COLD_PASSIVE:
-            log = self._log_for(info.group_id)
-            if log.ops_since_checkpoint >= info.checkpoint_interval:
-                self.stats["checkpoints"] += 1
-                self._m_checkpoints_sent.inc()
+        if owed:
+            # No reply to ride on (a one-way operation, a silent replay):
+            # the standalone message this has always been.
+            group = info.group_id
+            if "version" in owed:
                 self.multicast(DomainMessage(
-                    kind=MsgKind.CHECKPOINT,
-                    source_group=info.group_id,
-                    target_group=info.group_id,
-                    data={"state": record.servant.get_state(),
-                          "upto_ts": original.timestamp,
-                          "version": record.version},
-                ))
-        else:
-            # ACTIVE / ACTIVE_WITH_VOTING / LEADER_FOLLOWER / STATELESS:
-            # every live replica executed the call itself, so there is
-            # no primary state to propagate afterwards.
-            return
+                    MsgKind.CHECKPOINT, group, group, data=owed))
+            else:
+                self.stats["state_updates"] += 1
+                self._m_state_updates.inc()
+                self.multicast(DomainMessage(
+                    MsgKind.STATE_UPDATE, group, group, data=owed))
+
+    def _post_execution(self, original: DomainMessage,
+                        info: GroupInfo) -> Optional[Dict[str, Any]]:
+        """What the executing primary owes its backups after this
+        operation: WARM_PASSIVE's per-operation state, COLD_PASSIVE's
+        periodic checkpoint (the one with a ``version``).  It rides the
+        reply (:meth:`_respond`), or is multicast by itself when no
+        reply goes out.  None where every replica executed the call."""
+        record = self.replicas.get(info.group_id)
+        cold = info.style is ReplicationStyle.COLD_PASSIVE
+        if record is None or not (
+                cold or info.style is ReplicationStyle.WARM_PASSIVE):
+            return None
+        owed = {"upto_ts": original.timestamp}
+        if cold:
+            log = self._log_for(info.group_id)
+            if log.ops_since_checkpoint < info.checkpoint_interval:
+                return None
+            self.stats["checkpoints"] += 1
+            self._m_checkpoints_sent.inc()
+            owed["version"] = record.version
+        owed["state"] = record.servant.get_state()
+        return owed
 
     # ==================================================================
     # Nested invocations (Figure 6)
@@ -711,6 +722,14 @@ class ReplicationMechanisms(Process):
     # ==================================================================
 
     def _on_response(self, msg: DomainMessage) -> None:
+        # A passive primary's reply carries what it owes its backups:
+        # applied first, wherever the reply is addressed, so "the reply
+        # was delivered" implies "every backup holds the state".
+        if "state" in msg.data:
+            if "version" in msg.data:
+                self._apply_checkpoint(msg)
+            else:
+                self._apply_state_update(msg)
         # Leader-follower ack: the leader's response, delivered in total
         # order, retires every follower's withheld copy of the same
         # operation — whatever group the response is addressed to.
@@ -1003,18 +1022,26 @@ class ReplicationMechanisms(Process):
         ))
 
     def _apply_checkpoint(self, msg: DomainMessage) -> None:
-        if msg.target_group not in self.replicas:
+        """COLD_PASSIVE: a CHECKPOINT, or the RESPONSE it rode on."""
+        group_id = msg.source_group
+        info = self.registry.get(group_id)
+        if (group_id not in self.replicas or info is None
+                or not info.style.is_passive):
+            # Not hosted here — or late, behind a live STYLE_SWITCH out
+            # of the passive styles whose catch-up covered the operation:
+            # it would set an executing replica back and re-create the log.
             return
-        log = self._log_for(msg.target_group)
+        log = self._log_for(group_id)
         log.install_checkpoint(msg.data["state"], msg.data["upto_ts"],
                                msg.data.get("version", 1))
 
     def _apply_state_update(self, msg: DomainMessage) -> None:
-        group_id = msg.target_group
+        """WARM_PASSIVE: a STATE_UPDATE, or the RESPONSE it rode on."""
+        group_id = msg.source_group
         record = self.replicas.get(group_id)
         info = self.registry.get(group_id)
-        if record is None or info is None:
-            return
+        if record is None or info is None or not info.style.is_passive:
+            return  # not hosted here, or late (see _apply_checkpoint)
         log = self._log_for(group_id)
         if info.primary(self.live_hosts) == self.host.name:
             # The primary's own update: its servant state is already

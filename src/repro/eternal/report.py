@@ -63,7 +63,8 @@ def domain_report(domain: "FaultToleranceDomain") -> Dict[str, Any]:
         "groups": groups,
         "gateways": gateways,
         "replication_totals": {k: v for k, v in rm_totals.items() if v},
-        "multicasts": domain.transport.broadcasts,
+        # Messages on the ring (as `totem.msg.sent`), not frames.
+        "multicasts": sum(m.stats["sent"] for m in domain.members.values()),
     }
 
 

@@ -12,13 +12,14 @@ STATELESS       Every replica executes every invocation; no state is
                 checkpointed or transferred (there is none).  Responses are
                 deduplicated as for ACTIVE.
 COLD_PASSIVE    Only the primary executes.  Backups log delivered invocations;
-                the primary's state is checkpointed periodically and multicast.
-                On failover the new primary restores the latest checkpoint and
-                replays the logged invocations after it.
-WARM_PASSIVE    Only the primary executes, and after every operation the
-                primary multicasts a state update to the backups.  Failover
-                replays only the (usually empty) log suffix after the last
-                update.
+                the primary's state is checkpointed periodically, riding the
+                reply that completes the interval.  On failover the new primary
+                restores the latest checkpoint and replays the logged
+                invocations after it.
+WARM_PASSIVE    Only the primary executes, and every reply carries the
+                primary's state to the backups (a one-way operation is
+                followed by a state update of its own).  Failover replays
+                only the (usually empty) log suffix after the last update.
 ACTIVE          Every replica executes every invocation deterministically
                 and queues its response; a replica whose copy is still
                 queued when a sibling's is delivered withdraws it, and

@@ -184,7 +184,7 @@ class ReferenceScheduler:
                 f"call_every requires a positive interval, got {interval}")
 
         def tick() -> None:
-            self.rearm_after(timer, interval)
+            self._rearm_after(timer, interval)
             if args:
                 fn(*args)
             else:
@@ -238,7 +238,7 @@ class ReferenceScheduler:
             self._m_rescheduled.inc()
         return timer
 
-    def rearm_after(self, timer: ReferenceTimer, delay: float) -> ReferenceTimer:
+    def _rearm_after(self, timer: ReferenceTimer, delay: float) -> ReferenceTimer:
         """Re-schedule a timer that has already *fired*, reusing the object."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")

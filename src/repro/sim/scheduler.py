@@ -307,24 +307,6 @@ class Scheduler:
             raise SimulationError(f"negative delay {delay}")
         return self.reschedule(timer, self.now + delay)
 
-    def rearm_after(self, timer: Timer, delay: float) -> Timer:
-        """Re-schedule a timer that has already *fired*, reusing the
-        object.  Draws a fresh tie-break at this moment — exactly what
-        ``call_after(delay, timer.fn, *timer.args)`` would consume — so
-        event ordering is identical to recreating the timer; only the
-        allocation is saved.  Meant for strictly periodic hot-path
-        timers (its one client, the Totem token hold timer, is gone:
-        the hold now travels inside the token datagram)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        if timer.cancelled or not timer.fired:
-            raise SimulationError(f"can only rearm a fired timer, got {timer!r}")
-        if timer._sched is not self:
-            raise SimulationError("timer belongs to a different scheduler")
-        timer.fired = False
-        self._arm(timer, self.now + delay)
-        return timer
-
     # ------------------------------------------------------------------
     # Queue hygiene
     # ------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_warm_passive_primary_crash_behind_gateway(world):
     # Crash the primary at the instant it would multicast the response.
     original_respond = primary_rm._respond
 
-    def crash_instead(invocation, reply):
+    def crash_instead(invocation, reply, carried=None):
         world.faults.crash_now(primary)
 
     primary_rm._respond = crash_instead

@@ -384,7 +384,8 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         """Two of the three voters execute but have not answered yet:
         both gateways sit on one vote of the two they need."""
         for host in slow:
-            domain.rms[host]._respond = lambda invocation, reply: None
+            domain.rms[host]._respond = (
+                lambda invocation, reply, carried=None: None)
         release(held)
         world.run(until=world.now + 0.5)
         assert key in origin._pending

@@ -6,6 +6,7 @@ from repro import ReplicationStyle, World
 from repro.core import UNUSED_CLIENT_ID
 from repro.core.identifiers import external_operation_id
 from repro.eternal.messages import DomainMessage, MsgKind
+from repro.eternal.naming import GATEWAY_GROUP
 from repro.iiop import encode_cancel_request
 
 from tests.helpers import external_client, make_counter_group, make_domain
@@ -187,6 +188,40 @@ def test_observe_delivered_ignores_unrelated_kinds(world):
         kind=MsgKind.STATE_UPDATE, source_group=10, target_group=10,
         data={"state": {}, "upto_ts": 1}))
     assert gateway.stats == before
+
+
+@pytest.mark.parametrize("late", ["state_update", "response"])
+def test_late_state_after_a_switch_to_active_is_ignored(world, late):
+    """A primary's state — standalone or riding its reply — sequenced
+    behind a live STYLE_SWITCH out of the passive styles finds executing
+    replicas: the switch's catch-up already covered that operation, so
+    it must neither set them back nor re-create the log the switch
+    dropped."""
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain, style=ReplicationStyle.WARM_PASSIVE)
+    world.await_promise(group.invoke("increment", 3))
+    domain.switch_style(group, ReplicationStyle.ACTIVE)
+    world.run(until=world.now + 0.2)
+    world.await_promise(group.invoke("increment", 4))
+    world.run(until=world.now + 0.2)
+    stale = {"state": {"count": 3}, "upto_ts": 1}
+    if late == "state_update":
+        message = DomainMessage(
+            kind=MsgKind.STATE_UPDATE, source_group=group.group_id,
+            target_group=group.group_id, data=stale)
+    else:
+        message = DomainMessage(
+            kind=MsgKind.RESPONSE, source_group=group.group_id,
+            target_group=GATEWAY_GROUP, client_id="gone#1",
+            op_id=external_operation_id(1),
+            data=dict(stale, responder=group.info().placement[0]))
+    for host in group.info().placement:
+        rm = domain.rms[host]
+        assert group.group_id not in rm.logs
+        rm._dispatch(message)
+        assert rm.replicas[group.group_id].servant.count == 7
+        assert group.group_id not in rm.logs
+    world.audit(strict=True)
 
 
 def test_stopping_gateway_closes_listener(world):

@@ -1,6 +1,6 @@
 """Ordering-equivalence tests for the scheduler's hot-path refinements.
 
-``reschedule`` / ``rearm_after`` and queue compaction exist purely to
+``reschedule`` and queue compaction exist purely to
 cut allocation and heap churn; they must never change *when* a callback
 fires relative to every other same-time event.  The twin-scheduler
 tests here drive one scheduler through the fast paths and a second
@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim import Scheduler
 
 
@@ -113,56 +112,6 @@ def test_reschedule_later_then_earlier_fires_once_at_final_time():
     assert log == ["x", "y"]
     assert sched.now == 4.0 if not log else True
     assert timer.fired and not timer.active
-
-
-def test_rearm_after_equals_fresh_call_after():
-    fast, slow = Scheduler(), Scheduler()
-    fast_log, slow_log = [], []
-
-    # Fast side: one timer rearmed per hop.  Slow side: a fresh timer
-    # per hop.  Interleave a competitor event at every hop time.
-    def fast_hop():
-        fast_log.append(("hop", fast.now))
-
-    state = {}
-
-    def fast_driver(remaining):
-        timer = state.get("t")
-        if timer is None:
-            state["t"] = fast.call_after(1.0, fast_hop)
-        else:
-            fast.rearm_after(timer, 1.0)
-        fast.call_at(fast.now + 1.0, fast_log.append, ("rival", fast.now))
-        if remaining:
-            fast.call_after(1.0, fast_driver, remaining - 1)
-
-    def slow_hop():
-        slow_log.append(("hop", slow.now))
-
-    def slow_driver(remaining):
-        slow.call_after(1.0, slow_hop)
-        slow.call_at(slow.now + 1.0, slow_log.append, ("rival", slow.now))
-        if remaining:
-            slow.call_after(1.0, slow_driver, remaining - 1)
-
-    fast.call_soon(fast_driver, 5)
-    slow.call_soon(slow_driver, 5)
-    fast.run()
-    slow.run()
-    assert fast_log == slow_log
-    assert [kind for kind, _ in fast_log[:2]] == ["hop", "rival"]
-
-
-def test_rearm_requires_fired_timer():
-    sched = Scheduler()
-    timer = sched.call_at(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sched.rearm_after(timer, 1.0)
-    sched.run()
-    cancelled = sched.call_at(1.0, lambda: None)
-    cancelled.cancel()
-    with pytest.raises(SimulationError):
-        sched.rearm_after(cancelled, 1.0)
 
 
 def test_compaction_preserves_survivor_order_and_counts():

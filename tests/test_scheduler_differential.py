@@ -4,7 +4,7 @@ The production :class:`repro.sim.scheduler.Scheduler` (calendar-queue
 kernel, this PR) and the pre-overhaul binary-heap kernel preserved as
 :class:`repro.sim.reference_scheduler.ReferenceScheduler` promise the
 *same* semantics: events fire in ``(time, tiebreak)`` order with the
-tie-break drawn at schedule/reschedule/rearm time.  This module pins
+tie-break drawn at schedule/reschedule time.  This module pins
 that promise three ways:
 
 * every golden scenario in :mod:`repro.analysis.scenarios` is replayed
@@ -13,9 +13,8 @@ that promise three ways:
 * Hypothesis generates random programs over the full scheduling API —
   ``call_at`` / ``call_after`` / ``call_soon`` / ``post`` /
   ``post_batch`` / ``call_every`` / ``cancel`` / ``reschedule`` /
-  ``reschedule_after`` / ``rearm_after`` — executed from *inside*
-  running events, and both
-  kernels must produce identical firing logs, final clocks and event
+  ``reschedule_after`` — executed from *inside* running events, and
+  both kernels must produce identical firing logs, final clocks and event
   counts;
 * segmented ``run(until=...)`` / ``step()`` / ``run_until(predicate)``
   drives (which exercise the calendar kernel's partially drained cohort
@@ -97,7 +96,6 @@ _OPS = st.one_of(
     st.tuples(st.just("cancel"), _TIMES, _IDX, st.just(0)),
     st.tuples(st.just("resched"), _TIMES, _IDX, _DELAYS),
     st.tuples(st.just("resched_after"), _TIMES, _IDX, _DELAYS),
-    st.tuples(st.just("rearm"), _TIMES, _IDX, _DELAYS),
 )
 
 _PROGRAMS = st.lists(_OPS, min_size=1, max_size=30)
@@ -105,7 +103,7 @@ _PROGRAMS = st.lists(_OPS, min_size=1, max_size=30)
 
 def _run_program(kernel, program):
     """Execute ``program`` on a fresh kernel; each op runs as an event
-    at its own simulated time, so cancels/reschedules/rearms interleave
+    at its own simulated time, so cancels and reschedules interleave
     with firings exactly as application code would issue them."""
     sched = kernel()
     log = []
@@ -149,12 +147,6 @@ def _run_program(kernel, program):
                     sched.reschedule_after(target, p2)
                     log.append((sched.now, "resched_after",
                                 p1 % len(handles)))
-        elif kind == "rearm":
-            if handles:
-                target = handles[p1 % len(handles)]
-                if target.fired and not target.cancelled:
-                    sched.rearm_after(target, p2)
-                    log.append((sched.now, "rearm", p1 % len(handles)))
     for i, op in enumerate(program):
         sched.call_at(op[1], run_op, i, op)
     returned = sched.run(max_events=100_000)
@@ -165,7 +157,7 @@ def _run_program(kernel, program):
 @given(program=_PROGRAMS)
 def test_random_programs_fire_identically(program):
     """The headline differential: 200 random API programs, identical
-    firing order (the log captures every fire/cancel/reschedule/rearm
+    firing order (the log captures every fire/cancel/reschedule
     with its simulated time), final clock, and event count."""
     new_result = _run_program(Scheduler, program)
     ref_result = _run_program(ReferenceScheduler, program)

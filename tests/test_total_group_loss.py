@@ -124,7 +124,8 @@ def test_nested_caller_of_a_lost_group_gets_transient(world, style):
     # In flight at the loss: the withdraw executes but its response is
     # still to come when the hosts die.
     for host in doomed:
-        domain.rms[host]._respond = lambda invocation, reply: None
+        domain.rms[host]._respond = (
+            lambda invocation, reply, carried=None: None)
     transfer = agent.invoke("transfer", "alice", "bob", 10)
     world.run(until=world.now + 0.5)
     assert any(rm._waiting for rm in domain.rms.values())
