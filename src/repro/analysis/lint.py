@@ -53,7 +53,8 @@ SIM_ONLY_PREFIXES: Tuple[str, ...] = (
 AUDIT_MODULES: Tuple[str, ...] = (
     "repro.core.gateway", "repro.core.duplicates",
     "repro.core.gateway_pool",
-    "repro.eternal.replication", "repro.totem.member",
+    "repro.eternal.replication", "repro.eternal.egress",
+    "repro.totem.member",
 )
 
 _SUPPRESS_RE = re.compile(

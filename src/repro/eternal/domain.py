@@ -142,8 +142,7 @@ class FaultToleranceDomain:
         rm = ReplicationMechanisms(
             host, member, self.name, self.interfaces, self.factories,
             tracer=self.world.tracer, synced=not self._bootstrapped)
-        DomainEgress(rm, self.world.tcp)
-        self.egresses[host_name] = rm._egress
+        self.egresses[host_name] = DomainEgress(rm, self.world)
         self.hosts.append(host)
         self.members[host_name] = member
         self.rms[host_name] = rm
@@ -505,8 +504,7 @@ class FaultToleranceDomain:
         rm = ReplicationMechanisms(
             host, member, self.name, self.interfaces, self.factories,
             tracer=self.world.tracer, synced=False)
-        DomainEgress(rm, self.world.tcp)
-        self.egresses[host_name] = rm._egress
+        self.egresses[host_name] = DomainEgress(rm, self.world)
         self.members[host_name] = member
         self.rms[host_name] = rm
         if host_name in self.replica_host_names:

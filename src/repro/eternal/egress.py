@@ -3,40 +3,41 @@
 Figure 1 of the paper shows replicated objects in one fault tolerance
 domain invoking replicated objects in another *through the gateways*.
 On the callee side this is the ordinary gateway path.  On the caller
-side the problem is that *every* replica of the invoking group executes
-the nested call, yet exactly one TCP connection to the remote gateway
-must carry it.
+side *every* replica of the invoking group executes the nested call,
+yet exactly one TCP connection to the remote gateway must carry it.
 
-The egress component solves this deterministically: the invoking
-group's current primary host (first live host of its placement — a fact
-every processor derives identically from the shared registry and
-membership) acts as the egress and opens an enhanced-client connection
-to the remote gateway.  The egress supplies a deterministic client
-identifier (domain + group) and a deterministic request id derived from
-the operation id, so if the egress host fails and another replica host
-takes over and *reissues* the outstanding calls, the remote domain's
-duplicate detection (keyed on client id + operation id, section 3.5)
-suppresses re-execution and returns the cached response.
+The invoking group's current primary host (first live host of its
+placement, which every processor derives identically) is the egress:
+to the remote domain, the enhanced client of section 3.5, with an
+:class:`~repro.core.client_interceptor.FtRequester`'s warm standby,
+reissue on gateway loss and give-up rule.  Its client id (domain +
+group) and request ids (from the operation id) are deterministic, so
+when the egress host fails and the next one *reissues* the outstanding
+calls, the remote domain's duplicate detection returns the cached
+response instead of executing again.
 
-The remote reply is multicast back into the local domain as a RESPONSE
-from the EXTERNAL pseudo-group, so all local replicas resume their
-suspended executions at the same point in the total order.
+The outcome — the remote reply, or ``COMM_FAILURE`` once the requester
+gives up — is multicast back as a RESPONSE from the EXTERNAL
+pseudo-group, so all local replicas resume at the same point in the
+total order.  A one-way call is sent best-effort and not recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Optional, Tuple
 
+from ..core.client_interceptor import FtClientLayer
 from ..core.identifiers import OperationId, UNUSED_CLIENT_ID
-from ..errors import CommFailure, ConfigurationError
-from ..iiop.giop import RequestMessage, encode_reply, encode_request
+from ..errors import ConfigurationError
+from ..iiop.giop import RequestMessage, encode_request
 from ..iiop.ior import Ior
 from ..iiop.service_context import ClientIdContext, SpanContext
-from ..orb.connection import IiopClientConnection
-from ..orb.dispatch import encode_arguments, reply_for_exception
+from ..orb.dispatch import encode_arguments, reply_for_exception, reply_for_result
 from ..orb.idl import Operation
+from ..orb.orb import Orb, Stub
 from ..orb.servant import NestedCall
+from ..sim.world import Promise, World
 from .messages import DomainMessage, MsgKind
 from .naming import EXTERNAL_GROUP
 from .replication import ReplicationMechanisms, _deterministic_request_id
@@ -47,37 +48,48 @@ class _EgressRecord:
     source_group: int
     op_id: OperationId
     call: NestedCall
-    encoded: bytes
-    request_id: int
-    profiles: List[Tuple[str, int]]
-    profile_index: int = 0
-    attempts: int = 0
-    completed: bool = False
+    op: Operation
+    request: RequestMessage
+    sent: bool = False                 # transmitted from this host
 
 
 class DomainEgress:
     """Per-processor egress client for cross-domain nested calls."""
 
-    def __init__(self, rm: "ReplicationMechanisms", tcp) -> None:
+    def __init__(self, rm: "ReplicationMechanisms", world: World) -> None:
         self.rm = rm
-        self.tcp = tcp
+        self.world = world
         self.outstanding: Dict[Tuple[int, OperationId], _EgressRecord] = {}
-        self._connections: Dict[Tuple[str, int], IiopClientConnection] = {}
-        self.stats = {"issued": 0, "reissued": 0, "completed": 0}
+        # A stub per (invoking group, remote IOR) and the host ORB under
+        # them, built on the first transmission.  Multiplexed: a gateway
+        # routes a client id's replies to the connection it last used,
+        # so a uid keeps one connection per gateway, whatever the IOR.
+        self._stubs: Dict[Tuple[int, str], Stub] = {}
+        self._orb: Optional[Orb] = None
+        self._issued = self._completed = 0
         rm.attach_egress(self)
+        rm.on_membership_change(self.handle_membership)
+        owner = f"egress@{rm.host.name}"
+        rm.audit.register("egress.outstanding", lambda: len(self.outstanding),
+                          floor=0, owner=owner, active=lambda: rm.alive)
+        # Requesters stay warm between calls, like a connection cache.
+        rm.audit.register("egress.requesters", lambda: len(self._stubs),
+                          floor=None, owner=owner, active=lambda: rm.alive)
 
-    # ------------------------------------------------------------------
-    # Interface resolution for foreign targets
-    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Calls sent from here, their failover reissues, replies seen."""
+        return {"issued": self._issued,
+                "reissued": sum(stub.requester.stats["reissued"]
+                                for stub in self._stubs.values()),
+                "completed": self._completed}
 
     def operation_for(self, call: NestedCall) -> Operation:
-        if call.interface is None:
-            raise ConfigurationError(
-                "cross-domain NestedCall must name its interface")
         interface = self.rm.interfaces.get(call.interface)
         if interface is None:
             raise ConfigurationError(
-                f"interface {call.interface!r} not registered locally")
+                "a cross-domain NestedCall must name a locally registered "
+                f"interface, not {call.interface!r}")
         return interface.operation(call.operation)
 
     # ------------------------------------------------------------------
@@ -89,13 +101,13 @@ class DomainEgress:
 
     def _am_egress(self, source_group: int) -> bool:
         info = self.rm.registry.get(source_group)
-        if info is None:
-            return False
-        return info.primary(self.rm.live_hosts) == self.rm.host.name
+        return (info is not None
+                and info.primary(self.rm.live_hosts) == self.rm.host.name)
 
     def issue(self, source_group: int, op_id: OperationId,
-              call: NestedCall, trace=None) -> None:
-        """Record the outstanding call; transmit if we are the egress.
+              call: NestedCall, trace=None) -> Operation:
+        """Record the call, transmit it if we are the egress, return its
+        operation.
 
         ``trace`` is an optional (trace_id, parent_span_id, hop) tuple;
         when present the request carries a trace service context so the
@@ -103,73 +115,69 @@ class DomainEgress:
         across the domain boundary.
         """
         op = self.operation_for(call)
-        ior = Ior.from_string(call.target)
-        profiles = [p.address for p in ior.iiop_profiles()]
-        object_key = ior.primary_profile().object_key
-        request_id = _deterministic_request_id(op_id)
         contexts = [ClientIdContext(
             self._client_uid(source_group)).to_service_context()]
         if trace is not None:
             contexts.append(SpanContext(
                 trace[0], trace[1], hop=trace[2]).to_service_context())
         request = RequestMessage(
-            request_id=request_id,
+            request_id=_deterministic_request_id(op_id),
             response_expected=not op.oneway,
-            object_key=object_key,
+            object_key=Ior.from_string(call.target).primary_profile().object_key,
             operation=op.name,
             service_contexts=contexts,
             body=encode_arguments(op, call.args),
         )
-        record = _EgressRecord(
-            source_group=source_group, op_id=op_id, call=call,
-            encoded=encode_request(request), request_id=request_id,
-            profiles=profiles)
-        self.outstanding[(source_group, op_id)] = record
+        record = _EgressRecord(source_group, op_id, call, op, request)
+        if not op.oneway:
+            self.outstanding[(source_group, op_id)] = record
         if self._am_egress(source_group):
             self._transmit(record)
+        return op
+
+    def _stub(self, record: _EgressRecord) -> Stub:
+        key = (record.source_group, record.call.target)
+        stub = self._stubs.get(key)
+        if stub is None:
+            if self._orb is None:
+                self._orb = Orb(self.world, self.rm.host)
+            layer = FtClientLayer(
+                self._orb, client_uid=self._client_uid(record.source_group))
+            stub = self._stubs[key] = layer.string_to_object(
+                record.call.target, self.rm.interfaces[record.call.interface],
+                multiplexed=True)
+        return stub
 
     def _transmit(self, record: _EgressRecord) -> None:
-        if record.completed or not record.profiles:
-            return
-        if record.attempts >= 3 * len(record.profiles):
-            # Give up, out loud: nothing upstream times out, so answer
-            # in the remote domain's stead and every replica resumes
-            # with the error at the same point in the total order.
-            self._multicast_reply(record, reply_for_exception(
-                record.request_id, CommFailure(
-                    f"no gateway of {record.profiles} answered")))
-            return
-        address = record.profiles[record.profile_index % len(record.profiles)]
-        connection = self._connections.get(address)
-        if connection is None or not connection.usable:
-            connection = IiopClientConnection(self.tcp, self.rm.host, address)
-            self._connections[address] = connection
-        record.attempts += 1
-        self.stats["issued" if record.attempts == 1 else "reissued"] += 1
+        record.sent = True
+        self._issued += 1
+        promise = Promise()
+        if not record.op.oneway:
+            promise.on_done(lambda done: self._answer(record, done))
+        stub = self._stub(record)
+        stub.requester.send(stub, record.op, record.request,
+                            encode_request(record.request), promise)
 
-        def on_reply(reply) -> None:
-            self._multicast_reply(record, encode_reply(reply))
-
-        def on_failure(exc: Exception) -> None:
-            if record.completed:
-                return
-            record.profile_index += 1
-            self.rm.scheduler.call_soon(lambda: self._retransmit(record))
-
-        connection.send_request(record.encoded, record.request_id,
-                                on_reply, on_failure)
-
-    def _retransmit(self, record: _EgressRecord) -> None:
-        if not record.completed and self._am_egress(record.source_group):
-            self._transmit(record)
+    def handle_membership(self, live_hosts: Tuple[str, ...]) -> None:
+        """Reissue outstanding calls for groups we just became egress of."""
+        for record in list(self.outstanding.values()):
+            if not record.sent and self._am_egress(record.source_group):
+                self._transmit(record)
 
     # ------------------------------------------------------------------
-    # Remote reply -> local multicast
+    # Requester outcome -> local multicast
     # ------------------------------------------------------------------
 
-    def _multicast_reply(self, record: _EgressRecord, iiop: bytes) -> None:
-        if record.completed:
-            return
+    def _answer(self, record: _EgressRecord, promise: Promise) -> None:
+        """Multicast the outcome as the remote reply: nothing upstream
+        times out, so a give-up must be answered too."""
+        if self.outstanding.get((record.source_group, record.op_id)) is not record:
+            return                     # an earlier egress's reply came first
+        request_id = record.request.request_id
+        if promise.failed:
+            iiop = reply_for_exception(request_id, promise.error)
+        else:
+            iiop = reply_for_result(request_id, record.op, promise.value)
         self.rm.multicast(DomainMessage(
             kind=MsgKind.RESPONSE,
             source_group=EXTERNAL_GROUP,
@@ -182,17 +190,5 @@ class DomainEgress:
 
     def complete(self, source_group: int, op_id: OperationId) -> None:
         """Called by the RM when the response has been delivered."""
-        record = self.outstanding.pop((source_group, op_id), None)
-        if record is not None:
-            record.completed = True
-            self.stats["completed"] += 1
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-
-    def handle_membership(self, live_hosts: Tuple[str, ...]) -> None:
-        """Reissue outstanding calls for groups we just became egress of."""
-        for record in list(self.outstanding.values()):
-            if not record.completed and self._am_egress(record.source_group):
-                self._transmit(record)
+        if self.outstanding.pop((source_group, op_id), None) is not None:
+            self._completed += 1

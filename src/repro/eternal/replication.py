@@ -658,22 +658,21 @@ class ReplicationMechanisms(Process):
                       original: DomainMessage, info: GroupInfo,
                       key: Tuple, op_id: OperationId) -> None:
         """Nested call whose target is outside this domain (an IOR)."""
-        if self._egress is None:
-            outcome = execution.resume_error(ConfigurationError(
-                "no egress configured for cross-domain invocation"))
-            self._handle_outcome(execution, outcome, original, info, key)
-            return
-        wait_key = (EXTERNAL_GROUP, info.group_id, op_id)
-        self._waiting[wait_key] = _Waiter(
-            op=self._egress.operation_for(call), execution=execution,
-            original=original)
-        self._response_filter.expect(wait_key, votes_needed=1)
         tr = original.trace
         trace = None
         if tr is not None and self._span_collector.enabled:
             # Leaving the domain through the remote gateway: hop + 1.
             trace = (tr[0], execution.trace_span or tr[1], tr[2] + 1)
-        self._egress.issue(info.group_id, op_id, call, trace=trace)
+        op = self._egress.issue(info.group_id, op_id, call, trace=trace)
+        if op.oneway:
+            # Best-effort, as in-domain: no response will come.
+            outcome = execution.resume(None)
+            self._handle_outcome(execution, outcome, original, info, key)
+            return
+        wait_key = (EXTERNAL_GROUP, info.group_id, op_id)
+        self._waiting[wait_key] = _Waiter(
+            op=op, execution=execution, original=original)
+        self._response_filter.expect(wait_key, votes_needed=1)
 
     def votes_needed(self, info: GroupInfo) -> Optional[int]:
         """Votes a response needs before delivery; None = unservable.
@@ -774,7 +773,7 @@ class ReplicationMechanisms(Process):
             return
         if not isinstance(result, Exception):
             self.stats["responses_delivered"] += 1
-            if wait_key[0] == EXTERNAL_GROUP and self._egress is not None:
+            if wait_key[0] == EXTERNAL_GROUP:
                 self._egress.complete(wait_key[1], wait_key[2])
             reply = decode_reply(result)
             try:
@@ -1232,8 +1231,6 @@ class ReplicationMechanisms(Process):
         self._requorum()
         for fn in list(self._membership_listeners):
             fn(self.live_hosts)
-        if self._egress is not None:
-            self._egress.handle_membership(self.live_hosts)
 
     def _check_primary_changes(self) -> None:
         """Detect primaries/leaders shifting to this host; take over."""

@@ -49,6 +49,11 @@ def encode_result_body(op: Operation, value: Any) -> bytes:
     return out.getvalue()
 
 
+# Decoded system exceptions keep their class, so re-encoding keeps the id.
+_SYSTEM_EXCEPTIONS = {f"IDL:omg.org/CORBA/{cls.__name__}:1.0": cls
+                      for cls in CorbaSystemException.__subclasses__()}
+
+
 def decode_result(op: Operation, reply: ReplyMessage,
                   little_endian: bool = False) -> Any:
     """Turn a Reply into a return value or raise the carried exception."""
@@ -62,7 +67,8 @@ def decode_result(op: Operation, reply: ReplyMessage,
     if reply.status == ReplyStatus.SYSTEM_EXCEPTION:
         repo_id = stream.read_string()
         minor = stream.read_ulong()
-        raise CorbaSystemException(repo_id, minor=minor)
+        raise _SYSTEM_EXCEPTIONS.get(repo_id, CorbaSystemException)(
+            repo_id, minor=minor)
     raise MarshalError(f"unsupported reply status {reply.status}")
 
 
