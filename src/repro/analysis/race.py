@@ -102,9 +102,11 @@ def _label(timer: ReferenceTimer) -> str:
 
 def _lane_of(timer: ReferenceTimer) -> Optional[Tuple[str, str]]:
     """FIFO lane of a network-arrival event (its source host), or None
-    for barrier events whose order must not move."""
+    for barrier events whose order must not move.  A broadcast's delay
+    group (``Network._arrive_group``) is one arrival on its source's
+    lane, like a unicast ``Network._arrive``."""
     qual = getattr(timer.fn, "__qualname__", "")
-    if qual.endswith("Network._arrive"):
+    if qual.endswith(("Network._arrive", "Network._arrive_group")):
         return ("net", timer.args[0])
     return None
 

@@ -193,7 +193,7 @@ class Network:
         self.bytes_sent += size
         if not src.alive:
             return
-        if not self.can_communicate(src.name, dst.name):
+        if self._partitions and not self.can_communicate(src.name, dst.name):
             return
         delay = self.latency_model.latency(src.name, dst.name)
         # post(): an in-flight datagram is never cancelled or
@@ -219,10 +219,18 @@ class Network:
         """Delivery-time half of :meth:`send` (bound method, no closure)."""
         if not dst.alive:
             return
-        if not self.can_communicate(src_name, dst.name):
+        if self._partitions and not self.can_communicate(src_name, dst.name):
             return
         self.datagrams_delivered += 1
         deliver(payload)
+
+    def _arrive_group(self, src_name: str, payload: Any,
+                      group: List[Tuple[Host, DeliverFn]]) -> None:
+        """One delay group of :meth:`broadcast`: every member arrives
+        through :meth:`_arrive`, in target order, within one event."""
+        arrive = self._arrive
+        for dst, deliver in group:
+            arrive(src_name, dst, payload, deliver)
 
     def broadcast(
         self,
@@ -231,20 +239,19 @@ class Network:
         payload: Any,
         size: int = 0,
     ) -> int:
-        """Offer ``payload`` to every target with per-pair latency, using
-        one bulk ``post_batch`` push per *distinct delay* — one calendar
-        entry per target, but only one scheduling call per delay group.
+        """Offer ``payload`` to every target with per-pair latency, in
+        **one scheduler event per distinct delay**: a LAN multicast is
+        heard by every member in the same instant.
 
         Semantically identical to looping ``send`` over ``targets`` in
-        the given order: per-target accounting, liveness and partition
-        checks at both send and delivery time, and delivery order are
-        all preserved (a batch draws consecutive tiebreaks atomically,
-        so targets sharing a delay fire in the order given — how
-        back-to-back ``send`` calls would have interleaved; distinct
-        delays never tie).  Each target arrives through the same
-        ``_arrive`` entry point as ``send``, so the race detector's
-        per-source delivery lanes see broadcast and unicast traffic
-        identically.  Returns the number of delivery entries scheduled.
+        the given order.  A group's event (``_arrive_group``; a group
+        of one, the sender's loopback, is a plain ``_arrive``) walks the
+        members through ``_arrive`` in target order, so each is checked
+        for liveness and partition, and counted, at its own turn, and an
+        event a member's handler posts for the same instant fires after
+        the last member.  ``run_until``'s predicate sees a group as one
+        event: it cannot stop between two members.  Returns the number
+        of per-target deliveries scheduled.
         """
         count = len(targets)
         self.datagrams_sent += count
@@ -253,24 +260,30 @@ class Network:
             return 0
         src_name = src.name
         latency = self.latency_model.latency
+        partitioned = self._partitions
         # Group reachable targets by delay, preserving target order
         # within a group and first-occurrence order across groups.
-        groups: Dict[float, List[Tuple[str, Host, Any, DeliverFn]]] = {}
-        for dst, deliver in targets:
-            if not self.can_communicate(src_name, dst.name):
+        groups: Dict[float, List[Tuple[Host, DeliverFn]]] = {}
+        for target in targets:
+            dst_name = target[0].name
+            if partitioned and not self.can_communicate(src_name, dst_name):
                 continue
-            delay = latency(src_name, dst.name)
+            delay = latency(src_name, dst_name)
             bucket = groups.get(delay)
             if bucket is None:
-                groups[delay] = [(src_name, dst, payload, deliver)]
+                groups[delay] = [target]
             else:
-                bucket.append((src_name, dst, payload, deliver))
+                bucket.append(target)
 
         scheduled = 0
-        post_batch = self.scheduler.post_batch
-        for delay, argss in groups.items():
-            post_batch(delay, self._arrive, argss)
-            scheduled += len(argss)
+        post = self.scheduler.post
+        for delay, group in groups.items():
+            if len(group) == 1:
+                dst, deliver = group[0]
+                post(delay, self._arrive, src_name, dst, payload, deliver)
+            else:
+                post(delay, self._arrive_group, src_name, payload, group)
+            scheduled += len(group)
         return scheduled
 
     def host_crashed(self, host: Host) -> None:

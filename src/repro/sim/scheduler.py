@@ -239,8 +239,9 @@ class Scheduler:
         the batch fires in iteration order.  A cohort landing in an
         occupied slot costs one slot lookup and one ``list.extend``
         instead of a full scheduling call per event, which is what
-        makes broadcast fan-out (one delivery per gateway at the same
-        simulated instant) cheap.
+        makes injecting a workload's same-instant arrivals cheap (it is
+        still one entry per element; broadcast fan-out posts one event
+        per delay group instead, see ``Network.broadcast``).
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")

@@ -1,15 +1,16 @@
 """Datagram transport and member registry for one Totem domain.
 
 Totem runs over a LAN broadcast medium; here the broadcast is modelled
-as one datagram per registered member, fanned out by the network in a
-batched delivery event per distinct latency, which makes every
-broadcast *atomic with respect to crashes*: a datagram is either offered
-to all live members or (if the sender was already dead) to none.  This
-matches the paper's fault model, where message loss comes from
-processor failure and partition, not per-link drops.  What is broadcast
-is a :class:`Frame` (messages of one token visit), a Join or a
-Commit: ``totem.broadcasts`` / ``totem.datagrams`` count those, and
-``totem.frame.messages`` how many messages a frame held.
+as one datagram per registered member, fanned out by the network in one
+delivery event per distinct latency (the sender's loopback, and the LAN
+members together), which makes every broadcast *atomic with respect to
+crashes*: a datagram is either offered to all live members or (if the
+sender was already dead) to none.  This matches the paper's fault
+model, where message loss comes from processor failure and partition,
+not per-link drops.  What is broadcast is a :class:`Frame` (messages
+of one token visit), a Join or a Commit: ``totem.broadcasts`` /
+``totem.datagrams`` count those, and ``totem.frame.messages`` how many
+messages a frame held.
 """
 
 from __future__ import annotations
@@ -80,15 +81,13 @@ class TotemTransport:
                   size: int = 64) -> None:
         """Send ``message`` to every registered member (including sender).
 
-        Fan-out is batched: the network pushes the whole per-latency
-        delivery cohort through ``Scheduler.post_batch`` (one bulk
-        scheduling call per distinct latency — in practice two, the
-        sender's loopback and the LAN group) instead of a full
-        scheduling call per member.  Members are offered the datagram
-        in deterministic registration order, exactly as the per-member
-        ``send`` loop used to interleave them.
+        Fan-out is one scheduler event per distinct latency — in
+        practice two, the sender's loopback and the LAN group — that
+        offers the datagram to the group's members in deterministic
+        registration order, exactly as the per-member ``send`` loop
+        used to interleave them (``Network.broadcast``).
         ``totem.broadcast.batched_deliveries`` counts the per-target
-        delivery entries scheduled through the batched path.
+        deliveries scheduled, loopback included, not the events.
         """
         self.broadcasts += 1
         self._m_broadcasts.inc()

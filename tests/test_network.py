@@ -177,6 +177,95 @@ def test_tracer_disabled_still_counts():
     assert tracer.records == []
 
 
+def make_lan(names="abcde"):
+    """A network whose hosts share one site; the first is the sender."""
+    scheduler, network = make_network()
+    hosts = [network.add_host(name, site="lan") for name in names]
+    return scheduler, network, hosts
+
+
+def test_broadcast_fires_one_event_per_delay_group():
+    scheduler, network, hosts = make_lan()
+    received = []
+    targets = [(host, lambda p, n=host.name: received.append(n))
+               for host in hosts]
+    assert network.broadcast(hosts[0], targets, "m", size=10) == 5
+    scheduler.run()
+    # The sender's loopback, then the four LAN members in one event.
+    assert received == list("abcde")
+    assert scheduler.events_processed == 2
+    assert network.datagrams_sent == network.datagrams_delivered == 5
+    assert network.bytes_sent == 50
+
+
+def test_a_member_crashing_a_later_member_mid_group_drops_its_delivery():
+    scheduler, network, hosts = make_lan()
+    received = []
+
+    def deliver(name):
+        def handler(payload):
+            received.append(name)
+            if name == "b":
+                hosts[3].crash()          # "d", still to come this event
+        return handler
+
+    network.broadcast(hosts[0], [(h, deliver(h.name)) for h in hosts], "m")
+    scheduler.run()
+    assert received == list("abce")
+    assert network.datagrams_sent == 5
+    assert network.datagrams_delivered == 4
+
+
+def test_a_partition_installed_mid_group_drops_the_far_side():
+    scheduler, network, hosts = make_lan()
+    received = []
+
+    def deliver(name):
+        def handler(payload):
+            received.append(name)
+            if name == "b":
+                network.partition({"a"}, {"d", "e"})
+        return handler
+
+    network.broadcast(hosts[0], [(h, deliver(h.name)) for h in hosts], "m")
+    scheduler.run()
+    assert received == list("abc")
+    assert network.datagrams_delivered == 3
+
+
+def test_an_event_a_member_posts_for_now_fires_after_the_whole_group():
+    scheduler, network, hosts = make_lan()
+    log = []
+
+    def deliver(name):
+        def handler(payload):
+            log.append((scheduler.now, name))
+            if name in ("a", "b"):
+                scheduler.post(0.0, lambda: log.append(
+                    (scheduler.now, f"after-{name}")))
+        return handler
+
+    network.broadcast(hosts[0], [(h, deliver(h.name)) for h in hosts], "m")
+    scheduler.run()
+    loop, lan = 0.0001, 0.001
+    assert [name for _, name in log] == [
+        "a", "after-a", "b", "c", "d", "e", "after-b"]
+    assert [time for time, _ in log] == pytest.approx(
+        [loop, loop, lan, lan, lan, lan, lan])
+
+
+def test_run_until_sees_a_delay_group_as_one_event():
+    scheduler, network, hosts = make_lan()
+    received = []
+    network.broadcast(hosts[0], [(h, received.append) for h in hosts], "m")
+    # The predicate is asked between events, never between two members
+    # of one delay group: it first sees two deliveries satisfied after
+    # all five have arrived.
+    scheduler.run_until(lambda: len(received) >= 2)
+    assert received == ["m"] * 5
+    assert scheduler.events_processed == 2
+
+
 def test_network_accounting():
     scheduler, network = make_network()
     a = network.add_host("a")

@@ -20,6 +20,7 @@ from repro.analysis.race import (CohortPermuter, RaceRecorder, RaceScheduler,
                                  permutation_sweep)
 from repro.analysis.scenarios import GOLDEN_SCENARIOS
 from repro.errors import SimulationError
+from repro.sim.network import Network as SimNetwork
 from repro.sim.reference_scheduler import ReferenceTimer
 from repro.sim.scheduler import Scheduler
 
@@ -130,14 +131,23 @@ def test_run_advances_clock_to_bound():
 
 
 class Network:
-    """Stand-in whose ``_arrive`` qualname matches the real network's."""
+    """Stand-in whose arrival qualnames match the real network's."""
 
     def _arrive(self, src, payload):
+        pass
+
+    def _arrive_group(self, src, payload, group):
         pass
 
 
 def _arrival(time, tiebreak, src):
     timer = ReferenceTimer(time, Network()._arrive, (src, b""))
+    timer._key = (time, tiebreak)
+    return (time, tiebreak, timer)
+
+
+def _group_arrival(time, tiebreak, src):
+    timer = ReferenceTimer(time, Network()._arrive_group, (src, b"", []))
     timer._key = (time, tiebreak)
     return (time, tiebreak, timer)
 
@@ -154,6 +164,14 @@ def _barrier(time, tiebreak):
 def test_lane_classification():
     assert _lane_of(_arrival(1.0, 0, "h1")[2]) == ("net", "h1")
     assert _lane_of(_barrier(1.0, 0)[2]) is None
+
+
+def test_a_broadcast_delay_group_is_an_arrival_on_its_source_lane():
+    assert _lane_of(_group_arrival(1.0, 0, "h1")[2]) == ("net", "h1")
+    # The real bound method, not only the stand-in, classifies the same.
+    network = SimNetwork(Scheduler())
+    timer = ReferenceTimer(1.0, network._arrive_group, ("h2", b"", []))
+    assert _lane_of(timer) == ("net", "h2")
 
 
 def test_permuter_respects_fifo_and_barriers():
@@ -223,6 +241,14 @@ def test_partition_metric_series_splits_and_canonicalises():
 # ----------------------------------------------------------------------
 
 
+#: Same-instant cohorts holding arrivals from two or more source lanes —
+#: the ones the permuter can reorder.  A delay group of a broadcast is
+#: one event; misfiled as a barrier it would split these runs and the
+#: count would fall, silently shrinking what the sweep proves.
+MULTI_LANE_COHORTS = {"chaos_seed5": 10, "failover_seed350": 10,
+                      "parked_seed9": 15}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
 def test_permutation_sweep_keeps_semantic_artifacts_identical(name):
     report = permutation_sweep(GOLDEN_SCENARIOS[name], name,
@@ -238,6 +264,7 @@ def test_permutation_sweep_keeps_semantic_artifacts_identical(name):
     # sweep proves nothing).
     for run in report.runs[1:]:
         assert run.recorder["cohorts"] > 0
+        assert run.recorder["multi_lane_cohorts"] == MULTI_LANE_COHORTS[name]
     assert any(run.permuter["changed_cohorts"] > 0
                for run in report.runs[2:])
     # The report round-trips to JSON for the CI artifact.
