@@ -245,7 +245,7 @@ class Network:
 
         Semantically identical to looping ``send`` over ``targets`` in
         the given order.  A group's event (``_arrive_group``; a group
-        of one, the sender's loopback, is a plain ``_arrive``) walks the
+        of one, such as a Join's loopback, is a plain ``_arrive``) walks the
         members through ``_arrive`` in target order, so each is checked
         for liveness and partition, and counted, at its own turn, and an
         event a member's handler posts for the same instant fires after

@@ -268,7 +268,7 @@ class TotemMember(Process):
         entry = Queued(payload, size)
         self._pending.append(entry)
         if self._parked is not None:
-            self._on_token(self._unpark("send"))
+            self._on_token(self._unpark("send"), from_send=True)
         elif self._park_at is not None:
             # Ask once: the answer is a token visit, which renews _park_at.
             target, self._park_at = self._park_at, None
@@ -365,7 +365,8 @@ class TotemMember(Process):
     # Operational: token handling
     # ------------------------------------------------------------------
 
-    def _on_token(self, token: Token) -> None:
+    def _on_token(self, token: Token, from_send: bool = False) -> None:
+        """One token visit; ``from_send`` when run inside multicast()."""
         if self.state != TotemMember.OPERATIONAL or token.ring_id != self.ring_id:
             return
         self.stats["token_passes"] += 1
@@ -458,6 +459,7 @@ class TotemMember(Process):
         # 5. After a full idle rotation the token stops here: handed to
         #    whoever asked for it, or parked until somebody does.  At any
         #    other visit a request is stale: the rotation serves its sender.
+        #    (A visit that sent zeroed the idle count: none gets here.)
         if token.idle >= ring_size:
             (self._hand_off if self._wanted else self._park)(token)
             return
@@ -467,6 +469,15 @@ class TotemMember(Process):
 
         # 6. Forward to the ring successor after the hold time.
         self._forward_token(token, self.config.token_hold)
+
+        # 7. Hear what we broadcast, which the LAN does not bring back:
+        #    now, or from a fresh event if inside multicast()
+        #    (docs/PROTOCOL.md 5.2, "The originator's copy").
+        if frame:
+            if from_send:
+                self.soon(self._on_frame, Frame(frame))
+            else:
+                self._on_frame(Frame(frame))
 
     def _forward_token(self, token: Token, hold: float = 0.0) -> None:
         """Pass the token on.  The hold time is spent inside the

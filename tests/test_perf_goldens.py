@@ -13,7 +13,12 @@ loss timeout; the chaos delivery trace and final states did not move
 at all).  Since then Totem sends sequenced traffic in frames: both
 scenarios run at the default quota, where a frame holds one message,
 so the only difference is the new histogram ``totem.frame.messages``
-(24 and 18 observations, all of 1) in the two metrics files.
+(24 and 18 observations, all of 1) in the two metrics files.  And a
+frame's sender hears it from its send path, not through a loopback
+datagram: the delivery trace did not move, and in the metrics files
+only datagram accounting fell, by one datagram per frame —
+``net.datagrams.sent`` / ``delivered`` and ``totem.datagrams`` by 18
+(failover) and 24 (chaos), ``net.bytes.sent`` by the frames' sizes.
 A change that
 only makes the host faster must keep seeded runs *byte-for-byte*
 identical to them: same delivery order, same final states, same
@@ -24,10 +29,10 @@ work (reschedules, compactions, batched posts), which an optimisation
 may legitimately move.  Two of them changed meaning when broadcast
 fan-out became one scheduler event per delay group:
 ``totem.broadcast.batched_deliveries`` still counts per-target
-broadcast deliveries, loopback included (449 in the chaos run, as
-before), while ``sched.post.batched`` counts only ``post_batch``
-entries, which only arrival injectors make (0 here; the metrics files
-still read 449 from when fan-out rode ``post_batch``).
+broadcast deliveries, a frame's sender not among them (425 in the
+chaos run; 449 while frames looped back to their sender), while
+``sched.post.batched`` counts only ``post_batch`` entries, which only
+arrival injectors make (0 here).
 
 A change that moves a protocol count on purpose says so up front
 (docs/PERFORMANCE.md, "The prime directive"), regenerates the files::

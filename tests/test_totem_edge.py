@@ -172,14 +172,13 @@ def test_frame_capacity_follows_the_quota(world):
     assert FRAMES_PER_VISIT == TotemConfig().max_messages_per_token
     transport, members, delivered = build(world, 2, config=PACKING)
     seen = []
-    inner = transport.broadcast
+    inner = transport.broadcast_frame
 
-    def spy(sender, message, size=64):
-        if isinstance(message, Frame):
-            seen.append([msg.payload for msg in message.messages])
-        inner(sender, message, size=size)
+    def spy(sender, messages):
+        seen.append([msg.payload for msg in messages])
+        return inner(sender, messages)
 
-    transport.broadcast = spy
+    transport.broadcast_frame = spy
     for i in range(10):
         members[0].multicast(i)
     world.scheduler.run_until(lambda: len(delivered["m1"]) == 10, timeout=1.0)
@@ -383,7 +382,7 @@ def test_singleton_ring_parks_and_sends_at_once(world):
     sent = world.now
     alone.multicast("to myself")
     world.scheduler.run_until(lambda: delivered["m0"], timeout=1.0)
-    assert world.now - sent <= LAN / 10 + 1e-9     # the loopback, no wait
+    assert world.now == sent      # heard from its send path, no wait
     world.run(until=world.now + 1.0)
     assert world.metrics.value("totem.token.loss") == 0
     assert alone.parked
@@ -578,4 +577,153 @@ def test_hand_off_over_a_dead_member_delays_its_detection_by_one_rest(
     world.run(until=world.now + 0.1)
     assert all(delivered[m.name] == ["park at m0", "over m2"]
                for m in survivors)
+    world.audit(strict=True)
+
+
+# ----------------------------------------------------------------------
+# The originator's copy: a sender hears its own frames from its send
+# path, not back off the LAN
+# ----------------------------------------------------------------------
+
+def test_a_frame_costs_the_others_one_event_and_its_sender_nothing(world):
+    """On a five-member ring a frame is four datagrams in one delivery
+    event; the sender's own listener runs at the instant of the visit
+    that sequenced it, once the token has left."""
+    transport, members, delivered = build(world, 5)
+    holder = settle(world, members)
+    sender = members[(members.index(holder) + 2) % 5]
+    network, scheduler = world.network, world.scheduler
+    costs, token_sent, arrived, heard = [], [], [], []
+    inner_frame, inner_unicast = transport.broadcast_frame, transport.unicast
+
+    def frame_spy(member, messages):
+        before = (network.datagrams_sent, scheduler.pending_events)
+        frame = inner_frame(member, messages)
+        costs.append((network.datagrams_sent - before[0],
+                      scheduler.pending_events - before[1]))
+        return frame
+
+    def unicast_spy(member, target, message, **kwargs):
+        if member is sender and isinstance(message, Token):
+            token_sent.append(world.now)
+        inner_unicast(member, target, message, **kwargs)
+
+    def token_spy(token, inner=sender._dispatch[Token]):
+        arrived.append(world.now)
+        inner(token)
+
+    transport.broadcast_frame = frame_spy
+    transport.unicast = unicast_spy
+    sender._dispatch[Token] = token_spy
+    sender.on_deliver(lambda seq, snd, payload:
+                      heard.append((world.now, list(token_sent))))
+    sender.multicast("x")
+    world.scheduler.run_until(
+        lambda: all(delivered[m.name] == ["x"] for m in members), timeout=1.0)
+    assert costs == [(4, 1)]
+    (visit,) = arrived                        # handed the token once
+    assert heard == [(visit, [visit])]        # at the visit, token gone
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+
+
+def test_a_parked_sender_hears_itself_after_multicast_returns(world):
+    """The token is parked at m0, so m0's multicast() runs the visit on
+    the caller's stack; m0's listener, which multicasts in turn, is
+    called only once that multicast() has returned — in the same
+    instant — and the reply is ordered right behind."""
+    transport, members, delivered = build(world, 5)
+    m0 = members[0]
+    m0.multicast("park at m0")
+    assert settle(world, members) is m0
+    depth, calls = [0], []
+    inner = m0.multicast
+
+    def multicast(payload, size=64):
+        depth[0] += 1
+        try:
+            return inner(payload, size)
+        finally:
+            depth[0] -= 1
+
+    def listener(seq, sender, payload):
+        calls.append((payload, depth[0], world.now))
+        if payload == "first":
+            m0.multicast("reply")
+
+    m0.multicast = multicast
+    m0.on_deliver(listener)
+    sent = world.now
+    m0.multicast("first")
+    assert calls == []                        # not inside multicast()
+    world.scheduler.run_until(
+        lambda: all(len(delivered[m.name]) == 3 for m in members),
+        timeout=1.0)
+    assert all(delivered[m.name] == ["park at m0", "first", "reply"]
+               for m in members)
+    assert [call[:2] for call in calls] == [("first", 0), ("reply", 0)]
+    assert calls[0][2] == sent                # heard in the sending instant
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+
+
+def test_a_sender_crashed_by_its_own_listener_stops_hearing_its_visit(world):
+    """m0 sequences four messages in one visit, a frame each, and dies
+    delivering the second to itself: it hears no more, while the
+    survivors, whose copies were on the LAN before it died, deliver all
+    four in m0's order."""
+    transport, members, delivered = build(world, 3)
+    m0 = members[0]
+    members[1].multicast("park at m1")
+    assert settle(world, members) is members[1]
+
+    def poisoned(seq, sender, payload):
+        if payload == "poison":
+            world.faults.crash_now("m0")
+
+    m0.on_deliver(poisoned)
+    visits = m0.stats["token_passes"]
+    for payload in ("a", "poison", "b", "c"):
+        m0.multicast(payload)               # one TokenWanted, then queued
+    survivors = members[1:]
+    world.scheduler.run_until(reformed(survivors), timeout=1.0)
+    assert m0.stats["token_passes"] == visits + 1
+    assert world.metrics.histogram("totem.frame.messages").max == 1
+    assert delivered["m0"] == ["park at m1", "a", "poison"]
+    assert delivered["m1"] == delivered["m2"] \
+        == ["park at m1", "a", "poison", "b", "c"]
+    world.run(until=world.now + 0.05)
+    world.audit(strict=True)
+
+
+def test_every_member_delivers_the_same_sequence_with_many_senders(world):
+    """Parked-holder sends, hand-offs, sends on a moving token, bursts in
+    one instant and sends from inside a listener: each member's delivered
+    (seq, sender, payload) sequence is the same, gap-free and complete."""
+    transport, members, delivered = build(world, 5)
+    settle(world, members)
+    logs = {m.name: [] for m in members}
+    for member in members:
+        member.on_deliver(lambda seq, sender, payload, log=logs[member.name]:
+                          log.append((seq, sender, payload)))
+
+    def echo(seq, sender, payload):
+        if sender == "m4" and not payload.startswith("echo"):
+            members[2].multicast(f"echo {payload}")
+
+    members[2].on_deliver(echo)
+    start = world.now
+    for i in range(40):
+        at = start + (i // 3) * 0.0009 + (0.004 if i % 7 == 0 else 0.0)
+        world.scheduler.call_at(at, members[(3 * i) % 5].multicast, f"p{i}")
+    world.scheduler.run_until(
+        lambda: all(len(log) == 48 for log in logs.values()), timeout=1.0)
+    world.run(until=world.now + 0.05)
+    reference = logs["m0"]
+    assert all(log == reference for log in logs.values())
+    seqs = [seq for seq, _, _ in reference]
+    assert seqs == list(range(seqs[0], seqs[0] + 48))
+    assert {payload for _, _, payload in reference} == \
+        {f"p{i}" for i in range(40)} | {f"echo p{i}" for i in range(40)
+                                        if (3 * i) % 5 == 4}
     world.audit(strict=True)

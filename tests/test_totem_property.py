@@ -128,7 +128,7 @@ KEEPALIVE_CYCLE = TotemConfig().token_loss_timeout / 12 + 6 * HOP
 def waits_to_sequencing(n, sends):
     """``sends``: (member index, seconds after a common start).  Returns
     each send's wait from ``multicast`` to the token visit that
-    sequenced it (its own delivery, less the loopback)."""
+    sequenced it (its own delivery, heard at that visit's instant)."""
     world = World(seed=1, trace=False)
     members, delivered = build_ring(world, n)
     world.run(until=world.now + 0.05)         # parked, keep-alives running
@@ -145,7 +145,7 @@ def waits_to_sequencing(n, sends):
     world.scheduler.run_until(lambda: len(got) == len(sends), timeout=1.0)
     world.run(until=world.now + 0.05)
     world.audit(strict=True)
-    return [got[tag] - sent[tag] - LAN / 10 for tag in range(len(sends))]
+    return [got[tag] - sent[tag] for tag in range(len(sends))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -37,21 +37,20 @@ def lose_one_frame(transport, victim, payload):
     """The first frame carrying ``payload`` drops its copy to ``victim``
     (the lossy-LAN case Totem is designed for).  Returns the payloads of
     every frame broadcast from here on, one list per frame."""
-    original_broadcast = transport.broadcast
+    original_fan_out = transport._fan_out
+    lost_host = transport.lookup(victim).host
     frames = []
 
-    def lossy_broadcast(sender, message, size=64):
+    def lossy_fan_out(sender, targets, message, size):
         if isinstance(message, Frame):
             payloads = [msg.payload for msg in message.messages]
             frames.append(payloads)
             if payload in payloads and frames.count(payloads) == 1:
-                for name in list(transport._members):   # only the original
-                    if name != victim:                  # copy is lost
-                        transport.unicast(sender, name, message, size=size)
-                return
-        original_broadcast(sender, message, size=size)
+                # Only the original copy is lost, not a retransmission.
+                targets = [t for t in targets if t[0] is not lost_host]
+        original_fan_out(sender, targets, message, size)
 
-    transport.broadcast = lossy_broadcast
+    transport._fan_out = lossy_fan_out
     return frames
 
 
