@@ -6,14 +6,16 @@ replication ... and for state transfer to new and recovering replicas
 for both actively and passively replicated objects."
 
 Each Replication Mechanisms instance keeps one :class:`GroupLog` per
-group it hosts:
+passive group it hosts, primary and backups alike:
 
 * the **invocation log** — every delivered invocation for the group,
-  in total order, with its delivery timestamp.  Passive backups replay
-  the suffix after the last checkpoint/state update on failover; cold
-  passive recovery replays after the last periodic checkpoint.
+  in total order, with its delivery timestamp.  On failover the new
+  primary replays the suffix after the checkpoint.
 * the **checkpoint** — the newest known state snapshot and the
   timestamp up to which it covers; installing one truncates the log.
+  The primary takes one every ``GroupInfo.checkpoint_every`` completed
+  operations; state transfers and switches into a passive style
+  install one too.
 
 Replaying is deterministic because logged invocations carry their
 original timestamps: replayed nested invocations regenerate the *same*
@@ -33,7 +35,6 @@ from .messages import DomainMessage
 class Checkpoint:
     state: Dict[str, Any]
     ts: int
-    version: int = 1
 
 
 class GroupLog:
@@ -47,7 +48,6 @@ class GroupLog:
         self.group_id = group_id
         self.invocations: List[DomainMessage] = []
         self.checkpoint: Optional[Checkpoint] = None
-        self.ops_since_checkpoint = 0
         self._m_appends = (
             metrics.counter("eternal.log.appends") if metrics is not None else None)
         self._m_checkpoints = (
@@ -56,48 +56,20 @@ class GroupLog:
     def record_invocation(self, message: DomainMessage) -> None:
         """Append a delivered invocation (caller already deduplicated)."""
         self.invocations.append(message)
-        self.ops_since_checkpoint += 1
         if self._m_appends is not None:
             self._m_appends.inc()
 
-    def install_checkpoint(self, state: Dict[str, Any], ts: int,
-                           version: int = 1) -> None:
-        """Adopt a newer checkpoint and truncate the covered log prefix."""
-        if self.checkpoint is not None and ts < self.checkpoint.ts:
-            return  # stale checkpoint: a replayed control message
-        self.checkpoint = Checkpoint(state=state, ts=ts, version=version)
-        self.invocations = [m for m in self.invocations if m.timestamp > ts]
-        self.ops_since_checkpoint = 0
-        if self._m_checkpoints is not None:
-            self._m_checkpoints.inc()
-
-    def adopt_live_state(self, state: Dict[str, Any], ts: int,
-                         version: int = 1) -> None:
-        """Seed the checkpoint from a live servant during a style switch.
-
-        Same truncation semantics as :meth:`install_checkpoint`, but a
-        handoff from a running replica is not a recovery installation —
-        it does not count toward ``eternal.checkpoint.installs``, and a
-        tie with the current checkpoint timestamp is adopted (the live
-        servant is at least as new as any checkpoint at the same cut).
-        """
+    def install_checkpoint(self, state: Dict[str, Any], ts: int) -> None:
+        """Adopt a checkpoint at least as new as the current one and
+        truncate the covered log prefix.  An older one — a replayed
+        control message, or an operation that completed after a later-
+        ordered one — is refused."""
         if self.checkpoint is not None and ts < self.checkpoint.ts:
             return
-        self.checkpoint = Checkpoint(state=state, ts=ts, version=version)
+        self.checkpoint = Checkpoint(state=state, ts=ts)
         self.invocations = [m for m in self.invocations if m.timestamp > ts]
-        self.ops_since_checkpoint = 0
-
-    def truncate_covered(self, ts: int) -> int:
-        """Drop log entries already covered by state installed elsewhere
-        (the warm-passive primary's own update): truncation only — no
-        checkpoint adoption, no install accounting.  The primary's
-        servant already holds this state, so the entries can never be
-        needed for a local replay; keeping them grows the primary's log
-        by one entry per operation, forever."""
-        before = len(self.invocations)
-        self.invocations = [m for m in self.invocations if m.timestamp > ts]
-        self.ops_since_checkpoint = len(self.invocations)
-        return before - len(self.invocations)
+        if self._m_checkpoints is not None:
+            self._m_checkpoints.inc()
 
     def replay_after(self, ts: int) -> List[DomainMessage]:
         """Invocations with delivery timestamp strictly greater than ts."""

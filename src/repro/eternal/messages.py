@@ -44,8 +44,7 @@ class MsgKind(enum.Enum):
     REPLICA_READY = "replica_ready"        # state transfer complete
 
     # Logging and recovery.
-    CHECKPOINT = "checkpoint"              # cold passive periodic checkpoint
-    STATE_UPDATE = "state_update"          # warm passive per-operation update
+    CHECKPOINT = "checkpoint"              # passive checkpoint with no reply to ride
     STATE_TRANSFER = "state_transfer"      # donor -> joining replica
 
     # Gateway coordination (section 3.5).

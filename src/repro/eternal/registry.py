@@ -38,6 +38,12 @@ class GroupInfo:
     checkpoint_interval: int = 10   # ops between cold-passive checkpoints
     style_epoch: int = 0            # bumped by each runtime style switch
 
+    @property
+    def checkpoint_every(self) -> int:
+        """Completed operations per checkpoint at a passive primary:
+        every one where backups keep their servants loaded."""
+        return 1 if self.style.loads_backups else self.checkpoint_interval
+
     def primary(self, live_hosts: Sequence[str]) -> Optional[str]:
         """Deterministic primary: first placement host that is live."""
         for host in self.placement:

@@ -14,10 +14,10 @@ a fault tolerance domain, layered on the local Totem member.  It:
 * drives nested invocations (generator servants) with deterministic
   Figure 6 identifiers;
 * implements the replication styles (active, active with voting, warm
-  and cold passive, stateless), including primary election, periodic
-  checkpoints and per-operation state updates (both riding the
-  primary's reply), log replay on failover, and state transfer to
-  joining replicas;
+  and cold passive, stateless), including primary election, passive
+  checkpoints riding the primary's reply (after every operation for
+  warm passive, periodic for cold), log replay on failover, and state
+  transfer to joining replicas;
 * maintains the group registry from idempotent control messages so all
   processors share an identical directory;
 * hands gateway-targeted traffic to an attached gateway (the gateway is
@@ -80,6 +80,7 @@ class ReplicaRecord:
     version: int = 1
     ready: bool = True                 # state installed (or nothing to install)
     buffered: List[DomainMessage] = field(default_factory=list)
+    since_checkpoint: int = 0          # completions since the last checkpoint
 
 
 @dataclass
@@ -216,7 +217,6 @@ class ReplicationMechanisms(Process):
             MsgKind.REMOVE_REPLICA: self._apply_remove_replica,
             MsgKind.REPLICA_READY: self._on_replica_ready_delivered,
             MsgKind.CHECKPOINT: self._apply_checkpoint,
-            MsgKind.STATE_UPDATE: self._apply_state_update,
             MsgKind.STATE_TRANSFER: self._apply_state_transfer,
             MsgKind.CLIENT_GONE: self._on_gateway_kind,
             MsgKind.STYLE_SWITCH: self._apply_style_switch,
@@ -544,40 +544,32 @@ class ReplicationMechanisms(Process):
                 self.stats["responses_withheld"] += 1
                 self.metrics.counter("rm.style.responses_withheld").inc()
         if owed:
-            # No reply to ride on (a one-way operation, a silent replay):
-            # the standalone message this has always been.
+            # No reply to ride on (a one-way operation): the checkpoint
+            # goes by itself.
+            self.stats["state_updates"] += 1
+            self._m_state_updates.inc()
             group = info.group_id
-            if "version" in owed:
-                self.multicast(DomainMessage(
-                    MsgKind.CHECKPOINT, group, group, data=owed))
-            else:
-                self.stats["state_updates"] += 1
-                self._m_state_updates.inc()
-                self.multicast(DomainMessage(
-                    MsgKind.STATE_UPDATE, group, group, data=owed))
+            self.multicast(DomainMessage(
+                MsgKind.CHECKPOINT, group, group, data=owed))
 
     def _post_execution(self, original: DomainMessage,
                         info: GroupInfo) -> Optional[Dict[str, Any]]:
-        """What the executing primary owes its backups after this
-        operation: WARM_PASSIVE's per-operation state, COLD_PASSIVE's
-        periodic checkpoint (the one with a ``version``).  It rides the
-        reply (:meth:`_respond`), or is multicast by itself when no
-        reply goes out.  None where every replica executed the call."""
+        """The checkpoint a passive primary owes its backups after
+        completing this operation, if it is the ``checkpoint_every``-th
+        since its last one.  It rides the reply (:meth:`_respond`), or
+        is multicast by itself when no reply goes out.  None otherwise,
+        and wherever every replica executed the call."""
         record = self.replicas.get(info.group_id)
-        cold = info.style is ReplicationStyle.COLD_PASSIVE
-        if record is None or not (
-                cold or info.style is ReplicationStyle.WARM_PASSIVE):
+        if record is None or not info.style.is_passive:
             return None
-        owed = {"upto_ts": original.timestamp}
-        if cold:
-            log = self._log_for(info.group_id)
-            if log.ops_since_checkpoint < info.checkpoint_interval:
-                return None
-            self.stats["checkpoints"] += 1
-            self._m_checkpoints_sent.inc()
-            owed["version"] = record.version
-        owed["state"] = record.servant.get_state()
-        return owed
+        record.since_checkpoint += 1
+        if record.since_checkpoint < info.checkpoint_every:
+            return None
+        record.since_checkpoint = 0
+        self.stats["checkpoints"] += 1
+        self._m_checkpoints_sent.inc()
+        return {"state": record.servant.get_state(),
+                "upto_ts": original.timestamp}
 
     # ==================================================================
     # Nested invocations (Figure 6)
@@ -721,14 +713,11 @@ class ReplicationMechanisms(Process):
     # ==================================================================
 
     def _on_response(self, msg: DomainMessage) -> None:
-        # A passive primary's reply carries what it owes its backups:
-        # applied first, wherever the reply is addressed, so "the reply
-        # was delivered" implies "every backup holds the state".
+        # A passive primary's reply carries the checkpoint it owes its
+        # backups: applied first, wherever the reply is addressed, so
+        # "the reply was delivered" implies "every backup holds it".
         if "state" in msg.data:
-            if "version" in msg.data:
-                self._apply_checkpoint(msg)
-            else:
-                self._apply_state_update(msg)
+            self._apply_checkpoint(msg)
         # Leader-follower ack: the leader's response, delivered in total
         # order, retires every follower's withheld copy of the same
         # operation — whatever group the response is addressed to.
@@ -1001,8 +990,7 @@ class ReplicationMechanisms(Process):
         # the snapshot already contains.  (The donor's log itself is NOT
         # transferred: every entry predates the cut by construction.)
         log = self._log_for(group_id)
-        log.install_checkpoint(msg.data["state"], ts=msg.data["cut_ts"],
-                               version=record.version)
+        log.install_checkpoint(msg.data["state"], ts=msg.data["cut_ts"])
         record.ready = True
         info = self.registry.get(group_id)
         buffered, record.buffered = record.buffered, []
@@ -1021,35 +1009,24 @@ class ReplicationMechanisms(Process):
         ))
 
     def _apply_checkpoint(self, msg: DomainMessage) -> None:
-        """COLD_PASSIVE: a CHECKPOINT, or the RESPONSE it rode on."""
-        group_id = msg.source_group
-        info = self.registry.get(group_id)
-        if (group_id not in self.replicas or info is None
-                or not info.style.is_passive):
-            # Not hosted here — or late, behind a live STYLE_SWITCH out
-            # of the passive styles whose catch-up covered the operation:
-            # it would set an executing replica back and re-create the log.
-            return
-        log = self._log_for(group_id)
-        log.install_checkpoint(msg.data["state"], msg.data["upto_ts"],
-                               msg.data.get("version", 1))
-
-    def _apply_state_update(self, msg: DomainMessage) -> None:
-        """WARM_PASSIVE: a STATE_UPDATE, or the RESPONSE it rode on."""
+        """A passive primary's checkpoint, standalone or riding its
+        reply: every replica hosted here logs it, the primary included.
+        A backup of a style that keeps backups loaded also sets its
+        servant, even when the log refuses the checkpoint as older — an
+        operation completing out of order carries the newest state."""
         group_id = msg.source_group
         record = self.replicas.get(group_id)
         info = self.registry.get(group_id)
         if record is None or info is None or not info.style.is_passive:
-            return  # not hosted here, or late (see _apply_checkpoint)
-        log = self._log_for(group_id)
-        if info.primary(self.live_hosts) == self.host.name:
-            # The primary's own update: its servant state is already
-            # current, but the covered log prefix must still be dropped
-            # or the primary's log grows by one entry per operation.
-            log.truncate_covered(msg.data["upto_ts"])
+            # Not hosted here — or late, behind a live STYLE_SWITCH out
+            # of the passive styles whose catch-up covered the operation:
+            # it would set an executing replica back and re-create the log.
             return
-        record.servant.set_state(msg.data["state"])
-        log.install_checkpoint(msg.data["state"], msg.data["upto_ts"])
+        state = msg.data["state"]
+        if (info.style.loads_backups
+                and info.primary(self.live_hosts) != self.host.name):
+            record.servant.set_state(state)
+        self._log_for(group_id).install_checkpoint(state, msg.data["upto_ts"])
 
     # ==================================================================
     # Leader-follower ordering and runtime style switching
@@ -1120,59 +1097,57 @@ class ReplicationMechanisms(Process):
             epoch=epoch)
         info = self.registry.require(group_id)
         record = self.replicas.get(group_id)
-        # (1) Executing -> passive: seed the group log from the live
-        # servant, so backups log-and-replay from this cut onward.
-        if (old_style.executes_everywhere and new_style.is_passive
-                and record is not None):
-            self._log_for(group_id).adopt_live_state(
-                record.servant.get_state(), ts=msg.timestamp,
-                version=record.version)
+        backup = info.primary(self.live_hosts) != self.host.name
+        # (1) Into a passive style: from an executing one, seed the log
+        # from the live servant (backups log-and-replay from this cut);
+        # a cold backup entering a style that keeps backups loaded loads
+        # its checkpoint, as promotion there restores nothing.
+        if new_style.is_passive and record is not None:
+            log = self._log_for(group_id)
+            if old_style.executes_everywhere:
+                log.install_checkpoint(record.servant.get_state(),
+                                       ts=msg.timestamp)
+            elif (new_style.loads_backups and backup
+                    and log.checkpoint is not None):
+                record.servant.set_state(log.checkpoint.state)
         # (2) Passive -> executing: backups replay their log suffix
         # (silently — those operations' responses were already served by
         # the old primary) to reach the primary's state, then the log is
         # dropped: executing styles keep hot state instead.
         if old_style.is_passive and new_style.executes_everywhere:
-            if (record is not None
-                    and info.primary(self.live_hosts) != self.host.name):
-                self._catch_up_from_log(info, record, old_style)
+            if record is not None and backup:
+                replayed = self._restore_and_replay(info, record, old_style,
+                                                    silent=True)
+                self.tracer.emit(self.scheduler.now, "eternal.style_catchup",
+                                 self.name, f"group {group_id}: replayed "
+                                 f"{replayed} ops to leave {old_style.value}")
+                if replayed:
+                    self.metrics.counter(
+                        "rm.style.catchup_replays").inc(replayed)
             self.logs.pop(group_id, None)
         # (3) Voting dropped: in-flight majority expectations can never
         # fill once only the leader speaks — votes_needed says so from
         # here on, which is all the sweep needs to know.
         self._requorum()
 
-    def _catch_up_from_log(self, info: GroupInfo, record: ReplicaRecord,
-                           old_style: ReplicationStyle) -> None:
-        """Bring a passive backup to the primary's state for a switch to
-        an executing style: restore the latest covering state, then
-        silently re-execute the logged suffix.  Replayed nested calls
-        are multicast even under leader-follower (``Execution.replay``)
-        because the responses they need live in their targets' dedup
-        caches and must be solicited; replayed *terminal* responses are
-        suppressed (``Execution.silent``) — the old primary already
-        served them."""
-        log = self.logs.get(info.group_id)
-        if log is None:
-            return
-        if log.checkpoint is not None:
+    def _restore_and_replay(self, info: GroupInfo, record: ReplicaRecord,
+                            kept_by: ReplicationStyle, silent: bool) -> int:
+        """Bring a passive backup to the primary's state; returns how
+        many logged operations it replayed.  The log's checkpoint is
+        restored unless ``kept_by``, the style that kept the log, loaded
+        each checkpoint into the servant as it came — the servant may
+        then be newer, as the log refuses a later checkpoint with a lower
+        ``upto_ts``.  The suffix replays audibly on promotion (the dead
+        primary's responses may be lost), silently in a switch's
+        catch-up: nested calls are still multicast (``Execution.replay``)
+        to solicit their targets' cached responses; terminal responses
+        are not (``Execution.silent``), the old primary served them."""
+        log = self._log_for(info.group_id)
+        if log.checkpoint is not None and not kept_by.loads_backups:
             record.servant.set_state(log.checkpoint.state)
         replay = log.replay_after(log.latest_covered_ts())
-        self.tracer.emit(
-            self.scheduler.now, "eternal.style_catchup", self.name,
-            f"group {info.group_id}: replaying {len(replay)} ops to leave "
-            f"{old_style.value}")
-        if replay:
-            self.metrics.counter("rm.style.catchup_replays").inc(len(replay))
-        self._replay(info, record, replay, silent=True)
-
-    def _replay(self, info: GroupInfo, record: ReplicaRecord,
-                messages: Sequence[DomainMessage], silent: bool) -> None:
-        """Re-execute logged invocations at this replica, which may
-        have logged them without executing: audibly on promotion to
-        primary (the dead primary's responses may be lost), silently
-        to catch up for a style switch (see :meth:`_catch_up_from_log`)."""
         seen = self._invocations_seen.setdefault(info.group_id, {})
-        for msg in messages:
+        for msg in replay:
             request = msg.request()
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
             seen[key] = _InvocationRecord(
@@ -1180,6 +1155,7 @@ class ReplicationMechanisms(Process):
                 response_expected=request.response_expected)
             self._execute(msg, record, info, request, key,
                           silent=silent, replay=silent)
+        return len(replay)
 
     # ==================================================================
     # Membership changes: failover and recovery
@@ -1247,22 +1223,18 @@ class ReplicationMechanisms(Process):
                     self._promote_leader_follower(info)
 
     def _recover_as_primary(self, info: GroupInfo) -> None:
-        """Cold/warm passive failover: restore state, replay the log."""
+        """Passive failover: restore state, replay the log."""
         record = self.replicas.get(info.group_id)
-        log = self._log_for(info.group_id)
         if record is None:
             return
         self._m_failovers.inc()
-        if info.style is ReplicationStyle.COLD_PASSIVE and log.checkpoint:
-            record.servant.set_state(log.checkpoint.state)
-        covered = log.latest_covered_ts()
-        replay = log.replay_after(covered)
+        replayed = self._restore_and_replay(info, record, info.style,
+                                            silent=False)
         self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
-                         f"promoting to primary of group {info.group_id}",
-                         style=info.style.value, replayed=len(replay))
-        self.stats["replays"] += len(replay)
-        self._m_replays.inc(len(replay))
-        self._replay(info, record, replay, silent=False)
+                         f"promoted to primary of group {info.group_id}",
+                         style=info.style.value, replayed=replayed)
+        self.stats["replays"] += replayed
+        self._m_replays.inc(replayed)
 
     def _promote_leader_follower(self, info: GroupInfo) -> None:
         """Leader-follower failover: the new leader's state is already

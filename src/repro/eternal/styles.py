@@ -12,14 +12,14 @@ STATELESS       Every replica executes every invocation; no state is
                 checkpointed or transferred (there is none).  Responses are
                 deduplicated as for ACTIVE.
 COLD_PASSIVE    Only the primary executes.  Backups log delivered invocations;
-                the primary's state is checkpointed periodically, riding the
-                reply that completes the interval.  On failover the new primary
-                restores the latest checkpoint and replays the logged
-                invocations after it.
-WARM_PASSIVE    Only the primary executes, and every reply carries the
-                primary's state to the backups (a one-way operation is
-                followed by a state update of its own).  Failover replays
-                only the (usually empty) log suffix after the last update.
+                every ``checkpoint_interval``-th operation it completes, the
+                primary's state is checkpointed on that operation's reply (or
+                a CHECKPOINT of its own when there is none).  On failover the
+                new primary restores the latest checkpoint and replays the
+                logged invocations after it.
+WARM_PASSIVE    COLD_PASSIVE with a checkpoint after every operation, which
+                backups also load into their servants, so failover restores
+                nothing and replays only the (usually empty) log suffix.
 ACTIVE          Every replica executes every invocation deterministically
                 and queues its response; a replica whose copy is still
                 queued when a sibling's is delivered withdraws it, and
@@ -44,17 +44,17 @@ Because ``is_active`` historically conflated "executes everywhere" with
 "participates in voting/response logic", the predicate is split into
 orthogonal properties.  The full matrix:
 
-=================== ========= ============ =========== ======== ========== ============
-style               executes_ responds_    is_semi_    needs_   has_state  any_copy_
-                    everywhere from_all    active      voting              suffices
-=================== ========= ============ =========== ======== ========== ============
-STATELESS           yes       yes          no          no       no         yes
-COLD_PASSIVE        no        no           no          no       yes        no
-WARM_PASSIVE        no        no           no          no       yes        no
-ACTIVE              yes       yes          no          no       yes        yes
-ACTIVE_WITH_VOTING  yes       yes          no          yes      yes        no
-LEADER_FOLLOWER     yes       no           yes         no       yes        no
-=================== ========= ============ =========== ======== ========== ============
+=================== ========= ============ =========== ======== ========== ============ ========
+style               executes_ responds_    is_semi_    needs_   has_state  any_copy_    loads_
+                    everywhere from_all    active      voting              suffices     backups
+=================== ========= ============ =========== ======== ========== ============ ========
+STATELESS           yes       yes          no          no       no         yes          no
+COLD_PASSIVE        no        no           no          no       yes        no           no
+WARM_PASSIVE        no        no           no          no       yes        no           yes
+ACTIVE              yes       yes          no          no       yes        yes          no
+ACTIVE_WITH_VOTING  yes       yes          no          yes      yes        no           no
+LEADER_FOLLOWER     yes       no           yes         no       yes        no           no
+=================== ========= ============ =========== ======== ========== ============ ========
 
 * ``executes_everywhere`` — every live replica runs the servant for
   every delivered invocation (the ``i_execute`` decision).
@@ -69,6 +69,9 @@ LEADER_FOLLOWER     yes       no           yes         no       yes        no
   own is still in the Totem send queue withdraws it (sender-side
   duplicate suppression).  Voting needs every copy; the passive and
   semi-active styles only ever queue one.
+* ``loads_backups`` — a passive backup installs each checkpoint into
+  its servant, not only into its log; the primary checkpoints after
+  every operation (``GroupInfo.checkpoint_every``).
 """
 
 from __future__ import annotations
@@ -119,6 +122,11 @@ class ReplicationStyle(enum.Enum):
         """Every replica sends and the receiver takes the first copy,
         so a still-queued copy is redundant once a sibling's is agreed."""
         return self.responds_from_all and not self.needs_voting
+
+    @property
+    def loads_backups(self) -> bool:
+        """Passive backups keep their servants at the last checkpoint."""
+        return self is ReplicationStyle.WARM_PASSIVE
 
     @property
     def has_state(self) -> bool:

@@ -10,7 +10,16 @@ from repro import (
     TotemConfig,
     World,
 )
-from repro.apps import COUNTER_INTERFACE, CounterServant
+from repro.apps import (
+    ACCOUNT_INTERFACE,
+    COUNTER_INTERFACE,
+    AccountServant,
+    CounterServant,
+    LEDGER_INTERFACE,
+    LedgerServant,
+    TRANSFER_INTERFACE,
+    TransferAgentServant,
+)
 from repro.iiop import TC_LONG, TC_STRING, TC_VOID
 from repro.orb import Interface, Operation, Param, Servant
 
@@ -67,14 +76,39 @@ def external_client(world, domain, group, enhanced=True, host_name="browser",
     return orb, stub, None
 
 
-def replica_counts(domain, group):
-    """Counter values at every live replica of ``group``."""
+def replica_counts(domain, group, attribute="count"):
+    """``attribute`` of the servant at every live replica of ``group``
+    (the counter value by default)."""
     values = {}
     for host_name, rm in domain.rms.items():
         record = rm.replicas.get(group.group_id)
         if record is not None and rm.alive:
-            values[host_name] = record.servant.count
+            values[host_name] = getattr(record.servant, attribute)
     return values
+
+
+def make_bank(domain, style, **kwargs):
+    """Figure 6's three groups, all of ``style``: (accounts, ledger,
+    transfer agent), with 100 deposited for alice."""
+    bank = (
+        domain.create_group("Accounts", ACCOUNT_INTERFACE, AccountServant,
+                            style=style, **kwargs),
+        domain.create_group("Ledger", LEDGER_INTERFACE, LedgerServant,
+                            style=style, **kwargs),
+        domain.create_group("Transfers", TRANSFER_INTERFACE,
+                            TransferAgentServant, style=style, **kwargs),
+    )
+    domain.world.await_promise(bank[0].invoke("deposit", "alice", 100))
+    return bank
+
+
+def transfer_then_read(world, agent):
+    """``transfer`` and ``transfers_done`` issued back to back: the read
+    completes at the primary while the transfer still waits on its
+    nested calls, so the two complete out of total order."""
+    world.run_until_done([agent.invoke("transfer", "alice", "bob", 1),
+                          agent.invoke("transfers_done")], timeout=60)
+    world.run(until=world.now + 0.2)
 
 
 SLOW_TOTEM = TotemConfig(token_hold=0.005, token_loss_timeout=0.12,

@@ -109,7 +109,7 @@ def test_stale_checkpoint_does_not_regress_state(world):
     domain.coordinator_rm().multicast(DomainMessage(
         kind=MsgKind.CHECKPOINT, source_group=group.group_id,
         target_group=group.group_id,
-        data={"state": {"count": 0}, "upto_ts": 1, "version": 1}))
+        data={"state": {"count": 0}, "upto_ts": 1}))
     world.run(until=world.now + 0.5)
     assert world.await_promise(group.invoke("value")) == 5
 

@@ -1,7 +1,11 @@
-"""Unit tests for the Logging-Recovery Mechanisms' group log."""
+"""Unit tests for the Logging-Recovery Mechanisms' group log, and the
+checkpoint interval that feeds it."""
 
+from repro import ReplicationStyle
 from repro.core import OperationId
 from repro.eternal import DomainMessage, GroupLog, MsgKind
+
+from tests.helpers import make_counter_group, make_domain
 
 
 def invocation(ts, seq=1):
@@ -44,15 +48,27 @@ def test_stale_checkpoint_ignored():
     assert log.latest_covered_ts() == 100
 
 
-def test_ops_since_checkpoint_counter():
-    log = GroupLog(10)
-    for ts in (1, 2, 3):
-        log.record_invocation(invocation(ts))
-    assert log.ops_since_checkpoint == 3
-    log.install_checkpoint({}, ts=3)
-    assert log.ops_since_checkpoint == 0
-    log.record_invocation(invocation(4))
-    assert log.ops_since_checkpoint == 1
+def test_ops_since_checkpoint_counter(world):
+    """The checkpoint interval counts the operations a passive primary
+    completes (``ReplicaRecord.since_checkpoint``), not log entries:
+    taking a checkpoint resets it, and backups, which complete nothing,
+    stay at zero."""
+    domain = make_domain(world)
+    group = make_counter_group(domain, style=ReplicationStyle.COLD_PASSIVE,
+                               checkpoint_interval=3)
+    domain.await_ready(group)
+    info = group.info()
+    primary = info.primary(domain.coordinator_rm().live_hosts)
+    records = {host: domain.rms[host].replicas[group.group_id]
+               for host in info.placement}
+    completed = []
+    for _ in range(4):
+        world.await_promise(group.invoke("increment", 1))
+        completed.append(records[primary].since_checkpoint)
+    assert completed == [1, 2, 0, 1]
+    assert all(record.since_checkpoint == 0
+               for host, record in records.items() if host != primary)
+    assert domain.rms[primary].stats["checkpoints"] == 1
 
 
 def test_no_checkpoint_means_cover_ts_zero():

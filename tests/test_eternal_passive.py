@@ -5,7 +5,13 @@ import pytest
 from repro import ReplicationStyle, World
 from repro.eternal import GroupLog
 
-from tests.helpers import make_counter_group, make_domain, replica_counts
+from tests.helpers import (
+    make_bank,
+    make_counter_group,
+    make_domain,
+    replica_counts,
+    transfer_then_read,
+)
 
 
 def primary_of(domain, group):
@@ -119,6 +125,34 @@ def test_failover_resends_responses_for_unacknowledged_ops(world):
     world.faults.crash_now(old_primary)
     # Drive past the failover; state must not double-apply the replay.
     assert world.await_promise(group.invoke("value")) == 1
+
+
+def test_warm_failover_after_out_of_order_completions(world):
+    """``transfers_done`` completes before the ``transfer`` ordered ahead
+    of it, so the later checkpoint carries the lower timestamp and the
+    log keeps the older one.  The warm backup's servant took both as
+    they came: promotion must not restore the log's checkpoint over it."""
+    domain = make_domain(world, num_hosts=4)
+    _, _, agent = make_bank(domain, ReplicationStyle.WARM_PASSIVE,
+                            min_replicas=2)
+    transfer_then_read(world, agent)
+    world.faults.crash_now(primary_of(domain, agent))
+    assert world.await_promise(agent.invoke("transfers_done"),
+                               timeout=600) == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a checkpoint's upto_ts claims coverage of operations still "
+    "suspended on nested calls: the transfer is truncated from the log "
+    "by the read's checkpoint, and its own is refused as older"))
+def test_cold_failover_after_out_of_order_completions(world):
+    domain = make_domain(world, num_hosts=4)
+    _, _, agent = make_bank(domain, ReplicationStyle.COLD_PASSIVE,
+                            min_replicas=2, checkpoint_interval=1)
+    transfer_then_read(world, agent)
+    world.faults.crash_now(primary_of(domain, agent))
+    assert world.await_promise(agent.invoke("transfers_done"),
+                               timeout=600) == 1
 
 
 def test_warm_passive_replacement_backup_receives_state(world):

@@ -185,12 +185,12 @@ def test_observe_delivered_ignores_unrelated_kinds(world):
     gateway = domain.gateways[0]
     before = dict(gateway.stats)
     gateway.observe_delivered(DomainMessage(
-        kind=MsgKind.STATE_UPDATE, source_group=10, target_group=10,
+        kind=MsgKind.CHECKPOINT, source_group=10, target_group=10,
         data={"state": {}, "upto_ts": 1}))
     assert gateway.stats == before
 
 
-@pytest.mark.parametrize("late", ["state_update", "response"])
+@pytest.mark.parametrize("late", ["checkpoint", "response"])
 def test_late_state_after_a_switch_to_active_is_ignored(world, late):
     """A primary's state — standalone or riding its reply — sequenced
     behind a live STYLE_SWITCH out of the passive styles finds executing
@@ -205,9 +205,9 @@ def test_late_state_after_a_switch_to_active_is_ignored(world, late):
     world.await_promise(group.invoke("increment", 4))
     world.run(until=world.now + 0.2)
     stale = {"state": {"count": 3}, "upto_ts": 1}
-    if late == "state_update":
+    if late == "checkpoint":
         message = DomainMessage(
-            kind=MsgKind.STATE_UPDATE, source_group=group.group_id,
+            kind=MsgKind.CHECKPOINT, source_group=group.group_id,
             target_group=group.group_id, data=stale)
     else:
         message = DomainMessage(

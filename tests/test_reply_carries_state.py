@@ -1,9 +1,9 @@
-"""A reply carries its state: what a passive primary owes its backups
-after an operation — WARM_PASSIVE's per-operation state, COLD_PASSIVE's
-periodic checkpoint — rides in the RESPONSE's ``data`` and is applied by
-every member hosting a replica of the responding group, first thing on
-delivery.  A standalone STATE_UPDATE / CHECKPOINT is multicast only
-where there is no reply to ride on (docs/PROTOCOL.md §3).
+"""A reply carries its state: the checkpoint a passive primary owes its
+backups after an operation — after every one under WARM_PASSIVE, every
+``checkpoint_interval``-th under COLD_PASSIVE — rides in the RESPONSE's
+``data`` and is applied by every member hosting a replica of the
+responding group, first thing on delivery.  A standalone CHECKPOINT is
+multicast only where there is no reply to ride on (docs/PROTOCOL.md §3).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def test_oneway_on_warm_passive_still_multicasts_a_state_update(world):
     seen = kinds_on_ring(domain, domain.hosts[0].name)
     world.await_promise(group.invoke("emit", "a"))      # no reply to ride on
     world.run(until=world.now + 0.2)
-    assert seen.count(MsgKind.STATE_UPDATE) == 1
+    assert seen.count(MsgKind.CHECKPOINT) == 1
     assert seen.count(MsgKind.RESPONSE) == 0
     assert world.metrics.value("eternal.state.updates") == 1
     assert world.metrics.value("eternal.state.carried") == 0
@@ -106,7 +106,7 @@ def test_oneway_on_warm_passive_still_multicasts_a_state_update(world):
     states = replica_states(domain, group)
     assert len(states) == 3 and all(s == {"notes": ["a"]}
                                     for s in states.values())
-    assert seen.count(MsgKind.STATE_UPDATE) == 1    # count() rode its reply
+    assert seen.count(MsgKind.CHECKPOINT) == 1      # count() rode its reply
     assert world.metrics.value("eternal.state.carried") == 1
 
 
@@ -120,7 +120,6 @@ def test_cold_passive_checkpoints_ride_replies(world):
         world.await_promise(group.invoke("increment", 1))
     world.run(until=world.now + 0.2)
     assert MsgKind.CHECKPOINT not in seen
-    assert MsgKind.STATE_UPDATE not in seen
     assert seen.count(MsgKind.RESPONSE) == 12
     primary = primary_of(domain, group)
     assert domain.rms[primary].stats["checkpoints"] == 2
@@ -140,7 +139,7 @@ def test_primary_dies_as_its_reply_is_delivered(world):
     """Reply and state share one position in the total order, so a
     primary that dies the instant its reply is delivered leaves nothing
     to replay — even on a ring whose token visit carries one message,
-    where a separate STATE_UPDATE would have died with it."""
+    where a separate CHECKPOINT would have died with it."""
     domain = make_domain(world, num_hosts=4, gateways=1,
                          totem_config=TotemConfig(max_messages_per_token=1))
     group = make_counter_group(domain, style=ReplicationStyle.WARM_PASSIVE,

@@ -1,7 +1,7 @@
 """The protocol extractor, pinned against the real repro surface.
 
 These tests lint ``src/`` once and assert the extracted protocol
-surface matches what docs/PROTOCOL.md documents: the 14 ``MsgKind``
+surface matches what docs/PROTOCOL.md documents: the 13 ``MsgKind``
 members (each sent *and* dispatched), the five Totem datagrams and the
 message a frame carries,
 the GIOP codec pairs, and the ``MsgType`` octet table.  A refactor
@@ -27,7 +27,7 @@ SRC = REPO_ROOT / "src"
 MSG_KINDS = {
     "INVOCATION", "RESPONSE", "GROUP_ANNOUNCE", "GROUP_REMOVE",
     "ADD_REPLICA", "REMOVE_REPLICA", "REPLICA_READY", "CHECKPOINT",
-    "STATE_UPDATE", "STATE_TRANSFER", "CLIENT_GONE", "STYLE_SWITCH",
+    "STATE_TRANSFER", "CLIENT_GONE", "STYLE_SWITCH",
     "REGISTRY_SYNC", "REGISTRY_SYNC_REQUEST",
 }
 

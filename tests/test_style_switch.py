@@ -17,9 +17,11 @@ from repro.eternal.styles import StylePolicy
 from tests.helpers import (
     SLOW_TOTEM,
     external_client,
+    make_bank,
     make_counter_group,
     make_domain,
     replica_counts,
+    transfer_then_read,
 )
 
 
@@ -35,20 +37,38 @@ def test_style_property_matrix():
     matrix = {
         # style:            (executes_everywhere, responds_from_all,
         #                    is_semi_active, is_passive, needs_voting,
-        #                    has_state, any_copy_suffices)
-        S.STATELESS:         (True, True, False, False, False, False, True),
-        S.COLD_PASSIVE:      (False, False, False, True, False, True, False),
-        S.WARM_PASSIVE:      (False, False, False, True, False, True, False),
-        S.ACTIVE:            (True, True, False, False, False, True, True),
-        S.ACTIVE_WITH_VOTING: (True, True, False, False, True, True, False),
-        S.LEADER_FOLLOWER:   (True, False, True, False, False, True, False),
+        #                    has_state, any_copy_suffices, loads_backups)
+        S.STATELESS:         (True, True, False, False, False, False, True,
+                              False),
+        S.COLD_PASSIVE:      (False, False, False, True, False, True, False,
+                              False),
+        S.WARM_PASSIVE:      (False, False, False, True, False, True, False,
+                              True),
+        S.ACTIVE:            (True, True, False, False, False, True, True,
+                              False),
+        S.ACTIVE_WITH_VOTING: (True, True, False, False, True, True, False,
+                               False),
+        S.LEADER_FOLLOWER:   (True, False, True, False, False, True, False,
+                              False),
     }
     for style, expected in matrix.items():
         got = (style.executes_everywhere, style.responds_from_all,
                style.is_semi_active, style.is_passive, style.needs_voting,
-               style.has_state, style.any_copy_suffices)
+               style.has_state, style.any_copy_suffices,
+               style.loads_backups)
         assert got == expected, style
     assert not hasattr(S.ACTIVE, "is_active")
+
+
+def test_warm_passive_checkpoints_after_every_operation():
+    """WARM_PASSIVE is COLD_PASSIVE with an interval of one, whatever
+    interval the group was created with."""
+    from repro.eternal.registry import GroupInfo
+    info = GroupInfo(10, "G", "Counter", "f", ReplicationStyle.COLD_PASSIVE,
+                     ("h0",), checkpoint_interval=5)
+    assert info.checkpoint_every == 5
+    info.style = ReplicationStyle.WARM_PASSIVE
+    assert info.checkpoint_every == 1
 
 
 def test_leader_follower_requires_two_replicas():
@@ -326,6 +346,42 @@ def test_passive_to_lf_switch_catches_backups_up(world):
     world.run(until=world.now + 0.3)
     # Every replica is hot now, at the same state.
     assert set(replica_counts(domain, group).values()) == {5}
+
+
+def test_cold_to_warm_switch_then_primary_crash_keeps_checkpointed_ops(world):
+    """A warm backup is promoted without restoring anything, so the
+    switch into WARM_PASSIVE loads each cold backup's servant with its
+    checkpoint (six operations here); promotion then replays only the
+    seventh."""
+    domain = make_domain(world, num_hosts=4)
+    group = make_counter_group(domain, style=ReplicationStyle.COLD_PASSIVE,
+                               replicas=3, min_replicas=2,
+                               checkpoint_interval=3)
+    for _ in range(7):
+        world.await_promise(group.invoke("increment", 1))
+    domain.switch_style(group, ReplicationStyle.WARM_PASSIVE)
+    world.run(until=world.now + 0.2)
+    world.faults.crash_now(group.info().placement[0])
+    assert world.await_promise(group.invoke("increment", 1),
+                               timeout=600) == 8
+    world.run(until=world.now + 0.2)
+    assert set(replica_counts(domain, group).values()) == {8}
+
+
+def test_warm_to_active_switch_after_out_of_order_completions(world):
+    """``transfers_done`` completes before the ``transfer`` ordered ahead
+    of it, so the transfer's checkpoint carries the newer state under the
+    lower timestamp and its log install is refused.  A warm backup's
+    servant took both checkpoints as they came and is current: catching
+    up for the switch must not set it back to the log's checkpoint."""
+    domain = make_domain(world, num_hosts=4)
+    _, _, agent = make_bank(domain, ReplicationStyle.WARM_PASSIVE)
+    transfer_then_read(world, agent)
+    domain.switch_style(agent, ReplicationStyle.ACTIVE)
+    world.run(until=world.now + 0.3)
+    assert replica_counts(domain, agent, "completed") == {
+        host: 1 for host in agent.info().placement}
+    assert world.await_promise(agent.invoke("transfers_done")) == 1
 
 
 def test_switch_rejects_stateless_endpoints(world):
