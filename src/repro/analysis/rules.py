@@ -362,8 +362,8 @@ class SimDisciplineRule(LintRule):
     Everything under the sim-only prefixes runs inside scheduler
     events: a real ``sleep`` stalls the whole universe, a thread races
     it, and a socket bypasses the simulated network (and its fault
-    injection) entirely.  Host-side concerns belong in tools/,
-    benchmarks/, or behind an injected boundary.
+    injection) entirely.  Host-side concerns belong in tools/, bench/,
+    or behind an injected boundary.
     """
 
     code = "SIM001"

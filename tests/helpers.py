@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from repro import (
     FaultToleranceDomain,
     FtClientLayer,
@@ -20,6 +22,7 @@ from repro.apps import (
     TRANSFER_INTERFACE,
     TransferAgentServant,
 )
+from repro.errors import CorbaSystemException
 from repro.iiop import TC_LONG, TC_STRING, TC_VOID
 from repro.orb import Interface, Operation, Param, Servant
 
@@ -59,6 +62,13 @@ def make_counter_group(domain, style=ReplicationStyle.ACTIVE, replicas=3,
                        name="Counter", **kwargs):
     return domain.create_group(name, COUNTER_INTERFACE, CounterServant,
                                style=style, num_replicas=replicas, **kwargs)
+
+
+def ready_counter_group(domain, **kwargs):
+    """:func:`make_counter_group`, then run until the group is ready."""
+    group = make_counter_group(domain, **kwargs)
+    domain.await_ready(group)
+    return group
 
 
 def external_client(world, domain, group, enhanced=True, host_name="browser",
@@ -127,3 +137,107 @@ def crash_gateway_on_response(world, gateway):
         world.faults.crash_now(gateway.host.name)
 
     gateway._on_domain_response = crash_instead
+
+
+# ----------------------------------------------------------------------
+# The gateway-farm open loop
+# ----------------------------------------------------------------------
+
+#: Heavy-tail cap: bounded-Pareto samples are clamped at this multiple
+#: of the mean, so one astronomical gap cannot stall a finite run.
+PARETO_CAP_MEANS = 50.0
+#: Arrivals due within one such slot of simulated time are injected by
+#: one ``post_batch`` call.
+COHORT_QUANTUM_S = 0.002
+
+
+def interarrival_sampler(rng, mean, distribution="exponential"):
+    """A zero-arg sampler of inter-arrival gaps with the given mean.
+
+    ``exponential`` is the Poisson process; ``pareto`` (alpha=1.5
+    bounded Pareto, clamped at :data:`PARETO_CAP_MEANS` means) models
+    the bursty, heavy-tailed arrivals of aggregate internet traffic.
+    """
+    if distribution == "exponential":
+        rate = 1.0 / mean
+        return lambda: rng.expovariate(rate)
+    if distribution == "pareto":
+        alpha = 1.5
+        xmin = mean * (alpha - 1.0) / alpha
+        cap = mean * PARETO_CAP_MEANS
+        return lambda: min(cap, xmin * rng.paretovariate(alpha))
+    raise ValueError(f"unknown inter-arrival distribution {distribution!r}")
+
+
+def is_shed(exc):
+    """Was this failure an admission-control shed (TRANSIENT)?"""
+    return (isinstance(exc, CorbaSystemException)
+            and "Transient" in str(exc))
+
+
+def farm_open_loop(world, make_stub, arrivals, rate_per_s, seed=0,
+                   interarrival="exponential"):
+    """A precomputed open-loop schedule of ``increment`` calls, injected
+    through the scheduler's bulk cohort path.
+
+    The whole arrival schedule (``arrivals`` gaps from one seeded
+    sampler) is computed up front, quantised into
+    :data:`COHORT_QUANTUM_S` slots, and each slot is injected with one
+    :meth:`Scheduler.post_batch` call, keeping per-arrival event
+    granularity and deterministic ordering.  ``make_stub(i)`` builds the
+    stub for the i-th arrival: the seam where a farm driver gives every
+    arrival its own logical client identity.
+
+    Returns the ``latencies`` of served requests, counts of ``served`` /
+    ``shed`` / ``failed`` arrivals (shed = admission-control TRANSIENT,
+    the farm's lost offered load), and the ``span`` from first arrival
+    to last served completion.
+    """
+    gap = interarrival_sampler(random.Random(seed), 1.0 / rate_per_s,
+                               interarrival)
+    cohorts = {}
+    at = 0.0
+    for i in range(arrivals):
+        at += gap()
+        cohorts.setdefault(int(at / COHORT_QUANTUM_S), []).append((i,))
+
+    started_at = world.now
+    state = {"latencies": [], "served": 0, "shed": 0, "failed": 0,
+             "last": started_at}
+
+    def fire(i):
+        started = world.now
+        promise = make_stub(i).call("increment", 1)
+
+        def on_done(p):
+            if p.failed:
+                state["shed" if is_shed(p.error) else "failed"] += 1
+                return
+            state["latencies"].append(world.now - started)
+            state["served"] += 1
+            state["last"] = world.now
+
+        promise.on_done(on_done)
+
+    for slot in sorted(cohorts):
+        world.scheduler.post_batch(slot * COHORT_QUANTUM_S, fire,
+                                   cohorts[slot])
+    world.scheduler.run_until(
+        lambda: state["served"] + state["shed"] + state["failed"] == arrivals,
+        timeout=600.0)
+    state["span"] = state.pop("last") - started_at
+    return state
+
+
+def percentiles(samples, points=(50, 95, 99)):
+    """Nearest-rank percentiles plus mean, rounded for reporting."""
+    if not samples:
+        return {}
+    ordered = sorted(samples)
+    result = {"mean": round(sum(ordered) / len(ordered), 5),
+              "count": len(ordered)}
+    for point in points:
+        index = min(len(ordered) - 1,
+                    max(0, int(round(point / 100.0 * len(ordered))) - 1))
+        result[f"p{int(point)}"] = round(ordered[index], 5)
+    return result

@@ -1,20 +1,13 @@
-"""Tests for EnumTC and the benchmark workload generators."""
-
-import sys
-from pathlib import Path
+"""Tests for EnumTC and the latency ``percentiles`` test helper."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import World
 from repro.errors import MarshalError
 from repro.iiop import CdrInputStream, CdrOutputStream, EnumTC
-from repro.sim.world import Promise
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-
-from workloads import closed_loop, open_loop, percentiles, read_mostly, write_heavy  # noqa: E402
+from tests.helpers import percentiles
 
 
 # ----------------------------------------------------------------------
@@ -79,68 +72,8 @@ def test_enum_roundtrip_property(member):
 
 
 # ----------------------------------------------------------------------
-# Workload generators (driven against a fake in-sim stub)
+# Latency percentiles (tests/helpers.py)
 # ----------------------------------------------------------------------
-
-class FakeStub:
-    """Resolves each call after a fixed simulated service time."""
-
-    def __init__(self, world, service_time=0.01):
-        self.world = world
-        self.service_time = service_time
-        self.calls = []
-
-    def call(self, name, *args):
-        self.calls.append((name, args))
-        promise = Promise()
-        self.world.scheduler.call_after(self.service_time, promise.resolve,
-                                        len(self.calls))
-        return promise
-
-
-def test_closed_loop_runs_every_operation():
-    world = World(seed=1)
-    stub = FakeStub(world)
-    latencies = closed_loop(world, [stub], operations=5, mix=write_heavy)
-    assert len(latencies) == 5
-    assert all(lat == pytest.approx(0.01) for lat in latencies)
-    assert all(name == "increment" for name, _ in stub.calls)
-
-
-def test_closed_loop_with_think_time_spreads_requests():
-    world = World(seed=1)
-    stub = FakeStub(world)
-    closed_loop(world, [stub], operations=3, mix=write_heavy,
-                think_time=0.5)
-    # 3 ops, 0.01 service + 0.5 think between: > 1.0s simulated.
-    assert world.now > 1.0
-
-
-def test_closed_loop_multiple_stubs_run_concurrently():
-    world = World(seed=1)
-    stubs = [FakeStub(world), FakeStub(world)]
-    closed_loop(world, stubs, operations=4, mix=write_heavy)
-    assert all(len(stub.calls) == 4 for stub in stubs)
-    # Two sequential chains in parallel: total time ~ one chain.
-    assert world.now == pytest.approx(0.04)
-
-
-def test_open_loop_issues_by_arrival_process():
-    world = World(seed=3)
-    stub = FakeStub(world)
-    latencies = open_loop(world, stub, rate_per_s=100.0, duration_s=1.0,
-                          mix=write_heavy, seed=7)
-    assert 50 <= len(latencies) <= 200   # ~100 expected
-    assert all(lat == pytest.approx(0.01) for lat in latencies)
-
-
-def test_read_mostly_mix_is_mostly_reads():
-    import random
-    rng = random.Random(1)
-    ops = [read_mostly(rng, i)[0] for i in range(500)]
-    reads = ops.count("value")
-    assert reads > 400  # ~90%
-
 
 def test_percentiles_summary():
     samples = [float(i) for i in range(1, 101)]

@@ -10,6 +10,7 @@ from tests.helpers import (
     external_client,
     make_counter_group,
     make_domain,
+    ready_counter_group,
     replica_counts,
 )
 
@@ -203,3 +204,55 @@ def test_nested_serving_group_reachable_through_gateway(world):
     assert world.await_promise(
         stub.call("transfer", "alice", "bob", 25), timeout=240) == 25
     assert world.await_promise(accounts.invoke("balance", "bob")) == 25
+
+
+# ----------------------------------------------------------------------
+# One gateway multiplexing many TCP clients (E10, section 3.2)
+# ----------------------------------------------------------------------
+
+SCALING_REQUESTS = 24
+
+
+def run_clients(num_clients):
+    """24 increments split across ``num_clients`` plain clients, each
+    working sequentially (next request on completion)."""
+    world = World(seed=1000 + num_clients, trace=False)
+    domain = make_domain(world, gateways=1)
+    group = ready_counter_group(domain)
+    promises = []
+
+    def issue_chain(stub, remaining):
+        promise = stub.call("increment", 1)
+        promises.append(promise)
+        if remaining > 1:
+            promise.on_done(lambda _p: issue_chain(stub, remaining - 1))
+
+    stubs = [external_client(world, domain, group, enhanced=False,
+                             host_name=f"client{i}")[1]
+             for i in range(num_clients)]
+    t0 = world.now
+    for stub in stubs:
+        issue_chain(stub, SCALING_REQUESTS // num_clients)
+    world.scheduler.run_until(
+        lambda: len(promises) == SCALING_REQUESTS and
+        all(p.done for p in promises), timeout=600)
+    elapsed = world.now - t0
+    world.run(until=world.now + 0.5)
+    return elapsed, domain.gateways[0], [p.result() for p in promises]
+
+
+@pytest.mark.parametrize("clients", [1, 2, 4, 8])
+def test_gateway_scaling_clients(clients):
+    _, gateway, results = run_clients(clients)
+    assert len({cid for carried in gateway._conn_clients.values()
+                for cid in carried}) == clients
+    assert gateway.stats["responses_delivered"] == SCALING_REQUESTS
+    assert gateway.stats["responses_unroutable"] == 0
+    # The total order serialised all updates.
+    assert sorted(results) == list(range(1, SCALING_REQUESTS + 1))
+
+
+def test_gateway_scaling_concurrency_amortises_latency():
+    """8 clients issue the same total workload concurrently: simulated
+    completion must drop substantially vs 1 client."""
+    assert run_clients(8)[0] < run_clients(1)[0] * 0.7

@@ -9,6 +9,7 @@ exactly-once guarantees the farm inherits from the gateway group and
 duplicate suppression.
 """
 
+import zlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CircuitBreaker, FtClientLayer, GatewayPool, Orb, World
+from repro import (
+    CircuitBreaker,
+    FaultToleranceDomain,
+    FtClientLayer,
+    GatewayPool,
+    Orb,
+    TotemConfig,
+    World,
+)
 from repro.core import gateway_pool
 from repro.eternal.naming import make_object_key
 from repro.iiop import (
@@ -29,8 +38,10 @@ from repro.iiop import (
 
 from tests.helpers import (
     crash_gateway_on_response,
+    farm_open_loop,
     make_counter_group,
     make_domain,
+    ready_counter_group,
     replica_counts,
 )
 
@@ -540,3 +551,98 @@ def test_mux_clients_share_one_connection(world):
     assert len(carrying) == 1
     assert len(carrying[0]) == clients
     assert set(replica_counts(domain, group).values()) == {clients}
+
+
+# ----------------------------------------------------------------------
+# The farm under open-loop load (E16: section 3.5 scaled out)
+# ----------------------------------------------------------------------
+#
+# Every arrival is its own logical client (unique ``uid#incarnation``),
+# multiplexed over a handful of client hosts and pooled connections,
+# with the seeded arrival schedule injected through post_batch cohorts.
+# The Totem token quota is raised to 64 messages per visit so the
+# ring's flow control does not bind before the gateways do, and each
+# gateway runs a tight admission window (8 in flight, queue of 16) so
+# the pool, not the ring, is the measured bottleneck.
+
+FARM_CLIENT_HOSTS = 4
+
+
+def run_farm(pool_size, arrivals, horizon_s, interarrival="exponential"):
+    """Drive ``arrivals`` logical clients at ``arrivals / horizon_s``
+    per second into a pool of ``pool_size`` gateways."""
+    world = World(seed=4200 + pool_size)
+    domain = FaultToleranceDomain(
+        world, "dom", num_hosts=3,
+        totem_config=TotemConfig(max_messages_per_token=64))
+    pool = GatewayPool(domain, size=pool_size, admission_window=8,
+                       admission_queue_limit=16)
+    domain.await_stable()
+    group = ready_counter_group(domain)
+    orbs = [Orb(world, world.add_host(f"farmhost{i}"), request_timeout=None)
+            for i in range(FARM_CLIENT_HOSTS)]
+
+    def make_stub(index):
+        uid = f"farm/{index}"
+        key = f"{uid}#1"
+        # The farm dispatcher's admission-aware pick: exercises the
+        # consistent-hash ring, breaker gating and least-connections
+        # fallback for every arrival (the data path itself follows the
+        # pool-aware IOR profile order below).
+        pool.route(key)
+        orb = orbs[zlib.crc32(uid.encode("utf-8")) % FARM_CLIENT_HOSTS]
+        layer = FtClientLayer(orb, client_uid=uid)
+        return layer.string_to_object(pool.ior_for(group, key).to_string(),
+                                      group.interface, multiplexed=True)
+
+    result = farm_open_loop(world, make_stub, arrivals, arrivals / horizon_s,
+                            seed=7, interarrival=interarrival)
+    world.run(until=world.now + 0.5)
+    result["pool"] = pool
+    result["metrics"] = world.metrics
+    return result
+
+
+def test_farm_head_count_single_gateway():
+    """10^4 logical clients through one gateway, heavy-tailed
+    (bounded-Pareto) arrivals: every arrival is served or deliberately
+    shed, none lost, and the identity bookkeeping holds one distinct
+    client id per arrival over four connections."""
+    arrivals = 10_000
+    farm = run_farm(1, arrivals, horizon_s=2.0, interarrival="pareto")
+    # Conservation: every arrival is either served or deliberately shed
+    # by admission control — never silently lost and never failed with
+    # anything but the TRANSIENT shed.
+    assert farm["served"] + farm["shed"] == arrivals
+    assert farm["failed"] == 0
+    assert farm["served"] > 1_000
+    # Identity multiplexing: distinct logical client ids arrive over a
+    # handful of pooled TCP connections.
+    gateway = farm["pool"].gateways[0]
+    assert sum(len(members)
+               for members in gateway._conn_clients.values()) == arrivals
+    assert gateway.stats["clients_connected"] == FARM_CLIENT_HOSTS
+    # The bulk paths actually carried the load: post_batch at the
+    # arrival injector (sched.post.batched counts those arrivals alone),
+    # and the Totem fan-out's one event per delay group
+    # (totem.broadcast.batched_deliveries counts its per-target
+    # deliveries).
+    assert farm["metrics"].value("sched.post.batched") > 0
+    assert farm["metrics"].value("totem.broadcast.batched_deliveries") > 0
+
+
+def test_farm_scaling_curve():
+    """The same offered load (10 000 arrivals/s) against pools of 1, 2,
+    4 and 8 gateways."""
+    arrivals = 2_000
+    curve = {k: run_farm(k, arrivals, horizon_s=0.2) for k in (1, 2, 4, 8)}
+    for k, farm in curve.items():
+        assert farm["served"] + farm["shed"] == arrivals, k
+        assert farm["failed"] == 0, k
+        assert farm["served"] > 0, k
+    # The acceptance bar: >= 1.5x sustained throughput at 4 gateways
+    # vs 1 under identical offered load.
+    tput = {k: farm["served"] / farm["span"] for k, farm in curve.items()}
+    assert tput[4] >= 1.5 * tput[1], tput
+    # Widening the pool reduces the shed (lost-load) rate.
+    assert curve[8]["shed"] < curve[1]["shed"]

@@ -25,6 +25,7 @@ from tests.helpers import (
     external_client,
     make_counter_group,
     make_domain,
+    ready_counter_group,
     replica_counts,
 )
 
@@ -89,6 +90,33 @@ def test_cancel_tombstone_reaped_by_ttl_when_no_response_comes(world):
     assert gateway._filter.pending_count == 0
     assert gateway._reap_timer is None  # nothing left to reap
     world.audit(strict=True)
+
+
+def test_cancel_churn_tombstones_consumed_by_responses():
+    """Pipelined requests cancelled in flight: the responses still
+    arrive, are dropped as unroutable, and consume their tombstones —
+    the TTL reaper never has to fire."""
+    cancels = 10
+    world = World(seed=11, trace=False)
+    domain = make_domain(world, gateways=1)
+    group = ready_counter_group(domain)
+    gateway = domain.gateways[0]
+    orb, stub, _ = external_client(world, domain, group, enhanced=False)
+    world.await_promise(stub.call("increment", 1), timeout=600)
+    for _ in range(cancels):
+        stub.call("increment", 1)
+    # Cancels chase the requests down the same connection with no gap,
+    # so they reach the gateway while the operations are still in
+    # flight in the domain.
+    connection = orb._connections[next(iter(orb._connections))]
+    for request_id in list(connection.pending_request_ids()):
+        connection.endpoint.send(encode_cancel_request(request_id))
+    world.run(until=world.now + 2.0)
+    world.audit(strict=True)
+    assert gateway._cancelled == set()
+    assert gateway.stats["cancels"] == cancels
+    assert gateway.stats["responses_unroutable"] == cancels
+    assert gateway.stats["cancels_reaped"] == 0
 
 
 def test_oneway_pending_records_reclaimed_on_observed_delivery(world):

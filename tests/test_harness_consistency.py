@@ -1,32 +1,44 @@
-"""Meta-tests keeping the experiment harness and docs in sync.
+"""Meta-tests keeping the experiment index and docs in sync.
 
 A reproduction's credibility depends on its index being truthful:
-every experiment DESIGN.md promises must have a runnable bench file,
-and the tools that group results must know every bench file.
+every experiment DESIGN.md promises must name a tier-1 test file or a
+benchmark workload that exists and carries it, and EXPERIMENTS.md must
+point at the same homes.
 """
 
+import json
 import re
-import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
-BENCH_DIR = ROOT / "benchmarks"
-NON_BENCH = {"common", "workloads", "conftest"}
+EXPERIMENT_ROW = re.compile(r"^\| (E\d+b?) \|(?:[^|]*\|){3}([^|]*)\|", re.M)
 
 
-def bench_stems():
-    return {p.stem for p in BENCH_DIR.glob("*.py")} - NON_BENCH
+def experiment_homes():
+    """``{experiment: (tests/ files, bench workloads)}`` from the
+    "Checked by" column of DESIGN.md's per-experiment index."""
+    design = (ROOT / "DESIGN.md").read_text()
+    return {exp: (set(re.findall(r"`(tests/test_[a-z0-9_]+\.py)`", cell)),
+                  set(re.findall(r"`bench --workload ([a-z_]+)`", cell)))
+            for exp, cell in EXPERIMENT_ROW.findall(design)}
+
+
+def bench_workloads():
+    catalogue = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {workload["name"] for workload in catalogue["workloads"]}
 
 
 def test_every_design_bench_reference_exists():
-    design = (ROOT / "DESIGN.md").read_text()
-    referenced = set(re.findall(r"benchmarks/(bench_[a-z0-9_]+)\.py", design))
-    assert referenced, "DESIGN.md lists no benches?"
-    missing = {name for name in referenced
-               if not (BENCH_DIR / f"{name}.py").exists()}
-    assert not missing, f"DESIGN.md references absent benches: {missing}"
+    homes = experiment_homes()
+    assert len(homes) >= 15, "DESIGN.md per-experiment index not found"
+    homeless = {exp for exp, (files, workloads) in homes.items()
+                if not files | workloads}
+    assert not homeless, f"experiments checked by nothing: {homeless}"
+    missing = {name for files, _ in homes.values() for name in files
+               if not (ROOT / name).is_file()}
+    missing |= {workload for _, workloads in homes.values()
+                for workload in workloads} - bench_workloads()
+    assert not missing, f"DESIGN.md names absent homes: {missing}"
 
 
 def test_every_design_module_reference_exists():
@@ -48,25 +60,28 @@ def test_every_design_module_reference_exists():
 
 
 def test_every_bench_file_is_indexed_in_design():
-    design = (ROOT / "DESIGN.md").read_text()
-    unindexed = {stem for stem in bench_stems() if stem not in design}
-    assert not unindexed, f"benches missing from DESIGN.md: {unindexed}"
+    """Every benchmark workload and the tier-1 file of the paper's
+    figures carry an experiment in DESIGN.md's index."""
+    files, workloads = set(), set()
+    for row_files, row_workloads in experiment_homes().values():
+        files |= row_files
+        workloads |= row_workloads
+    assert "tests/test_paper_figures.py" in files
+    unindexed = bench_workloads() - workloads
+    assert not unindexed, f"workloads missing from DESIGN.md: {unindexed}"
 
 
 def test_every_bench_file_is_indexed_in_experiments():
+    """EXPERIMENTS.md points each experiment at the homes DESIGN.md
+    names for it."""
     experiments = (ROOT / "EXPERIMENTS.md").read_text()
-    unindexed = {stem for stem in bench_stems() if stem not in experiments}
-    assert not unindexed, f"benches missing from EXPERIMENTS.md: {unindexed}"
-
-
-def test_run_experiments_tool_knows_every_bench():
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        from run_experiments import EXPERIMENT_OF_FILE
-    finally:
-        sys.path.pop(0)
-    unknown = bench_stems() - set(EXPERIMENT_OF_FILE)
-    assert not unknown, f"tools/run_experiments.py missing: {unknown}"
+    sections = dict(re.findall(r"^## (E\d+b?) —(.*?)(?=^## |\Z)",
+                               experiments, re.M | re.S))
+    for exp, (files, workloads) in experiment_homes().items():
+        assert exp in sections, f"EXPERIMENTS.md has no {exp} section"
+        absent = {name for name in files | workloads
+                  if name not in sections[exp]}
+        assert not absent, f"EXPERIMENTS.md {exp} does not cite {absent}"
 
 
 def test_every_example_is_listed_in_readme():

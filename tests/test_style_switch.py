@@ -8,6 +8,8 @@ lifecycle regressions fixed alongside (``_last_primary`` purge on group
 removal, fail-fast for voting groups with zero live replicas).
 """
 
+import statistics
+
 import pytest
 
 from repro import ReplicationStyle, World
@@ -20,6 +22,7 @@ from tests.helpers import (
     make_bank,
     make_counter_group,
     make_domain,
+    ready_counter_group,
     replica_counts,
     transfer_then_read,
 )
@@ -481,3 +484,133 @@ def test_style_manager_demotes_under_shed_and_promotes_under_faults(world):
     # The demoted/promoted group still serves correctly afterwards.
     world.run(until=world.now + 1.0)
     assert world.await_promise(group.invoke("value")) >= 0
+
+
+# ======================================================================
+# The styles compared (E9, E17): steady-state cost and failover
+# ======================================================================
+#
+# ACTIVE pays n executions but fails over without replay; the passive
+# styles execute once and ship state on the reply; COLD_PASSIVE replays
+# its log suffix at failover; LEADER_FOLLOWER executes everywhere like
+# ACTIVE but multicasts only the leader's response.
+
+COMPARED_STYLES = [
+    ReplicationStyle.ACTIVE,
+    ReplicationStyle.WARM_PASSIVE,
+    ReplicationStyle.COLD_PASSIVE,
+    ReplicationStyle.LEADER_FOLLOWER,
+]
+COMPARED_OPERATIONS = 12
+
+
+def steady_state_cost(style):
+    """Messages multicast (``totem.msg.sent``, not frames) and replica
+    executions per operation, after a warm-up call."""
+    world = World(seed=90, trace=False)
+    domain = make_domain(world, num_hosts=4)
+    group = ready_counter_group(domain, style=style, replicas=3,
+                                checkpoint_interval=4)
+    world.await_promise(group.invoke("increment", 1), timeout=600)
+
+    def executed():
+        return sum(rm.stats["invocations_executed"]
+                   for rm in domain.rms.values())
+
+    sent, execs = world.metrics.value("totem.msg.sent"), executed()
+    for _ in range(COMPARED_OPERATIONS):
+        world.await_promise(group.invoke("increment", 1), timeout=600)
+    world.run(until=world.now + 0.5)
+    return {
+        "broadcasts_per_op": round((world.metrics.value("totem.msg.sent")
+                                    - sent) / COMPARED_OPERATIONS, 2),
+        "executions_per_op": round((executed() - execs)
+                                   / COMPARED_OPERATIONS, 2),
+    }
+
+
+def failover_replays(style):
+    """Crash the primary after 12 operations; the next call's value and
+    how many logged operations the survivors replayed."""
+    world = World(seed=91, trace=False)
+    domain = make_domain(world, num_hosts=4)
+    # Interval of 5 leaves a non-empty log suffix after 12 operations
+    # (checkpoints at 5 and 10), so cold-passive failover must replay.
+    group = ready_counter_group(domain, style=style, replicas=3,
+                                min_replicas=2, checkpoint_interval=5)
+    for _ in range(COMPARED_OPERATIONS):
+        world.await_promise(group.invoke("increment", 1), timeout=600)
+    world.run(until=world.now + 0.2)
+    world.faults.crash_now(
+        group.info().primary(domain.coordinator_rm().live_hosts))
+    value = world.await_promise(group.invoke("increment", 1), timeout=600)
+    return value, sum(rm.stats["replays"] for rm in domain.rms.values())
+
+
+@pytest.mark.parametrize("style", COMPARED_STYLES, ids=lambda s: s.value)
+def test_styles_steady_state_cost(style):
+    row = steady_state_cost(style)
+    if style.executes_everywhere:
+        assert row["executions_per_op"] == 3.0       # every replica executes
+    else:
+        assert row["executions_per_op"] == 1.0       # primary only
+    if style.is_passive:
+        # Invocation + response: the state update / checkpoint rides
+        # the response, so a passive style costs what active does.
+        assert row["broadcasts_per_op"] == 2.0
+
+
+@pytest.mark.parametrize("style", COMPARED_STYLES, ids=lambda s: s.value)
+def test_styles_failover(style):
+    value, replayed = failover_replays(style)
+    assert value == COMPARED_OPERATIONS + 1
+    if style.executes_everywhere:
+        assert replayed == 0                         # nothing to replay
+    if style is ReplicationStyle.COLD_PASSIVE:
+        assert replayed >= 1                         # log suffix replayed
+
+
+def test_styles_comparison():
+    """Active executes 3x more, cold replays more at failover, and
+    leader-follower keeps active's hot state (same executions, zero
+    replay) while multicasting no more per operation."""
+    active = steady_state_cost(ReplicationStyle.ACTIVE)
+    cold = steady_state_cost(ReplicationStyle.COLD_PASSIVE)
+    lf = steady_state_cost(ReplicationStyle.LEADER_FOLLOWER)
+    replays = {style: failover_replays(style)[1] for style in (
+        ReplicationStyle.ACTIVE, ReplicationStyle.COLD_PASSIVE,
+        ReplicationStyle.LEADER_FOLLOWER)}
+    assert active["executions_per_op"] > cold["executions_per_op"]
+    assert (replays[ReplicationStyle.COLD_PASSIVE]
+            >= replays[ReplicationStyle.ACTIVE])
+    assert lf["executions_per_op"] == active["executions_per_op"]
+    assert replays[ReplicationStyle.LEADER_FOLLOWER] == 0
+    assert lf["broadcasts_per_op"] <= active["broadcasts_per_op"]
+
+
+def gateway_p50_latency(style):
+    """Client-observed p50 latency through a gateway of a 12-call
+    concurrent burst, each completion stamped from the simulated clock
+    (the latency histogram's buckets are coarser than a token hop); the
+    slow ring's token hold keeps successive replica responses on
+    distinct simulated instants."""
+    world = World(seed=92, trace=False)
+    domain = make_domain(world, num_hosts=5, gateways=1,
+                         totem_config=SLOW_TOTEM)
+    group = ready_counter_group(domain, style=style, replicas=3)
+    _, stub, _ = external_client(world, domain, group, enhanced=False)
+    t0 = world.now
+    promises = [stub.call("increment", 1)
+                for _ in range(COMPARED_OPERATIONS)]
+    latencies = []
+    for promise in promises:
+        world.scheduler.run_until(lambda p=promise: p.done, timeout=600)
+        latencies.append(world.now - t0)
+    return statistics.median(latencies)
+
+
+def test_styles_lf_vs_voting_latency():
+    """The leader answers alone; the voter waits for a majority, one
+    token hop after the ring-first replica's response."""
+    assert (gateway_p50_latency(ReplicationStyle.LEADER_FOLLOWER)
+            < gateway_p50_latency(ReplicationStyle.ACTIVE_WITH_VOTING))

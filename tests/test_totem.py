@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import ReplicationStyle
 from repro.sim import World
 from repro.totem import TotemConfig, TotemMember, TotemTransport
+
+from tests.helpers import make_domain, ready_counter_group
 
 
 class Harness:
@@ -239,3 +242,95 @@ def test_delivery_order_survives_heavy_cross_traffic():
     for i in range(5):
         own = [p for p in reference if p[0] == i]
         assert own == [(i, j) for j in range(8)]
+
+
+# ----------------------------------------------------------------------
+# Ring-size sweep (E2b): Eternal's costs (Figure 2) bottom out here
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("size", [2, 3, 5, 8])
+def test_multicast_latency_by_ring_size(size):
+    messages = 40
+    world = World(seed=200 + size, trace=False)
+    ring = Harness(world, size)
+    ring.wait_operational()
+    t0 = world.now
+    for i in range(messages):
+        ring.members[i % size].multicast(i)
+    world.scheduler.run_until(
+        lambda: all(len(ring.delivered[m.name]) == messages
+                    for m in ring.members), timeout=600.0)
+    assert len({tuple(ring.payloads(m.name)) for m in ring.members}) == 1
+    # Shape: per-message cost grows roughly with rotation time (linear
+    # in ring size), far below a naive n^2 unicast mesh.
+    assert (world.now - t0) / messages < 0.010 * size
+
+
+@pytest.mark.parametrize("size", [3, 5, 8])
+def test_reformation_time_by_ring_size(size):
+    world = World(seed=300 + size, trace=False)
+    ring = Harness(world, size)
+    ring.wait_operational()
+    victim = ring.members[size // 2].name
+    t0 = world.now
+    world.faults.crash_now(victim)
+    ring.wait_operational([m.name for m in ring.members if m.name != victim])
+    # Reformation = token-loss timeout + gather + commit: tens of ms,
+    # dominated by the loss timeout, nearly flat in ring size.
+    assert 0.02 < world.now - t0 < 0.2
+
+
+# ----------------------------------------------------------------------
+# Tuning ablation (E13): detection timeout and token hold
+# ----------------------------------------------------------------------
+
+def tuned_counter(config, seed):
+    world = World(seed=seed, trace=False)
+    domain = make_domain(world, num_hosts=4, totem_config=config)
+    group = ready_counter_group(domain, style=ReplicationStyle.ACTIVE,
+                                min_replicas=2)
+    return world, group
+
+
+def failover_latency(loss_timeout):
+    """Replica crash to the next completed invocation."""
+    world, group = tuned_counter(
+        TotemConfig(token_loss_timeout=loss_timeout), seed=1300)
+    world.await_promise(group.invoke("increment", 1), timeout=600)
+    t0 = world.now
+    world.faults.crash_now(group.info().placement[0])
+    world.await_promise(group.invoke("increment", 1), timeout=600)
+    return world.now - t0
+
+
+def invocation_latency(token_hold):
+    world, group = tuned_counter(TotemConfig(token_hold=token_hold),
+                                 seed=1301)
+    world.await_promise(group.invoke("increment", 1), timeout=600)
+    t0 = world.now
+    for _ in range(10):
+        world.await_promise(group.invoke("increment", 1), timeout=600)
+    return (world.now - t0) / 10
+
+
+@pytest.mark.parametrize("loss_timeout", [0.0125, 0.025, 0.05, 0.1])
+def test_failover_tracks_detection_timeout(loss_timeout):
+    latency = failover_latency(loss_timeout)
+    # Failover latency is bounded below by the detection timeout and
+    # stays within a few multiples of it (gather + replay are fast).
+    assert loss_timeout <= latency < loss_timeout * 4 + 0.05
+
+
+@pytest.mark.parametrize("token_hold", [0.0002, 0.001, 0.005])
+def test_invocation_latency_tracks_rotation_time(token_hold):
+    # One invocation needs roughly one rotation for the request and one
+    # for the responses; rotation ~ ring size x (hold + hop).
+    rotation = 5 * (token_hold + 0.0005)
+    assert invocation_latency(token_hold) < 4 * rotation + 0.01
+
+
+def test_tuning_tradeoff():
+    """Faster detection buys faster failover; a shorter hold buys
+    lower invocation latency."""
+    assert failover_latency(0.0125) < failover_latency(0.1)
+    assert invocation_latency(0.0002) < invocation_latency(0.005)
