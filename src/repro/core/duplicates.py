@@ -9,8 +9,9 @@ majority of replicas, masking value faults of a minority.
 
 :class:`DuplicateSuppressor` implements both receiver policies keyed by
 the (source group, client id, operation id) deduplication key, and
-remembers recently delivered operations so that late duplicates — even
-ones arriving after delivery — are still recognised and counted.
+remembers recently delivered operations with their agreed payload, so
+that late duplicates — even ones arriving after delivery — are still
+recognised, and a reissue can be answered from that memory.
 """
 
 from __future__ import annotations
@@ -41,15 +42,9 @@ class DuplicateSuppressor:
 
     def __init__(self, remember_delivered: int = 100_000) -> None:
         self._pending: Dict[Hashable, _Pending] = {}
-        self._delivered: "OrderedDict[Hashable, bool]" = OrderedDict()
+        # Delivered key -> the payload delivered for it, oldest first.
+        self._delivered: "OrderedDict[Hashable, bytes]" = OrderedDict()
         self._remember = remember_delivered
-        # reprolint: disable=AUD001 -- fixed key set, bounded by construction
-        self.stats = {
-            "delivered": 0,
-            "duplicates_suppressed": 0,
-            "votes_counted": 0,
-            "unexpected": 0,
-        }
 
     # ------------------------------------------------------------------
 
@@ -72,28 +67,27 @@ class DuplicateSuppressor:
     def was_delivered(self, key: Hashable) -> bool:
         return key in self._delivered
 
+    def delivered(self, key: Hashable) -> Optional[bytes]:
+        """The payload delivered for ``key``, while it is remembered."""
+        return self._delivered.get(key)
+
     def offer(self, key: Hashable, payload: bytes,
               responder: Optional[Hashable] = None) -> Tuple[str, Optional[bytes]]:
         """Offer one response copy; returns (verdict, payload-to-deliver)."""
         if key in self._delivered:
-            self.stats["duplicates_suppressed"] += 1
             return (DuplicateSuppressor.DUPLICATE, None)
         pending = self._pending.get(key)
         if pending is None:
-            self.stats["unexpected"] += 1
             return (DuplicateSuppressor.UNEXPECTED, None)
         if responder is not None:
             if responder in pending.responders:
                 # The same replica re-sent its response (e.g. recovery
                 # replay): not a fresh vote.
-                self.stats["duplicates_suppressed"] += 1
                 return (DuplicateSuppressor.DUPLICATE, None)
             pending.responders.add(responder)
         pending.counts[payload] = pending.counts.get(payload, 0) + 1
-        self.stats["votes_counted"] += 1
         if pending.counts[payload] >= pending.votes_needed:
-            self._mark_delivered(key)
-            self.stats["delivered"] += 1
+            self._mark_delivered(key, payload)
             return (DuplicateSuppressor.DELIVER, payload)
         return (DuplicateSuppressor.PENDING, None)
 
@@ -153,8 +147,7 @@ class DuplicateSuppressor:
                 pending.votes_needed = need
                 for payload, count in pending.counts.items():
                     if count >= need:
-                        self._mark_delivered(key)
-                        self.stats["delivered"] += 1
+                        self._mark_delivered(key, payload)
                         settled.append((key, payload))
                         break
         return settled
@@ -178,8 +171,8 @@ class DuplicateSuppressor:
 
     # ------------------------------------------------------------------
 
-    def _mark_delivered(self, key: Hashable) -> None:
+    def _mark_delivered(self, key: Hashable, payload: bytes) -> None:
         self._pending.pop(key, None)
-        self._delivered[key] = True
+        self._delivered[key] = payload
         while len(self._delivered) > self._remember:
             self._delivered.popitem(last=False)

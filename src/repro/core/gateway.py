@@ -34,7 +34,6 @@ state can be deleted everywhere.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -60,19 +59,32 @@ from ..sim.host import Host, Process
 from ..sim.tcp import TcpEndpoint
 from ..sim.world import Promise
 from .duplicates import DuplicateSuppressor
-from .identifiers import ClientId, OperationId, external_operation_id
+from .identifiers import ClientId, DedupKey, external_operation_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..eternal.domain import FaultToleranceDomain
+
+# One client as the gateway sees it: (server group, TCP client id).  A
+# plain client is numbered per server group (section 3.2), so only the
+# pair names it; every per-invocation record is keyed by the pair plus
+# the operation id — the duplicate filter's key (``DedupKey``).
+Member = Tuple[int, ClientId]
+
+# Replies remembered for reissues: the gateway's duplicate filter keeps
+# this many delivered operations, payload and all (FIFO — the oldest are
+# the least likely to be reclaimed by a reissue).
+REPLY_MEMORY = 10_000
+# Cancel tombstones and one-way pending records have no response to
+# resolve them; each is reaped this many simulated seconds after it was
+# made.
+RETENTION_TTL = 30.0
 
 
 @dataclass
 class _PendingRequest:
     """A client request forwarded into the domain, awaiting its response."""
 
-    client_id: ClientId
-    op_id: OperationId
-    target_group: int
+    key: DedupKey
     iiop: bytes
     # ``iiop`` as decoded by the gateway that read it off its client
     # socket, handed on to the domain's receivers so none of them
@@ -100,16 +112,12 @@ class Gateway(Process):
 
     def __init__(self, domain: "FaultToleranceDomain", host: Host, port: int,
                  mirror_requests: bool = True,
-                 response_cache_limit: int = 10_000,
-                 cancel_ttl: float = 30.0,
-                 oneway_ttl: float = 30.0,
                  admission_window: Optional[int] = None,
                  admission_queue_limit: int = 64) -> None:
         super().__init__(host, f"gateway@{host.name}:{port}")
         self.domain = domain
         self.port = port
         self.mirror_requests = mirror_requests
-        self.response_cache_limit = response_cache_limit
         # Ordinal among the domain's gateways (the domain appends this
         # one after construction): a pure function of the seeded world,
         # never of what else the process built before it.
@@ -127,19 +135,20 @@ class Gateway(Process):
         # accidentally alias (a crash/restart still reuses ids, which is
         # the section 3.4 weakness the paper analyses).
         self._counters: Dict[int, itertools.count] = {}
-        # Every accepted connection, in accept order, with every
-        # ClientId it has carried, most recent last.  Empty until the
-        # first request: an enhanced client's warm standby sits here
-        # idle until its active gateway dies.  One TCP connection may
-        # multiplex many logical clients (farm workloads), and each of
-        # them needs gone/purge handling when the socket closes.
+        # Every accepted connection, in accept order, with every Member
+        # it has carried, most recent last.  Empty until the first
+        # request: an enhanced client's warm standby sits here idle
+        # until its active gateway dies.  One TCP connection may
+        # multiplex many logical clients (farm workloads) and server
+        # groups, and each Member needs gone/purge handling when the
+        # socket closes.
         self._conn_clients: Dict[IiopServerConnection,
-                                 Dict[ClientId, None]] = {}
-        self._routing: Dict[ClientId, IiopServerConnection] = {}
-        self._pending: Dict[Tuple[ClientId, OperationId], _PendingRequest] = {}
-        self._cache: Dict[Tuple[ClientId, OperationId], bytes] = {}
+                                 Dict[Member, None]] = {}
+        self._routing: Dict[Member, IiopServerConnection] = {}
+        self._pending: Dict[DedupKey, _PendingRequest] = {}
         self._cancelled: set = set()
-        self._filter = DuplicateSuppressor()
+        # Its delivered memory is also the reply store for reissues.
+        self._filter = DuplicateSuppressor(remember_delivered=REPLY_MEMORY)
         # Clients that closed their connection while operations were
         # still pending: the CLIENT_GONE broadcast is deferred until the
         # last pending operation resolves, so peers keep the
@@ -147,13 +156,10 @@ class Gateway(Process):
         # (section 3.5) and the records themselves are reclaimed.
         self._gone_pending: set = set()
         # Retention layer: cancel tombstones and one-way pending records
-        # have no response to resolve them, so each is reaped after a
-        # TTL.  One on-demand timer serves the whole expiry heap;
-        # nothing is armed while the heap is empty.
-        self.cancel_ttl = cancel_ttl
-        self.oneway_ttl = oneway_ttl
-        self._reap_heap: list = []
-        self._reap_seq = itertools.count()
+        # are reaped after RETENTION_TTL.  Entries expire in the order
+        # they were queued; one on-demand timer serves the whole queue,
+        # and nothing is armed while it is empty.
+        self._reap_queue: Deque[Tuple[float, str, DedupKey, Any]] = deque()
         self._reap_timer = None
 
         # Admission control (gateway farm, paper section 3.3 scaled
@@ -256,10 +262,6 @@ class Gateway(Process):
         scope.register("gateway.pending", lambda: len(self._pending),
                        floor=0, owner=owner, active=alive,
                        gauge="gateway.state.pending")
-        scope.register("gateway.cache", lambda: len(self._cache),
-                       floor=lambda: self.response_cache_limit,
-                       owner=owner, active=alive,
-                       gauge="gateway.state.cache")
         scope.register("gateway.cancelled", lambda: len(self._cancelled),
                        floor=0, owner=owner, active=alive,
                        gauge="gateway.state.cancelled")
@@ -293,9 +295,9 @@ class Gateway(Process):
                        lambda: len(self._gone_pending),
                        floor=0, owner=owner, active=alive,
                        gauge="gateway.state.gone_pending")
-        # The reap heap is lazily drained, so it may hold entries whose
+        # The reap queue is lazily drained, so it may hold entries whose
         # target is already resolved: snapshot-only.
-        scope.register("gateway.reap_queue", lambda: len(self._reap_heap),
+        scope.register("gateway.reap_queue", lambda: len(self._reap_queue),
                        floor=None, owner=owner, active=alive,
                        gauge="gateway.state.reap_queue")
         # One client-id counter per server group ever addressed through
@@ -423,15 +425,15 @@ class Gateway(Process):
             return
         target_group = info.group_id
 
-        client_id = self._identify_client(request, connection, target_group)
+        member = self._identify_client(request, connection, target_group)
+        client_id = member[1]
         # A returning client (e.g. an egress successor reusing the same
         # identifiers) voids any deferred departure broadcast: purging
         # now would delete the state the reissues are about to claim.
-        self._gone_pending.discard(client_id)
+        self._gone_pending.discard(member)
         # "Map socket to client identifier" (Figure 5a).
-        self._routing[client_id] = connection
-        op_id = external_operation_id(request.request_id)
-        cache_key = (client_id, op_id)
+        self._routing[member] = connection
+        key = member + (external_operation_id(request.request_id),)
 
         # Causal tracing: continue the trace carried in the request's
         # service context (enhanced clients), or root a gateway-owned
@@ -460,7 +462,7 @@ class Gateway(Process):
                 spans.instant(trace_id, "pool.reroute", parent=container,
                               source=self.name)
 
-        cached = self._cache.get(cache_key)
+        cached = self._filter.delivered(key)
         if cached is not None:
             # A reinvocation whose response we already hold (the client
             # failed over to us, or retried): answer locally.
@@ -531,8 +533,7 @@ class Gateway(Process):
             self._m_adm_admitted.inc()
 
         pending = _PendingRequest(
-            client_id=client_id, op_id=op_id, target_group=target_group,
-            iiop=message, request=request, received_at=received_at,
+            key=key, iiop=message, request=request, received_at=received_at,
             admitted=admitted,
             trace_id=trace_id, trace_hop=trace_hop, trace_span=container)
         if container:
@@ -540,16 +541,14 @@ class Gateway(Process):
             # Figure 4 header) happens here, within the receipt event.
             spans.instant(trace_id, "gateway.translate", parent=container,
                           source=self.name, group=target_group)
-        self._pending[cache_key] = pending
+        self._pending[key] = pending
         if request.response_expected:
-            self._filter.expect((target_group, client_id, op_id),
-                                votes_needed=votes or 1)
+            self._filter.expect(key, votes_needed=votes or 1)
         else:
             # One-way: no response will ever pop this record.  It is
             # dropped when the forwarded INVOCATION is observed
             # delivered, or by TTL if the forward is lost.
-            self._schedule_reap("oneway", cache_key, pending,
-                                self.oneway_ttl)
+            self._schedule_reap("oneway", key, pending)
         self._forward(pending)
 
     def _on_locate_request(self, message: bytes,
@@ -581,17 +580,21 @@ class Gateway(Process):
         for the request so a late response is not written to the socket.
         The invocation may already have executed inside the domain (the
         CORBA spec makes no promise there, and neither does the paper)."""
-        cancelled_id = decode_cancel_request(message)
         carried = self._conn_clients.get(connection)
         if not carried:
             return
-        client_id = next(reversed(carried))
-        op_id = external_operation_id(cancelled_id)
-        key = (client_id, op_id)
+        op_id = external_operation_id(decode_cancel_request(message))
+        # The request id names the operation on this connection; which
+        # of its Members sent it is whichever one knows the operation
+        # (the most recent one, when none does).
+        keys = (member + (op_id,) for member in reversed(carried))
+        key = next((k for k in keys if k in self._pending
+                    or self._filter.was_delivered(k)),
+                   next(reversed(carried)) + (op_id,))
         record = self._pending.pop(key, None)
         self.stats["cancels"] += 1
         self._m_req_cancelled.inc()
-        if record is None and key in self._cache:
+        if record is None and self._filter.was_delivered(key):
             # The cancel raced the reply over the WAN and lost: the
             # response was already written back.  A tombstone now could
             # never be consumed — late duplicates are suppressed by the
@@ -601,7 +604,7 @@ class Gateway(Process):
         self._cancelled.add(key)
         # The tombstone is discarded when the operation is settled (a
         # late response, or its target lost) or, failing both, by TTL.
-        self._schedule_reap("cancel", key, record, self.cancel_ttl)
+        self._schedule_reap("cancel", key, record)
         if record is not None:
             self._release_admission(record)
             # This gateway's handling ends here, whatever becomes of
@@ -612,12 +615,13 @@ class Gateway(Process):
     def _forward(self, pending: _PendingRequest) -> None:
         self.stats["requests_forwarded"] += 1
         self._m_req_forwarded.inc()
+        group, client_id, op_id = pending.key
         message = DomainMessage(
             kind=MsgKind.INVOCATION,
             source_group=GATEWAY_GROUP,
-            target_group=pending.target_group,
-            client_id=pending.client_id,
-            op_id=pending.op_id,
+            target_group=group,
+            client_id=client_id,
+            op_id=op_id,
             iiop=pending.iiop,
             _request=pending.request,
         )
@@ -633,22 +637,24 @@ class Gateway(Process):
         self.rm.multicast(message)
 
     def _identify_client(self, request, connection: IiopServerConnection,
-                         target_group: int) -> ClientId:
-        """Enhanced clients carry their identity; plain clients get a
-        counter for the target server group (section 3.2)."""
+                         target_group: int) -> Member:
+        """Enhanced clients carry their identity; a plain connection
+        gets one counter id per server group it addresses (section
+        3.2)."""
         carried = self._conn_clients[connection]
         ctx = extract_client_id(request)
         if ctx is not None:
-            client_id = f"{ctx.client_uid}#{ctx.incarnation}"
-            carried.pop(client_id, None)  # re-inserted as most recent
-        elif carried:
-            return next(reversed(carried))
+            member = (target_group, f"{ctx.client_uid}#{ctx.incarnation}")
+            carried.pop(member, None)  # re-inserted as most recent
         else:
+            for member in reversed(carried):
+                if member[0] == target_group:
+                    return member
             counter = self._counters.setdefault(target_group,
                                                 itertools.count(1))
-            client_id = self.index * 1_000_000 + next(counter)
-        carried[client_id] = None
-        return client_id
+            member = (target_group, self.index * 1_000_000 + next(counter))
+        carried[member] = None
+        return member
 
     def _release_admission(self, record: _PendingRequest) -> None:
         """Free the window slot an admitted request held and pull queued
@@ -682,45 +688,44 @@ class Gateway(Process):
             # Stopping: the clients fail over to a peer, which needs
             # the state held on their behalf — nobody is "gone".
             return
-        # A multiplexed connection carried many logical clients; each
-        # departs independently (sorted for deterministic broadcast
-        # order — ids are ints or strings, never mixed on one socket).
-        for cid in sorted(carried, key=str):
-            if self._routing.get(cid) is connection:
-                del self._routing[cid]
-            has_pending = any(k[0] == cid for k in self._pending)
-            if has_pending:
+        # A multiplexed connection carried many Members; each departs
+        # independently (sorted for deterministic broadcast order).
+        for member in sorted(carried, key=str):
+            if self._routing.get(member) is connection:
+                del self._routing[member]
+            if any(k[:2] == member for k in self._pending):
                 # Operations are still in flight: defer the domain-wide
                 # purge until the last one resolves, so peers keep the
                 # expectations they need to collect the responses
                 # (section 3.5).  Without the deferral this gateway's
                 # records leak — CLIENT_GONE is never re-sent once
                 # suppressed here.
-                self._gone_pending.add(cid)
+                self._gone_pending.add(member)
                 self.stats["client_gone_deferred"] += 1
                 self._m_gone_deferred.inc()
             else:
-                self._broadcast_client_gone(cid)
+                self._broadcast_client_gone(member)
 
-    def _broadcast_client_gone(self, client_id: ClientId) -> None:
+    def _broadcast_client_gone(self, member: Member) -> None:
         """Tell the other gateways the client is gone so they delete any
-        state stored on its behalf (section 3.5)."""
+        state stored on its behalf (section 3.5).  The server group
+        rides in the header's target group field."""
         self.rm.multicast(DomainMessage(
             kind=MsgKind.CLIENT_GONE,
             source_group=GATEWAY_GROUP,
-            target_group=GATEWAY_GROUP,
-            client_id=client_id,
+            target_group=member[0],
+            client_id=member[1],
         ))
 
-    def _maybe_flush_client_gone(self, client_id: ClientId) -> None:
+    def _maybe_flush_client_gone(self, member: Member) -> None:
         """Fire a deferred CLIENT_GONE once the departed client's last
         pending operation has resolved."""
-        if client_id not in self._gone_pending:
+        if member not in self._gone_pending:
             return
-        if any(cid == client_id for (cid, _) in self._pending):
+        if any(k[:2] == member for k in self._pending):
             return
-        self._gone_pending.discard(client_id)
-        self._broadcast_client_gone(client_id)
+        self._gone_pending.discard(member)
+        self._broadcast_client_gone(member)
 
     # ==================================================================
     # Multicast side (inside the domain)
@@ -733,13 +738,13 @@ class Gateway(Process):
         if kind is MsgKind.RESPONSE and msg.target_group == GATEWAY_GROUP:
             self._on_domain_response(msg)
         elif kind is MsgKind.INVOCATION and msg.source_group == GATEWAY_GROUP:
-            key = (msg.client_id, msg.op_id)
+            key = (msg.target_group, msg.client_id, msg.op_id)
             record = self._pending.get(key)
             if record is None:
                 # A peer's forward: section 3.5's gateway group (unlike
                 # section 3.4's isolated gateway) takes it as its record.
                 if self.mirror_requests:
-                    self._record_peer_request(msg)
+                    self._record_peer_request(key, msg)
             else:
                 if record.order_span:
                     # The forwarding gateway saw its own multicast come
@@ -753,14 +758,14 @@ class Gateway(Process):
                     del self._pending[key]
                     self.stats["oneways_completed"] += 1
                     self._m_oneway_completed.inc()
-                    self._maybe_flush_client_gone(msg.client_id)
+                    self._maybe_flush_client_gone(key[:2])
         elif kind is MsgKind.STYLE_SWITCH:
             # Applied to the registry by the Replication Mechanisms just
             # before this call: a dropped voting requirement is simply
             # what votes_needed answers from here on.
             self._requorum()
         elif kind is MsgKind.CLIENT_GONE:
-            self._purge_client(msg.client_id)
+            self._purge_client((msg.target_group, msg.client_id))
         else:
             # Group-management and logging kinds are owned by the
             # Replication Mechanisms; the gateway reacts only to the
@@ -776,9 +781,9 @@ class Gateway(Process):
             # responder's ordering-wait span (end() is first-close-wins,
             # so the remaining gateways' observations are no-ops).
             spans.end(msg._trace_order, seq=msg.timestamp)
-        filter_key = (msg.source_group, msg.client_id, msg.op_id)
+        key = (msg.source_group, msg.client_id, msg.op_id)
         verdict, payload = self._filter.offer(
-            filter_key, msg.iiop, responder=msg.data.get("responder"))
+            key, msg.iiop, responder=msg.data.get("responder"))
         if tr is not None:
             # One duplicate-suppression event per gateway per response
             # (Figure 3): the verdicts across gateways partition
@@ -800,7 +805,7 @@ class Gateway(Process):
         if verdict != DuplicateSuppressor.DELIVER:
             self._m_resp_vote_pending.inc()
             return  # voting still pending
-        if self._settle((msg.client_id, msg.op_id), payload, "delivered"):
+        if self._settle(key, payload, "delivered"):
             self.stats["responses_delivered"] += 1
             self._m_resp_delivered.inc()
         else:
@@ -809,8 +814,7 @@ class Gateway(Process):
             self.stats["responses_unroutable"] += 1
             self._m_resp_unroutable.inc()
 
-    def _settle(self, key: Tuple[ClientId, OperationId], reply: bytes,
-                outcome: str) -> bool:
+    def _settle(self, key: DedupKey, reply: bytes, outcome: str) -> bool:
         """The one way a two-way operation leaves this gateway: let go
         of everything held for ``key`` and hand ``reply`` to the client
         if it is still here to take it; returns whether it was.
@@ -819,15 +823,11 @@ class Gateway(Process):
         (the agreed response), ``"vote_relaxed"`` (a response freed by a
         lowered vote requirement) or ``"unservable"`` (a TRANSIENT made
         here because the target can never answer — not a response, so
-        neither cached for reissues nor observed as a latency).
+        neither remembered for reissues nor observed as a latency).  A
+        response's payload is already in the filter's delivered memory,
+        which answers reissues.
         """
         served = outcome != "unservable"
-        if served:
-            self._cache[key] = reply
-            while len(self._cache) > self.response_cache_limit:
-                # FIFO eviction: the oldest responses are the least
-                # likely to be reclaimed by a reissue (bounded memory).
-                self._cache.pop(next(iter(self._cache)))
         spans = self._span_collector
         record = self._pending.pop(key, None)
         container = 0
@@ -841,14 +841,14 @@ class Gateway(Process):
                 spans.end(record.order_span)
                 record.order_span = 0
             container = record.trace_span
-        client_id = key[0]
-        connection = self._routing.get(client_id)
+        member = key[:2]
+        connection = self._routing.get(member)
         sent = False
         if key in self._cancelled:
             # The client withdrew interest (CancelRequest): a response
-            # stays cached (a reissue may still claim it) but nothing is
-            # written to the socket.  The tombstone has now served its
-            # purpose — discard it, or it pins this (client, op) pair
+            # stays remembered (a reissue may still claim it) but
+            # nothing is written to the socket.  The tombstone has now
+            # served its purpose — discard it, or it pins this key
             # forever.
             self._cancelled.discard(key)
             spans.end(container, outcome="cancelled", by=self.name)
@@ -863,7 +863,7 @@ class Gateway(Process):
                 sr = self._series
                 if sr.enabled:
                     sr.observe("series.gateway.group.latency", elapsed,
-                               group=record.target_group)
+                               group=key[0])
                     sr.observe("series.gateway.latency", elapsed,
                                gateway=self.name)
             if container:
@@ -876,7 +876,7 @@ class Gateway(Process):
                 spans.end(container, outcome=outcome, by=self.name)
         elif container:
             spans.end(container, outcome="unroutable", by=self.name)
-        self._maybe_flush_client_gone(client_id)
+        self._maybe_flush_client_gone(member)
         return sent
 
     def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
@@ -894,27 +894,27 @@ class Gateway(Process):
         Counted here, not under ``gateway.resp.*``: that family
         partitions ``gateway.resp.received`` exactly and must not
         absorb settlements no freshly received response carried in."""
-        for (group_id, client_id, op_id), payload in self._filter.requorum(
-                self.rm.votes_now):
+        for key, payload in self._filter.requorum(self.rm.votes_now):
             if payload is None:
                 self.stats["requests_unservable"] += 1
                 self.metrics.counter("gateway.req.unservable").inc()
                 # The external request id was recovered into the child
                 # sequence of the operation id.
-                self._settle((client_id, op_id), reply_for_exception(
-                    op_id.child_seq, TransientError(
-                        f"server group {group_id} lost all replicas")),
+                self._settle(key, reply_for_exception(
+                    key[2].child_seq, TransientError(
+                        f"server group {key[0]} lost all replicas")),
                     "unservable")
             else:
                 self.stats["votes_relaxed"] += 1
                 self.metrics.counter("gateway.style.vote_relaxed").inc()
-                self._settle((client_id, op_id), payload, "vote_relaxed")
+                self._settle(key, payload, "vote_relaxed")
 
-    def _record_peer_request(self, msg: DomainMessage) -> None:
+    def _record_peer_request(self, key: DedupKey,
+                             msg: DomainMessage) -> None:
         """A peer gateway's INVOCATION, delivered in the total order, is
         the gateway group's record of the request (section 3.5): expect
-        its response here too, so the reply is cached for a client that
-        fails over to this gateway.
+        its response here too, so the reply is remembered for a client
+        that fails over to this gateway.
 
         A forward with no pending record is not always a peer's: this
         gateway's own comes back to none after a cancel or after an
@@ -925,10 +925,9 @@ class Gateway(Process):
         it is then recorded here exactly as every peer records it.)"""
         if not msg.request().response_expected:
             return  # one-way: no response to collect, nothing to hold
-        key = (msg.target_group, msg.client_id, msg.op_id)
         if self._filter.is_expected(key) or self._filter.was_delivered(key):
             return
-        info = self.rm.registry.get(msg.target_group)
+        info = self.rm.registry.get(key[0])
         votes = self.rm.votes_needed(info) if info is not None else None
         if votes is None:
             # Nobody is left to answer (the membership sweep failed the
@@ -938,8 +937,8 @@ class Gateway(Process):
         self._m_mirrors.inc()
         self._filter.expect(key, votes_needed=votes)
 
-    def _purge_client(self, client_id: ClientId) -> None:
-        connection = self._routing.get(client_id)
+    def _purge_client(self, member: Member) -> None:
+        connection = self._routing.get(member)
         if connection is not None and connection.open:
             # The gateway this client left says it is gone, but its
             # requests now arrive here (an enhanced client's failover):
@@ -947,50 +946,43 @@ class Gateway(Process):
             return
         self.stats["clients_gone"] += 1
         self._m_clients_gone.inc()
-        for key in [k for k in self._pending if k[0] == client_id]:
+        for key in [k for k in self._pending if k[:2] == member]:
             record = self._pending.pop(key)
             self._release_admission(record)
             self._span_collector.end(record.trace_span,
                                      outcome="client_gone", by=self.name)
-        for key in [k for k in self._cache if k[0] == client_id]:
-            del self._cache[key]
-        self._routing.pop(client_id, None)
-        self._cancelled = {k for k in self._cancelled if k[0] != client_id}
-        self._gone_pending.discard(client_id)
-        # Forget the filter's memory as well: if the "client" returns
-        # with the same identifiers (e.g. an egress successor host), its
-        # reissues must be re-servable, not suppressed as duplicates.
-        self._filter.forget_where(lambda key: key[1] == client_id)
+        self._routing.pop(member, None)
+        self._cancelled = {k for k in self._cancelled if k[:2] != member}
+        self._gone_pending.discard(member)
+        # Forget the filter's memory as well, replies included: if the
+        # "client" returns with the same identifiers (e.g. an egress
+        # successor host), its reissues must be re-servable, not
+        # suppressed as duplicates.
+        self._filter.forget_where(lambda key: key[:2] == member)
 
     # ==================================================================
     # Retention: TTL reaping of tombstones and one-way records
     # ==================================================================
 
-    def _schedule_reap(self, kind: str, key, record, ttl: float) -> None:
+    def _schedule_reap(self, kind: str, key: DedupKey, record) -> None:
         """Queue one entry for TTL reaping and arm the shared timer.
 
         Entries are reaped lazily: by the time one expires its target
         may already have been resolved (one-way observed delivered,
         tombstone discarded by a late response), in which case the
         expiry is a no-op.  The single timer always sleeps until the
-        earliest queued expiry."""
-        expiry = self.scheduler.now + ttl
-        heapq.heappush(self._reap_heap,
-                       (expiry, next(self._reap_seq), kind, key, record))
+        earliest queued expiry, which an armed timer already covers."""
+        self._reap_queue.append(
+            (self.scheduler.now + RETENTION_TTL, kind, key, record))
         timer = self._reap_timer
-        if timer is not None and timer.active:
-            if timer.time <= expiry:
-                return  # an earlier (or equal) wake-up covers this entry
-            self._reap_timer = self.reschedule_after(
-                timer, ttl, self._run_reaper)
-        else:
-            self._reap_timer = self.after(ttl, self._run_reaper)
+        if timer is None or not timer.active:
+            self._reap_timer = self.after(RETENTION_TTL, self._run_reaper)
 
     def _run_reaper(self) -> None:
         now = self.scheduler.now
-        heap = self._reap_heap
-        while heap and heap[0][0] <= now:
-            _, _, kind, key, record = heapq.heappop(heap)
+        queue = self._reap_queue
+        while queue and queue[0][0] <= now:
+            _, kind, key, record = queue.popleft()
             if kind == "cancel":
                 if key in self._cancelled:
                     # No response ever arrived for the cancelled
@@ -999,8 +991,7 @@ class Gateway(Process):
                     # waiting for the response.
                     self._cancelled.discard(key)
                     if record is not None:
-                        self._filter.cancel(
-                            (record.target_group, key[0], key[1]))
+                        self._filter.cancel(key)
                     self.stats["cancels_reaped"] += 1
                     self._m_reap_cancelled.inc()
             else:  # "oneway"
@@ -1011,8 +1002,8 @@ class Gateway(Process):
                     del self._pending[key]
                     self.stats["oneways_reaped"] += 1
                     self._m_reap_oneway.inc()
-                    self._maybe_flush_client_gone(key[0])
-        if heap:
-            self._reap_timer = self.after(heap[0][0] - now, self._run_reaper)
+                    self._maybe_flush_client_gone(key[:2])
+        if queue:
+            self._reap_timer = self.after(queue[0][0] - now, self._run_reaper)
         else:
             self._reap_timer = None

@@ -30,10 +30,11 @@ them with the GIOP-standard redirect instead: a LocateRequest answered
 (:meth:`locate_forward`, used by ``Gateway._on_locate_request``).
 
 Exactly-once semantics across all of this come from the machinery the
-farm reuses unchanged: the gateway group's shared view of requests, the
-:class:`~repro.core.duplicates.DuplicateSuppressor`, and the response
-cache — a client rerouted mid-operation reissues to its new gateway and
-collects the original response, never a re-execution.
+farm reuses unchanged: the gateway group's shared view of requests and
+the :class:`~repro.core.duplicates.DuplicateSuppressor`, whose delivered
+memory holds the replies — a client rerouted mid-operation reissues to
+its new gateway and collects the original response, never a
+re-execution.
 """
 
 from __future__ import annotations
@@ -471,15 +472,3 @@ class GatewayPool:
         scope.register("pool.breakers", lambda: len(self._breakers),
                        floor=lambda: len(self.gateways), owner=owner,
                        gauge="pool.state.breakers")
-
-    def describe(self) -> Dict[str, Any]:
-        """Deterministic snapshot for tests and bench extra_info."""
-        return {
-            "size": len(self.gateways),
-            "breakers": {name: self._breakers[name].state
-                         for name in sorted(self._breakers)},
-            "inflight": {gw.host.name: gw._own_inflight
-                         for gw in self.gateways},
-            "queued": {gw.host.name: len(gw._admission_queue)
-                       for gw in self.gateways},
-        }

@@ -61,9 +61,6 @@ class GroupHandle:
     def invoke(self, operation: str, *args: Any) -> Promise:
         return self.domain.invoke(self, operation, list(args))
 
-    def ior(self, first_gateway_only: bool = False) -> Ior:
-        return self.domain.ior_for(self, first_gateway_only=first_gateway_only)
-
     def info(self) -> Optional[GroupInfo]:
         return self.domain.coordinator_rm().registry.get(self.group_id)
 
@@ -234,8 +231,8 @@ class FaultToleranceDomain:
         peers forward (section 3.5's gateway group, the default) or
         only its own (section 3.4's isolated gateway)?
         ``gateway_kwargs`` pass through to :class:`repro.core.gateway.
-        Gateway` (admission window/queue limits, TTLs, cache size) —
-        the gateway-pool seam.
+        Gateway` (admission window and queue limit) — the gateway-pool
+        seam.
         """
         from ..core.gateway import Gateway  # local import: layering
         host_name = host_name or f"{self.name}-gw{len(self.gateways)}"

@@ -61,9 +61,9 @@ class DomainEgress:
         self.world = world
         self.outstanding: Dict[Tuple[int, OperationId], _EgressRecord] = {}
         # A stub per (invoking group, remote IOR) and the host ORB under
-        # them, built on the first transmission.  Multiplexed: a gateway
-        # routes a client id's replies to the connection it last used,
-        # so a uid keeps one connection per gateway, whatever the IOR.
+        # them, built on the first transmission.  Multiplexed: a uid
+        # keeps one connection per gateway, whatever the IOR; the
+        # gateway tells its groups apart by (server group, client id).
         self._stubs: Dict[Tuple[int, str], Stub] = {}
         self._orb: Optional[Orb] = None
         self._issued = self._completed = 0

@@ -66,11 +66,6 @@ class CdrOutputStream:
     def getvalue(self) -> bytes:
         return bytes(self._buffer)
 
-    def getvalue_from(self, offset: int) -> bytes:
-        """The encoded bytes from ``offset`` on, in a single copy."""
-        with memoryview(self._buffer) as view:
-            return bytes(view[offset:])
-
     # -- alignment ------------------------------------------------------
 
     def align(self, boundary: int) -> None:

@@ -141,17 +141,6 @@ class IiopClientConnection:
         self._pending[request_id] = (on_reply, on_failure)
         self._transmit(encoded)
 
-    def send_locate(self, encoded: bytes, request_id: int,
-                    on_reply: LocateHandler,
-                    on_failure: FailureHandler) -> None:
-        """Send a LocateRequest and route its LocateReply (raw bytes) to
-        ``on_reply``; connection loss routes to ``on_failure``."""
-        if not self.usable:
-            on_failure(CommFailure(f"connection to {self.address} is closed"))
-            return
-        self._pending_locates[request_id] = (on_reply, on_failure)
-        self._transmit(encoded)
-
     def send_oneway(self, encoded: bytes) -> None:
         if not self.usable:
             raise CommFailure(f"connection to {self.address} is closed")

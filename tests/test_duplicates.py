@@ -14,17 +14,20 @@ def test_first_response_delivered_rest_suppressed():
     assert verdict == DuplicateSuppressor.DELIVER
     assert payload == b"reply"
     for responder in ("r1", "r2"):
-        verdict, _ = s.offer("op1", b"reply", responder=responder)
+        verdict, payload = s.offer("op1", b"reply", responder=responder)
         assert verdict == DuplicateSuppressor.DUPLICATE
-    assert s.stats["delivered"] == 1
-    assert s.stats["duplicates_suppressed"] == 2
+        assert payload is None
+    # The delivered memory keeps the one payload that was delivered.
+    assert s.delivered("op1") == b"reply"
 
 
 def test_unexpected_response_reported():
     s = DuplicateSuppressor()
-    verdict, _ = s.offer("unknown", b"x")
+    verdict, payload = s.offer("unknown", b"x")
     assert verdict == DuplicateSuppressor.UNEXPECTED
-    assert s.stats["unexpected"] == 1
+    assert payload is None
+    assert s.delivered("unknown") is None
+    assert s.pending_count == 0
 
 
 def test_voting_requires_majority():
@@ -83,9 +86,11 @@ def test_delivered_memory_is_bounded():
     for i in range(25):
         s.expect(i)
         s.offer(i, b"r")
-    # The oldest delivered keys have been evicted.
+    # The oldest delivered keys have been evicted, payload and all.
     assert not s.was_delivered(0)
+    assert s.delivered(0) is None
     assert s.was_delivered(24)
+    assert s.delivered(24) == b"r"
 
 
 def test_independent_keys_do_not_interfere():
@@ -188,7 +193,6 @@ def test_requorum(expectations, needs, settled, late):
         s.expect(key, votes_needed=votes)
         for payload, responder in held:
             assert s.offer(key, payload, responder=responder)[0] == D.PENDING
-    delivered_before = s.stats["delivered"]
     asked = []
 
     def votes_needed(group):
@@ -198,9 +202,10 @@ def test_requorum(expectations, needs, settled, late):
     assert s.requorum(votes_needed) == settled
     # Each responder group is asked once, however many expectations it has.
     assert sorted(asked) == sorted(needs)
-    freed = [key for key, payload in settled if payload is not None]
-    assert s.stats["delivered"] == delivered_before + len(freed)
-    assert all(s.was_delivered(key) for key in freed)
+    freed = {key: payload for key, payload in settled if payload is not None}
+    # Exactly the freed keys are delivered, each with its agreed payload.
+    assert {key: s.delivered(key) for key, _, _ in expectations
+            if s.was_delivered(key)} == freed
     assert s.pending_count == len(expectations) - len(settled)
     # A second sweep with the same answers settles nothing more.
     assert s.requorum(needs.__getitem__) == []

@@ -78,10 +78,9 @@ def test_la_gateway_crash_mid_call_fails_over_on_the_egress_standby():
 
 
 def test_concurrent_calls_to_two_iors_behind_one_gateway_all_return():
-    """A remote gateway sends a client id's replies down the connection
-    that id last used, so one egress uid must not hold two connections
-    to one gateway: with a private connection per remote IOR, the reply
-    to a call on the first went down the second and was lost."""
+    """One egress uid calls two groups behind one remote gateway at
+    once: the gateway routes each reply by (server group, client id),
+    so every call returns its own value."""
     world = World(seed=9)
     remote = make_domain(world, name="remote", gateways=1)
     settlement = remote.create_group("Settlement", SETTLEMENT_INTERFACE,

@@ -112,5 +112,6 @@ def test_client_layer_shares_identity_across_stubs(world):
     world.await_promise(stub_a.call("increment", 1), timeout=600)
     world.await_promise(stub_b.call("increment", 2), timeout=600)
     gateway = domain.gateways[0]
-    uids = {cid for cid in gateway._routing if isinstance(cid, str)}
-    assert uids == {"shared/identity#1"}
+    # One identity, routed per server group it calls.
+    assert set(gateway._routing) == {(a.group_id, "shared/identity#1"),
+                                     (b.group_id, "shared/identity#1")}

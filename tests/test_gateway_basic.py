@@ -77,19 +77,109 @@ def test_gateway_spawns_socket_per_client(world):
 
 def test_counter_client_ids_assigned_per_server_group(world):
     """Section 3.2: the gateway keeps one counter per destination server
-    group; two plain clients of the same group get consecutive ids."""
+    group; two plain clients of the same group get consecutive ids, and
+    the first client of another group is that group's client 1 — a
+    different client, with its own reply."""
     domain = make_domain(world, gateways=1)
     a = make_counter_group(domain, name="A")
     b = make_counter_group(domain, name="B")
     gateway = domain.gateways[0]
+    replies = []
     for i, group in enumerate((a, a, b)):
         _, stub, _ = external_client(world, domain, group, enhanced=False,
                                      host_name=f"client{i}")
-        world.await_promise(stub.call("increment", 1))
+        replies.append(world.await_promise(stub.call("increment", 10 ** i)))
+    assert replies == [1, 11, 100]
     assert set(gateway._counters) == {a.group_id, b.group_id}
-    ids = sorted(cid for cid in gateway._routing if isinstance(cid, int))
     base = gateway.index * 1_000_000
-    assert ids == [base + 1, base + 2]  # two clients of group A; B reuses 1
+    assert sorted(gateway._routing) == sorted([
+        (a.group_id, base + 1), (a.group_id, base + 2),
+        (b.group_id, base + 1)])
+
+
+# ----------------------------------------------------------------------
+# E10: one invocation, one identity — (server group, client id, op id)
+# ----------------------------------------------------------------------
+
+def plain_stub(world, domain, orb, group):
+    return orb.string_to_object(domain.ior_for(group).to_string(),
+                                group.interface)
+
+
+def test_plain_clients_of_two_groups_get_their_own_replies(world):
+    """Each plain ORB is client 1 of its own server group at the one
+    gateway: B's client must get B's reply, not A's, and B's increment
+    must run."""
+    domain = make_domain(world, gateways=1)
+    a = make_counter_group(domain, name="A")
+    b = make_counter_group(domain, name="B")
+    _, stub_a, _ = external_client(world, domain, a, enhanced=False,
+                                   host_name="client-a")
+    _, stub_b, _ = external_client(world, domain, b, enhanced=False,
+                                   host_name="client-b")
+    assert world.await_promise(stub_a.call("increment", 5)) == 5
+    assert world.await_promise(stub_b.call("increment", 1)) == 1
+    world.run(until=world.now + 0.2)
+    assert set(replica_counts(domain, a).values()) == {5}
+    assert set(replica_counts(domain, b).values()) == {1}
+
+
+def test_plain_orb_calling_a_second_group_is_a_new_client_there(world):
+    """A plain ORB that called A and then calls B takes a counter id in
+    B's space (section 3.2), so it is never confused with the client
+    that already holds its A id in B's space: every reply and every
+    increment is its own."""
+    domain = make_domain(world, gateways=1)
+    a = make_counter_group(domain, name="A")
+    b = make_counter_group(domain, name="B")
+    first = Orb(world, world.add_host("first"), request_timeout=None)
+    second = Orb(world, world.add_host("second"), request_timeout=None)
+    first_a, first_b = (plain_stub(world, domain, first, g) for g in (a, b))
+    second_b = plain_stub(world, domain, second, b)
+    assert world.await_promise(first_a.call("increment", 7)) == 7
+    assert world.await_promise(second_b.call("increment", 1)) == 1
+    assert world.await_promise(second_b.call("increment", 2)) == 3
+    assert world.await_promise(first_b.call("increment", 1000)) == 1003
+    world.run(until=world.now + 0.2)
+    assert set(replica_counts(domain, a).values()) == {7}
+    assert set(replica_counts(domain, b).values()) == {1003}
+    gateway = domain.gateways[0]
+    base = gateway.index * 1_000_000
+    assert sorted(gateway._routing) == sorted([
+        (a.group_id, base + 1), (b.group_id, base + 1),
+        (b.group_id, base + 2)])
+
+
+@pytest.mark.parametrize("crash_ms", [None, 0, 20, 50, 90, 120],
+                         ids=lambda ms: "no_crash" if ms is None
+                         else f"gateway0_crash_at_{ms}ms")
+def test_enhanced_client_of_two_groups_gets_each_reply_once(crash_ms):
+    """One enhanced client identity, one stub (and connection) per
+    server group, both calls in flight at once: each reply goes out on
+    its own group's connection and each increment runs exactly once —
+    also when gateway 0 crashes while the calls are in flight and both
+    stubs fail over to the mirrored gateway 1."""
+    from repro import FtClientLayer
+    world = World(seed=5, trace=False)
+    domain = make_domain(world, gateways=2)
+    a = make_counter_group(domain, name="A")
+    b = make_counter_group(domain, name="B")
+    domain.await_ready(a)
+    domain.await_ready(b)
+    orb = Orb(world, world.add_host("browser"), request_timeout=None)
+    layer = FtClientLayer(orb, client_uid="two/groups")
+    stub_a, stub_b = (
+        layer.string_to_object(domain.ior_for(g).to_string(), g.interface)
+        for g in (a, b))
+    calls = [stub_a.call("increment", 5), stub_b.call("increment", 1)]
+    if crash_ms is not None:
+        world.faults.crash_host(domain.gateways[0].host.name,
+                                at=world.now + crash_ms / 1000)
+    world.run_until_done(calls, timeout=30)
+    assert [call.result() for call in calls] == [5, 1]
+    world.run(until=world.now + 0.5)
+    assert set(replica_counts(domain, a).values()) == {5}
+    assert set(replica_counts(domain, b).values()) == {1}
 
 
 def test_enhanced_client_ids_come_from_service_context(world):
@@ -98,8 +188,8 @@ def test_enhanced_client_ids_come_from_service_context(world):
     gateway = domain.gateways[0]
     _, stub, layer = external_client(world, domain, group, enhanced=True)
     world.await_promise(stub.call("increment", 1))
-    uids = [cid for cid in gateway._routing if isinstance(cid, str)]
-    assert uids == [f"{layer.client_uid}#1"]
+    assert list(gateway._routing) == [(group.group_id,
+                                       f"{layer.client_uid}#1")]
 
 
 def test_user_exception_travels_through_gateway(world):

@@ -103,6 +103,45 @@ def test_cancel_request_drops_pending_routing(world):
     assert set(replica_counts(domain, group).values()) == {11}
 
 
+def test_cancel_finds_its_group_on_a_connection_carrying_two(world):
+    """A plain ORB's one connection carries a (server group, client id)
+    pair per group it calls.  A CancelRequest names only the request
+    id, so the gateway cancels the pair that holds that operation — not
+    merely the most recent pair."""
+    from repro import Orb
+    from tests.helpers import replica_counts
+    domain = make_domain(world, gateways=1)
+    a = make_counter_group(domain, name="A")
+    b = make_counter_group(domain, name="B")
+    gateway = domain.gateways[0]
+    orb = Orb(world, world.add_host("browser"), request_timeout=None)
+    stub_a, stub_b = (orb.string_to_object(
+        domain.ior_for(g).to_string(), g.interface) for g in (a, b))
+    world.await_promise(stub_a.call("increment", 1))
+    original_forward = gateway._forward
+    held = []
+    gateway._forward = held.append
+    promise = stub_a.call("increment", 10)
+    world.run(until=world.now + 0.1)
+    gateway._forward = original_forward
+    assert world.await_promise(stub_b.call("increment", 1)) == 1
+    # B is now the connection's most recent pair; A's call is the one
+    # pending.
+    connection = orb._connections[next(iter(orb._connections))]
+    connection.endpoint.send(
+        encode_cancel_request(connection.pending_request_ids()[-1]))
+    world.run(until=world.now + 0.1)
+    assert gateway._cancelled == {held[0].key}
+    assert held[0].key[0] == a.group_id
+    gateway._forward(held[0])
+    world.run(until=world.now + 1.0)
+    assert not promise.done
+    assert gateway._cancelled == set()
+    assert set(replica_counts(domain, a).values()) == {11}
+    assert set(replica_counts(domain, b).values()) == {1}
+    world.audit(strict=True)
+
+
 def test_cancel_for_unknown_connection_is_ignored(world):
     domain = make_domain(world, gateways=1)
     make_counter_group(domain)

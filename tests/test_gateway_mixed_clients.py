@@ -25,7 +25,7 @@ def test_plain_and_enhanced_clients_coexist(world):
     assert sorted(p.result() for p in promises) == [1, 2, 3, 4]
     gateway = domain.gateways[0]
     kinds = {type(cid) for carried in gateway._conn_clients.values()
-             for cid in carried}
+             for _, cid in carried}
     assert kinds == {int, str}  # one counter id, one uid
 
 

@@ -68,10 +68,13 @@ def test_cancelled_entry_discarded_when_response_arrives(world):
     world.audit(strict=True)
 
 
-def test_cancel_tombstone_reaped_by_ttl_when_no_response_comes(world):
+def test_cancel_tombstone_reaped_by_ttl_when_no_response_comes(
+        world, monkeypatch):
     """If the cancelled operation's response never arrives (its server
     group died), the tombstone and its filter expectation are reclaimed
     by TTL instead."""
+    import repro.core.gateway as gateway_module
+    monkeypatch.setattr(gateway_module, "RETENTION_TTL", 5.0)
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain)
     gateway = domain.gateways[0]
@@ -84,7 +87,9 @@ def test_cancel_tombstone_reaped_by_ttl_when_no_response_comes(world):
     assert gateway.stats["cancels"] == 1
     assert len(gateway._cancelled) == 1
     assert gateway._filter.pending_count == 1
-    world.run(until=world.now + gateway.cancel_ttl + 1.0)
+    world.run(until=world.now + 4.0)
+    assert len(gateway._cancelled) == 1  # not yet due
+    world.run(until=world.now + 2.0)
     assert gateway._cancelled == set()
     assert gateway.stats["cancels_reaped"] == 1
     assert gateway._filter.pending_count == 0
@@ -155,12 +160,13 @@ def test_client_gone_deferred_until_last_pending_resolves(world):
     stub.call("increment", 10)
     world.run(until=world.now + 0.1)
     assert held
-    client_id = next(iter(origin._routing))
+    member = next(iter(origin._routing))
+    assert member[0] == group.group_id
     # The client disconnects while the operation is still pending.
     orb._connections[next(iter(orb._connections))].close()
     world.run(until=world.now + 0.5)
     assert origin.stats["client_gone_deferred"] == 1
-    assert client_id in origin._gone_pending
+    assert member in origin._gone_pending
     assert origin.stats["clients_gone"] == 0
     # Let the operation complete.  The broadcast stays deferred while
     # the peer, having read the request off the forward, still expects
@@ -168,16 +174,15 @@ def test_client_gone_deferred_until_last_pending_resolves(world):
     origin._forward = original
     origin._forward(held[0])
     world.scheduler.run_until(
-        lambda: peer._filter.is_expected(
-            (group.group_id, client_id, held[0].op_id)), timeout=1.0)
+        lambda: peer._filter.is_expected(held[0].key), timeout=1.0)
     assert origin.stats["clients_gone"] == peer.stats["clients_gone"] == 0
     world.run(until=world.now + 1.0)
     assert origin._gone_pending == set()
     for gateway in domain.gateways:
         assert gateway.stats["clients_gone"] == 1
-        assert not any(k[0] == client_id for k in gateway._pending)
-        assert not any(k[0] == client_id for k in gateway._cache)
-        assert client_id not in gateway._routing
+        assert not any(k[:2] == member for k in gateway._pending)
+        assert not any(k[:2] == member for k in gateway._filter._delivered)
+        assert member not in gateway._routing
     world.audit(strict=True)
 
 
@@ -275,7 +280,8 @@ def test_response_overtaking_a_reforward_closes_its_ordering_wait():
     on_domain_response = origin._on_domain_response
 
     def reforward_then_observe(msg):
-        record = origin._pending.get((msg.client_id, msg.op_id))
+        record = origin._pending.get(
+            (msg.source_group, msg.client_id, msg.op_id))
         if record is not None:
             origin._forward(record)
             assert record.order_span
@@ -386,7 +392,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
     held, forward = hold_forward(origin)
     first = stub.call("increment", 1)
     world.run(until=world.now + 0.1)
-    key = (held[0].client_id, held[0].op_id)
+    key = held[0].key
     container = spans.select(name="gateway.request")[-1]
     closes = []
     end = spans.end
@@ -417,7 +423,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         release(held)
         world.run(until=world.now + 0.5)
         assert key in origin._pending
-        assert peer._filter.is_expected((group.group_id,) + key)
+        assert peer._filter.is_expected(key)
 
     placement = group.info().placement
     slow = placement[1:]
@@ -451,7 +457,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
     elif cause == "close_then_response":
         orb._connections[next(iter(orb._connections))].close()
         world.run(until=world.now + 0.2)
-        assert origin._gone_pending == {key[0]}
+        assert origin._gone_pending == {key[:2]}
         release(held)
         executed += 1
     else:
@@ -460,7 +466,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         # when the last connection the client had to *it* closes.
         orb._connections[next(iter(orb._connections))].close()
         world.run(until=world.now + 0.2)
-        peer._broadcast_client_gone(key[0])
+        peer._broadcast_client_gone(key[:2])
         world.run(until=world.now + 0.5)
         release(held[1:])
     world.run(until=world.now + 2.0)

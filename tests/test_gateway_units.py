@@ -65,11 +65,11 @@ def test_peer_expects_response_when_invocation_observed(world):
     _, stub, layer = external_client(world, domain, group, enhanced=True)
     world.await_promise(stub.call("increment", 1))
     world.run(until=world.now + 0.5)
-    key = (f"{layer.client_uid}#1", external_operation_id(1))
+    key = (group.group_id, f"{layer.client_uid}#1", external_operation_id(1))
     assert peer.stats["mirrors_recorded"] == 1
     assert gateway.stats["mirrors_recorded"] == 0    # its own forward
-    assert peer._filter.was_delivered((group.group_id,) + key)
-    assert peer._cache[key] == gateway._cache[key]
+    assert peer._filter.was_delivered(key)
+    assert peer._filter.delivered(key) == gateway._filter.delivered(key)
     assert peer._pending == {}
 
 
@@ -155,7 +155,7 @@ def test_same_seeded_world_twice_in_one_process_is_identical():
     (in every endpoint repr) came from a class-level one in the same
     way; they are numbered per stack."""
     first = _plain_client_run()
-    assert first[0] == [1]
+    assert [cid for _, cid in first[0]] == [1]
     assert first[1] == [1, 2]       # one connection, two endpoints
     assert _plain_client_run() == first
 
@@ -167,17 +167,17 @@ def test_purge_client_clears_all_tables(world):
     _, stub, layer = external_client(world, domain, group, enhanced=True)
     world.await_promise(stub.call("increment", 1))
     world.run(until=world.now + 0.2)
-    client_id = f"{layer.client_uid}#1"
-    assert client_id in gateway._routing
+    member = (group.group_id, f"{layer.client_uid}#1")
+    assert member in gateway._routing
     # Connected here, so a peer's CLIENT_GONE means "moved", not "gone".
-    gateway._purge_client(client_id)
-    assert client_id in gateway._routing
-    assert any(k[0] == client_id for k in gateway._cache)
-    gateway._routing[client_id].close()
-    gateway._purge_client(client_id)
-    assert client_id not in gateway._routing
-    assert not any(k[0] == client_id for k in gateway._pending)
-    assert not any(k[0] == client_id for k in gateway._cache)
+    gateway._purge_client(member)
+    assert member in gateway._routing
+    assert any(k[:2] == member for k in gateway._filter._delivered)
+    gateway._routing[member].close()
+    gateway._purge_client(member)
+    assert member not in gateway._routing
+    assert not any(k[:2] == member for k in gateway._pending)
+    assert not any(k[:2] == member for k in gateway._filter._delivered)
 
 
 def test_observe_delivered_ignores_unrelated_kinds(world):

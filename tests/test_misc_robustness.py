@@ -83,16 +83,17 @@ def test_two_enhanced_clients_fail_over_simultaneously(world):
     assert layer_a.failover_log and layer_b.failover_log
 
 
-def test_gateway_response_cache_is_bounded(world):
+def test_gateway_response_cache_is_bounded(world, monkeypatch):
+    import repro.core.gateway as gateway_module
+    monkeypatch.setattr(gateway_module, "REPLY_MEMORY", 5)
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain)
     gateway = domain.gateways[0]
-    gateway.response_cache_limit = 5
     _, stub, _ = external_client(world, domain, group)
     for _ in range(12):
         world.await_promise(stub.call("increment", 1), timeout=600)
     world.run(until=world.now + 0.5)
-    assert len(gateway._cache) <= 5
+    assert len(gateway._filter._delivered) <= 5
 
 
 def test_nested_encapsulation_roundtrip():
