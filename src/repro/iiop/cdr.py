@@ -7,26 +7,38 @@ stream, both byte orders, primitive types, strings (with trailing NUL),
 octet sequences, and nested encapsulations (which restart alignment and
 carry their own endianness octet).
 
-The gateway genuinely decodes these bytes off a simulated TCP stream,
-so correctness here is load-bearing for the whole reproduction — and
-because every request and reply crosses this code at least twice, it is
-also one of the hottest wall-clock paths in the simulator.  Two
-optimisations keep it fast without changing a single wire byte:
+The hot wire paths do not come through these streams.  A GIOP message
+is built and parsed whole by :mod:`repro.iiop.giop`, and an operation's
+arguments and result by the :class:`~repro.iiop.types.Codec` compiled
+for its signature; both share the precompiled length codec
+(:data:`ULONG`), the padding table (:data:`PADDING`) and the text
+helpers defined here.  The streams remain the general CDR machinery for
+what has no fixed layout: IORs, encapsulations, the Figure 4 header
+encoding, and the enum, sequence and struct type codes.  They stay
+cheap without changing a wire byte:
 
-* every primitive codec is a precompiled :class:`struct.Struct` (one
-  per (kind, byte order)), so encoding never rebuilds a format string
-  and decoding uses ``unpack_from`` straight off the underlying buffer
-  — no per-read slice allocation;
+* every numeric codec is a precompiled :class:`struct.Struct` (one per
+  (kind, byte order)), so encoding never rebuilds a format string and
+  decoding uses ``unpack_from`` straight off the underlying buffer;
 * :class:`CdrInputStream` accepts any bytes-like object (``bytes``,
   ``bytearray``, ``memoryview``), which lets callers hand it borrowed
   views of larger buffers instead of copies.
+
+Text that is not UTF-8 (for ``char``, not Latin-1) is a
+:class:`~repro.errors.MarshalError` in either direction, on the streams
+and the compiled codecs alike: malformed input from a peer is answered,
+never a ``UnicodeError`` escaping into the simulation.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Tuple, Union
 
 from ..errors import MarshalError
+
+#: Any buffer the decoders read in place.
+Buffer = Union[bytes, bytearray, memoryview]
 
 BIG_ENDIAN = False  # CDR flag value: False/0 means big-endian
 LITTLE_ENDIAN = True
@@ -51,6 +63,65 @@ _CODECS = {
     for kind, fmt in _FORMATS.items()
     for little in (False, True)
 }
+
+#: ``ULONG[little_endian]``: the ulong codec of each byte order, which
+#: every length prefix and count on the wire goes through.
+ULONG = (_CODECS["ulong", False], _CODECS["ulong", True])
+
+#: ``PADDING[n]`` is ``n`` zero octets (n < 8): alignment filler.
+PADDING = tuple(bytes(n) for n in range(8))
+
+
+def encode_text(value: str) -> bytes:
+    """A CORBA string's characters as UTF-8, without length or NUL."""
+    try:
+        encoded = value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MarshalError(f"string is not encodable as UTF-8: {exc}") from None
+    except AttributeError:
+        raise MarshalError(
+            f"string value must be str, got {type(value).__name__}") from None
+    if b"\x00" in encoded:
+        raise MarshalError("CORBA strings cannot contain NUL")
+    return encoded
+
+
+def read_octets_at(data: Buffer, pos: int, end: int,
+                   little_endian: bool) -> Tuple[bytes, int]:
+    """Decode the sequence<octet> due at offset ``pos`` (before its
+    alignment) of ``data[:end]``: its bytes and the offset after it."""
+    pos += -pos & 3
+    if pos + 4 > end:
+        raise MarshalError(f"CDR underflow: need 4 bytes at {pos}, have {end}")
+    length: int = ULONG[little_endian].unpack_from(data, pos)[0]
+    stop = pos + 4 + length
+    if stop > end:
+        raise MarshalError(
+            f"CDR underflow: need {length} bytes at {pos + 4}, have {end}")
+    return bytes(data[pos + 4:stop]), stop
+
+
+def read_string_at(data: Buffer, pos: int, end: int,
+                   little_endian: bool) -> Tuple[str, int]:
+    """Decode the CORBA string due at offset ``pos`` (before its
+    alignment) of ``data[:end]``: its text and the offset after it.
+    Bytes that are not UTF-8 are malformed input like any other."""
+    pos += -pos & 3
+    if pos + 4 > end:
+        raise MarshalError(f"CDR underflow: need 4 bytes at {pos}, have {end}")
+    length: int = ULONG[little_endian].unpack_from(data, pos)[0]
+    if length == 0:
+        raise MarshalError("CORBA string length 0 is invalid (must include NUL)")
+    stop = pos + 4 + length
+    if stop > end:
+        raise MarshalError(
+            f"CDR underflow: need {length} bytes at {pos + 4}, have {end}")
+    if data[stop - 1] != 0:
+        raise MarshalError("CORBA string missing trailing NUL")
+    try:
+        return str(data[pos + 4:stop - 1], "utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"CORBA string is not UTF-8: {exc}") from None
 
 
 class CdrOutputStream:
@@ -86,14 +157,17 @@ class CdrOutputStream:
     def write_char(self, value: str) -> None:
         if len(value) != 1:
             raise MarshalError(f"char must be a single character: {value!r}")
-        self._buffer.extend(value.encode("latin-1"))
+        try:
+            self._buffer.extend(value.encode("latin-1"))
+        except UnicodeEncodeError:
+            raise MarshalError(f"char {value!r} is not Latin-1") from None
 
     def _write_numeric(self, kind: str, value) -> None:
         self.align(_ALIGNMENT[kind])
         codec = _CODECS[kind, self.little_endian]
         try:
             self._buffer.extend(codec.pack(value))
-        except struct.error as exc:
+        except (struct.error, OverflowError) as exc:
             raise MarshalError(f"cannot encode {kind} {value!r}: {exc}") from exc
 
     def write_short(self, value: int) -> None:
@@ -124,9 +198,7 @@ class CdrOutputStream:
 
     def write_string(self, value: str) -> None:
         """CORBA string: ulong length including trailing NUL, bytes, NUL."""
-        encoded = value.encode("utf-8")
-        if b"\x00" in encoded:
-            raise MarshalError("CORBA strings cannot contain NUL")
+        encoded = encode_text(value)
         self.write_ulong(len(encoded) + 1)
         self._buffer.extend(encoded)
         self._buffer.append(0)
@@ -259,17 +331,14 @@ class CdrInputStream:
     # -- constructed types ----------------------------------------------
 
     def read_string(self) -> str:
-        length = self.read_ulong()
-        if length == 0:
-            raise MarshalError("CORBA string length 0 is invalid (must include NUL)")
-        raw = self._take(length)
-        if raw[-1] != 0:
-            raise MarshalError("CORBA string missing trailing NUL")
-        return raw[:-1].decode("utf-8")
+        text, self._pos = read_string_at(self._data, self._pos, self._len,
+                                         self.little_endian)
+        return text
 
     def read_octets(self) -> bytes:
-        length = self.read_ulong()
-        return self._take(length)
+        octets, self._pos = read_octets_at(self._data, self._pos, self._len,
+                                           self.little_endian)
+        return octets
 
     def read_raw(self, count: int) -> bytes:
         return self._take(count)

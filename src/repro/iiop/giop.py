@@ -8,6 +8,15 @@ provides exactly that: message encode/decode plus an incremental
 :class:`GiopFramer` that tolerates arbitrary segmentation of the byte
 stream.
 
+Request and Reply, the messages on every hop, are marshalled whole:
+each encoder is straight-line ``struct`` code that collects one list of
+parts (padding computed inline, the header packed last, once the size
+is known) and joins it once; each decoder walks the message with
+``unpack_from`` and checks the bounds before every field, so a
+truncated or lying message is a :class:`~repro.errors.MarshalError`,
+never an ``IndexError`` or ``struct.error``.  The rarer Locate and
+Cancel messages still go through the generic CDR streams.
+
 GIOP 1.0 is used because it is what 1999/2000-era ORBs spoke; its
 Request header carries the ``principal`` field and a boolean byte-order
 flag, both encoded here faithfully.
@@ -15,11 +24,21 @@ flag, both encoded here faithfully.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..errors import MarshalError
-from .cdr import CdrInputStream, CdrOutputStream
+from .cdr import (
+    PADDING,
+    ULONG,
+    Buffer,
+    CdrInputStream,
+    CdrOutputStream,
+    encode_text,
+    read_octets_at,
+    read_string_at,
+)
 
 GIOP_MAGIC = b"GIOP"
 GIOP_HEADER_SIZE = 12
@@ -91,41 +110,74 @@ class ReplyMessage:
     little_endian: bool = False  # wire byte order, set by decode_reply
 
 
-def _write_service_contexts(out: CdrOutputStream,
-                            contexts: List[ServiceContext]) -> None:
-    out.write_ulong(len(contexts))
+# One precompiled Struct per byte order (index: the little-endian flag)
+# for each fixed stretch of a message.
+_HEADER = (struct.Struct(">4sBBBBI"), struct.Struct("<4sBBBBI"))
+# (context id, data length) of a service context; (request id, status)
+# of a Reply header.
+_TWO_ULONGS = (struct.Struct(">II"), struct.Struct("<II"))
+# Request header: request id, response_expected, the three pad octets
+# before the object key, the object key's length.
+_REQUEST_FIXED = (struct.Struct(">I?3xI"), struct.Struct("<I?3xI"))
+# More contexts than this is a malformed (or hostile) message.
+_MAX_CONTEXTS = 1024
+
+
+def _underflow(what: str, pos: int, end: int) -> MarshalError:
+    return MarshalError(f"GIOP underflow: {what} at {pos} overruns {end}")
+
+
+def _context_parts(parts: List[bytes], contexts: List[ServiceContext],
+                   little_endian: bool) -> int:
+    """Append a service context list at message offset 12; return the
+    offset after it."""
+    parts.append(ULONG[little_endian].pack(len(contexts)))
+    pos = GIOP_HEADER_SIZE + 4
+    pair = _TWO_ULONGS[little_endian]
     for ctx in contexts:
-        out.write_ulong(ctx.context_id)
-        out.write_octets(ctx.data)
+        data = ctx.data
+        pad = -pos & 3
+        parts += (PADDING[pad], pair.pack(ctx.context_id, len(data)), data)
+        pos += pad + 8 + len(data)
+    return pos
 
 
-def _read_service_contexts(stream: CdrInputStream) -> List[ServiceContext]:
-    count = stream.read_ulong()
-    if count > 1024:
+def _read_contexts(message: bytes, end: int, little_endian: bool
+                   ) -> Tuple[List[ServiceContext], int]:
+    """Parse the service context list at message offset 12; return it
+    and the offset after it."""
+    pos = GIOP_HEADER_SIZE
+    if pos + 4 > end:
+        raise _underflow("service context count", pos, end)
+    count: int = ULONG[little_endian].unpack_from(message, pos)[0]
+    if count > _MAX_CONTEXTS:
         raise MarshalError(f"implausible service context count {count}")
-    contexts = []
+    pos += 4
+    pair = _TWO_ULONGS[little_endian]
+    contexts: List[ServiceContext] = []
     for _ in range(count):
-        context_id = stream.read_ulong()
-        data = stream.read_octets()
-        contexts.append(ServiceContext(context_id, data))
-    return contexts
+        pos += -pos & 3
+        if pos + 8 > end:
+            raise _underflow("service context", pos, end)
+        context_id, length = pair.unpack_from(message, pos)
+        pos += 8
+        if pos + length > end:
+            raise _underflow("service context data", pos, end)
+        contexts.append(ServiceContext(context_id, message[pos:pos + length]))
+        pos += length
+    return contexts, pos
 
 
 def _giop_header(message_type: int, size: int, little_endian: bool) -> bytes:
-    header = bytearray()
-    header.extend(GIOP_MAGIC)
-    header.append(1)  # major
-    header.append(0)  # minor
-    header.append(1 if little_endian else 0)
-    header.append(message_type)
-    header.extend(size.to_bytes(4, "little" if little_endian else "big"))
-    return bytes(header)
+    header: bytes = _HEADER[little_endian].pack(
+        GIOP_MAGIC, 1, 0, little_endian, message_type, size)
+    return header
 
 
 def _finalise(out: CdrOutputStream, message_type: int,
               little_endian: bool) -> bytes:
-    """Patch the real header over the reserved 12-byte slot and return
-    the complete message in a single copy."""
+    """Patch the real header over the reserved 12-byte slot of a
+    stream-built message and return it in a single copy."""
     size = len(out) - GIOP_HEADER_SIZE
     out.patch_raw(0, _giop_header(message_type, size, little_endian))
     return out.getvalue()
@@ -133,36 +185,57 @@ def _finalise(out: CdrOutputStream, message_type: int,
 
 def encode_request(msg: RequestMessage, little_endian: bool = False) -> bytes:
     """Encode a complete GIOP 1.0 Request message (header + body)."""
-    out = CdrOutputStream(little_endian=little_endian)
-    # Body alignment in GIOP is relative to the start of the message;
-    # the 12-byte header keeps 4- and 8-byte alignment congruent, so we
-    # reserve the header slot up front and patch the real header in
-    # place once the body length is known.
-    out.write_raw(b"\x00" * GIOP_HEADER_SIZE)
-    _write_service_contexts(out, msg.service_contexts)
-    out.write_ulong(msg.request_id)
-    out.write_boolean(msg.response_expected)
-    out.write_octets(msg.object_key)
-    out.write_string(msg.operation)
-    out.write_octets(msg.principal)
-    # Deviation from strict GIOP 1.0, applied consistently on both
-    # paths: the body starts on an 8-byte boundary so argument bytes can
-    # be marshalled in a standalone buffer (offset 0) and spliced in.
-    out.align(8)
-    out.write_raw(msg.body)
-    return _finalise(out, MsgType.REQUEST, little_endian)
+    ulong = ULONG[little_endian]
+    parts: List[bytes] = [b""]  # the header, once the size is known
+    try:
+        pos = _context_parts(parts, msg.service_contexts, little_endian)
+        key = msg.object_key
+        pad = -pos & 3
+        parts += (PADDING[pad], _REQUEST_FIXED[little_endian].pack(
+            msg.request_id, msg.response_expected, len(key)), key)
+        pos += pad + 12 + len(key)
+        operation = encode_text(msg.operation)
+        pad = -pos & 3
+        parts += (PADDING[pad], ulong.pack(len(operation) + 1), operation,
+                  b"\x00")
+        pos += pad + 5 + len(operation)
+        principal = msg.principal
+        pad = -pos & 3
+        parts += (PADDING[pad], ulong.pack(len(principal)), principal)
+        pos += pad + 4 + len(principal)
+        # Deviation from strict GIOP 1.0, applied consistently on both
+        # paths: the body starts on an 8-byte boundary so argument bytes
+        # can be marshalled in a standalone buffer (offset 0) and
+        # spliced in.
+        pad = -pos & 7
+        parts += (PADDING[pad], msg.body)
+        pos += pad + len(msg.body)
+        parts[0] = _HEADER[little_endian].pack(
+            GIOP_MAGIC, 1, 0, little_endian, MsgType.REQUEST,
+            pos - GIOP_HEADER_SIZE)
+    except struct.error as exc:
+        raise MarshalError(f"cannot encode Request: {exc}") from exc
+    return b"".join(parts)
 
 
 def encode_reply(msg: ReplyMessage, little_endian: bool = False) -> bytes:
     """Encode a complete GIOP 1.0 Reply message (header + body)."""
-    out = CdrOutputStream(little_endian=little_endian)
-    out.write_raw(b"\x00" * GIOP_HEADER_SIZE)
-    _write_service_contexts(out, msg.service_contexts)
-    out.write_ulong(msg.request_id)
-    out.write_ulong(msg.status)
-    out.align(8)  # body alignment, see encode_request
-    out.write_raw(msg.body)
-    return _finalise(out, MsgType.REPLY, little_endian)
+    parts: List[bytes] = [b""]  # the header, once the size is known
+    try:
+        pos = _context_parts(parts, msg.service_contexts, little_endian)
+        pad = -pos & 3
+        parts += (PADDING[pad],
+                  _TWO_ULONGS[little_endian].pack(msg.request_id, msg.status))
+        pos += pad + 8
+        pad = -pos & 7  # body alignment, see encode_request
+        parts += (PADDING[pad], msg.body)
+        pos += pad + len(msg.body)
+        parts[0] = _HEADER[little_endian].pack(
+            GIOP_MAGIC, 1, 0, little_endian, MsgType.REPLY,
+            pos - GIOP_HEADER_SIZE)
+    except struct.error as exc:
+        raise MarshalError(f"cannot encode Reply: {exc}") from exc
+    return b"".join(parts)
 
 
 class LocateStatus:
@@ -264,7 +337,7 @@ def encode_message_error(little_endian: bool = False) -> bytes:
     return _giop_header(MsgType.MESSAGE_ERROR, 0, little_endian)
 
 
-def parse_header(data) -> Tuple[int, bool, int]:
+def parse_header(data: Buffer) -> Tuple[int, bool, int]:
     """Parse a 12-byte GIOP header -> (message_type, little_endian, size).
 
     Accepts any bytes-like buffer (``bytes``, ``bytearray``,
@@ -272,15 +345,15 @@ def parse_header(data) -> Tuple[int, bool, int]:
     """
     if len(data) < GIOP_HEADER_SIZE:
         raise MarshalError("short GIOP header")
-    if data[:4] != GIOP_MAGIC:
-        raise MarshalError(f"bad GIOP magic {data[:4]!r}")
-    major, minor = data[4], data[5]
+    magic, major, minor, flags, message_type, size = \
+        _HEADER[0].unpack_from(data)
+    if magic != GIOP_MAGIC:
+        raise MarshalError(f"bad GIOP magic {magic!r}")
     if major != 1:
         raise MarshalError(f"unsupported GIOP version {major}.{minor}")
-    little_endian = bool(data[6] & 1)
-    message_type = data[7]
-    size = int.from_bytes(data[8:12], "little" if little_endian else "big")
-    return message_type, little_endian, size
+    if flags & 1:
+        return message_type, True, ULONG[1].unpack_from(data, 8)[0]
+    return message_type, False, size
 
 
 def _body_stream(message: bytes, little_endian: bool) -> CdrInputStream:
@@ -291,22 +364,37 @@ def _body_stream(message: bytes, little_endian: bool) -> CdrInputStream:
     return stream
 
 
-def decode_request(message: bytes) -> RequestMessage:
-    """Decode a complete Request message (as produced by the framer)."""
+def _framed(message: Buffer, expected: int, name: str) -> Tuple[bytes, bool]:
+    """Check a whole message's header: (the message as bytes, its byte
+    order)."""
     message_type, little_endian, size = parse_header(message)
-    if message_type != MsgType.REQUEST:
-        raise MarshalError(f"not a Request message (type {message_type})")
+    if message_type != expected:
+        raise MarshalError(f"not a {name} message (type {message_type})")
     if len(message) != GIOP_HEADER_SIZE + size:
-        raise MarshalError("Request size mismatch")
-    stream = _body_stream(message, little_endian)
-    contexts = _read_service_contexts(stream)
-    request_id = stream.read_ulong()
-    response_expected = stream.read_boolean()
-    object_key = stream.read_octets()
-    operation = stream.read_string()
-    principal = stream.read_octets()
-    stream.align(8)
-    body = stream.read_raw(stream.remaining)
+        raise MarshalError(f"{name} size mismatch")
+    return bytes(message), little_endian  # no copy when already bytes
+
+
+def decode_request(message: Buffer) -> RequestMessage:
+    """Decode a complete Request message (as produced by the framer)."""
+    message, little_endian = _framed(message, MsgType.REQUEST, "Request")
+    end = len(message)
+    contexts, pos = _read_contexts(message, end, little_endian)
+    pos += -pos & 3
+    if pos + 12 > end:
+        raise _underflow("Request header", pos, end)
+    request_id, response_expected, key_length = \
+        _REQUEST_FIXED[little_endian].unpack_from(message, pos)
+    pos += 12
+    stop = pos + key_length
+    if stop > end:
+        raise _underflow("object key", pos, end)
+    object_key = message[pos:stop]
+    operation, pos = read_string_at(message, stop, end, little_endian)
+    principal, stop = read_octets_at(message, pos, end, little_endian)
+    pos = stop + (-stop & 7)
+    if pos > end:
+        raise _underflow("Request body", pos, end)
     return RequestMessage(
         request_id=request_id,
         response_expected=response_expected,
@@ -314,51 +402,27 @@ def decode_request(message: bytes) -> RequestMessage:
         operation=operation,
         service_contexts=contexts,
         principal=principal,
-        body=body,
+        body=message[pos:],
         little_endian=little_endian,
     )
 
 
-def decode_reply(message: bytes) -> ReplyMessage:
+def decode_reply(message: Buffer) -> ReplyMessage:
     """Decode a complete Reply message (as produced by the framer)."""
-    message_type, little_endian, size = parse_header(message)
-    if message_type != MsgType.REPLY:
-        raise MarshalError(f"not a Reply message (type {message_type})")
-    if len(message) != GIOP_HEADER_SIZE + size:
-        raise MarshalError("Reply size mismatch")
-    stream = _body_stream(message, little_endian)
-    contexts = _read_service_contexts(stream)
-    request_id = stream.read_ulong()
-    status = stream.read_ulong()
-    stream.align(8)
-    body = stream.read_raw(stream.remaining)
+    message, little_endian = _framed(message, MsgType.REPLY, "Reply")
+    end = len(message)
+    contexts, pos = _read_contexts(message, end, little_endian)
+    pos += -pos & 3
+    if pos + 8 > end:
+        raise _underflow("Reply header", pos, end)
+    request_id, status = _TWO_ULONGS[little_endian].unpack_from(message, pos)
+    pos += 8
+    pos += -pos & 7
+    if pos > end:
+        raise _underflow("Reply body", pos, end)
     return ReplyMessage(request_id=request_id, status=status,
-                        service_contexts=contexts, body=body,
+                        service_contexts=contexts, body=message[pos:],
                         little_endian=little_endian)
-
-
-def body_input_stream(message: bytes, header_kind: str) -> CdrInputStream:
-    """Open a CDR stream positioned at the start of a message's *body*
-    (after the request/reply header), preserving alignment.
-
-    ``header_kind`` is ``"request"`` or ``"reply"``.  Used by the ORB to
-    unmarshal operation arguments/results after header decoding.
-    """
-    message_type, little_endian, _ = parse_header(message)
-    stream = _body_stream(message, little_endian)
-    _read_service_contexts(stream)
-    stream.read_ulong()  # request id
-    if header_kind == "request":
-        stream.read_boolean()  # response expected
-        stream.read_octets()   # object key
-        stream.read_string()   # operation
-        stream.read_octets()   # principal
-    elif header_kind == "reply":
-        stream.read_ulong()    # status
-    else:
-        raise MarshalError(f"unknown header kind {header_kind!r}")
-    stream.align(8)
-    return stream
 
 
 class GiopFramer:

@@ -15,17 +15,30 @@ restarted client is not mistaken for its former self).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, List, Optional
 
 from ..errors import MarshalError
-from .cdr import CdrOutputStream, decapsulate, encapsulate
 from .giop import RequestMessage, ServiceContext
+from .types import TC_BOOLEAN, TC_STRING, TC_ULONG, Codec
 
 # "ET" vendor prefix, service 0x01: Eternal client identification.
 ETERNAL_CLIENT_ID_CONTEXT = 0x45540001
 
 # "ET" vendor prefix, service 0x02: Eternal causal-trace propagation.
 TRACE_CONTEXT = 0x45540002
+
+# Each context's data is a CDR encapsulation: its byte-order octet, then
+# the fields, aligned from the encapsulation's first octet.
+_CLIENT_ID = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG])
+_SPAN = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG, TC_ULONG])
+
+
+def _open(codec: Codec, data: bytes) -> List[Any]:
+    """Decode an encapsulation in the byte order its first octet names;
+    the fields after that octet."""
+    if not data:
+        raise MarshalError("empty CDR encapsulation")
+    return codec.decode(data, data[0] != 0)[1:]
 
 
 @dataclass(frozen=True)
@@ -36,17 +49,12 @@ class ClientIdContext:
     incarnation: int = 1
 
     def to_service_context(self) -> ServiceContext:
-        def build(out: CdrOutputStream) -> None:
-            out.write_string(self.client_uid)
-            out.write_ulong(self.incarnation)
-
-        return ServiceContext(ETERNAL_CLIENT_ID_CONTEXT, encapsulate(build))
+        return ServiceContext(ETERNAL_CLIENT_ID_CONTEXT, _CLIENT_ID.encode(
+            (False, self.client_uid, self.incarnation)))
 
     @staticmethod
     def from_bytes(data: bytes) -> "ClientIdContext":
-        stream = decapsulate(data)
-        uid = stream.read_string()
-        incarnation = stream.read_ulong()
+        uid, incarnation = _open(_CLIENT_ID, data)
         return ClientIdContext(client_uid=uid, incarnation=incarnation)
 
 
@@ -67,19 +75,12 @@ class SpanContext:
     hop: int = 0
 
     def to_service_context(self) -> ServiceContext:
-        def build(out: CdrOutputStream) -> None:
-            out.write_string(self.trace_id)
-            out.write_ulong(self.span_id)
-            out.write_ulong(self.hop)
-
-        return ServiceContext(TRACE_CONTEXT, encapsulate(build))
+        return ServiceContext(TRACE_CONTEXT, _SPAN.encode(
+            (False, self.trace_id, self.span_id, self.hop)))
 
     @staticmethod
     def from_bytes(data: bytes) -> "SpanContext":
-        stream = decapsulate(data)
-        trace_id = stream.read_string()
-        span_id = stream.read_ulong()
-        hop = stream.read_ulong()
+        trace_id, span_id, hop = _open(_SPAN, data)
         return SpanContext(trace_id=trace_id, span_id=span_id, hop=hop)
 
 

@@ -22,9 +22,8 @@ from ..errors import (
     InvocationFailure,
     MarshalError,
 )
-from ..iiop.cdr import CdrInputStream, CdrOutputStream
 from ..iiop.giop import ReplyMessage, ReplyStatus, RequestMessage, encode_reply
-from ..iiop.types import decode_values, encode_values
+from ..iiop.types import TC_STRING, TC_ULONG, Codec
 from .idl import Operation
 from .servant import Servant
 
@@ -32,77 +31,71 @@ from .servant import Servant
 def decode_arguments(op: Operation, request: RequestMessage,
                      little_endian: bool = False) -> List[Any]:
     """Unmarshal the request body per the operation's parameter list."""
-    stream = CdrInputStream(request.body, little_endian=little_endian)
-    return decode_values(op.param_typecodes, stream)
+    return op.arguments_codec.decode(request.body, little_endian)
 
 
 def encode_arguments(op: Operation, args: Sequence[Any]) -> bytes:
     """Marshal arguments into a request body (big-endian)."""
-    out = CdrOutputStream()
-    encode_values(op.param_typecodes, list(args), out)
-    return out.getvalue()
+    return op.arguments_codec.encode(args)
 
 
 def encode_result_body(op: Operation, value: Any) -> bytes:
-    out = CdrOutputStream()
-    op.result.encode(out, value)
-    return out.getvalue()
+    return op.result_codec.encode((value,))
 
 
 # Decoded system exceptions keep their class, so re-encoding keeps the id.
 _SYSTEM_EXCEPTIONS = {f"IDL:omg.org/CORBA/{cls.__name__}:1.0": cls
                       for cls in CorbaSystemException.__subclasses__()}
 
+# Exception reply bodies: (repository id, detail) of a user exception,
+# (repository id, minor code) of a system exception.
+_USER_EXCEPTION = Codec([TC_STRING, TC_STRING])
+_SYSTEM_EXCEPTION = Codec([TC_STRING, TC_ULONG])
+
 
 def decode_result(op: Operation, reply: ReplyMessage,
                   little_endian: bool = False) -> Any:
     """Turn a Reply into a return value or raise the carried exception."""
-    stream = CdrInputStream(reply.body, little_endian=little_endian)
     if reply.status == ReplyStatus.NO_EXCEPTION:
-        return op.result.decode(stream)
+        return op.result_codec.decode(reply.body, little_endian)[0]
     if reply.status == ReplyStatus.USER_EXCEPTION:
-        repo_id = stream.read_string()
-        detail = stream.read_string()
+        repo_id, detail = _USER_EXCEPTION.decode(reply.body, little_endian)
         raise InvocationFailure(repo_id, detail)
     if reply.status == ReplyStatus.SYSTEM_EXCEPTION:
-        repo_id = stream.read_string()
-        minor = stream.read_ulong()
+        repo_id, minor = _SYSTEM_EXCEPTION.decode(reply.body, little_endian)
         raise _SYSTEM_EXCEPTIONS.get(repo_id, CorbaSystemException)(
             repo_id, minor=minor)
     raise MarshalError(f"unsupported reply status {reply.status}")
 
 
-def _user_exception_body(exc: InvocationFailure) -> bytes:
-    out = CdrOutputStream()
-    out.write_string(exc.repo_id)
-    out.write_string(exc.detail)
-    return out.getvalue()
-
-
-def _system_exception_body(exc: Exception) -> bytes:
-    out = CdrOutputStream()
-    out.write_string(f"IDL:omg.org/CORBA/{type(exc).__name__}:1.0")
-    out.write_ulong(getattr(exc, "minor", 0))
-    return out.getvalue()
-
-
 def reply_for_exception(request_id: int, exc: Exception) -> bytes:
     """Encode the Reply bytes reporting ``exc`` for ``request_id``."""
     if isinstance(exc, InvocationFailure):
-        status, body = ReplyStatus.USER_EXCEPTION, _user_exception_body(exc)
+        status = ReplyStatus.USER_EXCEPTION
+        body = _USER_EXCEPTION.encode((exc.repo_id, exc.detail))
     else:
-        status, body = ReplyStatus.SYSTEM_EXCEPTION, _system_exception_body(exc)
+        status = ReplyStatus.SYSTEM_EXCEPTION
+        body = _SYSTEM_EXCEPTION.encode((
+            f"IDL:omg.org/CORBA/{type(exc).__name__}:1.0",
+            getattr(exc, "minor", 0)))
     return encode_reply(ReplyMessage(request_id=request_id, status=status,
                                      body=body))
 
 
 def reply_for_result(request_id: int, op: Operation, value: Any) -> bytes:
-    """Encode the successful Reply bytes for ``request_id``."""
+    """Encode the successful Reply bytes for ``request_id``.
+
+    A result that does not fit the operation's declared type (a long
+    that overflowed, say) is answered as the MarshalError system
+    exception it raised.  It is the servant's fault, not the caller's,
+    and every replica computes the same reply, so the server neither
+    stops nor hangs up."""
+    try:
+        body = encode_result_body(op, value)
+    except MarshalError as exc:
+        return reply_for_exception(request_id, exc)
     return encode_reply(ReplyMessage(
-        request_id=request_id,
-        status=ReplyStatus.NO_EXCEPTION,
-        body=encode_result_body(op, value),
-    ))
+        request_id=request_id, status=ReplyStatus.NO_EXCEPTION, body=body))
 
 
 def start_invocation(servant: Servant, request: RequestMessage,

@@ -11,16 +11,20 @@ and results.  The reproduction declares interfaces directly in Python
     ])
 
 Both the client stub and the server-side dispatch consult the same
-:class:`Interface` object, so marshalling is symmetric by construction.
+:class:`Interface` object, so marshalling is symmetric by construction:
+each :class:`Operation` compiles its argument and result codecs once
+(:class:`~repro.iiop.types.Codec`) and every body on either side goes
+through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Optional, Sequence
 
 from ..errors import BadOperation, ConfigurationError
-from ..iiop.types import TC_VOID, TypeCode
+from ..iiop.types import TC_VOID, Codec, TypeCode
 
 
 @dataclass(frozen=True)
@@ -45,9 +49,18 @@ class Operation:
             raise ConfigurationError(
                 f"oneway operation {self.name!r} cannot return a value")
 
-    @property
-    def param_typecodes(self) -> List[TypeCode]:
-        return [p.typecode for p in self.params]
+    # Compiled on first use, then kept: an operation's signature fixes
+    # the layout of its request and reply bodies.
+
+    @cached_property
+    def arguments_codec(self) -> Codec:
+        """Marshals the argument list (a Request body)."""
+        return Codec([p.typecode for p in self.params])
+
+    @cached_property
+    def result_codec(self) -> Codec:
+        """Marshals the one-element result list (a normal Reply body)."""
+        return Codec([self.result])
 
 
 class Interface:

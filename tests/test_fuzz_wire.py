@@ -6,7 +6,7 @@ else, never misinterpret garbage as a valid message.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MarshalError
@@ -78,6 +78,7 @@ def test_ior_from_bytes_rejects_cleanly(data):
 
 @settings(max_examples=100)
 @given(st.binary(max_size=64))
+@example(b"\x00\x00\x00\x02\xff\x00")  # well framed, not UTF-8
 def test_cdr_string_reader_is_total(data):
     stream = CdrInputStream(data)
     try:

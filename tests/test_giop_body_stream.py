@@ -1,52 +1,6 @@
-"""Tests for body_input_stream and remaining dispatch/duplicates units."""
-
-import pytest
+"""Remaining duplicate-filter units."""
 
 from repro.core import DuplicateSuppressor
-from repro.errors import MarshalError
-from repro.iiop import (
-    ReplyMessage,
-    RequestMessage,
-    ServiceContext,
-    body_input_stream,
-    encode_reply,
-    encode_request,
-)
-from repro.iiop.cdr import CdrOutputStream
-
-
-def make_request_with_body():
-    body = CdrOutputStream()
-    body.write_long(7)
-    body.write_string("arg")
-    return encode_request(RequestMessage(
-        request_id=3, response_expected=True, object_key=b"key",
-        operation="op",
-        service_contexts=[ServiceContext(0x45540001, b"\x00ctx")],
-        principal=b"p", body=body.getvalue()))
-
-
-def test_body_input_stream_positions_after_request_header():
-    message = make_request_with_body()
-    stream = body_input_stream(message, "request")
-    assert stream.read_long() == 7
-    assert stream.read_string() == "arg"
-    assert stream.remaining == 0
-
-
-def test_body_input_stream_positions_after_reply_header():
-    body = CdrOutputStream()
-    body.write_string("result")
-    message = encode_reply(ReplyMessage(request_id=3, status=0,
-                                        body=body.getvalue()))
-    stream = body_input_stream(message, "reply")
-    assert stream.read_string() == "result"
-
-
-def test_body_input_stream_rejects_unknown_kind():
-    message = make_request_with_body()
-    with pytest.raises(MarshalError):
-        body_input_stream(message, "neither")
 
 
 def test_forget_where_clears_pending_and_delivered():

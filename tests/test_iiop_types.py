@@ -8,6 +8,7 @@ from repro.errors import MarshalError
 from repro.iiop import (
     CdrInputStream,
     CdrOutputStream,
+    Codec,
     SequenceTC,
     StructTC,
     TC_BOOLEAN,
@@ -16,8 +17,6 @@ from repro.iiop import (
     TC_OCTETS,
     TC_STRING,
     TC_VOID,
-    decode_values,
-    encode_values,
 )
 
 
@@ -94,18 +93,15 @@ def test_struct_inside_sequence():
     assert roundtrip(tc, value) == value
 
 
-def test_encode_values_length_mismatch():
-    out = CdrOutputStream()
+def test_codec_length_mismatch():
     with pytest.raises(MarshalError):
-        encode_values([TC_LONG, TC_LONG], [1], out)
+        Codec([TC_LONG, TC_LONG]).encode([1])
 
 
 def test_parameter_list_roundtrip():
-    types = [TC_STRING, TC_LONG, SequenceTC(TC_DOUBLE)]
+    codec = Codec([TC_STRING, TC_LONG, SequenceTC(TC_DOUBLE)])
     values = ["x", 9, [1.5, 2.5]]
-    out = CdrOutputStream()
-    encode_values(types, values, out)
-    assert decode_values(types, CdrInputStream(out.getvalue())) == values
+    assert codec.decode(codec.encode(values)) == values
 
 
 @given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=50))

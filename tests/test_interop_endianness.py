@@ -60,7 +60,6 @@ def test_gateway_accepts_little_endian_clients(world):
         # Rebuild the request exactly as Stub.invoke does, but LE.
         op = stub.interface.operation(operation)
         from repro.iiop.giop import RequestMessage as RM
-        from repro.orb.dispatch import encode_arguments
         from repro.sim.world import Promise
         promise = Promise()
         request = RM(
@@ -71,14 +70,8 @@ def test_gateway_accepts_little_endian_clients(world):
             service_contexts=stub.requester.service_contexts(),
             body=b"",
         )
-        # LE body to match the LE message.
-        out_args = encode_arguments(op, list(args))
-        # encode_arguments is BE; re-encode manually little-endian:
-        from repro.iiop.cdr import CdrOutputStream
-        from repro.iiop.types import encode_values
-        out = CdrOutputStream(little_endian=True)
-        encode_values(op.param_typecodes, list(args), out)
-        request.body = out.getvalue()
+        # LE body to match the LE message (encode_arguments is BE).
+        request.body = op.arguments_codec.encode(args, little_endian=True)
         encoded = enc(request, little_endian=True)
         stub.requester.send(stub, op, request, encoded, promise)
         return promise

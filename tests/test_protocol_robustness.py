@@ -100,3 +100,87 @@ def test_client_connection_survives_garbage_reply(world):
                             lambda exc: failures.append(type(exc).__name__))
     world.run(until=world.now + 1.0)
     assert failures == ["CommFailure"]
+
+
+def test_non_utf8_operation_name_closes_the_connection_not_the_gateway(world):
+    """An operation name that is not UTF-8 is malformed input like any
+    other: MessageError and a hang-up, never an exception out of the
+    simulation."""
+    from repro.iiop import RequestMessage, encode_request
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    endpoint = raw_connect(world, domain)
+    received = []
+    endpoint.on_data = received.append
+    message = encode_request(RequestMessage(
+        request_id=1, response_expected=True, object_key=b"k",
+        operation="Z"))
+    assert message.count(b"Z\x00") == 1
+    endpoint.send(message.replace(b"Z\x00", b"\xff\x00"))
+    world.run(until=world.now + 1.0)
+    assert [parse_header(m)[0] for m in received] == [MsgType.MESSAGE_ERROR]
+    assert not endpoint.open
+    assert domain.gateways[0].alive
+    _, stub, _ = external_client(world, domain, group)
+    assert world.await_promise(stub.call("increment", 1), timeout=600) == 1
+
+
+def test_non_utf8_client_id_context_is_ignored(world):
+    """A client-id service context whose uid is not UTF-8 is
+    unintelligible, so the gateway ignores it (the CORBA rule) and
+    serves the request as a plain client's."""
+    from repro.iiop import (ETERNAL_CLIENT_ID_CONTEXT, ClientIdContext,
+                            RequestMessage, ServiceContext, decode_reply,
+                            encode_request)
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    endpoint = raw_connect(world, domain)
+    received = []
+    endpoint.on_data = received.append
+    context = ClientIdContext("u", 1).to_service_context().data
+    assert context.count(b"u\x00") == 1
+    body = (5).to_bytes(4, "big")
+    endpoint.send(encode_request(RequestMessage(
+        request_id=7, response_expected=True,
+        object_key=domain.ior_for(group).primary_profile().object_key,
+        operation="increment", body=body,
+        service_contexts=[ServiceContext(
+            ETERNAL_CLIENT_ID_CONTEXT,
+            context.replace(b"u\x00", b"\xff\x00"))])))
+    world.run(until=world.now + 1.0)
+    assert endpoint.open
+    reply = decode_reply(received[0])
+    assert (reply.request_id, reply.status, reply.body) == (7, 0, b"\x00\x00\x00\x05")
+
+
+def _overflow_then_recover(world, stub):
+    """``increment(2**31 - 1)`` twice: the second result does not fit
+    the declared long."""
+    from repro.errors import CorbaSystemException
+    top = 2 ** 31 - 1
+    assert world.await_promise(stub.call("increment", top), timeout=600) == top
+    with pytest.raises(CorbaSystemException, match="MarshalError"):
+        world.await_promise(stub.call("increment", top), timeout=600)
+    # The connection and the server survived: the next call is served.
+    assert world.await_promise(stub.call("decrement", top), timeout=600) == top
+
+
+def test_replicated_result_that_does_not_fit_is_a_system_exception(world):
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    _, stub, _ = external_client(world, domain, group)
+    _overflow_then_recover(world, stub)
+    world.run(until=world.now + 5.0)
+    world.audit(strict=True)
+
+
+def test_plain_orb_result_that_does_not_fit_is_a_system_exception(world):
+    from repro.apps import COUNTER_INTERFACE, CounterServant
+    from repro.orb import Orb
+    server = Orb(world, world.add_host("server"))
+    server.listen(9000)
+    ior = server.activate_object(CounterServant())
+    client = Orb(world, world.add_host("client"), request_timeout=None)
+    stub = client.string_to_object(ior.to_string(), COUNTER_INTERFACE)
+    _overflow_then_recover(world, stub)
