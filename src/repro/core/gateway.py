@@ -82,7 +82,9 @@ RETENTION_TTL = 30.0
 
 @dataclass
 class _PendingRequest:
-    """A client request forwarded into the domain, awaiting its response."""
+    """A client request forwarded into the domain: the waiter of a
+    two-way request's expectation in the duplicate filter, or a one-way
+    request's record until its forward is seen delivered."""
 
     key: DedupKey
     iiop: bytes
@@ -145,15 +147,18 @@ class Gateway(Process):
         self._conn_clients: Dict[IiopServerConnection,
                                  Dict[Member, None]] = {}
         self._routing: Dict[Member, IiopServerConnection] = {}
-        self._pending: Dict[DedupKey, _PendingRequest] = {}
+        # One-way requests whose forward is not yet seen delivered.
+        self._oneways: Dict[DedupKey, _PendingRequest] = {}
         self._cancelled: set = set()
-        # Its delivered memory is also the reply store for reissues.
-        self._filter = DuplicateSuppressor(remember_delivered=REPLY_MEMORY)
+        # A two-way request's record is the waiter of its expectation
+        # here, and every expectation ends in _settle.  Its delivered
+        # memory is also the reply store for reissues.
+        self._filter = DuplicateSuppressor(remember_delivered=REPLY_MEMORY,
+                                           settle=self._settle)
         # Clients that closed their connection while operations were
-        # still pending: the CLIENT_GONE broadcast is deferred until the
-        # last pending operation resolves, so peers keep the
-        # expectations they need to collect the in-flight responses
-        # (section 3.5) and the records themselves are reclaimed.
+        # still in flight here: the CLIENT_GONE broadcast is deferred
+        # until the last one resolves, so peers keep the expectations
+        # they need to collect the responses (section 3.5).
         self._gone_pending: set = set()
         # Retention layer: cancel tombstones and one-way pending records
         # are reaped after RETENTION_TTL.  Entries expire in the order
@@ -259,7 +264,7 @@ class Gateway(Process):
         def alive() -> bool:
             return self.alive
 
-        scope.register("gateway.pending", lambda: len(self._pending),
+        scope.register("gateway.pending", lambda: len(self._oneways),
                        floor=0, owner=owner, active=alive,
                        gauge="gateway.state.pending")
         scope.register("gateway.cancelled", lambda: len(self._cancelled),
@@ -351,9 +356,7 @@ class Gateway(Process):
             if not self.alive:
                 promise.resolve(None)
                 return
-            if not self._admission_queue and not any(
-                    p.request.response_expected
-                    for p in self._pending.values()):
+            if not self._admission_queue and not self._filter.waiters():
                 self.stop()
                 promise.resolve(None)
             else:
@@ -476,8 +479,8 @@ class Gateway(Process):
             return
 
         # Unservable fail-fast: a target with zero live replicas can
-        # never answer, so a two-way request to it would pin a pending
-        # record (and an admission slot) until the client gives up.
+        # never answer, so a two-way request to it would pin a waiter
+        # (and an admission slot) until the client gives up.
         # Fail it now with the standard CORBA "try again later" signal.
         votes = self.rm.votes_needed(info)
         if votes is None and request.response_expected:
@@ -541,13 +544,18 @@ class Gateway(Process):
             # Figure 4 header) happens here, within the receipt event.
             spans.instant(trace_id, "gateway.translate", parent=container,
                           source=self.name, group=target_group)
-        self._pending[key] = pending
         if request.response_expected:
-            self._filter.expect(key, votes_needed=votes or 1)
+            # A failed-over client's reissue attaches to the expectation
+            # its peer-forwarded first copy left here; the same request
+            # id again while its first copy is held here replaces it.
+            held = self._filter.expect(key, votes or 1, pending)
+            if held is not None:
+                self._let_go(held, "superseded")
         else:
-            # One-way: no response will ever pop this record.  It is
+            # One-way: no response will ever settle this record.  It is
             # dropped when the forwarded INVOCATION is observed
             # delivered, or by TTL if the forward is lost.
+            self._oneways[key] = pending
             self._schedule_reap("oneway", key, pending)
         self._forward(pending)
 
@@ -588,10 +596,12 @@ class Gateway(Process):
         # of its Members sent it is whichever one knows the operation
         # (the most recent one, when none does).
         keys = (member + (op_id,) for member in reversed(carried))
-        key = next((k for k in keys if k in self._pending
+        key = next((k for k in keys if k in self._oneways
+                    or self._filter.waiter(k) is not None
                     or self._filter.was_delivered(k)),
                    next(reversed(carried)) + (op_id,))
-        record = self._pending.pop(key, None)
+        # A two-way's expectation stays: a late response is remembered.
+        record = self._oneways.pop(key, None) or self._filter.detach(key)
         self.stats["cancels"] += 1
         self._m_req_cancelled.inc()
         if record is None and self._filter.was_delivered(key):
@@ -606,11 +616,9 @@ class Gateway(Process):
         # late response, or its target lost) or, failing both, by TTL.
         self._schedule_reap("cancel", key, record)
         if record is not None:
-            self._release_admission(record)
             # This gateway's handling ends here, whatever becomes of
             # the invocation inside the domain.
-            self._span_collector.end(record.trace_span, outcome="cancelled",
-                                     by=self.name)
+            self._let_go(record, "cancelled")
 
     def _forward(self, pending: _PendingRequest) -> None:
         self.stats["requests_forwarded"] += 1
@@ -682,6 +690,14 @@ class Gateway(Process):
             self._process_request(request, message, connection,
                                   received_at, from_queue=True)
 
+    def _let_go(self, record: _PendingRequest, outcome: str) -> None:
+        """Free what a request holds here when no reply will be written
+        for it: its admission slot, then its open trace spans."""
+        self._release_admission(record)
+        spans = self._span_collector
+        spans.end(record.order_span)
+        spans.end(record.trace_span, outcome=outcome, by=self.name)
+
     def _on_client_close(self, connection: IiopServerConnection) -> None:
         carried = self._conn_clients.pop(connection, ())
         if not self.alive:
@@ -693,13 +709,14 @@ class Gateway(Process):
         for member in sorted(carried, key=str):
             if self._routing.get(member) is connection:
                 del self._routing[member]
-            if any(k[:2] == member for k in self._pending):
-                # Operations are still in flight: defer the domain-wide
+            if any(k[:2] == member for k, _ in self._filter.waiters()):
+                # Two-way requests still wait here: defer the domain-wide
                 # purge until the last one resolves, so peers keep the
                 # expectations they need to collect the responses
                 # (section 3.5).  Without the deferral this gateway's
                 # records leak — CLIENT_GONE is never re-sent once
-                # suppressed here.
+                # suppressed here.  A peer's request mirrored here has
+                # no waiter, and a one-way needs nothing from the peers.
                 self._gone_pending.add(member)
                 self.stats["client_gone_deferred"] += 1
                 self._m_gone_deferred.inc()
@@ -719,10 +736,9 @@ class Gateway(Process):
 
     def _maybe_flush_client_gone(self, member: Member) -> None:
         """Fire a deferred CLIENT_GONE once the departed client's last
-        pending operation has resolved."""
-        if member not in self._gone_pending:
-            return
-        if any(k[:2] == member for k in self._pending):
+        operation in flight here has resolved."""
+        if member not in self._gone_pending or any(
+                k[:2] == member for k, _ in self._filter.waiters()):
             return
         self._gone_pending.discard(member)
         self._broadcast_client_gone(member)
@@ -739,31 +755,31 @@ class Gateway(Process):
             self._on_domain_response(msg)
         elif kind is MsgKind.INVOCATION and msg.source_group == GATEWAY_GROUP:
             key = (msg.target_group, msg.client_id, msg.op_id)
-            record = self._pending.get(key)
+            oneway = key in self._oneways
+            record = (self._oneways.pop(key) if oneway
+                      else self._filter.waiter(key))
             if record is None:
                 # A peer's forward: section 3.5's gateway group (unlike
                 # section 3.4's isolated gateway) takes it as its record.
                 if self.mirror_requests:
                     self._record_peer_request(key, msg)
-            else:
-                if record.order_span:
-                    # The forwarding gateway saw its own multicast come
-                    # back in the total order: the ordering wait is over.
-                    self._span_collector.end(record.order_span,
-                                             seq=msg.timestamp)
-                    record.order_span = 0
-                if not record.request.response_expected:
-                    # One-way: the delivered forward *is* the operation's
-                    # completion — no response will ever pop the record.
-                    del self._pending[key]
-                    self.stats["oneways_completed"] += 1
-                    self._m_oneway_completed.inc()
-                    self._maybe_flush_client_gone(key[:2])
+                return
+            if record.order_span:
+                # The forwarding gateway saw its own multicast come
+                # back in the total order: the ordering wait is over.
+                self._span_collector.end(record.order_span,
+                                         seq=msg.timestamp)
+            if oneway:
+                # One-way: the delivered forward *is* the operation's
+                # completion — no response will ever settle the record.
+                self.stats["oneways_completed"] += 1
+                self._m_oneway_completed.inc()
+                self._maybe_flush_client_gone(key[:2])
         elif kind is MsgKind.STYLE_SWITCH:
             # Applied to the registry by the Replication Mechanisms just
             # before this call: a dropped voting requirement is simply
             # what votes_needed answers from here on.
-            self._requorum()
+            self._filter.requorum(self.rm.votes_now)
         elif kind is MsgKind.CLIENT_GONE:
             self._purge_client((msg.target_group, msg.client_id))
         else:
@@ -781,9 +797,9 @@ class Gateway(Process):
             # responder's ordering-wait span (end() is first-close-wins,
             # so the remaining gateways' observations are no-ops).
             spans.end(msg._trace_order, seq=msg.timestamp)
-        key = (msg.source_group, msg.client_id, msg.op_id)
-        verdict, payload = self._filter.offer(
-            key, msg.iiop, responder=msg.data.get("responder"))
+        verdict, _ = self._filter.offer(
+            (msg.source_group, msg.client_id, msg.op_id), msg.iiop,
+            responder=msg.data.get("responder"))
         if tr is not None:
             # One duplicate-suppression event per gateway per response
             # (Figure 3): the verdicts across gateways partition
@@ -794,42 +810,50 @@ class Gateway(Process):
         if verdict == DuplicateSuppressor.DUPLICATE:
             self.stats["duplicates_suppressed"] += 1
             self._m_dup_suppressed.inc()
-            return
-        if verdict == DuplicateSuppressor.UNEXPECTED:
+        elif verdict == DuplicateSuppressor.UNEXPECTED:
             # No record of this client here: an isolated gateway
             # (section 3.4) does not record its peers' requests, so a
             # response surviving its gateway cannot be routed.
             self.stats["responses_unexpected"] += 1
             self._m_resp_unexpected.inc()
-            return
-        if verdict != DuplicateSuppressor.DELIVER:
-            self._m_resp_vote_pending.inc()
-            return  # voting still pending
-        if self._settle(key, payload, "delivered"):
-            self.stats["responses_delivered"] += 1
-            self._m_resp_delivered.inc()
+        elif verdict == DuplicateSuppressor.PENDING:
+            self._m_resp_vote_pending.inc()  # voting still pending
         else:
-            # Cancelled, or the client's socket is not (or no longer) at
-            # this gateway — the normal case at a peer of the forwarder.
-            self.stats["responses_unroutable"] += 1
-            self._m_resp_unroutable.inc()
+            return  # DELIVER: settled, and counted, in _settle
 
-    def _settle(self, key: DedupKey, reply: bytes, outcome: str) -> bool:
-        """The one way a two-way operation leaves this gateway: let go
-        of everything held for ``key`` and hand ``reply`` to the client
-        if it is still here to take it; returns whether it was.
+    def _settle(self, key: DedupKey, record: Optional[_PendingRequest],
+                outcome: str, payload: Optional[bytes]) -> None:
+        """The one way a two-way operation leaves this gateway, called
+        by the filter whenever ``key`` stops being expected: let go of
+        ``record`` (the waiter; None for a peer's request mirrored here,
+        or after a cancel) and hand the reply to the client if it is
+        still here to take it.
 
-        The causes differ in data only.  ``outcome`` is ``"delivered"``
-        (the agreed response), ``"vote_relaxed"`` (a response freed by a
-        lowered vote requirement) or ``"unservable"`` (a TRANSIENT made
-        here because the target can never answer — not a response, so
-        neither remembered for reissues nor observed as a latency).  A
-        response's payload is already in the filter's delivered memory,
-        which answers reissues.
-        """
-        served = outcome != "unservable"
+        The causes differ in data only: the agreed response (DELIVER),
+        one a lowered vote requirement freed (RELAXED), a TRANSIENT made
+        here because the target lost every replica (DROPPED: not a
+        response, so neither remembered for reissues nor observed as a
+        latency), a purged client (FORGOTTEN: nothing to write).  The
+        quorum sweep's settlements are not counted under
+        ``gateway.resp.*``, which partitions ``gateway.resp.received``
+        exactly."""
+        if outcome == DuplicateSuppressor.FORGOTTEN:
+            if record is not None:
+                self._let_go(record, "client_gone")
+            return
+        if outcome == DuplicateSuppressor.DROPPED:
+            self.stats["requests_unservable"] += 1
+            self.metrics.counter("gateway.req.unservable").inc()
+            # The external request id was recovered into the child
+            # sequence of the operation id.
+            payload = reply_for_exception(key[2].child_seq, TransientError(
+                f"server group {key[0]} lost all replicas"))
+        elif outcome == DuplicateSuppressor.RELAXED:
+            self.stats["votes_relaxed"] += 1
+            self.metrics.counter("gateway.style.vote_relaxed").inc()
+        else:
+            outcome = "delivered"
         spans = self._span_collector
-        record = self._pending.pop(key, None)
         container = 0
         if record is not None:
             # Resolving the slot *before* routing the reply lets the
@@ -839,7 +863,6 @@ class Gateway(Process):
                 # Settled before this gateway saw its own forward come
                 # back in the total order (a reissue's duplicate).
                 spans.end(record.order_span)
-                record.order_span = 0
             container = record.trace_span
         member = key[:2]
         connection = self._routing.get(member)
@@ -853,9 +876,9 @@ class Gateway(Process):
             self._cancelled.discard(key)
             spans.end(container, outcome="cancelled", by=self.name)
         elif connection is not None and connection.open:
-            connection.send(reply)
+            connection.send(payload)
             sent = True
-            if served and record is not None:
+            if outcome != DuplicateSuppressor.DROPPED and record is not None:
                 # Socket receipt to socket write: the latency an
                 # unreplicated client observes at this gateway.
                 elapsed = self.scheduler.now - record.received_at
@@ -877,46 +900,29 @@ class Gateway(Process):
         elif container:
             spans.end(container, outcome="unroutable", by=self.name)
         self._maybe_flush_client_gone(member)
-        return sent
+        if outcome != "delivered":
+            return
+        if sent:
+            self.stats["responses_delivered"] += 1
+            self._m_resp_delivered.inc()
+        else:
+            # Cancelled, or the client's socket is not (or no longer) at
+            # this gateway — the normal case at a peer of the forwarder.
+            self.stats["responses_unroutable"] += 1
+            self._m_resp_unroutable.inc()
 
     def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
         if self.alive:
-            self._requorum()
-
-    def _requorum(self) -> None:
-        """Re-decide every expectation after a membership install or a
-        style switch (total-order events, so every gateway settles the
-        same operations at the same point): TRANSIENT for those whose
-        target lost every replica (the domain keeps its dedup memory, so
-        a reissue after replicas return is re-servable), and the held
-        response for those a lowered quorum already satisfies.
-
-        Counted here, not under ``gateway.resp.*``: that family
-        partitions ``gateway.resp.received`` exactly and must not
-        absorb settlements no freshly received response carried in."""
-        for key, payload in self._filter.requorum(self.rm.votes_now):
-            if payload is None:
-                self.stats["requests_unservable"] += 1
-                self.metrics.counter("gateway.req.unservable").inc()
-                # The external request id was recovered into the child
-                # sequence of the operation id.
-                self._settle(key, reply_for_exception(
-                    key[2].child_seq, TransientError(
-                        f"server group {key[0]} lost all replicas")),
-                    "unservable")
-            else:
-                self.stats["votes_relaxed"] += 1
-                self.metrics.counter("gateway.style.vote_relaxed").inc()
-                self._settle(key, payload, "vote_relaxed")
+            self._filter.requorum(self.rm.votes_now)
 
     def _record_peer_request(self, key: DedupKey,
                              msg: DomainMessage) -> None:
         """A peer gateway's INVOCATION, delivered in the total order, is
         the gateway group's record of the request (section 3.5): expect
-        its response here too, so the reply is remembered for a client
-        that fails over to this gateway.
+        its response here too, with no waiter, so the reply is
+        remembered for a client that fails over to this gateway.
 
-        A forward with no pending record is not always a peer's: this
+        A forward with no waiter here is not always a peer's: this
         gateway's own comes back to none after a cancel or after an
         earlier copy's response settled it (a reissue's duplicate), and
         a peer's reissue repeats a request already recorded.  In each
@@ -946,19 +952,17 @@ class Gateway(Process):
             return
         self.stats["clients_gone"] += 1
         self._m_clients_gone.inc()
-        for key in [k for k in self._pending if k[:2] == member]:
-            record = self._pending.pop(key)
-            self._release_admission(record)
-            self._span_collector.end(record.trace_span,
-                                     outcome="client_gone", by=self.name)
+        for key in [k for k in self._oneways if k[:2] == member]:
+            self._let_go(self._oneways.pop(key), "client_gone")
+        # Forget the filter's memory as well — each expectation's waiter
+        # is let go in _settle — replies included: if the "client"
+        # returns with the same identifiers (e.g. an egress successor
+        # host), its reissues must be re-servable, not suppressed as
+        # duplicates.
+        self._filter.forget_where(lambda key: key[:2] == member)
         self._routing.pop(member, None)
         self._cancelled = {k for k in self._cancelled if k[:2] != member}
         self._gone_pending.discard(member)
-        # Forget the filter's memory as well, replies included: if the
-        # "client" returns with the same identifiers (e.g. an egress
-        # successor host), its reissues must be re-servable, not
-        # suppressed as duplicates.
-        self._filter.forget_where(lambda key: key[:2] == member)
 
     # ==================================================================
     # Retention: TTL reaping of tombstones and one-way records
@@ -995,11 +999,11 @@ class Gateway(Process):
                     self.stats["cancels_reaped"] += 1
                     self._m_reap_cancelled.inc()
             else:  # "oneway"
-                if self._pending.get(key) is record:
+                if self._oneways.get(key) is record:
                     # The forwarded INVOCATION was never observed
                     # delivered (lost to a crash or partition): give up
                     # rather than pin the record forever.
-                    del self._pending[key]
+                    del self._oneways[key]
                     self.stats["oneways_reaped"] += 1
                     self._m_reap_oneway.inc()
                     self._maybe_flush_client_gone(key[:2])

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union)
+    Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..core.duplicates import DuplicateSuppressor
 from ..core.identifiers import (
@@ -146,13 +146,13 @@ class ReplicationMechanisms(Process):
 
         # Duplicate invocation detection: group -> dedup key -> record.
         self._invocations_seen: Dict[int, Dict[Tuple, _InvocationRecord]] = {}
-        # Duplicate response suppression / voting for nested + external calls.
-        self._response_filter = DuplicateSuppressor()
-        # Everyone waiting on a response, by the filter's key: (responder
-        # group, invoking group id, op id) for a suspended execution,
-        # (responder group, client uid, op id) for an ambassador call —
-        # group ids are ints and client uids strings, so never equal.
-        self._waiting: Dict[Tuple, _Waiter] = {}
+        # Duplicate response suppression / voting for nested + external
+        # calls; each expectation holds its _Waiter and ends in _settle.
+        # Keys: (responder group, invoking group id, op id) for a
+        # suspended execution, (responder group, client uid, op id) for
+        # an ambassador call — group ids are ints and client uids
+        # strings, so never equal.
+        self._response_filter = DuplicateSuppressor(settle=self._settle)
         # Leader-follower followers' withheld responses, group -> parent
         # dedup key -> original invocation.  An entry retires when the
         # leader's response for the same operation is delivered in total
@@ -459,9 +459,6 @@ class ReplicationMechanisms(Process):
                                       * max(1, len(self._invocations_seen))),
                        owner=owner, active=alive,
                        gauge="rm.state.dedup_entries")
-        scope.register("rm.waiting", lambda: len(self._waiting),
-                       floor=0, owner=owner, active=alive,
-                       gauge="rm.state.waiting")
         scope.register("rm.presync_buffer",
                        lambda: len(self._presync_buffer),
                        floor=0, owner=owner, active=alive,
@@ -592,15 +589,8 @@ class ReplicationMechanisms(Process):
         nested_op = target_iface.operation(call.operation)
         votes = self.votes_needed(target_info)
         if votes is None and not nested_op.oneway:
-            # Fail fast: a target with zero live replicas can never
-            # answer (see votes_needed).
-            self.metrics.counter("rm.invoke.unservable").inc()
-            self.tracer.emit(self.scheduler.now, "eternal.unservable",
-                             self.name,
-                             f"nested call to group {call.target!r} "
-                             "with zero live replicas")
-            outcome = execution.resume_error(TransientError(
-                f"group {call.target!r} has no live replicas"))
+            outcome = execution.resume_error(
+                self._unservable("nested call to", repr(call.target)))
             self._handle_outcome(execution, outcome, original, info, key)
             return
         request = RequestMessage(
@@ -626,11 +616,10 @@ class ReplicationMechanisms(Process):
             # the call stays inside this domain.
             message.trace = (tr[0], execution.trace_span or tr[1], tr[2])
         if not nested_op.oneway:
-            wait_key = (target_info.group_id, info.group_id, op_id)
-            self._waiting[wait_key] = _Waiter(
-                op=nested_op, execution=execution, original=original,
-                message=message)
-            self._response_filter.expect(wait_key, votes_needed=votes)
+            self._response_filter.expect(
+                (target_info.group_id, info.group_id, op_id), votes,
+                _Waiter(op=nested_op, execution=execution,
+                        original=original, message=message))
         # Leader-follower: only the leader puts the nested invocation on
         # the ring (one copy instead of N); followers derive the same
         # operation id, register the same expectation, and resume on the
@@ -661,10 +650,9 @@ class ReplicationMechanisms(Process):
             outcome = execution.resume(None)
             self._handle_outcome(execution, outcome, original, info, key)
             return
-        wait_key = (EXTERNAL_GROUP, info.group_id, op_id)
-        self._waiting[wait_key] = _Waiter(
-            op=op, execution=execution, original=original)
-        self._response_filter.expect(wait_key, votes_needed=1)
+        self._response_filter.expect(
+            (EXTERNAL_GROUP, info.group_id, op_id), 1,
+            _Waiter(op=op, execution=execution, original=original))
 
     def votes_needed(self, info: GroupInfo) -> Optional[int]:
         """Votes a response needs before delivery; None = unservable.
@@ -685,28 +673,21 @@ class ReplicationMechanisms(Process):
         return live // 2 + 1 if info.style.needs_voting else 1
 
     def votes_now(self, group_id: int) -> Optional[float]:
-        """:meth:`votes_needed` by group id, as ``requorum`` asks it:
-        no opinion on a responder the registry does not hold (a removed
-        group, the EXTERNAL pseudo-group of egress waits)."""
+        """:meth:`votes_needed` by group id, as ``requorum`` asks it: no
+        opinion on a group the registry does not hold (a removed group,
+        the EXTERNAL pseudo-group of egress waits)."""
         info = self.registry.get(group_id)
         if info is None:
             return DuplicateSuppressor.UNCHANGED
         return self.votes_needed(info)
 
-    def _requorum(self) -> None:
-        """Re-decide every wait after a membership install or a style
-        switch (total-order events, so every processor settles the same
-        waits at the same point): fail those whose responder group lost
-        every replica, resume those a lowered quorum already satisfies."""
-        for wait_key, payload in self._response_filter.requorum(
-                self.votes_now):
-            if payload is None:
-                self.metrics.counter("rm.invoke.unservable").inc()
-                self._settle(wait_key, TransientError(
-                    f"group {wait_key[0]} lost all replicas"))
-            else:
-                self.metrics.counter("rm.style.vote_relaxed").inc()
-                self._settle(wait_key, payload)
+    def _unservable(self, call: str, group: Any) -> TransientError:
+        """Fail fast instead of registering a wait no live replica can
+        ever end (see :meth:`votes_needed`): the error to raise."""
+        self.metrics.counter("rm.invoke.unservable").inc()
+        self.tracer.emit(self.scheduler.now, "eternal.unservable", self.name,
+                         f"{call} group {group} with zero live replicas")
+        return TransientError(f"group {group} has no live replicas")
 
     # ==================================================================
     # Responses
@@ -731,40 +712,38 @@ class ReplicationMechanisms(Process):
             # Close the response's ordering-wait span at delivery (first
             # receiver wins; every receiver observes the same instant).
             self._span_collector.end(msg._trace_order, seq=msg.timestamp)
-        response_filter = self._response_filter
         if (msg.target_group == EXTERNAL_GROUP
                 and msg.client_id != UNUSED_CLIENT_ID):
+            # An ambassador call's: expected only where it was issued.
             wait_key = (msg.source_group, msg.client_id, msg.op_id)
-            if not (response_filter.is_expected(wait_key)
-                    or response_filter.was_delivered(wait_key)):
-                return  # another processor's driver invocation
         else:
             wait_key = (msg.source_group, msg.target_group, msg.op_id)
-        verdict, payload = response_filter.offer(
+        verdict, _ = self._response_filter.offer(
             wait_key, msg.iiop, responder=msg.data.get("responder"))
-        if verdict == DuplicateSuppressor.DELIVER:
-            self._settle(wait_key, payload)
-        elif verdict == DuplicateSuppressor.DUPLICATE:
+        if verdict == DuplicateSuppressor.DUPLICATE:
             self.stats["responses_suppressed"] += 1
-        else:
-            return  # a vote short of its quorum, or nobody waits here
+        # DELIVER is settled in _settle; a vote short of its quorum, or
+        # a response nobody waits for here, needs nothing.
 
-    def _settle(self, wait_key: Tuple,
-                result: Union[bytes, Exception]) -> None:
-        """End the wait registered under ``wait_key`` — the only way
-        one ends: with the response payload the filter agreed on (from
-        :meth:`_on_response`, or freed by :meth:`_requorum`), or with
-        the error to raise at the waiter because no response will come.
-        Resolves the ambassador's promise or resumes the suspended
-        execution."""
-        waiter = self._waiting.pop(wait_key, None)
-        if waiter is None:
-            return
-        if not isinstance(result, Exception):
+    def _settle(self, wait_key: Tuple, waiter: _Waiter, outcome: str,
+                payload: Optional[bytes]) -> None:
+        """End ``waiter``'s wait, called by the filter whenever
+        ``wait_key`` stops being expected: with the payload it agreed on
+        (delivered, or freed by a lowered quorum), or with a TRANSIENT
+        when no payload will come (the responder group lost every
+        replica).  Resolves the ambassador's promise or resumes the
+        suspended execution."""
+        if payload is None:
+            self.metrics.counter("rm.invoke.unservable").inc()
+            result: Any = TransientError(
+                f"group {wait_key[0]} lost all replicas")
+        else:
+            if outcome == DuplicateSuppressor.RELAXED:
+                self.metrics.counter("rm.style.vote_relaxed").inc()
             self.stats["responses_delivered"] += 1
             if wait_key[0] == EXTERNAL_GROUP:
                 self._egress.complete(wait_key[1], wait_key[2])
-            reply = decode_reply(result)
+            reply = decode_reply(payload)
             try:
                 result = decode_result(waiter.op, reply,
                                        little_endian=reply.little_endian)
@@ -781,10 +760,10 @@ class ReplicationMechanisms(Process):
         if info is None:
             return
         execution, original = waiter.execution, waiter.original
-        outcome = (execution.resume_error(result) if failed
+        resumed = (execution.resume_error(result) if failed
                    else execution.resume(result))
         self._handle_outcome(
-            execution, outcome, original, info,
+            execution, resumed, original, info,
             dedup_key(original.source_group, original.client_id,
                       original.op_id))
 
@@ -827,19 +806,11 @@ class ReplicationMechanisms(Process):
             return promise
         votes = self.votes_needed(info)
         if votes is None:
-            # Fail fast instead of registering a wait no live replica
-            # can ever end.
-            self.metrics.counter("rm.invoke.unservable").inc()
-            self.tracer.emit(self.scheduler.now, "eternal.unservable",
-                             self.name,
-                             f"invocation of group {target_group_id} "
-                             "with zero live replicas")
-            promise.reject(TransientError(
-                f"group {target_group_id} has no live replicas"))
+            promise.reject(self._unservable("invocation of",
+                                            target_group_id))
             return promise
-        wait_key = (target_group_id, client_uid, op_id)
-        self._waiting[wait_key] = _Waiter(op=op, promise=promise)
-        self._response_filter.expect(wait_key, votes_needed=votes)
+        self._response_filter.expect((target_group_id, client_uid, op_id),
+                                     votes, _Waiter(op=op, promise=promise))
         self.multicast(message)
         return promise
 
@@ -1056,7 +1027,7 @@ class ReplicationMechanisms(Process):
         if not msg.request().response_expected:
             return  # one-way: nobody waits, so there is nothing to compare
         wait_key = (msg.target_group, msg.source_group, msg.op_id)
-        if (wait_key in self._waiting
+        if (self._response_filter.is_expected(wait_key)
                 or self._response_filter.was_delivered(wait_key)):
             self.metrics.counter("rm.style.order.followed").inc()
         else:
@@ -1068,8 +1039,8 @@ class ReplicationMechanisms(Process):
         The switch point is the message's position in the total order,
         so every processor partitions the group's history identically:
         operations ordered before it complete under the old engine (the
-        closing :meth:`_requorum` lowers a dropped voting requirement,
-        so nothing strands), operations after it run entirely under the
+        closing quorum sweep lowers a dropped voting requirement, so
+        nothing strands), operations after it run entirely under the
         new one.
         Epoch-guarded via the registry, so the redundant copies emitted
         by replicated managers apply exactly once.
@@ -1128,7 +1099,7 @@ class ReplicationMechanisms(Process):
         # (3) Voting dropped: in-flight majority expectations can never
         # fill once only the leader speaks — votes_needed says so from
         # here on, which is all the sweep needs to know.
-        self._requorum()
+        self._response_filter.requorum(self.votes_now)
 
     def _restore_and_replay(self, info: GroupInfo, record: ReplicaRecord,
                             kept_by: ReplicationStyle, silent: bool) -> int:
@@ -1204,7 +1175,10 @@ class ReplicationMechanisms(Process):
                              self.name, "replicas pruned",
                              removed=[f"{g}@{h}" for g, h in removed])
         self._check_primary_changes()
-        self._requorum()
+        # Re-decide every wait (every processor settles the same waits
+        # at this point): fail those whose responder group lost every
+        # replica, resume those a lowered quorum already satisfies.
+        self._response_filter.requorum(self.votes_now)
         for fn in list(self._membership_listeners):
             fn(self.live_hosts)
 
@@ -1263,7 +1237,7 @@ class ReplicationMechanisms(Process):
         # The resends retire their own unacked entries when they come
         # back around in total order (_on_response pops them).
         reissued = 0
-        for wait_key, waiter in list(self._waiting.items()):
+        for wait_key, waiter in self._response_filter.waiters():
             if wait_key[1] != info.group_id or waiter.message is None:
                 continue
             self.multicast(waiter.message)

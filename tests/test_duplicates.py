@@ -188,9 +188,10 @@ REQUORUM_CASES = [
     "expectations, needs, settled, late", [c[1:] for c in REQUORUM_CASES],
     ids=[c[0] for c in REQUORUM_CASES])
 def test_requorum(expectations, needs, settled, late):
-    s = DuplicateSuppressor()
+    handed = []
+    s = DuplicateSuppressor(settle=lambda *args: handed.append(args))
     for key, votes, held in expectations:
-        s.expect(key, votes_needed=votes)
+        s.expect(key, votes_needed=votes, waiter=("waiter", key))
         for payload, responder in held:
             assert s.offer(key, payload, responder=responder)[0] == D.PENDING
     asked = []
@@ -199,7 +200,12 @@ def test_requorum(expectations, needs, settled, late):
         asked.append(group)
         return needs[group]
 
-    assert s.requorum(votes_needed) == settled
+    s.requorum(votes_needed)
+    # Each settled expectation hands its own waiter back, once, in
+    # registration order: RELAXED with the freed payload, or DROPPED.
+    assert handed == [
+        (key, ("waiter", key), D.DROPPED if payload is None else D.RELAXED,
+         payload) for key, payload in settled]
     # Each responder group is asked once, however many expectations it has.
     assert sorted(asked) == sorted(needs)
     freed = {key: payload for key, payload in settled if payload is not None}
@@ -208,6 +214,74 @@ def test_requorum(expectations, needs, settled, late):
             if s.was_delivered(key)} == freed
     assert s.pending_count == len(expectations) - len(settled)
     # A second sweep with the same answers settles nothing more.
-    assert s.requorum(needs.__getitem__) == []
+    s.requorum(needs.__getitem__)
+    assert len(handed) == len(settled)
     for key, verdict in late.items():
         assert s.offer(key, b"v", responder="late")[0] == verdict, key
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(["expect", "offer", "requorum", "forget"]),
+    st.integers(0, 3), st.integers(0, 3)), max_size=40))
+def test_every_waiter_comes_back_exactly_once_property(steps):
+    """However expectations, copies, quorum sweeps and purges interleave,
+    every waiter attached is handed back exactly once: to the settle
+    function by ``offer``, ``requorum`` or ``forget_where``, or by the
+    ``expect`` that displaced it."""
+    back = []
+    s = DuplicateSuppressor(
+        settle=lambda key, waiter, outcome, payload: back.append(
+            (waiter, outcome, payload)))
+    attached = []
+    needs = [None, 1, 2, D.UNCHANGED]
+    for action, a, b in steps:
+        key = (a % 2, a)
+        if action == "expect":
+            if s.was_delivered(key):
+                continue  # not expected again: nothing would attach
+            attached.append(len(attached))
+            displaced = s.expect(key, votes_needed=b + 1,
+                                 waiter=attached[-1])
+            if displaced is not None:
+                back.append((displaced, "displaced", None))
+        elif action == "offer":
+            s.offer(key, bytes([b % 2]), responder=f"r{b}")
+        elif action == "requorum":
+            s.requorum({0: needs[a], 1: needs[b]}.__getitem__)
+        else:
+            s.forget_where(lambda k: k[1] == a)
+    s.forget_where(lambda k: True)
+    assert s.pending_count == 0
+    assert sorted(waiter for waiter, _, _ in back) == attached
+    for _, outcome, payload in back:
+        assert (payload is not None) == (outcome in (D.DELIVER, D.RELAXED))
+
+
+def test_a_waiter_attaches_to_an_expectation_registered_without_one():
+    """A gateway mirrors a peer's request with no waiter; the client's
+    reissue, failed over to it, attaches one — keeping the requirement
+    and the votes already held."""
+    handed = []
+    s = DuplicateSuppressor(settle=lambda *args: handed.append(args))
+    s.expect("op", votes_needed=2)
+    assert s.offer("op", b"x", responder="r0")[0] == D.PENDING
+    assert s.waiter("op") is None and s.waiters() == []
+    assert s.expect("op", votes_needed=1, waiter="w") is None
+    assert s.waiters() == [("op", "w")]
+    # A second waiter displaces the first, which comes back.
+    assert s.expect("op", waiter="w2") == "w"
+    assert s.offer("op", b"x", responder="r1")[0] == D.DELIVER
+    assert handed == [("op", "w2", D.DELIVER, b"x")]
+    assert s.waiters() == []
+
+
+def test_detach_keeps_the_expectation():
+    """A cancelled request's waiter leaves; the response is still
+    remembered when it comes, settled with no waiter."""
+    handed = []
+    s = DuplicateSuppressor(settle=lambda *args: handed.append(args))
+    s.expect("op", waiter="w")
+    assert s.detach("op") == "w"
+    assert s.is_expected("op") and s.waiter("op") is None
+    assert s.offer("op", b"x")[0] == D.DELIVER
+    assert handed == [("op", None, D.DELIVER, b"x")]

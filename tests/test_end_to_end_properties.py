@@ -189,7 +189,7 @@ def ternary(value, length):
 
 # Tier-1 runs 20 derandomised examples; under
 # ``--hypothesis-profile=search`` (registered in conftest.py, run by
-# CI's chaos-audit job) the profile's own count applies.
+# CI's advisory chaos-property job) the profile's own count applies.
 TIER1 = ({} if settings.get_current_profile_name() == "search"
          else {"max_examples": 20})
 

@@ -125,10 +125,10 @@ def test_cancel_churn_tombstones_consumed_by_responses():
 
 
 def test_oneway_pending_records_reclaimed_on_observed_delivery(world):
-    """One-way requests get a ``_pending`` record at the gateway that
-    accepted them (a departing client's CLIENT_GONE waits for it) but
-    no response ever pops it; observing the forwarded INVOCATION's
-    delivery must.  Peers hold nothing for a one-way."""
+    """One-way requests get a ``_oneways`` record at the gateway that
+    accepted them but no response ever settles it; observing the
+    forwarded INVOCATION's delivery must.  Peers hold nothing for a
+    one-way."""
     domain = make_domain(world, gateways=2)
     group = domain.create_group("Events", EVENTS, EventSinkServant)
     _, stub, _ = external_client(world, domain, group)
@@ -138,9 +138,38 @@ def test_oneway_pending_records_reclaimed_on_observed_delivery(world):
     world.run(until=world.now + 1.0)
     completed = 0
     for gateway in domain.gateways:
-        assert gateway._pending == {}
+        assert gateway._oneways == {}
         completed += gateway.stats["oneways_completed"]
     assert completed == 20
+    world.audit(strict=True)
+
+
+def test_a_oneway_in_flight_does_not_defer_client_gone(world):
+    """Only a two-way request's waiter defers a departing client's
+    CLIENT_GONE: a one-way needs nothing from the peers, so the purge
+    goes out at once and lets go of the one-way's record, while the
+    forward already handed to the domain is still executed."""
+    domain = make_domain(world, gateways=2)
+    group = domain.create_group("Events", EVENTS, EventSinkServant)
+    orb, stub, _ = external_client(world, domain, group, enhanced=False)
+    assert world.await_promise(stub.call("count"), timeout=600) == 0
+    origin = next(gw for gw in domain.gateways
+                  if any(gw._conn_clients.values()))
+    held, forward = hold_forward(origin)
+    stub.call("emit", "in flight at the close")
+    world.run(until=world.now + 0.1)
+    assert len(origin._oneways) == 1
+    orb._connections[next(iter(orb._connections))].close()
+    world.run(until=world.now + 0.5)
+    assert origin.stats["client_gone_deferred"] == 0
+    assert [gw.stats["clients_gone"] for gw in domain.gateways] == [1, 1]
+    assert origin._oneways == {}
+    forward(held[0])
+    world.run(until=world.now + 1.0)
+    notes = {tuple(rm.replicas[group.group_id].servant.notes)
+             for rm in domain.rms.values()
+             if group.group_id in rm.replicas}
+    assert notes == {("in flight at the close",)}
     world.audit(strict=True)
 
 
@@ -180,7 +209,7 @@ def test_client_gone_deferred_until_last_pending_resolves(world):
     assert origin._gone_pending == set()
     for gateway in domain.gateways:
         assert gateway.stats["clients_gone"] == 1
-        assert not any(k[:2] == member for k in gateway._pending)
+        assert not any(k[:2] == member for k in gateway._filter._pending)
         assert not any(k[:2] == member for k in gateway._filter._delivered)
         assert member not in gateway._routing
     world.audit(strict=True)
@@ -247,6 +276,36 @@ def test_client_gone_from_the_gateway_a_client_left_spares_the_one_it_moved_to()
     world.audit(strict=True)
 
 
+def test_a_repeated_request_id_keeps_one_record_per_key():
+    """The same request bytes arrive twice on one connection while the
+    first copy is still held: the second copy's record replaces the
+    first, which is let go — its admission slot and its
+    ``gateway.request`` span — instead of being overwritten and leaked."""
+    world = World(seed=3, trace=False, trace_spans=True)
+    domain = make_domain(world, gateways=0)
+    gateway = domain.add_gateway(admission_window=2)
+    domain.await_stable()
+    group = ready_counter_group(domain)
+    orb, stub, _ = external_client(world, domain, group, enhanced=False)
+    assert world.await_promise(stub.call("increment", 1)) == 1
+    held, forward = hold_forward(gateway)
+    call = stub.call("increment", 10)
+    world.run(until=world.now + 0.1)
+    connection = orb._connections[next(iter(orb._connections))]
+    connection.endpoint.send(held[0].iiop)
+    world.run(until=world.now + 0.1)
+    assert len(held) == 2 and gateway._own_inflight == 1
+    for record in held:
+        forward(record)
+    assert world.await_promise(call) == 11
+    world.run(until=world.now + 1.0)
+    assert gateway._own_inflight == 0
+    containers = world.trace_collector.select(name="gateway.request")
+    assert sorted(s.attrs["outcome"] for s in containers) == [
+        "delivered", "delivered", "superseded"]
+    world.audit(strict=True)
+
+
 def test_cancel_after_response_delivery_leaves_no_tombstone(world):
     """A CancelRequest that loses the race against the reply (the
     response was already written back) must not leave a tombstone —
@@ -280,7 +339,7 @@ def test_response_overtaking_a_reforward_closes_its_ordering_wait():
     on_domain_response = origin._on_domain_response
 
     def reforward_then_observe(msg):
-        record = origin._pending.get(
+        record = origin._filter.waiter(
             (msg.source_group, msg.client_id, msg.op_id))
         if record is not None:
             origin._forward(record)
@@ -422,7 +481,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
                 lambda invocation, reply, carried=None: None)
         release(held)
         world.run(until=world.now + 0.5)
-        assert key in origin._pending
+        assert origin._filter.waiter(key) is not None
         assert peer._filter.is_expected(key)
 
     placement = group.info().placement
@@ -484,7 +543,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         # Counted once per operation, cancelled or not.
         assert origin.stats["requests_unservable"] == 1 + windowed
     for gateway in (origin, peer):
-        assert gateway._pending == {}
+        assert gateway._oneways == {}
         assert gateway._cancelled == set()
         assert gateway._gone_pending == set()
         assert not gateway._admission_queue

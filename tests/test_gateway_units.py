@@ -70,7 +70,7 @@ def test_peer_expects_response_when_invocation_observed(world):
     assert gateway.stats["mirrors_recorded"] == 0    # its own forward
     assert peer._filter.was_delivered(key)
     assert peer._filter.delivered(key) == gateway._filter.delivered(key)
-    assert peer._pending == {}
+    assert peer._filter.waiters() == []
 
 
 def test_only_a_peers_first_forward_is_recorded(world):
@@ -96,7 +96,7 @@ def test_only_a_peers_first_forward_is_recorded(world):
     connection.endpoint.send(
         encode_cancel_request(connection.pending_request_ids()[-1]))
     world.run(until=world.now + 0.1)
-    assert gateway.stats["cancels"] == 1 and gateway._pending == {}
+    assert gateway.stats["cancels"] == 1 and gateway._filter.waiters() == []
     multicast = gateway.rm.multicast
     gateway.rm.multicast = lambda m: (sent.append(m), multicast(m))
     forward(held[0])
@@ -176,7 +176,7 @@ def test_purge_client_clears_all_tables(world):
     gateway._routing[member].close()
     gateway._purge_client(member)
     assert member not in gateway._routing
-    assert not any(k[:2] == member for k in gateway._pending)
+    assert not any(k[:2] == member for k in gateway._filter._pending)
     assert not any(k[:2] == member for k in gateway._filter._delivered)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro import ReplicationStyle, World
 from repro.errors import ConfigurationError, CorbaSystemException
+from repro.eternal.messages import MsgKind
 from repro.eternal.styles import StylePolicy
 
 from tests.helpers import (
@@ -269,7 +270,6 @@ def test_voting_group_losing_all_replicas_fails_fast(world):
         world.await_promise(stub.call("increment", 1), timeout=600)
     assert "Transient" in str(exc.value)
     assert world.metrics.value("gateway.req.unservable") >= 1
-    assert not gateway._pending
     assert gateway._filter.pending_count == 0
 
 
@@ -333,6 +333,54 @@ def test_live_switch_voting_to_lf_relaxes_stranded_quorums(world):
         + m.value("gateway.resp.vote_pending")
         + m.value("gateway.resp.delivered")
         + m.value("gateway.resp.unroutable"))
+
+
+def test_rm_wait_holding_a_partial_vote_is_freed_by_the_switch(world):
+    """An ambassador call to a voting group holds one vote of the two it
+    needs when the group switches to LEADER_FOLLOWER: the quorum sweep
+    at the switch resumes it, exactly once, with the vote it holds."""
+    domain = make_domain(world)
+    group = ready_counter_group(domain,
+                                style=ReplicationStyle.ACTIVE_WITH_VOTING)
+    for host in group.info().placement[1:]:
+        domain.rms[host]._respond = (
+            lambda invocation, reply, carried=None: None)
+    caller = domain.coordinator_rm()
+    delivered = caller.stats["responses_delivered"]
+    call = group.invoke("increment", 5)
+    world.run(until=world.now + 0.3)
+    assert not call.done
+    assert caller._response_filter.pending_count == 1
+    domain.switch_style(group, ReplicationStyle.LEADER_FOLLOWER)
+    assert world.await_promise(call, timeout=5) == 5
+    world.run(until=world.now + 0.3)
+    assert caller.stats["responses_delivered"] == delivered + 1
+    assert world.metrics.value("rm.style.vote_relaxed") == 1
+    assert caller._response_filter.pending_count == 0
+
+
+def test_lf_promotion_reissues_a_nested_call_the_leader_never_sent(world):
+    """The leader executes ``transfer`` and crashes before its nested
+    ``withdraw`` reaches the ring; the followers wait on it too.  The
+    promoted follower re-issues the suspended call, and the transfer
+    completes."""
+    domain = make_domain(world, num_hosts=5)
+    lf = ReplicationStyle.LEADER_FOLLOWER
+    hosts = domain.replica_host_names
+    _, _, agent = make_bank(domain, lf, placement=hosts[1:4])
+    leader = agent.info().primary(domain.coordinator_rm().live_hosts)
+    rm = domain.rms[leader]
+    send = rm._multicast_copy
+    rm._multicast_copy = lambda message: (
+        None if message.source_group == agent.group_id
+        and message.kind is MsgKind.INVOCATION else send(message))
+    transfer = agent.invoke("transfer", "alice", "bob", 40)
+    world.run(until=world.now + 0.3)
+    assert not transfer.done
+    world.faults.crash_now(leader)
+    assert world.await_promise(transfer, timeout=10) == 40
+    # The crashed host led all three groups of the bank.
+    assert world.metrics.value("rm.style.promotions") == 3
 
 
 def test_passive_to_lf_switch_catches_backups_up(world):

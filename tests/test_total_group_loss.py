@@ -81,7 +81,6 @@ def test_gateway_client_of_a_lost_group_gets_transient(world, style):
 
     world.run(until=world.now + 5.0)
     for gateway in domain.gateways:
-        assert gateway._pending == {}
         assert gateway._filter.pending_count == 0
         assert gateway._own_inflight == 0
     world.audit(strict=True)
@@ -110,7 +109,6 @@ def assert_no_waits(world, domain):
     world.run(until=world.now + 5.0)
     for rm in domain.rms.values():
         if rm.alive:
-            assert rm._waiting == {}
             assert rm._response_filter.pending_count == 0
     world.audit(strict=True)
 
@@ -128,7 +126,7 @@ def test_nested_caller_of_a_lost_group_gets_transient(world, style):
             lambda invocation, reply, carried=None: None)
     transfer = agent.invoke("transfer", "alice", "bob", 10)
     world.run(until=world.now + 0.5)
-    assert any(rm._waiting for rm in domain.rms.values())
+    assert any(rm._response_filter.waiters() for rm in domain.rms.values())
     crash(world, doomed)
     assert_transient(world, transfer)
     # Issued after the loss: the nested call is refused as it is made.
