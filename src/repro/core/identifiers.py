@@ -30,7 +30,7 @@ the operation identifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 # Parent timestamp used for operations that enter the domain from outside
 # (no parent invocation message exists).
@@ -45,9 +45,11 @@ UNUSED_CLIENT_ID: int = 0xFFFFFFFF
 ClientId = Union[int, str]
 
 
-@dataclass(frozen=True)
-class OperationId:
-    """(T_parent_inv, S_child): uniquely names an invocation/response pair."""
+class OperationId(NamedTuple):
+    """(T_parent_inv, S_child): uniquely names an invocation/response pair.
+
+    A tuple, so the dedup-key tables hash and compare it in C; its hash
+    is ``hash((parent_ts, child_seq))``."""
 
     parent_ts: int
     child_seq: int

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from ..core.identifiers import ClientId, OperationId, UNUSED_CLIENT_ID
 from ..iiop.giop import RequestMessage, decode_request
@@ -56,6 +56,9 @@ class MsgKind(enum.Enum):
     # Membership support.
     REGISTRY_SYNC = "registry_sync"        # directory snapshot for joiners
     REGISTRY_SYNC_REQUEST = "registry_sync_request"
+
+    # Every dispatch and copy key hashes a kind: by identity, in C.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -126,10 +129,8 @@ class DomainMessage:
         multicast to N members are weighed once, not N times."""
         size = self._size_hint
         if size is None:
-            size = 40 + len(self.iiop)
-            for value in self.data.values():
-                size += _value_weight(value)
-            self._size_hint = size
+            size = self._size_hint = (40 + len(self.iiop)
+                                      + _items_weight(self.data.values()))
         return size
 
     def describe(self) -> str:
@@ -137,14 +138,26 @@ class DomainMessage:
                 f"client={self.client_id!r} op={self.op_id} ts={self.timestamp}")
 
 
-def _value_weight(value: Any) -> int:
-    """Rough serialised weight of one control-data value."""
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    if isinstance(value, str):
-        return 8 + len(value)
-    if isinstance(value, dict):
-        return 8 + sum(_value_weight(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return 8 + sum(_value_weight(v) for v in value)
-    return 16
+def _items_weight(items: Iterable[Any]) -> int:
+    """Rough serialised weight of control-data values: bytes weigh their
+    length, a str 8 more, a dict, list or tuple 8 plus its items,
+    anything else 16 — an OperationId too, though it is a tuple.
+    Leaves are weighed in the loop, so only a nested container costs a
+    frame (a checkpoint carries a servant's whole state)."""
+    weight = 0
+    for item in items:
+        kind = type(item)
+        if kind is int:  # the common leaves are tested without a call
+            weight += 16
+        elif kind is str or isinstance(item, str):
+            weight += 8 + len(item)
+        elif isinstance(item, (bytes, bytearray)):
+            weight += len(item)
+        elif isinstance(item, dict):
+            weight += 8 + _items_weight(item.values())
+        elif (isinstance(item, (list, tuple))
+              and not isinstance(item, OperationId)):
+            weight += 8 + _items_weight(item)
+        else:
+            weight += 16
+    return weight

@@ -42,19 +42,8 @@ LEADER_FOLLOWER
 
 Because ``is_active`` historically conflated "executes everywhere" with
 "participates in voting/response logic", the predicate is split into
-orthogonal properties.  The full matrix:
-
-=================== ========= ============ =========== ======== ========== ============ ========
-style               executes_ responds_    is_semi_    needs_   has_state  any_copy_    loads_
-                    everywhere from_all    active      voting              suffices     backups
-=================== ========= ============ =========== ======== ========== ============ ========
-STATELESS           yes       yes          no          no       no         yes          no
-COLD_PASSIVE        no        no           no          no       yes        no           no
-WARM_PASSIVE        no        no           no          no       yes        no           yes
-ACTIVE              yes       yes          no          no       yes        yes          no
-ACTIVE_WITH_VOTING  yes       yes          no          yes      yes        no           no
-LEADER_FOLLOWER     yes       no           yes         no       yes        no           no
-=================== ========= ============ =========== ======== ========== ============ ========
+orthogonal properties.  The full matrix is :class:`ReplicationStyle`'s
+member table; each member carries its row as plain attributes:
 
 * ``executes_everywhere`` — every live replica runs the servant for
   every delivered invocation (the ``i_execute`` decision).
@@ -81,56 +70,42 @@ import enum
 
 
 class ReplicationStyle(enum.Enum):
-    STATELESS = "stateless"
-    COLD_PASSIVE = "cold_passive"
-    WARM_PASSIVE = "warm_passive"
-    ACTIVE = "active"
-    ACTIVE_WITH_VOTING = "active_with_voting"
-    LEADER_FOLLOWER = "leader_follower"
+    """A style and its row of the matrix.  Members hash by identity and
+    read their predicates as attributes, so the engines' per-message
+    style checks and style-keyed tables cost no Python call."""
 
-    @property
-    def is_passive(self) -> bool:
-        return self in (ReplicationStyle.COLD_PASSIVE,
-                        ReplicationStyle.WARM_PASSIVE)
+    #                     value                 executes_ responds_ is_semi_ needs_ has_  loads_
+    #                                           everywhere from_all active   voting state backups
+    STATELESS =          ("stateless",          True,  True,  False, False, False, False)
+    COLD_PASSIVE =       ("cold_passive",       False, False, False, False, True,  False)
+    WARM_PASSIVE =       ("warm_passive",       False, False, False, False, True,  True)
+    ACTIVE =             ("active",             True,  True,  False, False, True,  False)
+    ACTIVE_WITH_VOTING = ("active_with_voting", True,  True,  False, True,  True,  False)
+    LEADER_FOLLOWER =    ("leader_follower",    True,  False, True,  False, True,  False)
 
-    @property
-    def executes_everywhere(self) -> bool:
-        """Every live replica executes every delivered invocation."""
-        return self in (ReplicationStyle.ACTIVE,
-                        ReplicationStyle.ACTIVE_WITH_VOTING,
-                        ReplicationStyle.STATELESS,
-                        ReplicationStyle.LEADER_FOLLOWER)
+    executes_everywhere: bool
+    responds_from_all: bool
+    is_semi_active: bool
+    needs_voting: bool
+    has_state: bool
+    loads_backups: bool
+    is_passive: bool
+    any_copy_suffices: bool
 
-    @property
-    def responds_from_all(self) -> bool:
-        """Every executing replica multicasts its response."""
-        return self in (ReplicationStyle.ACTIVE,
-                        ReplicationStyle.ACTIVE_WITH_VOTING,
-                        ReplicationStyle.STATELESS)
+    def __new__(cls, value: str, *row: bool) -> "ReplicationStyle":
+        style = object.__new__(cls)
+        style._value_ = value
+        (style.executes_everywhere, style.responds_from_all,
+         style.is_semi_active, style.needs_voting, style.has_state,
+         style.loads_backups) = row
+        style.is_passive = not style.executes_everywhere
+        # Every replica sends and the receiver takes the first copy, so
+        # a still-queued copy is redundant once a sibling's is agreed.
+        style.any_copy_suffices = (style.responds_from_all
+                                   and not style.needs_voting)
+        return style
 
-    @property
-    def is_semi_active(self) -> bool:
-        """Executes everywhere, but only the leader responds/orders."""
-        return self is ReplicationStyle.LEADER_FOLLOWER
-
-    @property
-    def needs_voting(self) -> bool:
-        return self is ReplicationStyle.ACTIVE_WITH_VOTING
-
-    @property
-    def any_copy_suffices(self) -> bool:
-        """Every replica sends and the receiver takes the first copy,
-        so a still-queued copy is redundant once a sibling's is agreed."""
-        return self.responds_from_all and not self.needs_voting
-
-    @property
-    def loads_backups(self) -> bool:
-        """Passive backups keep their servants at the last checkpoint."""
-        return self is ReplicationStyle.WARM_PASSIVE
-
-    @property
-    def has_state(self) -> bool:
-        return self is not ReplicationStyle.STATELESS
+    __hash__ = object.__hash__
 
 
 @dataclasses.dataclass(frozen=True)

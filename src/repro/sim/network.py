@@ -180,9 +180,12 @@ class Network:
     ) -> None:
         """Send ``payload`` from ``src`` to ``dst``; call ``deliver`` there.
 
-        Delivery is dropped silently when either endpoint is dead at
-        send *or* delivery time, or when a partition separates them —
-        matching a real network where packets to dead hosts vanish.
+        Delivery is dropped silently when ``src`` is dead at send time,
+        when ``dst`` is dead at delivery time, or when a partition
+        separates them at either — matching a real network where packets
+        to dead hosts vanish.  ``dst`` is not looked at until delivery:
+        a host that is down when the datagram leaves but recovers before
+        it arrives receives it.
 
         ``hold`` is time the datagram spends at ``src`` before it leaves
         (the sender's processing delay): it arrives ``hold`` + latency

@@ -136,8 +136,7 @@ class TotemMember(Process):
         self.delivered_up_to = 0           # highest contiguously delivered seq
         self.my_aru = 0                    # == delivered_up_to (agreed delivery)
         self.stable_up_to = 0              # highest seq known stable (aru)
-        # reprolint: disable=AUD001 -- listener list, fixed at wiring time
-        self._safe_listeners: List[DeliverFn] = []
+        self._safe_listeners: Tuple[DeliverFn, ...] = ()
         self._safe_buffer: Dict[int, RegularMessage] = {}
         self._safe_delivered_up_to = 0
         self._buffer: Dict[int, RegularMessage] = {}   # undelivered, seq > aru
@@ -160,11 +159,10 @@ class TotemMember(Process):
         self._gather_timer: Optional[Timer] = None
         self._loss_timer: Optional[Timer] = None
 
-        # Listener callbacks (upper layer: Eternal Replication Mechanisms).
-        # reprolint: disable=AUD001 -- listener list, fixed at wiring time
-        self._deliver_listeners: List[DeliverFn] = []
-        # reprolint: disable=AUD001 -- listener list, fixed at wiring time
-        self._membership_listeners: List[MembershipFn] = []
+        # Listener callbacks (upper layer: Eternal Replication Mechanisms),
+        # fixed at wiring time: tuples, so delivery iterates them uncopied.
+        self._deliver_listeners: Tuple[DeliverFn, ...] = ()
+        self._membership_listeners: Tuple[MembershipFn, ...] = ()
 
         # Exact-type dispatch table for :meth:`receive` (hot path).
         # reprolint: disable=AUD001 -- fixed message-type table, never grows
@@ -247,18 +245,18 @@ class TotemMember(Process):
 
     def on_deliver(self, fn: DeliverFn) -> None:
         """Register ``fn(seq, sender_name, payload)`` called in total order."""
-        self._deliver_listeners.append(fn)
+        self._deliver_listeners += (fn,)
 
     def on_membership(self, fn: MembershipFn) -> None:
         """Register ``fn(members, ring_id)`` called at each installation."""
-        self._membership_listeners.append(fn)
+        self._membership_listeners += (fn,)
 
     def on_deliver_safe(self, fn: DeliverFn) -> None:
         """Register ``fn(seq, sender, payload)`` with Totem *safe*
         delivery: called only once the message is known stable, i.e.
         received by every current ring member (seq <= aru).  Safe
         delivery lags agreed delivery by roughly one token rotation."""
-        self._safe_listeners.append(fn)
+        self._safe_listeners += (fn,)
 
     def multicast(self, payload: Any, size: int = 64) -> Queued:
         """Queue ``payload`` for totally-ordered broadcast to the ring.
@@ -354,11 +352,11 @@ class TotemMember(Process):
             self._gap_age.pop(seq, None)
             self.stats["delivered"] += 1
             self._m_delivered.inc()
-            for fn in list(self._deliver_listeners):
-                fn(msg.seq, msg.sender, msg.payload)
+            for fn in self._deliver_listeners:
+                fn(seq, msg.sender, msg.payload)
             if self._safe_listeners:
-                self._safe_buffer[msg.seq] = msg
-            if not self.alive:
+                self._safe_buffer[seq] = msg
+            if not (self.running and self.host.alive):
                 return  # a listener crashed this host
 
     # ------------------------------------------------------------------
@@ -594,7 +592,7 @@ class TotemMember(Process):
                 break
             msg = self._safe_buffer.pop(seq)
             self._safe_delivered_up_to = seq
-            for fn in list(self._safe_listeners):
+            for fn in self._safe_listeners:
                 fn(msg.seq, msg.sender, msg.payload)
 
     def _reset_loss_timer(self) -> None:
@@ -772,7 +770,7 @@ class TotemMember(Process):
                       ring=str(commit.ring_id),
                       members=",".join(commit.members),
                       start_seq=commit.start_seq)
-        for fn in list(self._membership_listeners):
+        for fn in self._membership_listeners:
             fn(self.members, self.ring_id)
         self._reset_loss_timer()
         if commit.leader == self.name:

@@ -17,13 +17,17 @@ review sees which numbers moved.
 
 import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 from bench import clock, rep
 from bench.__main__ import DEFAULT_SEED, QUICK_SCALE
 from bench.inputs import WORKLOADS
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 PIN_PATH = (pathlib.Path(__file__).parent / "golden"
             / f"bench_quick_seed{DEFAULT_SEED}.json")
 SECTIONS = ("sim", "counts")
@@ -99,3 +103,24 @@ def test_a_moved_count_is_named_not_only_the_digest():
         f"steady_closed: counts sim.events_per_op: pinned "
         f"{doctored['steady_closed']['counts']['sim.events_per_op']!r}, "
         f"measured {pinned['steady_closed']['counts']['sim.events_per_op']!r}"]
+
+
+def test_a_seeded_run_does_not_depend_on_the_hash_salt():
+    """``PYTHONHASHSEED`` salts every str hash, and members of
+    ``MsgKind`` and ``ReplicationStyle`` hash by address: a set whose
+    iteration order reached the run would move the digest between these
+    two processes.  Both run at once, so the test costs one repetition."""
+    job = json.dumps({"workload": "bank_styles", "seed": DEFAULT_SEED,
+                      "scale": QUICK_SCALE, "mode": "dark"})
+    runs = [subprocess.Popen(
+        [sys.executable, "-m", "bench.rep", job], cwd=ROOT,
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONHASHSEED": salt})
+        for salt in ("0", "4242")]
+    digests = []
+    for run in runs:
+        out, _ = run.communicate(timeout=60)
+        assert run.returncode == 0
+        digests.append(json.loads(out.splitlines()[-1])["sim_digest"])
+    pinned = json.loads(PIN_PATH.read_text())["bank_styles"]["sim_digest"]
+    assert digests == [pinned, pinned]

@@ -1,5 +1,6 @@
 """Tests for Figure 6 invocation/response/operation identifiers."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,6 +32,23 @@ def test_operation_ids_are_value_objects():
     assert OperationId(1, 2) != OperationId(1, 3)
     assert hash(OperationId(1, 2)) == hash(OperationId(1, 2))
     assert len({OperationId(1, 2), OperationId(1, 2)}) == 1
+
+
+@given(st.integers(0, 2**32), st.integers(0, 2**16))
+def test_operation_id_value_contract_property(parent_ts, child_seq):
+    """An operation id hashes as the plain pair, so dict and set layouts
+    are those of ``(parent_ts, child_seq)``; repr and str name its
+    fields; the fields cannot be reassigned."""
+    op = OperationId(parent_ts, child_seq)
+    assert hash(op) == hash((parent_ts, child_seq))
+    assert repr(op) == (f"OperationId(parent_ts={parent_ts}, "
+                        f"child_seq={child_seq})")
+    assert str(op) == f"op({parent_ts},{child_seq})"
+    with pytest.raises(AttributeError):
+        op.parent_ts = parent_ts + 1
+    with pytest.raises(AttributeError):
+        op.child_seq = child_seq + 1
+    assert (op.parent_ts, op.child_seq) == (parent_ts, child_seq)
 
 
 def test_external_operation_id_has_no_parent():

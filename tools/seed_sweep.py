@@ -5,6 +5,8 @@ driver will read it?
 Usage:
     python tools/seed_sweep.py [--seeds 11-30] [--parent PATH]
                                [--scale 1] [WORKLOAD ...]
+    python tools/seed_sweep.py --pairs 10 --parent PATH [--seeds 11]
+                               [--scale 1] [WORKLOAD ...]
 
 Runs ``python3 -m bench.rep`` (dark, one repetition per seed — the
 simulated metrics are exact, so one is enough) for each named workload
@@ -20,7 +22,14 @@ the driver cannot read (``SPREAD``), whatever its median did.
 
 The host-clock rows (``host_*``, ``setup_s``, ``peak_rss_mb``) come from
 one repetition each and are as noisy as the machine; trust the simulated
-rows.  This tool only calls ``bench``; it is not part of it.
+rows.  For them, ``--pairs N`` runs N pairs of dark repetitions of the
+parent and this checkout at one seed, alternating which side goes
+first, and prints for ``host_cpu_us_per_op`` and ``host_ops_per_s``
+each side's median and quartiles, the pairs this checkout won (ties
+count for neither) and whether a gain may be claimed: at least nine
+tenths of the pairs won and a median gap wider than the distance
+between the parent's quartiles.  This tool only calls ``bench``; it is
+not part of it.
 """
 
 import argparse
@@ -34,7 +43,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from bench import catalogue  # noqa: E402
-from bench.__main__ import end_to_end, problems_of  # noqa: E402
+from bench.__main__ import end_to_end, host_samples, problems_of  # noqa: E402
+
+#: The host-clock metrics ``--pairs`` compares.
+PAIRED = ("host_cpu_us_per_op", "host_ops_per_s")
 
 
 def run_rep(checkout, workload, seed, scale):
@@ -57,12 +69,18 @@ def sweep(checkout, workload, seeds, scale):
     return rows, problems
 
 
+def quartiles(values):
+    """(lower quartile, median, upper quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    low, _, high = statistics.quantiles(values, n=4)
+    return low, statistics.median(values), high
+
+
 def spread(values):
     """(median, distance between the quartiles)."""
-    if len(values) < 2:
-        return values[0], 0.0
-    low, _, high = statistics.quantiles(values, n=4)
-    return statistics.median(values), high - low
+    low, median, high = quartiles(values)
+    return median, high - low
 
 
 def report(workload, metrics, ours, parents):
@@ -96,6 +114,53 @@ def report(workload, metrics, ours, parents):
         print(line)
 
 
+def claim(parent, change, better):
+    """Pairs won by ``change`` and whether the gain may be claimed:
+    nine tenths of the pairs won, and the medians further apart, the
+    right way, than the parent's quartiles."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    low, base_median, high = quartiles(parent)
+    gap = sign * (quartiles(change)[1] - base_median)
+    return wins, wins >= 0.9 * len(parent) and gap > high - low
+
+
+def pairs(workload, metrics, parent_path, seed, count, scale):
+    """``count`` alternating pairs of dark repetitions: the parent runs
+    first in even pairs, this checkout in odd ones."""
+    sides = {"parent": [], "change": []}
+    for index in range(count):
+        order = [("parent", parent_path), ("change", ROOT)]
+        if index % 2:
+            order.reverse()
+        for side, checkout in order:
+            sides[side].append(run_rep(checkout, workload, seed, scale))
+    problems = []
+    for side, reps in sides.items():
+        problems += [f"{side}: {p}"
+                     for p in problems_of(reps, f"the {side}'s repetitions")]
+    same = sides["parent"][0]["sim_digest"] == sides["change"][0]["sim_digest"]
+    print(f"{workload}: {count} alternating pairs at seed {seed}, "
+          f"sim_digest {'equal to' if same else 'differs from'} the parent's")
+    samples = {side: host_samples(reps) for side, reps in sides.items()}
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
+        if name not in PAIRED:
+            continue
+        parent, change = samples["parent"][name], samples["change"][name]
+        wins, holds = claim(parent, change, better)
+        (p_low, p_median, p_high), (c_low, c_median, c_high) = (
+            quartiles(parent), quartiles(change))
+        print(f"  {name:<19} parent median {p_median:<10.5g} quartiles "
+              f"{p_low:.5g}/{p_high:.5g} | change median {c_median:<10.5g} "
+              f"quartiles {c_low:.5g}/{c_high:.5g} | {better} is better, "
+              f"won {wins} of {count}, gap {c_median - p_median:+.5g} "
+              f"({(c_median - p_median) / p_median:+.1%}) vs parent "
+              f"spread {p_high - p_low:.5g}: "
+              f"{'gain holds' if holds else 'no claim'}")
+    return problems
+
+
 def parse_seeds(text):
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -111,18 +176,28 @@ def main(argv=None) -> int:
                     "second checkout")
     parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                         help=f"default: all of {known}")
-    parser.add_argument("--seeds", default="11-30", metavar="A-B")
+    parser.add_argument("--seeds", default=None, metavar="A-B",
+                        help="default: 11-30, or 11 with --pairs")
     parser.add_argument("--parent", metavar="PATH", default=None,
                         help="a checkout of the commit to compare with")
     parser.add_argument("--scale", type=int, default=1,
                         help="divide the op counts (50 = bench --quick)")
+    parser.add_argument("--pairs", type=int, default=0, metavar="N",
+                        help="compare host time over N alternating pairs "
+                             "at one seed (needs --parent)")
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    seeds = parse_seeds(args.seeds or ("11" if args.pairs else "11-30"))
     unknown = sorted(set(args.workloads) - set(known))
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; known: {known}")
+    if args.pairs and (not args.parent or len(seeds) != 1):
+        parser.error("--pairs needs --parent and a single seed")
     problems = []
     for workload in args.workloads or known:
+        if args.pairs:
+            problems += pairs(workload, benchmark["end_to_end"], args.parent,
+                              seeds[0], args.pairs, args.scale)
+            continue
         ours, found = sweep(ROOT, workload, seeds, args.scale)
         problems += found
         parents = None
