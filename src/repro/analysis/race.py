@@ -25,17 +25,15 @@ Three pieces:
   That is exactly the set of orderings a real LAN could produce.
 * :class:`RaceScheduler` — a scheduler that extracts each same-time
   cohort before firing it, records the collision, and applies the
-  permuter.  It subclasses the pre-overhaul binary-heap kernel
-  (:class:`~repro.sim.reference_scheduler.ReferenceScheduler`), whose
-  single sorted queue makes cohort extraction trivial; the twin-kernel
-  differential harness (``tests/test_scheduler_differential.py``)
-  proves that kernel order-identical to the production calendar-queue
-  scheduler, so sweep verdicts transfer.  With no permuter it replays
-  the identity order and is observationally equivalent to the base
-  scheduler (the only divergence channel is the *host-side*
-  ``sched.queue.compactions`` hygiene counter, whose trigger reads
-  transient queue depth; :func:`drop_metric_series` normalises it
-  away before comparison).
+  permuter.  It subclasses the production kernel
+  (:class:`~repro.sim.scheduler.Scheduler`) and replaces only its
+  event loop, so every other scheduling path — and the ``run`` /
+  ``run_until`` / ``step`` drivers with their guards — is the one the
+  simulation runs on.  With no permuter it replays the identity order
+  and is observationally equivalent to the base scheduler (the only
+  divergence channel is the *host-side* ``sched.queue.compactions``
+  hygiene counter, whose trigger reads transient queue depth;
+  :func:`drop_metric_series` normalises it away before comparison).
 
 :func:`permutation_sweep` drives a scenario once on the plain
 scheduler, once in identity-replay mode, and once per permutation
@@ -46,20 +44,19 @@ uploads its JSON report.
 
 from __future__ import annotations
 
-import heapq
 import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from ..errors import SimulationError
-from ..sim.reference_scheduler import ReferenceScheduler, ReferenceTimer
-from ..sim.world import SchedulerLike
+from ..sim.scheduler import (_BUDGET, _QUIESCED, _SATISFIED, _TIME_LIMIT,
+                             Scheduler, _Entry)
 
-QueueEntry = Tuple[float, Any, ReferenceTimer]
-ScenarioFn = Callable[[Optional[SchedulerLike]], Mapping[str, str]]
+QueueEntry = _Entry
+ScenarioFn = Callable[[Optional[Scheduler]], Mapping[str, str]]
 
 #: Host-side hygiene series whose trigger reads transient queue depth;
 #: excluded from sweep comparisons (it is not simulation-visible).
@@ -94,20 +91,20 @@ EFFORT_SERIES: Tuple[str, ...] = (
 EFFORT_ARTIFACT_PREFIX = "effort:"
 
 
-def _label(timer: ReferenceTimer) -> str:
-    qual = getattr(timer.fn, "__qualname__", repr(timer.fn))
-    lane = _lane_of(timer)
+def _label(entry: QueueEntry) -> str:
+    qual = getattr(entry[3], "__qualname__", repr(entry[3]))
+    lane = _lane_of(entry)
     return f"{qual}[src={lane[1]}]" if lane is not None else qual
 
 
-def _lane_of(timer: ReferenceTimer) -> Optional[Tuple[str, str]]:
+def _lane_of(entry: QueueEntry) -> Optional[Tuple[str, str]]:
     """FIFO lane of a network-arrival event (its source host), or None
     for barrier events whose order must not move.  A broadcast's delay
     group (``Network._arrive_group``) is one arrival on its source's
     lane, like a unicast ``Network._arrive``."""
-    qual = getattr(timer.fn, "__qualname__", "")
+    qual = getattr(entry[3], "__qualname__", "")
     if qual.endswith(("Network._arrive", "Network._arrive_group")):
-        return ("net", timer.args[0])
+        return ("net", entry[4][0])
     return None
 
 
@@ -124,12 +121,12 @@ class RaceRecorder:
     def record(self, time: float, cohort: Sequence[QueueEntry]) -> None:
         self.total_cohorts += 1
         self.colliding_events += len(cohort)
-        lanes = {_lane_of(entry[2]) for entry in cohort}
+        lanes = {_lane_of(entry) for entry in cohort}
         if len(lanes - {None}) > 1:
             self.multi_lane_cohorts += 1
         if len(self.collisions) < self.max_records:
             self.collisions.append(
-                (time, tuple(_label(entry[2]) for entry in cohort)))
+                (time, tuple(_label(entry) for entry in cohort)))
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -163,7 +160,7 @@ class CohortPermuter:
         out: List[QueueEntry] = []
         run: List[Tuple[Tuple[str, str], QueueEntry]] = []
         for entry in cohort:
-            lane = _lane_of(entry[2])
+            lane = _lane_of(entry)
             if lane is None:
                 out.extend(self._permute_run(run))
                 run = []
@@ -199,7 +196,7 @@ class CohortPermuter:
                 "changed_cohorts": self.changed_cohorts}
 
 
-class RaceScheduler(ReferenceScheduler):
+class RaceScheduler(Scheduler):
     """Scheduler that surfaces and (optionally) permutes same-time ties.
 
     Pops each same-time cohort off the heap before firing it, records
@@ -218,120 +215,81 @@ class RaceScheduler(ReferenceScheduler):
         self.recorder = recorder if recorder is not None else RaceRecorder()
         self._ready: Deque[QueueEntry] = deque()
 
-    # -- cohort plumbing ------------------------------------------------
+    @property
+    def pending_events(self) -> int:
+        return len(self._queue) + len(self._ready)
 
-    def _refill(self, until: Optional[float]) -> bool:
+    def _collect(self, entry: QueueEntry) -> bool:
+        """True if the popped ``entry`` is live; a dead one goes to the
+        kernel's stale-entry bookkeeping."""
+        tb, timer = entry[1], entry[2]
+        if timer is None or timer._tb == tb:
+            return True
+        self._drop_stale(tb, timer)
+        return False
+
+    def _refill(self, limit: Optional[float]) -> bool:
         """Extract the next same-time cohort into ``_ready``."""
         queue = self._queue
-        while True:
-            while queue:
-                time, tiebreak, timer = queue[0]
-                if timer.cancelled or (time, tiebreak) != timer._key:
-                    heapq.heappop(queue)
-                    self._pop_stale(time, tiebreak, timer)
-                    continue
-                break
-            if not queue:
-                return False
-            t0 = queue[0][0]
-            if until is not None and t0 > until:
-                return False
-            cohort: List[QueueEntry] = []
-            while queue and queue[0][0] == t0:
-                time, tiebreak, timer = heapq.heappop(queue)
-                if timer.cancelled or (time, tiebreak) != timer._key:
-                    # May re-push a lazily rescheduled timer at t0; the
-                    # loop condition re-reads the head and collects it.
-                    self._pop_stale(time, tiebreak, timer)
-                    continue
-                cohort.append((time, tiebreak, timer))
-            if not cohort:
+        while queue:
+            first = heappop(queue)
+            if not self._collect(first):
                 continue
+            t0 = first[0]
+            if limit is not None and t0 > limit:
+                heappush(queue, first)
+                return False
+            cohort = [first]
+            while queue and queue[0][0] == t0:
+                # A dead entry may re-push a lazily rescheduled timer at
+                # t0; the loop condition re-reads the head and collects it.
+                entry = heappop(queue)
+                if self._collect(entry):
+                    cohort.append(entry)
             if len(cohort) > 1:
                 self.recorder.record(t0, cohort)
                 if self.permuter is not None:
                     cohort = self.permuter.permute(t0, cohort)
             self._ready.extend(cohort)
             return True
+        return False
 
-    def _next_live(self, until: Optional[float]) -> Optional[QueueEntry]:
-        """Next live ready entry, refilling cohorts as needed."""
-        while True:
-            while self._ready:
-                time, tiebreak, timer = self._ready[0]
-                if timer.cancelled or (time, tiebreak) != timer._key:
-                    self._ready.popleft()
-                    self._pop_stale(time, tiebreak, timer)
-                    continue
-                if until is not None and time > until:
-                    return None
-                return (time, tiebreak, timer)
-            if not self._refill(until):
+    def _next_live(self, limit: Optional[float]) -> Optional[QueueEntry]:
+        """Pop the next live ready entry, refilling cohorts as needed."""
+        ready = self._ready
+        while ready or self._refill(limit):
+            entry = ready.popleft()
+            if not self._collect(entry):
+                continue
+            if limit is not None and entry[0] > limit:
+                ready.appendleft(entry)
                 return None
+            return entry
+        return None
 
-    def _fire(self, entry: QueueEntry) -> None:
-        self._ready.popleft()
-        time, _, timer = entry
-        self.now = time
-        timer.fired = True
-        self._events_processed += 1
-        timer.fn(*timer.args)
-
-    # -- loop overrides (same contracts as the base class) --------------
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue) + len(self._ready)
-
-    def step(self) -> bool:
-        entry = self._next_live(None)
-        if entry is None:
-            return False
-        self._fire(entry)
-        return True
-
-    def run(self, until: Optional[float] = None,
-            max_events: int = 10_000_000) -> int:
-        if self._running:
-            raise SimulationError(
-                "scheduler re-entered: run() called from an event")
-        self._running = True
-        processed = 0
-        try:
-            while processed < max_events:
-                entry = self._next_live(until)
-                if entry is None:
-                    break
-                self._fire(entry)
-                processed += 1
-            if processed >= max_events:
-                raise SimulationError(
-                    f"event budget exhausted ({max_events} events): "
-                    "likely a livelock")
-        finally:
-            self._running = False
-        if until is not None and self.now < until:
-            self.now = until
-        return processed
-
-    def run_until(self, predicate: Callable[[], bool],
-                  timeout: float = 60.0,
-                  max_events: int = 10_000_000) -> None:
-        deadline = self.now + timeout
-        processed = 0
-        while not predicate():
-            entry = self._next_live(None)
+    def _loop(self, budget: int, limit: Optional[float],
+              predicate: Optional[Callable[[], bool]]) -> Tuple[int, str]:
+        """The kernel's loop, taking each next entry from ``_ready``."""
+        fired = 0
+        while fired < budget:
+            if predicate is not None and predicate():
+                return fired, _SATISFIED
+            entry = self._next_live(limit)
             if entry is None:
-                raise SimulationError(
-                    "simulation quiesced before condition became true")
-            if entry[0] > deadline:
-                raise SimulationError(
-                    f"condition not reached within {timeout}s of "
-                    "simulated time")
-            self._fire(entry)
-            processed += 1
-            if processed > max_events:
-                raise SimulationError("event budget exhausted in run_until")
+                if self._ready or self._queue:
+                    return fired, _TIME_LIMIT
+                return fired, _QUIESCED
+            time, _, timer, fn, args = entry
+            self.now = time
+            if timer is not None:
+                if timer.interval is None:
+                    timer.fired = True
+                else:
+                    self._arm(timer, time + timer.interval)
+            self._events_processed += 1
+            fired += 1
+            fn(*args)
+        return fired, _BUDGET
 
 
 # ----------------------------------------------------------------------

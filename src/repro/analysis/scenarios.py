@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .. import FaultToleranceDomain, FtClientLayer, Ior, Orb, World
 from ..apps import COUNTER_INTERFACE, CounterServant
-from ..sim.world import SchedulerLike
+from ..sim.scheduler import Scheduler
 from .race import partition_metric_series
 
 DeliveryTrace = Dict[str, List[Tuple[int, str, str]]]
@@ -80,7 +80,7 @@ def _trace_deliveries(domain: FaultToleranceDomain) -> DeliveryTrace:
 
 
 def run_failover_scenario(seed: int = 350,
-                          scheduler: Optional[SchedulerLike] = None) -> World:
+                          scheduler: Optional[Scheduler] = None) -> World:
     """The section 3.5 failover: the first gateway crashes at the exact
     instant the response reaches it; the enhanced client fails over."""
     world = World(seed=seed, trace=False, scheduler=scheduler)
@@ -108,7 +108,7 @@ def run_failover_scenario(seed: int = 350,
 
 def run_chaos_scenario(victim_index: int = 0, crash_delay: float = 0.09,
                        seed: int = 5,
-                       scheduler: Optional[SchedulerLike] = None
+                       scheduler: Optional[Scheduler] = None
                        ) -> Tuple[DeliveryTrace, Dict[str, int], str]:
     """Seeded crash scenario; returns (delivery trace, final counts,
     metrics JSON) for comparison against the committed golden."""
@@ -137,7 +137,7 @@ def run_chaos_scenario(victim_index: int = 0, crash_delay: float = 0.09,
 
 
 def run_parked_scenario(seed: int = 9,
-                        scheduler: Optional[SchedulerLike] = None
+                        scheduler: Optional[Scheduler] = None
                         ) -> Tuple[DeliveryTrace, List[int], Dict[str, int],
                                    str]:
     """Three rounds of two simultaneous calls through different gateways
@@ -179,7 +179,7 @@ def run_parked_scenario(seed: int = 9,
 # ----------------------------------------------------------------------
 
 
-def failover_artifacts(scheduler: Optional[SchedulerLike] = None
+def failover_artifacts(scheduler: Optional[Scheduler] = None
                        ) -> Mapping[str, str]:
     """Sweep artifacts for the failover golden scenario."""
     world = run_failover_scenario(scheduler=scheduler)
@@ -187,7 +187,7 @@ def failover_artifacts(scheduler: Optional[SchedulerLike] = None
     return {"metrics": semantic, "effort:metrics": effort}
 
 
-def chaos_artifacts(scheduler: Optional[SchedulerLike] = None
+def chaos_artifacts(scheduler: Optional[Scheduler] = None
                     ) -> Mapping[str, str]:
     """Sweep artifacts for the chaos golden scenario."""
     deliveries, finals, metrics_json = run_chaos_scenario(
@@ -198,7 +198,7 @@ def chaos_artifacts(scheduler: Optional[SchedulerLike] = None
     return {"trace": trace, "metrics": semantic, "effort:metrics": effort}
 
 
-def parked_artifacts(scheduler: Optional[SchedulerLike] = None
+def parked_artifacts(scheduler: Optional[Scheduler] = None
                      ) -> Mapping[str, str]:
     """Sweep artifacts for the parked-ring scenario."""
     deliveries, replies, finals, metrics_json = run_parked_scenario(

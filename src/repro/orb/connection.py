@@ -30,9 +30,6 @@ from ..sim.tcp import TcpEndpoint, TcpStack
 
 ReplyHandler = Callable[[ReplyMessage], None]
 FailureHandler = Callable[[Exception], None]
-# LocateReply handler: receives the raw GIOP message so callers can
-# decode the optional OBJECT_FORWARD body themselves.
-LocateHandler = Callable[[bytes], None]
 
 # Metric-name suffixes for giop.msg.<type> counters.
 _MSG_TYPE_NAMES = {
@@ -68,7 +65,6 @@ class IiopClientConnection:
         self._framer = GiopFramer()
         self._send_queue: List[bytes] = []
         self._pending: Dict[int, Tuple[ReplyHandler, FailureHandler]] = {}
-        self._pending_locates: Dict[int, Tuple[LocateHandler, FailureHandler]] = {}
         self._closed_listeners: List[Callable[[], None]] = []
         self._metrics = tcp.network.metrics
         self._m_bytes_out = self._metrics.counter("giop.bytes.out", unit="B")
@@ -114,11 +110,7 @@ class IiopClientConnection:
         self.state = IiopClientConnection.CLOSED
         pending = list(self._pending.values())
         self._pending.clear()
-        locates = list(self._pending_locates.values())
-        self._pending_locates.clear()
         for _, on_failure in pending:
-            on_failure(exc)
-        for _, on_failure in locates:
             on_failure(exc)
         for fn in self._closed_listeners:
             fn()
@@ -181,14 +173,14 @@ class IiopClientConnection:
                 if handlers is not None:
                     handlers[0](reply)
             elif message_type == MsgType.LOCATE_REPLY:
+                # This client never sends a LocateRequest, so a reply is
+                # unsolicited and ignored -- but a malformed one is
+                # garbage on the wire, like a malformed Reply.
                 try:
-                    locate_id, _ = decode_locate_reply(message)
+                    decode_locate_reply(message)
                 except MarshalError:
                     self.close()
                     return
-                locate_handlers = self._pending_locates.pop(locate_id, None)
-                if locate_handlers is not None:
-                    locate_handlers[0](message)
             elif message_type == MsgType.CLOSE_CONNECTION:
                 self._on_peer_close()
             elif message_type == MsgType.MESSAGE_ERROR:

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event scheduler (calendar-queue kernel).
+"""Deterministic discrete-event scheduler (one binary heap).
 
 Every moving part of the reproduction — simulated TCP, Totem token
 rotation, replica execution, crash/recovery fault injection — runs on a
@@ -7,44 +7,19 @@ simulated time fire in the order they were scheduled (a monotonically
 increasing tie-break counter), which makes every run exactly
 reproducible for a given seed and script of events.
 
-The kernel is a two-tier calendar queue with **one** enqueue and
-**one** event loop:
-
-* **Tier 1 — slot buckets.**  Simulated time is divided into fixed
-  slots of ``slot_width`` seconds; each occupied slot owns an unsorted
-  list of event entries.  Scheduling is an O(1) dict lookup + append
-  instead of an O(log n) heap sift; a slot's cohort is sorted once,
-  when the loop reaches it.
-* **Tier 2 — slot heap.**  Occupied slot indices live in a small int
-  min-heap, so far-future timers cost one heap entry per *slot*, not
-  per event, and the loop always knows the globally next slot.
-
-Every entry enters the calendar through :meth:`Scheduler._push` and
-every event is fired by :meth:`Scheduler._loop`; ``run()``,
-``run(until=)``, ``run_until(predicate)`` and ``step()`` are thin
-wrappers that pick the loop's budget, time limit and predicate.  The
-traffic drives the kernel almost entirely through ``run_until`` (see
-the drive-mode census in ``docs/PERFORMANCE.md``), so there is no
-separate loop for any other entry point to drift away from it.
-
-Determinism argument: ``int(t * inv)`` is monotone non-decreasing in
-``t`` (multiplication by a positive constant and truncation both
-preserve order), so slot order respects time order; within a slot the
-bucket is sorted by the exact ``(time, tiebreak)`` key before draining.
-Events scheduled *into the currently draining slot* are placed by
-binary insertion; their key is strictly greater than every entry
-already consumed (``time >= now`` and the tiebreak counter is
-monotone), so the loop meets them at their correct sorted position.
-The firing order is therefore byte-for-byte the order the pre-overhaul
-binary-heap kernel (preserved as
-:class:`repro.sim.reference_scheduler.ReferenceScheduler`) produces —
-a property enforced by the twin-kernel differential harness in
-``tests/test_scheduler_differential.py``.
-
-Entries are plain tuples carrying ``(time, tiebreak, timer_or_None,
-fn, args)``; ``post`` schedules fire-and-forget events (network
+The queue is one ``heapq`` of plain tuple entries ``(time, tiebreak,
+timer_or_None, fn, args)``; the tiebreak is unique, so ordering never
+compares past it.  ``post`` schedules fire-and-forget events (network
 datagram deliveries) with **no** Timer object at all, and
-``call_every`` timers are re-armed by the loop itself.
+``call_every`` timers are re-armed by the loop itself.  A Timer's entry
+is live iff its tiebreak equals ``Timer._tb``: cancelled, superseded
+and lazily rescheduled entries are dropped (or re-pushed at their
+authoritative key) when they surface, and compacted away in place when
+cancelled entries outnumber half the queue.
+
+Every event is fired by :meth:`Scheduler._loop`; ``run()``,
+``run(until=)``, ``run_until(predicate)`` and ``step()`` are thin
+wrappers that pick the loop's budget, time limit and predicate.
 Instrumentation stays lazy: ``attach_metrics`` exports plain int
 attributes through callback-backed counters, so metrics cost nothing
 on the scheduling paths.
@@ -53,18 +28,13 @@ on the scheduling paths.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
-from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 
 # Compaction only pays for itself once the queue is non-trivial.
 _COMPACT_MIN_QUEUE = 64
-# Default calendar slot width (seconds).  Wide enough that protocol
-# timers batch into same-slot cohorts, narrow enough that `run(until=)`
-# rarely splits a bucket.
-_SLOT_WIDTH = 0.008
 
 # An entry is (time, tiebreak, timer_or_None, fn, args).
 _Entry = Tuple[float, int, Optional["Timer"], Callable[..., Any], tuple]
@@ -79,10 +49,10 @@ _BUDGET = "budget"          # the event budget is spent
 class Timer:
     """Handle for a scheduled callback; cancellable until it fires.
 
-    ``_tb`` is the authoritative tiebreak of the timer (its bucket
-    entry is live iff the entry's tiebreak equals it; ``cancel`` poisons
-    it to -1 so one int comparison covers cancelled, superseded and
-    lazily rescheduled entries alike).  ``_queued_time``/``_queued_tb``
+    ``_tb`` is the authoritative tiebreak of the timer (its queue entry
+    is live iff the entry's tiebreak equals it; ``cancel`` poisons it
+    to -1 so one int comparison covers cancelled, superseded and lazily
+    rescheduled entries alike).  ``_queued_time``/``_queued_tb``
     describe the newest entry actually pushed; they differ from the
     authoritative position only while a lazy ``reschedule`` to a later
     time is pending, in which case the stale entry re-pushes the timer
@@ -125,29 +95,15 @@ class Timer:
 
 
 class Scheduler:
-    """Calendar-queue event loop with deterministic same-time ordering."""
+    """Binary-heap event loop with deterministic same-time ordering."""
 
-    def __init__(self, slot_width: float = _SLOT_WIDTH) -> None:
-        if slot_width <= 0:
-            raise SimulationError(f"slot_width must be positive, got {slot_width}")
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._inv = 1.0 / slot_width
-        # slot index -> unsorted list of entries for that slot.
-        self._buckets: Dict[int, List[_Entry]] = {}
-        # Min-heap of occupied slot indices (disjoint from _active_slot).
-        self._slot_heap: List[int] = []
-        # The cohort currently being drained (sorted; entries before
-        # _active_i are consumed).  Same-slot schedules insort into it.
-        self._active: Optional[List[_Entry]] = None
-        self._active_slot = -1
-        self._active_i = 0
+        self._queue: List[_Entry] = []
         self._tiebreak = itertools.count()
         self._events_processed = 0
         self._running = False
         self._cancelled_in_queue = 0
-        # Next stale count at which the compaction trigger re-evaluates;
-        # keeps the cancel path to one int compare (see _note_cancelled).
-        self._compact_watermark = _COMPACT_MIN_QUEUE // 2 + 1
         self.timers_rescheduled = 0
         self.queue_compactions = 0
         self.batched_posted = 0
@@ -169,18 +125,6 @@ class Scheduler:
     # Scheduling
     # ------------------------------------------------------------------
 
-    def _push(self, entry: _Entry) -> None:
-        """Place ``entry`` in the calendar — the kernel's only enqueue."""
-        slot = int(entry[0] * self._inv)
-        bucket = self._buckets.get(slot)
-        if bucket is not None:
-            bucket.append(entry)
-        elif slot == self._active_slot:
-            insort(self._active, entry)
-        else:
-            self._buckets[slot] = [entry]
-            heappush(self._slot_heap, slot)
-
     def _arm(self, timer: Timer, time: float) -> None:
         """Queue ``timer`` at ``time`` under a freshly drawn tiebreak."""
         tb = next(self._tiebreak)
@@ -188,7 +132,7 @@ class Scheduler:
         timer._tb = tb
         timer._queued_time = time
         timer._queued_tb = tb
-        self._push((time, tb, timer, timer.fn, timer.args))
+        heappush(self._queue, (time, tb, timer, timer.fn, timer.args))
 
     def _new_timer(self, time: float, fn: Callable[..., Any], args: tuple,
                    interval: Optional[float] = None) -> Timer:
@@ -227,7 +171,8 @@ class Scheduler:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self._push((self.now + delay, next(self._tiebreak), None, fn, args))
+        heappush(self._queue,
+                 (self.now + delay, next(self._tiebreak), None, fn, args))
 
     def post_batch(self, delay: float, fn: Callable[..., Any],
                    argss: List[tuple]) -> None:
@@ -236,30 +181,19 @@ class Scheduler:
 
         Semantically identical to ``for args in argss: post(delay, fn,
         *args)``: each element draws its own consecutive tiebreak, so
-        the batch fires in iteration order.  A cohort landing in an
-        occupied slot costs one slot lookup and one ``list.extend``
-        instead of a full scheduling call per event, which is what
-        makes injecting a workload's same-instant arrivals cheap (it is
-        still one entry per element; broadcast fan-out posts one event
-        per delay group instead, see ``Network.broadcast``).
+        the batch fires in iteration order.  It is still one entry per
+        element (broadcast fan-out posts one event per delay group
+        instead, see ``Network.broadcast``).
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         if not isinstance(argss, (list, tuple)):
             argss = list(argss)
-        if not argss:
-            return
         self.batched_posted += len(argss)
         time = self.now + delay
-        tiebreaks = itertools.islice(self._tiebreak, len(argss))
-        entries = [(time, tb, None, fn, args)
-                   for tb, args in zip(tiebreaks, argss)]
-        bucket = self._buckets.get(int(time * self._inv))
-        if bucket is not None:
-            bucket.extend(entries)
-        else:
-            for entry in entries:
-                self._push(entry)
+        queue = self._queue
+        for args, tb in zip(argss, self._tiebreak):
+            heappush(queue, (time, tb, None, fn, args))
 
     def call_every(self, interval: float, fn: Callable[..., Any],
                    *args: Any) -> Timer:
@@ -314,24 +248,14 @@ class Scheduler:
 
     def _note_cancelled(self) -> None:
         self._cancelled_in_queue += 1
-        if self._cancelled_in_queue < self._compact_watermark:
-            return
-        # Re-evaluate the trigger: counting live entries is O(#buckets),
-        # so it runs only when the stale count crosses the watermark —
-        # which is pinned at the exact point `stale > total // 2` could
-        # first hold, keeping the audit contract (stale bounded by half
-        # the queue) intact without per-cancel scans.
-        total = self.pending_events
-        if (total >= _COMPACT_MIN_QUEUE
-                and self._cancelled_in_queue > total // 2):
+        size = len(self._queue)
+        if (size >= _COMPACT_MIN_QUEUE
+                and self._cancelled_in_queue > size // 2):
             self._compact()
-        else:
-            self._compact_watermark = max(total // 2 + 1,
-                                          self._cancelled_in_queue + 1)
 
     def _drop_stale(self, tb: int, timer: Timer) -> None:
         """Bookkeeping for a dead entry (its tiebreak ``tb`` is no longer
-        the timer's) leaving the calendar."""
+        the timer's) leaving the queue."""
         if timer.cancelled:
             if self._cancelled_in_queue:
                 self._cancelled_in_queue -= 1
@@ -340,26 +264,27 @@ class Scheduler:
             # queue the timer at its authoritative (time, tiebreak) key.
             timer._queued_time = timer.time
             timer._queued_tb = timer._tb
-            self._push((timer.time, timer._tb, timer, timer.fn, timer.args))
+            heappush(self._queue,
+                     (timer.time, timer._tb, timer, timer.fn, timer.args))
         # else: superseded duplicate of an earlier-move push.
 
     def _compact(self) -> None:
         """Drop cancelled/duplicate entries and normalise pending lazy
-        reschedules to their authoritative keys, rebuilding the calendar
-        in one pass.  The active cohort is left untouched (it is being
-        iterated); its handful of stale entries drain normally."""
-        stale = self._buckets
-        self._buckets = {}
-        self._slot_heap = []
-        for bucket in stale.values():
-            for entry in bucket:
-                timer = entry[2]
-                if timer is None or timer._tb == entry[1]:
-                    self._push(entry)
-                else:
-                    self._drop_stale(entry[1], timer)
+        reschedules to their authoritative keys.
+
+        The queue is rebuilt *in place*, so a loop holding a local
+        binding of it (a compaction triggered inside an event handler)
+        keeps reading the live queue.
+        """
+        queue = self._queue
+        stale = [(entry[1], entry[2]) for entry in queue
+                 if entry[2] is not None and entry[2]._tb != entry[1]]
+        queue[:] = [entry for entry in queue
+                    if entry[2] is None or entry[2]._tb == entry[1]]
+        heapify(queue)
+        for tb, timer in stale:
+            self._drop_stale(tb, timer)
         self._cancelled_in_queue = 0
-        self._compact_watermark = _COMPACT_MIN_QUEUE // 2 + 1
         self.queue_compactions += 1
 
     # ------------------------------------------------------------------
@@ -369,69 +294,16 @@ class Scheduler:
     @property
     def pending_events(self) -> int:
         """Number of queued events, including cancelled ones not yet popped."""
-        count = sum(map(len, self._buckets.values()))
-        active = self._active
-        if active is not None:
-            count += len(active) - self._active_i
-        return count
+        return len(self._queue)
 
     @property
     def stale_entries(self) -> int:
-        """Cancelled entries still sitting in the calendar."""
+        """Cancelled entries still sitting in the queue."""
         return self._cancelled_in_queue
 
     @property
     def events_processed(self) -> int:
         return self._events_processed
-
-    def _checkout_bucket(self) -> bool:
-        """Make ``self._active`` the cohort holding the globally next
-        entry.  Returns False when nothing is queued.
-
-        A stashed active cohort (left by a stopped loop) normally
-        resumes directly, but if an *earlier* slot has been scheduled
-        since the stash, the unconsumed remainder is returned to the
-        calendar first so slots drain in order.
-        """
-        active = self._active
-        heap = self._slot_heap
-        if active is not None:
-            i = self._active_i
-            if i < len(active):
-                if not heap or heap[0] > self._active_slot:
-                    return True
-                self._buckets[self._active_slot] = active[i:] if i else active
-                heappush(heap, self._active_slot)
-            self._active = None
-            self._active_slot = -1
-            self._active_i = 0
-        if not heap:
-            return False
-        slot = heappop(heap)
-        bucket = self._buckets.pop(slot)
-        if len(bucket) > 1:
-            bucket.sort()
-        self._active = bucket
-        self._active_slot = slot
-        return True
-
-    def _seal_active(self) -> None:
-        """Strip the consumed prefix off a stashed active cohort.
-
-        While the loop is *stopped* mid-cohort, ``now`` can sit far
-        below the unconsumed entries (a ``run(until=...)`` bound), so a
-        new ``insort`` key is NOT guaranteed to exceed the consumed
-        prefix — skipped garbage there may hold larger keys.  Deleting
-        the prefix restores the invariant ``_push`` relies on:
-        everything in ``_active`` at or past ``_active_i`` is
-        unconsumed.  (While an event is firing this holds for free: the
-        bucket is sorted, so every visited key is bounded by the firing
-        entry's key, and a handler's insertion key — ``time >= now``
-        with a fresh maximal tie-break — always exceeds it.)
-        """
-        if self._active_i:
-            del self._active[:self._active_i]
-            self._active_i = 0
 
     def _loop(self, budget: int, limit: Optional[float],
               predicate: Optional[Callable[[], bool]]) -> Tuple[int, str]:
@@ -441,46 +313,36 @@ class Scheduler:
         every event), nothing live was queued, the next live event lay
         beyond ``limit`` (it stays queued), or ``budget`` events fired.
         """
+        queue = self._queue
         fired = 0
-        try:
-            while fired < budget:
-                if predicate is not None:
-                    # The predicate is arbitrary user code (it may
-                    # cancel, reschedule or schedule into the cohort),
-                    # so the loop counts as stopped while it runs.
-                    self._seal_active()
-                    if predicate():
-                        return fired, _SATISFIED
-                while True:
-                    if not self._checkout_bucket():
-                        return fired, _QUIESCED
-                    i = self._active_i
-                    time, tb, timer, fn, args = self._active[i]
-                    if timer is None or timer._tb == tb:
-                        break
-                    self._active_i = i + 1
-                    self._drop_stale(tb, timer)
-                if limit is not None and time > limit:
-                    return fired, _TIME_LIMIT
-                self._active_i = i + 1
-                self.now = time
-                if timer is not None:
-                    if timer.interval is None:
-                        timer.fired = True
-                    else:
-                        # Periodic: re-arm (fresh tiebreak) before firing.
-                        self._arm(timer, time + timer.interval)
-                self._events_processed += 1
-                fired += 1
-                if args:
-                    fn(*args)
+        while fired < budget:
+            if predicate is not None and predicate():
+                return fired, _SATISFIED
+            while True:
+                if not queue:
+                    return fired, _QUIESCED
+                entry = heappop(queue)
+                time, tb, timer, fn, args = entry
+                if timer is None or timer._tb == tb:
+                    break
+                self._drop_stale(tb, timer)
+            if limit is not None and time > limit:
+                heappush(queue, entry)
+                return fired, _TIME_LIMIT
+            self.now = time
+            if timer is not None:
+                if timer.interval is None:
+                    timer.fired = True
                 else:
-                    fn()
-            return fired, _BUDGET
-        finally:
-            # Stopping (or raising) mid-cohort: seal, so insertions made
-            # while stopped cannot land below the resume point.
-            self._seal_active()
+                    # Periodic: re-arm (fresh tiebreak) before firing.
+                    self._arm(timer, time + timer.interval)
+            self._events_processed += 1
+            fired += 1
+            if args:
+                fn(*args)
+            else:
+                fn()
+        return fired, _BUDGET
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
@@ -523,10 +385,10 @@ class Scheduler:
 
         Mirrors ``run`` exactly: re-entry from an event handler raises
         instead of corrupting the loop; the deadline is checked against
-        the *peeked* next event so a timeout leaves it queued rather
-        than silently consuming it; and the event budget raises the
-        moment it is fully spent, exactly as ``run(max_events=N)`` does
-        after its N-th event.
+        the next live event so a timeout leaves it queued rather than
+        silently consuming it; and the event budget raises the moment it
+        is fully spent, exactly as ``run(max_events=N)`` does after its
+        N-th event.
         """
         if self._running:
             raise SimulationError(

@@ -3,8 +3,7 @@
 The black box must be (a) purely passive — arming it, and arming the
 event-driven series registry, never changes the simulated schedule —
 and (b) deterministic: the same seeded scenario dumps byte-identical
-series and flight JSON across reruns *and* across the twin scheduler
-kernels (calendar queue vs reference heap).
+series and flight JSON across reruns.
 """
 
 from __future__ import annotations
@@ -15,12 +14,8 @@ from repro import FtClientLayer, Orb, World
 from repro.apps import COUNTER_INTERFACE
 from repro.errors import ConfigurationError
 from repro.obs import FlightRecorder
-from repro.sim.reference_scheduler import ReferenceScheduler
-from repro.sim.scheduler import Scheduler
 
 from tests.helpers import make_counter_group, make_domain
-
-KERNELS = (Scheduler, ReferenceScheduler)
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +67,7 @@ def test_ring_bounds_and_dump():
 # Hook coverage and determinism on a failover scenario
 # ----------------------------------------------------------------------
 
-def run_failover(scheduler_cls=Scheduler, seed=91, armed=True, spans=True):
+def run_failover(seed=91, armed=True, spans=True):
     """Gateway failover with the black box (and series) armed.
 
     ``spans`` is separate from ``armed`` because the causal tracer
@@ -80,8 +75,7 @@ def run_failover(scheduler_cls=Scheduler, seed=91, armed=True, spans=True):
     must hold tracing constant while toggling series + flight.
     """
     world = World(seed=seed, trace=False, trace_spans=spans,
-                  series=armed, flight=armed,
-                  scheduler=scheduler_cls())
+                  series=armed, flight=armed)
     domain = make_domain(world, num_hosts=4, gateways=2)
     group = make_counter_group(domain, replicas=3, min_replicas=2)
     host = world.add_host("browser")
@@ -142,11 +136,3 @@ def test_flight_and_series_json_byte_identical_across_runs():
     assert first.series_json() == second.series_json()
     assert first.flight.recorded > 0
 
-
-def test_flight_and_series_json_byte_identical_across_kernels():
-    """The twin schedulers promise identical event ordering; the
-    observability dumps are a sharp fingerprint of that promise."""
-    calendar = run_failover(scheduler_cls=Scheduler)
-    reference = run_failover(scheduler_cls=ReferenceScheduler)
-    assert calendar.flight_json() == reference.flight_json()
-    assert calendar.series_json() == reference.series_json()

@@ -4,7 +4,9 @@ import pytest
 
 from repro import CommFailure, Orb, World
 from repro.apps import COUNTER_INTERFACE, CounterServant
-from repro.iiop import encode_close_connection
+from repro.iiop import (LocateStatus, ReplyMessage, ReplyStatus,
+                        encode_close_connection, encode_locate_reply,
+                        encode_reply)
 from repro.orb.connection import IiopClientConnection
 
 
@@ -30,25 +32,44 @@ def test_requests_queued_while_connecting(world):
     assert (p1.result(), p2.result()) == (1, 2)
 
 
+def _answer_with(world, data):
+    """Send request 1 to a raw listener that writes ``data`` to every
+    connection it accepts; returns the connection and what became of
+    the request (its reply's id, or the failure's type name)."""
+    world.tcp.listen(world.add_host("server"), 9000,
+                     lambda endpoint: endpoint.send(data))
+    connection = IiopClientConnection(world.tcp, world.add_host("client"),
+                                      ("server", 9000))
+    outcomes = []
+    connection.send_request(b"GIOP" + bytes(8), 1,
+                            lambda reply: outcomes.append(reply.request_id),
+                            lambda exc: outcomes.append(type(exc).__name__))
+    world.run(until=world.now + 1.0)
+    return connection, outcomes
+
+
 def test_close_connection_message_fails_pending(world):
     """A GIOP CloseConnection from the server ends the connection and
     fails outstanding requests with COMM_FAILURE."""
-    server_host = world.add_host("server")
-    # A raw listener that answers every connection with CloseConnection.
-    def on_accept(endpoint):
-        endpoint.send(encode_close_connection())
-    world.tcp.listen(server_host, 9000, on_accept)
-
-    client_host = world.add_host("client")
-    connection = IiopClientConnection(world.tcp, client_host,
-                                      ("server", 9000))
-    failures = []
-    connection.send_request(b"GIOP" + bytes(8), 1,
-                            lambda reply: failures.append("reply"),
-                            lambda exc: failures.append(type(exc).__name__))
-    world.run(until=world.now + 1.0)
-    assert failures == ["CommFailure"]
+    connection, outcomes = _answer_with(world, encode_close_connection())
+    assert outcomes == ["CommFailure"]
     assert not connection.usable
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_unsolicited_locate_reply(world, truncated):
+    """The client never sends a LocateRequest.  A well-formed LocateReply
+    changes nothing and the Reply behind it is still delivered; one too
+    short for its two ulongs is garbage on the wire, so the connection
+    closes and the request in flight fails."""
+    locate = encode_locate_reply(7, LocateStatus.OBJECT_HERE)
+    if truncated:
+        locate = locate[:8] + (4).to_bytes(4, "big") + locate[12:16]
+    reply = encode_reply(ReplyMessage(request_id=1,
+                                      status=ReplyStatus.NO_EXCEPTION))
+    connection, outcomes = _answer_with(world, locate + reply)
+    assert outcomes == (["CommFailure"] if truncated else [1])
+    assert connection.usable is not truncated
 
 
 def test_local_close_fails_pending(world):

@@ -136,7 +136,7 @@ def test_new_counters_are_present_and_active(monkeypatch):
 
     def counting_broadcast(self, *args, **kwargs):
         # A broadcast only queues, it fires nothing: the growth of the
-        # calendar across the call is the delivery events it will fire.
+        # queue across the call is the delivery events it will fire.
         nonlocal queued
         before = self.scheduler.pending_events
         scheduled = broadcast(self, *args, **kwargs)

@@ -21,7 +21,6 @@ from repro.analysis.race import (CohortPermuter, RaceRecorder, RaceScheduler,
 from repro.analysis.scenarios import GOLDEN_SCENARIOS
 from repro.errors import SimulationError
 from repro.sim.network import Network as SimNetwork
-from repro.sim.reference_scheduler import ReferenceTimer
 from repro.sim.scheduler import Scheduler
 
 
@@ -141,37 +140,31 @@ class Network:
 
 
 def _arrival(time, tiebreak, src):
-    timer = ReferenceTimer(time, Network()._arrive, (src, b""))
-    timer._key = (time, tiebreak)
-    return (time, tiebreak, timer)
+    return (time, tiebreak, None, Network()._arrive, (src, b""))
 
 
 def _group_arrival(time, tiebreak, src):
-    timer = ReferenceTimer(time, Network()._arrive_group, (src, b"", []))
-    timer._key = (time, tiebreak)
-    return (time, tiebreak, timer)
+    return (time, tiebreak, None, Network()._arrive_group, (src, b"", []))
 
 
 def _barrier(time, tiebreak):
     def crash():
         pass
 
-    timer = ReferenceTimer(time, crash, ())
-    timer._key = (time, tiebreak)
-    return (time, tiebreak, timer)
+    return (time, tiebreak, None, crash, ())
 
 
 def test_lane_classification():
-    assert _lane_of(_arrival(1.0, 0, "h1")[2]) == ("net", "h1")
-    assert _lane_of(_barrier(1.0, 0)[2]) is None
+    assert _lane_of(_arrival(1.0, 0, "h1")) == ("net", "h1")
+    assert _lane_of(_barrier(1.0, 0)) is None
 
 
 def test_a_broadcast_delay_group_is_an_arrival_on_its_source_lane():
-    assert _lane_of(_group_arrival(1.0, 0, "h1")[2]) == ("net", "h1")
+    assert _lane_of(_group_arrival(1.0, 0, "h1")) == ("net", "h1")
     # The real bound method, not only the stand-in, classifies the same.
     network = SimNetwork(Scheduler())
-    timer = ReferenceTimer(1.0, network._arrive_group, ("h2", b"", []))
-    assert _lane_of(timer) == ("net", "h2")
+    entry = (1.0, 0, None, network._arrive_group, ("h2", b"", []))
+    assert _lane_of(entry) == ("net", "h2")
 
 
 def test_permuter_respects_fifo_and_barriers():
@@ -188,7 +181,7 @@ def test_permuter_respects_fifo_and_barriers():
         assert out[3] is bar
         assert set(map(id, out[:3])) == {id(a1), id(b1), id(a2)}
         # Per-source FIFO: A's arrivals keep their relative order.
-        a_order = [e for e in out if _lane_of(e[2]) == ("net", "A")]
+        a_order = [e for e in out if _lane_of(e) == ("net", "A")]
         assert a_order == [a1, a2, a3]
         if out != cohort:
             changed += 1

@@ -1,48 +1,35 @@
-"""Loop-contract parity (`run` vs `run_until`) and kernel edge cases.
+"""Loop contracts (`run` vs `run_until`) and kernel edge cases.
 
-Satellite coverage for the kernel overhaul PR, in two halves:
-
-* **run_until parity regressions** — the pre-overhaul ``run_until``
-  diverged from ``run`` in three ways: the event budget only raised
-  strictly *beyond* ``max_events`` (``run`` raises the moment the
-  budget is spent), there was no ``_running`` re-entrancy guard, and
-  the deadline was checked only *after* popping the next entry, so a
-  timeout silently consumed the event it refused to run.  Both kernels
-  now share the strict contracts; these tests fail against the old
-  behaviour.
-* **calendar-kernel edge cases** — compaction fired from inside an
-  event handler, lazy reschedules surfacing after a compaction,
-  ``cancel`` of a fired timer, garbage accounting in
-  ``pending_events``, and rescheduling into a cohort stashed by a
-  ``run(until=...)`` bound (the insertion-below-resume-point hazard the
-  differential harness originally caught).
-
-Everything that is kernel-independent is parametrized over both
-kernels, so the reference heap keeps certifying the same contracts.
+Each runs on the kernel and on the race detector's subclass (no
+permuter), which replaces the kernel's loop but inherits its drivers
+and their guards: ``run_until``'s budget, re-entry and timeout
+contracts match ``run``'s, and compaction, lazy reschedule, cancel and
+garbage accounting hold on both.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.race import RaceScheduler
 from repro.errors import SimulationError
-from repro.sim.reference_scheduler import (_COMPACT_MIN_QUEUE,
-                                           ReferenceScheduler)
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import _COMPACT_MIN_QUEUE, Scheduler
 
-KERNELS = [Scheduler, ReferenceScheduler]
+KERNELS = [Scheduler, RaceScheduler]
+# The ids predate the single kernel and are kept so the test ids stay
+# stable: "calendar" runs Scheduler, "reference" the RaceScheduler.
 KERNEL_IDS = ["calendar", "reference"]
 
 
 # ----------------------------------------------------------------------
-# Satellite: run_until parity with run
+# run_until parity with run
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_run_until_rejects_reentry_from_event(kernel):
     """run() refuses re-entry from an event handler; run_until must too
-    (pre-fix it recursed into a corrupted loop)."""
+    (without the guard it recurses into a corrupted loop)."""
     sched = kernel()
     errors = []
 
@@ -74,8 +61,8 @@ def test_run_until_rejects_reentry_from_event(kernel):
 def test_run_until_budget_is_strict_like_run(kernel):
     """Spending exactly ``max_events`` raises, even if the predicate
     would have been satisfied by the final event — matching
-    ``run(max_events=N)``, which raises after its N-th event.  The
-    pre-fix check (``>`` instead of ``>=``) returned success here."""
+    ``run(max_events=N)``, which raises after its N-th event (a
+    ``>`` check instead of ``>=`` would return success here)."""
     sched = kernel()
     fired = []
     for i in range(3):
@@ -94,9 +81,9 @@ def test_run_until_budget_is_strict_like_run(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_run_until_timeout_leaves_due_event_queued(kernel):
-    """A timeout must not consume the event beyond the deadline: the
-    pre-fix loop popped the entry before checking, losing it.  After
-    the raise, the event still fires on a later drive."""
+    """A timeout must not consume the event beyond the deadline: a loop
+    that pops the entry before checking loses it.  After the raise, the
+    event still fires on a later drive."""
     sched = kernel()
     fired = []
     sched.call_after(5.0, fired.append, "late")
@@ -128,7 +115,7 @@ def test_run_until_stale_accounting_parity(kernel):
 
 
 # ----------------------------------------------------------------------
-# Satellite: kernel edge cases
+# Kernel edge cases
 # ----------------------------------------------------------------------
 
 
@@ -221,10 +208,9 @@ def test_pending_events_counts_garbage_until_collected(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_reschedule_earlier_into_stashed_cohort(kernel):
-    """Regression for the insertion-below-resume-point hazard: a
-    run(until=...) bound stops the calendar kernel inside a cohort
-    whose consumed prefix held skipped garbage; rescheduling a survivor
-    *earlier* then inserted below the resume point and never fired."""
+    """A run(until=...) bound stops short of a cohort holding a
+    cancelled entry; rescheduling its survivor *earlier* must still fire
+    it, once, at the new time."""
     sched = kernel()
     fired = []
     ghost = sched.call_after(0.1225, fired.append, "ghost")

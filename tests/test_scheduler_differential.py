@@ -1,84 +1,111 @@
-"""Twin-kernel differential harness: calendar queue vs reference heap.
+"""Kernel vs model: the scheduler's firing order against a plain oracle.
 
-The production :class:`repro.sim.scheduler.Scheduler` (calendar-queue
-kernel, this PR) and the pre-overhaul binary-heap kernel preserved as
-:class:`repro.sim.reference_scheduler.ReferenceScheduler` promise the
-*same* semantics: events fire in ``(time, tiebreak)`` order with the
-tie-break drawn at schedule/reschedule time.  This module pins
-that promise three ways:
-
-* every golden scenario in :mod:`repro.analysis.scenarios` is replayed
-  on both kernels and the canonical artifacts (delivery traces, metric
-  snapshots) must be **byte-identical**;
-* Hypothesis generates random programs over the full scheduling API —
-  ``call_at`` / ``call_after`` / ``call_soon`` / ``post`` /
-  ``post_batch`` / ``call_every`` / ``cancel`` / ``reschedule`` /
-  ``reschedule_after`` — executed from *inside* running events, and
-  both kernels must produce identical firing logs, final clocks and event
-  counts;
-* segmented ``run(until=...)`` / ``step()`` / ``run_until(predicate)``
-  drives (which exercise the calendar kernel's partially drained cohort
-  stash, and the seal before every predicate call) must match the
-  reference at every cut point.
-
-Any future kernel change that alters observable ordering fails here
-first, long before a golden file drifts.
+:class:`Model` states the kernel's promise directly — events fire in
+``(time, tiebreak)`` order, the tiebreak drawn at schedule, reschedule
+or periodic re-arm time — as live entries in a list, fired by a linear
+minimum.  Random programs over the whole scheduling API, run from
+inside events, and segmented ``run(until=)`` / ``step()`` /
+``run_until(predicate)`` drives must give both the same firing log,
+clock, event count and stop reasons.  ``--hypothesis-profile=search``
+(``tests/conftest.py``) runs the profile's 400 examples of each.
 """
 
 from __future__ import annotations
 
-import pytest
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.scenarios import (GOLDEN_SCENARIOS,
-                                      run_failover_scenario)
-from repro.analysis.race import drop_metric_series
 from repro.errors import SimulationError
-from repro.sim.reference_scheduler import ReferenceScheduler
 from repro.sim.scheduler import Scheduler
 
-KERNELS = (Scheduler, ReferenceScheduler)
-
-# ----------------------------------------------------------------------
-# Golden scenarios: byte-identical artifacts on both kernels
-# ----------------------------------------------------------------------
+SEARCH = settings.get_current_profile_name() == "search"
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
-def test_golden_artifacts_byte_identical_across_kernels(name):
-    """Each golden scenario's canonical artifacts — the same strings the
-    golden-file gate and the race sweep compare — must not depend on
-    which kernel ran the simulation."""
-    builder = GOLDEN_SCENARIOS[name]
-    new_artifacts = dict(builder(None))
-    ref_artifacts = dict(builder(ReferenceScheduler()))
-    assert sorted(new_artifacts) == sorted(ref_artifacts)
-    for key in sorted(new_artifacts):
-        assert new_artifacts[key] == ref_artifacts[key], (
-            f"{name}:{key} differs between kernels")
+class _Handle:
+    def __init__(self, fn, args, interval):
+        self.fn, self.args, self.interval = fn, args, interval
+        self.cancelled = self.fired = False
+
+    active = property(lambda self: not (self.cancelled or self.fired))
+
+    def cancel(self):
+        self.cancelled = not self.fired
 
 
-def test_failover_world_state_identical_across_kernels():
-    """Beyond the exported artifacts: the raw end-of-run world state —
-    clock, event count, full metric snapshot minus the volatile
-    compaction counter — matches between kernels."""
-    new_world = run_failover_scenario()
-    ref_world = run_failover_scenario(scheduler=ReferenceScheduler())
-    assert new_world.now == ref_world.now
-    assert (new_world.scheduler.events_processed
-            == ref_world.scheduler.events_processed)
-    assert (drop_metric_series(new_world.metrics_json())
-            == drop_metric_series(ref_world.metrics_json()))
+class Model:
+    """The ordering contract and nothing else."""
+
+    def __init__(self):
+        self.now, self.events_processed, self.handles = 0.0, 0, []
+        self._tiebreaks = itertools.count()
+
+    def reschedule(self, handle, time):  # cancel plus a fresh tiebreak
+        handle.key = (time, next(self._tiebreaks))
+        return handle
+
+    def call_at(self, time, fn, *args, interval=None):
+        self.handles.append(_Handle(fn, args, interval))
+        return self.reschedule(self.handles[-1], time)
+
+    def call_after(self, delay, fn, *args):
+        return self.call_at(self.now + delay, fn, *args)
+
+    def call_soon(self, fn, *args):
+        return self.call_at(self.now, fn, *args)
+
+    def call_every(self, interval, fn, *args):
+        return self.call_at(self.now + interval, fn, *args, interval=interval)
+
+    def reschedule_after(self, handle, delay):
+        return self.reschedule(handle, self.now + delay)
+
+    def post_batch(self, delay, fn, argss):
+        for args in argss:
+            self.call_after(delay, fn, *args)
+
+    post = call_after
+
+    def _loop(self, budget, limit, predicate):
+        fired = 0
+        while fired < budget:
+            if predicate is not None and predicate():
+                return fired, None
+            live = [h for h in self.handles if h.active]
+            if not live:
+                return fired, "quiesced"
+            handle = min(live, key=lambda h: h.key)
+            if limit is not None and handle.key[0] > limit:
+                return fired, "not reached"
+            self.now = handle.key[0]
+            if handle.interval is None:
+                handle.fired = True
+            else:  # periodic: re-arm (fresh tiebreak) before firing
+                self.reschedule(handle, self.now + handle.interval)
+            self.events_processed += 1
+            fired += 1
+            handle.fn(*handle.args)
+        return fired, "budget"
+
+    def step(self):
+        return self._loop(1, None, None)[0] == 1
+
+    def run(self, until=None, max_events=10_000_000):
+        fired, why = self._loop(max_events, until, None)
+        assert why != "budget"
+        self.now = self.now if until is None else max(self.now, until)
+        return fired
+
+    def run_until(self, predicate, timeout=60.0, max_events=10_000_000):
+        _, why = self._loop(max_events, self.now + timeout, predicate)
+        if why:
+            raise SimulationError(why)
 
 
-# ----------------------------------------------------------------------
-# Random programs over the scheduling API
-# ----------------------------------------------------------------------
+KERNELS = (Scheduler, Model)
 
-# Times/delays on a 2.5ms grid spanning 0–150ms: fine enough to create
-# same-time cohorts, coarse enough to repeatedly cross the calendar
-# kernel's 8ms slot boundaries (the interesting alignments).
+# Times/delays on a 2.5ms grid spanning 0–150ms: same-time cohorts.
 _TIMES = st.integers(0, 60).map(lambda k: k * 0.0025)
 _DELAYS = st.integers(0, 40).map(lambda k: k * 0.0025)
 _IDX = st.integers(0, 99)
@@ -112,6 +139,12 @@ def _run_program(kernel, program):
     def note(tag):
         log.append((sched.now, "fire", tag))
 
+    def tick(tag, interval):
+        # Schedules into the next period's instant, so the re-arm's
+        # tiebreak (drawn before the callback) decides which goes first.
+        note(tag)
+        sched.post(interval, note, f"{tag}>")
+
     def run_op(i, op):
         kind, _, p1, p2 = op
         if kind == "timer":
@@ -125,65 +158,56 @@ def _run_program(kernel, program):
         elif kind == "post_batch":
             sched.post_batch(p1, note, [(f"{i}.{j}",) for j in range(p2)])
         elif kind == "every":
-            timer = sched.call_every(p1, note, i)
+            timer = sched.call_every(p1, tick, i, p1)
             handles.append(timer)
             # Bound the series: cancel it a fixed delay later.
             sched.call_after(p2, timer.cancel)
-        elif kind == "cancel":
-            if handles:
-                target = p1 % len(handles)
-                handles[target].cancel()
-                log.append((sched.now, "cancel", target))
-        elif kind == "resched":
-            if handles:
-                target = handles[p1 % len(handles)]
-                if target.active:
-                    sched.reschedule(target, sched.now + p2)
-                    log.append((sched.now, "resched", p1 % len(handles)))
-        elif kind == "resched_after":
-            if handles:
-                target = handles[p1 % len(handles)]
-                if target.active:
-                    sched.reschedule_after(target, p2)
-                    log.append((sched.now, "resched_after",
-                                p1 % len(handles)))
+        elif kind == "cancel" and handles:
+            target = p1 % len(handles)
+            handles[target].cancel()
+            log.append((sched.now, "cancel", target))
+        elif kind in ("resched", "resched_after") and handles:
+            target = p1 % len(handles)
+            if handles[target].active:
+                if kind == "resched":
+                    sched.reschedule(handles[target], sched.now + p2)
+                else:
+                    sched.reschedule_after(handles[target], p2)
+                log.append((sched.now, kind, target))
     for i, op in enumerate(program):
         sched.call_at(op[1], run_op, i, op)
     returned = sched.run(max_events=100_000)
     return log, sched.now, sched.events_processed, returned
 
 
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None, **({} if SEARCH else {"max_examples": 100}))
 @given(program=_PROGRAMS)
 def test_random_programs_fire_identically(program):
-    """The headline differential: 200 random API programs, identical
-    firing order (the log captures every fire/cancel/reschedule
-    with its simulated time), final clock, and event count."""
-    new_result = _run_program(Scheduler, program)
-    ref_result = _run_program(ReferenceScheduler, program)
-    assert new_result == ref_result
+    """Random API programs: identical firing order (the log captures
+    every fire/cancel/reschedule with its simulated time), final clock,
+    and event count on the kernel and the model."""
+    assert _run_program(Scheduler, program) == _run_program(Model, program)
 
 
-_PREDICATE_ACTIONS = ("none", "cancel", "earlier", "same_slot")
+_PREDICATE_ACTIONS = ("none", "cancel", "earlier", "schedule")
 
 
 def _drive_until(sched, log, predicate, **limits):
     """One ``run_until`` drive; the outcome is the stop reason plus
-    everything observable at the boundary, garbage accounting included."""
+    the clock and the log at the boundary."""
     try:
         sched.run_until(predicate, **limits)
         outcome = "satisfied"
     except SimulationError as exc:
-        outcome = str(exc)
-    return ("run_until", outcome, sched.now, tuple(log),
-            sched.pending_events, sched.stale_entries)
+        outcome = next(reason for reason in ("quiesced", "not reached",
+                                             "budget")
+                       if reason in str(exc))
+    return ("run_until", outcome, sched.now, tuple(log))
 
 
 def _mutating_predicate(sched, log, handles, mutate_at, stop_at, action):
     """True once ``stop_at`` more events have fired; mutates the queue
-    from *inside* the predicate, once, when ``mutate_at`` have.  (Once:
-    the reference kernel also polls the predicate between garbage
-    pops, so a per-call side effect would not be comparable.)"""
+    from *inside* the predicate, once, when ``mutate_at`` have."""
     start = len(log)
     pending = [action]
 
@@ -196,7 +220,7 @@ def _mutating_predicate(sched, log, handles, mutate_at, stop_at, action):
                 active[0].cancel()
             elif kind == "earlier" and active:
                 sched.reschedule(active[-1], sched.now)
-            elif kind == "same_slot":
+            elif kind == "schedule":
                 handles.append(sched.call_at(sched.now + 0.0005, log.append,
                                              ("predicate", start)))
         return fired >= stop_at
@@ -204,7 +228,7 @@ def _mutating_predicate(sched, log, handles, mutate_at, stop_at, action):
     return predicate
 
 
-@settings(max_examples=50, deadline=None)
+@settings(deadline=None, **({} if SEARCH else {"max_examples": 50}))
 @given(
     timers=st.lists(st.tuples(_TIMES, st.booleans()), min_size=1,
                     max_size=25),
@@ -217,12 +241,11 @@ def _mutating_predicate(sched, log, handles, mutate_at, stop_at, action):
 )
 def test_segmented_until_and_step_drives_match(timers, cuts, steps,
                                                predicates):
-    """run(until=...) leaves partially drained state behind (the
-    calendar kernel stashes a half-consumed cohort; the heap kernel
-    leaves entries queued).  Driving both kernels through the same cut
-    points — with step() calls, run_until(predicate) drives whose
-    predicates mutate the queue, and mid-segment cancels thrown in —
-    must keep them in lockstep at every boundary."""
+    """run(until=...) leaves partially drained state behind.  Driving
+    the kernel and the model through the same cut points — with step()
+    calls, run_until(predicate) drives whose predicates mutate the
+    queue, and mid-segment reschedules thrown in — must keep them in
+    lockstep at every boundary."""
     bounds = sorted(k * 0.0025 for k in cuts)
     results = []
     for kernel in KERNELS:
@@ -272,14 +295,3 @@ def test_segmented_until_and_step_drives_match(timers, cuts, steps,
         observations.append(_drive_until(sched, log, lambda: True))
         results.append(observations)
     assert results[0] == results[1]
-
-
-@settings(max_examples=30, deadline=None)
-@given(program=_PROGRAMS)
-def test_narrow_slots_change_nothing(program):
-    """Slot width is a pure performance knob: a calendar kernel with
-    pathologically narrow slots (every event its own bucket, maximal
-    slot-heap traffic) still matches the reference exactly."""
-    narrow = _run_program(lambda: Scheduler(slot_width=0.0001), program)
-    ref = _run_program(ReferenceScheduler, program)
-    assert narrow == ref
