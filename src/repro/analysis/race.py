@@ -91,6 +91,12 @@ EFFORT_SERIES: Tuple[str, ...] = (
 EFFORT_ARTIFACT_PREFIX = "effort:"
 
 
+#: Arguments of a held ``Network._arrive`` entry: an unheld one's four
+#: (source name, destination, payload, deliver) and its source and hold
+#: window (source, sent at, left at).
+_HELD_ARRIVAL_ARGS = 7
+
+
 def _label(entry: QueueEntry) -> str:
     qual = getattr(entry[3], "__qualname__", repr(entry[3]))
     lane = _lane_of(entry)
@@ -101,9 +107,14 @@ def _lane_of(entry: QueueEntry) -> Optional[Tuple[str, str]]:
     """FIFO lane of a network-arrival event (its source host), or None
     for barrier events whose order must not move.  A broadcast's delay
     group (``Network._arrive_group``) is one arrival on its source's
-    lane, like a unicast ``Network._arrive``."""
+    lane, like a unicast ``Network._arrive``.  A held datagram's
+    arrival (an ``_arrive`` entry that carries its hold window) is a
+    barrier: whether it is delivered depends on when its source
+    crashed, which a reordering must not move."""
     qual = getattr(entry[3], "__qualname__", "")
-    if qual.endswith(("Network._arrive", "Network._arrive_group")):
+    if qual.endswith("Network._arrive_group") or (
+            qual.endswith("Network._arrive")
+            and len(entry[4]) != _HELD_ARRIVAL_ARGS):
         return ("net", entry[4][0])
     return None
 

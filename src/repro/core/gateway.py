@@ -371,7 +371,7 @@ class Gateway(Process):
 
     def _on_accept(self, endpoint: TcpEndpoint) -> None:
         self.stats["clients_connected"] += 1
-        self._m_clients.inc()
+        self._m_clients.value += 1
         connection = IiopServerConnection(endpoint, self._on_client_message,
                                           on_close=self._on_client_close)
         self._conn_clients[connection] = {}
@@ -397,7 +397,7 @@ class Gateway(Process):
             return
         request = decode_request(message)
         self.stats["requests_received"] += 1
-        self._m_req_received.inc()
+        self._m_req_received.value += 1
         self._process_request(request, message, connection,
                               self.scheduler.now)
 
@@ -420,7 +420,7 @@ class Gateway(Process):
             info = self.rm.registry.get(parsed[1])
         if info is None:
             self.stats["bad_object_key"] += 1
-            self._m_bad_key.inc()
+            self._m_bad_key.value += 1
             if request.response_expected:
                 connection.send(reply_for_exception(
                     request.request_id,
@@ -470,7 +470,7 @@ class Gateway(Process):
             # A reinvocation whose response we already hold (the client
             # failed over to us, or retried): answer locally.
             self.stats["cache_replays"] += 1
-            self._m_cache_replays.inc()
+            self._m_cache_replays.value += 1
             connection.send(cached)
             if container:
                 spans.instant(trace_id, "gateway.cache.replay",
@@ -511,12 +511,12 @@ class Gateway(Process):
                     self._admission_queue.append(
                         (request, message, connection, received_at))
                     self.stats["requests_queued"] += 1
-                    self._m_adm_queued.inc()
+                    self._m_adm_queued.value += 1
                     if container:
                         spans.end(container, outcome="queued")
                     return
                 self.stats["requests_shed"] += 1
-                self._m_adm_shed.inc()
+                self._m_adm_shed.value += 1
                 sr = self._series
                 if sr.enabled:
                     sr.observe("series.gateway.group.shed", 1.0,
@@ -533,7 +533,7 @@ class Gateway(Process):
                 return
             self._own_inflight += 1
             admitted = True
-            self._m_adm_admitted.inc()
+            self._m_adm_admitted.value += 1
 
         pending = _PendingRequest(
             key=key, iiop=message, request=request, received_at=received_at,
@@ -603,7 +603,7 @@ class Gateway(Process):
         # A two-way's expectation stays: a late response is remembered.
         record = self._oneways.pop(key, None) or self._filter.detach(key)
         self.stats["cancels"] += 1
-        self._m_req_cancelled.inc()
+        self._m_req_cancelled.value += 1
         if record is None and self._filter.was_delivered(key):
             # The cancel raced the reply over the WAN and lost: the
             # response was already written back.  A tombstone now could
@@ -622,7 +622,7 @@ class Gateway(Process):
 
     def _forward(self, pending: _PendingRequest) -> None:
         self.stats["requests_forwarded"] += 1
-        self._m_req_forwarded.inc()
+        self._m_req_forwarded.value += 1
         group, client_id, op_id = pending.key
         message = DomainMessage(
             kind=MsgKind.INVOCATION,
@@ -719,7 +719,7 @@ class Gateway(Process):
                 # no waiter, and a one-way needs nothing from the peers.
                 self._gone_pending.add(member)
                 self.stats["client_gone_deferred"] += 1
-                self._m_gone_deferred.inc()
+                self._m_gone_deferred.value += 1
             else:
                 self._broadcast_client_gone(member)
 
@@ -773,7 +773,7 @@ class Gateway(Process):
                 # One-way: the delivered forward *is* the operation's
                 # completion — no response will ever settle the record.
                 self.stats["oneways_completed"] += 1
-                self._m_oneway_completed.inc()
+                self._m_oneway_completed.value += 1
                 self._maybe_flush_client_gone(key[:2])
         elif kind is MsgKind.STYLE_SWITCH:
             # Applied to the registry by the Replication Mechanisms just
@@ -789,7 +789,7 @@ class Gateway(Process):
             return
 
     def _on_domain_response(self, msg: DomainMessage) -> None:
-        self._m_resp_received.inc()
+        self._m_resp_received.value += 1
         spans = self._span_collector
         tr = msg.trace if spans.enabled else None
         if tr is not None and msg._trace_order:
@@ -809,15 +809,15 @@ class Gateway(Process):
                           responder=str(msg.data.get("responder")))
         if verdict == DuplicateSuppressor.DUPLICATE:
             self.stats["duplicates_suppressed"] += 1
-            self._m_dup_suppressed.inc()
+            self._m_dup_suppressed.value += 1
         elif verdict == DuplicateSuppressor.UNEXPECTED:
             # No record of this client here: an isolated gateway
             # (section 3.4) does not record its peers' requests, so a
             # response surviving its gateway cannot be routed.
             self.stats["responses_unexpected"] += 1
-            self._m_resp_unexpected.inc()
+            self._m_resp_unexpected.value += 1
         elif verdict == DuplicateSuppressor.PENDING:
-            self._m_resp_vote_pending.inc()  # voting still pending
+            self._m_resp_vote_pending.value += 1  # voting still pending
         else:
             return  # DELIVER: settled, and counted, in _settle
 
@@ -904,12 +904,12 @@ class Gateway(Process):
             return
         if sent:
             self.stats["responses_delivered"] += 1
-            self._m_resp_delivered.inc()
+            self._m_resp_delivered.value += 1
         else:
             # Cancelled, or the client's socket is not (or no longer) at
             # this gateway — the normal case at a peer of the forwarder.
             self.stats["responses_unroutable"] += 1
-            self._m_resp_unroutable.inc()
+            self._m_resp_unroutable.value += 1
 
     def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
         if self.alive:
@@ -940,7 +940,7 @@ class Gateway(Process):
             # request at its gateway): nothing would ever resolve this.
             return
         self.stats["mirrors_recorded"] += 1
-        self._m_mirrors.inc()
+        self._m_mirrors.value += 1
         self._filter.expect(key, votes_needed=votes)
 
     def _purge_client(self, member: Member) -> None:
@@ -951,7 +951,7 @@ class Gateway(Process):
             # it moved, and what is held for it here is still owed.
             return
         self.stats["clients_gone"] += 1
-        self._m_clients_gone.inc()
+        self._m_clients_gone.value += 1
         for key in [k for k in self._oneways if k[:2] == member]:
             self._let_go(self._oneways.pop(key), "client_gone")
         # Forget the filter's memory as well — each expectation's waiter
@@ -997,7 +997,7 @@ class Gateway(Process):
                     if record is not None:
                         self._filter.cancel(key)
                     self.stats["cancels_reaped"] += 1
-                    self._m_reap_cancelled.inc()
+                    self._m_reap_cancelled.value += 1
             else:  # "oneway"
                 if self._oneways.get(key) is record:
                     # The forwarded INVOCATION was never observed
@@ -1005,7 +1005,7 @@ class Gateway(Process):
                     # rather than pin the record forever.
                     del self._oneways[key]
                     self.stats["oneways_reaped"] += 1
-                    self._m_reap_oneway.inc()
+                    self._m_reap_oneway.value += 1
                     self._maybe_flush_client_gone(key[:2])
         if queue:
             self._reap_timer = self.after(queue[0][0] - now, self._run_reaper)

@@ -294,13 +294,13 @@ class GatewayPool:
 
     def on_shed(self, gateway: Gateway) -> None:
         """Gateway callback: a request was shed (window + queue full)."""
-        self._m_shed.inc()
+        self._m_shed.value += 1
         self._breakers[gateway.host.name].record_failure()
 
     def on_served(self, gateway: Gateway) -> None:
         """Gateway callback: an admitted request resolved (response,
         cancel, or purge) — the success signal that heals breakers."""
-        self._m_served.inc()
+        self._m_served.value += 1
         self._breakers[gateway.host.name].record_success()
 
     @staticmethod
@@ -355,7 +355,7 @@ class GatewayPool:
                 selected, rerouted = gateway, i > 0
                 break
         if selected is None:
-            self._m_route_unroutable.inc()
+            self._m_route_unroutable.value += 1
             return None
         if self._saturated(selected):
             candidates = [gw for gw in walk
@@ -363,13 +363,13 @@ class GatewayPool:
             least = min(candidates,
                         key=lambda gw: (self._load(gw), gw.host.name))
             if least is not selected:
-                self._m_route_fallback.inc()
+                self._m_route_fallback.value += 1
                 self.breaker(least).note_routed()
                 return least
         if rerouted:
-            self._m_route_reroutes.inc()
+            self._m_route_reroutes.value += 1
         else:
-            self._m_route_owner.inc()
+            self._m_route_owner.value += 1
         self.breaker(selected).note_routed()
         return selected
 
@@ -404,7 +404,7 @@ class GatewayPool:
         after a gateway failure lands on the shard that inherits the
         key range."""
         handle = self.domain.resolve(group)
-        self._m_ior_issued.inc()
+        self._m_ior_issued.value += 1
         slot = (handle.group_id, self._ring_position(client_key))
         ior = self._iors.get(slot)
         if ior is None:
@@ -436,7 +436,7 @@ class GatewayPool:
                 interface = self.domain.interfaces.get(info.interface_name)
                 if interface is not None:
                     type_id = interface.repo_id
-            self._m_locate_forwards.inc()
+            self._m_locate_forwards.value += 1
             return self.domain.interceptor.published_ior(
                 group_id, type_id,
                 addresses=[(gw.host.name, gw.port) for gw in walk

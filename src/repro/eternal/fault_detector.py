@@ -63,7 +63,7 @@ class FaultDetector:
             if check is None:
                 continue
             self.stats["probes"] += 1
-            self._m_probes.inc()
+            self._m_probes.value += 1
             try:
                 healthy = check()
             except Exception:
@@ -77,7 +77,7 @@ class FaultDetector:
         # reprolint: disable=DET004 -- local replica identity, never serialized
         self._reported[group_id] = id(servant)
         self.stats["faults_detected"] += 1
-        self._m_faults.inc()
+        self._m_faults.value += 1
         self.rm.tracer.emit(
             self.rm.scheduler.now, "eternal.fault_detected",
             f"detector@{self.rm.host.name}",

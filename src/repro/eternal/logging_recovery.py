@@ -57,7 +57,7 @@ class GroupLog:
         """Append a delivered invocation (caller already deduplicated)."""
         self.invocations.append(message)
         if self._m_appends is not None:
-            self._m_appends.inc()
+            self._m_appends.value += 1
 
     def install_checkpoint(self, state: Dict[str, Any], ts: int) -> None:
         """Adopt a checkpoint at least as new as the current one and
@@ -69,7 +69,7 @@ class GroupLog:
         self.checkpoint = Checkpoint(state=state, ts=ts)
         self.invocations = [m for m in self.invocations if m.timestamp > ts]
         if self._m_checkpoints is not None:
-            self._m_checkpoints.inc()
+            self._m_checkpoints.value += 1
 
     def replay_after(self, ts: int) -> List[DomainMessage]:
         """Invocations with delivery timestamp strictly greater than ts."""

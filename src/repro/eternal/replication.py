@@ -279,7 +279,7 @@ class ReplicationMechanisms(Process):
         entry = self.totem.multicast(message, size=message.size_hint())
         info = self.registry.get(message.source_group)
         if info is not None and info.style.any_copy_suffices:
-            self._m_copies_queued.inc()
+            self._m_copies_queued.value += 1
             self._outbound_copies[message.copy_key()] = entry
 
     def _log_for(self, group_id: int) -> GroupLog:
@@ -347,7 +347,7 @@ class ReplicationMechanisms(Process):
             # (Delivery of our own copy just retires the entry; a copy
             # already sequenced crosses on the ring and the receiver's
             # DuplicateSuppressor drops it, as it always has.)
-            self._m_copies_withdrawn.inc()
+            self._m_copies_withdrawn.value += 1
             if mine.payload._trace_order:
                 self._span_collector.end(mine.payload._trace_order,
                                          outcome="withdrawn")
@@ -357,9 +357,14 @@ class ReplicationMechanisms(Process):
             else:
                 self._presync_buffer.append(payload)
             return
-        self._dispatch(payload)
+        # _dispatch, inlined on the per-delivery path.
+        self._kind_dispatch[payload.kind](payload)
+        if self._gateway is not None:
+            self._gateway.observe_delivered(payload)
 
     def _dispatch(self, payload: DomainMessage) -> None:
+        """Hand a delivered message to its kind's handler (the pre-sync
+        replay's path; :meth:`_on_deliver` inlines it)."""
         self._kind_dispatch[payload.kind](payload)
         # Gateways observe their own group's forwarded invocations and all
         # gateway-coordination traffic.
@@ -392,7 +397,7 @@ class ReplicationMechanisms(Process):
         tr = msg.trace if self._span_collector.enabled else None
         if existing is not None:
             self.stats["invocations_duplicate"] += 1
-            self._m_dup_invocations.inc()
+            self._m_dup_invocations.value += 1
             if tr is not None:
                 self._span_collector.instant(
                     tr[0], "rm.duplicate", parent=tr[1], source=self.name,
@@ -502,7 +507,7 @@ class ReplicationMechanisms(Process):
                 tr[0], "rm.execute", parent=tr[1], source=self.name,
                 op=request.operation)
         self.stats["invocations_executed"] += 1
-        self._m_invocations.inc()
+        self._m_invocations.value += 1
         outcome = execution.start()
         self._handle_outcome(execution, outcome, msg, info, key)
 
@@ -544,7 +549,7 @@ class ReplicationMechanisms(Process):
             # No reply to ride on (a one-way operation): the checkpoint
             # goes by itself.
             self.stats["state_updates"] += 1
-            self._m_state_updates.inc()
+            self._m_state_updates.value += 1
             group = info.group_id
             self.multicast(DomainMessage(
                 MsgKind.CHECKPOINT, group, group, data=owed))
@@ -564,7 +569,7 @@ class ReplicationMechanisms(Process):
             return None
         record.since_checkpoint = 0
         self.stats["checkpoints"] += 1
-        self._m_checkpoints_sent.inc()
+        self._m_checkpoints_sent.value += 1
         return {"state": record.servant.get_state(),
                 "upto_ts": original.timestamp}
 
@@ -1201,14 +1206,14 @@ class ReplicationMechanisms(Process):
         record = self.replicas.get(info.group_id)
         if record is None:
             return
-        self._m_failovers.inc()
+        self._m_failovers.value += 1
         replayed = self._restore_and_replay(info, record, info.style,
                                             silent=False)
         self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
                          f"promoted to primary of group {info.group_id}",
                          style=info.style.value, replayed=replayed)
         self.stats["replays"] += replayed
-        self._m_replays.inc(replayed)
+        self._m_replays.value += replayed
 
     def _promote_leader_follower(self, info: GroupInfo) -> None:
         """Leader-follower failover: the new leader's state is already
@@ -1222,7 +1227,7 @@ class ReplicationMechanisms(Process):
         record = self.replicas.get(info.group_id)
         if record is None:
             return
-        self._m_failovers.inc()
+        self._m_failovers.value += 1
         self.metrics.counter("rm.style.promotions").inc()
         seen = self._invocations_seen.get(info.group_id, {})
         resent = 0

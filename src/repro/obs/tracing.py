@@ -108,9 +108,9 @@ class TraceCollector:
                 self._m_started = self._metrics.counter("trace.spans.started")
                 self._m_closed = self._metrics.counter("trace.spans.closed")
                 self._m_traces = self._metrics.counter("trace.traces.started")
-            self._m_started.inc()
+            self._m_started.value += 1
             if trace_id not in self._trace_order:
-                self._m_traces.inc()
+                self._m_traces.value += 1
 
     def start(self, trace_id: str, name: str, parent: int = 0,
               source: str = "", **attrs: Any) -> int:
@@ -152,7 +152,7 @@ class TraceCollector:
         if attrs:
             span.attrs.update(attrs)
         if self._m_closed is not None:
-            self._m_closed.inc()
+            self._m_closed.value += 1
         flight = self._flight
         if flight is not None and flight.enabled:
             flight.record("flight.span", trace=span.trace_id, name=span.name,
@@ -175,7 +175,7 @@ class TraceCollector:
             span = self._by_id[span_id]
             span.end = span.start
             if self._m_closed is not None:
-                self._m_closed.inc()
+                self._m_closed.value += 1
             self._extend_ancestors(span, span.start)
         return span_id
 

@@ -144,7 +144,7 @@ class IiopClientConnection:
     def _transmit(self, data: bytes) -> None:
         # Queued bytes count too: they are committed to the wire once
         # the connect completes (or the whole connection fails).
-        self._m_bytes_out.inc(len(data))
+        self._m_bytes_out.value += len(data)
         if self.state == IiopClientConnection.OPEN:
             assert self.endpoint is not None
             self.endpoint.send(data)
@@ -152,7 +152,7 @@ class IiopClientConnection:
             self._send_queue.append(data)
 
     def _on_data(self, data: bytes) -> None:
-        self._m_bytes_in.inc(len(data))
+        self._m_bytes_in.value += len(data)
         try:
             messages = self._framer.feed(data)
         except MarshalError:
@@ -221,7 +221,7 @@ class IiopServerConnection:
 
     def send(self, data: bytes) -> None:
         if self.endpoint.open:
-            self._m_bytes_out.inc(len(data))
+            self._m_bytes_out.value += len(data)
             self.endpoint.send(data)
 
     def close(self) -> None:
@@ -232,7 +232,7 @@ class IiopServerConnection:
             self._on_close()
 
     def _on_data(self, data: bytes) -> None:
-        self._m_bytes_in.inc(len(data))
+        self._m_bytes_in.value += len(data)
         try:
             messages = self._framer.feed(data)
         except MarshalError:

@@ -196,30 +196,34 @@ class Network:
         self.bytes_sent += size
         if not src.alive:
             return
-        if self._partitions and not self.can_communicate(src.name, dst.name):
+        src_name, dst_name = src.name, dst.name
+        if self._partitions and not self.can_communicate(src_name, dst_name):
             return
-        delay = self.latency_model.latency(src.name, dst.name)
+        delay = self.latency_model._cache.get((src_name, dst_name))
+        if delay is None:
+            delay = self.latency_model.latency(src_name, dst_name)
         # post(): an in-flight datagram is never cancelled or
         # rescheduled, so the delivery needs no Timer handle at all.
         if hold:
             now = self.scheduler.now
-            self.scheduler.post(hold + delay, self._arrive_held, now,
-                                now + hold, src, dst, payload, deliver)
+            self.scheduler.post(hold + delay, self._arrive, src_name, dst,
+                                payload, deliver, src, now, now + hold)
         else:
             self.scheduler.post(
-                delay, self._arrive, src.name, dst, payload, deliver)
-
-    def _arrive_held(self, sent_at: float, left_at: float, src: Host,
-                     dst: Host, payload: Any, deliver: DeliverFn) -> None:
-        """:meth:`_arrive` for a datagram ``src`` held until ``left_at``."""
-        crashed_at = src.last_crash_at
-        if crashed_at is not None and sent_at <= crashed_at <= left_at:
-            return
-        self._arrive(src.name, dst, payload, deliver)
+                delay, self._arrive, src_name, dst, payload, deliver)
 
     def _arrive(self, src_name: str, dst: Host, payload: Any,
-                deliver: DeliverFn) -> None:
-        """Delivery-time half of :meth:`send` (bound method, no closure)."""
+                deliver: DeliverFn, src: Optional[Host] = None,
+                sent_at: float = 0.0, left_at: float = 0.0) -> None:
+        """Delivery-time half of :meth:`send` (bound method, no closure).
+
+        A held datagram's entry also carries its source and hold window
+        (``src``, ``sent_at``, ``left_at``): a crash of ``src`` inside
+        the window, ends included, took it down before it left."""
+        if src is not None:
+            crashed_at = src.last_crash_at
+            if crashed_at is not None and sent_at <= crashed_at <= left_at:
+                return
         if not dst.alive:
             return
         if self._partitions and not self.can_communicate(src_name, dst.name):
@@ -229,11 +233,17 @@ class Network:
 
     def _arrive_group(self, src_name: str, payload: Any,
                       group: List[Tuple[Host, DeliverFn]]) -> None:
-        """One delay group of :meth:`broadcast`: every member arrives
-        through :meth:`_arrive`, in target order, within one event."""
-        arrive = self._arrive
+        """One delay group of :meth:`broadcast`: every member is checked
+        (alive, partition) and counted as :meth:`_arrive` would, in
+        target order, within one event."""
         for dst, deliver in group:
-            arrive(src_name, dst, payload, deliver)
+            if not dst.alive:
+                continue
+            if self._partitions and not self.can_communicate(src_name,
+                                                             dst.name):
+                continue
+            self.datagrams_delivered += 1
+            deliver(payload)
 
     def broadcast(
         self,
@@ -249,8 +259,8 @@ class Network:
         Semantically identical to looping ``send`` over ``targets`` in
         the given order.  A group's event (``_arrive_group``; a group
         of one, such as a Join's loopback, is a plain ``_arrive``) walks the
-        members through ``_arrive`` in target order, so each is checked
-        for liveness and partition, and counted, at its own turn, and an
+        members in target order, so each is checked for liveness and
+        partition, and counted, at its own turn, as ``_arrive`` would, and an
         event a member's handler posts for the same instant fires after
         the last member.  ``run_until``'s predicate sees a group as one
         event: it cannot stop between two members.  Returns the number
@@ -262,7 +272,7 @@ class Network:
         if not src.alive:
             return 0
         src_name = src.name
-        latency = self.latency_model.latency
+        cache = self.latency_model._cache
         partitioned = self._partitions
         # Group reachable targets by delay, preserving target order
         # within a group and first-occurrence order across groups.
@@ -271,7 +281,9 @@ class Network:
             dst_name = target[0].name
             if partitioned and not self.can_communicate(src_name, dst_name):
                 continue
-            delay = latency(src_name, dst_name)
+            delay = cache.get((src_name, dst_name))
+            if delay is None:
+                delay = self.latency_model.latency(src_name, dst_name)
             bucket = groups.get(delay)
             if bucket is None:
                 groups[delay] = [target]

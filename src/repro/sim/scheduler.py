@@ -220,7 +220,7 @@ class Scheduler:
         entry surfaces, which amortises a burst of M reschedules into a
         single extra push.
         """
-        if not timer.active:
+        if timer.cancelled or timer.fired:
             raise SimulationError(f"cannot reschedule inactive timer {timer!r}")
         if timer._sched is not self:
             raise SimulationError("timer belongs to a different scheduler")

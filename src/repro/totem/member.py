@@ -270,7 +270,7 @@ class TotemMember(Process):
         elif self._park_at is not None:
             # Ask once: the answer is a token visit, which renews _park_at.
             target, self._park_at = self._park_at, None
-            self._m_wanted.inc()
+            self._m_wanted.value += 1
             self.transport.unicast(
                 self, target, TokenWanted(self.name, self.ring_id), size=24)
         return entry
@@ -286,7 +286,7 @@ class TotemMember(Process):
         if not entry.queued:
             return False
         entry.queued = False
-        self._m_withdrawn.inc()
+        self._m_withdrawn.value += 1
         return True
 
     @property
@@ -324,6 +324,12 @@ class TotemMember(Process):
         if handler is not None:
             handler(message)
 
+    def receive_frame(self, frame: Frame) -> None:
+        """:meth:`receive` for a datagram known to be a frame: the
+        transport's frame fan-out delivers through it, one call short."""
+        if self.running and self.host.alive:
+            self._on_frame(frame)
+
     # ------------------------------------------------------------------
     # Operational: regular messages
     # ------------------------------------------------------------------
@@ -351,7 +357,7 @@ class TotemMember(Process):
             self.my_aru = seq
             self._gap_age.pop(seq, None)
             self.stats["delivered"] += 1
-            self._m_delivered.inc()
+            self._m_delivered.value += 1
             for fn in self._deliver_listeners:
                 fn(seq, msg.sender, msg.payload)
             if self._safe_listeners:
@@ -368,8 +374,12 @@ class TotemMember(Process):
         if self.state != TotemMember.OPERATIONAL or token.ring_id != self.ring_id:
             return
         self.stats["token_passes"] += 1
-        self._m_token_passes.inc()
-        self._reset_loss_timer()
+        self._m_token_passes.value += 1
+        # Operational, so the loss timer is pending: move it in place.
+        loss = self._loss_timer
+        assert loss is not None
+        sched = self.host.scheduler
+        sched.reschedule(loss, sched.now + self.config.token_loss_timeout)
         self._park_at = None    # the token is here: nobody to ask
         arrived_seq = token.seq
         repairing = bool(token.rtr)
@@ -382,7 +392,7 @@ class TotemMember(Process):
                 if stored is not None:
                     token.rtr.discard(seq)
                     self.stats["retransmits"] += 1
-                    self._m_retransmits.inc()
+                    self._m_retransmits.value += 1
                     self.tracer.emit(self.scheduler.now, "totem.retransmit",
                                      self.name, f"retransmitting seq {seq}")
                     frame.append(stored)
@@ -413,7 +423,7 @@ class TotemMember(Process):
                 frame.append(RegularMessage(self.ring_id, token.seq, self.name,
                                             entry.payload, entry.size))
                 self.stats["sent"] += 1
-                self._m_sent.inc()
+                self._m_sent.value += 1
                 quota -= 1
         if frame:
             per_frame = -(-self.config.max_messages_per_token
@@ -429,7 +439,7 @@ class TotemMember(Process):
             token.aru_candidate = my_aru
         if self._index == 0:
             token.rotation += 1
-            self._m_rotations.inc()
+            self._m_rotations.value += 1
             if token.aru_candidate > token.aru:
                 token.aru = token.aru_candidate
             token.aru_candidate = my_aru
@@ -497,20 +507,22 @@ class TotemMember(Process):
         timer."""
         self._parked = token
         self._parked_since = self.scheduler.now
-        self._m_parked.inc()
+        self._m_parked.value += 1
         fl = self.flight
         if fl.enabled and token.seq != self._parked_seq:
             # Coming back from a keep-alive rotation is not news.
             self._parked_seq = token.seq
             fl.record("flight.token_parked", member=self.name,
                       ring=str(self.ring_id), seq=token.seq)
-        self._keepalive_timer = self.reschedule_after(
-            self._keepalive_timer, self.config.token_loss_timeout / 12,
-            self._on_keepalive)
+        self._keepalive_timer = self.after(
+            self.config.token_loss_timeout / 12, self._on_keepalive)
 
     def _unpark(self, why: str) -> Token:
-        """Take the parked token up again."""
+        """Take the parked token up again; a token that leaves other than
+        by its keep-alive cancels that."""
         token, self._parked = self._parked, None
+        if why != "keepalive" and self._keepalive_timer is not None:
+            self._keepalive_timer.cancel()
         self._m_parked_time.observe(self.scheduler.now - self._parked_since)
         fl = self.flight
         if fl.enabled and why != "keepalive":
@@ -519,12 +531,10 @@ class TotemMember(Process):
         return token
 
     def _on_keepalive(self) -> None:
-        # Moved at every park, never cancelled: may find nothing parked.
-        if self._parked is not None:
-            self._m_keepalives.inc()
-            token = self._unpark("keepalive")
-            token.idle = 0   # a full rotation, then park again
-            self._forward_token(token)
+        self._m_keepalives.value += 1
+        token = self._unpark("keepalive")
+        token.idle = 0   # a full rotation, then park again
+        self._forward_token(token)
 
     def _on_wanted(self, msg: TokenWanted) -> None:
         if self.state != TotemMember.OPERATIONAL \
@@ -548,7 +558,7 @@ class TotemMember(Process):
                      key=lambda name: (position(name) - self._index) % size)
         self._wanted.clear()
         token.idle = 0
-        self._m_handoffs.inc()
+        self._m_handoffs.value += 1
         self.transport.unicast(self, target, token, size=32)
 
     def _current_gaps(self, highest: int) -> List[int]:
@@ -563,7 +573,7 @@ class TotemMember(Process):
         if seq != self.delivered_up_to + 1:
             return  # only skip at the delivery frontier
         self.stats["gaps_skipped"] += 1
-        self._m_gaps.inc()
+        self._m_gaps.value += 1
         self._gap_age.pop(seq, None)
         self.tracer.emit(self.scheduler.now, "totem.gap_skipped", self.name,
                          f"skipping unrecoverable seq {seq}")
@@ -595,17 +605,10 @@ class TotemMember(Process):
             for fn in self._safe_listeners:
                 fn(msg.seq, msg.sender, msg.payload)
 
-    def _reset_loss_timer(self) -> None:
-        # Fires on every token receipt: reuse the pending timer in
-        # place instead of piling a cancelled entry onto the heap.
-        self._loss_timer = self.reschedule_after(
-            self._loss_timer, self.config.token_loss_timeout,
-            self._on_token_loss)
-
     def _on_token_loss(self) -> None:
         if self.state != TotemMember.OPERATIONAL:
             return
-        self._m_token_loss.inc()
+        self._m_token_loss.value += 1
         self.tracer.emit(self.scheduler.now, "totem.token_loss", self.name,
                          "token loss timeout")
         fl = self.flight
@@ -759,7 +762,7 @@ class TotemMember(Process):
         self._max_ring_gen = commit.ring_id[0]
         self._gap_age.clear()
         self.stats["reformations"] += 1
-        self._m_reformations.inc()
+        self._m_reformations.value += 1
         self.tracer.emit(self.scheduler.now, "totem.install", self.name,
                          f"ring {commit.ring_id} installed",
                          members=list(commit.members),
@@ -772,7 +775,10 @@ class TotemMember(Process):
                       start_seq=commit.start_seq)
         for fn in self._membership_listeners:
             fn(self.members, self.ring_id)
-        self._reset_loss_timer()
+        # Armed here, moved in place at every token visit (_on_token).
+        self._loss_timer = self.reschedule_after(
+            self._loss_timer, self.config.token_loss_timeout,
+            self._on_token_loss)
         if commit.leader == self.name:
             token = Token(
                 ring_id=commit.ring_id,

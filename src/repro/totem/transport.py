@@ -36,7 +36,8 @@ class TotemTransport:
         self.domain_name = domain_name
         self._members: Dict[str, "TotemMember"] = {}
         # Fan-out lists, rebuilt at register / deregister, not per
-        # broadcast: everyone, and per member everyone else.
+        # broadcast: everyone, and per member everyone else (reached
+        # through ``receive_frame``: what goes to them is a frame).
         self._everyone: List[Target] = []
         self._others: Dict[str, List[Target]] = {}
         self.broadcasts = 0
@@ -58,10 +59,11 @@ class TotemTransport:
         self._refresh_fan_out()
 
     def _refresh_fan_out(self) -> None:
-        everyone = [(m.host, m.receive) for m in self._members.values()]
-        self._everyone = everyone
-        self._others = {name: everyone[:i] + everyone[i + 1:]
-                        for i, name in enumerate(self._members)}
+        members = list(self._members.values())
+        self._everyone = [(m.host, m.receive) for m in members]
+        frames = [(m.host, m.receive_frame) for m in members]
+        self._others = {m.name: frames[:i] + frames[i + 1:]
+                        for i, m in enumerate(members)}
 
     def lookup(self, name: str) -> Optional["TotemMember"]:
         return self._members.get(name)
@@ -78,7 +80,7 @@ class TotemTransport:
         if target is None:
             return
         self.datagrams += 1
-        self._m_datagrams.inc()
+        self._m_datagrams.value += 1
         self.network.send(
             sender.host, target.host, message, target.receive, size=size,
             hold=hold)
@@ -110,10 +112,10 @@ class TotemTransport:
         ``totem.broadcast.batched_deliveries`` counts the per-target
         deliveries scheduled, not the events."""
         self.broadcasts += 1
-        self._m_broadcasts.inc()
-        self._m_bytes.inc(size)
+        self._m_broadcasts.value += 1
+        self._m_bytes.value += size
         self.datagrams += len(targets)
-        self._m_datagrams.inc(len(targets))
+        self._m_datagrams.value += len(targets)
         events = self.network.broadcast(sender.host, targets, message,
                                         size=size)
-        self._m_batched.inc(events)
+        self._m_batched.value += events

@@ -70,6 +70,7 @@ def test_held_datagram_arrives_hold_plus_latency_later_in_one_event():
 @pytest.mark.parametrize("crash_at, delivered", [
     (0.002, []),            # while the sender still holds it
     (0.0045, ["held"]),     # after it left: in flight, like any datagram
+    (0.004, []),            # as it leaves: the hold window is inclusive
 ])
 def test_sender_crashing_while_it_holds_a_datagram_takes_it_down(
         crash_at, delivered):
@@ -81,6 +82,41 @@ def test_sender_crashing_while_it_holds_a_datagram_takes_it_down(
     scheduler.call_at(crash_at, a.crash)
     scheduler.run()
     assert received == delivered
+
+
+def test_a_sender_that_recovers_within_the_hold_still_lost_the_datagram():
+    scheduler, network = make_network()
+    a = network.add_host("a", site="s")
+    b = network.add_host("b", site="s")
+    received = []
+    network.send(a, b, "held", received.append, hold=0.004)
+    scheduler.call_at(0.001, a.crash)
+    scheduler.call_at(0.002, a.recover)
+    scheduler.run()
+    assert a.alive and received == []
+
+
+def test_an_unheld_datagram_outlives_its_sender_crashing_as_it_is_sent():
+    scheduler, network = make_network()
+    a = network.add_host("a", site="s")
+    b = network.add_host("b", site="s")
+    received = []
+    network.send(a, b, "sent", received.append)
+    a.crash()                    # the same instant, after sending
+    scheduler.run()
+    assert received == ["sent"]
+
+
+def test_a_destination_down_at_send_but_up_at_arrival_receives():
+    scheduler, network = make_network()
+    a = network.add_host("a", site="s")
+    b = network.add_host("b", site="s")
+    b.crash()
+    received = []
+    network.send(a, b, "x", received.append)
+    scheduler.call_at(0.0005, b.recover)   # latency 0.001
+    scheduler.run()
+    assert received == ["x"]
 
 
 def test_partition_blocks_and_heals():

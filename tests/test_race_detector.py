@@ -167,6 +167,25 @@ def test_a_broadcast_delay_group_is_an_arrival_on_its_source_lane():
     assert _lane_of(entry) == ("net", "h2")
 
 
+def test_a_held_arrival_is_a_barrier_and_an_unheld_one_a_lane():
+    """A held datagram (a token hop) is delivered or not by when its
+    source crashed, so its arrival keeps its place; an unheld arrival
+    and a delay group are arrivals on their source's lane."""
+    scheduler = Scheduler()
+    network = SimNetwork(scheduler)
+    a, b, c = (network.add_host(name) for name in "abc")
+    network.send(a, b, "token", lambda payload: None, hold=0.0002)
+    network.send(a, b, "frame", lambda payload: None)
+    network.broadcast(a, [(b, lambda payload: None),
+                          (c, lambda payload: None)], "join")
+    unheld, group, held = sorted(scheduler._queue, key=lambda e: e[:2])
+    assert _lane_of(held) is None
+    assert _lane_of(unheld) == ("net", "a")
+    assert _lane_of(group) == ("net", "a")
+    assert {e[3].__name__ for e in (held, unheld, group)} == {
+        "_arrive", "_arrive_group"}
+
+
 def test_permuter_respects_fifo_and_barriers():
     a1, b1, a2 = (_arrival(1.0, 0, "A"), _arrival(1.0, 1, "B"),
                   _arrival(1.0, 2, "A"))

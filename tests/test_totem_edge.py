@@ -334,6 +334,29 @@ def test_a_second_of_silence_costs_keepalives_and_nothing_else(world):
     world.audit(strict=True)
 
 
+@pytest.mark.parametrize("how", ["handoff", "send", "reformation"])
+def test_a_token_that_leaves_cancels_its_keepalive(world, how):
+    """A park that ends before its keep-alive is due — handed to a
+    member that asked, taken by the holder's own multicast, dropped at
+    a reformation — leaves no keep-alive behind to fire on nothing."""
+    transport, members, delivered = build(world, 5)
+    holder = settle(world, members)
+    keepalive = holder._keepalive_timer
+    parked_at = world.now
+    if how == "handoff":
+        members[(members.index(holder) + 2) % 5].multicast("asks for it")
+    elif how == "send":
+        holder.multicast("sent by the holder")
+    else:
+        TotemMember(world.add_host("m9", site="lan"), "m9", transport).start()
+    world.scheduler.run_until(lambda: not holder.parked, timeout=1.0)
+    assert world.now < parked_at + KEEPALIVE
+    released = world.flight.events("flight.token_released")
+    assert released[-1]["detail"]["why"] == how
+    world.run(until=parked_at + 2 * KEEPALIVE)
+    assert not keepalive.fired and keepalive.cancelled
+
+
 def test_a_token_hop_is_one_scheduler_event(world):
     """The hold time travels inside the token datagram: on a quiet ring
     the scheduler fires one event per token visit and one per keep-alive
