@@ -430,8 +430,11 @@ class CatalogueRule(LintRule):
     ``SeriesRegistry.observe/sample/series`` time-series names, and
     ``FlightRecorder.record`` event kinds (both only when the literal
     is dotted, which filters out the same-named histogram/race-recorder
-    methods).  Dynamic (non-literal) names are out of scope — they must
-    be catalogued as a backticked ``family.*`` wildcard instead.
+    methods), and every counter name in a ``stats`` table passed to
+    ``MetricsRegistry.register_stats`` (a dict literal, inline or
+    assigned to a module-level name without annotation).  Dynamic (non-literal) names are
+    out of scope — they must be catalogued as a backticked ``family.*``
+    wildcard instead.
     """
 
     code = "OBS001"
@@ -444,12 +447,25 @@ class CatalogueRule(LintRule):
             return
         if not ctx.module.startswith("repro"):
             return
+        tables: Dict[str, ast.AST] = {
+            target.id: stmt.value for stmt in ctx.tree.body
+            if isinstance(stmt, ast.Assign)
+            for target in stmt.targets if isinstance(target, ast.Name)}
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
             attr = node.func.attr
             names: List[Tuple[str, ast.AST]] = []
+            if attr == "register_stats" and len(node.args) >= 2:
+                table: ast.AST = node.args[1]
+                if isinstance(table, ast.Name):
+                    table = tables.get(table.id, table)
+                if isinstance(table, ast.Dict):
+                    names.extend(
+                        (value.value, value) for value in table.values
+                        if isinstance(value, ast.Constant)
+                        and isinstance(value.value, str))
             if attr in _METRIC_FACTORIES and node.args:
                 first = node.args[0]
                 if isinstance(first, ast.Constant) and isinstance(

@@ -78,6 +78,44 @@ REPLY_MEMORY = 10_000
 # resolve them; each is reaped this many simulated seconds after it was
 # made.
 RETENTION_TTL = 30.0
+# Gateway.drain: wait for requests still on the wire (> a client round
+# trip), then poll for the last in-flight one to resolve.
+DRAIN_GRACE = 0.25
+DRAIN_POLL = 0.01
+
+# ``Gateway.stats`` key -> the world counter summing it over gateways
+# (None: per gateway only; the last two also count into a counter their
+# call sites create on first use).  Responses partition: received ==
+# suppressed + unexpected + vote_pending + delivered + unroutable.
+_STATS = {
+    "requests_received": "gateway.req.received",
+    "requests_forwarded": "gateway.req.forwarded",
+    "cache_replays": "gateway.cache.replays",
+    "responses_received": "gateway.resp.received",
+    "responses_delivered": "gateway.resp.delivered",
+    "duplicates_suppressed": "gateway.dup.suppressed",
+    "responses_unroutable": "gateway.resp.unroutable",
+    "responses_unexpected": "gateway.resp.unexpected",
+    "responses_vote_pending": "gateway.resp.vote_pending",
+    "mirrors_recorded": "gateway.mirror.recorded",
+    "clients_connected": "gateway.clients.connected",
+    "clients_gone": "gateway.clients.gone",
+    "bad_object_key": "gateway.req.bad_object_key",
+    "cancels": "gateway.req.cancelled",
+    "cancels_reaped": "gateway.reap.cancelled",
+    "oneways_completed": "gateway.oneway.completed",
+    "oneways_reaped": "gateway.reap.oneway",
+    "client_gone_deferred": "gateway.clients.gone_deferred",
+    "queued_dropped": None,
+    "requests_unservable": None,
+    "votes_relaxed": None,
+}
+# Summed once the gate is armed, so a farm-free world lacks the series.
+_ADMISSION_STATS = {
+    "requests_admitted": "gateway.adm.admitted",
+    "requests_queued": "gateway.adm.queued",
+    "requests_shed": "gateway.adm.shed",
+}
 
 
 @dataclass
@@ -171,7 +209,7 @@ class Gateway(Process):
         # out): a bounded in-flight window for two-way requests plus a
         # bounded overflow queue.  ``None`` disables the gate entirely —
         # the pre-farm behaviour, byte-identical event ordering.
-        self.admission_window = admission_window
+        self.admission_window: Optional[int] = None
         self.admission_queue_limit = admission_queue_limit
         self._admission_queue: Deque[
             Tuple[Any, bytes, IiopServerConnection, float]] = deque()
@@ -180,81 +218,29 @@ class Gateway(Process):
         # a pool.
         self.pool = None
 
-        # reprolint: disable=AUD001 -- fixed key set, bounded by construction
-        self.stats = {
-            "requests_received": 0,
-            "requests_forwarded": 0,
-            "cache_replays": 0,
-            "responses_delivered": 0,
-            "duplicates_suppressed": 0,
-            "responses_unroutable": 0,
-            "responses_unexpected": 0,
-            "mirrors_recorded": 0,
-            "clients_connected": 0,
-            "clients_gone": 0,
-            "bad_object_key": 0,
-            "cancels": 0,
-            "cancels_reaped": 0,
-            "oneways_completed": 0,
-            "oneways_reaped": 0,
-            "client_gone_deferred": 0,
-            "requests_queued": 0,
-            "requests_shed": 0,
-            "queued_dropped": 0,
-            "requests_unservable": 0,
-            "votes_relaxed": 0,
-        }
+        self.stats = dict.fromkeys([*_STATS, *_ADMISSION_STATS], 0)
 
-        # Style-era metrics (live style switching, unservable voting
-        # targets) are looked up by name at their call sites, so they
-        # are created on first use and pre-existing scenarios keep
-        # their exact metric key set.
-
-        # World-shared metrics (one registry per world; every gateway of
-        # the world aggregates into the same series).  The response
-        # counters partition gateway.resp.received exactly:
-        # received == suppressed + unexpected + vote_pending
-        #             + delivered + unroutable.
         m = self.metrics
+        m.register_stats(self.stats, _STATS)
+        if admission_window is not None:
+            self.arm_admission(admission_window, admission_queue_limit)
         # Per-group / per-gateway time series (repro.obs.series); the
         # registry is disabled by default, making every hook below one
         # attribute load plus one boolean test.
         self._series = host.network.series
         self._m_req_latency = m.histogram("gateway.req.latency", unit="s")
-        self._m_req_received = m.counter("gateway.req.received")
-        self._m_req_forwarded = m.counter("gateway.req.forwarded")
-        self._m_cache_replays = m.counter("gateway.cache.replays")
-        self._m_resp_received = m.counter("gateway.resp.received")
-        self._m_resp_delivered = m.counter("gateway.resp.delivered")
-        self._m_dup_suppressed = m.counter("gateway.dup.suppressed")
-        self._m_resp_unexpected = m.counter("gateway.resp.unexpected")
-        self._m_resp_unroutable = m.counter("gateway.resp.unroutable")
-        self._m_resp_vote_pending = m.counter("gateway.resp.vote_pending")
-        self._m_mirrors = m.counter("gateway.mirror.recorded")
         # Registered, never incremented: goes with bench/ledger.py's row in
         # the `benchmark` PR (ROADMAP item 1).
         m.counter("gateway.takeover.forwards")
-        self._m_clients = m.counter("gateway.clients.connected")
-        self._m_clients_gone = m.counter("gateway.clients.gone")
-        self._m_bad_key = m.counter("gateway.req.bad_object_key")
-        self._m_req_cancelled = m.counter("gateway.req.cancelled")
-        self._m_reap_cancelled = m.counter("gateway.reap.cancelled")
-        self._m_oneway_completed = m.counter("gateway.oneway.completed")
-        self._m_reap_oneway = m.counter("gateway.reap.oneway")
-        self._m_gone_deferred = m.counter("gateway.clients.gone_deferred")
-        # Admission counters are created only when the gate is armed, so
-        # farm-free scenarios keep their exact metric key set (and the
-        # bench extra_info snapshots stay baseline-comparable).
-        if admission_window is not None:
-            self._m_adm_admitted = m.counter("gateway.adm.admitted")
-            self._m_adm_queued = m.counter("gateway.adm.queued")
-            self._m_adm_shed = m.counter("gateway.adm.shed")
-        else:
-            self._m_adm_admitted = None
-            self._m_adm_queued = None
-            self._m_adm_shed = None
 
         self._register_audit()
+
+    def arm_admission(self, window: int, queue_limit: int) -> None:
+        """Arm the admission gate; its ``gateway.adm.*`` counters start
+        summing this gateway's admission keys now."""
+        self.admission_window = window
+        self.admission_queue_limit = queue_limit
+        self.metrics.register_stats(self.stats, _ADMISSION_STATS)
 
     def _register_audit(self) -> None:
         """Declare every per-client collection to the world audit scope
@@ -334,13 +320,9 @@ class Gateway(Process):
             for connection in list(self._conn_clients):
                 connection.close()
 
-    def drain(self, poll_interval: float = 0.01, grace: float = 0.25):
+    def drain(self):
         """Graceful shutdown: stop accepting new clients, serve out the
         requests already in flight, then stop the gateway.
-
-        ``grace`` covers requests already travelling toward the gateway
-        when the drain starts (the gateway cannot see bytes still on the
-        wire); it should exceed one client round-trip time.
 
         Returns a promise resolved once the gateway has stopped.  With
         redundant gateways this lets an operator retire a gateway with
@@ -360,9 +342,9 @@ class Gateway(Process):
                 self.stop()
                 promise.resolve(None)
             else:
-                self.after(poll_interval, check_drained)
+                self.after(DRAIN_POLL, check_drained)
 
-        self.after(grace, check_drained)
+        self.after(DRAIN_GRACE, check_drained)
         return promise
 
     # ==================================================================
@@ -371,7 +353,6 @@ class Gateway(Process):
 
     def _on_accept(self, endpoint: TcpEndpoint) -> None:
         self.stats["clients_connected"] += 1
-        self._m_clients.value += 1
         connection = IiopServerConnection(endpoint, self._on_client_message,
                                           on_close=self._on_client_close)
         self._conn_clients[connection] = {}
@@ -397,7 +378,6 @@ class Gateway(Process):
             return
         request = decode_request(message)
         self.stats["requests_received"] += 1
-        self._m_req_received.value += 1
         self._process_request(request, message, connection,
                               self.scheduler.now)
 
@@ -420,7 +400,6 @@ class Gateway(Process):
             info = self.rm.registry.get(parsed[1])
         if info is None:
             self.stats["bad_object_key"] += 1
-            self._m_bad_key.value += 1
             if request.response_expected:
                 connection.send(reply_for_exception(
                     request.request_id,
@@ -470,7 +449,6 @@ class Gateway(Process):
             # A reinvocation whose response we already hold (the client
             # failed over to us, or retried): answer locally.
             self.stats["cache_replays"] += 1
-            self._m_cache_replays.value += 1
             connection.send(cached)
             if container:
                 spans.instant(trace_id, "gateway.cache.replay",
@@ -511,12 +489,10 @@ class Gateway(Process):
                     self._admission_queue.append(
                         (request, message, connection, received_at))
                     self.stats["requests_queued"] += 1
-                    self._m_adm_queued.value += 1
                     if container:
                         spans.end(container, outcome="queued")
                     return
                 self.stats["requests_shed"] += 1
-                self._m_adm_shed.value += 1
                 sr = self._series
                 if sr.enabled:
                     sr.observe("series.gateway.group.shed", 1.0,
@@ -533,7 +509,7 @@ class Gateway(Process):
                 return
             self._own_inflight += 1
             admitted = True
-            self._m_adm_admitted.value += 1
+            self.stats["requests_admitted"] += 1
 
         pending = _PendingRequest(
             key=key, iiop=message, request=request, received_at=received_at,
@@ -603,7 +579,6 @@ class Gateway(Process):
         # A two-way's expectation stays: a late response is remembered.
         record = self._oneways.pop(key, None) or self._filter.detach(key)
         self.stats["cancels"] += 1
-        self._m_req_cancelled.value += 1
         if record is None and self._filter.was_delivered(key):
             # The cancel raced the reply over the WAN and lost: the
             # response was already written back.  A tombstone now could
@@ -622,7 +597,6 @@ class Gateway(Process):
 
     def _forward(self, pending: _PendingRequest) -> None:
         self.stats["requests_forwarded"] += 1
-        self._m_req_forwarded.value += 1
         group, client_id, op_id = pending.key
         message = DomainMessage(
             kind=MsgKind.INVOCATION,
@@ -719,7 +693,6 @@ class Gateway(Process):
                 # no waiter, and a one-way needs nothing from the peers.
                 self._gone_pending.add(member)
                 self.stats["client_gone_deferred"] += 1
-                self._m_gone_deferred.value += 1
             else:
                 self._broadcast_client_gone(member)
 
@@ -773,7 +746,6 @@ class Gateway(Process):
                 # One-way: the delivered forward *is* the operation's
                 # completion — no response will ever settle the record.
                 self.stats["oneways_completed"] += 1
-                self._m_oneway_completed.value += 1
                 self._maybe_flush_client_gone(key[:2])
         elif kind is MsgKind.STYLE_SWITCH:
             # Applied to the registry by the Replication Mechanisms just
@@ -789,7 +761,7 @@ class Gateway(Process):
             return
 
     def _on_domain_response(self, msg: DomainMessage) -> None:
-        self._m_resp_received.value += 1
+        self.stats["responses_received"] += 1
         spans = self._span_collector
         tr = msg.trace if spans.enabled else None
         if tr is not None and msg._trace_order:
@@ -809,15 +781,13 @@ class Gateway(Process):
                           responder=str(msg.data.get("responder")))
         if verdict == DuplicateSuppressor.DUPLICATE:
             self.stats["duplicates_suppressed"] += 1
-            self._m_dup_suppressed.value += 1
         elif verdict == DuplicateSuppressor.UNEXPECTED:
             # No record of this client here: an isolated gateway
             # (section 3.4) does not record its peers' requests, so a
             # response surviving its gateway cannot be routed.
             self.stats["responses_unexpected"] += 1
-            self._m_resp_unexpected.value += 1
         elif verdict == DuplicateSuppressor.PENDING:
-            self._m_resp_vote_pending.value += 1  # voting still pending
+            self.stats["responses_vote_pending"] += 1
         else:
             return  # DELIVER: settled, and counted, in _settle
 
@@ -904,12 +874,10 @@ class Gateway(Process):
             return
         if sent:
             self.stats["responses_delivered"] += 1
-            self._m_resp_delivered.value += 1
         else:
             # Cancelled, or the client's socket is not (or no longer) at
             # this gateway — the normal case at a peer of the forwarder.
             self.stats["responses_unroutable"] += 1
-            self._m_resp_unroutable.value += 1
 
     def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
         if self.alive:
@@ -940,7 +908,6 @@ class Gateway(Process):
             # request at its gateway): nothing would ever resolve this.
             return
         self.stats["mirrors_recorded"] += 1
-        self._m_mirrors.value += 1
         self._filter.expect(key, votes_needed=votes)
 
     def _purge_client(self, member: Member) -> None:
@@ -951,7 +918,6 @@ class Gateway(Process):
             # it moved, and what is held for it here is still owed.
             return
         self.stats["clients_gone"] += 1
-        self._m_clients_gone.value += 1
         for key in [k for k in self._oneways if k[:2] == member]:
             self._let_go(self._oneways.pop(key), "client_gone")
         # Forget the filter's memory as well — each expectation's waiter
@@ -997,7 +963,6 @@ class Gateway(Process):
                     if record is not None:
                         self._filter.cancel(key)
                     self.stats["cancels_reaped"] += 1
-                    self._m_reap_cancelled.value += 1
             else:  # "oneway"
                 if self._oneways.get(key) is record:
                     # The forwarded INVOCATION was never observed
@@ -1005,7 +970,6 @@ class Gateway(Process):
                     # rather than pin the record forever.
                     del self._oneways[key]
                     self.stats["oneways_reaped"] += 1
-                    self._m_reap_oneway.value += 1
                     self._maybe_flush_client_gone(key[:2])
         if queue:
             self._reap_timer = self.after(queue[0][0] - now, self._run_reaper)

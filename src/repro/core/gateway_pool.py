@@ -52,6 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..orb.connection import IiopServerConnection
 
 
+# Points each gateway holds on the consistent-hash ring.
+VIRTUAL_NODES = 32
+
+
 def ring_hash(key: str) -> int:
     """Deterministic ring position for a routing key (CRC32, stable
     across processes and runs — Python's builtin ``hash`` is neither)."""
@@ -162,7 +166,6 @@ class GatewayPool:
                  size: Optional[int] = None,
                  admission_window: int = 64,
                  admission_queue_limit: int = 64,
-                 virtual_nodes: int = 32,
                  failure_threshold: int = 8,
                  reset_timeout: float = 0.25,
                  probe_quota: int = 4,
@@ -170,7 +173,6 @@ class GatewayPool:
         self.domain = domain
         self.admission_window = admission_window
         self.admission_queue_limit = admission_queue_limit
-        self.virtual_nodes = virtual_nodes
         self.gateways: List[Gateway] = []
         # The ring, rebuilt only when membership changes (never per
         # request): the sorted virtual-node points, and for each of
@@ -217,17 +219,9 @@ class GatewayPool:
         gateway.pool = self
         if gateway.admission_window is None:
             # Adopted gateways predate the pool; arm their gate so the
-            # farm's backpressure story is uniform.  (Metrics for the
-            # gate were created lazily at construction; arming late
-            # keeps counting in ``stats`` only, which the pool accepts
-            # for adopted legacy gateways.)
-            gateway.admission_window = self.admission_window
-            gateway.admission_queue_limit = self.admission_queue_limit
-            if gateway._m_adm_admitted is None:
-                m = gateway.metrics
-                gateway._m_adm_admitted = m.counter("gateway.adm.admitted")
-                gateway._m_adm_queued = m.counter("gateway.adm.queued")
-                gateway._m_adm_shed = m.counter("gateway.adm.shed")
+            # farm's backpressure story is uniform.
+            gateway.arm_admission(self.admission_window,
+                                  self.admission_queue_limit)
         self.gateways.append(gateway)
         host_name = gateway.host.name
         self._breakers[host_name] = CircuitBreaker(
@@ -251,7 +245,7 @@ class GatewayPool:
     def _rebuild_ring(self) -> None:
         ring: List[Tuple[int, Gateway]] = []
         for gateway in self.gateways:
-            for v in range(self.virtual_nodes):
+            for v in range(VIRTUAL_NODES):
                 ring.append((ring_hash(f"{gateway.host.name}#{v}"), gateway))
         # Ties between virtual nodes (CRC32 collisions) break on the
         # deterministic host name, never on object identity.
@@ -459,7 +453,7 @@ class GatewayPool:
                        gauge="pool.state.gateways")
 
         def ring_size() -> int:
-            return len(self.gateways) * self.virtual_nodes
+            return len(self.gateways) * VIRTUAL_NODES
 
         scope.register("pool.ring", lambda: len(self._ring_points),
                        floor=ring_size, owner=owner, gauge="pool.state.ring")

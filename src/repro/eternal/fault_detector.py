@@ -27,6 +27,13 @@ from .messages import DomainMessage, MsgKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .replication import ReplicationMechanisms
 
+# ``FaultDetector.stats`` key -> the world counter that sums it over
+# every processor's detector.
+_STATS = {
+    "probes": "fault.detector.probes",
+    "faults_detected": "fault.detector.faults",
+}
+
 
 class FaultDetector:
     """Per-processor health monitor over the local replicas."""
@@ -35,9 +42,8 @@ class FaultDetector:
                  interval: float = 0.5) -> None:
         self.rm = rm
         self.interval = interval
-        self.stats = {"probes": 0, "faults_detected": 0}
-        self._m_probes = rm.metrics.counter("fault.detector.probes")
-        self._m_faults = rm.metrics.counter("fault.detector.faults")
+        self.stats = dict.fromkeys(_STATS, 0)
+        rm.metrics.register_stats(self.stats, _STATS)
         # group id -> id() of the servant we reported faulty: a freshly
         # created replacement replica (new servant object) re-arms
         # monitoring for the group.
@@ -63,7 +69,6 @@ class FaultDetector:
             if check is None:
                 continue
             self.stats["probes"] += 1
-            self._m_probes.value += 1
             try:
                 healthy = check()
             except Exception:
@@ -77,7 +82,6 @@ class FaultDetector:
         # reprolint: disable=DET004 -- local replica identity, never serialized
         self._reported[group_id] = id(servant)
         self.stats["faults_detected"] += 1
-        self._m_faults.value += 1
         self.rm.tracer.emit(
             self.rm.scheduler.now, "eternal.fault_detected",
             f"detector@{self.rm.host.name}",

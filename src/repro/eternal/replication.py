@@ -70,6 +70,26 @@ from .styles import ReplicationStyle
 # the simulation honest about memory without that machinery.)
 DEDUP_TABLE_LIMIT = 100_000
 
+# ``ReplicationMechanisms.stats`` key -> the world counter summing it
+# over processors (None: per processor only).
+_STATS = {
+    "invocations_executed": "eternal.invocations.executed",
+    "invocations_duplicate": "eternal.invocations.duplicate",
+    "responses_resent": None,
+    "responses_delivered": None,
+    "responses_suppressed": None,
+    "copies_queued": "rm.copies.queued",
+    "copies_withdrawn": "rm.copies.withdrawn",
+    "checkpoints": "eternal.checkpoint.multicasts",
+    "state_updates": "eternal.state.updates",
+    "state_transfers_sent": None,
+    "state_transfers_received": None,
+    "failovers": "fault.failover.count",
+    "replays": "fault.recovery.replays",
+    "responses_withheld": None,
+    "style_switches": None,
+}
+
 
 @dataclass
 class ReplicaRecord:
@@ -170,32 +190,9 @@ class ReplicationMechanisms(Process):
         # reprolint: disable=AUD001 -- listener list, fixed at wiring time
         self._replica_ready_listeners: List[Callable[[int, str, int], None]] = []
 
-        # reprolint: disable=AUD001 -- fixed key set, bounded by construction
-        self.stats = {
-            "invocations_executed": 0,
-            "invocations_duplicate": 0,
-            "responses_resent": 0,
-            "responses_delivered": 0,
-            "responses_suppressed": 0,
-            "checkpoints": 0,
-            "state_updates": 0,
-            "state_transfers_sent": 0,
-            "state_transfers_received": 0,
-            "replays": 0,
-            "responses_withheld": 0,
-            "style_switches": 0,
-        }
-
-        # World-shared metrics, aggregated across all processors.
+        self.stats = dict.fromkeys(_STATS, 0)
         m = self.metrics
-        self._m_invocations = m.counter("eternal.invocations.executed")
-        self._m_dup_invocations = m.counter("eternal.invocations.duplicate")
-        self._m_state_updates = m.counter("eternal.state.updates")
-        self._m_copies_queued = m.counter("rm.copies.queued")
-        self._m_copies_withdrawn = m.counter("rm.copies.withdrawn")
-        self._m_checkpoints_sent = m.counter("eternal.checkpoint.multicasts")
-        self._m_replays = m.counter("fault.recovery.replays")
-        self._m_failovers = m.counter("fault.failover.count")
+        m.register_stats(self.stats, _STATS)
         self._m_transfer_bytes = m.histogram("fault.state_transfer.bytes", unit="B")
         self._m_recovery_duration = m.histogram("fault.recovery.duration", unit="s")
         # Leader-follower / style-switch counters (`rm.style.*`,
@@ -279,7 +276,7 @@ class ReplicationMechanisms(Process):
         entry = self.totem.multicast(message, size=message.size_hint())
         info = self.registry.get(message.source_group)
         if info is not None and info.style.any_copy_suffices:
-            self._m_copies_queued.value += 1
+            self.stats["copies_queued"] += 1
             self._outbound_copies[message.copy_key()] = entry
 
     def _log_for(self, group_id: int) -> GroupLog:
@@ -347,7 +344,7 @@ class ReplicationMechanisms(Process):
             # (Delivery of our own copy just retires the entry; a copy
             # already sequenced crosses on the ring and the receiver's
             # DuplicateSuppressor drops it, as it always has.)
-            self._m_copies_withdrawn.value += 1
+            self.stats["copies_withdrawn"] += 1
             if mine.payload._trace_order:
                 self._span_collector.end(mine.payload._trace_order,
                                          outcome="withdrawn")
@@ -397,7 +394,6 @@ class ReplicationMechanisms(Process):
         tr = msg.trace if self._span_collector.enabled else None
         if existing is not None:
             self.stats["invocations_duplicate"] += 1
-            self._m_dup_invocations.value += 1
             if tr is not None:
                 self._span_collector.instant(
                     tr[0], "rm.duplicate", parent=tr[1], source=self.name,
@@ -507,7 +503,6 @@ class ReplicationMechanisms(Process):
                 tr[0], "rm.execute", parent=tr[1], source=self.name,
                 op=request.operation)
         self.stats["invocations_executed"] += 1
-        self._m_invocations.value += 1
         outcome = execution.start()
         self._handle_outcome(execution, outcome, msg, info, key)
 
@@ -549,7 +544,6 @@ class ReplicationMechanisms(Process):
             # No reply to ride on (a one-way operation): the checkpoint
             # goes by itself.
             self.stats["state_updates"] += 1
-            self._m_state_updates.value += 1
             group = info.group_id
             self.multicast(DomainMessage(
                 MsgKind.CHECKPOINT, group, group, data=owed))
@@ -569,7 +563,6 @@ class ReplicationMechanisms(Process):
             return None
         record.since_checkpoint = 0
         self.stats["checkpoints"] += 1
-        self._m_checkpoints_sent.value += 1
         return {"state": record.servant.get_state(),
                 "upto_ts": original.timestamp}
 
@@ -1206,14 +1199,13 @@ class ReplicationMechanisms(Process):
         record = self.replicas.get(info.group_id)
         if record is None:
             return
-        self._m_failovers.value += 1
+        self.stats["failovers"] += 1
         replayed = self._restore_and_replay(info, record, info.style,
                                             silent=False)
         self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
                          f"promoted to primary of group {info.group_id}",
                          style=info.style.value, replayed=replayed)
         self.stats["replays"] += replayed
-        self._m_replays.value += replayed
 
     def _promote_leader_follower(self, info: GroupInfo) -> None:
         """Leader-follower failover: the new leader's state is already
@@ -1227,7 +1219,7 @@ class ReplicationMechanisms(Process):
         record = self.replicas.get(info.group_id)
         if record is None:
             return
-        self._m_failovers.value += 1
+        self.stats["failovers"] += 1
         self.metrics.counter("rm.style.promotions").inc()
         seen = self._invocations_seen.get(info.group_id, {})
         resent = 0

@@ -24,7 +24,7 @@ cheap without changing a wire byte:
   ``bytearray``, ``memoryview``), which lets callers hand it borrowed
   views of larger buffers instead of copies.
 
-Text that is not UTF-8 (for ``char``, not Latin-1) is a
+Text that is not UTF-8 is a
 :class:`~repro.errors.MarshalError` in either direction, on the streams
 and the compiled codecs alike: malformed input from a peer is answered,
 never a ``UnicodeError`` escaping into the simulation.
@@ -154,14 +154,6 @@ class CdrOutputStream:
     def write_boolean(self, value: bool) -> None:
         self._buffer.append(1 if value else 0)
 
-    def write_char(self, value: str) -> None:
-        if len(value) != 1:
-            raise MarshalError(f"char must be a single character: {value!r}")
-        try:
-            self._buffer.extend(value.encode("latin-1"))
-        except UnicodeEncodeError:
-            raise MarshalError(f"char {value!r} is not Latin-1") from None
-
     def _write_numeric(self, kind: str, value) -> None:
         self.align(_ALIGNMENT[kind])
         codec = _CODECS[kind, self.little_endian]
@@ -223,17 +215,6 @@ class CdrOutputStream:
             )
         self._buffer[offset:end] = value
 
-    def write_encapsulation(self, build_fn) -> None:
-        """Write a CDR encapsulation produced by ``build_fn(inner_stream)``.
-
-        Encapsulations are octet sequences whose first octet records the
-        byte order of the interior; alignment restarts at offset zero.
-        """
-        inner = CdrOutputStream(little_endian=self.little_endian)
-        inner.write_boolean(self.little_endian)
-        build_fn(inner)
-        self.write_octets(inner.getvalue())
-
 
 class CdrInputStream:
     """Cursor-based CDR decoder over any immutable bytes-like buffer.
@@ -287,9 +268,6 @@ class CdrInputStream:
 
     def read_boolean(self) -> bool:
         return self.read_octet() != 0
-
-    def read_char(self) -> str:
-        return self._take(1).decode("latin-1")
 
     def _read_numeric(self, kind: str):
         self.align(_ALIGNMENT[kind])
@@ -353,16 +331,6 @@ class CdrInputStream:
                 f"have {self._len}"
             )
         self._pos += count
-
-    def read_encapsulation(self) -> "CdrInputStream":
-        """Read an octet-sequence encapsulation; returns an inner stream
-        positioned after its endianness octet."""
-        raw = self.read_octets()
-        if not raw:
-            raise MarshalError("empty CDR encapsulation")
-        inner = CdrInputStream(raw)
-        inner.little_endian = inner.read_boolean()
-        return inner
 
 
 def encapsulate(build_fn, little_endian: bool = False) -> bytes:

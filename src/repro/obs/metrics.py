@@ -1,12 +1,18 @@
 """Typed metrics: counters, gauges, and streaming histograms.
 
-The registry is the reproduction's single source of quantitative truth.
+The registry is the world-wide view of the reproduction's numbers.
 Every component of a :class:`~repro.sim.world.World` shares one
 :class:`MetricsRegistry` (reachable as ``world.metrics`` and, from any
 :class:`~repro.sim.host.Process`, via the ``metrics`` property), so a
 scenario's behaviour — request latency distributions, token rotations,
 duplicate suppressions, recovery durations — can be read off after the
-run instead of being re-derived from ad-hoc ``stats`` dicts.
+run in one place.
+
+The gateway, Totem member, Replication Mechanisms and fault detector
+count in their own ``stats`` dicts, summed into world counters by
+:meth:`MetricsRegistry.register_stats`; the scheduler and network export
+int attributes through :meth:`MetricsRegistry.counter_fn`.  Such
+counters reject ``inc()``: each event is counted once, at its source.
 
 Two clocks coexist:
 
@@ -30,7 +36,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from ..errors import ConfigurationError
 from .hostclock import wall_clock as _host_wall_clock
@@ -130,8 +138,24 @@ class CallbackCounter(Counter):
 
     def inc(self, amount: int = 1) -> None:
         raise ConfigurationError(
-            f"counter {self.name} is callback-backed; increment the "
-            "owning component's attribute instead")
+            f"counter {self.name} is callback-backed; count in the "
+            "owning component instead")
+
+
+class SummedCounter(CallbackCounter):
+    """One ``stats`` key summed over every dict ever registered for it,
+    those of components a host restart replaced included, so the sum
+    is monotone (see :meth:`MetricsRegistry.register_stats`)."""
+
+    def __init__(self, name: str, key: str) -> None:
+        Metric.__init__(self, name)
+        self.key = key
+        self._get = itemgetter(key)
+        self.dicts: List[Dict[str, int]] = []
+
+    @property
+    def value(self) -> int:  # type: ignore[override]
+        return sum(map(self._get, self.dicts))
 
 
 def _bucket_boundaries(base: float, growth: float, top: float) -> List[float]:
@@ -304,6 +328,24 @@ class MetricsRegistry:
                                  wall=wall)
         self._metrics[name] = metric
         return metric
+
+    def register_stats(self, stats: Dict[str, int],
+                       table: Mapping[str, Optional[str]]) -> None:
+        """Add ``stats`` to the sums its table names: ``table`` maps each
+        key to the world counter summing it (None keeps the key local).
+        Summing a name under two keys, or over another metric, raises."""
+        for key, name in table.items():
+            if name is None:
+                continue
+            metric = self._metrics.get(name)
+            if metric is None:
+                metric = SummedCounter(_validate_name(name), key)
+                self._metrics[name] = metric
+            if not isinstance(metric, SummedCounter) or metric.key != key:
+                raise ConfigurationError(
+                    f"metric {name!r} is already registered; it cannot "
+                    f"also sum stats key {key!r}")
+            metric.dicts.append(stats)
 
     def gauge(self, name: str, unit: str = "", wall: bool = False) -> Gauge:
         return self._intern(Gauge, name, unit, wall)  # type: ignore[return-value]

@@ -1,10 +1,10 @@
 """Event tracing for simulations.
 
-A :class:`Tracer` collects structured trace records that tests, examples
-and benchmarks can query afterwards ("how many duplicate responses did
-the gateway suppress?", "when did the ring reform?").  Tracing is cheap:
-records are plain tuples appended to a list, and categories can be
-filtered at emit time.
+A :class:`Tracer` keeps structured trace records that tests and
+examples can query afterwards ("when did the ring reform?").  Tracing
+is cheap: records are plain tuples appended to a list, and categories
+can be filtered at emit time.  It counts nothing: event counts are the
+components' ``stats`` and their sums in :class:`~repro.obs.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -22,21 +22,12 @@ class TraceRecord(NamedTuple):
 
 
 class Tracer:
-    """Append-only trace log with category filtering and counters.
+    """Append-only trace log with category filtering.
 
-    The contract, relied on by tests and by the metrics layer:
-
-    * **Counters always count.**  Every ``emit`` bumps the category
-      counter, regardless of ``enabled`` and of any category filter, so
-      ``count()`` is a complete census of emitted events and stays
-      comparable with :class:`~repro.obs.MetricsRegistry` counters.
-    * **Records obey both switches.**  A record is retained only when
-      the tracer is ``enabled`` *and* the category passes the filter
-      (no filter means all categories pass).
-    * **The cap bounds records, never counts.**  With ``max_records``
-      set, ``records`` is a ring buffer keeping only the most recent
-      ``max_records`` entries (soak runs stay bounded), while the
-      category counters keep counting every emit.
+    A record is retained only when the tracer is ``enabled`` *and* the
+    category passes the filter (no filter means all categories pass).
+    With ``max_records`` set, ``records`` is a ring buffer keeping only
+    the most recent ``max_records`` entries (soak runs stay bounded).
     """
 
     def __init__(self, enabled: bool = True,
@@ -52,7 +43,6 @@ class Tracer:
         # the uncapped default keeps the historical type.
         self.records = (deque(maxlen=max_records) if max_records is not None
                         else [])
-        self.counters: Dict[str, int] = {}
 
     def emit(
         self,
@@ -62,21 +52,13 @@ class Tracer:
         message: str,
         **data: Any,
     ) -> None:
-        """Record one trace event.
-
-        The category counter is bumped unconditionally; the record is
-        kept only when ``enabled`` and the category passes the filter
-        (see the class docstring for the full contract)."""
-        self.counters[category] = self.counters.get(category, 0) + 1
+        """Record one trace event (kept only when ``enabled`` and the
+        category passes the filter)."""
         if not self.enabled:
             return
         if self._allowed is not None and category not in self._allowed:
             return
         self.records.append(TraceRecord(time, category, source, message, data))
-
-    def count(self, category: str) -> int:
-        """Total events emitted in ``category`` (counted even if filtered)."""
-        return self.counters.get(category, 0)
 
     def select(self, category: str) -> List[TraceRecord]:
         """All retained records in ``category``, in emission order."""
@@ -84,7 +66,6 @@ class Tracer:
 
     def clear(self) -> None:
         self.records.clear()
-        self.counters.clear()
 
     def dump(self, limit: Optional[int] = None) -> str:
         """Human-readable rendering of the trace (most recent last).

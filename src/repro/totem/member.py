@@ -76,6 +76,26 @@ from .transport import TotemTransport
 #: holds ceil(quota / FRAMES_PER_VISIT) messages, so one at the default
 #: quota (docs/PROTOCOL.md section 5.2 says why the default must not pack).
 FRAMES_PER_VISIT = 16
+#: Wait before re-gathering when excluded from a new ring (simulated s).
+REJOIN_BACKOFF = 0.005
+
+# ``TotemMember.stats`` key -> the world counter that sums it over every
+# ring member.
+_STATS = {
+    "delivered": "totem.msg.delivered",
+    "sent": "totem.msg.sent",
+    "withdrawn": "totem.msg.withdrawn",
+    "token_passes": "totem.token.passes",
+    "rotations": "totem.token.rotation",
+    "reformations": "totem.ring.reformations",
+    "retransmits": "totem.retransmit.count",
+    "gaps_skipped": "totem.gap.skipped",
+    "token_losses": "totem.token.loss",
+    "parks": "totem.token.parked",
+    "tokens_wanted": "totem.token.wanted",
+    "handoffs": "totem.token.handoffs",
+    "keepalives": "totem.token.keepalives",
+}
 
 DeliverFn = Callable[[int, str, Any], None]
 MembershipFn = Callable[[Tuple[str, ...], RingId], None]
@@ -88,7 +108,6 @@ class TotemConfig:
     token_hold: float = 0.0002          # processing delay before forwarding
     token_loss_timeout: float = 0.025   # silence before declaring token lost
     gather_timeout: float = 0.010       # join-collection window
-    rejoin_backoff: float = 0.005       # wait before re-gathering when excluded
     max_messages_per_token: int = 16    # flow control: sends per token visit
     gap_give_up_rotations: int = 8      # rotations before skipping a dead gap
 
@@ -174,28 +193,10 @@ class TotemMember(Process):
             CommitMessage: self._on_commit,
         }
 
-        # Statistics.
-        # reprolint: disable=AUD001 -- fixed key set, bounded by construction
-        self.stats = {
-            "delivered": 0, "sent": 0, "token_passes": 0,
-            "reformations": 0, "retransmits": 0, "gaps_skipped": 0,
-        }
-
-        # World-shared metrics, aggregated across all ring members.
+        # Statistics, summed world-wide by the registry.
+        self.stats = dict.fromkeys(_STATS, 0)
         m = self.metrics
-        self._m_delivered = m.counter("totem.msg.delivered")
-        self._m_sent = m.counter("totem.msg.sent")
-        self._m_withdrawn = m.counter("totem.msg.withdrawn")
-        self._m_token_passes = m.counter("totem.token.passes")
-        self._m_rotations = m.counter("totem.token.rotation")
-        self._m_retransmits = m.counter("totem.retransmit.count")
-        self._m_gaps = m.counter("totem.gap.skipped")
-        self._m_reformations = m.counter("totem.ring.reformations")
-        self._m_token_loss = m.counter("totem.token.loss")
-        self._m_parked = m.counter("totem.token.parked")
-        self._m_wanted = m.counter("totem.token.wanted")
-        self._m_handoffs = m.counter("totem.token.handoffs")
-        self._m_keepalives = m.counter("totem.token.keepalives")
+        m.register_stats(self.stats, _STATS)
         self._m_parked_time = m.histogram("totem.token.parked_time", unit="s")
         self._m_detect_latency = m.histogram("fault.detection.latency", unit="s")
 
@@ -270,7 +271,7 @@ class TotemMember(Process):
         elif self._park_at is not None:
             # Ask once: the answer is a token visit, which renews _park_at.
             target, self._park_at = self._park_at, None
-            self._m_wanted.value += 1
+            self.stats["tokens_wanted"] += 1
             self.transport.unicast(
                 self, target, TokenWanted(self.name, self.ring_id), size=24)
         return entry
@@ -286,7 +287,7 @@ class TotemMember(Process):
         if not entry.queued:
             return False
         entry.queued = False
-        self._m_withdrawn.value += 1
+        self.stats["withdrawn"] += 1
         return True
 
     @property
@@ -357,7 +358,6 @@ class TotemMember(Process):
             self.my_aru = seq
             self._gap_age.pop(seq, None)
             self.stats["delivered"] += 1
-            self._m_delivered.value += 1
             for fn in self._deliver_listeners:
                 fn(seq, msg.sender, msg.payload)
             if self._safe_listeners:
@@ -374,7 +374,6 @@ class TotemMember(Process):
         if self.state != TotemMember.OPERATIONAL or token.ring_id != self.ring_id:
             return
         self.stats["token_passes"] += 1
-        self._m_token_passes.value += 1
         # Operational, so the loss timer is pending: move it in place.
         loss = self._loss_timer
         assert loss is not None
@@ -392,7 +391,6 @@ class TotemMember(Process):
                 if stored is not None:
                     token.rtr.discard(seq)
                     self.stats["retransmits"] += 1
-                    self._m_retransmits.value += 1
                     self.tracer.emit(self.scheduler.now, "totem.retransmit",
                                      self.name, f"retransmitting seq {seq}")
                     frame.append(stored)
@@ -423,7 +421,6 @@ class TotemMember(Process):
                 frame.append(RegularMessage(self.ring_id, token.seq, self.name,
                                             entry.payload, entry.size))
                 self.stats["sent"] += 1
-                self._m_sent.value += 1
                 quota -= 1
         if frame:
             per_frame = -(-self.config.max_messages_per_token
@@ -439,7 +436,7 @@ class TotemMember(Process):
             token.aru_candidate = my_aru
         if self._index == 0:
             token.rotation += 1
-            self._m_rotations.value += 1
+            self.stats["rotations"] += 1
             if token.aru_candidate > token.aru:
                 token.aru = token.aru_candidate
             token.aru_candidate = my_aru
@@ -507,7 +504,7 @@ class TotemMember(Process):
         timer."""
         self._parked = token
         self._parked_since = self.scheduler.now
-        self._m_parked.value += 1
+        self.stats["parks"] += 1
         fl = self.flight
         if fl.enabled and token.seq != self._parked_seq:
             # Coming back from a keep-alive rotation is not news.
@@ -531,7 +528,7 @@ class TotemMember(Process):
         return token
 
     def _on_keepalive(self) -> None:
-        self._m_keepalives.value += 1
+        self.stats["keepalives"] += 1
         token = self._unpark("keepalive")
         token.idle = 0   # a full rotation, then park again
         self._forward_token(token)
@@ -558,7 +555,7 @@ class TotemMember(Process):
                      key=lambda name: (position(name) - self._index) % size)
         self._wanted.clear()
         token.idle = 0
-        self._m_handoffs.value += 1
+        self.stats["handoffs"] += 1
         self.transport.unicast(self, target, token, size=32)
 
     def _current_gaps(self, highest: int) -> List[int]:
@@ -573,7 +570,6 @@ class TotemMember(Process):
         if seq != self.delivered_up_to + 1:
             return  # only skip at the delivery frontier
         self.stats["gaps_skipped"] += 1
-        self._m_gaps.value += 1
         self._gap_age.pop(seq, None)
         self.tracer.emit(self.scheduler.now, "totem.gap_skipped", self.name,
                          f"skipping unrecoverable seq {seq}")
@@ -608,7 +604,7 @@ class TotemMember(Process):
     def _on_token_loss(self) -> None:
         if self.state != TotemMember.OPERATIONAL:
             return
-        self._m_token_loss.value += 1
+        self.stats["token_losses"] += 1
         self.tracer.emit(self.scheduler.now, "totem.token_loss", self.name,
                          "token loss timeout")
         fl = self.flight
@@ -711,7 +707,7 @@ class TotemMember(Process):
             # Wait for the leader's commit; if it never comes (leader
             # died during gather), the retry timer re-enters gather.
             self._gather_timer = self.after(
-                self.config.gather_timeout + self.config.rejoin_backoff,
+                self.config.gather_timeout + REJOIN_BACKOFF,
                 self._commit_wait_expired)
             return
         ring_id: RingId = (self._max_ring_gen + 1, leader)
@@ -733,7 +729,7 @@ class TotemMember(Process):
         if self.name not in commit.members:
             # Excluded (our join raced the gather): try again shortly.
             if self.state == TotemMember.GATHER:
-                self.after(self.config.rejoin_backoff, self._rejoin)
+                self.after(REJOIN_BACKOFF, self._rejoin)
             return
         if commit.start_seq < self._highest_seen():
             # The leader never saw our join information; installing would
@@ -762,7 +758,6 @@ class TotemMember(Process):
         self._max_ring_gen = commit.ring_id[0]
         self._gap_age.clear()
         self.stats["reformations"] += 1
-        self._m_reformations.value += 1
         self.tracer.emit(self.scheduler.now, "totem.install", self.name,
                          f"ring {commit.ring_id} installed",
                          members=list(commit.members),

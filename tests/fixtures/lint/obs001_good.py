@@ -2,6 +2,8 @@
 """OBS001 good fixture: catalogued names, wildcard families, and
 dynamic (non-literal) names, which the rule skips."""
 
+_STATS = {"requests_received": "gateway.req.received", "local": None}
+
 
 def record(metrics, spans, trace_id, action):
     metrics.counter("gateway.req.received").inc()
@@ -17,3 +19,7 @@ def record_series(series, flight, histogram, name):
     histogram.observe(0.25)        # float arg: not a series name
     series.observe(name, 1.0)      # dynamic name: out of scope
     flight.record("shutdown")      # undotted kind: not checked
+
+
+def register(metrics, stats):
+    metrics.register_stats(stats, _STATS)

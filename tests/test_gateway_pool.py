@@ -215,7 +215,7 @@ def test_pool_state_is_audit_registered(world):
     snapshot = world.metrics.snapshot()
     assert snapshot["pool.state.gateways"]["value"] == 2
     assert snapshot["pool.state.breakers"]["value"] == 2
-    ring_size = 2 * pool.virtual_nodes
+    ring_size = 2 * gateway_pool.VIRTUAL_NODES
     assert snapshot["pool.state.ring"]["value"] == ring_size
     assert snapshot["pool.state.ring_walks"]["value"] == ring_size
     assert 0 < snapshot["pool.state.iors"]["value"] <= ring_size
@@ -248,7 +248,7 @@ def reference_walk(pool, key):
     the oracle."""
     ring = sorted(
         (gateway_pool.ring_hash(f"{gw.host.name}#{v}"), gw.host.name, gw)
-        for gw in pool.gateways for v in range(pool.virtual_nodes))
+        for gw in pool.gateways for v in range(gateway_pool.VIRTUAL_NODES))
     point = gateway_pool.ring_hash(key)
     start = 0
     for i, (node_point, _, _) in enumerate(ring):

@@ -103,14 +103,14 @@ def test_underflow_raises():
 def test_encapsulation_restarts_alignment():
     out = CdrOutputStream()
     out.write_octet(9)  # misalign the outer stream
-
-    def build(inner):
-        inner.write_ulong(42)
-
-    out.write_encapsulation(build)
+    data = encapsulate(lambda inner: inner.write_ulong(42))
+    # Endianness octet, then the ulong aligned from the encapsulation's
+    # own start, not from the outer stream's.
+    assert data == b"\x00\x00\x00\x00\x00\x00\x00\x2a"
+    out.write_octets(data)
     stream = CdrInputStream(out.getvalue())
     assert stream.read_octet() == 9
-    inner = stream.read_encapsulation()
+    inner = decapsulate(stream.read_octets())
     assert inner.read_ulong() == 42
 
 

@@ -97,21 +97,19 @@ def test_gateway_response_cache_is_bounded(world, monkeypatch):
 
 
 def test_nested_encapsulation_roundtrip():
-    from repro.iiop import CdrInputStream, CdrOutputStream
-    out = CdrOutputStream()
-
-    def inner_inner(stream):
-        stream.write_string("deep")
+    from repro.iiop import (CdrInputStream, CdrOutputStream, decapsulate,
+                            encapsulate)
 
     def inner(stream):
         stream.write_ulong(1)
-        stream.write_encapsulation(inner_inner)
+        stream.write_octets(encapsulate(lambda s: s.write_string("deep")))
 
-    out.write_encapsulation(inner)
+    out = CdrOutputStream()
+    out.write_octets(encapsulate(inner))
     stream = CdrInputStream(out.getvalue())
-    level1 = stream.read_encapsulation()
+    level1 = decapsulate(stream.read_octets())
     assert level1.read_ulong() == 1
-    level2 = level1.read_encapsulation()
+    level2 = decapsulate(level1.read_octets())
     assert level2.read_string() == "deep"
 
 

@@ -195,21 +195,18 @@ def test_fault_injector_partition_window():
     assert world.network.can_communicate("a", "b")
 
 
-def test_tracer_counts_and_filters():
+def test_tracer_filters_categories():
     tracer = Tracer(enabled=True, categories={"keep"})
     tracer.emit(0.0, "keep", "src", "kept message", detail=1)
     tracer.emit(0.0, "drop", "src", "filtered message")
-    assert tracer.count("keep") == 1
-    assert tracer.count("drop") == 1     # counted even when filtered
-    assert len(tracer.records) == 1      # but not retained
+    assert len(tracer.records) == 1      # the filtered one is not retained
     assert tracer.select("keep")[0].message == "kept message"
     assert "kept message" in tracer.dump()
 
 
-def test_tracer_disabled_still_counts():
+def test_tracer_disabled_keeps_no_records():
     tracer = Tracer(enabled=False)
     tracer.emit(0.0, "cat", "src", "m")
-    assert tracer.count("cat") == 1
     assert tracer.records == []
 
 

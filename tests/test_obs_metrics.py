@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import World
 from repro.errors import ConfigurationError
 from repro.obs import (
     Counter,
@@ -18,6 +19,7 @@ from repro.obs import (
     render_text,
     to_json,
 )
+from tests.helpers import external_client, make_domain, ready_counter_group
 
 
 # ----------------------------------------------------------------------
@@ -85,6 +87,70 @@ def test_registry_value_convenience():
     registry.histogram("h.h").observe(1.0)
     with pytest.raises(ConfigurationError):
         registry.value("h.h")
+
+
+# ----------------------------------------------------------------------
+# Summed stats counters
+# ----------------------------------------------------------------------
+
+def test_summed_counter_adds_every_registered_dict():
+    registry = MetricsRegistry()
+    table = {"sent": "t.msg.sent", "local": None}
+    first, second = dict.fromkeys(table, 0), dict.fromkeys(table, 0)
+    registry.register_stats(first, table)
+    registry.register_stats(second, table)
+    first["sent"] += 2
+    second["sent"] += 3
+    second["local"] += 7
+    assert registry.value("t.msg.sent") == 5
+    assert registry.names() == ["t.msg.sent"]
+    assert registry.snapshot()["t.msg.sent"] == {
+        "type": "counter", "unit": "", "value": 5}
+
+
+def test_summed_counter_rejects_a_second_key_and_a_writable_twin():
+    registry = MetricsRegistry()
+    registry.register_stats({"sent": 0}, {"sent": "t.msg.sent"})
+    with pytest.raises(ConfigurationError, match="stats key 'out'"):
+        registry.register_stats({"out": 0}, {"out": "t.msg.sent"})
+    registry.counter("t.plain").inc()
+    with pytest.raises(ConfigurationError, match="already registered"):
+        registry.register_stats({"n": 0}, {"n": "t.plain"})
+
+
+def test_world_counters_reject_inc():
+    world = World(seed=3)
+    make_domain(world, gateways=1)
+    with pytest.raises(ConfigurationError):
+        world.metrics.counter("gateway.req.received").inc()
+
+
+def test_world_counters_keep_the_counts_of_replaced_components():
+    """A restarted processor gets a fresh Totem member and RM; the world
+    counters still include what the replaced ones counted."""
+    world = World(seed=3)
+    domain = make_domain(world, gateways=1)
+    group = ready_counter_group(domain)
+    _, stub, _ = external_client(world, domain, group)
+    assert world.await_promise(stub.call("increment", 1), timeout=60) == 1
+    victim = group.info().placement[0]
+    old_member, old_rm = domain.members[victim], domain.rms[victim]
+    world.faults.crash_now(victim)
+    world.run(until=world.now + 2.5)
+    world.faults.recover_now(victim)
+    domain.restart_host(victim)
+    domain.await_stable(timeout=60)
+    assert world.await_promise(stub.call("increment", 1), timeout=60) == 2
+    assert domain.members[victim] is not old_member
+    assert old_member.stats["delivered"] > 0
+    assert old_rm.stats["invocations_executed"] > 0
+    for name, key, old, live in (
+            ("totem.msg.delivered", "delivered", old_member,
+             domain.members.values()),
+            ("eternal.invocations.executed", "invocations_executed",
+             old_rm, domain.rms.values())):
+        assert world.metrics.value(name) == \
+            old.stats[key] + sum(c.stats[key] for c in live)
 
 
 # ----------------------------------------------------------------------

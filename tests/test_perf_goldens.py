@@ -60,22 +60,15 @@ from repro.sim.network import Network
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-# Host-effort counters of the hot-path overhaul and the lifecycle
-# counters of the gateway retention layer: excluded from byte-for-byte
-# comparison (the name dates from when the goldens predated them).
-# Everything else must match.
+# Host-effort counters of the hot-path overhaul: excluded from
+# byte-for-byte comparison (the name dates from when the goldens
+# predated them).  Everything else must match.
 NEW_COUNTERS = {
     "sched.timers.rescheduled",
     "sched.queue.compactions",
     "sched.post.batched",
     "totem.broadcast.batched_deliveries",
     "giop.bytes.zero_copy",
-    # State-lifecycle hardening (gateway retention layer).
-    "gateway.req.cancelled",
-    "gateway.reap.cancelled",
-    "gateway.oneway.completed",
-    "gateway.reap.oneway",
-    "gateway.clients.gone_deferred",
 }
 
 # Causal tracing (repro.obs.tracing): created lazily on the first span,

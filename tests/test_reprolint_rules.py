@@ -68,6 +68,7 @@ def test_bad_fixtures_flag_every_offending_construct():
     assert any("series.not.in.catalogue" in m for m in flagged)
     assert any("series.also.uncatalogued" in m for m in flagged)
     assert any("flight.mystery.kind" in m for m in flagged)
+    assert any("table.not.in.catalogue" in m for m in flagged)
     aud1 = lint_fixture("aud001_bad.py")
     flagged = {v.message for v in aud1.violations if v.code == "AUD001"}
     assert any("_forgotten" in m for m in flagged)

@@ -68,10 +68,8 @@ def test_lossy_broadcast_gap_repaired_by_retransmission(world):
     assert delivered["t0"] == delivered["t1"] == delivered["t2"]
     retransmits = sum(m.stats["retransmits"] for m in members)
     assert retransmits >= 1
-    # The world registry, the tracer category, and the per-member stats
-    # all count the same retransmission events.
+    # The world counter is the sum of the members' stats.
     assert world.metrics.value("totem.retransmit.count") == retransmits
-    assert world.tracer.count("totem.retransmit") == retransmits
 
 
 def test_a_lost_frame_is_as_many_gaps_repaired_by_one_frame(world):
@@ -124,8 +122,6 @@ def test_unrecoverable_gap_is_skipped_after_bounded_rotations(world):
         lambda: "after-the-gap" in delivered["t0"], timeout=60.0)
     assert member.stats["gaps_skipped"] == 1
     assert world.metrics.value("totem.gap.skipped") == 1
-    assert world.metrics.value("totem.gap.skipped") == \
-        world.tracer.count("totem.gap_skipped")
 
 
 def test_retransmitted_duplicates_are_ignored(world):
