@@ -182,11 +182,14 @@ _CATALOGUE_TOKEN_RE = re.compile(
 
 def load_catalogue(doc_path: pathlib.Path) -> Tuple[Set[str], Tuple[str, ...]]:
     """Extract backticked metric/span names (and ``x.*`` wildcard
-    prefixes) from the observability catalogue document."""
+    prefixes) from the first cell of the observability catalogue's
+    table rows; a name mentioned in prose catalogues nothing."""
     names: Set[str] = set()
     prefixes: List[str] = []
     text = doc_path.read_text(encoding="utf-8")
-    for match in _CATALOGUE_TOKEN_RE.finditer(text):
+    first_cells = [line.split("|")[1] for line in text.splitlines()
+                   if line.startswith("|")]
+    for match in _CATALOGUE_TOKEN_RE.finditer("\n".join(first_cells)):
         token = match.group("name")
         if token.endswith(".*"):
             prefixes.append(token[:-1])  # keep the trailing dot

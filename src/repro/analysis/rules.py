@@ -407,8 +407,7 @@ class SimDisciplineRule(LintRule):
 # OBS001 — uncatalogued metric / span names
 # ----------------------------------------------------------------------
 
-_METRIC_FACTORIES = frozenset({"counter", "gauge", "histogram", "timer",
-                               "span"})
+_METRIC_FACTORIES = frozenset({"counter_fn", "gauge", "histogram"})
 _SPAN_EMITTERS = frozenset({"start", "instant"})
 # Time-series emitters (SeriesRegistry.observe/.sample/.series) and the
 # flight recorder (FlightRecorder.record): the first argument is the
@@ -424,8 +423,8 @@ class CatalogueRule(LintRule):
 
     The catalogue is the contract dashboards and tests are written
     against; an undocumented series is invisible operational surface.
-    Checked emitters: ``MetricsRegistry.counter/gauge/histogram/
-    timer/span`` first arguments, ``AuditScope.register(gauge=...)``
+    Checked emitters: ``MetricsRegistry.counter_fn/gauge/histogram``
+    first arguments, ``AuditScope.register(gauge=...)``
     names, ``TraceCollector.start/instant`` span names,
     ``SeriesRegistry.observe/sample/series`` time-series names, and
     ``FlightRecorder.record`` event kinds (both only when the literal

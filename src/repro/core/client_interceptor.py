@@ -43,6 +43,17 @@ from ..orb.orb import Orb, Requester, Stub
 from ..sim.world import Promise
 
 
+# ``FtRequester.stats`` key -> the world counter summing it over
+# requesters (None: per requester only).
+_STATS = {
+    "sent": None,
+    "reissued": None,
+    "failovers": "client.failover.count",
+    "standby_promotions": "client.failover.standby",
+    "standby_refused": "client.standby.refused",
+}
+
+
 @dataclass
 class _PendingInvocation:
     encoded: bytes
@@ -70,11 +81,12 @@ class FtRequester(Requester):
         self.standby: Optional[Tuple[int, IiopClientConnection]] = None
         self._failover_scheduled = False
         self._failovers_since_reply = 0
-        self.stats = {"sent": 0, "reissued": 0, "failovers": 0,
-                      "standby_promotions": 0}
+        self.stats = dict.fromkeys(_STATS, 0)
+        self.orb.metrics.register_stats(self.stats, _STATS)
         # Open client.request root spans, keyed by request id (causal
         # tracing; empty unless the world's collector is enabled).
         self._trace_roots: Dict[int, int] = {}
+        self.orb.pending_tables.append(self.pending)
 
     # ------------------------------------------------------------------
     # Requester interface
@@ -123,6 +135,16 @@ class FtRequester(Requester):
         self.pending[request.request_id] = _PendingInvocation(
             encoded=encoded, op=op, promise=promise)
         self._transmit(request.request_id)
+
+    def abandon(self, stub: Stub, request_id: int) -> None:
+        """A deadline expired: drop the request, so no failover reissues
+        a call its caller was told had failed."""
+        entry = self.pending.pop(request_id, None)
+        if entry is not None:
+            self.orb.spans.end(self._trace_roots.pop(request_id, 0),
+                               op=entry.op.name, error="NoResponse")
+        if self.connection is not None:
+            self.connection.abandon(request_id)
 
     # ------------------------------------------------------------------
     # Binding: the active connection and its warm standby
@@ -180,7 +202,7 @@ class FtRequester(Requester):
             self._schedule_failover()
         elif self.standby is not None and connection is self.standby[1]:
             if connection.endpoint is None:
-                self.orb.metrics.counter("client.standby.refused").inc()
+                self.stats["standby_refused"] += 1
             self._open_standby(self.standby[0] + 1)
 
     # ------------------------------------------------------------------
@@ -268,12 +290,8 @@ class FtRequester(Requester):
             self._transmit(request_id)
 
     def _record_failover(self, origin: Tuple[str, int], path: str) -> None:
-        """The client's side of a failover: world counters, one flight
-        record, and one instant under every reissued request's root."""
-        metrics = self.orb.metrics
-        metrics.counter("client.failover.count").inc()
-        if path == "standby":
-            metrics.counter("client.failover.standby").inc()
+        """The client's side of a failover: one flight record, and one
+        instant under every reissued request's root."""
         hop = {"from": "%s:%d" % origin, "to": "%s:%d" % self.current_address}
         self.orb.flight.record("flight.failover", client=self.layer.client_uid,
                                path=path, pending=len(self.pending), **hop)

@@ -84,8 +84,7 @@ DRAIN_GRACE = 0.25
 DRAIN_POLL = 0.01
 
 # ``Gateway.stats`` key -> the world counter summing it over gateways
-# (None: per gateway only; the last two also count into a counter their
-# call sites create on first use).  Responses partition: received ==
+# (None: per gateway only).  Responses partition: received ==
 # suppressed + unexpected + vote_pending + delivered + unroutable.
 _STATS = {
     "requests_received": "gateway.req.received",
@@ -107,8 +106,8 @@ _STATS = {
     "oneways_reaped": "gateway.reap.oneway",
     "client_gone_deferred": "gateway.clients.gone_deferred",
     "queued_dropped": None,
-    "requests_unservable": None,
-    "votes_relaxed": None,
+    "requests_unservable": "gateway.req.unservable",
+    "votes_relaxed": "gateway.style.vote_relaxed",
 }
 # Summed once the gate is armed, so a farm-free world lacks the series.
 _ADMISSION_STATS = {
@@ -229,9 +228,9 @@ class Gateway(Process):
         # attribute load plus one boolean test.
         self._series = host.network.series
         self._m_req_latency = m.histogram("gateway.req.latency", unit="s")
-        # Registered, never incremented: goes with bench/ledger.py's row in
+        # Always 0, read by bench/ledger.py; goes with that row in
         # the `benchmark` PR (ROADMAP item 1).
-        m.counter("gateway.takeover.forwards")
+        m.counter_fn("gateway.takeover.forwards", int)
 
         self._register_audit()
 
@@ -463,7 +462,6 @@ class Gateway(Process):
         votes = self.rm.votes_needed(info)
         if votes is None and request.response_expected:
             self.stats["requests_unservable"] += 1
-            self.metrics.counter("gateway.req.unservable").inc()
             if container:
                 spans.end(container, outcome="unservable")
             if connection.open:
@@ -813,14 +811,12 @@ class Gateway(Process):
             return
         if outcome == DuplicateSuppressor.DROPPED:
             self.stats["requests_unservable"] += 1
-            self.metrics.counter("gateway.req.unservable").inc()
             # The external request id was recovered into the child
             # sequence of the operation id.
             payload = reply_for_exception(key[2].child_seq, TransientError(
                 f"server group {key[0]} lost all replicas"))
         elif outcome == DuplicateSuppressor.RELAXED:
             self.stats["votes_relaxed"] += 1
-            self.metrics.counter("gateway.style.vote_relaxed").inc()
         else:
             outcome = "delivered"
         spans = self._span_collector

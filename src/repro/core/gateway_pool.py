@@ -55,6 +55,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # Points each gateway holds on the consistent-hash ring.
 VIRTUAL_NODES = 32
 
+# ``GatewayPool.stats`` key -> the world counter summing it over pools.
+# A breaker event ("trip", "probe", "close", "reopen") is its own key.
+_STATS = {
+    "route_owner": "pool.route.owner",
+    "route_reroutes": "pool.route.reroutes",
+    "route_fallback": "pool.route.fallback",
+    "route_unroutable": "pool.route.unroutable",
+    "trip": "pool.breaker.trips",
+    "probe": "pool.breaker.probes",
+    "close": "pool.breaker.closes",
+    "reopen": "pool.breaker.reopens",
+    "locate_forwards": "pool.locate.forwards",
+    "iors_issued": "pool.ior.issued",
+    "shed": "pool.admission.shed",
+    "served": "pool.admission.served",
+}
+
 
 def ring_hash(key: str) -> int:
     """Deterministic ring position for a routing key (CRC32, stable
@@ -187,19 +204,8 @@ class GatewayPool:
         self._breaker_config = (failure_threshold, reset_timeout,
                                 probe_quota, close_after)
 
-        m = domain.world.metrics
-        self._m_route_owner = m.counter("pool.route.owner")
-        self._m_route_reroutes = m.counter("pool.route.reroutes")
-        self._m_route_fallback = m.counter("pool.route.fallback")
-        self._m_route_unroutable = m.counter("pool.route.unroutable")
-        self._m_breaker_trips = m.counter("pool.breaker.trips")
-        self._m_breaker_probes = m.counter("pool.breaker.probes")
-        self._m_breaker_closes = m.counter("pool.breaker.closes")
-        self._m_breaker_reopens = m.counter("pool.breaker.reopens")
-        self._m_locate_forwards = m.counter("pool.locate.forwards")
-        self._m_ior_issued = m.counter("pool.ior.issued")
-        self._m_shed = m.counter("pool.admission.shed")
-        self._m_served = m.counter("pool.admission.served")
+        self.stats = dict.fromkeys(_STATS, 0)
+        domain.world.metrics.register_stats(self.stats, _STATS)
 
         for gateway in list(domain.gateways):
             self.adopt(gateway)
@@ -230,7 +236,7 @@ class GatewayPool:
             reset_timeout=self._breaker_config[1],
             probe_quota=self._breaker_config[2],
             close_after=self._breaker_config[3],
-            listener=lambda event, hn=host_name: self._on_breaker(hn, event))
+            listener=self._on_breaker)
         self._rebuild_ring()
         return gateway
 
@@ -270,12 +276,8 @@ class GatewayPool:
     def breaker(self, gateway: Gateway) -> CircuitBreaker:
         return self._breakers[gateway.host.name]
 
-    def _on_breaker(self, host_name: str, event: str) -> None:
-        counter = {"trip": self._m_breaker_trips,
-                   "probe": self._m_breaker_probes,
-                   "close": self._m_breaker_closes,
-                   "reopen": self._m_breaker_reopens}[event]
-        counter.inc()
+    def _on_breaker(self, event: str) -> None:
+        self.stats[event] += 1
 
     def _available(self, gateway: Gateway) -> bool:
         """Live and admitting: routing skips everything else.  A dead
@@ -288,13 +290,13 @@ class GatewayPool:
 
     def on_shed(self, gateway: Gateway) -> None:
         """Gateway callback: a request was shed (window + queue full)."""
-        self._m_shed.value += 1
+        self.stats["shed"] += 1
         self._breakers[gateway.host.name].record_failure()
 
     def on_served(self, gateway: Gateway) -> None:
         """Gateway callback: an admitted request resolved (response,
         cancel, or purge) — the success signal that heals breakers."""
-        self._m_served.value += 1
+        self.stats["served"] += 1
         self._breakers[gateway.host.name].record_success()
 
     @staticmethod
@@ -349,7 +351,7 @@ class GatewayPool:
                 selected, rerouted = gateway, i > 0
                 break
         if selected is None:
-            self._m_route_unroutable.value += 1
+            self.stats["route_unroutable"] += 1
             return None
         if self._saturated(selected):
             candidates = [gw for gw in walk
@@ -357,13 +359,13 @@ class GatewayPool:
             least = min(candidates,
                         key=lambda gw: (self._load(gw), gw.host.name))
             if least is not selected:
-                self._m_route_fallback.value += 1
+                self.stats["route_fallback"] += 1
                 self.breaker(least).note_routed()
                 return least
         if rerouted:
-            self._m_route_reroutes.value += 1
+            self.stats["route_reroutes"] += 1
         else:
-            self._m_route_owner.value += 1
+            self.stats["route_owner"] += 1
         self.breaker(selected).note_routed()
         return selected
 
@@ -398,7 +400,7 @@ class GatewayPool:
         after a gateway failure lands on the shard that inherits the
         key range."""
         handle = self.domain.resolve(group)
-        self._m_ior_issued.value += 1
+        self.stats["iors_issued"] += 1
         slot = (handle.group_id, self._ring_position(client_key))
         ior = self._iors.get(slot)
         if ior is None:
@@ -430,7 +432,7 @@ class GatewayPool:
                 interface = self.domain.interfaces.get(info.interface_name)
                 if interface is not None:
                     type_id = interface.repo_id
-            self._m_locate_forwards.value += 1
+            self.stats["locate_forwards"] += 1
             return self.domain.interceptor.published_ior(
                 group_id, type_id,
                 addresses=[(gw.host.name, gw.port) for gw in walk

@@ -38,38 +38,28 @@ class Checkpoint:
 
 
 class GroupLog:
-    """Per-group invocation log plus latest checkpoint.
+    """Per-group invocation log plus latest checkpoint.  The owning
+    Replication Mechanisms count what they ask of it."""
 
-    ``metrics`` is the optional world registry; when supplied, appends
-    and checkpoint installations are counted domain-wide.
-    """
-
-    def __init__(self, group_id: int, metrics: Any = None) -> None:
+    def __init__(self, group_id: int) -> None:
         self.group_id = group_id
         self.invocations: List[DomainMessage] = []
         self.checkpoint: Optional[Checkpoint] = None
-        self._m_appends = (
-            metrics.counter("eternal.log.appends") if metrics is not None else None)
-        self._m_checkpoints = (
-            metrics.counter("eternal.checkpoint.installs") if metrics is not None else None)
 
     def record_invocation(self, message: DomainMessage) -> None:
         """Append a delivered invocation (caller already deduplicated)."""
         self.invocations.append(message)
-        if self._m_appends is not None:
-            self._m_appends.value += 1
 
-    def install_checkpoint(self, state: Dict[str, Any], ts: int) -> None:
+    def install_checkpoint(self, state: Dict[str, Any], ts: int) -> bool:
         """Adopt a checkpoint at least as new as the current one and
-        truncate the covered log prefix.  An older one — a replayed
-        control message, or an operation that completed after a later-
-        ordered one — is refused."""
+        truncate the covered log prefix; says whether it was adopted.
+        An older one — a replayed control message, or an operation that
+        completed after a later-ordered one — is refused."""
         if self.checkpoint is not None and ts < self.checkpoint.ts:
-            return
+            return False
         self.checkpoint = Checkpoint(state=state, ts=ts)
         self.invocations = [m for m in self.invocations if m.timestamp > ts]
-        if self._m_checkpoints is not None:
-            self._m_checkpoints.value += 1
+        return True
 
     def replay_after(self, ts: int) -> List[DomainMessage]:
         """Invocations with delivery timestamp strictly greater than ts."""

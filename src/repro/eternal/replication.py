@@ -86,8 +86,17 @@ _STATS = {
     "state_transfers_received": None,
     "failovers": "fault.failover.count",
     "replays": "fault.recovery.replays",
-    "responses_withheld": None,
-    "style_switches": None,
+    "responses_withheld": "rm.style.responses_withheld",
+    "style_switches": "rm.style.switches",
+    "orders_followed": "rm.style.order.followed",
+    "order_mismatches": "rm.style.order.mismatch",
+    "promotions": "rm.style.promotions",
+    "catchup_replays": "rm.style.catchup_replays",
+    "votes_relaxed": "rm.style.vote_relaxed",
+    "invocations_unservable": "rm.invoke.unservable",
+    "states_carried": "eternal.state.carried",
+    "log_appends": "eternal.log.appends",
+    "checkpoint_installs": "eternal.checkpoint.installs",
 }
 
 
@@ -195,11 +204,6 @@ class ReplicationMechanisms(Process):
         m.register_stats(self.stats, _STATS)
         self._m_transfer_bytes = m.histogram("fault.state_transfer.bytes", unit="B")
         self._m_recovery_duration = m.histogram("fault.recovery.duration", unit="s")
-        # Leader-follower / style-switch counters (`rm.style.*`,
-        # `rm.invoke.unservable`) are looked up by name where they are
-        # incremented, hence created on first use: a world that never
-        # uses the semi-active engine keeps byte-identical metric
-        # snapshots (the same contract the audit gauges honour).
 
         # Exhaustive kind -> handler table for :meth:`_dispatch` (hot
         # path, and the SM001 contract: adding a MsgKind without wiring
@@ -280,11 +284,16 @@ class ReplicationMechanisms(Process):
             self._outbound_copies[message.copy_key()] = entry
 
     def _log_for(self, group_id: int) -> GroupLog:
-        """The group's invocation log, created metrics-wired on demand."""
+        """The group's invocation log, created on demand."""
         log = self.logs.get(group_id)
         if log is None:
-            log = self.logs[group_id] = GroupLog(group_id, metrics=self.metrics)
+            log = self.logs[group_id] = GroupLog(group_id)
         return log
+
+    def _install_checkpoint(self, group_id: int, state: Dict[str, Any],
+                            ts: int) -> None:
+        if self._log_for(group_id).install_checkpoint(state, ts):
+            self.stats["checkpoint_installs"] += 1
 
     def _should_respond(self, info: GroupInfo) -> bool:
         """Does this replica multicast the response it computed?
@@ -305,7 +314,7 @@ class ReplicationMechanisms(Process):
         data: Dict[str, Any] = {"responder": self.host.name}
         if carried:
             data.update(carried)
-            self.metrics.counter("eternal.state.carried").inc()
+            self.stats["states_carried"] += 1
         response = DomainMessage(
             kind=MsgKind.RESPONSE,
             source_group=invocation.target_group,
@@ -425,6 +434,7 @@ class ReplicationMechanisms(Process):
                      or info.primary(self.live_hosts) == self.host.name)
         if style.is_passive:
             self._log_for(msg.target_group).record_invocation(msg)
+            self.stats["log_appends"] += 1
         if not i_execute:
             return  # passive backup: logged only
         self._execute(msg, record, info, request, key)
@@ -539,7 +549,6 @@ class ReplicationMechanisms(Process):
                 # resend every reply the dead leader never delivered.
                 self._lf_unacked.setdefault(info.group_id, {})[key] = original
                 self.stats["responses_withheld"] += 1
-                self.metrics.counter("rm.style.responses_withheld").inc()
         if owed:
             # No reply to ride on (a one-way operation): the checkpoint
             # goes by itself.
@@ -682,7 +691,7 @@ class ReplicationMechanisms(Process):
     def _unservable(self, call: str, group: Any) -> TransientError:
         """Fail fast instead of registering a wait no live replica can
         ever end (see :meth:`votes_needed`): the error to raise."""
-        self.metrics.counter("rm.invoke.unservable").inc()
+        self.stats["invocations_unservable"] += 1
         self.tracer.emit(self.scheduler.now, "eternal.unservable", self.name,
                          f"{call} group {group} with zero live replicas")
         return TransientError(f"group {group} has no live replicas")
@@ -732,12 +741,12 @@ class ReplicationMechanisms(Process):
         replica).  Resolves the ambassador's promise or resumes the
         suspended execution."""
         if payload is None:
-            self.metrics.counter("rm.invoke.unservable").inc()
+            self.stats["invocations_unservable"] += 1
             result: Any = TransientError(
                 f"group {wait_key[0]} lost all replicas")
         else:
             if outcome == DuplicateSuppressor.RELAXED:
-                self.metrics.counter("rm.style.vote_relaxed").inc()
+                self.stats["votes_relaxed"] += 1
             self.stats["responses_delivered"] += 1
             if wait_key[0] == EXTERNAL_GROUP:
                 self._egress.complete(wait_key[1], wait_key[2])
@@ -958,8 +967,8 @@ class ReplicationMechanisms(Process):
         # replica logs *after* the transfer, never the ops whose effects
         # the snapshot already contains.  (The donor's log itself is NOT
         # transferred: every entry predates the cut by construction.)
-        log = self._log_for(group_id)
-        log.install_checkpoint(msg.data["state"], ts=msg.data["cut_ts"])
+        self._install_checkpoint(group_id, msg.data["state"],
+                                 msg.data["cut_ts"])
         record.ready = True
         info = self.registry.get(group_id)
         buffered, record.buffered = record.buffered, []
@@ -995,7 +1004,7 @@ class ReplicationMechanisms(Process):
         if (info.style.loads_backups
                 and info.primary(self.live_hosts) != self.host.name):
             record.servant.set_state(state)
-        self._log_for(group_id).install_checkpoint(state, msg.data["upto_ts"])
+        self._install_checkpoint(group_id, state, msg.data["upto_ts"])
 
     # ==================================================================
     # Leader-follower ordering and runtime style switching
@@ -1027,9 +1036,9 @@ class ReplicationMechanisms(Process):
         wait_key = (msg.target_group, msg.source_group, msg.op_id)
         if (self._response_filter.is_expected(wait_key)
                 or self._response_filter.was_delivered(wait_key)):
-            self.metrics.counter("rm.style.order.followed").inc()
+            self.stats["orders_followed"] += 1
         else:
-            self.metrics.counter("rm.style.order.mismatch").inc()
+            self.stats["order_mismatches"] += 1
 
     def _apply_style_switch(self, msg: DomainMessage) -> None:
         """Apply a runtime replication-style change.
@@ -1055,7 +1064,6 @@ class ReplicationMechanisms(Process):
         if old_style is new_style:
             return  # epoch advanced, engine unchanged
         self.stats["style_switches"] += 1
-        self.metrics.counter("rm.style.switches").inc()
         if self._span_collector.enabled:
             self._span_collector.instant(
                 f"style/{group_id}/{epoch}", "rm.style.switch",
@@ -1074,8 +1082,8 @@ class ReplicationMechanisms(Process):
         if new_style.is_passive and record is not None:
             log = self._log_for(group_id)
             if old_style.executes_everywhere:
-                log.install_checkpoint(record.servant.get_state(),
-                                       ts=msg.timestamp)
+                self._install_checkpoint(group_id, record.servant.get_state(),
+                                         msg.timestamp)
             elif (new_style.loads_backups and backup
                     and log.checkpoint is not None):
                 record.servant.set_state(log.checkpoint.state)
@@ -1090,9 +1098,7 @@ class ReplicationMechanisms(Process):
                 self.tracer.emit(self.scheduler.now, "eternal.style_catchup",
                                  self.name, f"group {group_id}: replayed "
                                  f"{replayed} ops to leave {old_style.value}")
-                if replayed:
-                    self.metrics.counter(
-                        "rm.style.catchup_replays").inc(replayed)
+                self.stats["catchup_replays"] += replayed
             self.logs.pop(group_id, None)
         # (3) Voting dropped: in-flight majority expectations can never
         # fill once only the leader speaks — votes_needed says so from
@@ -1220,7 +1226,7 @@ class ReplicationMechanisms(Process):
         if record is None:
             return
         self.stats["failovers"] += 1
-        self.metrics.counter("rm.style.promotions").inc()
+        self.stats["promotions"] += 1
         seen = self._invocations_seen.get(info.group_id, {})
         resent = 0
         for key, original in list(self._lf_unacked.get(info.group_id,

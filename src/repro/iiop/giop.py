@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import MarshalError
 from .cdr import (
@@ -440,20 +440,19 @@ class GiopFramer:
     pending message is parsed once and cached in ``_need`` rather than
     re-parsed on every subsequent call.
 
-    ``zero_copy_bytes`` counts the bytes delivered straight from fed
-    chunks without passing through the staging buffer; assign an
-    ``repro.obs`` counter to ``counter`` to export it as
+    ``stats["zero_copy_bytes"]`` counts the bytes delivered straight
+    from fed chunks without passing through the staging buffer; an IIOP
+    connection passes its world's GIOP stats, which sum it as
     ``giop.bytes.zero_copy``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Optional[Dict[str, int]] = None) -> None:
         self._buffer = bytearray()
         # Total (header + body) size of the buffered partial message,
         # or None while fewer than 12 bytes are buffered.  Invariant:
         # _need is None  iff  len(_buffer) < GIOP_HEADER_SIZE.
         self._need: Optional[int] = None
-        self.zero_copy_bytes = 0
-        self.counter = None  # optional repro.obs Counter
+        self.stats = {"zero_copy_bytes": 0} if stats is None else stats
 
     def feed(self, data: bytes) -> List[bytes]:
         """Add stream bytes; return every newly completed message."""
@@ -501,9 +500,7 @@ class GiopFramer:
                 _, _, size = parse_header(buf)
                 self._need = GIOP_HEADER_SIZE + size
         if fast_path_bytes:
-            self.zero_copy_bytes += fast_path_bytes
-            if self.counter is not None:
-                self.counter.inc(fast_path_bytes)
+            self.stats["zero_copy_bytes"] += fast_path_bytes
         return messages
 
     @property

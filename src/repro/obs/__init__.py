@@ -13,7 +13,7 @@ from .export import (canonical_json, parse_json, render_prometheus,
 from .flight import FlightRecorder
 from .hostclock import (override_wall_clock, reset_wall_clock,
                         set_wall_clock, wall_clock)
-from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry, Span
+from .metrics import Gauge, Histogram, Metric, MetricsRegistry
 from .series import (Ewma, QuantileSketch, RingBuffer, Series, SeriesRegistry,
                      SlidingRate)
 from .tracing import TraceCollector, TraceSpan
@@ -23,7 +23,6 @@ __all__ = [
     "AuditReport",
     "AuditRow",
     "AuditScope",
-    "Counter",
     "Ewma",
     "FlightRecorder",
     "Gauge",
@@ -35,7 +34,6 @@ __all__ = [
     "Series",
     "SeriesRegistry",
     "SlidingRate",
-    "Span",
     "TraceCollector",
     "TraceSpan",
     "canonical_json",

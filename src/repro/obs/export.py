@@ -1,7 +1,7 @@
 """Metric snapshot exporters: canonical JSON and a human-readable table.
 
 The JSON form is the determinism contract: ``to_json`` serialises a
-registry's simulated-time snapshot with sorted keys and no incidental
+registry's snapshot with sorted keys and no incidental
 whitespace, so two runs of the same seeded scenario produce
 *byte-identical* strings.  ``parse_json`` inverts it exactly
 (``parse_json(to_json(r)) == r.snapshot()``), which is what lets tests
@@ -29,11 +29,11 @@ def canonical_json(document: Any) -> str:
                       allow_nan=False)
 
 
-def to_json(registry: MetricsRegistry, include_wall: bool = False) -> str:
+def to_json(registry: MetricsRegistry) -> str:
     """Canonical JSON rendering of the registry snapshot."""
     return canonical_json({
         "schema": SCHEMA_VERSION,
-        "metrics": registry.snapshot(include_wall=include_wall),
+        "metrics": registry.snapshot(),
     })
 
 
@@ -74,7 +74,6 @@ def _merge_labels(existing: str, extra: str) -> str:
 
 
 def render_prometheus(registry: MetricsRegistry,
-                      include_wall: bool = False,
                       series: Optional["SeriesRegistry"] = None) -> str:
     """Prometheus text-exposition rendering of the registry snapshot.
 
@@ -88,7 +87,7 @@ def render_prometheus(registry: MetricsRegistry,
     with dots replaced by underscores; output is sorted by name, so it
     is byte-stable for seeded runs like the JSON form.
     """
-    snapshot = registry.snapshot(include_wall=include_wall)
+    snapshot = registry.snapshot()
     lines = []
     for name, data in snapshot.items():
         base, brace, label_part = name.partition("{")
@@ -130,9 +129,9 @@ def render_prometheus(registry: MetricsRegistry,
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_text(registry: MetricsRegistry, include_wall: bool = False) -> str:
+def render_text(registry: MetricsRegistry) -> str:
     """Aligned plain-text report, one metric per line, sorted by name."""
-    snapshot = registry.snapshot(include_wall=include_wall)
+    snapshot = registry.snapshot()
     if not snapshot:
         return "(no metrics recorded)"
     width = max(len(name) for name in snapshot)

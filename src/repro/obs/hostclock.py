@@ -1,17 +1,16 @@
 """The one sanctioned wall-clock boundary of the reproduction.
 
 Everything simulated reads the deterministic scheduler clock; the only
-legitimate consumers of *host* time are throughput measurements — wall
-metrics (``wall=True``), benchmarks, and tools.  All of them must go
-through this module, which exists precisely so that ``reprolint``'s
-DET001 rule can forbid ``time.time`` / ``time.perf_counter`` /
-``datetime.now`` everywhere else: a wall-clock read outside this file
-is, by construction, a determinism bug (see docs/STATIC_ANALYSIS.md).
+legitimate consumers of *host* time in ``src/`` are tools, such as the
+``reprolint`` command line timing its own run.  They go through this
+module, which exists precisely so that ``reprolint``'s DET001 rule can
+forbid ``time.time`` / ``time.perf_counter`` / ``datetime.now``
+everywhere else: a wall-clock read outside this file is, by
+construction, a determinism bug (see docs/STATIC_ANALYSIS.md).
 
-The clock is injectable: tests exercise wall-metric code paths against
-a scripted fake clock instead of asserting "some positive float came
-out", and a frozen clock makes even ``include_wall=True`` snapshots
-reproducible.
+The clock is injectable: a test runs a host-timed code path against a
+scripted fake clock instead of asserting "some positive float came
+out".
 """
 
 from __future__ import annotations

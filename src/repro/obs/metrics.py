@@ -8,22 +8,13 @@ scenario's behaviour — request latency distributions, token rotations,
 duplicate suppressions, recovery durations — can be read off after the
 run in one place.
 
-The gateway, Totem member, Replication Mechanisms and fault detector
-count in their own ``stats`` dicts, summed into world counters by
-:meth:`MetricsRegistry.register_stats`; the scheduler and network export
-int attributes through :meth:`MetricsRegistry.counter_fn`.  Such
-counters reject ``inc()``: each event is counted once, at its source.
-
-Two clocks coexist:
-
-* the **simulated** clock (the deterministic ``Scheduler``), which all
-  default metrics read.  Two runs of the same seeded scenario produce
-  *byte-identical* snapshots of these metrics;
-* the **wall clock** (:func:`repro.obs.hostclock.wall_clock`, the
-  repo's single sanctioned host-time boundary), for metrics created
-  with ``wall=True``.  Wall metrics measure simulator throughput, vary
-  from run to run, and are therefore excluded from the default
-  snapshot.
+A counter is read, never written: a component counts in its own
+``stats`` dict, summed into world counters by
+:meth:`MetricsRegistry.register_stats`, and the scheduler and network
+export int attributes through :meth:`MetricsRegistry.counter_fn`.
+Durations are observed in simulated seconds, so a snapshot is a pure
+function of the seeded scenario: two runs produce *byte-identical*
+snapshots.
 
 Metric names are hierarchical, dot-separated, lowercase
 (``gateway.req.latency``, ``totem.token.rotation``, ``giop.bytes.out``)
@@ -35,13 +26,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
 from operator import itemgetter
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .hostclock import wall_clock as _host_wall_clock
 
 ClockFn = Callable[[], float]
 
@@ -59,36 +47,16 @@ def _validate_name(name: str) -> str:
 
 
 class Metric:
-    """Common base: a named, typed, optionally wall-clock metric."""
+    """Common base: a named, typed metric."""
 
     kind = "metric"
 
-    def __init__(self, name: str, unit: str = "", wall: bool = False) -> None:
+    def __init__(self, name: str, unit: str = "") -> None:
         self.name = name
         self.unit = unit
-        self.wall = wall
 
     def snapshot(self) -> Dict[str, Any]:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class Counter(Metric):
-    """Monotonically increasing count of events."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, unit: str = "", wall: bool = False) -> None:
-        super().__init__(name, unit, wall)
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease "
-                             f"(inc by {amount})")
-        self.value += amount
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": self.kind, "unit": self.unit, "value": self.value}
 
 
 class Gauge(Metric):
@@ -96,50 +64,39 @@ class Gauge(Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, unit: str = "", wall: bool = False) -> None:
-        super().__init__(name, unit, wall)
+    def __init__(self, name: str, unit: str = "") -> None:
+        super().__init__(name, unit)
         self.value: float = 0
 
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
     def snapshot(self) -> Dict[str, Any]:
         return {"type": self.kind, "unit": self.unit, "value": self.value}
 
 
-class CallbackCounter(Counter):
+class CallbackCounter(Metric):
     """Counter whose value is read from a callback at snapshot time.
 
-    The lazy-instrumentation seam: hot-path components (the scheduler,
-    the network) keep plain int attributes and export them through one
-    of these, so the fast paths never touch a metric object.  Reads are
-    as cheap as the callback; writes through ``inc`` are rejected —
-    the owning component's attribute is the single source of truth.
+    Components keep plain int attributes (the scheduler, the network)
+    and export them through one of these, so their fast paths never
+    touch a metric object: the owning component is the single source
+    of truth, and the counter has no way to be written.
     """
 
     kind = "counter"
 
-    def __init__(self, name: str, fn: Callable[[], int], unit: str = "",
-                 wall: bool = False) -> None:
-        # Deliberately skip Counter.__init__: it assigns the plain
-        # ``value`` attribute this class replaces with a property.
-        Metric.__init__(self, name, unit, wall)
+    def __init__(self, name: str, fn: Callable[[], int],
+                 unit: str = "") -> None:
+        super().__init__(name, unit)
         self._fn = fn
 
     @property
-    def value(self) -> int:  # type: ignore[override]
+    def value(self) -> int:
         return self._fn()
 
-    def inc(self, amount: int = 1) -> None:
-        raise ConfigurationError(
-            f"counter {self.name} is callback-backed; count in the "
-            "owning component instead")
+    def snapshot(self) -> Dict[str, Any]:
+        return {"type": self.kind, "unit": self.unit, "value": self.value}
 
 
 class SummedCounter(CallbackCounter):
@@ -147,14 +104,14 @@ class SummedCounter(CallbackCounter):
     those of components a host restart replaced included, so the sum
     is monotone (see :meth:`MetricsRegistry.register_stats`)."""
 
-    def __init__(self, name: str, key: str) -> None:
-        Metric.__init__(self, name)
+    def __init__(self, name: str, key: str, unit: str = "") -> None:
+        Metric.__init__(self, name, unit)
         self.key = key
         self._get = itemgetter(key)
         self.dicts: List[Dict[str, int]] = []
 
     @property
-    def value(self) -> int:  # type: ignore[override]
+    def value(self) -> int:
         return sum(map(self._get, self.dicts))
 
 
@@ -186,8 +143,8 @@ class Histogram(Metric):
     GROWTH = 1.15
     _BOUNDS = _bucket_boundaries(BASE, GROWTH, 1e7)
 
-    def __init__(self, name: str, unit: str = "s", wall: bool = False) -> None:
-        super().__init__(name, unit, wall)
+    def __init__(self, name: str, unit: str = "s") -> None:
+        super().__init__(name, unit)
         self.count = 0
         self.sum = 0.0
         self.min: Optional[float] = None
@@ -262,84 +219,68 @@ class Histogram(Metric):
 
 
 class MetricsRegistry:
-    """Hierarchically named metrics sharing one simulated clock.
+    """Hierarchically named metrics of one world.
 
-    ``counter`` / ``gauge`` / ``histogram`` create on first use and
-    return the existing instance afterwards, so call sites never need a
-    registration phase; asking for an existing name with a different
-    type (or a different clock domain) raises, which catches drift
-    between writers early.
+    ``gauge`` / ``histogram`` create on first use and return the
+    existing instance afterwards; asking for an existing name with a
+    different type raises, which catches drift between writers early.
+    Counters are registered, never created on use: see
+    :meth:`counter_fn` and :meth:`register_stats`.
     """
 
-    def __init__(self, clock: Optional[ClockFn] = None,
-                 wall_clock: Optional[ClockFn] = None) -> None:
-        self.clock: ClockFn = clock if clock is not None else (lambda: 0.0)
-        # The default delegates through repro.obs.hostclock on every
-        # read, so a test's override_wall_clock() reaches registries
-        # built before the override was installed.
-        self.wall_clock: ClockFn = (wall_clock if wall_clock is not None
-                                    else _host_wall_clock)
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
     # ------------------------------------------------------------------
     # Creation / lookup
     # ------------------------------------------------------------------
 
-    def _intern(self, cls, name: str, unit: str, wall: bool) -> Metric:
+    def _intern(self, cls, name: str, unit: str) -> Metric:
         existing = self._metrics.get(name)
         if existing is not None:
-            # isinstance, not exact type: a CallbackCounter satisfies a
-            # later counter() lookup (readers don't care how the value
-            # is produced).
-            if not isinstance(existing, cls) or existing.wall != wall:
+            if type(existing) is not cls:
                 raise ConfigurationError(
                     f"metric {name!r} already registered as "
-                    f"{type(existing).kind}(wall={existing.wall}), "
-                    f"requested {cls.kind}(wall={wall})")
+                    f"{existing.kind}, requested {cls.kind}")
             return existing
-        metric = cls(_validate_name(name), unit=unit, wall=wall)
+        metric = cls(_validate_name(name), unit=unit)
         self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, unit: str = "",
-                wall: bool = False) -> Counter:
-        return self._intern(Counter, name, unit, wall)  # type: ignore[return-value]
-
-    def counter_fn(self, name: str, fn: Callable[[], int], unit: str = "",
-                   wall: bool = False) -> CallbackCounter:
+    def counter_fn(self, name: str, fn: Callable[[], int],
+                   unit: str = "") -> CallbackCounter:
         """Register (or re-point) a callback-backed counter.
 
         Re-registering an existing callback counter swaps the callback —
         a rebuilt component (e.g. a fresh scheduler attached to the same
-        registry) takes over the metric.  A name already held by a
-        writable counter raises: silently shadowing recorded increments
-        would corrupt the snapshot.
+        registry) takes over the metric.  A name held by another metric
+        raises.
         """
         existing = self._metrics.get(name)
         if existing is not None:
-            if type(existing) is not CallbackCounter or existing.wall != wall:
+            if type(existing) is not CallbackCounter:
                 raise ConfigurationError(
                     f"metric {name!r} already registered as "
-                    f"{type(existing).kind}(wall={existing.wall}), "
-                    f"requested callback counter(wall={wall})")
+                    f"{existing.kind}, requested a callback counter")
             existing._fn = fn
             return existing
-        metric = CallbackCounter(_validate_name(name), fn, unit=unit,
-                                 wall=wall)
+        metric = CallbackCounter(_validate_name(name), fn, unit=unit)
         self._metrics[name] = metric
         return metric
 
     def register_stats(self, stats: Dict[str, int],
-                       table: Mapping[str, Optional[str]]) -> None:
+                       table: Mapping[str, Optional[str]],
+                       unit: str = "") -> None:
         """Add ``stats`` to the sums its table names: ``table`` maps each
-        key to the world counter summing it (None keeps the key local).
-        Summing a name under two keys, or over another metric, raises."""
+        key to the world counter summing it (None keeps the key local),
+        in ``unit``.  Summing a name under two keys, or over another
+        metric, raises."""
         for key, name in table.items():
             if name is None:
                 continue
             metric = self._metrics.get(name)
             if metric is None:
-                metric = SummedCounter(_validate_name(name), key)
+                metric = SummedCounter(_validate_name(name), key, unit)
                 self._metrics[name] = metric
             if not isinstance(metric, SummedCounter) or metric.key != key:
                 raise ConfigurationError(
@@ -347,12 +288,11 @@ class MetricsRegistry:
                     f"also sum stats key {key!r}")
             metric.dicts.append(stats)
 
-    def gauge(self, name: str, unit: str = "", wall: bool = False) -> Gauge:
-        return self._intern(Gauge, name, unit, wall)  # type: ignore[return-value]
+    def gauge(self, name: str, unit: str = "") -> Gauge:
+        return self._intern(Gauge, name, unit)  # type: ignore[return-value]
 
-    def histogram(self, name: str, unit: str = "s",
-                  wall: bool = False) -> Histogram:
-        return self._intern(Histogram, name, unit, wall)  # type: ignore[return-value]
+    def histogram(self, name: str, unit: str = "s") -> Histogram:
+        return self._intern(Histogram, name, unit)  # type: ignore[return-value]
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -365,71 +305,14 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         if metric is None:
             return 0
-        if isinstance(metric, (Counter, Gauge)):
+        if isinstance(metric, (CallbackCounter, Gauge)):
             return metric.value
         raise ConfigurationError(f"metric {name!r} is a {metric.kind}; "
                                  "read histograms directly")
 
-    # ------------------------------------------------------------------
-    # Timing helpers
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """The registry's simulated time (for manual span arithmetic)."""
-        return self.clock()
-
-    @contextmanager
-    def timer(self, name: str, wall: bool = False) -> Iterator[None]:
-        """Time a block into the histogram ``name`` using the metric's
-        clock domain (simulated by default, wall with ``wall=True``)."""
-        histogram = self.histogram(name, unit="s", wall=wall)
-        clock = self.wall_clock if wall else self.clock
-        start = clock()
-        try:
-            yield
-        finally:
-            histogram.observe(clock() - start)
-
-    def span(self, name: str) -> "Span":
-        """Begin an explicit simulated-time span; ``stop()`` records it.
-
-        For callback-style code where a ``with`` block cannot straddle
-        the scheduler: stash the span, call ``stop()`` from the
-        completion callback."""
-        return Span(self.histogram(name, unit="s"), self.clock)
-
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-
-    def snapshot(self, include_wall: bool = False) -> Dict[str, Dict[str, Any]]:
-        """Plain-dict dump of every metric, sorted by name.
-
-        With the default ``include_wall=False`` the result is a pure
-        function of the simulation (byte-identical across reruns of a
-        seeded scenario); ``include_wall=True`` adds the wall-clock
-        metrics for throughput reports."""
+    def snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """Plain-dict dump of every metric, sorted by name: a pure
+        function of the simulation, byte-identical across reruns of a
+        seeded scenario."""
         return {name: metric.snapshot()
-                for name, metric in sorted(self._metrics.items())
-                if include_wall or not metric.wall}
-
-
-class Span:
-    """One in-flight simulated-time measurement (see ``MetricsRegistry.span``)."""
-
-    __slots__ = ("_histogram", "_clock", "_start", "done")
-
-    def __init__(self, histogram: Histogram, clock: ClockFn) -> None:
-        self._histogram = histogram
-        self._clock = clock
-        self._start = clock()
-        self.done = False
-
-    def stop(self) -> float:
-        """Record the elapsed simulated time (idempotent); returns it."""
-        elapsed = self._clock() - self._start
-        if not self.done:
-            self.done = True
-            self._histogram.observe(elapsed)
-        return elapsed
+                for name, metric in sorted(self._metrics.items())}

@@ -13,10 +13,10 @@ Design constraints, in priority order:
   timestamp is simulated time, so two runs of the same seeded scenario
   export *byte-identical* traces (``tests/test_obs_tracing.py``).
 * **Zero cost when disabled.**  Every instrumentation hook checks a
-  single ``enabled`` boolean first and the ``trace.*`` metric counters
-  are created lazily on the first span, so a disabled world produces
-  byte-identical metrics snapshots and wire traffic to a build without
-  tracing at all.
+  single ``enabled`` boolean first and only an enabled collector
+  registers the ``trace.*`` metric counters, so a disabled world
+  produces byte-identical metrics snapshots and wire traffic to a build
+  without tracing at all.
 * **Sound nesting.**  Hops are asynchronous: a late duplicate response
   can arrive after the invocation's container span closed.  ``end``
   therefore extends already-closed *ancestors* to cover a late child,
@@ -71,6 +71,14 @@ class TraceSpan:
         return (self.end - self.start) if self.end is not None else 0.0
 
 
+# ``TraceCollector.stats`` key -> the world counter summing it.
+_STATS = {
+    "spans_started": "trace.spans.started",
+    "spans_closed": "trace.spans.closed",
+    "traces_started": "trace.traces.started",
+}
+
+
 class TraceCollector:
     """Per-world span recorder; the causal complement of the metrics
     registry (aggregates) and the audit scope (retention)."""
@@ -81,7 +89,6 @@ class TraceCollector:
                  flight: Optional["FlightRecorder"] = None) -> None:
         self.enabled = enabled
         self.clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
-        self._metrics = metrics
         # Optional flight recorder: span closes are high-signal events
         # for the black box (purely passive; see repro.obs.flight).
         self._flight = flight
@@ -90,27 +97,16 @@ class TraceCollector:
         self._ids = itertools.count(1)
         self._trace_order: Dict[str, int] = {}  # trace_id -> pid (first-start order)
         self._source_order: Dict[str, int] = {}  # source -> tid
-        # trace.* counters are created on the first span, never earlier:
-        # a world that enables tracing but sees no traffic — and any
-        # world with tracing disabled — snapshots byte-identically to a
-        # build without this module (the golden-file gates rely on it).
-        self._m_started = None
-        self._m_closed = None
-        self._m_traces = None
+        # The trace.* counters exist only in a traced world: one with
+        # tracing disabled snapshots byte-identically to a build
+        # without this module (the golden-file gates rely on it).
+        self.stats = dict.fromkeys(_STATS, 0)
+        if enabled and metrics is not None:
+            metrics.register_stats(self.stats, _STATS)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-
-    def _count_started(self, trace_id: str) -> None:
-        if self._metrics is not None:
-            if self._m_started is None:
-                self._m_started = self._metrics.counter("trace.spans.started")
-                self._m_closed = self._metrics.counter("trace.spans.closed")
-                self._m_traces = self._metrics.counter("trace.traces.started")
-            self._m_started.value += 1
-            if trace_id not in self._trace_order:
-                self._m_traces.value += 1
 
     def start(self, trace_id: str, name: str, parent: int = 0,
               source: str = "", **attrs: Any) -> int:
@@ -121,8 +117,9 @@ class TraceCollector:
         """
         if not self.enabled:
             return 0
-        self._count_started(trace_id)
+        self.stats["spans_started"] += 1
         if trace_id not in self._trace_order:
+            self.stats["traces_started"] += 1
             self._trace_order[trace_id] = len(self._trace_order) + 1
         if source not in self._source_order:
             self._source_order[source] = len(self._source_order) + 1
@@ -151,8 +148,7 @@ class TraceCollector:
         span.end = now
         if attrs:
             span.attrs.update(attrs)
-        if self._m_closed is not None:
-            self._m_closed.value += 1
+        self.stats["spans_closed"] += 1
         flight = self._flight
         if flight is not None and flight.enabled:
             flight.record("flight.span", trace=span.trace_id, name=span.name,
@@ -174,8 +170,7 @@ class TraceCollector:
         if span_id:
             span = self._by_id[span_id]
             span.end = span.start
-            if self._m_closed is not None:
-                self._m_closed.value += 1
+            self.stats["spans_closed"] += 1
             self._extend_ancestors(span, span.start)
         return span_id
 

@@ -31,8 +31,24 @@ from ..sim.tcp import TcpEndpoint, TcpStack
 ReplyHandler = Callable[[ReplyMessage], None]
 FailureHandler = Callable[[Exception], None]
 
-# Metric-name suffixes for giop.msg.<type> counters.
-_MSG_TYPE_NAMES = {
+# GIOP stats key -> the world counter summing it; one dict per TCP
+# stack (so per world), registered when the first connection is built.
+_MSG_STATS = {
+    "request": "giop.msg.request",
+    "reply": "giop.msg.reply",
+    "cancel_request": "giop.msg.cancel_request",
+    "locate_request": "giop.msg.locate_request",
+    "locate_reply": "giop.msg.locate_reply",
+    "close_connection": "giop.msg.close_connection",
+    "message_error": "giop.msg.message_error",
+}
+_BYTE_STATS = {
+    "bytes_out": "giop.bytes.out",
+    "bytes_in": "giop.bytes.in",
+    "zero_copy_bytes": "giop.bytes.zero_copy",
+}
+# GIOP message type -> its key in the stats.
+_MSG_TYPE_KEYS = {
     MsgType.REQUEST: "request",
     MsgType.REPLY: "reply",
     MsgType.CANCEL_REQUEST: "cancel_request",
@@ -43,10 +59,21 @@ _MSG_TYPE_NAMES = {
 }
 
 
-def _count_message_type(metrics, message_type: int) -> None:
-    name = _MSG_TYPE_NAMES.get(message_type)
-    if name is not None:
-        metrics.counter(f"giop.msg.{name}").inc()
+def giop_stats(tcp: TcpStack) -> Dict[str, int]:
+    """The GIOP counts of every IIOP connection over ``tcp``."""
+    stats = tcp.giop_stats
+    if stats is None:
+        stats = tcp.giop_stats = dict.fromkeys([*_MSG_STATS, *_BYTE_STATS], 0)
+        metrics = tcp.network.metrics
+        metrics.register_stats(stats, _MSG_STATS)
+        metrics.register_stats(stats, _BYTE_STATS, unit="B")
+    return stats
+
+
+def _count_message_type(stats: Dict[str, int], message_type: int) -> None:
+    key = _MSG_TYPE_KEYS.get(message_type)
+    if key is not None:
+        stats[key] += 1
 
 
 class IiopClientConnection:
@@ -62,15 +89,11 @@ class IiopClientConnection:
         self.address = address
         self.state = IiopClientConnection.CONNECTING
         self.endpoint: Optional[TcpEndpoint] = None
-        self._framer = GiopFramer()
+        self._stats = giop_stats(tcp)
+        self._framer = GiopFramer(self._stats)
         self._send_queue: List[bytes] = []
         self._pending: Dict[int, Tuple[ReplyHandler, FailureHandler]] = {}
         self._closed_listeners: List[Callable[[], None]] = []
-        self._metrics = tcp.network.metrics
-        self._m_bytes_out = self._metrics.counter("giop.bytes.out", unit="B")
-        self._m_bytes_in = self._metrics.counter("giop.bytes.in", unit="B")
-        self._framer.counter = self._metrics.counter("giop.bytes.zero_copy",
-                                                     unit="B")
         tcp.connect(host, address, self._on_connected, self._on_connect_error)
 
     # ------------------------------------------------------------------
@@ -138,13 +161,17 @@ class IiopClientConnection:
             raise CommFailure(f"connection to {self.address} is closed")
         self._transmit(encoded)
 
+    def abandon(self, request_id: int) -> None:
+        """Stop waiting for ``request_id``'s reply."""
+        self._pending.pop(request_id, None)
+
     def pending_request_ids(self) -> List[int]:
         return list(self._pending)
 
     def _transmit(self, data: bytes) -> None:
         # Queued bytes count too: they are committed to the wire once
         # the connect completes (or the whole connection fails).
-        self._m_bytes_out.value += len(data)
+        self._stats["bytes_out"] += len(data)
         if self.state == IiopClientConnection.OPEN:
             assert self.endpoint is not None
             self.endpoint.send(data)
@@ -152,7 +179,7 @@ class IiopClientConnection:
             self._send_queue.append(data)
 
     def _on_data(self, data: bytes) -> None:
-        self._m_bytes_in.value += len(data)
+        self._stats["bytes_in"] += len(data)
         try:
             messages = self._framer.feed(data)
         except MarshalError:
@@ -162,7 +189,7 @@ class IiopClientConnection:
             return
         for message in messages:
             message_type, _, _ = parse_header(message)
-            _count_message_type(self._metrics, message_type)
+            _count_message_type(self._stats, message_type)
             if message_type == MsgType.REPLY:
                 try:
                     reply = decode_reply(message)
@@ -205,13 +232,9 @@ class IiopServerConnection:
                  ) -> None:
         self.endpoint = endpoint
         self.handler = handler
-        self._framer = GiopFramer()
+        self._stats = giop_stats(endpoint.stack)
+        self._framer = GiopFramer(self._stats)
         self._close_cb = on_close
-        self._metrics = endpoint.stack.network.metrics
-        self._m_bytes_out = self._metrics.counter("giop.bytes.out", unit="B")
-        self._m_bytes_in = self._metrics.counter("giop.bytes.in", unit="B")
-        self._framer.counter = self._metrics.counter("giop.bytes.zero_copy",
-                                                     unit="B")
         endpoint.on_data = self._on_data
         endpoint.on_close = self._on_close
 
@@ -221,7 +244,7 @@ class IiopServerConnection:
 
     def send(self, data: bytes) -> None:
         if self.endpoint.open:
-            self._m_bytes_out.value += len(data)
+            self._stats["bytes_out"] += len(data)
             self.endpoint.send(data)
 
     def close(self) -> None:
@@ -232,7 +255,7 @@ class IiopServerConnection:
             self._on_close()
 
     def _on_data(self, data: bytes) -> None:
-        self._m_bytes_in.value += len(data)
+        self._stats["bytes_in"] += len(data)
         try:
             messages = self._framer.feed(data)
         except MarshalError:
@@ -243,7 +266,7 @@ class IiopServerConnection:
             return
         for message in messages:
             message_type, _, _ = parse_header(message)
-            _count_message_type(self._metrics, message_type)
+            _count_message_type(self._stats, message_type)
             try:
                 self.handler(message, self)
             except MarshalError:

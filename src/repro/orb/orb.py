@@ -85,6 +85,9 @@ class Requester:
              encoded: bytes, promise: Promise) -> None:
         raise NotImplementedError
 
+    def abandon(self, stub: "Stub", request_id: int) -> None:
+        """The request's deadline expired: keep nothing for it."""
+
 
 class PlainRequester(Requester):
     """Year-2000 ORB semantics: first profile only, no failover."""
@@ -114,6 +117,14 @@ class PlainRequester(Requester):
 
         connection.send_request(encoded, request.request_id, on_reply,
                                 promise.reject)
+
+    def abandon(self, stub: "Stub", request_id: int) -> None:
+        # Still cached: had the connection failed, the request would
+        # have failed with it.
+        connection = self.orb.cached_connection(
+            stub.ior.primary_profile().address)
+        if connection is not None:
+            connection.abandon(request_id)
 
 
 class Stub:
@@ -145,6 +156,7 @@ class Stub:
         deadline = timeout if timeout is not None else self.orb.request_timeout
         if deadline is not None and not op.oneway:
             def expire() -> None:
+                self.requester.abandon(self, request_id)
                 promise.reject(NoResponse(
                     f"{operation} did not complete within {deadline}s"))
             timer = self.orb.host.scheduler.call_after(deadline, expire)
@@ -173,7 +185,27 @@ class Orb(Process):
         self._server_connections: List[IiopServerConnection] = []
         self._listener = None
         self._listen_port: Optional[int] = None
+        # The pending tables of requesters over this ORB that keep one
+        # of their own (the enhanced client's ``FtRequester.pending``).
+        self.pending_tables: List[Dict[int, Any]] = []
         self.running = True  # ORBs are live upon construction
+        self._register_audit()
+
+    def _register_audit(self) -> None:
+        """Requests awaiting a reply, on the cached connections and in
+        the requesters' own tables: each ends in a reply, a failure or
+        its deadline, so none is left at quiescence."""
+        def alive() -> bool:
+            return self.host.alive
+
+        self.audit.register(
+            "orb.pending", lambda: sum(len(c.pending_request_ids())
+                                       for c in self._connections.values()),
+            floor=0, owner=self.name, active=alive)
+        self.audit.register(
+            "client.pending", lambda: sum(len(table)
+                                          for table in self.pending_tables),
+            floor=0, owner=self.name, active=alive)
 
     # ------------------------------------------------------------------
     # Client side

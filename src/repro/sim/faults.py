@@ -18,6 +18,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.flight import FlightRecorder
 
 
+# ``FaultInjector.stats`` key (the action) -> its world counter.
+_STATS = {
+    "crash": "fault.injected.crash",
+    "recover": "fault.injected.recover",
+    "partition": "fault.injected.partition",
+    "heal": "fault.injected.heal",
+}
+
+
 class FaultInjector:
     """Schedules host crashes/recoveries and network partitions."""
 
@@ -26,12 +35,13 @@ class FaultInjector:
         self.scheduler = scheduler
         self.network = network
         self.injected: List[Tuple[float, str, str]] = []
-        self._metrics = network.metrics
+        self.stats = dict.fromkeys(_STATS, 0)
+        network.metrics.register_stats(self.stats, _STATS)
         self.flight = flight
 
     def _record(self, action: str, target: str) -> None:
         self.injected.append((self.scheduler.now, action, target))
-        self._metrics.counter(f"fault.injected.{action}").inc()
+        self.stats[action] += 1
         flight = self.flight
         if flight is not None and flight.enabled:
             flight.record("flight.fault", action=action, target=target)

@@ -79,7 +79,6 @@ class Host:
         self.alive = False
         self.crash_count += 1
         self.last_crash_at = self.scheduler.now
-        self.network.metrics.counter("host.crashes").inc()
         for process in list(self.processes):
             process.handle_host_crash()
         self.network.host_crashed(self)

@@ -95,8 +95,8 @@ class Network:
         self.tracer = tracer or Tracer(enabled=False)
         # The world-owned registry; every Host/Process reaches it through
         # the network, so one scenario shares one set of metrics.
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            clock=lambda: scheduler.now)
+        self.metrics = (metrics if metrics is not None
+                        else MetricsRegistry())
         # The world-owned resource-leak audit scope, shared the same way.
         self.audit = audit if audit is not None else AuditScope(
             metrics=self.metrics, clock=lambda: scheduler.now)
@@ -128,6 +128,8 @@ class Network:
                                 lambda: self.datagrams_delivered)
         self.metrics.counter_fn("net.bytes.sent",
                                 lambda: self.bytes_sent, unit="B")
+        self.metrics.counter_fn("host.crashes", lambda: sum(
+            host.crash_count for host in self.hosts.values()))
 
     # ------------------------------------------------------------------
     # Topology

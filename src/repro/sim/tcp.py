@@ -132,6 +132,9 @@ class TcpStack:
         self._endpoints_by_host: Dict[str, List[TcpEndpoint]] = {}
         self._ephemeral = itertools.count(30000)
         self._conn_ids = itertools.count(1)
+        # The GIOP counts of the IIOP connections over this stack
+        # (``repro.orb.connection.giop_stats``).
+        self.giop_stats: Optional[Dict[str, int]] = None
         network.on_host_crash(self._handle_host_crash)
 
     # ------------------------------------------------------------------

@@ -96,24 +96,19 @@ class World:
         trace: bool = True,
         mtu: Optional[int] = None,
         trace_spans: bool = False,
-        trace_max_records: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
         series: bool = False,
-        series_window: float = 1.0,
-        series_capacity: int = 240,
-        series_sample_interval: float = 0.25,
         flight: bool = False,
-        flight_capacity: int = 256,
     ) -> None:
         # An injected scheduler (e.g. the race detector's cohort-
         # permuting subclass) must be fresh: it becomes this world's
         # clock and the anchor of every component built below.
         self.scheduler: Scheduler = (
             scheduler if scheduler is not None else Scheduler())
-        self.tracer = Tracer(enabled=trace, max_records=trace_max_records)
-        # One registry per world: the simulated clock is the scheduler,
-        # and every component reads the same registry via its network.
-        self.metrics = MetricsRegistry(clock=lambda: self.scheduler.now)
+        self.tracer = Tracer(enabled=trace)
+        # One registry per world: every component reads it via its
+        # network.
+        self.metrics = MetricsRegistry()
         self.scheduler.attach_metrics(self.metrics)
         # One audit scope per world (see repro.obs.audit): components
         # register their stateful collections as they are built, and
@@ -128,8 +123,7 @@ class World:
         # high-signal events.  Recording is purely passive (no scheduler
         # events, no metrics), so arming it never perturbs a run.
         self.flight = FlightRecorder(clock=lambda: self.scheduler.now,
-                                     enabled=flight,
-                                     capacity=flight_capacity)
+                                     enabled=flight)
         # Time-series layer (repro.obs.series): disabled by default so
         # the simulated event stream and metric key set stay
         # byte-identical to a build without it; ``series=True`` arms
@@ -138,8 +132,7 @@ class World:
         # sampler does add scheduler events).
         self.series = SeriesRegistry(
             clock=lambda: self.scheduler.now, enabled=series,
-            capacity=series_capacity, window_s=series_window,
-            sample_interval=series_sample_interval, flight=self.flight)
+            flight=self.flight)
         self.series.attach_scheduler(self.scheduler)
         self.trace_collector = TraceCollector(
             enabled=trace_spans, clock=lambda: self.scheduler.now,
@@ -217,14 +210,13 @@ class World:
         """Canonical JSON dump of the flight recorder's event ring."""
         return self.flight.dump_json()
 
-    def metrics_json(self, include_wall: bool = False) -> str:
-        """Canonical JSON snapshot (byte-identical across seeded reruns
-        when ``include_wall`` is False)."""
-        return to_json(self.metrics, include_wall=include_wall)
+    def metrics_json(self) -> str:
+        """Canonical JSON snapshot (byte-identical across seeded reruns)."""
+        return to_json(self.metrics)
 
-    def metrics_report(self, include_wall: bool = False) -> str:
+    def metrics_report(self) -> str:
         """Human-readable metrics table for this world."""
-        return render_text(self.metrics, include_wall=include_wall)
+        return render_text(self.metrics)
 
     def add_host(self, name: str, site: Optional[str] = None) -> Host:
         return self.network.add_host(name, site=site)

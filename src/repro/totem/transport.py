@@ -27,6 +27,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 Target = Tuple[Host, DeliverFn]
 
+# ``TotemTransport.stats`` key -> the world counter summing it over
+# transports; byte counts are summed in ``B``.
+_STATS = {
+    "broadcasts": "totem.broadcasts",
+    "datagrams": "totem.datagrams",
+    "batched_deliveries": "totem.broadcast.batched_deliveries",
+}
+_BYTE_STATS = {"bytes": "totem.bytes.broadcast"}
+
 
 class TotemTransport:
     """Names the members of one fault tolerance domain's ring."""
@@ -40,15 +49,11 @@ class TotemTransport:
         # through ``receive_frame``: what goes to them is a frame).
         self._everyone: List[Target] = []
         self._others: Dict[str, List[Target]] = {}
-        self.broadcasts = 0
-        self.datagrams = 0
-        self._m_broadcasts = network.metrics.counter("totem.broadcasts")
-        self._m_datagrams = network.metrics.counter("totem.datagrams")
-        self._m_frame_messages = network.metrics.histogram(
-            "totem.frame.messages", unit="")
-        self._m_bytes = network.metrics.counter("totem.bytes.broadcast", unit="B")
-        self._m_batched = network.metrics.counter(
-            "totem.broadcast.batched_deliveries")
+        self.stats = dict.fromkeys([*_STATS, *_BYTE_STATS], 0)
+        m = network.metrics
+        m.register_stats(self.stats, _STATS)
+        m.register_stats(self.stats, _BYTE_STATS, unit="B")
+        self._m_frame_messages = m.histogram("totem.frame.messages", unit="")
 
     def register(self, member: "TotemMember") -> None:
         self._members[member.name] = member
@@ -79,8 +84,7 @@ class TotemTransport:
         target = self._members.get(target_name)
         if target is None:
             return
-        self.datagrams += 1
-        self._m_datagrams.value += 1
+        self.stats["datagrams"] += 1
         self.network.send(
             sender.host, target.host, message, target.receive, size=size,
             hold=hold)
@@ -111,11 +115,9 @@ class TotemTransport:
         offers ``message`` to ``targets`` in registration order.
         ``totem.broadcast.batched_deliveries`` counts the per-target
         deliveries scheduled, not the events."""
-        self.broadcasts += 1
-        self._m_broadcasts.value += 1
-        self._m_bytes.value += size
-        self.datagrams += len(targets)
-        self._m_datagrams.value += len(targets)
-        events = self.network.broadcast(sender.host, targets, message,
-                                        size=size)
-        self._m_batched.value += events
+        stats = self.stats
+        stats["broadcasts"] += 1
+        stats["bytes"] += size
+        stats["datagrams"] += len(targets)
+        stats["batched_deliveries"] += self.network.broadcast(
+            sender.host, targets, message, size=size)

@@ -12,7 +12,7 @@ class Pump:
             self.advance()
         except Exception:
             # Reacts: the failure is counted, not swallowed.
-            self.metrics.counter("pump.failures").inc()
+            self.metrics.gauge("pump.failures").set(1)
 
     def tick_strict(self):
         try:

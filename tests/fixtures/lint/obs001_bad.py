@@ -5,7 +5,7 @@ _STATS = {"widgets": "table.not.in.catalogue", "local": None}
 
 
 def record(metrics, spans, trace_id):
-    metrics.counter("definitely.not.in.catalogue").inc()
+    metrics.gauge("definitely.not.in.catalogue").set(1)
     spans.start(trace_id, "mystery.span")
 
 

@@ -6,9 +6,9 @@ _STATS = {"requests_received": "gateway.req.received", "local": None}
 
 
 def record(metrics, spans, trace_id, action):
-    metrics.counter("gateway.req.received").inc()
+    metrics.counter_fn("gateway.req.received", int)
     metrics.gauge("gateway.state.pending").set(0)
-    metrics.counter(f"fault.injected.{action}").inc()
+    metrics.gauge(f"fault.injected.{action}").set(0)
     spans.start(trace_id, "gateway.request")
 
 

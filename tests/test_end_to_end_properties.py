@@ -121,7 +121,7 @@ def run_fingerprint(seed):
         world.scheduler.events_processed,
         tuple(sorted(replica_counts(domain, group).items())),
         tuple(sorted((k, v) for k, v in domain.gateways[0].stats.items())),
-        domain.transport.broadcasts,
+        domain.transport.stats["broadcasts"],
     )
 
 

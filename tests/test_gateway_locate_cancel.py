@@ -90,6 +90,7 @@ def test_cancel_request_drops_pending_routing(world):
     # The client cancels (same connection, same request id).
     connection = orb._connections[next(iter(orb._connections))]
     request_id = connection.pending_request_ids()[-1]
+    connection.abandon(request_id)  # a client that cancels stops waiting
     connection.endpoint.send(encode_cancel_request(request_id))
     world.run(until=world.now + 0.1)
     assert gateway.stats.get("cancels") == 1
@@ -128,8 +129,9 @@ def test_cancel_finds_its_group_on_a_connection_carrying_two(world):
     # B is now the connection's most recent pair; A's call is the one
     # pending.
     connection = orb._connections[next(iter(orb._connections))]
-    connection.endpoint.send(
-        encode_cancel_request(connection.pending_request_ids()[-1]))
+    request_id = connection.pending_request_ids()[-1]
+    connection.abandon(request_id)
+    connection.endpoint.send(encode_cancel_request(request_id))
     world.run(until=world.now + 0.1)
     assert gateway._cancelled == {held[0].key}
     assert held[0].key[0] == a.group_id
@@ -152,6 +154,6 @@ def test_cancel_for_unknown_connection_is_ignored(world):
     # The stat is declared up front (no lazy creation) and must not
     # move for a cancel on a connection with no identified client.
     assert domain.gateways[0].stats["cancels"] == 0
-    assert domain.gateways[0].metrics.counter(
+    assert domain.gateways[0].metrics.get(
         "gateway.req.cancelled").value == 0
     assert endpoint.open  # the gateway did not kill the connection

@@ -93,8 +93,9 @@ def test_only_a_peers_first_forward_is_recorded(world):
     stub.call("increment", 10)
     world.run(until=world.now + 0.1)
     connection = orb._connections[next(iter(orb._connections))]
-    connection.endpoint.send(
-        encode_cancel_request(connection.pending_request_ids()[-1]))
+    request_id = connection.pending_request_ids()[-1]
+    connection.abandon(request_id)  # a client that cancels stops waiting
+    connection.endpoint.send(encode_cancel_request(request_id))
     world.run(until=world.now + 0.1)
     assert gateway.stats["cancels"] == 1 and gateway._filter.waiters() == []
     multicast = gateway.rm.multicast

@@ -65,7 +65,7 @@ def test_inactive_owner_is_skipped():
 
 
 def test_gauges_lazy_and_summed_over_active_entries():
-    metrics = MetricsRegistry(clock=lambda: 0.0)
+    metrics = MetricsRegistry()
     scope = AuditScope(metrics=metrics, clock=lambda: 1.5)
     scope.register("a", lambda: 2, floor=None, gauge="x.state.size")
     scope.register("b", lambda: 3, floor=None, gauge="x.state.size")

@@ -42,15 +42,6 @@ def test_different_seeds_still_share_metric_names():
     assert names_a == names_b
 
 
-def test_wall_metrics_never_in_canonical_json(world):
-    world.metrics.counter("sim.only").inc()
-    world.metrics.histogram("wall.timer", wall=True).observe(0.1)
-    metrics = parse_json(world.metrics_json())
-    assert "sim.only" in metrics
-    assert "wall.timer" not in metrics
-    assert "wall.timer" in parse_json(world.metrics_json(include_wall=True))
-
-
 # ----------------------------------------------------------------------
 # Invariants under a fault sweep
 # ----------------------------------------------------------------------

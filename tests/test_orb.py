@@ -197,3 +197,19 @@ def test_two_clients_isolated_state_views():
     assert world.await_promise(stubs[0].call("increment", 10)) == 10
     assert world.await_promise(stubs[1].call("increment", 5)) == 15
     assert world.await_promise(stubs[0].call("value")) == 15
+
+
+def test_server_forgets_a_connection_its_client_closed():
+    from repro.sim import World
+    world = World(seed=2)
+    server_host = world.add_host("server")
+    server_orb = Orb(world, server_host)
+    server_orb.listen(9000)
+    ior = server_orb.activate_object(CounterServant())
+    client_orb = Orb(world, world.add_host("client"))
+    stub = client_orb.string_to_object(ior.to_string(), COUNTER)
+    assert world.await_promise(stub.call("increment", 1)) == 1
+    assert len(server_orb._server_connections) == 1
+    client_orb.cached_connection(("server", 9000)).close()
+    world.run(until=world.now + 1.0)
+    assert server_orb._server_connections == []

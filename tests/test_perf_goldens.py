@@ -13,7 +13,10 @@ loss timeout; the chaos delivery trace and final states did not move
 at all).  Since then Totem sends sequenced traffic in frames: both
 scenarios run at the default quota, where a frame holds one message,
 so the only difference is the new histogram ``totem.frame.messages``
-(24 and 18 observations, all of 1) in the two metrics files.  And a
+(24 and 18 observations, all of 1) in the two metrics files.  Since a
+counter exists from the moment the component counting it is built,
+both metrics files also hold the counters of events the scenarios never
+meet (``giop.msg.locate_request``, ``rm.style.switches``, …) at 0.  And a
 frame's sender hears it from its send path, not through a loopback
 datagram: the delivery trace did not move, and in the metrics files
 only datagram accounting fell, by one datagram per frame —
@@ -71,9 +74,9 @@ NEW_COUNTERS = {
     "giop.bytes.zero_copy",
 }
 
-# Causal tracing (repro.obs.tracing): created lazily on the first span,
-# so they appear only in runs with tracing enabled — never in the
-# untraced golden scenarios (that absence IS the zero-cost contract).
+# Causal tracing (repro.obs.tracing): registered only by an enabled
+# collector, so they appear only in runs with tracing enabled — never in
+# the untraced golden scenarios (that absence IS the zero-cost contract).
 TRACE_COUNTERS = {
     "trace.spans.started",
     "trace.spans.closed",
@@ -141,7 +144,7 @@ def test_new_counters_are_present_and_active(monkeypatch):
     series = json.loads(metrics_json)["metrics"]
     names = {key.split("{")[0] for key in series}
     assert (NEW_COUNTERS - TRACE_COUNTERS) <= names
-    # Untraced run: the lazy trace counters must NOT have materialised.
+    # Untraced run: the trace counters must NOT have materialised.
     assert not (TRACE_COUNTERS & names)
     rescheduled = next(v for k, v in series.items()
                        if k.split("{")[0] == "sched.timers.rescheduled")

@@ -242,7 +242,7 @@ def test_whole_buffer_feed_is_zero_copy(messages):
     # A single complete message fed as one bytes object is passed
     # through without copying.
     assert all(got is sent for got, sent in zip(collected, wire_messages))
-    assert framer.zero_copy_bytes == sum(len(m) for m in wire_messages)
+    assert framer.stats["zero_copy_bytes"] == sum(len(m) for m in wire_messages)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,10 +23,11 @@ def test_report_lists_groups_and_gateways(world):
     assert len(report["gateways"]) == 1
     assert report["gateways"][0]["alive"]
     # "multicasts" are messages (`totem.msg.sent`), not the frames that
-    # carry them (`transport.broadcasts` — which also counts Join and
-    # Commit, and packs several messages at a larger token quota).
+    # carry them (`transport.stats["broadcasts"]` — which also counts
+    # Join and Commit, and packs several messages at a larger token
+    # quota).
     assert report["multicasts"] == world.metrics.value("totem.msg.sent") > 0
-    assert report["multicasts"] != domain.transport.broadcasts
+    assert report["multicasts"] != domain.transport.stats["broadcasts"]
 
 
 def test_report_marks_degraded_groups(world):

@@ -168,3 +168,36 @@ def test_unjustified_suppression_is_counted():
     assert result.violations == []
     used = [s for s in result.suppressions if s.used]
     assert len(used) == 1 and not used[0].justification
+
+
+def test_obs001_flags_a_renamed_stats_table_entry():
+    """The catalogue is its tables' first cells: prose about the
+    `gateway.resp.*` family must not cover a renamed table entry."""
+    path = REPO_ROOT / "src" / "repro" / "core" / "gateway.py"
+    source = path.read_text(encoding="utf-8")
+    assert '"gateway.resp.vote_pending"' in source
+
+    def obs001(text):
+        return [v.message for v in lint_source(
+            text, path=str(path), config=CONFIG).violations
+            if v.code == "OBS001"]
+
+    assert obs001(source) == []
+    renamed = source.replace('"gateway.resp.vote_pending"',
+                             '"gateway.resp.vote_waiting"')
+    assert any("gateway.resp.vote_waiting" in m for m in obs001(renamed))
+
+
+def test_catalogue_reads_names_from_table_first_cells_only(tmp_path):
+    from repro.analysis.lint import load_catalogue
+
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(
+        "Prose about the `prose.family.*` family and `prose.name`.\n\n"
+        "| name | type | meaning, not `meaning.cell` |\n"
+        "|---|---|---|\n"
+        "| `table.name` / `table.other` | counter | see `third.cell` |\n"
+        "| `table.family.*` | counter | a family |\n", encoding="utf-8")
+    names, prefixes = load_catalogue(doc)
+    assert names == {"table.name", "table.other"}
+    assert prefixes == ("table.family.",)

@@ -419,12 +419,15 @@ def test_failover_is_recorded_in_spans_flight_and_counters():
     assert {i.attrs["path"] for i in instants[3:]} == {"cold"}
 
 
-def test_fault_free_run_creates_no_client_failover_series(world):
+def test_fault_free_run_counts_no_client_failover(world):
     domain = make_domain(world, gateways=2)
     group = make_counter_group(domain)
     warmed_client(world, domain, group)
-    assert not [name for name in world.metrics.snapshot()
-                if name.startswith("client.")]
+    assert {name: world.metrics.value(name)
+            for name in world.metrics.names()
+            if name.startswith("client.")} == {
+        "client.failover.count": 0, "client.failover.standby": 0,
+        "client.standby.refused": 0}
     assert world.flight.events("flight.failover") == []
 
 

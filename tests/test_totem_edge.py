@@ -14,7 +14,7 @@ from repro.totem import (
     TotemMember,
     TotemTransport,
 )
-from repro.totem.member import FRAMES_PER_VISIT
+from repro.totem.member import FRAMES_PER_VISIT, REJOIN_BACKOFF
 
 
 #: A quota of 64 packs four messages to a frame (FRAMES_PER_VISIT = 16).
@@ -136,7 +136,7 @@ def test_withdrawn_payload_takes_no_sequence_number_or_quota(world):
     seqs = []
     members[1].on_deliver(lambda seq, sender, payload: seqs.append(seq))
     sent_before = world.metrics.value("totem.msg.sent")
-    frames_before = transport.broadcasts
+    frames_before = transport.stats["broadcasts"]
     visits_before = members[0].stats["token_passes"]
     entries = [members[0].multicast(i) for i in range(5)]
     assert members[0].withdraw(entries[1])
@@ -155,7 +155,7 @@ def test_withdrawn_payload_takes_no_sequence_number_or_quota(world):
     # Three messages, three sequence numbers; at a quota of 3 (anything
     # up to FRAMES_PER_VISIT) a frame holds one message.
     assert world.metrics.value("totem.msg.sent") - sent_before == 3
-    assert transport.broadcasts - frames_before == 3
+    assert transport.stats["broadcasts"] - frames_before == 3
     assert world.metrics.histogram("totem.frame.messages").max == 1
     assert not members[0].withdraw(entries[0])      # already sequenced
     assert world.metrics.value("totem.msg.withdrawn") == 2
@@ -188,11 +188,11 @@ def test_frame_capacity_follows_the_quota(world):
 
     plain = World(seed=1)
     transport, members, delivered = build(plain, 2)
-    before = transport.broadcasts
+    before = transport.stats["broadcasts"]
     for i in range(10):
         members[0].multicast(i)
     plain.scheduler.run_until(lambda: len(delivered["m1"]) == 10, timeout=1.0)
-    assert transport.broadcasts - before == 10
+    assert transport.stats["broadcasts"] - before == 10
     assert plain.metrics.histogram("totem.frame.messages").max == 1
 
 
@@ -247,11 +247,11 @@ def test_member_stats_track_protocol_activity(world):
 
 def test_transport_accounting(world):
     transport, members, delivered = build(world, 2)
-    before = transport.broadcasts
+    before = transport.stats["broadcasts"]
     members[0].multicast("x")
     world.scheduler.run_until(lambda: "x" in delivered["m1"], timeout=30.0)
-    assert transport.broadcasts == before + 1
-    assert transport.datagrams > 0
+    assert transport.stats["broadcasts"] == before + 1
+    assert transport.stats["datagrams"] > 0
 
 
 def test_join_from_unknown_process_triggers_reformation(world):
@@ -750,3 +750,54 @@ def test_every_member_delivers_the_same_sequence_with_many_senders(world):
         {f"p{i}" for i in range(40)} | {f"echo p{i}" for i in range(40)
                                         if (3 * i) % 5 == 4}
     world.audit(strict=True)
+
+
+def _spy_regathers(world, members):
+    """(time, member, reason) of every later entry into GATHER."""
+    seen = []
+    for member in members:
+        def spy(reason, member=member, enter=member._enter_gather):
+            seen.append((world.now, member.name, reason))
+            enter(reason)
+        member._enter_gather = spy
+    return seen
+
+
+def test_members_regather_when_the_leader_dies_before_committing(world):
+    """The would-be leader joins the gather, then dies: the others wait
+    one gather window plus REJOIN_BACKOFF for its commit, then gather
+    again without it."""
+    transport, members, delivered = build(world, 3)
+    m0, m1, m2 = members
+    m2._enter_gather("test")
+    world.scheduler.run_until(
+        lambda: all("m0" in m._candidates for m in (m1, m2)), timeout=1.0)
+    world.faults.crash_now("m0")
+    regathers = _spy_regathers(world, (m1, m2))
+    world.scheduler.run_until(
+        lambda: all(m.state == TotemMember.OPERATIONAL
+                    and m.members == ("m1", "m2") for m in (m1, m2)),
+        timeout=1.0)
+    assert sorted(name for _, name, reason in regathers
+                  if reason == "commit wait expired") == ["m1", "m2"]
+    m1.multicast("after")
+    world.scheduler.run_until(lambda: "after" in delivered["m2"],
+                              timeout=1.0)
+
+
+def test_member_excluded_by_a_commit_rejoins_after_backoff(world):
+    transport, members, delivered = build(world, 3)
+    m2 = members[2]
+    m2._enter_gather("test")
+    regathers = _spy_regathers(world, members)
+    excluded_at = world.now
+    m2.receive(CommitMessage(ring_id=(m2.ring_id[0] + 5, "m0"),
+                             members=("m0", "m1"), start_seq=0,
+                             leader="m0"))
+    assert m2.state == TotemMember.GATHER
+    world.scheduler.run_until(
+        lambda: all(m.state == TotemMember.OPERATIONAL
+                    and len(m.members) == 3 for m in members), timeout=1.0)
+    assert [(t, name) for t, name, reason in regathers
+            if reason == "rejoin after exclusion"] == [
+        (pytest.approx(excluded_at + REJOIN_BACKOFF), "m2")]
