@@ -45,7 +45,7 @@ def main():
                                   ("audit", "cold_passive", 2)):
         ior = world.await_promise(manager.call(
             "create_object", name, "Counter", "counter_factory",
-            style, replicas, 2), timeout=600)
+            style, replicas, 2, 10, []), timeout=600)
         print(f"  {name:<10} {style:<14} -> {ior[:40]}...")
 
     print("\nfault tolerance properties, as the manager reports them:")

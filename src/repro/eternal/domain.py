@@ -14,7 +14,7 @@ build domains and then talk CORBA.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, TransientError
 from ..iiop.ior import Ior
@@ -35,12 +35,7 @@ from .managers import (
     StyleManager,
 )
 from .messages import DomainMessage, MsgKind
-from .naming import (
-    FIRST_APPLICATION_GROUP,
-    GATEWAY_GROUP,
-    REPLICATION_MANAGER_GROUP,
-)
-from .properties import FaultToleranceProperties
+from .naming import GATEWAY_GROUP, REPLICATION_MANAGER_GROUP
 from .registry import GroupInfo
 from .replication import ReplicationMechanisms
 from .styles import ReplicationStyle, StylePolicy
@@ -64,19 +59,19 @@ class GroupHandle:
     def info(self) -> Optional[GroupInfo]:
         return self.domain.coordinator_rm().registry.get(self.group_id)
 
+    def ready_hosts(self) -> List[str]:
+        """The placed hosts whose live replica reports installed state."""
+        info = self.info()
+        return [host for host in (info.placement if info else ())
+                if (rm := self.domain.rms.get(host)) is not None and rm.alive
+                and (record := rm.replicas.get(self.group_id)) is not None
+                and record.ready]
+
     def is_ready(self) -> bool:
         """True when every placed replica reports installed state."""
         info = self.info()
-        if info is None or not info.placement:
-            return False
-        for host_name in info.placement:
-            rm = self.domain.rms.get(host_name)
-            if rm is None or not rm.alive:
-                return False
-            record = rm.replicas.get(self.group_id)
-            if record is None or not record.ready:
-                return False
-        return True
+        return bool(info and info.placement
+                    and len(self.ready_hosts()) == len(info.placement))
 
     def __repr__(self) -> str:
         return f"<GroupHandle {self.name} gid={self.group_id}>"
@@ -110,10 +105,16 @@ class FaultToleranceDomain:
         self.replica_host_names: List[str] = []
         self.interceptor = EternalInterceptor(self)
         self.evolution = EvolutionManager(self)
-        self._next_gid = itertools.count(FIRST_APPLICATION_GROUP)
         self._invoke_seq = itertools.count(1)
+        # Unanswered driver calls: seq -> (issuing processor, reissue).
+        self._calls: Dict[int, Tuple[str, Callable[[], None]]] = {}
+        world.audit_scope.register("domain.calls", lambda: len(self._calls),
+                                   owner=f"domain/{name}")
         self._handles: Dict[int, GroupHandle] = {}
         self._naming: Optional[GroupHandle] = None
+        self.manager = GroupHandle(self, REPLICATION_MANAGER_GROUP,
+                                    "EternalReplicationManager",
+                                    REPLICATION_MANAGER_INTERFACE)
 
         self.register_interface(REPLICATION_MANAGER_INTERFACE)
         self.register_factory(REPLICATION_MANAGER_FACTORY,
@@ -141,6 +142,7 @@ class FaultToleranceDomain:
             tracer=self.world.tracer, synced=not self._bootstrapped)
         self.egresses[host_name] = DomainEgress(rm, self.world)
         self.hosts.append(host)
+        host.on_crash(self._reissue_calls)
         self.members[host_name] = member
         self.rms[host_name] = rm
         if replica_host:
@@ -157,7 +159,7 @@ class FaultToleranceDomain:
         placement = tuple(self.replica_host_names[:3])
         info = GroupInfo(
             group_id=REPLICATION_MANAGER_GROUP,
-            name="EternalReplicationManager",
+            name=self.manager.name,
             interface_name=REPLICATION_MANAGER_INTERFACE.name,
             factory_name=REPLICATION_MANAGER_FACTORY,
             style=ReplicationStyle.ACTIVE,
@@ -262,55 +264,25 @@ class FaultToleranceDomain:
         min_replicas: Optional[int] = None,
         placement: Optional[Sequence[str]] = None,
         checkpoint_interval: int = 10,
-        properties: Optional["FaultToleranceProperties"] = None,
     ) -> GroupHandle:
-        """Create a replicated object group (configuration-time API).
-
-        Fault tolerance properties may be given either as individual
-        keyword arguments or as one validated
-        :class:`~repro.eternal.properties.FaultToleranceProperties`
-        object (which then wins).  The runtime equivalent is invoking
-        ``create_object`` on the replicated Replication Manager; both
-        paths emit the same idempotent GROUP_ANNOUNCE.
-        """
-        if properties is not None:
-            style = properties.replication_style
-            num_replicas = properties.initial_number_replicas
-            min_replicas = properties.minimum_number_replicas
-            checkpoint_interval = properties.checkpoint_interval
+        """Create a replicated object group: invoke ``create_object`` on
+        the replicated Replication Manager, which allocates the id and
+        places the replicas, and run until its reply is in.  Its
+        GROUP_ANNOUNCE is ordered before the reply, so the group is in
+        the directory; :meth:`await_ready` waits for its replicas."""
+        if placement is None and num_replicas > len(self.replica_host_names):
+            raise ConfigurationError(
+                f"asked for {num_replicas} replicas but domain has "
+                f"{len(self.replica_host_names)} replica hosts")
         self.register_interface(interface)
         factory_name = f"factory.{name}"
         self.register_factory(factory_name, factory)
-        # Skip ids already taken by groups created through the CORBA
-        # Replication Manager (whose replicas allocate from the shared
-        # registry).  An announce still in flight can in principle race
-        # this check; await the manager invocation before calling
-        # create_group — its reply is ordered after its announcement.
-        taken = {g.group_id
-                 for g in self.coordinator_rm().registry.all_groups()}
-        taken.update(self._handles)
-        group_id = next(self._next_gid)
-        while group_id in taken:
-            group_id = next(self._next_gid)
-        if placement is None:
-            if num_replicas > len(self.replica_host_names):
-                raise ConfigurationError(
-                    f"asked for {num_replicas} replicas but domain has "
-                    f"{len(self.replica_host_names)} replica hosts")
-            offset = group_id % len(self.replica_host_names)
-            rotated = (self.replica_host_names[offset:]
-                       + self.replica_host_names[:offset])
-            placement = rotated[:num_replicas]
-        info = GroupInfo(
-            group_id=group_id, name=name, interface_name=interface.name,
-            factory_name=factory_name, style=style,
-            placement=tuple(placement),
-            min_replicas=min_replicas if min_replicas is not None else num_replicas,
-            initial_replicas=num_replicas,
-            checkpoint_interval=checkpoint_interval)
-        self._announce(info)
-        handle = GroupHandle(self, group_id, name, interface)
-        self._handles[group_id] = handle
+        self.world.await_promise(self.invoke(
+            self.manager, "create_object",
+            [name, interface.name, factory_name, style.value, num_replicas,
+             num_replicas if min_replicas is None else min_replicas,
+             checkpoint_interval, list(placement or ())]))
+        handle = self.resolve(name)
         self._bind_name(handle)
         return handle
 
@@ -320,32 +292,19 @@ class FaultToleranceDomain:
             data={"info": info}))
 
     def switch_style(self, group: Union[GroupHandle, str, int],
-                     style: ReplicationStyle) -> None:
-        """Switch a live group's replication style at runtime.
+                     style: ReplicationStyle) -> Promise:
+        """Switch a live group's replication style at runtime: invoke
+        ``switch_style`` on the replicated Replication Manager, which
+        checks it (stateful styles only) and multicasts the STYLE_SWITCH.
+        Returns the invocation's promise.
 
-        The STYLE_SWITCH control message's position in the total order
-        is the quiesce point: operations ordered before it complete
-        under the old engine, operations after it run under the new
-        one, and no invocation is lost or duplicated across the cut
-        (the Replication Mechanisms relax stranded voting expectations
-        and hand state across at the switch).  Only stateful styles
-        participate — a STATELESS group has no consistency contract to
-        hand over.
+        The STYLE_SWITCH's position in the total order is the quiesce
+        point: operations ordered before it complete under the old
+        engine, operations after it run under the new one, and no
+        invocation is lost or duplicated across the cut.
         """
-        handle = self.resolve(group)
-        rm = self.coordinator_rm()
-        info = rm.registry.get(handle.group_id)
-        if info is None:
-            raise ConfigurationError(
-                f"group {handle.name} is not announced yet")
-        if not info.style.has_state or not style.has_state:
-            raise ConfigurationError(
-                "live style switching is defined between stateful styles "
-                f"only ({info.style.value} -> {style.value})")
-        rm.multicast(DomainMessage(
-            kind=MsgKind.STYLE_SWITCH, source_group=0, target_group=0,
-            data={"group_id": handle.group_id, "style": style.value,
-                  "epoch": info.style_epoch + 1}))
+        return self.invoke(self.manager, "switch_style",
+                           [self.resolve(group).name, style.value])
 
     def enable_adaptive_styles(self, policy: Optional["StylePolicy"] = None,
                                groups: Optional[Sequence[
@@ -358,7 +317,6 @@ class FaultToleranceDomain:
         ``groups`` restricts adaptation to the given groups; ``None``
         adapts every application group.  Returns the managers by host.
         """
-        from .managers import StyleManager
         group_ids = (None if groups is None
                      else [self.resolve(g).group_id for g in groups])
         managers: Dict[str, StyleManager] = {}
@@ -386,11 +344,6 @@ class FaultToleranceDomain:
     def resolve(self, group: Union[GroupHandle, str, int]) -> GroupHandle:
         if isinstance(group, GroupHandle):
             return group
-        # Locally-created handles resolve even before their announcement
-        # is delivered (invoke() settles on readiness anyway).
-        for handle in self._handles.values():
-            if group == handle.name or group == handle.group_id:
-                return handle
         registry = self.coordinator_rm().registry
         info = (registry.get(group) if isinstance(group, int)
                 else registry.by_name(group))
@@ -405,16 +358,23 @@ class FaultToleranceDomain:
 
     def invoke(self, group: Union[GroupHandle, str, int], operation: str,
                args: Sequence[Any], settle_timeout: float = 10.0) -> Promise:
-        """Invoke a replicated group from the domain driver.
-
-        Waits (in simulated time) for the group's announcement to reach
-        the coordinator before issuing, so ``create_group`` +
-        ``invoke`` compose without explicit settling.
-        """
+        """Invoke a replicated group from the domain driver: issued from
+        the coordinator once a replica is ready, and issued again from
+        the next live processor under the same ``(driver uid, request
+        seq)`` key if the issuing one dies before the reply.  Replicas
+        deduplicate by that key, so the call executes once."""
         handle = self.resolve(group)
         promise = Promise()
         seq = next(self._invoke_seq)
+        promise.on_done(lambda _: self._calls.pop(seq, None))
         deadline = self.world.scheduler.now + settle_timeout
+
+        def settle(inner: Promise) -> None:
+            # Only one settles: a dead issuer's promise never does.
+            if inner.failed:
+                promise.reject(inner.error)
+            else:
+                promise.resolve(inner.value)
 
         def try_issue() -> None:
             if promise.done:
@@ -424,27 +384,27 @@ class FaultToleranceDomain:
             except ConfigurationError as exc:
                 promise.reject(exc)
                 return
-            info = rm.registry.get(handle.group_id)
-            ready = (info is not None and
-                     any(rm2 is not None and rm2.alive and
-                         (rec := rm2.replicas.get(handle.group_id)) is not None
-                         and rec.ready
-                         for rm2 in (self.rms.get(h) for h in info.placement)))
-            if not ready:
+            if not handle.ready_hosts():
                 if self.world.scheduler.now >= deadline:
                     promise.reject(TransientError(
                         f"group {handle.name} never became ready"))
                 else:
                     self.world.scheduler.call_after(0.002, try_issue)
                 return
-            inner = rm.external_invoke(
+            self._calls[seq] = (rm.host.name, try_issue)
+            rm.external_invoke(
                 handle.group_id, operation, list(args),
-                client_uid=f"driver/{self.name}", request_seq=seq)
-            inner.on_done(lambda p: promise.reject(p.error)
-                          if p.failed else promise.resolve(p.value))
+                client_uid=f"driver/{self.name}", request_seq=seq
+            ).on_done(settle)
 
         try_issue()
         return promise
+
+    def _reissue_calls(self, host: Host) -> None:
+        """Reissue the calls ``host`` issued: their replies went there."""
+        for issuer, issue in list(self._calls.values()):
+            if issuer == host.name:
+                issue()
 
     # ==================================================================
     # References and status

@@ -5,8 +5,10 @@ to user-specified fault tolerance properties ... and distributes the
 replicas across the system."  Implemented as a genuine replicated CORBA
 object group (the paper notes the managers are themselves CORBA objects
 that benefit from Eternal's fault tolerance): every replica executes
-``create_object`` deterministically and emits the same idempotent
-GROUP_ANNOUNCE control message, so duplicate emission is harmless.
+each operation deterministically and emits the same idempotent
+GROUP_ANNOUNCE or STYLE_SWITCH, so duplicate emission is harmless.  It
+is the one management path: the domain driver's ``create_group`` and
+``switch_style`` and the Evolution Manager invoke it like any group.
 
 *Resource Manager* — "monitors the system resources, and maintains the
 initial and minimum number of replicas."  Implemented as a per-host
@@ -17,7 +19,8 @@ idempotent ADD_REPLICA messages.
 
 *Evolution Manager* — "exploits object replication to support upgrades
 to the CORBA application objects."  Implemented as a rolling-upgrade
-driver: bump the group's factory/version in the registry, then replace
+driver: the Replication Manager's ``upgrade_object`` bumps the group's
+factory/version in the registry, then the driver replaces
 replicas one host at a time, waiting for each new replica's
 REPLICA_READY before touching the next (state transfer keeps the group
 available throughout).
@@ -30,13 +33,14 @@ from typing import Callable, Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from dataclasses import replace as dc_replace
 
-from ..errors import InvocationFailure
-from ..iiop.types import TC_LONG, TC_STRING, TC_VOID
+from ..errors import ConfigurationError, InvocationFailure
+from ..iiop.types import TC_LONG, TC_STRING, TC_VOID, SequenceTC
 from ..orb.idl import Interface, Operation, Param
 from ..orb.servant import Servant
 from ..sim.world import Promise
 from .messages import DomainMessage, MsgKind
-from .naming import FIRST_APPLICATION_GROUP
+from .naming import FIRST_APPLICATION_GROUP, REPLICATION_MANAGER_GROUP
+from .properties import FaultToleranceProperties
 from .registry import GroupInfo
 from .styles import ReplicationStyle
 
@@ -54,6 +58,9 @@ REPLICATION_MANAGER_INTERFACE = Interface("EternalReplicationManager", [
         Param("style", TC_STRING),
         Param("num_replicas", TC_LONG),
         Param("min_replicas", TC_LONG),
+        Param("checkpoint_interval", TC_LONG),
+        # Host names, or empty for the manager's own placement.
+        Param("placement", SequenceTC(TC_STRING)),
     ], TC_STRING),                        # returns the published IOR string
     Operation("remove_object", [Param("name", TC_STRING)], TC_VOID),
     Operation("get_properties", [Param("name", TC_STRING)], TC_STRING),
@@ -65,16 +72,28 @@ REPLICATION_MANAGER_INTERFACE = Interface("EternalReplicationManager", [
         Param("factory_name", TC_STRING),
         Param("properties_json", TC_STRING),
     ], TC_STRING),
+    Operation("switch_style", [Param("name", TC_STRING),
+                               Param("style", TC_STRING)], TC_VOID),
+    Operation("upgrade_object", [Param("name", TC_STRING),
+                                 Param("factory_name", TC_STRING)], TC_LONG),
 ])
+
+
+def _style(style: str) -> ReplicationStyle:
+    try:
+        return ReplicationStyle(style)
+    except ValueError:
+        raise InvocationFailure("IDL:repro/BadProperty:1.0",
+                                f"unknown replication style {style!r}")
 
 
 class ReplicationManagerServant(Servant):
     """Replicated manager servant; one replica per manager host.
 
-    All decisions (group id, placement) are derived from the registry
-    and membership of the *local* Replication Mechanisms at the point
-    in the total order where the invocation is executed — identical on
-    every replica — so every replica multicasts the same announcement.
+    All decisions (group id, placement, style epoch) are derived from
+    the registry and membership of the *local* Replication Mechanisms at
+    the point in the total order where the invocation is executed —
+    identical on every replica — so all replicas multicast one message.
     """
 
     interface = REPLICATION_MANAGER_INTERFACE
@@ -90,36 +109,42 @@ class ReplicationManagerServant(Servant):
 
     def create_object(self, name: str, interface_name: str,
                       factory_name: str, style: str, num_replicas: int,
-                      min_replicas: int) -> str:
+                      min_replicas: int, checkpoint_interval: int,
+                      placement: Sequence[str]) -> str:
+        """Create a group (or return the IOR of the one so named): its id
+        above every id ever announced, its replicas on the named hosts
+        that are live, else on the live replica hosts from ``id % live``."""
         registry = self._rm.registry
         existing = registry.by_name(name)
         if existing is not None:
             return self._ior_builder(existing.group_id,
                                      existing.interface_name)
-        try:
-            chosen_style = ReplicationStyle(style)
-        except ValueError:
+        chosen_style = _style(style)
+        group_id = max(registry.high_water + 1, FIRST_APPLICATION_GROUP)
+        live = [h for h in (placement or self._replica_hosts)
+                if h in self._rm.live_hosts]
+        if not live:
             raise InvocationFailure("IDL:repro/BadProperty:1.0",
-                                    f"unknown replication style {style!r}")
-        group_id = max([FIRST_APPLICATION_GROUP - 1]
-                       + [g.group_id for g in registry.all_groups()]) + 1
-        placement = self._choose_placement(num_replicas)
-        info = GroupInfo(
-            group_id=group_id, name=name, interface_name=interface_name,
-            factory_name=factory_name, style=chosen_style,
-            placement=placement, min_replicas=max(1, min_replicas),
-            initial_replicas=num_replicas)
-        self._rm.multicast(DomainMessage(
-            kind=MsgKind.GROUP_ANNOUNCE, source_group=0, target_group=0,
-            data={"info": info}))
+                                    f"no live host to place {name!r} on")
+        if not placement:
+            offset = group_id % len(live)
+            live = (live[offset:] + live[:offset])[:num_replicas]
+        # A copy per replica, withdrawn like a reply's once one is delivered.
+        self._rm._multicast_copy(DomainMessage(
+            kind=MsgKind.GROUP_ANNOUNCE,
+            source_group=REPLICATION_MANAGER_GROUP, target_group=group_id,
+            data={"info": GroupInfo(
+                group_id=group_id, name=name, interface_name=interface_name,
+                factory_name=factory_name, style=chosen_style,
+                placement=tuple(live), min_replicas=min_replicas,
+                initial_replicas=num_replicas,
+                checkpoint_interval=checkpoint_interval)}))
         return self._ior_builder(group_id, interface_name)
 
     def create_object_with_properties(self, name: str, interface_name: str,
                                       factory_name: str,
                                       properties_json: str) -> str:
         """FT-CORBA flavoured creation: org.omg.ft.* property map."""
-        from ..errors import ConfigurationError
-        from .properties import FaultToleranceProperties
         try:
             raw = json.loads(properties_json)
             if not isinstance(raw, dict):
@@ -128,37 +153,19 @@ class ReplicationManagerServant(Servant):
                 {str(k): str(v) for k, v in raw.items()})
         except (ValueError, ConfigurationError) as exc:
             raise InvocationFailure("IDL:repro/BadProperty:1.0", str(exc))
-        registry = self._rm.registry
-        existing = registry.by_name(name)
-        if existing is not None:
-            return self._ior_builder(existing.group_id,
-                                     existing.interface_name)
-        group_id = max([FIRST_APPLICATION_GROUP - 1]
-                       + [g.group_id for g in registry.all_groups()]) + 1
-        info = GroupInfo(
-            group_id=group_id, name=name, interface_name=interface_name,
-            factory_name=factory_name, style=props.replication_style,
-            placement=self._choose_placement(props.initial_number_replicas),
-            min_replicas=props.minimum_number_replicas,
-            initial_replicas=props.initial_number_replicas,
-            checkpoint_interval=props.checkpoint_interval)
-        self._rm.multicast(DomainMessage(
-            kind=MsgKind.GROUP_ANNOUNCE, source_group=0, target_group=0,
-            data={"info": info}))
-        return self._ior_builder(group_id, interface_name)
+        return self.create_object(
+            name, interface_name, factory_name,
+            props.replication_style.value, props.initial_number_replicas,
+            props.minimum_number_replicas, props.checkpoint_interval, [])
 
     def remove_object(self, name: str) -> None:
-        info = self._rm.registry.by_name(name)
-        if info is None:
-            raise InvocationFailure("IDL:repro/NoSuchObject:1.0", name)
+        info = self._require(name)
         self._rm.multicast(DomainMessage(
             kind=MsgKind.GROUP_REMOVE, source_group=0, target_group=0,
             data={"group_id": info.group_id}))
 
     def get_properties(self, name: str) -> str:
-        info = self._rm.registry.by_name(name)
-        if info is None:
-            raise InvocationFailure("IDL:repro/NoSuchObject:1.0", name)
+        info = self._require(name)
         return json.dumps({
             "group_id": info.group_id,
             "style": info.style.value,
@@ -167,25 +174,37 @@ class ReplicationManagerServant(Servant):
             "version": info.version,
         }, sort_keys=True)
 
+    def switch_style(self, name: str, style: str) -> None:
+        """The switch has taken effect wherever the reply is delivered."""
+        info = self._require(name)
+        new_style = _style(style)
+        if not info.style.has_state or not new_style.has_state:
+            raise InvocationFailure(
+                "IDL:repro/BadProperty:1.0",
+                "live style switching is defined between stateful styles "
+                f"only ({info.style.value} -> {new_style.value})")
+        self._rm.multicast(DomainMessage(
+            kind=MsgKind.STYLE_SWITCH, source_group=0, target_group=0,
+            data={"group_id": info.group_id, "style": new_style.value,
+                  "epoch": info.style_epoch + 1}))
+
+    def upgrade_object(self, name: str, factory_name: str) -> int:
+        """Move a group to a new factory; returns its new version."""
+        info = self._require(name)
+        upgraded = dc_replace(info, version=info.version + 1,
+                              factory_name=factory_name)
+        self._rm.multicast(DomainMessage(
+            kind=MsgKind.GROUP_ANNOUNCE, source_group=0, target_group=0,
+            data={"info": upgraded}))
+        return upgraded.version
+
     # -- helpers ----------------------------------------------------------
 
-    def _choose_placement(self, num_replicas: int) -> Tuple[str, ...]:
-        """Least-loaded live replica hosts, ties broken by name."""
-        live = [h for h in self._replica_hosts if h in self._rm.live_hosts]
-        load: Dict[str, int] = {h: 0 for h in live}
-        for info in self._rm.registry.all_groups():
-            for host in info.placement:
-                if host in load:
-                    load[host] += 1
-        ranked = sorted(live, key=lambda h: (load[h], h))
-        return tuple(ranked[:max(1, num_replicas)])
-
-    # Managers hold no transferable application state.
-    def get_state(self) -> dict:
-        return {}
-
-    def set_state(self, state: dict) -> None:
-        return None
+    def _require(self, name: str) -> GroupInfo:
+        info = self._rm.registry.by_name(name)
+        if info is None:
+            raise InvocationFailure("IDL:repro/NoSuchObject:1.0", name)
+        return info
 
 
 class ResourceManager:
@@ -408,48 +427,45 @@ class EvolutionManager:
     def __init__(self, domain: "FaultToleranceDomain") -> None:
         self.domain = domain
 
-    def upgrade_group(self, group_name: str, new_factory_name: str,
-                      settle_timeout: float = 30.0) -> Promise:
-        """Upgrade every replica of ``group_name`` to ``new_factory_name``.
+    def upgrade_group(self, group_name: str,
+                      new_factory_name: str) -> Promise:
+        """Upgrade every replica of ``group_name`` to ``new_factory_name``:
+        the Replication Manager's ``upgrade_object`` moves the group to
+        the new factory, then its replicas are replaced one at a time.
 
         Returns a promise resolved with the new version number once all
         replicas run the new factory's code.
         """
         promise = Promise()
-        rm = self.domain.coordinator_rm()
-        info = rm.registry.by_name(group_name)
-        if info is None:
-            promise.reject(InvocationFailure("IDL:repro/NoSuchObject:1.0",
-                                             group_name))
-            return promise
-        new_version = info.version + 1
-        upgraded = dc_replace(info, version=new_version,
-                              factory_name=new_factory_name)
-        rm.multicast(DomainMessage(
-            kind=MsgKind.GROUP_ANNOUNCE, source_group=0, target_group=0,
-            data={"info": upgraded}))
-        plan = list(info.placement)
-        state = {"remaining": plan, "current": None}
+        domain = self.domain
 
-        def step() -> None:
-            if not state["remaining"]:
-                promise.resolve(new_version)
+        def roll(upgraded: Promise) -> None:
+            if upgraded.failed:
+                promise.reject(upgraded.error)
                 return
-            host = state["remaining"].pop(0)
-            state["current"] = host
-            rm.multicast(DomainMessage(
-                kind=MsgKind.REMOVE_REPLICA, source_group=0, target_group=0,
-                data={"group_id": info.group_id, "host": host}))
-            rm.multicast(DomainMessage(
-                kind=MsgKind.ADD_REPLICA, source_group=0, target_group=0,
-                data={"group_id": info.group_id, "host": host}))
+            rm = domain.coordinator_rm()
+            info = rm.registry.by_name(group_name)
+            remaining, current = list(info.placement), None
 
-        def on_ready(group_id: int, host: str, version: int) -> None:
-            if promise.done or group_id != info.group_id:
-                return
-            if host == state["current"]:
-                step()
+            def step() -> None:
+                nonlocal current
+                if not remaining:
+                    promise.resolve(upgraded.value)
+                    return
+                current = remaining.pop(0)
+                for kind in (MsgKind.REMOVE_REPLICA, MsgKind.ADD_REPLICA):
+                    rm.multicast(DomainMessage(
+                        kind=kind, source_group=0, target_group=0,
+                        data={"group_id": info.group_id, "host": current}))
 
-        rm.on_replica_ready(on_ready)
-        step()
+            def on_ready(group_id: int, host: str, version: int) -> None:
+                if (not promise.done and group_id == info.group_id
+                        and host == current):
+                    step()
+
+            rm.on_replica_ready(on_ready)
+            step()
+
+        domain.invoke(domain.manager, "upgrade_object",
+                      [group_name, new_factory_name]).on_done(roll)
         return promise

@@ -112,7 +112,8 @@ class DomainMessage:
 
         Every replica of the sending group derives the same operation
         identifier (Figure 6), so this is equal on — and only on — the
-        copies of one RESPONSE or one nested INVOCATION, wherever they
+        copies of one RESPONSE or one nested INVOCATION (or one
+        manager-created group's GROUP_ANNOUNCE), wherever they
         are seen: at the receiver or in the sender's own send queue."""
         return (self.kind, self.source_group, self.target_group,
                 self.client_id, self.op_id)

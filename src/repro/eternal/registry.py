@@ -61,6 +61,9 @@ class GroupRegistry:
     def __init__(self) -> None:
         self._groups: Dict[int, GroupInfo] = {}
         self._by_name: Dict[str, int] = {}
+        # Highest group id ever announced, removed ones included: ids are
+        # allocated above it, so an id (and its IOR) names one group only.
+        self.high_water = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -103,6 +106,7 @@ class GroupRegistry:
             self._by_name.pop(old.name, None)
         self._groups[info.group_id] = info
         self._by_name[info.name] = info.group_id
+        self.high_water = max(self.high_water, info.group_id)
         return not existed
 
     def remove(self, group_id: int) -> Optional[GroupInfo]:

@@ -31,7 +31,7 @@ receiver sets to the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
@@ -59,7 +59,8 @@ from ..totem.member import Queued, TotemMember
 from .execution import Execution, Outcome
 from .logging_recovery import GroupLog
 from .messages import DomainMessage, MsgKind
-from .naming import EXTERNAL_GROUP, GATEWAY_GROUP, make_object_key
+from .naming import (
+    EXTERNAL_GROUP, FIRST_APPLICATION_GROUP, GATEWAY_GROUP, make_object_key)
 from .registry import GroupInfo, GroupRegistry
 from .styles import ReplicationStyle
 
@@ -270,8 +271,9 @@ class ReplicationMechanisms(Process):
         self.totem.multicast(message, size=message.size_hint())
 
     def _multicast_copy(self, message: DomainMessage) -> None:
-        """Multicast a local replica's RESPONSE or nested INVOCATION:
-        a message every replica of the sending group
+        """Multicast a local replica's RESPONSE or nested INVOCATION (or
+        a Replication Manager replica's GROUP_ANNOUNCE of a group it
+        creates): a message every replica of the sending group
         (``message.source_group``) computes identically.
 
         Where any one copy serves the receiver, ours is remembered
@@ -841,12 +843,16 @@ class ReplicationMechanisms(Process):
         # Every synced member answers; the requester applies the
         # first snapshot and ignores the rest (idempotent).
         if self.synced and msg.data.get("requester") != self.host.name:
-            self.multicast(DomainMessage(
-                kind=MsgKind.REGISTRY_SYNC, source_group=0,
-                target_group=0,
-                data={"groups": self.registry.all_groups(),
-                      "for": [msg.data.get("requester")]},
-            ))
+            self._send_registry([msg.data.get("requester")])
+
+    def _send_registry(self, recipients: Sequence[str]) -> None:
+        """The directory snapshot, id high-water mark included."""
+        self.multicast(DomainMessage(
+            kind=MsgKind.REGISTRY_SYNC, source_group=0, target_group=0,
+            data={"groups": self.registry.all_groups(),
+                  "high_water": self.registry.high_water,
+                  "for": list(recipients)},
+        ))
 
     def _apply_registry_sync(self, msg: DomainMessage) -> None:
         """Adopt the directory snapshot, then replay buffered deliveries.
@@ -861,6 +867,8 @@ class ReplicationMechanisms(Process):
                 self.registry.announce(info)
                 self._last_primary[info.group_id] = info.primary(
                     self.live_hosts or info.placement)
+        self.registry.high_water = max(self.registry.high_water,
+                                       msg.data["high_water"])
         self.synced = True
         buffered, self._presync_buffer = self._presync_buffer, []
         for queued in buffered:
@@ -871,6 +879,20 @@ class ReplicationMechanisms(Process):
 
     def _apply_group_announce(self, msg: DomainMessage) -> None:
         info: GroupInfo = msg.data["info"]
+        if info.group_id >= FIRST_APPLICATION_GROUP:
+            old = self.registry.get(info.group_id)
+            if old is not None:
+                # A redundant copy would undo the replica moves since the
+                # first; a newer version is an upgrade, of the code only.
+                if info.version > old.version:
+                    self.registry.bump_version(old.group_id,
+                                               info.factory_name)
+                return
+            if self.live_hosts:
+                # Placed before a membership change that this delivery
+                # follows: a host gone since then holds no replica.
+                info = replace(info, placement=tuple(
+                    info.live_replicas(self.live_hosts)))
         self.registry.announce(info)
         self._last_primary[info.group_id] = info.primary(self.live_hosts or
                                                          info.placement)
@@ -1153,11 +1175,7 @@ class ReplicationMechanisms(Process):
             newcomers = [m for m in members if m not in previous]
             incumbents = [m for m in members if m in previous]
             if newcomers and incumbents and incumbents[0] == self.host.name:
-                self.multicast(DomainMessage(
-                    kind=MsgKind.REGISTRY_SYNC, source_group=0, target_group=0,
-                    data={"groups": self.registry.all_groups(),
-                          "for": list(newcomers)},
-                ))
+                self._send_registry(newcomers)
         # Recovery duration: crash to the reformation that excludes the
         # crashed processor (service is consistent again from here on).
         # The lowest-named incumbent records, so each departure is

@@ -16,6 +16,29 @@ settings.register_profile("search", max_examples=400, derandomize=True,
                           deadline=None)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--full-sweep", action="store_true",
+        help="run every instant of the crash sweeps marked full_sweep "
+             "(tier-1 runs a stride of them)")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "full_sweep: a sweep instant beyond tier-1's stride; "
+                   "runs under --full-sweep only")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--full-sweep"):
+        return
+    beyond = [item for item in items if item.get_closest_marker("full_sweep")]
+    if beyond:
+        config.hook.pytest_deselected(items=beyond)
+        items[:] = [item for item in items
+                    if not item.get_closest_marker("full_sweep")]
+
+
 @pytest.fixture
 def world():
     # The flight recorder is purely passive (no scheduler events, no

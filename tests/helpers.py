@@ -24,6 +24,7 @@ from repro.apps import (
 )
 from repro.errors import CorbaSystemException
 from repro.iiop import TC_LONG, TC_STRING, TC_VOID
+from repro.obs.metrics import CallbackCounter
 from repro.orb import Interface, Operation, Param, Servant
 
 EVENTS = Interface("EventSink", [
@@ -45,6 +46,17 @@ class EventSinkServant(Servant):
 
     def count(self):
         return len(self.notes)
+
+
+def counters_from_here(world):
+    """``grown(name)``: how far the world counter ``name`` grew after
+    this call.  Creating a group is itself an invocation (of the
+    replicated Replication Manager), so a test that counts the work of
+    its own operations starts counting once its groups exist."""
+    metrics = world.metrics
+    base = {name: metrics.value(name) for name in metrics.names()
+            if isinstance(metrics.get(name), CallbackCounter)}
+    return lambda name: metrics.value(name) - base.get(name, 0)
 
 
 def make_domain(world, name="dom", num_hosts=3, gateways=0, mirror=True,

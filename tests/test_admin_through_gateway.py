@@ -39,7 +39,7 @@ def test_external_admin_creates_object_group(world):
     admin = admin_stub(world, domain)
     ior_string = world.await_promise(admin.call(
         "create_object", "AdminCounter", "Counter", "counter_factory",
-        "active", 3, 2), timeout=600)
+        "active", 3, 2, 10, []), timeout=600)
     assert ior_string.startswith("IOR:")
     # The created group is live: invoke it through the same gateway.
     handle = domain.resolve("AdminCounter")
@@ -54,7 +54,7 @@ def test_external_admin_reads_properties(world):
     admin = admin_stub(world, domain)
     world.await_promise(admin.call(
         "create_object", "X", "Counter", "counter_factory",
-        "warm_passive", 2, 1), timeout=600)
+        "warm_passive", 2, 1, 10, []), timeout=600)
     props = json.loads(world.await_promise(
         admin.call("get_properties", "X"), timeout=600))
     assert props["style"] == "warm_passive"
@@ -68,7 +68,7 @@ def test_external_admin_removes_object(world):
     admin = admin_stub(world, domain)
     world.await_promise(admin.call(
         "create_object", "Doomed", "Counter", "counter_factory",
-        "active", 2, 1), timeout=600)
+        "active", 2, 1, 10, []), timeout=600)
     world.await_promise(admin.call("remove_object", "Doomed"), timeout=600)
     world.run(until=world.now + 0.5)
     assert domain.coordinator_rm().registry.by_name("Doomed") is None
@@ -80,8 +80,8 @@ def test_admin_survives_gateway_failover(world):
     domain.register_factory("counter_factory", CounterServant)
     admin = admin_stub(world, domain, enhanced=True)
     world.await_promise(admin.call(
-        "create_object", "A", "Counter", "counter_factory", "active", 2, 1),
-        timeout=600)
+        "create_object", "A", "Counter", "counter_factory", "active", 2, 1,
+        10, []), timeout=600)
     world.faults.crash_now(domain.gateways[0].host.name)
     props = world.await_promise(admin.call("get_properties", "A"),
                                 timeout=600)
@@ -96,7 +96,7 @@ def test_manager_replicas_stay_consistent_under_admin_load(world):
     for i in range(4):
         world.await_promise(admin.call(
             "create_object", f"G{i}", "Counter", "counter_factory",
-            "active", 2, 1), timeout=600)
+            "active", 2, 1, 10, []), timeout=600)
     world.run(until=world.now + 0.5)
     snapshots = set()
     for rm in domain.rms.values():

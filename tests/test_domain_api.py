@@ -66,8 +66,9 @@ def test_invoke_on_never_ready_group_times_out(world):
     class Broken(CounterServant):
         pass
 
+    # Its one replica's host dies, and with no minimum nothing replaces it.
     group = domain.create_group("Broken", COUNTER_INTERFACE, Broken,
-                                placement=["dom-h0"])
+                                placement=["dom-h0"], min_replicas=0)
     world.faults.crash_now("dom-h0")
     world.run(until=world.now + 0.5)
     promise = domain.invoke(group, "value", [], settle_timeout=1.0)

@@ -28,7 +28,7 @@ def test_create_object_via_corba_interface(world):
     domain.register_factory("counter_factory", CounterServant)
     ior_string = world.await_promise(domain.invoke(
         "EternalReplicationManager", "create_object",
-        ["Counter", "Counter", "counter_factory", "active", 3, 2]))
+        ["Counter", "Counter", "counter_factory", "active", 3, 2, 10, []]))
     assert ior_string.startswith("IOR:")
     ior = Ior.from_string(ior_string)
     assert ior.primary_profile().host == "dom-gw0"
@@ -44,7 +44,8 @@ def test_create_object_is_idempotent_across_manager_replicas(world):
     domain.register_factory("counter_factory", CounterServant)
     world.await_promise(domain.invoke(
         "EternalReplicationManager", "create_object",
-        ["Counter", "Counter", "counter_factory", "active", 2, 1]))
+        ["Counter", "Counter", "counter_factory", "active", 2, 1, 10,
+         []]))
     world.run(until=world.now + 0.2)
     registries = [rm.registry for rm in domain.rms.values()]
     for registry in registries:
@@ -57,7 +58,7 @@ def test_create_object_rejects_bad_style(world):
     with pytest.raises(InvocationFailure):
         world.await_promise(domain.invoke(
             "EternalReplicationManager", "create_object",
-            ["X", "Counter", "f", "no_such_style", 2, 1]))
+            ["X", "Counter", "f", "no_such_style", 2, 1, 10, []]))
 
 
 def test_get_properties_reports_fault_tolerance_properties(world):
@@ -92,7 +93,8 @@ def test_manager_survives_host_crash(world):
     world.faults.crash_now(hosting[0])
     ior_string = world.await_promise(domain.invoke(
         "EternalReplicationManager", "create_object",
-        ["Counter", "Counter", "counter_factory", "active", 2, 1]))
+        ["Counter", "Counter", "counter_factory", "active", 2, 1, 10,
+         []]))
     assert ior_string.startswith("IOR:")
 
 

@@ -1,5 +1,7 @@
 """Tests for the FaultDetector and FaultToleranceProperties."""
 
+import json
+
 import pytest
 
 from repro import ReplicationStyle, Servant, World
@@ -141,8 +143,13 @@ def test_create_group_from_properties(world):
         replication_style=ReplicationStyle.COLD_PASSIVE,
         initial_number_replicas=2, minimum_number_replicas=1,
         checkpoint_interval=3)
-    group = domain.create_group("Props", COUNTER_INTERFACE, CounterServant,
-                                properties=props)
+    domain.register_interface(COUNTER_INTERFACE)
+    domain.register_factory("counter_factory", CounterServant)
+    world.await_promise(domain.invoke(
+        "EternalReplicationManager", "create_object_with_properties",
+        ["Props", "Counter", "counter_factory",
+         json.dumps(props.to_properties())]))
+    group = domain.resolve("Props")
     domain.await_ready(group)
     info = group.info()
     assert info.style is ReplicationStyle.COLD_PASSIVE

@@ -41,6 +41,7 @@ from repro.iiop import RequestMessage, encode_request
 from repro.iiop.service_context import ClientIdContext
 
 from tests.helpers import (
+    counters_from_here,
     crash_gateway_on_response,
     external_client,
     make_domain,
@@ -216,6 +217,7 @@ def test_fig3_duplicate_suppression(label, degree, style, slow_pair,
     world = World(seed=100 + degree, trace=False)
     domain = make_domain(world, num_hosts=max(3, degree), gateways=1)
     group = ready_counter_group(domain, style=style, replicas=degree)
+    grown = counters_from_here(world)
     if slow_pair is not None:
         # Ring order is gw0, h0, h1, h2: the token needs 1.4 ms from h0
         # to h2 via h1, h0's broadcast now needs 3 ms to get there.
@@ -227,10 +229,10 @@ def test_fig3_duplicate_suppression(label, degree, style, slow_pair,
     assert set(replica_counts(domain, group).values()) == {FIG3_REQUESTS}
     gateway = domain.gateways[0]
     m = world.metrics
-    withdrawn = m.value("rm.copies.withdrawn")
+    withdrawn = grown("rm.copies.withdrawn")
     suppressed_at_gateway = gateway.stats["duplicates_suppressed"]
     # Paper shape: n responses per invocation, exactly 1 delivered ...
-    assert m.value("eternal.invocations.executed") == degree * FIG3_REQUESTS
+    assert grown("eternal.invocations.executed") == degree * FIG3_REQUESTS
     assert gateway.stats["responses_delivered"] == FIG3_REQUESTS
     # ... and every one of the other n-1 is accounted for, copy by copy.
     assert m.value("gateway.resp.received") == on_wire * FIG3_REQUESTS
@@ -310,13 +312,14 @@ def build_fig5():
     world = World(seed=11, trace=False)
     domain = make_domain(world, gateways=1)
     group = ready_counter_group(domain)
+    grown = counters_from_here(world)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
     world.await_promise(stub.call("increment", 1), timeout=600)  # warm up
-    return world, domain, stub
+    return world, domain, stub, grown
 
 
 def test_fig5_simulated_client_latency():
-    world, domain, stub = build_fig5()
+    world, domain, stub, _ = build_fig5()
     t0 = world.now
     for _ in range(FIG5_BATCH):
         world.await_promise(stub.call("increment", 1), timeout=600)
@@ -330,7 +333,7 @@ def test_fig5_simulated_client_latency():
 def test_fig5_pipelined_requests_throughput():
     """Clients may pipeline: many requests in flight on one connection.
     Simulated completion time per request drops well below the RTT."""
-    world, domain, stub = build_fig5()
+    world, domain, stub, _ = build_fig5()
     t0 = world.now
     promises = [stub.call("increment", 1) for _ in range(FIG5_BATCH)]
     world.run_until_done(promises, timeout=600)
@@ -339,7 +342,7 @@ def test_fig5_pipelined_requests_throughput():
 
 def test_fig5_gateway_action_counters():
     """Every Figure 5 action leaves a countable trace."""
-    world, domain, stub = build_fig5()
+    world, domain, stub, grown = build_fig5()
     for _ in range(10):
         world.await_promise(stub.call("increment", 1), timeout=600)
     world.run(until=world.now + 0.5)
@@ -352,7 +355,7 @@ def test_fig5_gateway_action_counters():
     # withdrawn at their sender never did.
     assert world.metrics.value("gateway.resp.received") == (
         stats["responses_delivered"] + stats["duplicates_suppressed"])
-    assert (world.metrics.value("rm.copies.withdrawn")
+    assert (grown("rm.copies.withdrawn")
             + stats["duplicates_suppressed"]) == 22
     assert stats["clients_connected"] == 1
 

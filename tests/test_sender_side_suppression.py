@@ -28,6 +28,7 @@ from repro.apps import (
 from repro.eternal.messages import MsgKind
 
 from tests.helpers import (
+    counters_from_here,
     external_client,
     make_counter_group,
     make_domain,
@@ -68,6 +69,7 @@ def assert_response_partition(world):
 def test_one_response_on_the_ring_per_active_operation(world):
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain, replicas=3)
+    grown = counters_from_here(world)
     gateway = domain.gateways[0]
     seen = ring_log(domain, gateway.host.name)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
@@ -77,9 +79,9 @@ def test_one_response_on_the_ring_per_active_operation(world):
     assert values == [1, 2, 3, 4]
     assert len(responses(seen)) == 4
     m = world.metrics
-    assert m.value("rm.copies.queued") == 12
-    assert m.value("rm.copies.withdrawn") == 8
-    assert m.value("totem.msg.withdrawn") == 8
+    assert grown("rm.copies.queued") == 12
+    assert grown("rm.copies.withdrawn") == 8
+    assert grown("totem.msg.withdrawn") == 8
     assert gateway.stats["responses_delivered"] == 4
     assert gateway.stats["duplicates_suppressed"] == 0
     assert set(replica_counts(domain, group).values()) == {4}
@@ -97,6 +99,7 @@ def test_fig6_bank_one_copy_per_nested_call(world):
     ledger = domain.create_group("Ledger", LEDGER_INTERFACE, LedgerServant)
     agent = domain.create_group("Transfers", TRANSFER_INTERFACE,
                                 TransferAgentServant)
+    grown = counters_from_here(world)
     seen = ring_log(domain, domain.hosts[0].name)
     world.await_promise(accounts.invoke("deposit", "alice", 100))
     transfers = 5
@@ -114,11 +117,10 @@ def test_fig6_bank_one_copy_per_nested_call(world):
     assert len(nested_invocations) == 3 * transfers
     assert len(nested_responses) == 3 * transfers
     assert len({p.op_id for p in nested_invocations}) == 3 * transfers
-    m = world.metrics
-    assert m.value("rm.copies.withdrawn") > 0
-    assert (m.value("rm.copies.queued") - m.value("rm.copies.withdrawn")
+    assert grown("rm.copies.withdrawn") > 0
+    assert (grown("rm.copies.queued") - grown("rm.copies.withdrawn")
             == len(responses(seen)) + len(nested_invocations))
-    assert m.value("eternal.invocations.duplicate") == 0
+    assert world.metrics.value("eternal.invocations.duplicate") == 0
     assert world.await_promise(ledger.invoke("entries")) == transfers
     assert world.await_promise(accounts.invoke("balance", "alice")) == 50
     assert world.await_promise(accounts.invoke("balance", "bob")) == 50
@@ -141,6 +143,7 @@ def test_crossing_copies_are_still_suppressed_at_the_gateway(world):
     withdrew."""
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain, replicas=3)
+    grown = counters_from_here(world)
     world.network.latency_model.set_pair("dom-h0", "dom-h2", 0.003)
     gateway = domain.gateways[0]
     seen = ring_log(domain, gateway.host.name)
@@ -149,12 +152,11 @@ def test_crossing_copies_are_still_suppressed_at_the_gateway(world):
         world.await_promise(stub.call("increment", 1))
     world.run(until=world.now + 0.2)
     assert responses(seen) == ["dom-h0", "dom-h2"] * 4
-    m = world.metrics
-    assert m.value("rm.copies.withdrawn") == 4
+    assert grown("rm.copies.withdrawn") == 4
     assert gateway.stats["responses_delivered"] == 4
     assert gateway.stats["duplicates_suppressed"] == 4
     # withdrawn at sender + suppressed at gateway = n - 1 per operation
-    assert (m.value("rm.copies.withdrawn")
+    assert (grown("rm.copies.withdrawn")
             + gateway.stats["duplicates_suppressed"]) == (3 - 1) * 4
     assert_response_partition(world)
     world.audit(strict=True)
@@ -169,6 +171,7 @@ def test_first_speaker_dies_with_its_copy_still_queued(world):
     domain = make_domain(world, num_hosts=4, gateways=1)
     group = make_counter_group(domain, replicas=3, min_replicas=2)
     domain.await_ready(group)
+    grown = counters_from_here(world)
     gateway = domain.gateways[0]
     seen = ring_log(domain, gateway.host.name)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
@@ -190,7 +193,7 @@ def test_first_speaker_dies_with_its_copy_still_queued(world):
     assert len(second) == 1 and second[0] in survivors
     # Two withdrawn on the first call, one (the other survivor's) on
     # the second; the dead replica's copy was never withdrawn or sent.
-    assert world.metrics.value("rm.copies.withdrawn") == 3
+    assert grown("rm.copies.withdrawn") == 3
     assert gateway.stats["responses_delivered"] == 2
     assert gateway.stats["duplicates_suppressed"] == 0
     assert set(replica_counts(domain, group).values()) == {2}
@@ -238,6 +241,7 @@ def test_voting_keeps_every_copy_and_masks_a_minority_fault(world):
     group = make_counter_group(domain,
                                style=ReplicationStyle.ACTIVE_WITH_VOTING)
     domain.await_ready(group)
+    grown = counters_from_here(world)
     gateway = domain.gateways[0]
     seen = ring_log(domain, gateway.host.name)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
@@ -248,10 +252,9 @@ def test_voting_keeps_every_copy_and_masks_a_minority_fault(world):
     world.run(until=world.now + 0.2)
     # All three replicas' copies of both responses went on the ring.
     assert sorted(responses(seen)) == sorted(group.info().placement * 2)
-    m = world.metrics
-    assert m.value("rm.copies.queued") == 0
-    assert m.value("totem.msg.withdrawn") == 0
-    assert m.value("gateway.resp.received") == 6
+    assert grown("rm.copies.queued") == 0
+    assert grown("totem.msg.withdrawn") == 0
+    assert world.metrics.value("gateway.resp.received") == 6
     assert gateway.stats["responses_delivered"] == 2
     assert_response_partition(world)
     world.audit(strict=True)
@@ -268,6 +271,7 @@ def test_live_switch_away_from_active_under_load(world, new_style):
     twice."""
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain, replicas=3)
+    grown = counters_from_here(world)
     gateway = domain.gateways[0]
     order = []   # (sequence number, kind) as the gateway's member saw it
     switch_after = 4   # INVOCATIONs in the order, the connect call included
@@ -295,16 +299,17 @@ def test_live_switch_away_from_active_under_load(world, new_style):
     assert set(replica_counts(domain, group).values()) == {25}
     assert gateway.stats["responses_delivered"] \
         + gateway.stats["votes_relaxed"] == 25
-    m = world.metrics
     # The operations sequenced ahead of the switch — more than the
     # connect call, fewer than all 25 — ran under ACTIVE (three copies
-    # queued each, two withdrawn); those behind it did not.
+    # queued each, two withdrawn); those behind it did not.  So did the
+    # Replication Manager's switch_style call that put the switch on
+    # the ring (an ACTIVE group of three as well).
     cut = next(seq for seq, kind in order if kind is MsgKind.STYLE_SWITCH)
     active_ops = sum(1 for seq, kind in order
                      if kind is MsgKind.INVOCATION and seq < cut)
-    assert 1 < active_ops < 25
-    assert m.value("rm.copies.queued") == 3 * active_ops
-    assert m.value("rm.copies.withdrawn") == 2 * active_ops
+    assert 1 < active_ops - 1 < 25
+    assert grown("rm.copies.queued") == 3 * active_ops
+    assert grown("rm.copies.withdrawn") == 2 * active_ops
     assert_response_partition(world)
     world.audit(strict=True)
 

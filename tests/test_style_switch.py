@@ -13,7 +13,8 @@ import statistics
 import pytest
 
 from repro import ReplicationStyle, World
-from repro.errors import ConfigurationError, CorbaSystemException
+from repro.errors import (
+    ConfigurationError, CorbaSystemException, InvocationFailure)
 from repro.eternal.messages import MsgKind
 from repro.eternal.styles import StylePolicy
 
@@ -351,10 +352,12 @@ def test_rm_wait_holding_a_partial_vote_is_freed_by_the_switch(world):
     world.run(until=world.now + 0.3)
     assert not call.done
     assert caller._response_filter.pending_count == 1
-    domain.switch_style(group, ReplicationStyle.LEADER_FOLLOWER)
+    switched = domain.switch_style(group, ReplicationStyle.LEADER_FOLLOWER)
     assert world.await_promise(call, timeout=5) == 5
+    world.await_promise(switched)
     world.run(until=world.now + 0.3)
-    assert caller.stats["responses_delivered"] == delivered + 1
+    # The call's reply, and the Replication Manager's to switch_style.
+    assert caller.stats["responses_delivered"] == delivered + 2
     assert world.metrics.value("rm.style.vote_relaxed") == 1
     assert caller._response_filter.pending_count == 0
 
@@ -440,10 +443,16 @@ def test_switch_rejects_stateless_endpoints(world):
     group = make_counter_group(domain)
     stateless = make_counter_group(domain, name="Stateless",
                                    style=ReplicationStyle.STATELESS)
-    with pytest.raises(ConfigurationError):
-        domain.switch_style(group, ReplicationStyle.STATELESS)
-    with pytest.raises(ConfigurationError):
-        domain.switch_style(stateless, ReplicationStyle.ACTIVE)
+    # The Replication Manager checks the switch and rejects it; the
+    # directory keeps both styles.
+    with pytest.raises(InvocationFailure):
+        world.await_promise(
+            domain.switch_style(group, ReplicationStyle.STATELESS))
+    with pytest.raises(InvocationFailure):
+        world.await_promise(
+            domain.switch_style(stateless, ReplicationStyle.ACTIVE))
+    assert group.info().style is ReplicationStyle.ACTIVE
+    assert stateless.info().style is ReplicationStyle.STATELESS
 
 
 # ======================================================================
