@@ -83,7 +83,7 @@ def run_failover_scenario(seed: int = 350,
                           scheduler: Optional[Scheduler] = None) -> World:
     """The section 3.5 failover: the first gateway crashes at the exact
     instant the response reaches it; the enhanced client fails over."""
-    world = World(seed=seed, trace=False, scheduler=scheduler)
+    world = World(seed=seed, scheduler=scheduler)
     domain = _make_domain(world, num_hosts=3, gateways=2)
     group = _make_counter_group(domain)
     host = world.add_host("browser")
@@ -112,7 +112,7 @@ def run_chaos_scenario(victim_index: int = 0, crash_delay: float = 0.09,
                        ) -> Tuple[DeliveryTrace, Dict[str, int], str]:
     """Seeded crash scenario; returns (delivery trace, final counts,
     metrics JSON) for comparison against the committed golden."""
-    world = World(seed=seed, trace=False, scheduler=scheduler)
+    world = World(seed=seed, scheduler=scheduler)
     domain = _make_domain(world, num_hosts=4, gateways=2)
     group = _make_counter_group(domain, min_replicas=2)
     deliveries = _trace_deliveries(domain)
@@ -143,7 +143,7 @@ def run_parked_scenario(seed: int = 9,
     """Three rounds of two simultaneous calls through different gateways
     into a ring whose token is parked; returns (delivery trace, replies
     in call order, final counts, metrics JSON)."""
-    world = World(seed=seed, trace=False, scheduler=scheduler)
+    world = World(seed=seed, scheduler=scheduler)
     domain = _make_domain(world, num_hosts=3, gateways=2)
     group = _make_counter_group(domain)
     deliveries = _trace_deliveries(domain)

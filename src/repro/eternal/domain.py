@@ -133,14 +133,14 @@ class FaultToleranceDomain:
     def _add_processor(self, host_name: str, replica_host: bool) -> Host:
         host = self.world.add_host(host_name, site=self.site)
         member = TotemMember(host, host_name, self.transport,
-                             config=self.totem_config,
-                             tracer=self.world.tracer)
+                             config=self.totem_config)
         # Processors added after bootstrap join a running domain and must
         # receive the directory snapshot before acting on deliveries.
         rm = ReplicationMechanisms(
             host, member, self.name, self.interfaces, self.factories,
-            tracer=self.world.tracer, synced=not self._bootstrapped)
+            synced=not self._bootstrapped)
         self.egresses[host_name] = DomainEgress(rm, self.world)
+        self.evolution.attach(rm)
         self.hosts.append(host)
         host.on_crash(self._reissue_calls)
         self.members[host_name] = member
@@ -456,12 +456,12 @@ class FaultToleranceDomain:
             raise ConfigurationError(
                 "gateway processors are restarted via add_gateway")
         member = TotemMember(host, host_name, self.transport,
-                             config=self.totem_config,
-                             tracer=self.world.tracer)
+                             config=self.totem_config)
         rm = ReplicationMechanisms(
             host, member, self.name, self.interfaces, self.factories,
-            tracer=self.world.tracer, synced=False)
+            synced=False)
         self.egresses[host_name] = DomainEgress(rm, self.world)
+        self.evolution.attach(rm)
         self.members[host_name] = member
         self.rms[host_name] = rm
         if host_name in self.replica_host_names:

@@ -82,10 +82,10 @@ class FaultDetector:
         # reprolint: disable=DET004 -- local replica identity, never serialized
         self._reported[group_id] = id(servant)
         self.stats["faults_detected"] += 1
-        self.rm.tracer.emit(
-            self.rm.scheduler.now, "eternal.fault_detected",
-            f"detector@{self.rm.host.name}",
-            f"local replica of group {group_id} failed its health check")
+        fl = self.rm.flight
+        if fl.enabled:
+            fl.record("flight.eviction", host=self.rm.host.name,
+                      group=group_id)
         self.rm.multicast(DomainMessage(
             kind=MsgKind.REMOVE_REPLICA, source_group=0, target_group=0,
             data={"group_id": group_id, "host": self.rm.host.name},

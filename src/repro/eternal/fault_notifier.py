@@ -18,6 +18,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from ..errors import ConfigurationError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .domain import FaultToleranceDomain
 
@@ -60,7 +62,7 @@ class FaultNotifier:
         try:
             self._last_members = tuple(sorted(
                 domain.coordinator_rm().live_hosts))
-        except Exception:
+        except ConfigurationError:      # no live host yet
             self._last_members = ()
         # Slow poll: catches replica removals that do not change the
         # ring membership (e.g. a fault detector evicting a sick
@@ -127,8 +129,8 @@ class FaultNotifier:
     def _check_group_health(self) -> None:
         try:
             rm = self.domain.coordinator_rm()
-        # reprolint: disable=EXC001 -- no coordinator RM while the domain is still wiring (or fully down); the health check simply waits for the next membership event
-        except Exception:
+        except ConfigurationError:
+            # No live host: the check waits for the next membership event.
             return
         live = set(rm.live_hosts)
         for info in rm.registry.all_groups():

@@ -29,7 +29,8 @@ available throughout).
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Sequence, Tuple, TYPE_CHECKING
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from dataclasses import replace as dc_replace
 
@@ -94,6 +95,9 @@ class ReplicationManagerServant(Servant):
     the registry and membership of the *local* Replication Mechanisms at
     the point in the total order where the invocation is executed —
     identical on every replica — so all replicas multicast one message.
+    The one exception is the servant's own state, ``style_epochs``: the
+    last epoch issued per group, so a switch issued before the previous
+    one's STYLE_SWITCH is delivered still gets an epoch of its own.
     """
 
     interface = REPLICATION_MANAGER_INTERFACE
@@ -104,6 +108,7 @@ class ReplicationManagerServant(Servant):
         self._rm = rm
         self._ior_builder = ior_builder
         self._replica_hosts = replica_hosts
+        self.style_epochs: Dict[int, int] = {}
 
     # -- operations -------------------------------------------------------
 
@@ -160,6 +165,7 @@ class ReplicationManagerServant(Servant):
 
     def remove_object(self, name: str) -> None:
         info = self._require(name)
+        self.style_epochs.pop(info.group_id, None)
         self._rm.multicast(DomainMessage(
             kind=MsgKind.GROUP_REMOVE, source_group=0, target_group=0,
             data={"group_id": info.group_id}))
@@ -183,10 +189,13 @@ class ReplicationManagerServant(Servant):
                 "IDL:repro/BadProperty:1.0",
                 "live style switching is defined between stateful styles "
                 f"only ({info.style.value} -> {new_style.value})")
+        epoch = max(info.style_epoch,
+                    self.style_epochs.get(info.group_id, 0)) + 1
+        self.style_epochs[info.group_id] = epoch
         self._rm.multicast(DomainMessage(
             kind=MsgKind.STYLE_SWITCH, source_group=0, target_group=0,
             data={"group_id": info.group_id, "style": new_style.value,
-                  "epoch": info.style_epoch + 1}))
+                  "epoch": epoch}))
 
     def upgrade_object(self, name: str, factory_name: str) -> int:
         """Move a group to a new factory; returns its new version."""
@@ -422,10 +431,33 @@ class StyleManager:
 
 
 class EvolutionManager:
-    """Rolling live-upgrade driver (one replica at a time)."""
+    """Rolling live-upgrade driver (one replica at a time).
+
+    Each step — REMOVE_REPLICA then ADD_REPLICA of one host — is
+    multicast from whichever processor is coordinator when it is issued,
+    and every processor's Replication Mechanisms report readiness and
+    membership here (:meth:`attach`, at wiring time), so the roll does
+    not depend on the processor that started it.  At every membership
+    change the host being replaced checks whether the step reached it:
+    the step's issuer, or the donor of its state, may have died.  Unless
+    it holds a ready replica of the new version, the step is issued
+    again from the coordinator; a redundant step is harmless, because a
+    state transfer answers only the ADD_REPLICA that made its replica.
+    A host being replaced that leaves is skipped.
+    """
 
     def __init__(self, domain: "FaultToleranceDomain") -> None:
         self.domain = domain
+        # Group id -> its roll in progress.
+        self._rolls: Dict[int, _Roll] = {}
+        domain.world.audit_scope.register(
+            "evolution.rolls", lambda: len(self._rolls),
+            owner=f"domain/{domain.name}")
+
+    def attach(self, rm: "ReplicationMechanisms") -> None:
+        rm.on_replica_ready(self._on_ready)
+        rm.on_membership_change(
+            lambda live, rm=rm: self._on_membership(rm, live))
 
     def upgrade_group(self, group_name: str,
                       new_factory_name: str) -> Promise:
@@ -443,29 +475,78 @@ class EvolutionManager:
             if upgraded.failed:
                 promise.reject(upgraded.error)
                 return
-            rm = domain.coordinator_rm()
-            info = rm.registry.by_name(group_name)
-            remaining, current = list(info.placement), None
-
-            def step() -> None:
-                nonlocal current
-                if not remaining:
-                    promise.resolve(upgraded.value)
-                    return
-                current = remaining.pop(0)
-                for kind in (MsgKind.REMOVE_REPLICA, MsgKind.ADD_REPLICA):
-                    rm.multicast(DomainMessage(
-                        kind=kind, source_group=0, target_group=0,
-                        data={"group_id": info.group_id, "host": current}))
-
-            def on_ready(group_id: int, host: str, version: int) -> None:
-                if (not promise.done and group_id == info.group_id
-                        and host == current):
-                    step()
-
-            rm.on_replica_ready(on_ready)
-            step()
+            group_id = domain.resolve(group_name).group_id
+            placement = domain.coordinator_rm().registry.require(
+                group_id).placement
+            self._rolls[group_id] = _Roll(self, group_id, upgraded.value,
+                                          list(placement), promise)
+            self._rolls[group_id].advance()
 
         domain.invoke(domain.manager, "upgrade_object",
                       [group_name, new_factory_name]).on_done(roll)
         return promise
+
+    def _on_ready(self, group_id: int, host: str, version: int) -> None:
+        roll = self._rolls.get(group_id)
+        if (roll is not None and host == roll.current
+                and version >= roll.version):
+            roll.advance()
+
+    def _on_membership(self, rm: "ReplicationMechanisms",
+                       live: Tuple[str, ...]) -> None:
+        for roll in list(self._rolls.values()):
+            if roll.current not in live:
+                roll.advance()
+            elif rm.host.name == roll.current:
+                record = rm.replicas.get(roll.group_id)
+                if (record is None or not record.ready
+                        or record.version < roll.version):
+                    roll.issue()
+
+
+class _Roll:
+    """One group's upgrade: the hosts left to replace and the host
+    being replaced now (``current``)."""
+
+    def __init__(self, manager: EvolutionManager, group_id: int,
+                 version: int, remaining: List[str],
+                 promise: Promise) -> None:
+        self.manager = manager
+        self.group_id = group_id
+        self.version = version
+        self.remaining = remaining
+        self.promise = promise
+        self.current = ""
+
+    def advance(self) -> None:
+        """Replace the next host still live; resolve when none is left."""
+        try:
+            live = self.manager.domain.coordinator_rm().live_hosts
+        except ConfigurationError as exc:
+            self._finish(exc)
+            return
+        while self.remaining and self.remaining[0] not in live:
+            self.remaining.pop(0)
+        if not self.remaining:
+            self._finish(None)
+            return
+        self.current = self.remaining.pop(0)
+        self.issue()
+
+    def issue(self) -> None:
+        try:
+            rm = self.manager.domain.coordinator_rm()
+        except ConfigurationError as exc:
+            self._finish(exc)
+            return
+        for kind in (MsgKind.REMOVE_REPLICA, MsgKind.ADD_REPLICA):
+            rm.multicast(DomainMessage(
+                kind=kind, source_group=0, target_group=0,
+                data={"group_id": self.group_id, "host": self.current}))
+
+    def _finish(self, error: Optional[Exception]) -> None:
+        self.manager._rolls.pop(self.group_id, None)
+        if error is None:
+            self.promise.resolve(self.version)
+        else:
+            self.promise.reject(error)

@@ -53,7 +53,6 @@ from ..orb.dispatch import (
 from ..orb.idl import Interface, Operation
 from ..orb.servant import NestedCall, Servant
 from ..sim.host import Host, Process
-from ..sim.trace import Tracer
 from ..sim.world import Promise
 from ..totem.member import Queued, TotemMember
 from .execution import Execution, Outcome
@@ -111,6 +110,7 @@ class ReplicaRecord:
     ready: bool = True                 # state installed (or nothing to install)
     buffered: List[DomainMessage] = field(default_factory=list)
     since_checkpoint: int = 0          # completions since the last checkpoint
+    added_at: int = 0                  # timestamp of the ADD_REPLICA that made it
 
 
 @dataclass
@@ -148,7 +148,6 @@ class ReplicationMechanisms(Process):
         domain_name: str,
         interfaces: Dict[str, Interface],
         factories: Dict[str, Callable[[], Servant]],
-        tracer: Optional[Tracer] = None,
         synced: bool = True,
     ) -> None:
         super().__init__(host, f"rm@{host.name}")
@@ -156,7 +155,6 @@ class ReplicationMechanisms(Process):
         self.domain_name = domain_name
         self.interfaces = interfaces
         self.factories = factories
-        self.tracer = tracer or Tracer(enabled=False)
         # Causal-trace collector (world-shared); hot paths check
         # ``.enabled`` before doing any span work.
         self._span_collector = host.network.spans
@@ -694,8 +692,6 @@ class ReplicationMechanisms(Process):
         """Fail fast instead of registering a wait no live replica can
         ever end (see :meth:`votes_needed`): the error to raise."""
         self.stats["invocations_unservable"] += 1
-        self.tracer.emit(self.scheduler.now, "eternal.unservable", self.name,
-                         f"{call} group {group} with zero live replicas")
         return TransientError(f"group {group} has no live replicas")
 
     # ==================================================================
@@ -873,9 +869,6 @@ class ReplicationMechanisms(Process):
         buffered, self._presync_buffer = self._presync_buffer, []
         for queued in buffered:
             self._dispatch(queued)
-        self.tracer.emit(self.scheduler.now, "eternal.synced", self.name,
-                         f"registry synced ({len(msg.data['groups'])} groups, "
-                         f"{len(buffered)} replayed)")
 
     def _apply_group_announce(self, msg: DomainMessage) -> None:
         info: GroupInfo = msg.data["info"]
@@ -913,14 +906,15 @@ class ReplicationMechanisms(Process):
         self._last_primary.pop(group_id, None)
         self._lf_unacked.pop(group_id, None)
 
-    def _create_local_replica(self, info: GroupInfo, ready: bool) -> None:
+    def _create_local_replica(self, info: GroupInfo, ready: bool,
+                              added_at: int = 0) -> None:
         factory = self.factories.get(info.factory_name)
         if factory is None:
             raise ConfigurationError(f"no factory {info.factory_name!r}")
         servant = _call_factory(factory, self)
         self.replicas[info.group_id] = ReplicaRecord(
             group_id=info.group_id, servant=servant,
-            version=info.version, ready=ready)
+            version=info.version, ready=ready, added_at=added_at)
         if info.style.is_passive:
             self._log_for(info.group_id)
 
@@ -928,7 +922,9 @@ class ReplicationMechanisms(Process):
         group_id = msg.data["group_id"]
         new_host = msg.data["host"]
         info_before = self.registry.get(group_id)
-        if info_before is None:
+        # A host that left before this was ordered was already pruned:
+        # placing a replica there would keep it in the placement forever.
+        if info_before is None or new_host not in self.live_hosts:
             return
         donor = info_before.primary(self.live_hosts)
         actually_added = self.registry.add_replica(group_id, new_host)
@@ -937,7 +933,8 @@ class ReplicationMechanisms(Process):
         info = self.registry.require(group_id)
         if new_host == self.host.name and group_id not in self.replicas:
             has_donor = donor is not None and donor != new_host
-            self._create_local_replica(info, ready=not has_donor)
+            self._create_local_replica(info, ready=not has_donor,
+                                       added_at=msg.timestamp)
             if not has_donor:
                 # Nothing to transfer (first/only replica): announce ready.
                 self._announce_ready(group_id, info.version)
@@ -976,7 +973,10 @@ class ReplicationMechanisms(Process):
             return
         group_id = msg.data["group_id"]
         record = self.replicas.get(group_id)
-        if record is None or record.ready:
+        # A transfer answers the ADD_REPLICA that made this replica, not
+        # an earlier one for the same host (a step issued twice).
+        if (record is None or record.ready
+                or record.added_at != msg.data["cut_ts"]):
             return
         self.stats["state_transfers_received"] += 1
         record.servant.set_state(msg.data["state"])
@@ -1090,10 +1090,6 @@ class ReplicationMechanisms(Process):
             self._span_collector.instant(
                 f"style/{group_id}/{epoch}", "rm.style.switch",
                 source=self.name, old=old_style.value, new=new_style.value)
-        self.tracer.emit(
-            self.scheduler.now, "eternal.style_switch", self.name,
-            f"group {group_id}: {old_style.value} -> {new_style.value}",
-            epoch=epoch)
         info = self.registry.require(group_id)
         record = self.replicas.get(group_id)
         backup = info.primary(self.live_hosts) != self.host.name
@@ -1113,15 +1109,18 @@ class ReplicationMechanisms(Process):
         # (silently — those operations' responses were already served by
         # the old primary) to reach the primary's state, then the log is
         # dropped: executing styles keep hot state instead.
+        replayed = 0
         if old_style.is_passive and new_style.executes_everywhere:
             if record is not None and backup:
                 replayed = self._restore_and_replay(info, record, old_style,
                                                     silent=True)
-                self.tracer.emit(self.scheduler.now, "eternal.style_catchup",
-                                 self.name, f"group {group_id}: replayed "
-                                 f"{replayed} ops to leave {old_style.value}")
                 self.stats["catchup_replays"] += replayed
             self.logs.pop(group_id, None)
+        fl = self.flight
+        if fl.enabled:
+            fl.record("flight.style_switch", rm=self.name, group=group_id,
+                      old=old_style.value, new=new_style.value, epoch=epoch,
+                      replayed=replayed)
         # (3) Voting dropped: in-flight majority expectations can never
         # fill once only the leader speaks — votes_needed says so from
         # here on, which is all the sweep needs to know.
@@ -1191,11 +1190,7 @@ class ReplicationMechanisms(Process):
                             and dead.last_crash_at is not None):
                         self._m_recovery_duration.observe(
                             self.scheduler.now - dead.last_crash_at)
-        removed = self.registry.prune_dead_hosts(members)
-        if removed:
-            self.tracer.emit(self.scheduler.now, "eternal.prune",
-                             self.name, "replicas pruned",
-                             removed=[f"{g}@{h}" for g, h in removed])
+        self.registry.prune_dead_hosts(members)
         self._check_primary_changes()
         # Re-decide every wait (every processor settles the same waits
         # at this point): fail those whose responder group lost every
@@ -1226,10 +1221,8 @@ class ReplicationMechanisms(Process):
         self.stats["failovers"] += 1
         replayed = self._restore_and_replay(info, record, info.style,
                                             silent=False)
-        self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
-                         f"promoted to primary of group {info.group_id}",
-                         style=info.style.value, replayed=replayed)
         self.stats["replays"] += replayed
+        self._record_promotion(info, replayed=replayed)
 
     def _promote_leader_follower(self, info: GroupInfo) -> None:
         """Leader-follower failover: the new leader's state is already
@@ -1263,10 +1256,15 @@ class ReplicationMechanisms(Process):
                 continue
             self.multicast(waiter.message)
             reissued += 1
-        self.tracer.emit(self.scheduler.now, "eternal.failover", self.name,
-                         f"promoting to leader of group {info.group_id}",
-                         style=info.style.value, resent=resent,
-                         reissued=reissued)
+        self._record_promotion(info, resent=resent, reissued=reissued)
+
+    def _record_promotion(self, info: GroupInfo, replayed: int = 0,
+                          resent: int = 0, reissued: int = 0) -> None:
+        fl = self.flight
+        if fl.enabled:
+            fl.record("flight.promotion", rm=self.name, group=info.group_id,
+                      style=info.style.value, replayed=replayed,
+                      resent=resent, reissued=reissued)
 
 
 def _call_factory(factory: Callable[..., Servant],

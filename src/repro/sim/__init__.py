@@ -14,7 +14,6 @@ from .host import Host, Process
 from .network import LatencyModel, Network
 from .scheduler import Scheduler, Timer
 from .tcp import TcpEndpoint, TcpListener, TcpStack
-from .trace import TraceRecord, Tracer
 from .world import Promise, World
 
 __all__ = [
@@ -29,7 +28,5 @@ __all__ = [
     "TcpListener",
     "TcpStack",
     "Timer",
-    "TraceRecord",
-    "Tracer",
     "World",
 ]

@@ -9,7 +9,7 @@ reproduce an exact interleaving.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Iterable, Optional, Set, TYPE_CHECKING
 
 from .network import Network
 from .scheduler import Scheduler, Timer
@@ -34,13 +34,11 @@ class FaultInjector:
                  flight: Optional["FlightRecorder"] = None) -> None:
         self.scheduler = scheduler
         self.network = network
-        self.injected: List[Tuple[float, str, str]] = []
         self.stats = dict.fromkeys(_STATS, 0)
         network.metrics.register_stats(self.stats, _STATS)
         self.flight = flight
 
     def _record(self, action: str, target: str) -> None:
-        self.injected.append((self.scheduler.now, action, target))
         self.stats[action] += 1
         flight = self.flight
         if flight is not None and flight.enabled:

@@ -22,7 +22,6 @@ from ..obs import (AuditScope, FlightRecorder, MetricsRegistry,
                    SeriesRegistry, TraceCollector)
 from .host import Host
 from .scheduler import Scheduler
-from .trace import Tracer
 
 DeliverFn = Callable[[Any], None]
 
@@ -83,7 +82,6 @@ class Network:
         self,
         scheduler: Scheduler,
         latency_model: Optional[LatencyModel] = None,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         audit: Optional[AuditScope] = None,
         spans: Optional[TraceCollector] = None,
@@ -92,7 +90,6 @@ class Network:
     ) -> None:
         self.scheduler = scheduler
         self.latency_model = latency_model or LatencyModel()
-        self.tracer = tracer or Tracer(enabled=False)
         # The world-owned registry; every Host/Process reaches it through
         # the network, so one scenario shares one set of metrics.
         self.metrics = (metrics if metrics is not None
@@ -154,12 +151,9 @@ class Network:
     def partition(self, side_a: Set[str], side_b: Set[str]) -> None:
         """Block traffic between the two host-name sets (both ways)."""
         self._partitions.append((set(side_a), set(side_b)))
-        self.tracer.emit(self.scheduler.now, "net.partition", "network",
-                         "partition installed", a=sorted(side_a), b=sorted(side_b))
 
     def heal_partitions(self) -> None:
         self._partitions.clear()
-        self.tracer.emit(self.scheduler.now, "net.heal", "network", "partitions healed")
 
     def can_communicate(self, src: str, dst: str) -> bool:
         for side_a, side_b in self._partitions:
@@ -304,14 +298,10 @@ class Network:
         return scheduled
 
     def host_crashed(self, host: Host) -> None:
-        self.tracer.emit(self.scheduler.now, "net.crash", "network",
-                         f"host {host.name} crashed")
         for fn in list(self._crash_handlers):
             fn(host)
 
     def host_recovered(self, host: Host) -> None:
-        self.tracer.emit(self.scheduler.now, "net.recover", "network",
-                         f"host {host.name} recovered")
         for fn in list(self._recovery_handlers):
             fn(host)
 

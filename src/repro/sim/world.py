@@ -1,12 +1,12 @@
 """Convenience container wiring the simulation substrate together.
 
 A :class:`World` owns one scheduler, one network, one TCP stack, one
-tracer, one fault injector, and one seeded RNG.  Every test, example and
-benchmark starts by constructing a ``World`` and building domains,
-gateways and clients inside it.  ``World.run_until_done`` drives the
-event loop until a set of promises resolves, which is the idiomatic way
-to make synchronous-looking test code out of the asynchronous
-simulation.
+fault injector, one flight recorder, and one seeded RNG.  Every test,
+example and benchmark starts by constructing a ``World`` and building
+domains, gateways and clients inside it.  ``World.run_until_done``
+drives the event loop until a set of promises resolves, which is the
+idiomatic way to make synchronous-looking test code out of the
+asynchronous simulation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .host import Host
 from .network import LatencyModel, Network
 from .scheduler import Scheduler
 from .tcp import TcpStack
-from .trace import Tracer
 
 
 class Promise:
@@ -93,7 +92,7 @@ class World:
         self,
         seed: int = 0,
         latency_model: Optional[LatencyModel] = None,
-        trace: bool = True,
+        trace: bool = True,    # inert; kept for callers that still pass it
         mtu: Optional[int] = None,
         trace_spans: bool = False,
         scheduler: Optional[Scheduler] = None,
@@ -105,7 +104,6 @@ class World:
         # clock and the anchor of every component built below.
         self.scheduler: Scheduler = (
             scheduler if scheduler is not None else Scheduler())
-        self.tracer = Tracer(enabled=trace)
         # One registry per world: every component reads it via its
         # network.
         self.metrics = MetricsRegistry()
@@ -138,8 +136,7 @@ class World:
             enabled=trace_spans, clock=lambda: self.scheduler.now,
             metrics=self.metrics, flight=self.flight)
         self.network = Network(self.scheduler, latency_model=latency_model,
-                               tracer=self.tracer, metrics=self.metrics,
-                               audit=self.audit_scope,
+                               metrics=self.metrics, audit=self.audit_scope,
                                spans=self.trace_collector,
                                series=self.series, flight=self.flight)
         self._register_scheduler_audit()

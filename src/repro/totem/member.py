@@ -59,7 +59,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..sim.host import Host, Process
 from ..sim.scheduler import Timer
-from ..sim.trace import Tracer
 from .messages import (
     CommitMessage,
     Frame,
@@ -138,12 +137,10 @@ class TotemMember(Process):
         name: str,
         transport: TotemTransport,
         config: Optional[TotemConfig] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         super().__init__(host, name)
         self.transport = transport
         self.config = config or TotemConfig()
-        self.tracer = tracer or Tracer(enabled=False)
 
         self.state = TotemMember.GATHER
         self.ring_id: RingId = INITIAL_RING
@@ -391,8 +388,6 @@ class TotemMember(Process):
                 if stored is not None:
                     token.rtr.discard(seq)
                     self.stats["retransmits"] += 1
-                    self.tracer.emit(self.scheduler.now, "totem.retransmit",
-                                     self.name, f"retransmitting seq {seq}")
                     frame.append(stored)
 
         # 2. Request retransmission of our own gaps; age them out when
@@ -571,8 +566,10 @@ class TotemMember(Process):
             return  # only skip at the delivery frontier
         self.stats["gaps_skipped"] += 1
         self._gap_age.pop(seq, None)
-        self.tracer.emit(self.scheduler.now, "totem.gap_skipped", self.name,
-                         f"skipping unrecoverable seq {seq}")
+        fl = self.flight
+        if fl.enabled:
+            fl.record("flight.totem_drop", member=self.name, cause="gap",
+                      first_seq=seq, count=1)
         self.delivered_up_to = seq
         self.my_aru = seq
         self._try_deliver()
@@ -605,8 +602,6 @@ class TotemMember(Process):
         if self.state != TotemMember.OPERATIONAL:
             return
         self.stats["token_losses"] += 1
-        self.tracer.emit(self.scheduler.now, "totem.token_loss", self.name,
-                         "token loss timeout")
         fl = self.flight
         if fl.enabled:
             fl.record("flight.token_loss", member=self.name,
@@ -650,8 +645,6 @@ class TotemMember(Process):
         self._candidates = {self.name}
         self._gather_max_seq = self._highest_seen()
         self._max_ring_gen = max(self._max_ring_gen, self.ring_id[0])
-        self.tracer.emit(self.scheduler.now, "totem.gather", self.name,
-                         f"entering gather ({reason})")
         self._broadcast_join()
         self._restart_gather_timer()
 
@@ -758,10 +751,6 @@ class TotemMember(Process):
         self._max_ring_gen = commit.ring_id[0]
         self._gap_age.clear()
         self.stats["reformations"] += 1
-        self.tracer.emit(self.scheduler.now, "totem.install", self.name,
-                         f"ring {commit.ring_id} installed",
-                         members=list(commit.members),
-                         start_seq=commit.start_seq)
         fl = self.flight
         if fl.enabled:
             fl.record("flight.membership", member=self.name,
@@ -795,9 +784,11 @@ class TotemMember(Process):
             # unrepairable gap in front of it (lost with its crashed
             # sender, consistently across survivors thanks to atomic
             # broadcasts) or stale old-ring traffic; both are dropped.
-            self.tracer.emit(self.scheduler.now, "totem.flush_dropped",
-                             self.name,
-                             f"dropping {len(self._buffer)} undeliverable messages at cut")
+            fl = self.flight
+            if fl.enabled:
+                fl.record("flight.totem_drop", member=self.name, cause="cut",
+                          first_seq=min(self._buffer),
+                          count=len(self._buffer))
             self._buffer.clear()
         if self.delivered_up_to < start_seq:
             self.delivered_up_to = start_seq

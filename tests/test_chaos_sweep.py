@@ -27,7 +27,7 @@ OPERATIONS = 4
 
 
 def run_scenario(victim_index, crash_delay, seed=5):
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, num_hosts=4, gateways=2)
     group = make_counter_group(domain, replicas=3, min_replicas=2)
     host = world.add_host("browser")

@@ -78,7 +78,7 @@ def test_concurrent_executions_interleave_identically(world):
 
 def test_interleaving_is_stable_across_reruns(world):
     def run(seed):
-        w = World(seed=seed, trace=False)
+        w = World(seed=seed)
         domain = make_domain(w, num_hosts=4)
         domain.create_group("Helper", HELPER, HelperServant)
         group = domain.create_group("Recorder", RECORDER, RecorderServant)

@@ -36,7 +36,7 @@ from tests.helpers import make_counter_group, make_domain, replica_counts
                 max_size=12),
        st.integers(0, 2**31 - 1))
 def test_replicas_agree_for_any_workload_property(amounts, seed):
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain)
     host = world.add_host("browser")
@@ -63,7 +63,7 @@ def test_exactly_once_despite_random_gateway_crash_property(
     """Crash one gateway at a random instant mid-workload: an enhanced
     client must still see every reply exactly once, and replica state
     must equal the number of applied increments."""
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, gateways=gateways)
     group = make_counter_group(domain)
     host = world.add_host("browser")
@@ -91,7 +91,7 @@ def test_exactly_once_despite_random_gateway_crash_property(
                         ReplicationStyle.COLD_PASSIVE]),
        st.integers(1, 10), st.integers(0, 2**31 - 1))
 def test_failover_preserves_state_for_all_styles_property(style, ops, seed):
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, num_hosts=4)
     group = make_counter_group(domain, style=style, replicas=3,
                                min_replicas=2, checkpoint_interval=3)
@@ -105,7 +105,7 @@ def test_failover_preserves_state_for_all_styles_property(style, ops, seed):
 
 def run_fingerprint(seed):
     """A fixed scenario; returns a state fingerprint of the world."""
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain)
     host = world.add_host("browser")
@@ -220,7 +220,7 @@ def test_every_call_is_answered_whatever_dies_or_switches_property(steps):
     Call *i*, one-way or two-way, adds 3**i, so the ternary digits of a
     counter value say how often each call had executed when it was
     read."""
-    world = World(seed=7, trace=False)
+    world = World(seed=7)
     domain = FaultToleranceDomain(world, "dom")
     for _ in range(2):
         domain.add_gateway(admission_window=2)

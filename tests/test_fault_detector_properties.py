@@ -42,6 +42,8 @@ def test_unhealthy_replica_is_removed_and_replaced(world):
     assert len(info.placement) == 3            # degree restored by the RM
     detector = domain.fault_detectors[victim]
     assert detector.stats["faults_detected"] == 1
+    eviction, = world.flight.events("flight.eviction")
+    assert eviction["detail"] == {"host": victim, "group": group.group_id}
     # Wherever the replacement landed (possibly the same host), it is a
     # FRESH servant rebuilt from a healthy replica's state.
     for host_name in info.placement:

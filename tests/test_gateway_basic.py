@@ -162,7 +162,7 @@ def test_enhanced_client_of_two_groups_gets_each_reply_once(crash_ms):
     also when gateway 0 crashes while the calls are in flight and both
     stubs fail over to the mirrored gateway 1."""
     from repro import FtClientLayer
-    world = World(seed=5, trace=False)
+    world = World(seed=5)
     domain = make_domain(world, gateways=2)
     a = make_counter_group(domain, name="A")
     b = make_counter_group(domain, name="B")
@@ -308,7 +308,7 @@ SCALING_REQUESTS = 24
 def run_clients(num_clients):
     """24 increments split across ``num_clients`` plain clients, each
     working sequentially (next request on completion)."""
-    world = World(seed=1000 + num_clients, trace=False)
+    world = World(seed=1000 + num_clients)
     domain = make_domain(world, gateways=1)
     group = ready_counter_group(domain)
     promises = []

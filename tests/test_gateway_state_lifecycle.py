@@ -104,7 +104,7 @@ def test_cancel_churn_tombstones_consumed_by_responses():
     arrive, are dropped as unroutable, and consume their tombstones —
     the TTL reaper never has to fire."""
     cancels = 10
-    world = World(seed=11, trace=False)
+    world = World(seed=11)
     domain = make_domain(world, gateways=1)
     group = ready_counter_group(domain)
     gateway = domain.gateways[0]
@@ -257,7 +257,7 @@ def test_client_gone_from_the_gateway_a_client_left_spares_the_one_it_moved_to()
     routed connection for the id — the client moved, it is not gone —
     and must keep what it holds for it; it used to purge the fresh
     record and the route, and the call never resolved."""
-    world = World(seed=7, trace=False)
+    world = World(seed=7)
     domain = make_domain(world, gateways=0)
     for _ in range(2):
         domain.add_gateway(admission_window=2)
@@ -284,7 +284,7 @@ def test_a_repeated_request_id_keeps_one_record_per_key():
     first copy is still held: the second copy's record replaces the
     first, which is let go — its admission slot and its
     ``gateway.request`` span — instead of being overwritten and leaked."""
-    world = World(seed=3, trace=False, trace_spans=True)
+    world = World(seed=3, trace_spans=True)
     domain = make_domain(world, gateways=0)
     gateway = domain.add_gateway(admission_window=2)
     domain.await_stable()

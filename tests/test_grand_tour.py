@@ -45,7 +45,7 @@ class MonitoredCounterV2(MonitoredCounter):
 
 
 def test_grand_tour():
-    world = World(seed=20260705, trace=False)
+    world = World(seed=20260705)
     domain = make_domain(world, num_hosts=5, gateways=2)
     notifier = FaultNotifier(domain)
 

@@ -35,7 +35,7 @@ def group_states(domain, group_id, extract):
 
 @pytest.mark.parametrize("seed", [1, 7, 99])
 def test_soak_everything_at_once(seed):
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, num_hosts=5, gateways=2)
     accounts = domain.create_group("Accounts", ACCOUNT_INTERFACE,
                                    AccountServant, num_replicas=3,

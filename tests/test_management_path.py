@@ -10,9 +10,15 @@ neither a new group nor a style switch, and the first call to a new
 group is answered.  The manager allocates ids above every id ever
 announced and places replicas on live hosts only.
 
-The two crash sweeps run every ``STRIDE``-th instant in tier-1;
+A rolling upgrade is driven the same way: each step is multicast from
+whichever processor is coordinator then, so the coordinator's crash at
+any instant of the roll does not stall it.
+
+The three crash sweeps run every ``STRIDE``-th instant in tier-1;
 ``pytest --full-sweep tests/test_management_path.py`` runs all of them.
 """
+
+import functools
 
 import pytest
 
@@ -28,10 +34,10 @@ INSTANTS = range(60)
 STRIDE = 6
 
 
-def sweep(instants):
+def sweep(instants, name=lambda i: f"{i / 10:.1f}ms"):
     """``instants`` as parameters, all but every ``STRIDE``-th marked
     to run only under ``--full-sweep``."""
-    return [pytest.param(i, id=f"{i / 10:.1f}ms",
+    return [pytest.param(i, id=name(i),
                          marks=() if i % STRIDE == 0
                          else pytest.mark.full_sweep)
             for i in instants]
@@ -64,6 +70,82 @@ def test_switch_style_survives_a_coordinator_crash(tenths_ms):
     assert coordinator not in {rm.host.name for rm in live}
     assert {rm.registry.get(group.group_id).style for rm in live} == {
         ReplicationStyle.WARM_PASSIVE}
+
+
+def test_two_unawaited_switches_both_take_effect(world):
+    """The second switch is issued before the first one's STYLE_SWITCH
+    is delivered: the manager gives it the next epoch, so it is applied
+    after the first instead of being dropped as a copy of it."""
+    domain = make_domain(world, num_hosts=4)
+    group = ready_counter_group(domain, replicas=3)
+    first = domain.switch_style(group, ReplicationStyle.WARM_PASSIVE)
+    second = domain.switch_style(group, ReplicationStyle.LEADER_FOLLOWER)
+    world.run_until_done([first, second], timeout=30)
+    assert first.result() is None and second.result() is None
+    world.run(until=world.now + 1.0)
+    live = [rm for rm in domain.rms.values() if rm.alive]
+    assert {(rm.registry.get(group.group_id).style,
+             rm.registry.get(group.group_id).style_epoch)
+            for rm in live} == {(ReplicationStyle.LEADER_FOLLOWER, 2)}
+    # Each switch applied once at every processor, copies and all.
+    assert {rm.stats["style_switches"] for rm in live} == {2}
+    assert world.await_promise(group.invoke("increment", 1)) == 1
+
+
+class CounterV2(CounterServant):
+    """The upgraded code: same behaviour, a class of its own."""
+
+
+def upgrade_scene():
+    """4 hosts, an ACTIVE counter at 1 on 3 of them, and a v2 factory."""
+    world = World(seed=5)
+    domain = make_domain(world, num_hosts=4)
+    group = ready_counter_group(domain, replicas=3)
+    world.await_promise(group.invoke("increment", 1))
+    domain.register_factory("factory.v2", CounterV2)
+    return world, domain, group
+
+
+@functools.lru_cache(maxsize=None)
+def roll_instants():
+    """Every instant at which an event of the undisturbed roll runs."""
+    world, domain, group = upgrade_scene()
+    group.invoke("increment", 1)
+    upgrade = domain.evolution.upgrade_group("Counter", "factory.v2")
+    instants = []
+    while not upgrade.done and len(instants) < 10_000:
+        world.scheduler.step()
+        instants.append(world.now)
+    return tuple(sorted(set(instants)))
+
+
+#: Distinct event instants of that roll (``roll_instants``).
+ROLL_INSTANTS = 37
+
+
+@pytest.mark.parametrize("index", sweep(range(ROLL_INSTANTS),
+                                        name=lambda i: f"event{i}"))
+def test_upgrade_survives_a_coordinator_crash(index):
+    instants = roll_instants()
+    assert len(instants) == ROLL_INSTANTS, "the roll's events moved"
+    world, domain, group = upgrade_scene()
+    coordinator = domain.coordinator_rm().host.name
+    calls = [group.invoke("increment", 1)]
+    upgrade = domain.evolution.upgrade_group("Counter", "factory.v2")
+    world.faults.crash_host(coordinator, at=instants[index])
+    assert world.await_promise(upgrade, timeout=30) == 2
+    calls.append(group.invoke("increment", 1))
+    world.run_until_done(calls, timeout=30)
+    domain.await_ready(group, timeout=30)
+    world.run(until=world.now + 1.0)
+    assert not world.network.host(coordinator).alive
+    records = [rm.replicas[group.group_id] for rm in domain.rms.values()
+               if rm.alive and group.group_id in rm.replicas]
+    assert len(records) == len(group.info().placement) == 3
+    assert all(type(record.servant) is CounterV2 and record.version == 2
+               for record in records)
+    assert set(replica_counts(domain, group).values()) == {3}
+    world.audit(strict=True)
 
 
 @pytest.mark.parametrize("moment", ["issued", "executed"])

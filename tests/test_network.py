@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FaultInjector, LatencyModel, Network, Scheduler, Tracer, World
+from repro.sim import FaultInjector, LatencyModel, Network, Scheduler, World
 
 
 def make_network():
@@ -173,7 +173,7 @@ def test_crash_is_idempotent():
 
 
 def test_fault_injector_schedules_crash_and_recovery():
-    world = World(seed=1)
+    world = World(seed=1, flight=True)
     world.add_host("h")
     world.faults.crash_host("h", at=1.0)
     world.faults.recover_host("h", at=2.0)
@@ -181,7 +181,11 @@ def test_fault_injector_schedules_crash_and_recovery():
     assert not world.network.host("h").alive
     world.run(until=2.5)
     assert world.network.host("h").alive
-    assert [kind for (_, kind, _) in world.faults.injected] == ["crash", "recover"]
+    assert [(event["t"], event["detail"]["action"], event["detail"]["target"])
+            for event in world.flight.events("flight.fault")] == [
+        (1.0, "crash", "h"), (2.0, "recover", "h")]
+    assert world.metrics.value("fault.injected.crash") == 1
+    assert world.metrics.value("fault.injected.recover") == 1
 
 
 def test_fault_injector_partition_window():
@@ -193,21 +197,6 @@ def test_fault_injector_partition_window():
     assert not world.network.can_communicate("a", "b")
     world.run(until=2.5)
     assert world.network.can_communicate("a", "b")
-
-
-def test_tracer_filters_categories():
-    tracer = Tracer(enabled=True, categories={"keep"})
-    tracer.emit(0.0, "keep", "src", "kept message", detail=1)
-    tracer.emit(0.0, "drop", "src", "filtered message")
-    assert len(tracer.records) == 1      # the filtered one is not retained
-    assert tracer.select("keep")[0].message == "kept message"
-    assert "kept message" in tracer.dump()
-
-
-def test_tracer_disabled_keeps_no_records():
-    tracer = Tracer(enabled=False)
-    tracer.emit(0.0, "cat", "src", "m")
-    assert tracer.records == []
 
 
 def make_lan(names="abcde"):

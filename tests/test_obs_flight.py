@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import FtClientLayer, Orb, World
+from repro import FtClientLayer, Orb, ReplicationStyle, World
 from repro.apps import COUNTER_INTERFACE
 from repro.errors import ConfigurationError
 from repro.obs import FlightRecorder
@@ -74,8 +74,7 @@ def run_failover(seed=91, armed=True, spans=True):
     records its own metrics when enabled — the perturbation test below
     must hold tracing constant while toggling series + flight.
     """
-    world = World(seed=seed, trace=False, trace_spans=spans,
-                  series=armed, flight=armed)
+    world = World(seed=seed, trace_spans=spans, series=armed, flight=armed)
     domain = make_domain(world, num_hosts=4, gateways=2)
     group = make_counter_group(domain, replicas=3, min_replicas=2)
     host = world.add_host("browser")
@@ -91,6 +90,25 @@ def run_failover(seed=91, armed=True, spans=True):
                                            timeout=600))
     world.run(until=world.now + 2.0)
     assert results == [1, 2, 3, 4]
+    return world
+
+
+def run_promotion(seed=92, armed=True, spans=True):
+    """A WARM_PASSIVE primary crash (a backup is promoted), then a live
+    switch of the same group to ACTIVE."""
+    world = World(seed=seed, trace_spans=spans, series=armed, flight=armed)
+    domain = make_domain(world, num_hosts=4)
+    group = make_counter_group(domain, style=ReplicationStyle.WARM_PASSIVE,
+                               replicas=3)
+    for _ in range(3):
+        world.await_promise(group.invoke("increment", 1))
+    primary = group.info().primary(domain.coordinator_rm().live_hosts)
+    world.faults.crash_now(primary)
+    assert world.await_promise(group.invoke("increment", 1),
+                               timeout=600) == 4
+    world.await_promise(domain.switch_style(group, ReplicationStyle.ACTIVE))
+    assert world.await_promise(group.invoke("increment", 1)) == 5
+    world.run(until=world.now + 2.0)
     return world
 
 
@@ -120,13 +138,28 @@ def test_series_filled_by_the_failover_workload():
     assert '"schema":1' in doc_text
 
 
+def test_flight_records_promotion_and_style_switch():
+    world = run_promotion()
+    promotion, = world.flight.events("flight.promotion")
+    assert promotion["detail"]["style"] == "warm_passive"
+    assert promotion["detail"]["resent"] == promotion["detail"]["reissued"] == 0
+    switches = world.flight.events("flight.style_switch")
+    # One per live processor (four hosts, the old primary dead).
+    assert len(switches) == 3
+    assert {(e["detail"]["old"], e["detail"]["new"], e["detail"]["epoch"])
+            for e in switches} == {("warm_passive", "active", 1)}
+    assert len({e["detail"]["rm"] for e in switches}) == 3
+
+
 def test_arming_series_and_flight_never_perturbs_the_run():
     """The laziness/passivity contract, end to end: metrics JSON (the
     full simulated-time state fingerprint) is byte-identical whether
-    the observability extras are armed or not."""
-    armed = run_failover(armed=True, spans=False).metrics_json()
-    dark = run_failover(armed=False, spans=False).metrics_json()
-    assert armed == dark
+    the observability extras are armed or not, on a gateway failover
+    and on a promotion followed by a live style switch."""
+    for scenario in (run_failover, run_promotion):
+        armed = scenario(armed=True, spans=False).metrics_json()
+        dark = scenario(armed=False, spans=False).metrics_json()
+        assert armed == dark, scenario.__name__
 
 
 def test_flight_and_series_json_byte_identical_across_runs():

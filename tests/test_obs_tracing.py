@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FtClientLayer, Orb, TraceCollector, World
-from repro.sim.trace import Tracer
 
 from tests.helpers import external_client, make_counter_group, make_domain
 
@@ -355,28 +354,3 @@ def test_plain_client_gets_gateway_rooted_trace():
     assert root.name == "gateway.request"  # no client root without the layer
     assert "rm.execute" in {s.name for s in tree}
 
-
-# ======================================================================
-# Tracer ring-buffer cap (sim.trace satellite)
-# ======================================================================
-
-
-def test_tracer_max_records_bounds_records():
-    tracer = Tracer(enabled=True, max_records=5)
-    for i in range(12):
-        tracer.emit(float(i), "cat", "src", f"event {i}")
-    assert len(tracer.records) == 5
-    assert [r.time for r in tracer.records] == [7.0, 8.0, 9.0, 10.0, 11.0]
-    assert tracer.dump(limit=3).count("\n") == 2
-
-
-def test_tracer_uncapped_keeps_list_type():
-    tracer = Tracer(enabled=True)
-    assert tracer.records == []      # historical list contract
-    tracer.emit(0.0, "c", "s", "m")
-    assert len(tracer.records) == 1
-
-
-def test_tracer_rejects_negative_cap():
-    with pytest.raises(ValueError):
-        Tracer(max_records=-1)

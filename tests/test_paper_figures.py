@@ -60,7 +60,7 @@ def build_figure1_world(seed=1, la_gateways=1):
     """A Santa Barbara customer invokes a New York replicated trading
     desk through NY's gateway; buy orders cross the wide area to a Los
     Angeles settlement domain through LA's gateway."""
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     la = FaultToleranceDomain(world, "la", num_hosts=3)
     for _ in range(la_gateways):
         la.add_gateway(port=2809)
@@ -135,7 +135,7 @@ FIG2_OPERATIONS = 20
 def plain_orb_latency():
     """Baseline: unreplicated client -> unreplicated server, same LAN —
     the direct IIOP TCP hop Eternal replaces."""
-    world = World(seed=5, trace=False)
+    world = World(seed=5)
     server_host = world.add_host("server", site="lan")
     client_host = world.add_host("client", site="lan")
     server_orb = Orb(world, server_host)
@@ -152,7 +152,7 @@ def plain_orb_latency():
 
 def replicated_latency(degree):
     """Replicated path: driver -> RM -> Totem -> replicas -> responses."""
-    world = World(seed=5, trace=False)
+    world = World(seed=5)
     domain = make_domain(world, num_hosts=max(3, degree))
     group = ready_counter_group(domain, replicas=degree)
     world.await_promise(group.invoke("increment", 1))
@@ -214,7 +214,7 @@ FIG3_CASES = [
                          FIG3_CASES, ids=[case[0] for case in FIG3_CASES])
 def test_fig3_duplicate_suppression(label, degree, style, slow_pair,
                                     on_wire, suppressed):
-    world = World(seed=100 + degree, trace=False)
+    world = World(seed=100 + degree)
     domain = make_domain(world, num_hosts=max(3, degree), gateways=1)
     group = ready_counter_group(domain, style=style, replicas=degree)
     grown = counters_from_here(world)
@@ -248,7 +248,7 @@ def test_fig3_direct_access_would_diverge():
     """The inverse experiment: bypassing the gateway (invoking a single
     replica directly) violates replica consistency — the reason the
     gateway must exist (paper section 3)."""
-    world = World(seed=99, trace=False)
+    world = World(seed=99)
     domain = make_domain(world, gateways=1)
     group = ready_counter_group(domain, replicas=3)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
@@ -309,7 +309,7 @@ FIG5_BATCH = 25
 
 
 def build_fig5():
-    world = World(seed=11, trace=False)
+    world = World(seed=11)
     domain = make_domain(world, gateways=1)
     group = ready_counter_group(domain)
     grown = counters_from_here(world)
@@ -370,7 +370,7 @@ def test_fig6_identifier_uniqueness_under_load():
     identifiers (the figure's literal example is
     tests/test_identifiers.py::test_figure6_worked_example)."""
     parents = 10
-    world = World(seed=66, trace=False)
+    world = World(seed=66)
     domain = make_domain(world, num_hosts=4)
     accounts = domain.create_group("Accounts", ACCOUNT_INTERFACE,
                                    AccountServant)
@@ -412,7 +412,7 @@ def test_fig6_identifier_uniqueness_under_load():
 def isolated_gateway_world(seed, gateways=1):
     """A plain client of a counter group behind isolated gateways (no
     gateway group): the setting of section 3.4."""
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, gateways=gateways, mirror=False)
     group = ready_counter_group(domain)
     _, stub, _ = external_client(world, domain, group, enhanced=False)
@@ -468,7 +468,7 @@ def test_sec34_peer_gateway_cannot_route_orphaned_response():
 def enhanced_failover(drop_standby=False):
     """Simulated time from issuing the request whose gateway crashes to
     the client holding the response it was owed, and what it cost."""
-    world = World(seed=350, trace=False)
+    world = World(seed=350)
     domain = make_domain(world, gateways=2, mirror=True)
     group = ready_counter_group(domain)
     _, stub, layer = external_client(world, domain, group, enhanced=True)
@@ -516,7 +516,7 @@ def test_sec35_failover_latency_bounded():
 def test_sec35_mirroring_cost(mirror):
     """Multicasts per client request, with and without gateway-group
     recording — section 3.5's guarantees cost no message of their own."""
-    world = World(seed=351, trace=False)
+    world = World(seed=351)
     domain = make_domain(world, gateways=2, mirror=mirror)
     group = ready_counter_group(domain)
     _, stub, _ = external_client(world, domain, group, enhanced=True)
@@ -532,7 +532,7 @@ def test_sec35_mirroring_cost(mirror):
 
 
 def test_sec35_second_failover_also_survived():
-    world = World(seed=352, trace=False)
+    world = World(seed=352)
     domain = make_domain(world, gateways=3, mirror=True)
     group = ready_counter_group(domain)
     _, stub, layer = external_client(world, domain, group, enhanced=True)

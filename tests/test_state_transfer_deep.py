@@ -181,7 +181,7 @@ class BlobServant(Servant):
 def recover_blob_replica(kilobytes):
     """Crash one of three replicas holding ``kilobytes`` of state; the
     simulated time and the KB on the wire until the degree is restored."""
-    world = World(seed=1200 + kilobytes, trace=False)
+    world = World(seed=1200 + kilobytes)
     domain = make_domain(world, num_hosts=4)
     group = domain.create_group("Blob", BLOB, BlobServant,
                                 style=ReplicationStyle.ACTIVE,

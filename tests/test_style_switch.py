@@ -541,6 +541,10 @@ def test_style_manager_demotes_under_shed_and_promotes_under_faults(world):
     # The demoted/promoted group still serves correctly afterwards.
     world.run(until=world.now + 1.0)
     assert world.await_promise(group.invoke("value")) >= 0
+    # Every manager multicast each switch; each applied once everywhere.
+    live = [rm for rm in domain.rms.values() if rm.alive]
+    assert {rm.registry.get(group.group_id).style_epoch for rm in live} == {2}
+    assert {rm.stats["style_switches"] for rm in live} == {2}
 
 
 # ======================================================================
@@ -564,7 +568,7 @@ COMPARED_OPERATIONS = 12
 def steady_state_cost(style):
     """Messages multicast (``totem.msg.sent``, not frames) and replica
     executions per operation, after a warm-up call."""
-    world = World(seed=90, trace=False)
+    world = World(seed=90)
     domain = make_domain(world, num_hosts=4)
     group = ready_counter_group(domain, style=style, replicas=3,
                                 checkpoint_interval=4)
@@ -589,7 +593,7 @@ def steady_state_cost(style):
 def failover_replays(style):
     """Crash the primary after 12 operations; the next call's value and
     how many logged operations the survivors replayed."""
-    world = World(seed=91, trace=False)
+    world = World(seed=91)
     domain = make_domain(world, num_hosts=4)
     # Interval of 5 leaves a non-empty log suffix after 12 operations
     # (checkpoints at 5 and 10), so cold-passive failover must replay.
@@ -651,7 +655,7 @@ def gateway_p50_latency(style):
     (the latency histogram's buckets are coarser than a token hop); the
     slow ring's token hold keeps successive replica responses on
     distinct simulated instants."""
-    world = World(seed=92, trace=False)
+    world = World(seed=92)
     domain = make_domain(world, num_hosts=5, gateways=1,
                          totem_config=SLOW_TOTEM)
     group = ready_counter_group(domain, style=style, replicas=3)

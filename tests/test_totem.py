@@ -20,8 +20,7 @@ class Harness:
         self.memberships = {} # name -> list of member tuples
         for i in range(count):
             host = world.add_host(f"p{i}", site=site)
-            member = TotemMember(host, f"p{i}", self.transport,
-                                 tracer=world.tracer)
+            member = TotemMember(host, f"p{i}", self.transport)
             self.delivered[member.name] = []
             self.memberships[member.name] = []
             member.on_deliver(
@@ -155,7 +154,7 @@ def test_recovered_member_rejoins_and_sees_new_traffic():
     # Recover the processor and start a fresh member process on it.
     world.faults.recover_now("p1")
     host = world.network.host("p1")
-    rejoined = TotemMember(host, "p1", ring.transport, tracer=world.tracer)
+    rejoined = TotemMember(host, "p1", ring.transport)
     ring.delivered["p1"] = []
     rejoined.on_deliver(
         lambda seq, sender, payload: ring.delivered["p1"].append(
@@ -251,7 +250,7 @@ def test_delivery_order_survives_heavy_cross_traffic():
 @pytest.mark.parametrize("size", [2, 3, 5, 8])
 def test_multicast_latency_by_ring_size(size):
     messages = 40
-    world = World(seed=200 + size, trace=False)
+    world = World(seed=200 + size)
     ring = Harness(world, size)
     ring.wait_operational()
     t0 = world.now
@@ -268,7 +267,7 @@ def test_multicast_latency_by_ring_size(size):
 
 @pytest.mark.parametrize("size", [3, 5, 8])
 def test_reformation_time_by_ring_size(size):
-    world = World(seed=300 + size, trace=False)
+    world = World(seed=300 + size)
     ring = Harness(world, size)
     ring.wait_operational()
     victim = ring.members[size // 2].name
@@ -285,7 +284,7 @@ def test_reformation_time_by_ring_size(size):
 # ----------------------------------------------------------------------
 
 def tuned_counter(config, seed):
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     domain = make_domain(world, num_hosts=4, totem_config=config)
     group = ready_counter_group(domain, style=ReplicationStyle.ACTIVE,
                                 min_replicas=2)

@@ -39,7 +39,7 @@ def build_ring(world, count):
                 min_size=1, max_size=30),
        st.integers(0, 2**31 - 1))
 def test_identical_total_order_property(n, sends, seed):
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     members, delivered = build_ring(world, n)
     total = 0
     for sender_index, payload in sends:
@@ -61,7 +61,7 @@ def test_identical_total_order_property(n, sends, seed):
        st.integers(0, 2**31 - 1),
        st.data())
 def test_survivors_agree_after_crash_property(n, seed, data):
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     members, delivered = build_ring(world, n)
     victim = data.draw(st.integers(0, n - 1), label="victim")
     crash_after = data.draw(st.floats(0.0, 0.02), label="crash_delay")
@@ -93,7 +93,7 @@ def test_survivors_agree_after_crash_property(n, seed, data):
 def test_sequence_numbers_survive_reformation_property(n, seed):
     """Sequence numbers never regress across a membership change — the
     uniqueness property Figure 6 identifiers rely on."""
-    world = World(seed=seed, trace=False)
+    world = World(seed=seed)
     members, delivered = build_ring(world, n + 1)
     for member in members:
         member.multicast("pre")
@@ -129,7 +129,7 @@ def waits_to_sequencing(n, sends):
     """``sends``: (member index, seconds after a common start).  Returns
     each send's wait from ``multicast`` to the token visit that
     sequenced it (its own delivery, heard at that visit's instant)."""
-    world = World(seed=1, trace=False)
+    world = World(seed=1)
     members, delivered = build_ring(world, n)
     world.run(until=world.now + 0.05)         # parked, keep-alives running
     start, sent, got = world.now, {}, {}

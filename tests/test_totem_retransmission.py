@@ -19,8 +19,7 @@ def build(world, count, config=None):
     members, delivered = [], {}
     for i in range(count):
         host = world.add_host(f"t{i}", site="lan")
-        member = TotemMember(host, f"t{i}", transport, config=config,
-                             tracer=world.tracer)
+        member = TotemMember(host, f"t{i}", transport, config=config)
         delivered[member.name] = []
         member.on_deliver(lambda seq, snd, p, n=member.name:
                           delivered[n].append(p))
@@ -122,6 +121,30 @@ def test_unrecoverable_gap_is_skipped_after_bounded_rotations(world):
         lambda: "after-the-gap" in delivered["t0"], timeout=60.0)
     assert member.stats["gaps_skipped"] == 1
     assert world.metrics.value("totem.gap.skipped") == 1
+    skipped, = world.flight.events("flight.totem_drop")
+    assert skipped["detail"] == {"member": "t0", "cause": "gap",
+                                 "first_seq": ghost_seq - 1, "count": 1}
+
+
+def test_messages_behind_an_unfilled_gap_are_dropped_at_the_cut(world):
+    """A message held behind a gap when the ring reforms is given up
+    at the cut, not delivered out of order, and the black box says so."""
+    config = TotemConfig(gap_give_up_rotations=1000)
+    transport, members, delivered = build(world, 3, config=config)
+    member = members[0]
+    ghost_seq = member.delivered_up_to + 2
+    member._buffer[ghost_seq] = RegularMessage(
+        ring_id=member.ring_id, seq=ghost_seq, sender="ghost",
+        payload="behind-the-gap")
+    world.faults.crash_now("t2")
+    world.scheduler.run_until(
+        lambda: member.members == ("t0", "t1")
+        and member.state == TotemMember.OPERATIONAL, timeout=30.0)
+    dropped, = world.flight.events("flight.totem_drop")
+    assert dropped["detail"] == {"member": "t0", "cause": "cut",
+                                 "first_seq": ghost_seq, "count": 1}
+    assert "behind-the-gap" not in delivered["t0"]
+    assert not member._buffer
 
 
 def test_retransmitted_duplicates_are_ignored(world):

@@ -42,7 +42,7 @@ from repro.eternal import FaultToleranceDomain, ReplicationStyle  # noqa: E402
 
 
 def build(seed):
-    world = World(seed=seed, trace=False, flight=True)
+    world = World(seed=seed, flight=True)
     domain = FaultToleranceDomain(world, "dom", num_hosts=4)
     domain.add_gateway(port=2809)
     domain.add_gateway(port=2809)
