@@ -528,17 +528,6 @@ def _run_project_rules(results: Sequence[FileResult],
     return project
 
 
-def lint_file_contents(source: str, path: str, module: str,
-                       config: LintConfig,
-                       rules: Optional[Sequence[LintRule]] = None
-                       ) -> FileResult:
-    """Lint one already-read file; suppressions applied, no baseline."""
-    active = (list(rules) if rules is not None
-              else [cls() for cls in registered_rules().values()])
-    result, _ = _lint_one(source, path, module, config, active)
-    return result
-
-
 def lint_source(source: str, path: str = "<memory>",
                 module: Optional[str] = None,
                 config: Optional[LintConfig] = None,

@@ -334,12 +334,13 @@ class FaultToleranceDomain:
     # ==================================================================
 
     def coordinator_rm(self) -> ReplicationMechanisms:
-        """The RM used for driver-originated traffic: first live host."""
+        """The RM used for driver-originated traffic: the first live
+        processor's that holds the directory (a restarted one has none)."""
         for host in self.hosts:
             rm = self.rms.get(host.name)
-            if rm is not None and rm.alive:
+            if rm is not None and rm.alive and rm.synced:
                 return rm
-        raise ConfigurationError(f"domain {self.name!r} has no live host")
+        raise ConfigurationError(f"domain {self.name!r} has no synced host")
 
     def resolve(self, group: Union[GroupHandle, str, int]) -> GroupHandle:
         if isinstance(group, GroupHandle):

@@ -32,13 +32,14 @@ import json
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     TYPE_CHECKING)
 
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 
 from ..errors import ConfigurationError, InvocationFailure
 from ..iiop.types import TC_LONG, TC_STRING, TC_VOID, SequenceTC
 from ..orb.idl import Interface, Operation, Param
 from ..orb.servant import Servant
 from ..sim.world import Promise
+from ..totem.member import Queued
 from .messages import DomainMessage, MsgKind
 from .naming import FIRST_APPLICATION_GROUP, REPLICATION_MANAGER_GROUP
 from .properties import FaultToleranceProperties
@@ -434,30 +435,26 @@ class EvolutionManager:
     """Rolling live-upgrade driver (one replica at a time).
 
     Each step — REMOVE_REPLICA then ADD_REPLICA of one host — is
-    multicast from whichever processor is coordinator when it is issued,
-    and every processor's Replication Mechanisms report readiness and
-    membership here (:meth:`attach`, at wiring time), so the roll does
-    not depend on the processor that started it.  At every membership
-    change the host being replaced checks whether the step reached it:
-    the step's issuer, or the donor of its state, may have died.  Unless
-    it holds a ready replica of the new version, the step is issued
-    again from the coordinator; a redundant step is harmless, because a
-    state transfer answers only the ADD_REPLICA that made its replica.
-    A host being replaced that leaves is skipped.
+    multicast from whichever processor is coordinator then, and every
+    processor reports readiness here (:meth:`attach`, at wiring time).
+    Who is live is the coordinator's view: at each of its membership
+    changes a host being replaced that left is skipped, and a step still
+    in a departed issuer's send queue is issued again.  A joiner whose
+    donor died gets its state from the group's next primary, as any
+    joiner does.
     """
 
     def __init__(self, domain: "FaultToleranceDomain") -> None:
         self.domain = domain
-        # Group id -> its roll in progress.
-        self._rolls: Dict[int, _Roll] = {}
+        # Group name -> its roll in progress.
+        self._rolls: Dict[str, _Roll] = {}
         domain.world.audit_scope.register(
             "evolution.rolls", lambda: len(self._rolls),
             owner=f"domain/{domain.name}")
 
     def attach(self, rm: "ReplicationMechanisms") -> None:
         rm.on_replica_ready(self._on_ready)
-        rm.on_membership_change(
-            lambda live, rm=rm: self._on_membership(rm, live))
+        rm.on_membership_change(lambda live, rm=rm: self._on_membership(rm))
 
     def upgrade_group(self, group_name: str,
                       new_factory_name: str) -> Promise:
@@ -466,87 +463,87 @@ class EvolutionManager:
         the new factory, then its replicas are replaced one at a time.
 
         Returns a promise resolved with the new version number once all
-        replicas run the new factory's code.
+        replicas run the new factory's code; rejected with
+        :class:`ConfigurationError` while the group's previous upgrade is
+        still rolling.
         """
         promise = Promise()
-        domain = self.domain
+        if group_name in self._rolls:
+            promise.reject(ConfigurationError(
+                f"group {group_name!r} is already being upgraded"))
+            return promise
+        roll = self._rolls[group_name] = _Roll(group_name, promise)
 
-        def roll(upgraded: Promise) -> None:
+        def start(upgraded: Promise) -> None:
             if upgraded.failed:
-                promise.reject(upgraded.error)
+                self._finish(roll, upgraded.error)
                 return
-            group_id = domain.resolve(group_name).group_id
-            placement = domain.coordinator_rm().registry.require(
-                group_id).placement
-            self._rolls[group_id] = _Roll(self, group_id, upgraded.value,
-                                          list(placement), promise)
-            self._rolls[group_id].advance()
+            info = self.domain.coordinator_rm().registry.by_name(group_name)
+            roll.group_id, roll.version = info.group_id, upgraded.value
+            roll.remaining = list(info.placement)
+            self._advance(roll)
 
-        domain.invoke(domain.manager, "upgrade_object",
-                      [group_name, new_factory_name]).on_done(roll)
+        self.domain.invoke(self.domain.manager, "upgrade_object",
+                           [group_name, new_factory_name]).on_done(start)
         return promise
 
     def _on_ready(self, group_id: int, host: str, version: int) -> None:
-        roll = self._rolls.get(group_id)
-        if (roll is not None and host == roll.current
-                and version >= roll.version):
-            roll.advance()
-
-    def _on_membership(self, rm: "ReplicationMechanisms",
-                       live: Tuple[str, ...]) -> None:
         for roll in list(self._rolls.values()):
-            if roll.current not in live:
-                roll.advance()
-            elif rm.host.name == roll.current:
-                record = rm.replicas.get(roll.group_id)
-                if (record is None or not record.ready
-                        or record.version < roll.version):
-                    roll.issue()
+            if (roll.group_id == group_id and host == roll.current
+                    and version >= roll.version):
+                self._advance(roll)
 
+    def _on_membership(self, rm: "ReplicationMechanisms") -> None:
+        try:
+            if rm is not self.domain.coordinator_rm():
+                return
+        except ConfigurationError:
+            return
+        for roll in list(self._rolls.values()):
+            if roll.current and roll.current not in rm.live_hosts:
+                self._advance(roll)
+            elif (roll.issuer not in rm.live_hosts and roll.add is not None
+                  and roll.add.queued):
+                self._issue(roll)
 
-class _Roll:
-    """One group's upgrade: the hosts left to replace and the host
-    being replaced now (``current``)."""
-
-    def __init__(self, manager: EvolutionManager, group_id: int,
-                 version: int, remaining: List[str],
-                 promise: Promise) -> None:
-        self.manager = manager
-        self.group_id = group_id
-        self.version = version
-        self.remaining = remaining
-        self.promise = promise
-        self.current = ""
-
-    def advance(self) -> None:
+    def _advance(self, roll: "_Roll") -> None:
         """Replace the next host still live; resolve when none is left."""
-        try:
-            live = self.manager.domain.coordinator_rm().live_hosts
-        except ConfigurationError as exc:
-            self._finish(exc)
+        live = self.domain.coordinator_rm().live_hosts
+        while roll.remaining and roll.remaining[0] not in live:
+            roll.remaining.pop(0)
+        if not roll.remaining:
+            self._finish(roll, None)
             return
-        while self.remaining and self.remaining[0] not in live:
-            self.remaining.pop(0)
-        if not self.remaining:
-            self._finish(None)
-            return
-        self.current = self.remaining.pop(0)
-        self.issue()
+        roll.current = roll.remaining.pop(0)
+        self._issue(roll)
 
-    def issue(self) -> None:
-        try:
-            rm = self.manager.domain.coordinator_rm()
-        except ConfigurationError as exc:
-            self._finish(exc)
-            return
+    def _issue(self, roll: "_Roll") -> None:
+        rm = self.domain.coordinator_rm()
+        roll.issuer = rm.host.name
         for kind in (MsgKind.REMOVE_REPLICA, MsgKind.ADD_REPLICA):
-            rm.multicast(DomainMessage(
+            roll.add = rm.multicast(DomainMessage(
                 kind=kind, source_group=0, target_group=0,
-                data={"group_id": self.group_id, "host": self.current}))
+                data={"group_id": roll.group_id, "host": roll.current}))
 
-    def _finish(self, error: Optional[Exception]) -> None:
-        self.manager._rolls.pop(self.group_id, None)
+    def _finish(self, roll: "_Roll", error: Optional[Exception]) -> None:
+        self._rolls.pop(roll.group_name, None)
         if error is None:
-            self.promise.resolve(self.version)
+            roll.promise.resolve(roll.version)
         else:
-            self.promise.reject(error)
+            roll.promise.reject(error)
+
+
+@dataclass
+class _Roll:
+    """One group's upgrade: the hosts left to replace, the host being
+    replaced now, and its step's ADD_REPLICA with the processor that
+    multicast it."""
+
+    group_name: str
+    promise: Promise
+    group_id: int = -1
+    version: int = 0
+    remaining: List[str] = field(default_factory=list)
+    current: str = ""
+    issuer: str = ""
+    add: Optional[Queued] = None

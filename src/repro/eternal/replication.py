@@ -190,6 +190,10 @@ class ReplicationMechanisms(Process):
         # send queue, by DomainMessage.copy_key(), for groups whose
         # style says any copy suffices.  Consulted in _on_deliver.
         self._outbound_copies: Dict[Tuple, Queued] = {}
+        # Replicas made by an ADD_REPLICA and still waiting for their
+        # state, kept alike everywhere: group -> joining host -> (the
+        # ADD_REPLICA's timestamp, the processor owing the transfer).
+        self._joining: Dict[int, Dict[str, Tuple[int, str]]] = {}
 
         self._gateway = None               # attached repro.core.gateway.Gateway
         self._egress = None                # attached cross-domain egress client
@@ -265,8 +269,8 @@ class ReplicationMechanisms(Process):
     # Outbound multicast helpers
     # ==================================================================
 
-    def multicast(self, message: DomainMessage) -> None:
-        self.totem.multicast(message, size=message.size_hint())
+    def multicast(self, message: DomainMessage) -> Queued:
+        return self.totem.multicast(message, size=message.size_hint())
 
     def _multicast_copy(self, message: DomainMessage) -> None:
         """Multicast a local replica's RESPONSE or nested INVOCATION (or
@@ -481,6 +485,9 @@ class ReplicationMechanisms(Process):
         scope.register("rm.outbound_copies", lambda: len(self._outbound_copies),
                        floor=0, owner=owner, active=alive,
                        gauge="rm.state.outbound_copies")
+        scope.register("rm.joining",
+                       lambda: sum(len(d) for d in self._joining.values()),
+                       floor=0, owner=owner, active=alive)
         # Hosted replicas are capacity, not churn: one entry per group
         # this processor hosts, so the registration is snapshot-only.
         scope.register("rm.replicas", lambda: len(self.replicas),
@@ -900,6 +907,7 @@ class ReplicationMechanisms(Process):
         self.replicas.pop(group_id, None)
         self.logs.pop(group_id, None)
         self._invocations_seen.pop(group_id, None)
+        self._joining.pop(group_id, None)
         # The primary memory and withheld-response tracking are keyed by
         # group too; without these pops a removed group's entries lived
         # forever (the rm.last_primary leak this line fixes).
@@ -927,41 +935,72 @@ class ReplicationMechanisms(Process):
         if info_before is None or new_host not in self.live_hosts:
             return
         donor = info_before.primary(self.live_hosts)
-        actually_added = self.registry.add_replica(group_id, new_host)
-        if not actually_added:
+        if not self.registry.add_replica(group_id, new_host):
             return
         info = self.registry.require(group_id)
+        has_donor = donor is not None and donor != new_host
+        if has_donor:
+            self._joining.setdefault(group_id, {})[new_host] = (
+                msg.timestamp, donor)
         if new_host == self.host.name and group_id not in self.replicas:
-            has_donor = donor is not None and donor != new_host
             self._create_local_replica(info, ready=not has_donor,
                                        added_at=msg.timestamp)
             if not has_donor:
                 # Nothing to transfer (first/only replica): announce ready.
                 self._announce_ready(group_id, info.version)
-        if donor == self.host.name and donor != new_host:
-            record = self.replicas.get(group_id)
-            if record is not None:
-                self.stats["state_transfers_sent"] += 1
-                transfer = DomainMessage(
-                    kind=MsgKind.STATE_TRANSFER,
-                    source_group=group_id,
-                    target_group=group_id,
-                    data={
-                        "group_id": group_id,
-                        "recipient": new_host,
-                        "state": record.servant.get_state(),
-                        "version": record.version,
-                        "cut_ts": msg.timestamp,
-                        "dedup": dict(self._invocations_seen.get(group_id, {})),
-                    },
-                )
-                self._m_transfer_bytes.observe(transfer.size_hint())
-                self.multicast(transfer)
+        if has_donor and donor == self.host.name:
+            self._send_state(group_id, new_host, msg.timestamp)
+
+    def _send_state(self, group_id: int, recipient: str, cut_ts: int) -> None:
+        """Multicast this replica's state to the joiner that the
+        ADD_REPLICA sequenced at ``cut_ts`` made."""
+        record = self.replicas.get(group_id)
+        if record is None:
+            return
+        self.stats["state_transfers_sent"] += 1
+        transfer = DomainMessage(
+            kind=MsgKind.STATE_TRANSFER, source_group=group_id,
+            target_group=group_id,
+            data={"group_id": group_id, "recipient": recipient,
+                  "state": record.servant.get_state(),
+                  "version": record.version, "cut_ts": cut_ts,
+                  "dedup": dict(self._invocations_seen.get(group_id, {}))})
+        self._m_transfer_bytes.observe(transfer.size_hint())
+        self.multicast(transfer)
+
+    def _joined(self, group_id: int, host: str,
+                cut_ts: Optional[int] = None) -> None:
+        """``host`` waits for no state now (if ``cut_ts`` is given, only
+        when its wait is the one the ADD_REPLICA at ``cut_ts`` began)."""
+        joining = self._joining.get(group_id, {})
+        if cut_ts in (None, joining.get(host, (None,))[0]):
+            joining.pop(host, None)
+
+    def _redonate_state(self) -> None:
+        """A joiner whose donor left before its STATE_TRANSFER was
+        sequenced gets the state from the group's primary now.  A
+        snapshot taken after the cut is safe: the dedup table it carries
+        makes the joiner skip the buffered invocations it already holds."""
+        for group_id, joining in list(self._joining.items()):
+            info = self.registry.get(group_id)
+            for host, (cut_ts, donor) in list(joining.items()):
+                if host in self.live_hosts and donor in self.live_hosts:
+                    continue
+                primary = info.primary(self.live_hosts) if info else None
+                if host not in self.live_hosts or primary in (None, *joining):
+                    del joining[host]   # or no replica left holds the state
+                    continue
+                joining[host] = (cut_ts, primary)
+                if primary == self.host.name:
+                    self._send_state(group_id, host, cut_ts)
+            if not joining:
+                del self._joining[group_id]
 
     def _apply_remove_replica(self, msg: DomainMessage) -> None:
         group_id = msg.data["group_id"]
         host_name = msg.data["host"]
         self.registry.remove_replica(group_id, host_name)
+        self._joined(group_id, host_name)
         if host_name == self.host.name:
             self.replicas.pop(group_id, None)
             self.logs.pop(group_id, None)
@@ -969,9 +1008,10 @@ class ReplicationMechanisms(Process):
         self._check_primary_changes()
 
     def _apply_state_transfer(self, msg: DomainMessage) -> None:
+        group_id = msg.data["group_id"]
+        self._joined(group_id, msg.data["recipient"], msg.data["cut_ts"])
         if msg.data["recipient"] != self.host.name:
             return
-        group_id = msg.data["group_id"]
         record = self.replicas.get(group_id)
         # A transfer answers the ADD_REPLICA that made this replica, not
         # an earlier one for the same host (a step issued twice).
@@ -1192,6 +1232,7 @@ class ReplicationMechanisms(Process):
                             self.scheduler.now - dead.last_crash_at)
         self.registry.prune_dead_hosts(members)
         self._check_primary_changes()
+        self._redonate_state()
         # Re-decide every wait (every processor settles the same waits
         # at this point): fail those whose responder group lost every
         # replica, resume those a lowered quorum already satisfies.

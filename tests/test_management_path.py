@@ -12,9 +12,10 @@ announced and places replicas on live hosts only.
 
 A rolling upgrade is driven the same way: each step is multicast from
 whichever processor is coordinator then, so the coordinator's crash at
-any instant of the roll does not stall it.
+any instant of the roll does not stall it, and neither does its
+restart.
 
-The three crash sweeps run every ``STRIDE``-th instant in tier-1;
+The four crash sweeps run every ``STRIDE``-th instant in tier-1;
 ``pytest --full-sweep tests/test_management_path.py`` runs all of them.
 """
 
@@ -24,7 +25,7 @@ import pytest
 
 from repro import Orb, ReplicationStyle, World
 from repro.apps import COUNTER_INTERFACE, CounterServant
-from repro.errors import ObjectNotExist
+from repro.errors import ConfigurationError, ObjectNotExist
 from repro.eternal.messages import MsgKind
 
 from tests.helpers import make_domain, ready_counter_group, replica_counts
@@ -145,6 +146,64 @@ def test_upgrade_survives_a_coordinator_crash(index):
     assert all(type(record.servant) is CounterV2 and record.version == 2
                for record in records)
     assert set(replica_counts(domain, group).values()) == {3}
+    world.audit(strict=True)
+
+
+@pytest.mark.parametrize("index", sweep(range(ROLL_INSTANTS),
+                                        name=lambda i: f"event{i}"))
+def test_upgrade_survives_a_coordinator_restart(index):
+    """The coordinator crashes and is restarted as soon as the ring has
+    excluded it: until its directory arrives the restarted processor is
+    not the coordinator, so the roll neither takes its empty view of who
+    is live nor resolves before every replica runs the new version."""
+    instants = roll_instants()
+    world, domain, group = upgrade_scene()
+    coordinator = domain.coordinator_rm().host.name
+    calls = [group.invoke("increment", 1)]
+    upgrade = domain.evolution.upgrade_group("Counter", "factory.v2")
+    at_resolution = []
+    upgrade.on_done(lambda _: at_resolution.extend(
+        (type(rm.replicas[group.group_id].servant), rm.replicas[
+            group.group_id].version)
+        for rm in domain.rms.values()
+        if rm.alive and group.group_id in rm.replicas))
+    world.faults.crash_host(coordinator, at=instants[index])
+    world.scheduler.run_until(
+        lambda: not world.network.host(coordinator).alive
+        and all(coordinator not in rm.live_hosts
+                for rm in domain.rms.values() if rm.alive), timeout=5)
+    world.faults.recover_now(coordinator)
+    domain.restart_host(coordinator)
+    assert world.await_promise(upgrade, timeout=30) == 2
+    assert at_resolution and set(at_resolution) == {(CounterV2, 2)}
+    calls.append(group.invoke("increment", 1))
+    world.run_until_done(calls, timeout=30)
+    domain.await_stable()
+    world.run(until=world.now + 1.0)
+    records = [rm.replicas[group.group_id] for rm in domain.rms.values()
+               if rm.alive and group.group_id in rm.replicas]
+    # A membership change (the restarted processor's join) that falls
+    # between a step's REMOVE_REPLICA and ADD_REPLICA lets the Resource
+    # Manager place a replica of its own: one more than before.
+    assert len(records) == len(group.info().placement) >= 3
+    assert all(type(record.servant) is CounterV2 and record.version == 2
+               for record in records)
+    assert set(replica_counts(domain, group).values()) == {3}
+    world.audit(strict=True)
+
+
+def test_a_second_upgrade_of_a_rolling_group_is_refused():
+    """While a group's roll is open a second upgrade is rejected at once;
+    the first one still completes."""
+    world, domain, group = upgrade_scene()
+    domain.register_factory("factory.v3", CounterV2)
+    first = domain.evolution.upgrade_group("Counter", "factory.v2")
+    second = domain.evolution.upgrade_group("Counter", "factory.v3")
+    assert second.failed and isinstance(second.error, ConfigurationError)
+    assert world.await_promise(first, timeout=30) == 2
+    third = domain.evolution.upgrade_group("Counter", "factory.v3")
+    assert world.await_promise(third, timeout=30) == 3
+    world.run(until=world.now + 1.0)
     world.audit(strict=True)
 
 

@@ -116,6 +116,39 @@ def test_donor_crash_before_transfer_leaves_joiner_pending(world):
     assert joiner.buffered
 
 
+def test_a_joiner_whose_donor_dies_gets_the_state_from_the_next_primary(
+        world):
+    """The donor (the group's primary) dies after delivering the
+    ADD_REPLICA, before its STATE_TRANSFER is sequenced: at the
+    membership change the next primary sends the state, so the joiner
+    becomes ready and the group runs at its minimum again."""
+    domain = make_domain(world, num_hosts=4)
+    group = make_counter_group(domain, replicas=3, min_replicas=3)
+    domain.await_ready(group)
+    world.await_promise(group.invoke("increment", 1))
+    assert group.info().placement == ("dom-h2", "dom-h3", "dom-h0")
+    donor = domain.rms["dom-h2"]
+    apply_add = donor._kind_dispatch[MsgKind.ADD_REPLICA]
+
+    def crash_after_add(message):
+        apply_add(message)
+        if message.data["host"] == "dom-h1":
+            world.faults.crash_host("dom-h2", at=world.now + 10e-6)
+
+    donor._kind_dispatch[MsgKind.ADD_REPLICA] = crash_after_add
+    world.faults.crash_now("dom-h3")
+    world.run(until=world.now + 3.0)
+    assert not world.network.host("dom-h2").alive
+    assert domain.rms["dom-h0"].stats["state_transfers_sent"] == 1
+    joiner = domain.rms["dom-h1"]
+    assert joiner.stats["state_transfers_received"] == 1
+    assert joiner.replicas[group.group_id].ready
+    assert world.await_promise(group.invoke("increment", 1)) == 2
+    world.run(until=world.now + 0.1)
+    assert replica_counts(domain, group) == {"dom-h0": 2, "dom-h1": 2}
+    world.audit(strict=True)
+
+
 def test_transfer_includes_in_flight_buffering_boundary(world):
     """Invocations ordered between ADD_REPLICA and STATE_TRANSFER are
     buffered at the joiner and applied exactly once after the snapshot

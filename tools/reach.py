@@ -2,8 +2,7 @@
 """reach — which functions of ``src/repro`` a real run calls.
 
 Usage:
-    python tools/reach.py               # the per-package table
-    python tools/reach.py --unreached   # ... and every function not reached
+    python tools/reach.py
 
 A ``sys.setprofile`` hook records the code of every Python call while
 this process runs the seven ``examples/`` scripts and one dark
@@ -98,10 +97,8 @@ def package_of(path: pathlib.Path) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    parser.add_argument("--unreached", action="store_true",
-                        help="also list every function not reached")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.splitlines()[1]).parse_args(
+        argv)
     every = functions()
     reached = reached_code() & every.keys()
     rows: Dict[str, List[int]] = {}
@@ -121,12 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"| {package} | {total} | {hit} | {missed}, {lines} |")
     totals = [sum(column) for column in zip(*rows.values())]
     print(f"| total | {totals[0]} | {totals[1]} | {totals[2]}, {totals[3]} |")
-    if args.unreached:
-        print()
-        for key in sorted(every.keys() - reached):
-            function = every[key]
-            print(f"{function.path.relative_to(ROOT)}:{function.first_line}"
-                  f" {function.name}")
     return 0
 
 
