@@ -409,12 +409,12 @@ class SimDisciplineRule(LintRule):
 
 _METRIC_FACTORIES = frozenset({"counter_fn", "gauge", "histogram"})
 _SPAN_EMITTERS = frozenset({"start", "instant"})
-# Time-series emitters (SeriesRegistry.observe/.sample/.series) and the
+# Time-series emitters (SeriesRegistry.observe/.series) and the
 # flight recorder (FlightRecorder.record): the first argument is the
 # series name / event kind.  Only dotted string literals are checked —
 # Histogram.observe(0.25) and other same-named methods pass floats or
 # undotted strings and fall through.
-_SERIES_EMITTERS = frozenset({"observe", "sample", "series", "record"})
+_SERIES_EMITTERS = frozenset({"observe", "series", "record"})
 
 
 class CatalogueRule(LintRule):
@@ -426,7 +426,7 @@ class CatalogueRule(LintRule):
     Checked emitters: ``MetricsRegistry.counter_fn/gauge/histogram``
     first arguments, ``AuditScope.register(gauge=...)``
     names, ``TraceCollector.start/instant`` span names,
-    ``SeriesRegistry.observe/sample/series`` time-series names, and
+    ``SeriesRegistry.observe/series`` time-series names, and
     ``FlightRecorder.record`` event kinds (both only when the literal
     is dotted, which filters out the same-named histogram/race-recorder
     methods), and every counter name in a ``stats`` table passed to

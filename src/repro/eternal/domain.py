@@ -316,7 +316,11 @@ class FaultToleranceDomain:
 
         ``groups`` restricts adaptation to the given groups; ``None``
         adapts every application group.  Returns the managers by host.
+        The managers judge each group by the windowed series its
+        gateways feed, so this arms the world's series registry (which
+        adds no scheduler events).
         """
+        self.world.series.enabled = True
         group_ids = (None if groups is None
                      else [self.resolve(g).group_id for g in groups])
         managers: Dict[str, StyleManager] = {}

@@ -279,43 +279,35 @@ class ResourceManager:
 class StyleManager:
     """Adaptive replication-style control (leaderless, deterministic).
 
-    Watches the world-shared metrics registry for overload (admission
-    sheds, client-observed latency) and fault pressure (detector
-    declarations, failovers) and switches live groups between their
+    Judges each group by its own windowed overload signals and the
+    domain by its fault pressure, and switches live groups between their
     configured style and a cheaper one — by default
     ``LEADER_FOLLOWER``, which keeps hot replicas but multicasts a
     single response instead of N (and never waits on a voting quorum):
 
     * **demote** under load: an ``ACTIVE`` / ``ACTIVE_WITH_VOTING``
-      group whose domain sheds requests faster than
-      ``demote_shed_rate`` per second, or whose p50 client latency
-      exceeds ``demote_latency_s``, is switched to
-      ``policy.demote_to`` (its original style is remembered);
+      group whose requests are shed faster than ``demote_shed_rate``
+      per second, or whose p50 latency exceeds ``demote_latency_s``, is
+      switched to ``policy.demote_to`` (its original style is
+      remembered).  Both are read from the group's windowed
+      ``series.gateway.group.shed`` / ``.latency`` series, which the
+      gateways feed (:meth:`FaultToleranceDomain.enable_adaptive_styles`
+      arms the series registry), so two groups with very different op
+      costs sharing a domain are demoted independently;
     * **promote** under faults: a demoted group is switched back to
-      its remembered style when the fault rate reaches
-      ``promote_fault_rate`` per second — redundancy is worth paying
-      for again when processors are actually dying.
+      its remembered style when the fault rate — detector declarations
+      plus failovers, per tick — reaches ``promote_fault_rate`` per
+      second.  Processor deaths are a domain-level signal, so this
+      one is global.
 
     Like the :class:`ResourceManager`, one instance runs per replica
-    host with no leader: every instance reads the same shared registry
-    and metrics at the same simulated instants, computes the same
-    decision, and multicasts the same STYLE_SWITCH carrying the same
-    target epoch — the epoch guard in the Replication Mechanisms
-    applies the redundant copies exactly once.  ``min_dwell_s``
-    (restarted by *any* observed epoch change, including operator
-    switches) prevents flapping.
-
-    **Signal sources.**  When the world's time-series registry is armed
-    (``World(series=True)``), overload is judged *per group* from the
-    windowed ``series.gateway.group.shed`` / ``.latency`` series the
-    gateways feed — two groups with very different op costs sharing a
-    domain are demoted independently instead of being dragged down by
-    each other's latency.  Without series the manager falls back to the
-    original global scalars (total shed delta, whole-domain latency
-    p50).  Reads of the shared windowed aggregators at identical
-    instants return identical values on every host, so the leaderless
-    agreement argument is unchanged.  Fault pressure (promotion) stays
-    global either way: processor deaths are a domain-level signal.
+    host with no leader: every instance reads the same shared registries
+    at the same simulated instants (a windowed read at one instant
+    returns one value on every host), computes the same decision, and
+    multicasts the same STYLE_SWITCH carrying the same target epoch —
+    the epoch guard in the Replication Mechanisms applies the redundant
+    copies exactly once.  ``min_dwell_s`` (restarted by *any* observed
+    epoch change, including operator switches) prevents flapping.
     """
 
     def __init__(self, rm: "ReplicationMechanisms",
@@ -331,7 +323,6 @@ class StyleManager:
         self._baseline: Dict[int, ReplicationStyle] = {}
         self._seen_epoch: Dict[int, int] = {}
         self._last_change: Dict[int, float] = {}
-        self._last_shed = 0
         self._last_faults = 0
         self._schedule_tick()
 
@@ -343,19 +334,14 @@ class StyleManager:
         self._evaluate()
         self._schedule_tick()
 
-    def _rates(self):
-        """Per-tick deltas of the overload/fault signals, as rates."""
+    def _fault_rate(self) -> float:
+        """Detector faults plus failovers since the last tick, per second."""
         m = self.rm.metrics
-        shed = m.value("gateway.adm.shed")
         faults = (m.value("fault.detector.faults")
                   + m.value("fault.failover.count"))
-        shed_rate = (shed - self._last_shed) / self.tick_interval
-        fault_rate = (faults - self._last_faults) / self.tick_interval
-        self._last_shed, self._last_faults = shed, faults
-        latency = m.get("gateway.req.latency")
-        p50 = (latency.quantile(0.5)
-               if latency is not None and latency.count else None)
-        return shed_rate, fault_rate, p50
+        rate = (faults - self._last_faults) / self.tick_interval
+        self._last_faults = faults
+        return rate
 
     def _group_signals(self, gid: int, now: float):
         """Windowed per-group (shed_rate, p50) from the series registry.
@@ -378,10 +364,9 @@ class StyleManager:
         return shed_rate, p50
 
     def _evaluate(self) -> None:
-        shed_rate, fault_rate, p50 = self._rates()
+        fault_rate = self._fault_rate()
         now = self.rm.scheduler.now
         policy = self.policy
-        per_group = self.rm.series.enabled
         for info in self.rm.registry.all_groups():
             gid = info.group_id
             if self.groups is not None and gid not in self.groups:
@@ -395,21 +380,17 @@ class StyleManager:
                 self._last_change[gid] = now
             if now - self._last_change.get(gid, 0.0) < policy.min_dwell_s:
                 continue
-            if per_group:
-                group_shed_rate, group_p50 = self._group_signals(gid, now)
-            else:
-                group_shed_rate, group_p50 = shed_rate, p50
-            overloaded = (
-                group_shed_rate >= policy.demote_shed_rate
-                or (group_p50 is not None
-                    and group_p50 >= policy.demote_latency_s))
+            shed_rate, p50 = self._group_signals(gid, now)
+            overloaded = (shed_rate >= policy.demote_shed_rate
+                          or (p50 is not None
+                              and p50 >= policy.demote_latency_s))
             if (info.style in (ReplicationStyle.ACTIVE,
                                ReplicationStyle.ACTIVE_WITH_VOTING)
                     and info.style is not policy.demote_to and overloaded):
                 self._baseline.setdefault(gid, info.style)
                 self.stats["demotions_requested"] += 1
                 self._emit(info, policy.demote_to, reason="overload",
-                           shed_rate=group_shed_rate, p50=group_p50)
+                           shed_rate=shed_rate, p50=p50)
             elif (info.style is policy.demote_to
                     and gid in self._baseline
                     and fault_rate >= policy.promote_fault_rate):
@@ -434,8 +415,9 @@ class StyleManager:
 class EvolutionManager:
     """Rolling live-upgrade driver (one replica at a time).
 
-    Each step — REMOVE_REPLICA then ADD_REPLICA of one host — is
-    multicast from whichever processor is coordinator then, and every
+    Each step — one ADD_REPLICA that replaces one host's replica, its
+    removal and re-creation applied in one delivery — is multicast from
+    whichever processor is coordinator then, and every
     processor reports readiness here (:meth:`attach`, at wiring time).
     Who is live is the coordinator's view: at each of its membership
     changes a host being replaced that left is skipped, and a step still
@@ -507,9 +489,11 @@ class EvolutionManager:
                 self._issue(roll)
 
     def _advance(self, roll: "_Roll") -> None:
-        """Replace the next host still live; resolve when none is left."""
-        live = self.domain.coordinator_rm().live_hosts
-        while roll.remaining and roll.remaining[0] not in live:
+        """Replace the next host still in the group's placement (so still
+        live); resolve when none is left."""
+        info = self.domain.coordinator_rm().registry.get(roll.group_id)
+        placement = info.placement if info is not None else ()
+        while roll.remaining and roll.remaining[0] not in placement:
             roll.remaining.pop(0)
         if not roll.remaining:
             self._finish(roll, None)
@@ -520,10 +504,10 @@ class EvolutionManager:
     def _issue(self, roll: "_Roll") -> None:
         rm = self.domain.coordinator_rm()
         roll.issuer = rm.host.name
-        for kind in (MsgKind.REMOVE_REPLICA, MsgKind.ADD_REPLICA):
-            roll.add = rm.multicast(DomainMessage(
-                kind=kind, source_group=0, target_group=0,
-                data={"group_id": roll.group_id, "host": roll.current}))
+        roll.add = rm.multicast(DomainMessage(
+            kind=MsgKind.ADD_REPLICA, source_group=0, target_group=0,
+            data={"group_id": roll.group_id, "host": roll.current,
+                  "replace": True}))
 
     def _finish(self, roll: "_Roll", error: Optional[Exception]) -> None:
         self._rolls.pop(roll.group_name, None)
@@ -536,8 +520,8 @@ class EvolutionManager:
 @dataclass
 class _Roll:
     """One group's upgrade: the hosts left to replace, the host being
-    replaced now, and its step's ADD_REPLICA with the processor that
-    multicast it."""
+    replaced now, and its step's replacing ADD_REPLICA with the
+    processor that multicast it."""
 
     group_name: str
     promise: Promise

@@ -870,6 +870,16 @@ class ReplicationMechanisms(Process):
                 self.registry.announce(info)
                 self._last_primary[info.group_id] = info.primary(
                     self.live_hosts or info.placement)
+            if info.factory_name and self.host.name in info.placement:
+                # A replica of this processor's previous incarnation,
+                # which the ring never saw leave (restarted before it was
+                # excluded): this one hosts nothing, so it leaves the
+                # placement as a departed host would.
+                self.multicast(DomainMessage(
+                    kind=MsgKind.REMOVE_REPLICA, source_group=0,
+                    target_group=0,
+                    data={"group_id": info.group_id,
+                          "host": self.host.name}))
         self.registry.high_water = max(self.registry.high_water,
                                        msg.data["high_water"])
         self.synced = True
@@ -934,6 +944,15 @@ class ReplicationMechanisms(Process):
         # placing a replica there would keep it in the placement forever.
         if info_before is None or new_host not in self.live_hosts:
             return
+        if msg.data.get("replace"):
+            # A rolling-upgrade step replaces, never adds: the host's old
+            # replica goes first, in this same delivery, so that no
+            # membership change falls between the two halves, and the
+            # donor is one of the others.
+            if new_host not in info_before.placement:
+                return
+            self._apply_remove_replica(msg)
+            info_before = self.registry.require(group_id)
         donor = info_before.primary(self.live_hosts)
         if not self.registry.add_replica(group_id, new_host):
             return
@@ -977,14 +996,16 @@ class ReplicationMechanisms(Process):
             joining.pop(host, None)
 
     def _redonate_state(self) -> None:
-        """A joiner whose donor left before its STATE_TRANSFER was
-        sequenced gets the state from the group's primary now.  A
-        snapshot taken after the cut is safe: the dedup table it carries
-        makes the joiner skip the buffered invocations it already holds."""
+        """A joiner whose donor left the group (or the ring) before its
+        STATE_TRANSFER was sequenced gets the state from the group's
+        primary now.  A snapshot taken after the cut is safe: the dedup
+        table it carries makes the joiner skip the buffered invocations
+        it already holds."""
         for group_id, joining in list(self._joining.items()):
             info = self.registry.get(group_id)
+            placement = info.placement if info is not None else ()
             for host, (cut_ts, donor) in list(joining.items()):
-                if host in self.live_hosts and donor in self.live_hosts:
+                if host in self.live_hosts and donor in placement:
                     continue
                 primary = info.primary(self.live_hosts) if info else None
                 if host not in self.live_hosts or primary in (None, *joining):
@@ -1006,6 +1027,7 @@ class ReplicationMechanisms(Process):
             self.logs.pop(group_id, None)
             self._lf_unacked.pop(group_id, None)
         self._check_primary_changes()
+        self._redonate_state()
 
     def _apply_state_transfer(self, msg: DomainMessage) -> None:
         group_id = msg.data["group_id"]

@@ -113,20 +113,16 @@ class StylePolicy:
     """Thresholds driving runtime style adaptation (`StyleManager`).
 
     A group whose base style is ACTIVE or ACTIVE_WITH_VOTING is demoted
-    to ``demote_to`` when the domain looks overloaded — the gateways
-    shed more than ``demote_shed_rate`` requests per second over a tick,
-    or p50 invocation latency exceeds ``demote_latency_s`` — and
-    promoted back to its base style when faults reappear (more than
-    ``promote_fault_rate`` detector faults / failovers per second).
-    ``min_dwell_s`` rate-limits flapping: after any observed style
-    change the manager holds off for at least that long.
-
-    With the time-series registry armed (``World(series=True)``) the
-    shed-rate and latency thresholds are applied to each group's own
-    windowed ``series.gateway.group.*`` series instead of the global
-    scalars; ``min_series_samples`` is how many in-window latency
-    observations a group must have before its p50 is trusted (fewer
-    reads as healthy — sparse traffic is not overload).
+    to ``demote_to`` when it looks overloaded — over its own windowed
+    ``series.gateway.group.*`` series, the gateways shed more than
+    ``demote_shed_rate`` of its requests per second, or its p50 latency
+    exceeds ``demote_latency_s`` — and promoted back to its base style
+    when faults reappear (more than ``promote_fault_rate`` detector
+    faults / failovers per second, domain-wide).  ``min_series_samples``
+    is how many in-window latency observations a group must have before
+    its p50 is trusted (fewer reads as healthy — sparse traffic is not
+    overload).  ``min_dwell_s`` rate-limits flapping: after any observed
+    style change the manager holds off for at least that long.
     """
 
     demote_to: ReplicationStyle = ReplicationStyle.LEADER_FOLLOWER

@@ -8,13 +8,12 @@ docs/OBSERVABILITY.md for the metric catalogue and clock semantics.
 """
 
 from .audit import AuditEntry, AuditReport, AuditRow, AuditScope
-from .export import (canonical_json, parse_json, render_prometheus,
-                     render_text, to_json)
+from .export import canonical_json, parse_json, render_text, to_json
 from .flight import FlightRecorder
 from .hostclock import (override_wall_clock, reset_wall_clock,
                         set_wall_clock, wall_clock)
 from .metrics import Gauge, Histogram, Metric, MetricsRegistry
-from .series import (Ewma, QuantileSketch, RingBuffer, Series, SeriesRegistry,
+from .series import (QuantileSketch, RingBuffer, Series, SeriesRegistry,
                      SlidingRate)
 from .tracing import TraceCollector, TraceSpan
 
@@ -23,7 +22,6 @@ __all__ = [
     "AuditReport",
     "AuditRow",
     "AuditScope",
-    "Ewma",
     "FlightRecorder",
     "Gauge",
     "Histogram",
@@ -39,7 +37,6 @@ __all__ = [
     "canonical_json",
     "override_wall_clock",
     "parse_json",
-    "render_prometheus",
     "render_text",
     "reset_wall_clock",
     "set_wall_clock",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..errors import ConfigurationError
 
@@ -168,41 +168,32 @@ class Histogram(Metric):
         """Estimated q-quantile (0 < q <= 1); None when empty."""
         if self.count == 0:
             return None
-        rank = max(1, math.ceil(q * self.count))
+        return self.interpolate(self._buckets, self.count, q,
+                                self.min, self.max)
+
+    @classmethod
+    def interpolate(cls, buckets: Mapping[int, int], count: int, q: float,
+                    lo: float, hi: float) -> float:
+        """The q-quantile of ``count`` observations in ``buckets``, whose
+        least and greatest are ``lo`` and ``hi``: linear within the
+        bucket holding the rank, clamped to ``[lo, hi]``."""
+        rank = max(1, math.ceil(q * count))
+        bounds = cls._BOUNDS
         cumulative = 0
-        for index in sorted(self._buckets):
-            in_bucket = self._buckets[index]
+        for index in sorted(buckets):
+            in_bucket = buckets[index]
             if cumulative + in_bucket >= rank:
-                lower = 0.0 if index == 0 else self._BOUNDS[index - 1]
-                upper = (self._BOUNDS[index] if index < len(self._BOUNDS)
-                         else (self.max if self.max is not None else lower))
+                lower = 0.0 if index == 0 else bounds[index - 1]
+                upper = bounds[index] if index < len(bounds) else hi
                 fraction = (rank - cumulative) / in_bucket
                 estimate = lower + (upper - lower) * fraction
-                assert self.min is not None and self.max is not None
-                return min(max(estimate, self.min), self.max)
+                return min(max(estimate, lo), hi)
             cumulative += in_bucket
-        return self.max  # pragma: no cover - unreachable (counts agree)
+        return hi  # pragma: no cover - unreachable (counts agree)
 
     @property
     def mean(self) -> Optional[float]:
         return self.sum / self.count if self.count else None
-
-    def cumulative_buckets(self) -> List[Tuple[Optional[float], int]]:
-        """Cumulative ``(upper_bound, count)`` pairs, Prometheus-style.
-
-        Only occupied buckets are materialised (the geometry is sparse);
-        the final pair's bound is None, meaning ``+Inf``.  Empty
-        histograms return an empty list."""
-        pairs: List[Tuple[Optional[float], int]] = []
-        cumulative = 0
-        for index in sorted(self._buckets):
-            cumulative += self._buckets[index]
-            bound = (self._BOUNDS[index] if index < len(self._BOUNDS)
-                     else None)
-            pairs.append((bound, cumulative))
-        if pairs and pairs[-1][0] is not None:
-            pairs.append((None, cumulative))
-        return pairs
 
     def snapshot(self) -> Dict[str, Any]:
         return {

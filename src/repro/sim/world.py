@@ -122,16 +122,12 @@ class World:
         # events, no metrics), so arming it never perturbs a run.
         self.flight = FlightRecorder(clock=lambda: self.scheduler.now,
                                      enabled=flight)
-        # Time-series layer (repro.obs.series): disabled by default so
-        # the simulated event stream and metric key set stay
-        # byte-identical to a build without it; ``series=True`` arms
-        # event-driven per-group/per-gateway series (sampled sources
-        # stay opt-in via ``world.series.sample`` because the periodic
-        # sampler does add scheduler events).
-        self.series = SeriesRegistry(
-            clock=lambda: self.scheduler.now, enabled=series,
-            flight=self.flight)
-        self.series.attach_scheduler(self.scheduler)
+        # Time-series layer (repro.obs.series): per-group/per-gateway
+        # series fed at instrumentation sites, never polled, so arming
+        # it (``series=True``, or adaptive styles) adds no scheduler
+        # events.
+        self.series = SeriesRegistry(clock=lambda: self.scheduler.now,
+                                     enabled=series)
         self.trace_collector = TraceCollector(
             enabled=trace_spans, clock=lambda: self.scheduler.now,
             metrics=self.metrics, flight=self.flight)
@@ -200,7 +196,7 @@ class World:
 
     def series_json(self) -> str:
         """Canonical JSON dump of every time series (byte-identical
-        across seeded reruns, on either twin scheduler)."""
+        across seeded reruns)."""
         return self.series.to_json()
 
     def flight_json(self) -> str:

@@ -11,7 +11,7 @@ def record(metrics, spans, trace_id):
 
 def record_series(series, flight):
     series.observe("series.not.in.catalogue", 1.0, group="1")
-    series.sample("series.also.uncatalogued", lambda: 0)
+    series.observe("series.also.uncatalogued", 0.0)
     flight.record("flight.mystery.kind", detail="x")
 
 

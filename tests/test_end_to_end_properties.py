@@ -196,6 +196,8 @@ TIER1 = ({} if settings.get_current_profile_name() == "search"
 
 @settings(deadline=None, derandomize=True, **TIER1)
 @given(st.lists(st.tuples(ACTIONS, PAUSES), min_size=1, max_size=14))
+@example([("call", 0.0), ("cut_parked", 0.0)] + [("call", 0.0)] * 7
+         + [("kill", 0.0), ("call", 0.0), ("recover", 0.0)])
 @example([(ReplicationStyle.ACTIVE, 0.3), ("call", 0.0), ("kill", 0.0),
           ("kill", 0.0), ("kill", 1.5), ("call", 0.0)])
 @example([("call", 0.0), ("call", 0.0), ("call", 0.0), ("call", 1.5),

@@ -4,6 +4,7 @@ Each example is executed in-process (runpy) with stdout captured; a
 non-zero amount of output and no exception is the pass criterion.
 """
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -43,3 +44,33 @@ def test_module_entry_point_metrics_json_deterministic(capsys):
     second = capsys.readouterr().out.splitlines()[-1]
     assert first.startswith('{"metrics":')
     assert first == second
+
+
+def test_module_entry_point_series_flag(capsys):
+    from repro.__main__ import main
+    assert main(["--series"]) == 0
+    document = json.loads(capsys.readouterr().out.splitlines()[-1])
+    latency = [entry for key, entry in document["series"].items()
+               if key.startswith("series.gateway.group.latency")]
+    assert latency
+    for entry in latency:
+        assert {"rate", "p50", "points"} <= set(entry)
+        assert "ewma" not in entry
+
+
+def test_module_entry_point_flight_dump_flag(capsys):
+    from repro.__main__ import main
+    assert main(["--flight-dump"]) == 0
+    json.loads(capsys.readouterr().out.splitlines()[-1])
+
+
+def test_module_entry_point_trace_flag(capsys):
+    from repro.__main__ import main
+    assert main(["--trace"]) == 0
+    assert "causal traces:" in capsys.readouterr().out
+
+
+def test_module_entry_point_audit_flag(capsys):
+    from repro.__main__ import main
+    assert main(["--audit"]) == 0
+    assert "replica agreement: OK" in capsys.readouterr().out

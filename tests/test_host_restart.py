@@ -81,3 +81,33 @@ def test_full_cycle_crash_recover_invoke(world):
     assert world.await_promise(group.invoke("increment", 1)) == 3
     world.run(until=world.now + 2.0)
     assert set(replica_counts(domain, group).values()) == {3}
+
+
+@pytest.mark.parametrize("style", [ReplicationStyle.WARM_PASSIVE,
+                                   ReplicationStyle.ACTIVE])
+def test_a_processor_restarted_before_it_was_excluded_leaves_its_placements(
+        style):
+    """The primary is crashed and restarted 30 ms later, before the
+    token-loss timeout, so the ring re-forms with the same members and
+    nobody sees it leave.  Its fresh software hosts no replica: it
+    withdraws from the placements its directory snapshot lists it in,
+    the group fails over, the next call is answered, and the Resource
+    Manager restores the group's count."""
+    world = World(seed=5, flight=True)
+    domain = make_domain(world, num_hosts=4)
+    group = make_counter_group(domain, style=style, replicas=3)
+    assert world.await_promise(group.invoke("increment", 1)) == 1
+    victim = group.info().primary(domain.coordinator_rm().live_hosts)
+    world.faults.crash_now(victim)
+    world.run(until=world.now + 0.03)
+    world.faults.recover_now(victim)
+    domain.restart_host(victim)
+    assert world.await_promise(group.invoke("increment", 1), timeout=5) == 2
+    world.run(until=world.now + 2.0)
+    assert all(victim in rm.live_hosts
+               for rm in domain.rms.values() if rm.alive)
+    hosting = {name for name, rm in domain.rms.items()
+               if rm.alive and group.group_id in rm.replicas}
+    assert set(group.info().placement) == hosting and len(hosting) == 3
+    assert set(replica_counts(domain, group).values()) == {2}
+    world.audit(strict=True)

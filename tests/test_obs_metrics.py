@@ -14,7 +14,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     parse_json,
-    render_prometheus,
     render_text,
     to_json,
 )
@@ -283,100 +282,3 @@ def test_render_text_lists_every_metric():
     assert len(lines) == 2
     assert lines[0].startswith("a.count") and "7 B" in lines[0]
     assert "count=1" in lines[1] and "p50=0.5" in lines[1]
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-
-def test_render_prometheus_empty_registry():
-    assert render_prometheus(MetricsRegistry()) == ""
-
-
-def test_render_prometheus_golden_format():
-    """Exact golden rendering: counters and gauges map 1:1, histograms
-    expose cumulative exponential buckets (with the +Inf terminator)
-    and summary-style quantile labels plus the flattened
-    _count/_sum/min/max/quantile gauges, dots become underscores, and
-    output order follows the (sorted) snapshot."""
-    registry = MetricsRegistry()
-    registry.register_stats({"requests_received": 3},
-                            {"requests_received": "gateway.req.received"})
-    registry.gauge("rm.state.log_entries").set(12)
-    h = registry.histogram("gateway.req.latency", unit="s")
-    h.observe(0.25)
-    (bound, _), = (p for p in h.cumulative_buckets() if p[0] is not None)
-    assert render_prometheus(registry) == (
-        "# TYPE gateway_req_latency_count counter\n"
-        "gateway_req_latency_count 1\n"
-        "# TYPE gateway_req_latency_sum counter\n"
-        "gateway_req_latency_sum 0.25\n"
-        "# TYPE gateway_req_latency_bucket counter\n"
-        f'gateway_req_latency_bucket{{le="{bound!r}"}} 1\n'
-        'gateway_req_latency_bucket{le="+Inf"} 1\n'
-        'gateway_req_latency{quantile="0.5"} 0.25\n'
-        'gateway_req_latency{quantile="0.95"} 0.25\n'
-        'gateway_req_latency{quantile="0.99"} 0.25\n'
-        "# TYPE gateway_req_latency_min gauge\n"
-        "gateway_req_latency_min 0.25\n"
-        "# TYPE gateway_req_latency_max gauge\n"
-        "gateway_req_latency_max 0.25\n"
-        "# TYPE gateway_req_latency_p50 gauge\n"
-        "gateway_req_latency_p50 0.25\n"
-        "# TYPE gateway_req_latency_p95 gauge\n"
-        "gateway_req_latency_p95 0.25\n"
-        "# TYPE gateway_req_latency_p99 gauge\n"
-        "gateway_req_latency_p99 0.25\n"
-        "# TYPE gateway_req_received counter\n"
-        "gateway_req_received 3\n"
-        "# TYPE rm_state_log_entries gauge\n"
-        "rm_state_log_entries 12\n"
-    )
-
-
-def test_render_prometheus_buckets_are_cumulative():
-    registry = MetricsRegistry()
-    h = registry.histogram("h.lat")
-    for value in (0.001, 0.001, 0.5, 2.0):
-        h.observe(value)
-    pairs = h.cumulative_buckets()
-    assert pairs[-1] == (None, 4)                  # +Inf sees everything
-    counts = [count for _, count in pairs]
-    assert counts == sorted(counts)                # cumulative, monotone
-    bounds = [bound for bound, _ in pairs[:-1]]
-    assert bounds == sorted(bounds)
-    text = render_prometheus(registry)
-    assert 'h_lat_bucket{le="+Inf"} 4' in text
-
-
-def test_render_prometheus_series_last_values():
-    from repro.obs import SeriesRegistry
-
-    registry = MetricsRegistry()
-    registry.counter_fn("a.count", lambda: 1)
-    series = SeriesRegistry(enabled=True)
-    series.observe("series.gateway.group.latency", 0.125, group="7")
-    text = render_prometheus(registry, series=series)
-    assert "# TYPE series_gateway_group_latency gauge" in text
-    assert 'series_gateway_group_latency{group="7"} 0.125' in text
-
-
-def test_render_prometheus_empty_histogram_quantiles_are_nan():
-    registry = MetricsRegistry()
-    registry.histogram("empty.latency")
-    text = render_prometheus(registry)
-    assert "empty_latency_count 0" in text
-    assert "empty_latency_p50 NaN" in text
-
-
-def test_render_prometheus_is_deterministic():
-    def build():
-        registry = MetricsRegistry()
-        registry.counter_fn("z.last", lambda: 1)
-        registry.counter_fn("a.first", lambda: 5)
-        registry.histogram("m.mid").observe(1.5)
-        return render_prometheus(registry)
-
-    first, second = build(), build()
-    assert first == second
-    assert first.index("a_first") < first.index("m_mid") < first.index("z_last")

@@ -5,13 +5,13 @@ their numeric properties are pinned here with Hypothesis:
 
 * the ring buffer retains exactly the last ``capacity`` samples in
   append order;
-* the time-decayed EWMA is always a convex combination of what it has
-  seen (bounded by the observed min/max);
 * the windowed quantile sketch estimates within one bucket width of the
-  exact rank statistic, clamped to the observed range.
+  exact rank statistic, clamped to the observed range, and over samples
+  inside one window it reads exactly what a histogram of the same
+  samples reads (one interpolation routine).
 
-Registry semantics (laziness, labels, sampling, flight deltas) and
-canonical-JSON determinism ride along.
+Registry semantics (laziness, labels) and canonical-JSON determinism
+ride along.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import (
-    Ewma,
-    FlightRecorder,
     Histogram,
     QuantileSketch,
     RingBuffer,
@@ -75,70 +73,8 @@ def test_registry_interns_by_key():
 def test_disabled_registry_is_inert():
     registry = SeriesRegistry(enabled=False)
     registry.observe("series.test.metric", 1.0, group=1)
-    assert registry.sample("series.test.metric", lambda: 0.0) is None
     assert registry.keys() == []
     assert registry.snapshot(0.0)["series"] == {}
-
-
-class _FakeScheduler:
-    def __init__(self):
-        self.timers = []
-
-    def call_every(self, interval, fn):
-        self.timers.append((interval, fn))
-
-
-def test_event_series_never_arm_the_sampler():
-    """Purely event-driven use adds zero scheduler events, which is why
-    enabling the registry keeps the simulated schedule byte-identical."""
-    scheduler = _FakeScheduler()
-    registry = SeriesRegistry(enabled=True)
-    registry.attach_scheduler(scheduler)
-    registry.observe("series.test.metric", 1.0)
-    registry.observe("series.test.metric", 2.0)
-    assert scheduler.timers == []
-
-
-def test_sampled_series_arm_once_and_poll_in_order():
-    clock = [0.0]
-    scheduler = _FakeScheduler()
-    registry = SeriesRegistry(clock=lambda: clock[0], enabled=True,
-                              sample_interval=0.5)
-    registry.attach_scheduler(scheduler)
-    values = {"a": 1.0, "b": 10.0}
-    registry.sample("series.test.metric", lambda: values["a"], source="a")
-    registry.sample("series.test.metric", lambda: values["b"], source="b")
-    assert len(scheduler.timers) == 1          # one timer for all sources
-    assert scheduler.timers[0][0] == 0.5
-    tick = scheduler.timers[0][1]
-    tick()
-    clock[0] = 0.5
-    values["a"] = 2.0
-    tick()
-    a = registry.get("series.test.metric", source="a")
-    assert [v for _, v in a.ring.items()] == [1.0, 2.0]
-    assert a.sampled and a.last_t == 0.5
-
-
-def test_sampled_flight_delta_records_black_box_events():
-    clock = [0.0]
-    flight = FlightRecorder(clock=lambda: clock[0], enabled=True)
-    registry = SeriesRegistry(clock=lambda: clock[0], enabled=True,
-                              flight=flight)
-    registry.attach_scheduler(_FakeScheduler())
-    values = [5.0]
-    entry = registry.sample("series.test.metric", lambda: values[0],
-                            flight_delta=2.0)
-    tick = registry._tick
-    tick()                      # first sample always fires (previous None)
-    values[0] = 6.0
-    tick()                      # delta 1.0 < 2.0: silent
-    values[0] = 9.0
-    tick()                      # delta 3.0 >= 2.0: recorded
-    deltas = flight.events("flight.series")
-    assert [(e["detail"]["previous"], e["detail"]["value"])
-            for e in deltas] == [(None, 5.0), (6.0, 9.0)]
-    assert all(e["detail"]["series"] == entry.key for e in deltas)
 
 
 # ----------------------------------------------------------------------
@@ -148,6 +84,12 @@ def test_sampled_flight_delta_records_black_box_events():
 def test_ring_capacity_validated():
     with pytest.raises(ConfigurationError):
         RingBuffer(0)
+
+
+@pytest.mark.parametrize("window", [SlidingRate, QuantileSketch])
+def test_window_length_validated(window):
+    with pytest.raises(ConfigurationError):
+        window(window_s=0.0)
 
 
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
@@ -180,40 +122,6 @@ def test_sliding_rate_window_eviction():
 
 
 # ----------------------------------------------------------------------
-# Ewma
-# ----------------------------------------------------------------------
-
-def test_ewma_first_observation_is_exact():
-    ewma = Ewma(tau_s=1.0)
-    assert ewma.value is None
-    ewma.observe(0.0, 4.0)
-    assert ewma.value == 4.0
-    # dt == 0 gives the new sample zero weight (no double counting of
-    # one simulated instant).
-    ewma.observe(0.0, 100.0)
-    assert ewma.value == 4.0
-
-
-@given(samples=st.lists(
-    st.tuples(st.floats(min_value=0.0, max_value=100.0,
-                        allow_nan=False, allow_infinity=False),
-              st.floats(min_value=-1e6, max_value=1e6,
-                        allow_nan=False, allow_infinity=False)),
-    min_size=1, max_size=80),
-    tau=st.floats(min_value=1e-3, max_value=10.0))
-def test_ewma_bounded_by_observed_range(samples, tau):
-    """Every update is a convex combination, so the estimate can never
-    escape [min(observations), max(observations)]."""
-    samples = sorted(samples, key=lambda s: s[0])  # nondecreasing time
-    ewma = Ewma(tau_s=tau)
-    for t, v in samples:
-        ewma.observe(t, v)
-    values = [v for _, v in samples]
-    tolerance = 1e-9 * max(1.0, max(abs(v) for v in values))
-    assert min(values) - tolerance <= ewma.value <= max(values) + tolerance
-
-
-# ----------------------------------------------------------------------
 # QuantileSketch
 # ----------------------------------------------------------------------
 
@@ -242,6 +150,27 @@ def test_sketch_quantile_bounded_error_within_one_epoch(values, q):
     assert abs(estimate - exact) <= bound * (1 + 1e-9) + 1e-12
     assert min(values) <= estimate <= max(values)
     assert sketch.count == len(values)
+
+
+@given(samples=st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=0.999,
+                        allow_nan=False, allow_infinity=False),
+              st.floats(min_value=0.0, max_value=1e6,
+                        allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=200),
+    q=st.sampled_from([0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0]))
+def test_sketch_agrees_with_the_histogram_inside_one_window(samples, q):
+    """Samples spread over both epochs of one 1 s window: the sketch
+    holds every one of them, and its estimate is the histogram's."""
+    samples = sorted(samples, key=lambda s: s[0])
+    sketch = QuantileSketch(window_s=1.0)
+    histogram = Histogram("series.test.metric")
+    for t, v in samples:
+        sketch.observe(t, v)
+        histogram.observe(v)
+    now = samples[-1][0]
+    assert sketch.quantile(q, now) == histogram.quantile(q)
+    assert sketch.count == histogram.count
 
 
 def test_sketch_clamps_negative_and_nan_to_zero():
@@ -293,7 +222,6 @@ def test_series_snapshot_shape_and_aggregates():
     assert snap["last"] == 5.0 and snap["last_t"] == 0.5
     # All six samples are inside the 2 s window: rate sums amounts.
     assert snap["rate"] == pytest.approx(15.0 / 2.0)
-    assert 0.0 <= snap["ewma"] <= 5.0
     assert snap["p50"] is not None and snap["p50"] <= snap["p95"]
 
 

@@ -1,19 +1,15 @@
 """Per-group adaptive style policy, driven by the time-series layer.
 
-The regression that motivated feeding the StyleManager from
-``series.gateway.group.*`` instead of the global scalars: two groups
-with very different load share one domain and one gateway.  The hot
-group floods through a window-1 admission queue, so *its* requests see
-big queueing latencies; the cool group's sparse requests stay fast.
+Two groups with very different load share one domain and one gateway.
+The hot group floods through a window-1 admission queue, so *its*
+requests see big queueing latencies; the cool group's sparse requests
+stay fast.  The StyleManager judges each group by its own windowed
+``series.gateway.group.*`` latency p50, so only the hot group is
+demoted.  (A domain-wide latency p50 would be dominated by the hot
+group's samples and drag the healthy cool group down with it.)
 
-* With the series registry armed, the manager judges each group by its
-  own windowed latency p50 — only the hot group is demoted.
-* With the global scalars (series disabled), the domain-wide latency
-  histogram is dominated by the hot group's samples, and the cumulative
-  p50 drags the healthy cool group down with it — both are demoted.
-
-The second test pins the deficiency on purpose: if it starts failing,
-the global fallback changed and docs/OBSERVABILITY.md needs updating.
+Adaptation arms the series registry itself, so the outcome is the same
+whether or not the world was built with ``series=True``.
 """
 
 from __future__ import annotations
@@ -57,8 +53,7 @@ def run_two_group_scenario(series):
     return world, hot, cool
 
 
-def test_series_demotes_only_the_degraded_group():
-    world, hot, cool = run_two_group_scenario(series=True)
+def assert_only_hot_demoted(world, hot, cool):
     assert hot.info().style is ReplicationStyle.LEADER_FOLLOWER
     assert cool.info().style is ReplicationStyle.ACTIVE
     # The black box names the demoted group and carries its signals.
@@ -68,9 +63,14 @@ def test_series_demotes_only_the_degraded_group():
     first = switches[0]["detail"]
     assert first["reason"] == "overload"
     assert first["p50"] >= 0.03
+    assert world.series.enabled
 
 
-def test_global_scalars_demote_both_groups():
-    world, hot, cool = run_two_group_scenario(series=False)
-    assert hot.info().style is ReplicationStyle.LEADER_FOLLOWER
-    assert cool.info().style is ReplicationStyle.LEADER_FOLLOWER
+def test_series_demotes_only_the_degraded_group():
+    assert_only_hot_demoted(*run_two_group_scenario(series=True))
+
+
+def test_an_unarmed_world_demotes_only_the_degraded_group():
+    """Built without ``series=True``, the world still adapts per group:
+    enabling adaptive styles arms the series registry."""
+    assert_only_hot_demoted(*run_two_group_scenario(series=False))

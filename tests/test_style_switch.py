@@ -530,6 +530,9 @@ def test_style_manager_demotes_under_shed_and_promotes_under_faults(world):
         lambda: group.info().style is ReplicationStyle.LEADER_FOLLOWER,
         timeout=10.0)
     assert group.info().style is ReplicationStyle.LEADER_FOLLOWER
+    # Let the flood leave the group's 1 s shed window, so that once
+    # promoted it is not demoted again (min_dwell_s is 0 here).
+    world.run(until=world.now + 1.0)
     # Kill the group's leader: the fault spike promotes it back to the
     # remembered baseline style.
     leader = group.info().primary(domain.coordinator_rm().live_hosts)
