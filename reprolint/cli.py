@@ -1,5 +1,4 @@
-"""Command-line driver shared by ``tools/reprolint.py`` and
-``python -m repro --lint``.
+"""Command-line driver behind ``tools/reprolint.py``.
 
 Exit status: 0 when clean (no violations, no parse errors, no stale
 baseline entries, no unused or unjustified suppressions — the same bar
@@ -15,7 +14,8 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from ..obs.hostclock import wall_clock
+from repro.obs.hostclock import wall_clock
+
 from .callgraph import render_graph_json
 from .lint import Baseline, ProjectContext, default_config, lint_paths
 from .protocol import render_protocol_json
@@ -37,8 +37,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="reprolint",
         description="determinism & sim-discipline lint for the "
                     "reproduction (rules: docs/STATIC_ANALYSIS.md)")
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
+    parser.add_argument("paths", nargs="*", default=["src", "reprolint"],
+                        help="files or directories to lint (default: src "
+                             "reprolint)")
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="also write the JSON report to FILE "
                              "('-' for stdout)")

@@ -2,7 +2,7 @@
 
 One :class:`LintRule` encodes one repo invariant (a *determinism*,
 *sim-discipline*, *observability*, or *audit* contract — see
-:mod:`repro.analysis.rules` and docs/STATIC_ANALYSIS.md).  The driver
+:mod:`reprolint.rules` and docs/STATIC_ANALYSIS.md).  The driver
 parses each file once, hands every registered rule a
 :class:`LintContext`, and folds the resulting :class:`Violation`
 stream through the two escape hatches:
@@ -455,7 +455,8 @@ class LintResult:
 
 
 def module_name_for(path: pathlib.Path) -> str:
-    """Dotted module path; everything after a ``src`` path component."""
+    """Dotted module path: everything after a ``src`` path component,
+    or the whole (repo-relative) path when there is none."""
     parts = list(path.with_suffix("").parts)
     if "src" in parts:
         parts = parts[parts.index("src") + 1:]
@@ -588,7 +589,7 @@ def lint_paths(paths: Sequence[pathlib.Path],
         rel = _relative_to_root(file_path, root)
         source = file_path.read_text(encoding="utf-8")
         file_result, ctx = _lint_one(
-            source, rel, module_name_for(file_path), config, rules)
+            source, rel, module_name_for(pathlib.Path(rel)), config, rules)
         result.files.append(file_result)
         if ctx is not None:
             contexts.append(ctx)

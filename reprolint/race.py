@@ -52,8 +52,8 @@ from heapq import heappop, heappush
 from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from ..sim.scheduler import (_BUDGET, _QUIESCED, _SATISFIED, _TIME_LIMIT,
-                             Scheduler, _Entry)
+from repro.sim.scheduler import (_BUDGET, _QUIESCED, _SATISFIED,
+                                 _TIME_LIMIT, Scheduler, _Entry)
 
 QueueEntry = _Entry
 ScenarioFn = Callable[[Optional[Scheduler]], Mapping[str, str]]
@@ -293,10 +293,7 @@ class RaceScheduler(Scheduler):
             time, _, timer, fn, args = entry
             self.now = time
             if timer is not None:
-                if timer.interval is None:
-                    timer.fired = True
-                else:
-                    self._arm(timer, time + timer.interval)
+                timer.fired = True
             self._events_processed += 1
             fired += 1
             fn(*args)

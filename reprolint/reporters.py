@@ -1,4 +1,4 @@
-"""Text and JSON reporters over a :class:`~repro.analysis.lint.LintResult`.
+"""Text and JSON reporters over a :class:`~reprolint.lint.LintResult`.
 
 The text form is for humans and CI logs; the JSON form is the machine
 contract (schema 1): violation lists, baseline bookkeeping, and —

@@ -19,14 +19,13 @@ A third exists for the race detector alone:
   the LAN delivered them in.
 
 They used to live inside the test files; they moved here so the race
-detector (``tools/race_sweep.py``, ``python -m repro --race-sweep``)
-can replay the *same* runs under permuted tie-break orders without
-importing test code.  The tests delegate to these functions, so the
+detector (``tools/race_sweep.py``) can replay the *same* runs under
+permuted tie-break orders without importing test code.  The tests delegate to these functions, so the
 golden gate itself keeps the transcription honest: any drift in
 construction order here breaks the byte-identical comparison there.
 
 Every builder takes an optional ``scheduler`` so the sweep can inject
-a :class:`~repro.analysis.race.RaceScheduler`; ``None`` means the
+a :class:`~reprolint.race.RaceScheduler`; ``None`` means the
 stock deterministic scheduler.
 """
 
@@ -35,9 +34,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .. import FaultToleranceDomain, FtClientLayer, Ior, Orb, World
-from ..apps import COUNTER_INTERFACE, CounterServant
-from ..sim.scheduler import Scheduler
+from repro import FaultToleranceDomain, FtClientLayer, Ior, Orb, World
+from repro.apps import COUNTER_INTERFACE, CounterServant
+from repro.sim.scheduler import Scheduler
+
 from .race import partition_metric_series
 
 DeliveryTrace = Dict[str, List[Tuple[int, str, str]]]

@@ -16,13 +16,6 @@ instead (load it in Perfetto / ``about:tracing``, or feed it to
 JSON snapshot (per-group/gateway windowed aggregates, see
 docs/OBSERVABILITY.md); ``--flight-dump`` arms the flight recorder
 and prints its canonical JSON black-box dump after the run.
-
-Two analysis modes skip the demo entirely: ``--lint`` runs the
-``reprolint`` determinism linter over ``src/`` (same bar as
-``tools/reprolint.py`` and the blocking CI job), and ``--race-sweep``
-replays the golden scenarios under permuted same-time tie-break orders
-(see docs/STATIC_ANALYSIS.md), failing if any semantic artifact
-diverges.
 """
 
 from __future__ import annotations
@@ -60,24 +53,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "canonical JSON dump after the run")
     parser.add_argument("--seed", type=int, default=2026,
                         help="world seed (default: 2026)")
-    parser.add_argument("--lint", action="store_true",
-                        help="run the reprolint determinism linter over "
-                             "src/ instead of the demo; extra arguments "
-                             "(e.g. --graph-dump FILE, --protocol-dump "
-                             "FILE, --budget SECONDS) pass through to it")
-    parser.add_argument("--race-sweep", action="store_true",
-                        help="replay the golden scenarios under permuted "
-                             "tie-break orders instead of the demo")
-    args, extra = parser.parse_known_args(argv)
-    if args.lint:
-        # Unrecognised flags belong to the linter (--graph-dump,
-        # --protocol-dump, --budget, paths, ...), not the demo.
-        from repro.analysis.cli import main as lint_main
-        return lint_main(extra)
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
-    if args.race_sweep:
-        return _race_sweep()
+    args = parser.parse_args(argv)
     tracing = args.trace or args.trace_json
     world = World(seed=args.seed, trace_spans=tracing, series=args.series,
                   flight=args.flight_dump)
@@ -131,31 +107,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(world.series_json())
     if args.flight_dump:
         print(world.flight_json())
-    return 0 if ok else 1
-
-
-def _race_sweep() -> int:
-    from repro.analysis.race import permutation_sweep
-    from repro.analysis.scenarios import GOLDEN_SCENARIOS
-    ok = True
-    for name, scenario in GOLDEN_SCENARIOS.items():
-        report = permutation_sweep(scenario, name=name)
-        ok = ok and report.ok
-        print(f"{name}: {'OK' if report.ok else 'DIVERGED'}")
-        for run in report.runs:
-            stats = run.recorder or {}
-            line = (f"  {run.label}: collisions={stats.get('cohorts', 0)} "
-                    f"multi_lane={stats.get('multi_lane_cohorts', 0)}")
-            if run.effort_deltas:
-                moved = sorted(
-                    series for delta in run.effort_deltas.values()
-                    for series in delta)
-                line += f" effort_moved={','.join(moved)}"
-            print(line)
-            for key, note in sorted(run.divergences.items()):
-                print(f"    DIVERGED {key}: {note}")
-    print("race sweep:", "every semantic artifact byte-identical"
-          if ok else "SEMANTIC DIVERGENCE — tie-break order leaked")
     return 0 if ok else 1
 
 

@@ -27,7 +27,6 @@ from .naming import (
     make_object_key,
     parse_object_key,
 )
-from .properties import FaultToleranceProperties
 from .registry import GroupInfo, GroupRegistry
 from .replication import ReplicationMechanisms
 from .report import domain_report, format_report
@@ -44,7 +43,6 @@ __all__ = [
     "FaultNotifier",
     "FaultReport",
     "EvolutionManager",
-    "FaultToleranceProperties",
     "FIRST_APPLICATION_GROUP",
     "FaultToleranceDomain",
     "GATEWAY_GROUP",

@@ -132,28 +132,38 @@ class FaultToleranceDomain:
 
     def _add_processor(self, host_name: str, replica_host: bool) -> Host:
         host = self.world.add_host(host_name, site=self.site)
-        member = TotemMember(host, host_name, self.transport,
-                             config=self.totem_config)
-        # Processors added after bootstrap join a running domain and must
-        # receive the directory snapshot before acting on deliveries.
-        rm = ReplicationMechanisms(
-            host, member, self.name, self.interfaces, self.factories,
-            synced=not self._bootstrapped)
-        self.egresses[host_name] = DomainEgress(rm, self.world)
-        self.evolution.attach(rm)
         self.hosts.append(host)
         host.on_crash(self._reissue_calls)
-        self.members[host_name] = member
-        self.rms[host_name] = rm
         if replica_host:
-            self.replica_host_names.append(host_name)
             # The live list object is shared so later-added replica hosts
             # become replacement candidates everywhere.
-            self.resource_managers[host_name] = ResourceManager(
-                rm, self.replica_host_names)
-            self.fault_detectors[host_name] = FaultDetector(rm)
-        member.start()
+            self.replica_host_names.append(host_name)
+        # Processors added after bootstrap join a running domain and must
+        # receive the directory snapshot before acting on deliveries.
+        self._start_software(host, synced=not self._bootstrapped)
         return host
+
+    def _start_software(self, host: Host,
+                        synced: bool) -> ReplicationMechanisms:
+        """Start one processor's Eternal stack: its Totem member,
+        Replication Mechanisms, egress and Evolution Manager hook, and on
+        a replica host its Resource Manager and FaultDetector."""
+        name = host.name
+        member = TotemMember(host, name, self.transport,
+                             config=self.totem_config)
+        rm = ReplicationMechanisms(
+            host, member, self.name, self.interfaces, self.factories,
+            synced=synced)
+        self.egresses[name] = DomainEgress(rm, self.world)
+        self.evolution.attach(rm)
+        self.members[name] = member
+        self.rms[name] = rm
+        if name in self.replica_host_names:
+            self.resource_managers[name] = ResourceManager(
+                rm, self.replica_host_names)
+            self.fault_detectors[name] = FaultDetector(rm)
+        member.start()
+        return rm
 
     def _bootstrap_managers(self) -> None:
         placement = tuple(self.replica_host_names[:3])
@@ -446,7 +456,7 @@ class FaultToleranceDomain:
         """Restart the Eternal software on a recovered replica processor.
 
         The processor itself must already be up (``Host.recover``); this
-        starts a fresh Totem member and Replication Mechanisms on it.
+        starts its Eternal stack afresh, as :meth:`_add_processor` did.
         The new RM joins unsynced: it buffers deliveries until an
         incumbent sends the directory snapshot, after which the Resource
         Manager may place replacement replicas on it again.
@@ -460,20 +470,7 @@ class FaultToleranceDomain:
         if any(gw.host.name == host_name for gw in self.gateways):
             raise ConfigurationError(
                 "gateway processors are restarted via add_gateway")
-        member = TotemMember(host, host_name, self.transport,
-                             config=self.totem_config)
-        rm = ReplicationMechanisms(
-            host, member, self.name, self.interfaces, self.factories,
-            synced=False)
-        self.egresses[host_name] = DomainEgress(rm, self.world)
-        self.evolution.attach(rm)
-        self.members[host_name] = member
-        self.rms[host_name] = rm
-        if host_name in self.replica_host_names:
-            self.resource_managers[host_name] = ResourceManager(
-                rm, self.replica_host_names)
-        member.start()
-        return rm
+        return self._start_software(host, synced=False)
 
     def live_host_names(self) -> List[str]:
         return [h.name for h in self.hosts if h.alive]

@@ -42,7 +42,6 @@ from ..sim.world import Promise
 from ..totem.member import Queued
 from .messages import DomainMessage, MsgKind
 from .naming import FIRST_APPLICATION_GROUP, REPLICATION_MANAGER_GROUP
-from .properties import FaultToleranceProperties
 from .registry import GroupInfo
 from .styles import ReplicationStyle
 
@@ -66,14 +65,6 @@ REPLICATION_MANAGER_INTERFACE = Interface("EternalReplicationManager", [
     ], TC_STRING),                        # returns the published IOR string
     Operation("remove_object", [Param("name", TC_STRING)], TC_VOID),
     Operation("get_properties", [Param("name", TC_STRING)], TC_STRING),
-    # FT-CORBA style: properties given as a JSON-encoded property map
-    # using the org.omg.ft.* names (see repro.eternal.properties).
-    Operation("create_object_with_properties", [
-        Param("name", TC_STRING),
-        Param("interface_name", TC_STRING),
-        Param("factory_name", TC_STRING),
-        Param("properties_json", TC_STRING),
-    ], TC_STRING),
     Operation("switch_style", [Param("name", TC_STRING),
                                Param("style", TC_STRING)], TC_VOID),
     Operation("upgrade_object", [Param("name", TC_STRING),
@@ -81,12 +72,21 @@ REPLICATION_MANAGER_INTERFACE = Interface("EternalReplicationManager", [
 ])
 
 
+#: The fewest replicas a style is meaningful with: a majority needs
+#: three voters, and a leader needs a follower.
+_MIN_PLACED = {ReplicationStyle.ACTIVE_WITH_VOTING: 3,
+               ReplicationStyle.LEADER_FOLLOWER: 2}
+
+
+def _bad_property(reason: str) -> InvocationFailure:
+    return InvocationFailure("IDL:repro/BadProperty:1.0", reason)
+
+
 def _style(style: str) -> ReplicationStyle:
     try:
         return ReplicationStyle(style)
     except ValueError:
-        raise InvocationFailure("IDL:repro/BadProperty:1.0",
-                                f"unknown replication style {style!r}")
+        raise _bad_property(f"unknown replication style {style!r}")
 
 
 class ReplicationManagerServant(Servant):
@@ -119,22 +119,34 @@ class ReplicationManagerServant(Servant):
                       placement: Sequence[str]) -> str:
         """Create a group (or return the IOR of the one so named): its id
         above every id ever announced, its replicas on the named hosts
-        that are live, else on the live replica hosts from ``id % live``."""
+        that are live, else on the live replica hosts from ``id % live``.
+        A property the group cannot hold raises ``BadProperty``."""
         registry = self._rm.registry
         existing = registry.by_name(name)
         if existing is not None:
             return self._ior_builder(existing.group_id,
                                      existing.interface_name)
         chosen_style = _style(style)
+        if not placement and num_replicas < 1:
+            raise _bad_property(f"num_replicas {num_replicas} < 1")
+        if min_replicas > num_replicas:
+            raise _bad_property(f"min_replicas {min_replicas} exceeds "
+                                f"num_replicas {num_replicas}")
+        if checkpoint_interval < 1:
+            raise _bad_property(
+                f"checkpoint_interval {checkpoint_interval} < 1")
         group_id = max(registry.high_water + 1, FIRST_APPLICATION_GROUP)
         live = [h for h in (placement or self._replica_hosts)
                 if h in self._rm.live_hosts]
         if not live:
-            raise InvocationFailure("IDL:repro/BadProperty:1.0",
-                                    f"no live host to place {name!r} on")
+            raise _bad_property(f"no live host to place {name!r} on")
         if not placement:
             offset = group_id % len(live)
             live = (live[offset:] + live[:offset])[:num_replicas]
+        fewest = _MIN_PLACED.get(chosen_style, 1)
+        if len(live) < fewest:
+            raise _bad_property(f"{chosen_style.value} needs {fewest} "
+                                f"replicas, {name!r} would have {len(live)}")
         # A copy per replica, withdrawn like a reply's once one is delivered.
         self._rm._multicast_copy(DomainMessage(
             kind=MsgKind.GROUP_ANNOUNCE,
@@ -146,23 +158,6 @@ class ReplicationManagerServant(Servant):
                 initial_replicas=num_replicas,
                 checkpoint_interval=checkpoint_interval)}))
         return self._ior_builder(group_id, interface_name)
-
-    def create_object_with_properties(self, name: str, interface_name: str,
-                                      factory_name: str,
-                                      properties_json: str) -> str:
-        """FT-CORBA flavoured creation: org.omg.ft.* property map."""
-        try:
-            raw = json.loads(properties_json)
-            if not isinstance(raw, dict):
-                raise ValueError("property map must be a JSON object")
-            props = FaultToleranceProperties.from_properties(
-                {str(k): str(v) for k, v in raw.items()})
-        except (ValueError, ConfigurationError) as exc:
-            raise InvocationFailure("IDL:repro/BadProperty:1.0", str(exc))
-        return self.create_object(
-            name, interface_name, factory_name,
-            props.replication_style.value, props.initial_number_replicas,
-            props.minimum_number_replicas, props.checkpoint_interval, [])
 
     def remove_object(self, name: str) -> None:
         info = self._require(name)
@@ -186,8 +181,7 @@ class ReplicationManagerServant(Servant):
         info = self._require(name)
         new_style = _style(style)
         if not info.style.has_state or not new_style.has_state:
-            raise InvocationFailure(
-                "IDL:repro/BadProperty:1.0",
+            raise _bad_property(
                 "live style switching is defined between stateful styles "
                 f"only ({info.style.value} -> {new_style.value})")
         epoch = max(info.style_epoch,

@@ -10,12 +10,11 @@ reproducible for a given seed and script of events.
 The queue is one ``heapq`` of plain tuple entries ``(time, tiebreak,
 timer_or_None, fn, args)``; the tiebreak is unique, so ordering never
 compares past it.  ``post`` schedules fire-and-forget events (network
-datagram deliveries) with **no** Timer object at all, and
-``call_every`` timers are re-armed by the loop itself.  A Timer's entry
-is live iff its tiebreak equals ``Timer._tb``: cancelled, superseded
-and lazily rescheduled entries are dropped (or re-pushed at their
-authoritative key) when they surface, and compacted away in place when
-cancelled entries outnumber half the queue.
+datagram deliveries) with **no** Timer object at all.  A Timer's
+entry is live iff its tiebreak equals ``Timer._tb``: cancelled,
+superseded and lazily rescheduled entries are dropped (or re-pushed at
+their authoritative key) when they surface, and compacted away in place
+when cancelled entries outnumber half the queue.
 
 Every event is fired by :meth:`Scheduler._loop`; ``run()``,
 ``run(until=)``, ``run_until(predicate)`` and ``step()`` are thin
@@ -56,18 +55,16 @@ class Timer:
     describe the newest entry actually pushed; they differ from the
     authoritative position only while a lazy ``reschedule`` to a later
     time is pending, in which case the stale entry re-pushes the timer
-    at its authoritative key when it surfaces.  ``interval`` is set for
-    ``call_every`` timers, which the event loop re-arms in place.
+    at its authoritative key when it surfaces.
     """
 
-    __slots__ = ("time", "fn", "args", "interval", "cancelled", "fired",
+    __slots__ = ("time", "fn", "args", "cancelled", "fired",
                  "_tb", "_queued_time", "_queued_tb", "_sched")
 
     def __init__(self, time: float, fn: Callable[..., Any], args: Tuple[Any, ...]):
         self.time = time
         self.fn = fn
         self.args = args
-        self.interval: Optional[float] = None
         self.cancelled = False
         self.fired = False
         self._tb = -1
@@ -134,11 +131,10 @@ class Scheduler:
         timer._queued_tb = tb
         heappush(self._queue, (time, tb, timer, timer.fn, timer.args))
 
-    def _new_timer(self, time: float, fn: Callable[..., Any], args: tuple,
-                   interval: Optional[float] = None) -> Timer:
+    def _new_timer(self, time: float, fn: Callable[..., Any],
+                   args: tuple) -> Timer:
         """Create this scheduler's Timer for ``fn(*args)`` and arm it."""
         timer = Timer(time, fn, args)
-        timer.interval = interval
         timer._sched = self
         self._arm(timer, time)
         return timer
@@ -194,20 +190,6 @@ class Scheduler:
         queue = self._queue
         for args, tb in zip(argss, self._tiebreak):
             heappush(queue, (time, tb, None, fn, args))
-
-    def call_every(self, interval: float, fn: Callable[..., Any],
-                   *args: Any) -> Timer:
-        """Schedule ``fn(*args)`` every ``interval`` until cancelled.
-
-        The first firing is at ``now + interval``.  The event loop
-        re-arms the timer *before* running ``fn`` — drawing exactly one
-        fresh tiebreak per period, like the chained-``call_after`` idiom
-        it replaces.  Cancel the returned handle to stop the series.
-        """
-        if interval <= 0:
-            raise SimulationError(
-                f"call_every requires a positive interval, got {interval}")
-        return self._new_timer(self.now + interval, fn, args, interval)
 
     def reschedule(self, timer: Timer, time: float) -> Timer:
         """Move a pending timer to absolute ``time`` without re-allocating.
@@ -331,11 +313,7 @@ class Scheduler:
                 return fired, _TIME_LIMIT
             self.now = time
             if timer is not None:
-                if timer.interval is None:
-                    timer.fired = True
-                else:
-                    # Periodic: re-arm (fresh tiebreak) before firing.
-                    self._arm(timer, time + timer.interval)
+                timer.fired = True
             self._events_processed += 1
             fired += 1
             if args:

@@ -156,40 +156,48 @@ def test_upgrade_unknown_group_rejected(world):
 
 
 def test_create_object_with_properties_json(world):
-    import json as json_module
+    """The properties create_object was given are the ones
+    get_properties reports back as JSON, and the group serves."""
     domain = make_domain(world, gateways=1)
     domain.register_interface(COUNTER_INTERFACE)
     domain.register_factory("counter_factory", CounterServant)
-    properties = {
-        "org.omg.ft.ReplicationStyle": "cold_passive",
-        "org.omg.ft.InitialNumberReplicas": "2",
-        "org.omg.ft.MinimumNumberReplicas": "1",
-        "org.omg.ft.CheckpointInterval": "4",
-    }
     ior = world.await_promise(domain.invoke(
-        "EternalReplicationManager", "create_object_with_properties",
-        ["PropGroup", "Counter", "counter_factory",
-         json_module.dumps(properties)]), timeout=600)
+        "EternalReplicationManager", "create_object",
+        ["PropGroup", "Counter", "counter_factory", "cold_passive", 2, 1, 4,
+         []]), timeout=600)
     assert ior.startswith("IOR:")
     handle = domain.resolve("PropGroup")
     domain.await_ready(handle)
-    info = handle.info()
-    assert info.style.value == "cold_passive"
-    assert len(info.placement) == 2
-    assert info.min_replicas == 1
-    assert info.checkpoint_interval == 4
+    props = json.loads(world.await_promise(domain.invoke(
+        "EternalReplicationManager", "get_properties", ["PropGroup"])))
+    assert props["style"] == "cold_passive"
+    assert len(props["placement"]) == 2
+    assert props["min_replicas"] == 1
+    assert handle.info().checkpoint_interval == 4
     assert world.await_promise(handle.invoke("increment", 3),
                                timeout=600) == 3
 
 
 def test_create_object_with_bad_properties_rejected(world):
     domain = make_domain(world, gateways=1)
+    for style, num, minimum, checkpoint in (
+            ("no_such_style", 3, 3, 10),
+            ("active", 0, 0, 10),
+            ("active", 2, 3, 10),
+            ("warm_passive", 3, 3, 0),
+            ("active_with_voting", 2, 2, 10),
+            ("leader_follower", 1, 1, 10),
+    ):
+        with pytest.raises(InvocationFailure) as err:
+            world.await_promise(domain.invoke(
+                "EternalReplicationManager", "create_object",
+                ["Bad", "Counter", "f", style, num, minimum, checkpoint,
+                 []]), timeout=600)
+        assert err.value.repo_id == "IDL:repro/BadProperty:1.0", style
+    # Placed on fewer live hosts than the style needs.
     with pytest.raises(InvocationFailure):
         world.await_promise(domain.invoke(
-            "EternalReplicationManager", "create_object_with_properties",
-            ["Bad", "Counter", "f", "{\"org.omg.ft.Nope\": \"1\"}"]),
-            timeout=600)
-    with pytest.raises(InvocationFailure):
-        world.await_promise(domain.invoke(
-            "EternalReplicationManager", "create_object_with_properties",
-            ["Bad2", "Counter", "f", "not json at all"]), timeout=600)
+            "EternalReplicationManager", "create_object",
+            ["Bad", "Counter", "f", "active_with_voting", 3, 3, 10,
+             ["dom-h0", "dom-h1"]]), timeout=600)
+    assert domain.coordinator_rm().registry.by_name("Bad") is None

@@ -1,14 +1,11 @@
-"""Tests for the FaultDetector and FaultToleranceProperties."""
-
-import json
+"""Tests for the FaultDetector and the fault tolerance properties
+the Replication Manager's ``create_object`` accepts."""
 
 import pytest
 
 from repro import ReplicationStyle, Servant, World
 from repro.apps import COUNTER_INTERFACE, CounterServant
-from repro.errors import ConfigurationError
-from repro.eternal import FaultToleranceProperties
-from repro.eternal.properties import CONSISTENCY_STYLE, MEMBERSHIP_STYLE
+from repro.errors import InvocationFailure
 
 from tests.helpers import make_domain, replica_counts
 
@@ -98,59 +95,37 @@ def test_healthy_replicas_stay_put(world):
 
 
 # ----------------------------------------------------------------------
-# FaultToleranceProperties
+# Fault tolerance properties, as create_object's arguments
 # ----------------------------------------------------------------------
 
-def test_properties_roundtrip():
-    props = FaultToleranceProperties(
-        replication_style=ReplicationStyle.WARM_PASSIVE,
-        initial_number_replicas=4, minimum_number_replicas=2,
-        checkpoint_interval=7)
-    wire = props.to_properties()
-    assert wire["org.omg.ft.ReplicationStyle"] == "warm_passive"
-    assert wire["org.omg.ft.ConsistencyStyle"] == CONSISTENCY_STYLE
-    assert wire["org.omg.ft.MembershipStyle"] == MEMBERSHIP_STYLE
-    assert FaultToleranceProperties.from_properties(wire) == props
+def create_object(domain, name, style, num_replicas, min_replicas,
+                  checkpoint_interval, placement=()):
+    domain.register_interface(COUNTER_INTERFACE)
+    domain.register_factory("counter_factory", CounterServant)
+    return domain.world.await_promise(domain.invoke(
+        "EternalReplicationManager", "create_object",
+        [name, "Counter", "counter_factory", style.value, num_replicas,
+         min_replicas, checkpoint_interval, list(placement)]))
 
 
-def test_properties_validation():
-    with pytest.raises(ConfigurationError):
-        FaultToleranceProperties(initial_number_replicas=0)
-    with pytest.raises(ConfigurationError):
-        FaultToleranceProperties(initial_number_replicas=2,
-                                 minimum_number_replicas=3)
-    with pytest.raises(ConfigurationError):
-        FaultToleranceProperties(checkpoint_interval=0)
-    with pytest.raises(ConfigurationError):
-        FaultToleranceProperties(
-            replication_style=ReplicationStyle.ACTIVE_WITH_VOTING,
-            initial_number_replicas=2)
-
-
-def test_properties_reject_unknown_keys():
-    with pytest.raises(ConfigurationError):
-        FaultToleranceProperties.from_properties(
-            {"org.omg.ft.Typo": "x"})
-
-
-def test_properties_reject_foreign_styles():
-    with pytest.raises(ConfigurationError):
-        FaultToleranceProperties.from_properties(
-            {"org.omg.ft.ConsistencyStyle": "CONS_APP_CTRL"})
+def test_properties_validation(world):
+    domain = make_domain(world, num_hosts=4)
+    for style, num, minimum, checkpoint in (
+            (ReplicationStyle.ACTIVE, 0, 0, 10),              # no replicas
+            (ReplicationStyle.ACTIVE, 2, 3, 10),              # min > initial
+            (ReplicationStyle.ACTIVE, 3, 2, 0),               # checkpoint < 1
+            (ReplicationStyle.ACTIVE_WITH_VOTING, 2, 2, 10),  # no majority
+    ):
+        with pytest.raises(InvocationFailure) as err:
+            create_object(domain, "Bad", style, num, minimum, checkpoint)
+        assert err.value.repo_id == "IDL:repro/BadProperty:1.0"
+    assert domain.coordinator_rm().registry.by_name("Bad") is None
 
 
 def test_create_group_from_properties(world):
     domain = make_domain(world, num_hosts=4)
-    props = FaultToleranceProperties(
-        replication_style=ReplicationStyle.COLD_PASSIVE,
-        initial_number_replicas=2, minimum_number_replicas=1,
-        checkpoint_interval=3)
-    domain.register_interface(COUNTER_INTERFACE)
-    domain.register_factory("counter_factory", CounterServant)
-    world.await_promise(domain.invoke(
-        "EternalReplicationManager", "create_object_with_properties",
-        ["Props", "Counter", "counter_factory",
-         json.dumps(props.to_properties())]))
+    create_object(domain, "Props", ReplicationStyle.COLD_PASSIVE,
+                  num_replicas=2, min_replicas=1, checkpoint_interval=3)
     group = domain.resolve("Props")
     domain.await_ready(group)
     info = group.info()

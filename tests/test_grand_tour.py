@@ -2,15 +2,13 @@
 
 An end-to-end integration test exercising, in a single world: bootstrap
 via the replicated Naming Service, group creation through the CORBA
-Replication Manager with FT-CORBA property maps, mixed replication
+Replication Manager's ``create_object``, mixed replication
 styles with nested invocations, redundant gateways with an enhanced
 external client, a mid-run gateway crash, a replica host crash with
 resource-manager healing, a fault-detector eviction, a rolling live
 upgrade, processor restart, and fault-notifier observation — finishing
 with full-consistency assertions and a coherent status report.
 """
-
-import json
 
 import pytest
 
@@ -53,15 +51,10 @@ def test_grand_tour():
     domain.enable_naming()
     domain.register_interface(COUNTER_INTERFACE)
     domain.register_factory("monitored_counter", MonitoredCounter)
-    properties = {
-        "org.omg.ft.ReplicationStyle": "active",
-        "org.omg.ft.InitialNumberReplicas": "3",
-        "org.omg.ft.MinimumNumberReplicas": "3",
-    }
     world.await_promise(domain.invoke(
-        "EternalReplicationManager", "create_object_with_properties",
-        ["Inventory", "Counter", "monitored_counter",
-         json.dumps(properties)]), timeout=600)
+        "EternalReplicationManager", "create_object",
+        ["Inventory", "Counter", "monitored_counter", "active", 3, 3, 10,
+         []]), timeout=600)
     inventory = domain.resolve("Inventory")
     domain.await_ready(inventory)
     domain._bind_name(inventory)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro import ReplicationStyle, World
+from repro.apps import COUNTER_INTERFACE, CounterServant
 from repro.errors import ConfigurationError
+from repro.eternal.messages import MsgKind
 
 from tests.helpers import make_counter_group, make_domain, replica_counts
 
@@ -44,6 +46,45 @@ def test_restarted_host_can_host_replacement_replicas(world):
     record = domain.rms[victim].replicas[group.group_id]
     assert record.ready
     assert record.servant.count == 7
+
+
+def test_replica_on_a_restarted_host_is_health_checked(world):
+    """A restarted replica host runs a FaultDetector like every other:
+    a sick replica placed on it is evicted by REMOVE_REPLICA."""
+
+    class MonitoredCounter(CounterServant):
+        healthy = True
+
+        def health_check(self):
+            return self.healthy
+
+    domain = make_domain(world, num_hosts=3)
+    group = domain.create_group("Mon", COUNTER_INTERFACE, MonitoredCounter,
+                                num_replicas=3, min_replicas=3)
+    world.await_promise(group.invoke("increment", 7))
+    victim = group.info().placement[1]
+    world.faults.crash_now(victim)
+    world.run(until=world.now + 1.0)
+    world.faults.recover_now(victim)
+    domain.restart_host(victim)
+    domain.await_stable()
+    world.run(until=world.now + 2.0)
+    record = domain.rms[victim].replicas[group.group_id]
+    assert record.ready and victim in group.info().placement
+
+    # The coordinator's own listener applies each delivery first, so
+    # this one sees the placement the removal left.
+    removals = []
+    domain.coordinator_rm().totem.on_deliver(
+        lambda seq, sender, msg: removals.append(
+            (msg.data, group.info().placement))
+        if getattr(msg, "kind", None) is MsgKind.REMOVE_REPLICA else None)
+    record.servant.healthy = False
+    world.scheduler.run_until(lambda: removals, timeout=2.0)
+    (data, placement), = removals
+    assert data == {"group_id": group.group_id, "host": victim}
+    assert victim not in placement
+    assert domain.fault_detectors[victim].rm is domain.rms[victim]
 
 
 def test_restart_requires_recovered_host(world):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import FtClientLayer, Orb, TotemConfig, World
-from repro.analysis.scenarios import (_trace_deliveries,
+from reprolint.scenarios import (_trace_deliveries,
                                       run_failover_scenario)
 from repro.apps import COUNTER_INTERFACE
 from repro.obs import parse_json

@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.analysis.scenarios import (run_chaos_scenario,
+from reprolint.scenarios import (run_chaos_scenario,
                                       run_failover_scenario)
 from repro.sim.network import Network
 
@@ -95,7 +95,7 @@ def _filter_new_counters(doc):
     return data
 
 
-# The golden scenarios themselves live in repro.analysis.scenarios so
+# The golden scenarios themselves live in reprolint.scenarios so
 # the race-detector sweep can replay them; these tests pin their
 # artifacts and thereby keep that shared transcription honest.
 _run_chaos_traced = run_chaos_scenario

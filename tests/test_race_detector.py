@@ -1,4 +1,4 @@
-"""Tests for the dynamic race detector (``repro.analysis.race``).
+"""Tests for the dynamic race detector (``reprolint.race``).
 
 Three layers: the :class:`RaceScheduler` must be observationally
 equivalent to the base :class:`Scheduler` when replaying the identity
@@ -15,10 +15,10 @@ import json
 
 import pytest
 
-from repro.analysis.race import (CohortPermuter, RaceRecorder, RaceScheduler,
+from reprolint.race import (CohortPermuter, RaceRecorder, RaceScheduler,
                                  _lane_of, partition_metric_series,
                                  permutation_sweep)
-from repro.analysis.scenarios import GOLDEN_SCENARIOS
+from reprolint.scenarios import GOLDEN_SCENARIOS
 from repro.errors import SimulationError
 from repro.sim.network import Network as SimNetwork
 from repro.sim.scheduler import Scheduler

@@ -1,4 +1,5 @@
-"""The reprolint gate: ``src/`` stays clean, the baseline stays empty.
+"""The reprolint gate: ``src/`` and ``reprolint/`` stay clean, the
+baseline stays empty.
 
 This is the pytest mirror of the blocking CI job and of
 ``tools/reprolint.py``'s exit status: no violations, no parse errors,
@@ -11,16 +12,16 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.analysis.lint import Baseline, default_config, lint_paths
-from repro.analysis.reporters import json_report, regenerate_baseline
+from reprolint.lint import Baseline, default_config, lint_paths
+from reprolint.reporters import json_report, regenerate_baseline
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src"
+LINTED = [REPO_ROOT / "src", REPO_ROOT / "reprolint"]
 BASELINE_PATH = REPO_ROOT / "tools" / "reprolint_baseline.json"
 
 
 def run_lint():
-    return lint_paths([SRC], config=default_config(REPO_ROOT),
+    return lint_paths(LINTED, config=default_config(REPO_ROOT),
                       baseline=Baseline.load(BASELINE_PATH),
                       root=REPO_ROOT)
 

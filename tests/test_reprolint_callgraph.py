@@ -14,9 +14,9 @@ import ast
 import pathlib
 import textwrap
 
-from repro.analysis.callgraph import (CallGraph, TransitiveWallClockRule,
+from reprolint.callgraph import (CallGraph, TransitiveWallClockRule,
                                       build_callgraph, render_graph_json)
-from repro.analysis.lint import (LintContext, ProjectContext, default_config,
+from reprolint.lint import (LintContext, ProjectContext, default_config,
                                  lint_paths, parse_suppressions)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -15,7 +15,7 @@ import shutil
 
 import pytest
 
-from repro.analysis.lint import default_config, lint_paths
+from reprolint.lint import default_config, lint_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"

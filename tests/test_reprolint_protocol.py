@@ -15,10 +15,10 @@ import pathlib
 
 import pytest
 
-from repro.analysis.callgraph import _module_in, build_callgraph
-from repro.analysis.lint import (DETERMINISTIC_PREFIXES, default_config,
+from reprolint.callgraph import _module_in, build_callgraph
+from reprolint.lint import (DETERMINISTIC_PREFIXES, default_config,
                                  lint_paths)
-from repro.analysis.protocol import (build_protocol_surface,
+from reprolint.protocol import (build_protocol_surface,
                                      render_protocol_json)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]

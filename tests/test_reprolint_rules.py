@@ -13,7 +13,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.lint import default_config, lint_source
+from reprolint.lint import default_config, lint_source
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint"
@@ -189,7 +189,7 @@ def test_obs001_flags_a_renamed_stats_table_entry():
 
 
 def test_catalogue_reads_names_from_table_first_cells_only(tmp_path):
-    from repro.analysis.lint import load_catalogue
+    from reprolint.lint import load_catalogue
 
     doc = tmp_path / "OBSERVABILITY.md"
     doc.write_text(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.race import RaceScheduler
+from reprolint.race import RaceScheduler
 from repro.errors import SimulationError
 from repro.sim.scheduler import _COMPACT_MIN_QUEUE, Scheduler
 

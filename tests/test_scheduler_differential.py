@@ -1,8 +1,8 @@
 """Kernel vs model: the scheduler's firing order against a plain oracle.
 
 :class:`Model` states the kernel's promise directly — events fire in
-``(time, tiebreak)`` order, the tiebreak drawn at schedule, reschedule
-or periodic re-arm time — as live entries in a list, fired by a linear
+``(time, tiebreak)`` order, the tiebreak drawn at schedule or
+reschedule time — as live entries in a list, fired by a linear
 minimum.  Random programs over the whole scheduling API, run from
 inside events, and segmented ``run(until=)`` / ``step()`` /
 ``run_until(predicate)`` drives must give both the same firing log,
@@ -24,8 +24,8 @@ SEARCH = settings.get_current_profile_name() == "search"
 
 
 class _Handle:
-    def __init__(self, fn, args, interval):
-        self.fn, self.args, self.interval = fn, args, interval
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
         self.cancelled = self.fired = False
 
     active = property(lambda self: not (self.cancelled or self.fired))
@@ -45,8 +45,8 @@ class Model:
         handle.key = (time, next(self._tiebreaks))
         return handle
 
-    def call_at(self, time, fn, *args, interval=None):
-        self.handles.append(_Handle(fn, args, interval))
+    def call_at(self, time, fn, *args):
+        self.handles.append(_Handle(fn, args))
         return self.reschedule(self.handles[-1], time)
 
     def call_after(self, delay, fn, *args):
@@ -54,9 +54,6 @@ class Model:
 
     def call_soon(self, fn, *args):
         return self.call_at(self.now, fn, *args)
-
-    def call_every(self, interval, fn, *args):
-        return self.call_at(self.now + interval, fn, *args, interval=interval)
 
     def reschedule_after(self, handle, delay):
         return self.reschedule(handle, self.now + delay)
@@ -79,10 +76,7 @@ class Model:
             if limit is not None and handle.key[0] > limit:
                 return fired, "not reached"
             self.now = handle.key[0]
-            if handle.interval is None:
-                handle.fired = True
-            else:  # periodic: re-arm (fresh tiebreak) before firing
-                self.reschedule(handle, self.now + handle.interval)
+            handle.fired = True
             self.events_processed += 1
             fired += 1
             handle.fn(*handle.args)
@@ -117,9 +111,6 @@ _OPS = st.one_of(
     st.tuples(st.just("post"), _TIMES, _DELAYS, st.just(0)),
     st.tuples(st.just("post_batch"), _TIMES, _DELAYS,
               st.integers(0, 5)),
-    st.tuples(st.just("every"), _TIMES,
-              st.integers(1, 8).map(lambda k: k * 0.003),
-              st.integers(1, 5).map(lambda k: k * 0.01)),
     st.tuples(st.just("cancel"), _TIMES, _IDX, st.just(0)),
     st.tuples(st.just("resched"), _TIMES, _IDX, _DELAYS),
     st.tuples(st.just("resched_after"), _TIMES, _IDX, _DELAYS),
@@ -139,12 +130,6 @@ def _run_program(kernel, program):
     def note(tag):
         log.append((sched.now, "fire", tag))
 
-    def tick(tag, interval):
-        # Schedules into the next period's instant, so the re-arm's
-        # tiebreak (drawn before the callback) decides which goes first.
-        note(tag)
-        sched.post(interval, note, f"{tag}>")
-
     def run_op(i, op):
         kind, _, p1, p2 = op
         if kind == "timer":
@@ -157,11 +142,6 @@ def _run_program(kernel, program):
             sched.post(p1, note, i)
         elif kind == "post_batch":
             sched.post_batch(p1, note, [(f"{i}.{j}",) for j in range(p2)])
-        elif kind == "every":
-            timer = sched.call_every(p1, tick, i, p1)
-            handles.append(timer)
-            # Bound the series: cancel it a fixed delay later.
-            sched.call_after(p2, timer.cancel)
         elif kind == "cancel" and handles:
             target = p1 % len(handles)
             handles[target].cancel()

@@ -13,8 +13,7 @@ import statistics
 import pytest
 
 from repro import ReplicationStyle, World
-from repro.errors import (
-    ConfigurationError, CorbaSystemException, InvocationFailure)
+from repro.errors import CorbaSystemException, InvocationFailure
 from repro.eternal.messages import MsgKind
 from repro.eternal.styles import StylePolicy
 
@@ -76,16 +75,18 @@ def test_warm_passive_checkpoints_after_every_operation():
     assert info.checkpoint_every == 1
 
 
-def test_leader_follower_requires_two_replicas():
-    from repro.eternal.properties import FaultToleranceProperties
-    with pytest.raises(ConfigurationError):
-        FaultToleranceProperties(
-            replication_style=ReplicationStyle.LEADER_FOLLOWER,
-            initial_number_replicas=1, minimum_number_replicas=1)
+def test_leader_follower_requires_two_replicas(world):
+    domain = make_domain(world)
+    with pytest.raises(InvocationFailure) as err:
+        make_counter_group(domain, name="Lone",
+                           style=ReplicationStyle.LEADER_FOLLOWER,
+                           replicas=1)
+    assert err.value.repo_id == "IDL:repro/BadProperty:1.0"
     # Two replicas is the legal floor.
-    FaultToleranceProperties(
-        replication_style=ReplicationStyle.LEADER_FOLLOWER,
-        initial_number_replicas=2, minimum_number_replicas=2)
+    group = make_counter_group(domain, name="Pair",
+                               style=ReplicationStyle.LEADER_FOLLOWER,
+                               replicas=2)
+    assert len(group.info().placement) == 2
 
 
 def test_style_policy_validation():

@@ -21,10 +21,11 @@ import json
 import pathlib
 import sys
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from repro.analysis.race import permutation_sweep  # noqa: E402
-from repro.analysis.scenarios import GOLDEN_SCENARIOS  # noqa: E402
+from reprolint.race import permutation_sweep  # noqa: E402
+from reprolint.scenarios import GOLDEN_SCENARIOS  # noqa: E402
 
 
 def main(argv=None) -> int:

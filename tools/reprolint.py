@@ -8,18 +8,20 @@ Usage:
                               [--budget seconds]
                               [--write-baseline] [--verbose]
 
-Thin wrapper over :mod:`repro.analysis.cli`; see docs/STATIC_ANALYSIS.md
+Thin wrapper over :mod:`reprolint.cli`; see docs/STATIC_ANALYSIS.md
 for the rule catalogue and suppression syntax.  Exits non-zero on any
 violation, parse error, stale baseline entry, or unused/unjustified
 suppression — the same bar as the blocking CI job and
 ``tests/test_reprolint.py``.
 """
 
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
-from repro.analysis.cli import main  # noqa: E402
+from reprolint.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     raise SystemExit(main())
