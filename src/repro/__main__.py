@@ -12,10 +12,8 @@ the resource-leak audit at quiescence and fails the run on any leak;
 invocation; ``--trace-json`` prints the Chrome ``trace_event`` JSON
 instead (load it in Perfetto / ``about:tracing``, or feed it to
 ``tools/trace_report.py`` for a critical-path breakdown);
-``--series`` arms the time-series registry and prints its canonical
-JSON snapshot (per-group/gateway windowed aggregates, see
-docs/OBSERVABILITY.md); ``--flight-dump`` arms the flight recorder
-and prints its canonical JSON black-box dump after the run.
+``--flight-dump`` arms the flight recorder and prints its canonical
+JSON black-box dump after the run.
 """
 
 from __future__ import annotations
@@ -45,9 +43,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--trace-json", action="store_true",
                         help="record causal traces and print Chrome "
                              "trace_event JSON (Perfetto-loadable)")
-    parser.add_argument("--series", action="store_true",
-                        help="arm the time-series registry and print its "
-                             "canonical JSON snapshot after the run")
     parser.add_argument("--flight-dump", action="store_true",
                         help="arm the flight recorder and print its "
                              "canonical JSON dump after the run")
@@ -55,7 +50,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="world seed (default: 2026)")
     args = parser.parse_args(argv)
     tracing = args.trace or args.trace_json
-    world = World(seed=args.seed, trace_spans=tracing, series=args.series,
+    world = World(seed=args.seed, trace_spans=tracing,
                   flight=args.flight_dump)
     domain = FaultToleranceDomain(world, "demo", num_hosts=3)
     domain.add_gateway(port=2809)
@@ -103,8 +98,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(world.trace_tree())
     if args.trace_json:
         print(world.trace_chrome_json())
-    if args.series:
-        print(world.series_json())
     if args.flight_dump:
         print(world.flight_json())
     return 0 if ok else 1

@@ -223,10 +223,6 @@ class Gateway(Process):
         m.register_stats(self.stats, _STATS)
         if admission_window is not None:
             self.arm_admission(admission_window, admission_queue_limit)
-        # Per-group / per-gateway time series (repro.obs.series); the
-        # registry is disabled by default, making every hook below one
-        # attribute load plus one boolean test.
-        self._series = host.network.series
         self._m_req_latency = m.histogram("gateway.req.latency", unit="s")
         # Always 0, read by bench/ledger.py; goes with that row in
         # the `benchmark` PR (ROADMAP item 1).
@@ -491,10 +487,6 @@ class Gateway(Process):
                         spans.end(container, outcome="queued")
                     return
                 self.stats["requests_shed"] += 1
-                sr = self._series
-                if sr.enabled:
-                    sr.observe("series.gateway.group.shed", 1.0,
-                               group=target_group)
                 if container:
                     spans.end(container, outcome="shed")
                 if connection.open:
@@ -847,14 +839,8 @@ class Gateway(Process):
             if outcome != DuplicateSuppressor.DROPPED and record is not None:
                 # Socket receipt to socket write: the latency an
                 # unreplicated client observes at this gateway.
-                elapsed = self.scheduler.now - record.received_at
-                self._m_req_latency.observe(elapsed)
-                sr = self._series
-                if sr.enabled:
-                    sr.observe("series.gateway.group.latency", elapsed,
-                               group=key[0])
-                    sr.observe("series.gateway.latency", elapsed,
-                               gateway=self.name)
+                self._m_req_latency.observe(
+                    self.scheduler.now - record.received_at)
             if container:
                 # The egress instant and the container close share this
                 # event's clock with the latency observation above, so

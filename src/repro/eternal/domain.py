@@ -32,13 +32,12 @@ from .managers import (
     REPLICATION_MANAGER_INTERFACE,
     ReplicationManagerServant,
     ResourceManager,
-    StyleManager,
 )
 from .messages import DomainMessage, MsgKind
 from .naming import GATEWAY_GROUP, REPLICATION_MANAGER_GROUP
 from .registry import GroupInfo
 from .replication import ReplicationMechanisms
-from .styles import ReplicationStyle, StylePolicy
+from .styles import ReplicationStyle
 
 REPLICATION_MANAGER_FACTORY = "eternal.replication_manager"
 
@@ -315,33 +314,6 @@ class FaultToleranceDomain:
         """
         return self.invoke(self.manager, "switch_style",
                            [self.resolve(group).name, style.value])
-
-    def enable_adaptive_styles(self, policy: Optional["StylePolicy"] = None,
-                               groups: Optional[Sequence[
-                                   Union[GroupHandle, str, int]]] = None,
-                               tick_interval: float = 0.25
-                               ) -> Dict[str, "StyleManager"]:
-        """Run a :class:`~repro.eternal.managers.StyleManager` on every
-        live replica host (leaderless, like the Resource Manager).
-
-        ``groups`` restricts adaptation to the given groups; ``None``
-        adapts every application group.  Returns the managers by host.
-        The managers judge each group by the windowed series its
-        gateways feed, so this arms the world's series registry (which
-        adds no scheduler events).
-        """
-        self.world.series.enabled = True
-        group_ids = (None if groups is None
-                     else [self.resolve(g).group_id for g in groups])
-        managers: Dict[str, StyleManager] = {}
-        for host_name in self.replica_host_names:
-            rm = self.rms.get(host_name)
-            if rm is not None and rm.alive:
-                managers[host_name] = StyleManager(
-                    rm, policy=policy, groups=group_ids,
-                    tick_interval=tick_interval)
-        self.style_managers = managers
-        return managers
 
     # ==================================================================
     # Invocation (driver/ambassador API)

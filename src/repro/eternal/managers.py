@@ -48,7 +48,6 @@ from .styles import ReplicationStyle
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .domain import FaultToleranceDomain
     from .replication import ReplicationMechanisms
-    from .styles import StylePolicy
 
 
 REPLICATION_MANAGER_INTERFACE = Interface("EternalReplicationManager", [
@@ -268,142 +267,6 @@ class ResourceManager:
                 if host in load:
                     load[host] += 1
         return sorted(load, key=lambda h: (load[h], h))
-
-
-class StyleManager:
-    """Adaptive replication-style control (leaderless, deterministic).
-
-    Judges each group by its own windowed overload signals and the
-    domain by its fault pressure, and switches live groups between their
-    configured style and a cheaper one — by default
-    ``LEADER_FOLLOWER``, which keeps hot replicas but multicasts a
-    single response instead of N (and never waits on a voting quorum):
-
-    * **demote** under load: an ``ACTIVE`` / ``ACTIVE_WITH_VOTING``
-      group whose requests are shed faster than ``demote_shed_rate``
-      per second, or whose p50 latency exceeds ``demote_latency_s``, is
-      switched to ``policy.demote_to`` (its original style is
-      remembered).  Both are read from the group's windowed
-      ``series.gateway.group.shed`` / ``.latency`` series, which the
-      gateways feed (:meth:`FaultToleranceDomain.enable_adaptive_styles`
-      arms the series registry), so two groups with very different op
-      costs sharing a domain are demoted independently;
-    * **promote** under faults: a demoted group is switched back to
-      its remembered style when the fault rate — detector declarations
-      plus failovers, per tick — reaches ``promote_fault_rate`` per
-      second.  Processor deaths are a domain-level signal, so this
-      one is global.
-
-    Like the :class:`ResourceManager`, one instance runs per replica
-    host with no leader: every instance reads the same shared registries
-    at the same simulated instants (a windowed read at one instant
-    returns one value on every host), computes the same decision, and
-    multicasts the same STYLE_SWITCH carrying the same target epoch —
-    the epoch guard in the Replication Mechanisms applies the redundant
-    copies exactly once.  ``min_dwell_s`` (restarted by *any* observed
-    epoch change, including operator switches) prevents flapping.
-    """
-
-    def __init__(self, rm: "ReplicationMechanisms",
-                 policy: "StylePolicy" = None,
-                 groups: Sequence[int] = None,
-                 tick_interval: float = 0.25) -> None:
-        from .styles import StylePolicy
-        self.rm = rm
-        self.policy = policy if policy is not None else StylePolicy()
-        self.groups = None if groups is None else set(groups)
-        self.tick_interval = tick_interval
-        self.stats = {"demotions_requested": 0, "promotions_requested": 0}
-        self._baseline: Dict[int, ReplicationStyle] = {}
-        self._seen_epoch: Dict[int, int] = {}
-        self._last_change: Dict[int, float] = {}
-        self._last_faults = 0
-        self._schedule_tick()
-
-    def _schedule_tick(self) -> None:
-        if self.rm.alive:
-            self.rm.after(self.tick_interval, self._tick)
-
-    def _tick(self) -> None:
-        self._evaluate()
-        self._schedule_tick()
-
-    def _fault_rate(self) -> float:
-        """Detector faults plus failovers since the last tick, per second."""
-        m = self.rm.metrics
-        faults = (m.value("fault.detector.faults")
-                  + m.value("fault.failover.count"))
-        rate = (faults - self._last_faults) / self.tick_interval
-        self._last_faults = faults
-        return rate
-
-    def _group_signals(self, gid: int, now: float):
-        """Windowed per-group (shed_rate, p50) from the series registry.
-
-        A group with no recent samples reads as healthy (rate 0, p50
-        None) — sparse traffic is the opposite of overload.  p50 is
-        only trusted once the window holds ``min_series_samples``
-        observations, so one straggler cannot demote a quiet group.
-        """
-        sr = self.rm.series
-        shed_rate = 0.0
-        shed = sr.get("series.gateway.group.shed", group=gid)
-        if shed is not None:
-            shed_rate = shed.rate(now)
-        p50 = None
-        latency = sr.get("series.gateway.group.latency", group=gid)
-        if (latency is not None
-                and latency.window_count(now) >= self.policy.min_series_samples):
-            p50 = latency.quantile(0.5, now)
-        return shed_rate, p50
-
-    def _evaluate(self) -> None:
-        fault_rate = self._fault_rate()
-        now = self.rm.scheduler.now
-        policy = self.policy
-        for info in self.rm.registry.all_groups():
-            gid = info.group_id
-            if self.groups is not None and gid not in self.groups:
-                continue
-            if info.factory_name == "":
-                continue  # infrastructure pseudo-groups (gateways)
-            # Restart the dwell clock on any epoch change, ours or not:
-            # an operator switch must also buy its settling time.
-            if self._seen_epoch.get(gid) != info.style_epoch:
-                self._seen_epoch[gid] = info.style_epoch
-                self._last_change[gid] = now
-            if now - self._last_change.get(gid, 0.0) < policy.min_dwell_s:
-                continue
-            shed_rate, p50 = self._group_signals(gid, now)
-            overloaded = (shed_rate >= policy.demote_shed_rate
-                          or (p50 is not None
-                              and p50 >= policy.demote_latency_s))
-            if (info.style in (ReplicationStyle.ACTIVE,
-                               ReplicationStyle.ACTIVE_WITH_VOTING)
-                    and info.style is not policy.demote_to and overloaded):
-                self._baseline.setdefault(gid, info.style)
-                self.stats["demotions_requested"] += 1
-                self._emit(info, policy.demote_to, reason="overload",
-                           shed_rate=shed_rate, p50=p50)
-            elif (info.style is policy.demote_to
-                    and gid in self._baseline
-                    and fault_rate >= policy.promote_fault_rate):
-                self.stats["promotions_requested"] += 1
-                self._emit(info, self._baseline[gid], reason="faults",
-                           fault_rate=fault_rate)
-
-    def _emit(self, info: GroupInfo, style: ReplicationStyle,
-              reason: str = "", **signals) -> None:
-        fl = self.rm.flight
-        if fl.enabled:
-            fl.record("flight.style", group=info.group_id,
-                      style=style.value, epoch=info.style_epoch + 1,
-                      reason=reason,
-                      **{k: v for k, v in sorted(signals.items())})
-        self.rm.multicast(DomainMessage(
-            kind=MsgKind.STYLE_SWITCH, source_group=0, target_group=0,
-            data={"group_id": info.group_id, "style": style.value,
-                  "epoch": info.style_epoch + 1}))
 
 
 class EvolutionManager:

@@ -65,7 +65,6 @@ member table; each member carries its row as plain attributes:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 
 
@@ -106,36 +105,3 @@ class ReplicationStyle(enum.Enum):
         return style
 
     __hash__ = object.__hash__
-
-
-@dataclasses.dataclass(frozen=True)
-class StylePolicy:
-    """Thresholds driving runtime style adaptation (`StyleManager`).
-
-    A group whose base style is ACTIVE or ACTIVE_WITH_VOTING is demoted
-    to ``demote_to`` when it looks overloaded — over its own windowed
-    ``series.gateway.group.*`` series, the gateways shed more than
-    ``demote_shed_rate`` of its requests per second, or its p50 latency
-    exceeds ``demote_latency_s`` — and promoted back to its base style
-    when faults reappear (more than ``promote_fault_rate`` detector
-    faults / failovers per second, domain-wide).  ``min_series_samples``
-    is how many in-window latency observations a group must have before
-    its p50 is trusted (fewer reads as healthy — sparse traffic is not
-    overload).  ``min_dwell_s`` rate-limits flapping: after any observed
-    style change the manager holds off for at least that long.
-    """
-
-    demote_to: ReplicationStyle = ReplicationStyle.LEADER_FOLLOWER
-    demote_shed_rate: float = 1.0
-    demote_latency_s: float = 0.25
-    promote_fault_rate: float = 0.5
-    min_dwell_s: float = 2.0
-    min_series_samples: int = 4
-
-    def __post_init__(self) -> None:
-        if not self.demote_to.has_state:
-            raise ValueError("demote_to must be a stateful style")
-        if self.min_dwell_s < 0:
-            raise ValueError("min_dwell_s must be >= 0")
-        if self.min_series_samples < 1:
-            raise ValueError("min_series_samples must be >= 1")

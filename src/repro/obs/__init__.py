@@ -13,8 +13,6 @@ from .flight import FlightRecorder
 from .hostclock import (override_wall_clock, reset_wall_clock,
                         set_wall_clock, wall_clock)
 from .metrics import Gauge, Histogram, Metric, MetricsRegistry
-from .series import (QuantileSketch, RingBuffer, Series, SeriesRegistry,
-                     SlidingRate)
 from .tracing import TraceCollector, TraceSpan
 
 __all__ = [
@@ -27,11 +25,6 @@ __all__ = [
     "Histogram",
     "Metric",
     "MetricsRegistry",
-    "QuantileSketch",
-    "RingBuffer",
-    "Series",
-    "SeriesRegistry",
-    "SlidingRate",
     "TraceCollector",
     "TraceSpan",
     "canonical_json",

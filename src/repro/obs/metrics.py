@@ -165,23 +165,17 @@ class Histogram(Metric):
         self._buckets[index] = self._buckets.get(index, 0) + 1
 
     def quantile(self, q: float) -> Optional[float]:
-        """Estimated q-quantile (0 < q <= 1); None when empty."""
-        if self.count == 0:
+        """Estimated q-quantile (0 < q <= 1); None when empty.  Linear
+        within the bucket holding the rank, clamped to the observed
+        ``[min, max]``."""
+        lo, hi = self.min, self.max
+        if lo is None or hi is None:  # nothing observed yet
             return None
-        return self.interpolate(self._buckets, self.count, q,
-                                self.min, self.max)
-
-    @classmethod
-    def interpolate(cls, buckets: Mapping[int, int], count: int, q: float,
-                    lo: float, hi: float) -> float:
-        """The q-quantile of ``count`` observations in ``buckets``, whose
-        least and greatest are ``lo`` and ``hi``: linear within the
-        bucket holding the rank, clamped to ``[lo, hi]``."""
-        rank = max(1, math.ceil(q * count))
-        bounds = cls._BOUNDS
+        rank = max(1, math.ceil(q * self.count))
+        bounds = self._BOUNDS
         cumulative = 0
-        for index in sorted(buckets):
-            in_bucket = buckets[index]
+        for index in sorted(self._buckets):
+            in_bucket = self._buckets[index]
             if cumulative + in_bucket >= rank:
                 lower = 0.0 if index == 0 else bounds[index - 1]
                 upper = bounds[index] if index < len(bounds) else hi

@@ -143,11 +143,6 @@ class Process:
         return self.host.network.spans
 
     @property
-    def series(self):
-        """The world-shared :class:`~repro.obs.SeriesRegistry`."""
-        return self.host.network.series
-
-    @property
     def flight(self):
         """The world-shared :class:`~repro.obs.FlightRecorder`."""
         return self.host.network.flight

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..obs import (AuditScope, FlightRecorder, MetricsRegistry,
-                   SeriesRegistry, TraceCollector)
+from ..obs import AuditScope, FlightRecorder, MetricsRegistry, TraceCollector
 from .host import Host
 from .scheduler import Scheduler
 
@@ -85,7 +84,6 @@ class Network:
         metrics: Optional[MetricsRegistry] = None,
         audit: Optional[AuditScope] = None,
         spans: Optional[TraceCollector] = None,
-        series: Optional[SeriesRegistry] = None,
         flight: Optional[FlightRecorder] = None,
     ) -> None:
         self.scheduler = scheduler
@@ -101,11 +99,9 @@ class Network:
         # every Process reaches it through its ``spans`` property.
         self.spans = spans if spans is not None else TraceCollector(
             enabled=False, clock=lambda: scheduler.now)
-        # The world-owned time-series registry and flight recorder,
-        # both disabled by default (``series``/``flight`` properties on
-        # Process); disabled they cost one boolean test at each hook.
-        self.series = series if series is not None else SeriesRegistry(
-            clock=lambda: scheduler.now)
+        # The world-owned flight recorder, disabled by default (the
+        # ``flight`` property on Process); disabled it costs one boolean
+        # test at each hook.
         self.flight = flight if flight is not None else FlightRecorder(
             clock=lambda: scheduler.now)
         self.hosts: Dict[str, Host] = {}

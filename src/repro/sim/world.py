@@ -16,7 +16,7 @@ from typing import Any, Iterable, Optional
 
 from ..errors import SimulationError
 from ..obs import (AuditReport, AuditScope, FlightRecorder, MetricsRegistry,
-                   SeriesRegistry, TraceCollector, render_text, to_json)
+                   TraceCollector, render_text, to_json)
 from .faults import FaultInjector
 from .host import Host
 from .network import LatencyModel, Network
@@ -96,7 +96,7 @@ class World:
         mtu: Optional[int] = None,
         trace_spans: bool = False,
         scheduler: Optional[Scheduler] = None,
-        series: bool = False,
+        series: bool = False,  # inert; kept for callers that still pass it
         flight: bool = False,
     ) -> None:
         # An injected scheduler (e.g. the race detector's cohort-
@@ -122,19 +122,13 @@ class World:
         # events, no metrics), so arming it never perturbs a run.
         self.flight = FlightRecorder(clock=lambda: self.scheduler.now,
                                      enabled=flight)
-        # Time-series layer (repro.obs.series): per-group/per-gateway
-        # series fed at instrumentation sites, never polled, so arming
-        # it (``series=True``, or adaptive styles) adds no scheduler
-        # events.
-        self.series = SeriesRegistry(clock=lambda: self.scheduler.now,
-                                     enabled=series)
         self.trace_collector = TraceCollector(
             enabled=trace_spans, clock=lambda: self.scheduler.now,
             metrics=self.metrics, flight=self.flight)
         self.network = Network(self.scheduler, latency_model=latency_model,
                                metrics=self.metrics, audit=self.audit_scope,
                                spans=self.trace_collector,
-                               series=self.series, flight=self.flight)
+                               flight=self.flight)
         self._register_scheduler_audit()
         self.tcp = TcpStack(self.network, mtu=mtu)
         self.faults = FaultInjector(self.scheduler, self.network,
@@ -193,11 +187,6 @@ class World:
     def trace_tree(self) -> str:
         """Aligned text tree of the recorded spans, one tree per trace."""
         return self.trace_collector.export_tree()
-
-    def series_json(self) -> str:
-        """Canonical JSON dump of every time series (byte-identical
-        across seeded reruns)."""
-        return self.series.to_json()
 
     def flight_json(self) -> str:
         """Canonical JSON dump of the flight recorder's event ring."""

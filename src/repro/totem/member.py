@@ -152,9 +152,6 @@ class TotemMember(Process):
         self.delivered_up_to = 0           # highest contiguously delivered seq
         self.my_aru = 0                    # == delivered_up_to (agreed delivery)
         self.stable_up_to = 0              # highest seq known stable (aru)
-        self._safe_listeners: Tuple[DeliverFn, ...] = ()
-        self._safe_buffer: Dict[int, RegularMessage] = {}
-        self._safe_delivered_up_to = 0
         self._buffer: Dict[int, RegularMessage] = {}   # undelivered, seq > aru
         self._store: Dict[int, RegularMessage] = {}    # for retransmission, GC'd at aru
         self._gap_age: Dict[int, int] = {}             # seq -> rotations waited
@@ -204,12 +201,11 @@ class TotemMember(Process):
         scope (see :mod:`repro.obs.audit`).  A quiescent operational
         ring parks its token, which sets ``aru = seq`` — at the holder at
         once, elsewhere at the next keep-alive rotation — so every buffer
-        drains: regular messages deliver (``_buffer``), stabilise and
-        safe-deliver (``_safe_buffer``), get GC'd from the retransmission
-        store at aru (``_store``), gaps resolve or are skipped before the
-        token may park (``_gap_age``), requests for it are served or
-        dropped at the holder's next visit (``_wanted``); anything left
-        at quiescence is a leak."""
+        drains: regular messages deliver (``_buffer``), get GC'd from the
+        retransmission store at aru (``_store``), gaps resolve or are
+        skipped before the token may park (``_gap_age``), requests for it
+        are served or dropped at the holder's next visit (``_wanted``);
+        anything left at quiescence is a leak."""
         scope, owner = self.audit, self.name
 
         def alive() -> bool:
@@ -218,8 +214,6 @@ class TotemMember(Process):
         scope.register("totem.buffer", lambda: len(self._buffer),
                        floor=0, owner=owner, active=alive,
                        gauge="totem.state.buffer")
-        scope.register("totem.safe_buffer", lambda: len(self._safe_buffer),
-                       floor=0, owner=owner, active=alive)
         scope.register("totem.store", lambda: len(self._store),
                        floor=0, owner=owner, active=alive,
                        gauge="totem.state.store")
@@ -248,13 +242,6 @@ class TotemMember(Process):
     def on_membership(self, fn: MembershipFn) -> None:
         """Register ``fn(members, ring_id)`` called at each installation."""
         self._membership_listeners += (fn,)
-
-    def on_deliver_safe(self, fn: DeliverFn) -> None:
-        """Register ``fn(seq, sender, payload)`` with Totem *safe*
-        delivery: called only once the message is known stable, i.e.
-        received by every current ring member (seq <= aru).  Safe
-        delivery lags agreed delivery by roughly one token rotation."""
-        self._safe_listeners += (fn,)
 
     def multicast(self, payload: Any, size: int = 64) -> Queued:
         """Queue ``payload`` for totally-ordered broadcast to the ring.
@@ -357,8 +344,6 @@ class TotemMember(Process):
             self.stats["delivered"] += 1
             for fn in self._deliver_listeners:
                 fn(seq, msg.sender, msg.payload)
-            if self._safe_listeners:
-                self._safe_buffer[seq] = msg
             if not (self.running and self.host.alive):
                 return  # a listener crashed this host
 
@@ -451,10 +436,8 @@ class TotemMember(Process):
             self._gc_store(aru)
         if aru > self.stable_up_to:
             self.stable_up_to = aru
-        if self._safe_buffer:
-            self._flush_safe(self.stable_up_to)
         if pending:
-            token.idle = 0  # over quota, or a safe listener sent just now
+            token.idle = 0  # over quota: the rest waits for the next visit
 
         # 5. After a full idle rotation the token stops here: handed to
         #    whoever asked for it, or parked until somebody does.  At any
@@ -585,18 +568,6 @@ class TotemMember(Process):
         for seq in range(self._gc_floor + 1, aru + 1):
             self._store.pop(seq, None)
         self._gc_floor = aru
-
-    def _flush_safe(self, stable_up_to: int) -> None:
-        """Safe-deliver buffered messages that became stable, in order."""
-        if not self._safe_listeners:
-            return
-        for seq in sorted(self._safe_buffer):
-            if seq > stable_up_to:
-                break
-            msg = self._safe_buffer.pop(seq)
-            self._safe_delivered_up_to = seq
-            for fn in self._safe_listeners:
-                fn(msg.seq, msg.sender, msg.payload)
 
     def _on_token_loss(self) -> None:
         if self.state != TotemMember.OPERATIONAL:
@@ -797,4 +768,3 @@ class TotemMember(Process):
         # The membership change is a stability cut: everything the
         # survivors delivered from the old ring is final now.
         self.stable_up_to = max(self.stable_up_to, self.delivered_up_to)
-        self._flush_safe(self.stable_up_to)

@@ -13,8 +13,8 @@ def record(metrics, spans, trace_id, action):
 
 
 def record_series(series, flight, histogram, name):
-    series.observe("series.gateway.group.latency", 0.1, group="1")
-    series.observe("series.gateway.group.shed", 1.0, group="1")
+    flight.record("flight.membership", member="h1", seq=0)
+    flight.record("flight.token_loss", member="h1")
     flight.record("flight.fault", action="crash", target="h1")
     histogram.observe(0.25)        # float arg: not a series name
     series.observe(name, 1.0)      # dynamic name: out of scope

@@ -46,18 +46,6 @@ def test_module_entry_point_metrics_json_deterministic(capsys):
     assert first == second
 
 
-def test_module_entry_point_series_flag(capsys):
-    from repro.__main__ import main
-    assert main(["--series"]) == 0
-    document = json.loads(capsys.readouterr().out.splitlines()[-1])
-    latency = [entry for key, entry in document["series"].items()
-               if key.startswith("series.gateway.group.latency")]
-    assert latency
-    for entry in latency:
-        assert {"rate", "p50", "points"} <= set(entry)
-        assert "ewma" not in entry
-
-
 def test_module_entry_point_flight_dump_flag(capsys):
     from repro.__main__ import main
     assert main(["--flight-dump"]) == 0

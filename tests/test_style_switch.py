@@ -15,7 +15,6 @@ import pytest
 from repro import ReplicationStyle, World
 from repro.errors import CorbaSystemException, InvocationFailure
 from repro.eternal.messages import MsgKind
-from repro.eternal.styles import StylePolicy
 
 from tests.helpers import (
     SLOW_TOTEM,
@@ -87,13 +86,6 @@ def test_leader_follower_requires_two_replicas(world):
                                style=ReplicationStyle.LEADER_FOLLOWER,
                                replicas=2)
     assert len(group.info().placement) == 2
-
-
-def test_style_policy_validation():
-    with pytest.raises(ValueError):
-        StylePolicy(demote_to=ReplicationStyle.STATELESS)
-    with pytest.raises(ValueError):
-        StylePolicy(min_dwell_s=-1.0)
 
 
 # ======================================================================
@@ -504,51 +496,6 @@ def test_mid_switch_leader_kill_is_exactly_once():
         assert len(egresses) == 1, container.trace_id
     surviving = replica_counts(domain, group)
     assert set(surviving.values()) == {12}
-
-
-# ======================================================================
-# Adaptive style management
-# ======================================================================
-
-def test_style_manager_demotes_under_shed_and_promotes_under_faults(world):
-    """The StylePolicy loop: admission sheds demote an ACTIVE group to
-    leader-follower; a fault-rate spike promotes it back."""
-    domain = make_domain(world)
-    gw = domain.add_gateway(port=2809, admission_window=1,
-                            admission_queue_limit=2)
-    domain.await_stable()
-    group = make_counter_group(domain, replicas=3)
-    policy = StylePolicy(demote_shed_rate=1.0, demote_latency_s=1000.0,
-                         promote_fault_rate=0.5, min_dwell_s=0.0)
-    domain.enable_adaptive_styles(policy=policy, groups=[group],
-                                  tick_interval=0.05)
-    _, stub, _ = external_client(world, domain, group, enhanced=False)
-    # Flood far past the admission window: sheds drive the demotion.
-    flood = [stub.call("increment", 1) for _ in range(30)]
-    world.run_until_done(flood, timeout=240)
-    assert gw.stats["requests_shed"] > 0
-    world.scheduler.run_until(
-        lambda: group.info().style is ReplicationStyle.LEADER_FOLLOWER,
-        timeout=10.0)
-    assert group.info().style is ReplicationStyle.LEADER_FOLLOWER
-    # Let the flood leave the group's 1 s shed window, so that once
-    # promoted it is not demoted again (min_dwell_s is 0 here).
-    world.run(until=world.now + 1.0)
-    # Kill the group's leader: the fault spike promotes it back to the
-    # remembered baseline style.
-    leader = group.info().primary(domain.coordinator_rm().live_hosts)
-    world.faults.crash_now(leader)
-    world.scheduler.run_until(
-        lambda: group.info().style is ReplicationStyle.ACTIVE,
-        timeout=15.0)
-    assert group.info().style is ReplicationStyle.ACTIVE
-    # The demoted/promoted group still serves correctly afterwards.
-    world.run(until=world.now + 1.0)
-    assert world.await_promise(group.invoke("value")) >= 0
-    # Every manager multicast each switch; each applied once everywhere.
-    live = [rm for rm in domain.rms.values() if rm.alive]
-    assert {rm.registry.get(group.group_id).style_epoch for rm in live} == {2}
-    assert {rm.stats["style_switches"] for rm in live} == {2}
 
 
 # ======================================================================
