@@ -409,12 +409,10 @@ class SimDisciplineRule(LintRule):
 
 _METRIC_FACTORIES = frozenset({"counter_fn", "gauge", "histogram"})
 _SPAN_EMITTERS = frozenset({"start", "instant"})
-# Time-series emitters (SeriesRegistry.observe/.series) and the
-# flight recorder (FlightRecorder.record): the first argument is the
-# series name / event kind.  Only dotted string literals are checked —
-# Histogram.observe(0.25) and other same-named methods pass floats or
-# undotted strings and fall through.
-_SERIES_EMITTERS = frozenset({"observe", "series", "record"})
+# The flight recorder (FlightRecorder.record): the first argument is
+# the event kind.  Only dotted string literals are checked — other
+# same-named methods pass undotted strings or objects and fall through.
+_FLIGHT_EMITTERS = frozenset({"record"})
 
 
 class CatalogueRule(LintRule):
@@ -426,10 +424,9 @@ class CatalogueRule(LintRule):
     Checked emitters: ``MetricsRegistry.counter_fn/gauge/histogram``
     first arguments, ``AuditScope.register(gauge=...)``
     names, ``TraceCollector.start/instant`` span names,
-    ``SeriesRegistry.observe/series`` time-series names, and
-    ``FlightRecorder.record`` event kinds (both only when the literal
-    is dotted, which filters out the same-named histogram/race-recorder
-    methods), and every counter name in a ``stats`` table passed to
+    ``FlightRecorder.record`` event kinds (only when the literal is
+    dotted, which filters out the same-named race-recorder method),
+    and every counter name in a ``stats`` table passed to
     ``MetricsRegistry.register_stats`` (a dict literal, inline or
     assigned to a module-level name without annotation).  Dynamic (non-literal) names are
     out of scope — they must be catalogued as a backticked ``family.*``
@@ -476,7 +473,7 @@ class CatalogueRule(LintRule):
                         and isinstance(second.value, str)
                         and "." in second.value):
                     names.append((second.value, second))
-            elif attr in _SERIES_EMITTERS and node.args:
+            elif attr in _FLIGHT_EMITTERS and node.args:
                 first = node.args[0]
                 if (isinstance(first, ast.Constant)
                         and isinstance(first.value, str)

@@ -9,10 +9,9 @@ def record(metrics, spans, trace_id):
     spans.start(trace_id, "mystery.span")
 
 
-def record_series(series, flight):
-    series.observe("series.not.in.catalogue", 1.0, group="1")
-    series.observe("series.also.uncatalogued", 0.0)
+def record_events(flight):
     flight.record("flight.mystery.kind", detail="x")
+    flight.record("flight.also.uncatalogued", group=1)
 
 
 def register(metrics, stats):

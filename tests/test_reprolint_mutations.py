@@ -87,6 +87,18 @@ def test_new_unused_kind_fires_flow002_and_sm001(mutated):
         codes_with_messages(result)
 
 
+def test_renaming_a_flight_kind_fires_obs001(mutated):
+    """A flight-recorder event kind renamed away from its catalogue row
+    is an uncatalogued series."""
+    result = mutated(lambda dst: rewrite(
+        dst / "repro/sim/faults.py",
+        'flight.record("flight.fault",', 'flight.record("flight.faults",'))
+    hits = [v for v in result.violations if v.code == "OBS001"]
+    assert any("flight.faults" in v.message
+               and v.path.endswith("faults.py") for v in hits), \
+        codes_with_messages(result)
+
+
 def test_routing_a_helper_through_wall_time_fires_det101(mutated):
     """A deterministic function calling an out-of-scope helper that
     reads the wall clock must be flagged at the call edge with the

@@ -1,7 +1,8 @@
 """Smoke tests of ``tools/seed_sweep.py``: two seeds of the quick-scale
 ``bank_styles`` against this very checkout as its own "parent", so every
 simulated row must read equal, seed by seed; one ``--pairs`` pair the
-same way; and the claim rule ``--pairs`` applies."""
+same way; the claim rule ``--pairs`` applies, and the verdict a
+``SPREAD`` row prints."""
 
 import importlib.util
 import pathlib
@@ -59,6 +60,20 @@ def test_claim_needs_nine_tenths_and_a_gap_beyond_the_parent_spread():
     # Ties count for neither side; "higher" turns the comparison round.
     assert claim(parent, parent, "higher") == (0, False)
     assert claim(parent, [p + 10 for p in parent], "higher") == (10, True)
+
+
+def test_spread_verdict_needs_ranges_that_do_not_overlap():
+    verdict = load_tool().spread_verdict
+    parent = [26.44, 26.9, 27.2, 27.56]
+    # One frame per token visit on bank_styles: spread, yet disjoint.
+    change = [21.87, 23.0, 24.1, 24.63]
+    assert verdict(parent, change, "lower") == "SPREAD, every seed better"
+    assert verdict(change, parent, "lower") == "SPREAD, every seed worse"
+    assert verdict(parent, change, "higher") == "SPREAD, every seed worse"
+    assert verdict(change, parent, "higher") == "SPREAD, every seed better"
+    # Touching or overlapping ranges resolve nothing.
+    assert verdict(parent, [26.44, 20.0], "lower") == "SPREAD, unresolved"
+    assert verdict(parent, [27.0, 25.0], "lower") == "SPREAD, unresolved"
 
 
 def test_pairs_against_itself_prints_both_host_metrics():

@@ -18,7 +18,10 @@ median and quartile distance, what the metric's ``BENCHMARK.json`` bound
 allows (bound x the parent's median), on how many seeds the change reads
 better, and the per-seed difference — one number when it is the same at
 every seed.  A quartile distance wider than the allowance is a metric
-the driver cannot read (``SPREAD``), whatever its median did.
+the driver cannot read (``SPREAD``), whatever its median did; the row
+then says whether every seed of the change reads better than every seed
+of the parent (``SPREAD, every seed better``), worse than every one
+(``SPREAD, every seed worse``), or neither (``SPREAD, unresolved``).
 
 The host-clock rows (``host_*``, ``setup_s``, ``peak_rss_mb``) come from
 one repetition each and are as noisy as the machine; trust the simulated
@@ -110,8 +113,20 @@ def report(workload, metrics, ours, parents):
                      f" allowed {allowed:<10.4g} better on {wins}, worse on "
                      f"{losses} of {len(diffs)}; diff {delta}")
             if max(iqr, base_iqr) > allowed:
-                line += "  SPREAD"
+                line += "  " + spread_verdict(base, values, metric["better"])
         print(line)
+
+
+def spread_verdict(parent, change, better):
+    """What a SPREAD row still says: the change's seeds all read better
+    than every seed of the parent, all worse, or the ranges overlap."""
+    sign = 1 if better == "higher" else -1
+    base, ours = [sign * p for p in parent], [sign * c for c in change]
+    if min(ours) > max(base):
+        return "SPREAD, every seed better"
+    if max(ours) < min(base):
+        return "SPREAD, every seed worse"
+    return "SPREAD, unresolved"
 
 
 def claim(parent, change, better):
