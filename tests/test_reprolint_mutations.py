@@ -58,6 +58,18 @@ def test_removing_a_dispatch_entry_fires_sm001(mutated):
         codes_with_messages(result)
 
 
+def test_removing_a_style_engine_fires_sm001(mutated):
+    """The style -> engine table is the one place a style picks
+    behaviour; a style left out of it must fail lint."""
+    result = mutated(lambda dst: rewrite(
+        dst / "repro/eternal/engines.py",
+        "    ReplicationStyle.LEADER_FOLLOWER: SemiActive,\n", ""))
+    hits = [v for v in result.violations if v.code == "SM001"]
+    assert any("LEADER_FOLLOWER" in v.message
+               and v.path.endswith("engines.py") for v in hits), \
+        codes_with_messages(result)
+
+
 def test_orphaning_a_handler_fires_flow002(mutated):
     """Deleting the only send site of REPLICA_READY leaves its handler
     unreachable; the dead-handler check must notice."""
