@@ -3,34 +3,19 @@
 The Replication Mechanisms (:mod:`.replication`) keep what every style
 shares — total order, duplicate detection, copy withdrawal, the
 registry, state transfer and membership — and ask the group's engine
-every question whose answer depends on the style:
+every question whose answer depends on the style: who executes and who
+only logs, who responds and what a silent replica keeps, what an
+execution owes the backups, what becoming primary means, and the
+nested-order check.
 
-* who executes a delivered invocation and who only logs it
-  (:meth:`~ExecuteEverywhere.deliver`);
-* who responds, and what a silent replica keeps instead
-  (:meth:`~ExecuteEverywhere.responds`,
-  :meth:`~ExecuteEverywhere.completed`,
-  :meth:`~ExecuteEverywhere.sends_nested`);
-* what an execution owes the backups
-  (:meth:`~ExecuteEverywhere.completed`,
-  :meth:`~ExecuteEverywhere.apply_checkpoint`);
-* what becoming primary or leader means
-  (:meth:`~ExecuteEverywhere.promote`);
-* the nested-order check (:meth:`~ExecuteEverywhere.check_order`) and,
-  as plain attributes read per message, whether the receiver counts
-  votes (``voting``) and whether any one copy of a reply serves it
-  (``withdraws_copies``).
+A live style switch is one hand-over at its cut: the old engine's
+:meth:`~ExecuteEverywhere.export`, then the new one's
+:meth:`~ExecuteEverywhere.adopt`.  A state transfer ends in the same
+adopt, at the cut of the ADD_REPLICA that made the joiner.
 
-A live style switch is one hand-over at the STYLE_SWITCH's place in the
-total order: the old engine exports the replica's state as of the cut
-(:meth:`~ExecuteEverywhere.export`: a passive backup replays its log
-suffix, silently) and the new engine adopts it
-(:meth:`~ExecuteEverywhere.adopt`: a passive engine seeds its log with
-the state as a checkpoint at the cut).  A state transfer ends in the
-same adopt, at the cut of the ADD_REPLICA that made the joiner.
-
-:data:`ENGINES` is the one place where a style picks behaviour; every
-processor builds one engine per style from it.
+:data:`ENGINES` picks each style's family.  What varies within a family
+— voting, copy withdrawal, loaded backups — the engine reads from its
+style's row in :mod:`.styles`, the one place those facts are written.
 """
 
 from __future__ import annotations
@@ -49,16 +34,25 @@ if TYPE_CHECKING:
 
 
 class ExecuteEverywhere:
-    """STATELESS and ACTIVE: every replica executes every invocation
-    and multicasts its reply; the receiver takes the first copy, so a
-    replica withdraws its own still-queued copy once a sibling's is
-    delivered.  The other families override what they decide otherwise."""
+    """STATELESS, ACTIVE and ACTIVE_WITH_VOTING: every replica executes
+    every invocation and multicasts its reply.  The receiver takes the
+    first copy, so a replica withdraws its own still-queued copy once a
+    sibling's is delivered — unless the style votes, when it delivers a
+    reply once a majority of the live replicas sent identical ones, so
+    every copy counts.  The other families override what they decide
+    otherwise."""
 
-    voting = False
-    withdraws_copies = True
+    # A passive engine keeps the group's invocation log.
+    keeps_log = False
 
-    def __init__(self, rm: "ReplicationMechanisms") -> None:
+    def __init__(self, rm: "ReplicationMechanisms",
+                 style: ReplicationStyle) -> None:
         self.rm = rm
+        self.style = style
+        # Read per message, so copied from the style's row as plain
+        # attributes.
+        self.voting = style.needs_voting
+        self.withdraws_copies = style.any_copy_suffices
 
     def _leads(self, info: GroupInfo) -> bool:
         """Is this processor the group's primary (its leader)?  The
@@ -97,15 +91,19 @@ class ExecuteEverywhere:
     def promote(self, info: GroupInfo, record: "ReplicaRecord") -> None:
         """This replica just became the group's primary / leader."""
 
-    def export(self, info: GroupInfo, record: "ReplicaRecord") -> int:
-        """Bring the replica to its state as of a switch's cut and drop
-        this family's bookkeeping; returns the operations replayed."""
+    def export(self, info: GroupInfo, record: "ReplicaRecord",
+               successor: "ExecuteEverywhere") -> int:
+        """Hand the replica over to ``successor`` at a switch's cut: bring
+        it to its state as of the cut, unless the successor keeps this
+        engine's log, and drop this family's bookkeeping; returns the
+        operations replayed."""
         return 0
 
     def adopt(self, info: GroupInfo, record: "ReplicaRecord",
               cut_ts: int) -> None:
-        """Take over a replica whose servant holds its state as of
-        ``cut_ts``: a switch's cut, or a state transfer's."""
+        """Take over a replica at ``cut_ts``, a switch's cut or a state
+        transfer's: its servant holds its state as of the cut, or (from
+        the other passive style) its log does."""
 
     def _promoted(self, info: GroupInfo, replayed: int = 0,
                   resent: int = 0, reissued: int = 0) -> None:
@@ -116,26 +114,18 @@ class ExecuteEverywhere:
                       replayed=replayed, resent=resent, reissued=reissued)
 
 
-class Voting(ExecuteEverywhere):
-    """ACTIVE_WITH_VOTING: as ACTIVE, but the receiver delivers a reply
-    once a majority of the live replicas sent identical ones, so every
-    copy counts."""
-
-    voting = True
-    withdraws_copies = False
-
-
 class Passive(ExecuteEverywhere):
-    """COLD_PASSIVE: only the primary executes; every replica logs each
-    delivered invocation.  Every ``checkpoint_every``-th completed
-    operation the primary's state rides that operation's reply (or a
-    CHECKPOINT of its own when there is none) into every log; a new
-    primary restores the log's checkpoint and replays the suffix."""
+    """COLD_PASSIVE and WARM_PASSIVE: only the primary executes; every
+    replica logs each delivered invocation.  Every
+    ``GroupInfo.checkpoint_every``-th completed operation the primary's
+    state rides that operation's reply (or a CHECKPOINT of its own when
+    there is none) into every log; a new primary restores the log's
+    checkpoint and replays the suffix.  Where the style loads backups
+    (WARM_PASSIVE: a checkpoint after every operation), each backup also
+    installs each checkpoint into its servant, so promotion restores
+    nothing."""
 
-    withdraws_copies = False
-    # A backup installs each checkpoint into its servant, not only into
-    # its log (WARM_PASSIVE), so promotion restores nothing.
-    loads_backups = False
+    keeps_log = True
 
     def _log(self, group_id: int) -> GroupLog:
         """The group's invocation log, created on demand."""
@@ -163,9 +153,9 @@ class Passive(ExecuteEverywhere):
                   info: GroupInfo, key: tuple, reply: bytes) -> None:
         rm = self.rm
         if info.primary(rm.live_hosts) != rm.host.name:
-            # A backup completes only a switch's silent catch-up, or an
-            # operation it began before a switch into a passive style:
-            # the primary answers it and owes the checkpoint.
+            # A backup completes only what it began before a switch into
+            # a passive style (an execution or a catch-up replay): the
+            # primary answers it and owes the checkpoint.
             return
         owed: Optional[Dict] = None
         record = rm.replicas.get(info.group_id)
@@ -176,7 +166,7 @@ class Passive(ExecuteEverywhere):
                 rm.stats["checkpoints"] += 1
                 owed = {"state": record.servant.get_state(),
                         "upto_ts": original.timestamp}
-        if execution.request.response_expected:
+        if execution.request.response_expected and not execution.silent:
             rm._respond(original, reply, owed)
         elif owed:
             # No reply to ride on (a one-way operation): the checkpoint
@@ -194,7 +184,7 @@ class Passive(ExecuteEverywhere):
         newest state."""
         state = msg.data["state"]
         rm = self.rm
-        if (self.loads_backups
+        if (self.style.loads_backups
                 and info.primary(rm.live_hosts) != rm.host.name):
             record.servant.set_state(state)
         self._checkpoint(info.group_id, state, msg.data["upto_ts"])
@@ -208,9 +198,16 @@ class Passive(ExecuteEverywhere):
         rm.stats["replays"] += replayed
         self._promoted(info, replayed=replayed)
 
-    def export(self, info: GroupInfo, record: "ReplicaRecord") -> int:
-        """A backup replays its log suffix silently: the old primary
-        served those operations."""
+    def export(self, info: GroupInfo, record: "ReplicaRecord",
+               successor: ExecuteEverywhere) -> int:
+        """Into the other passive style the log carries over untouched:
+        an operation still suspended at the cut completes under the
+        successor, and the log's suffix still holds it.  Otherwise a
+        backup replays its log suffix silently (the old primary served
+        those operations) and the log goes: executing styles keep hot
+        state instead."""
+        if successor.keeps_log:
+            return 0
         replayed = 0
         if not self._leads(info):
             replayed = self._replay(info, record, silent=True)
@@ -220,9 +217,17 @@ class Passive(ExecuteEverywhere):
 
     def adopt(self, info: GroupInfo, record: "ReplicaRecord",
               cut_ts: int) -> None:
-        """Backups log and replay from the cut on.  The state comes from
-        this replica's own servant, so a loaded backup already holds it."""
-        self._checkpoint(info.group_id, record.servant.get_state(), cut_ts)
+        """Seed the log with the servant's state as a checkpoint at the
+        cut: backups log and replay from there.  A log kept from the
+        other passive style stays as it is; where this style loads
+        backups, a backup loads its checkpoint, as promotion here
+        restores nothing."""
+        log = self.rm.logs.get(info.group_id)
+        if log is None:
+            self._checkpoint(info.group_id, record.servant.get_state(), cut_ts)
+        elif (self.style.loads_backups and log.checkpoint is not None
+                and not self._leads(info)):
+            record.servant.set_state(log.checkpoint.state)
 
     def _replay(self, info: GroupInfo, record: "ReplicaRecord",
                 silent: bool) -> int:
@@ -230,17 +235,10 @@ class Passive(ExecuteEverywhere):
         one as it came and may be newer, as the log refuses a later
         checkpoint with a lower ``upto_ts`` — and re-execute the suffix."""
         log = self._log(info.group_id)
-        if log.checkpoint is not None and not self.loads_backups:
+        if log.checkpoint is not None and not self.style.loads_backups:
             record.servant.set_state(log.checkpoint.state)
         return self.rm._reexecute(
             info, record, log.replay_after(log.latest_covered_ts()), silent)
-
-
-class WarmPassive(Passive):
-    """WARM_PASSIVE: COLD_PASSIVE with a checkpoint after every operation
-    (``GroupInfo.checkpoint_every``), loaded by the backups too."""
-
-    loads_backups = True
 
 
 class SemiActive(ExecuteEverywhere):
@@ -248,8 +246,6 @@ class SemiActive(ExecuteEverywhere):
     transfer at failover) but only the leader — the primary — multicasts
     replies and nested invocations.  A follower caches each reply and
     withholds it until the leader's is delivered in total order."""
-
-    withdraws_copies = False
 
     def responds(self, info: GroupInfo) -> bool:
         return self._leads(info)
@@ -332,8 +328,8 @@ class SemiActive(ExecuteEverywhere):
 ENGINES = {
     ReplicationStyle.STATELESS: ExecuteEverywhere,
     ReplicationStyle.ACTIVE: ExecuteEverywhere,
-    ReplicationStyle.ACTIVE_WITH_VOTING: Voting,
+    ReplicationStyle.ACTIVE_WITH_VOTING: ExecuteEverywhere,
     ReplicationStyle.COLD_PASSIVE: Passive,
-    ReplicationStyle.WARM_PASSIVE: WarmPassive,
+    ReplicationStyle.WARM_PASSIVE: Passive,
     ReplicationStyle.LEADER_FOLLOWER: SemiActive,
 }

@@ -77,10 +77,11 @@ class Execution:
         # Open ``rm.execute`` span id while this execution is in flight
         # (0 when tracing is disabled or the invocation was untraced).
         self.trace_span = 0
-        # A switch's catch-up replay: the terminal response is not
-        # multicast (the old primary served it), every nested call is —
-        # the cached responses live in the targets' dedup tables and must
-        # be solicited again.
+        # silent: the terminal response must not be multicast (style
+        # catch-up replay on a replica that never responds for this op).
+        # Its nested calls still are, even where a leader-follower
+        # follower would normally stay quiet — the cached responses
+        # exist only in peers' dedup tables and must be solicited again.
         self.silent = False
 
     # ------------------------------------------------------------------

@@ -3,28 +3,37 @@
 One :class:`ReplicationMechanisms` instance runs on every processor of
 a fault tolerance domain, layered on the local Totem member.  It:
 
-* hosts the local replicas of application (and manager) object groups
-  and executes their totally-ordered invocations, suppressing duplicates
-  by (source group, client id, operation id) and caching responses;
-* multicasts replica responses, withdrawing its own still-queued copy
-  when a sibling's identical one is delivered first;
-* drives nested invocations with deterministic Figure 6 identifiers;
-* asks each group's engine (:mod:`.engines`, one per style family) what
-  the style decides, and hands a group over at a live style switch;
-* transfers state to joining replicas and keeps the group registry
-  identical everywhere from idempotent control messages;
-* hands gateway-targeted traffic to an attached gateway (infrastructure,
-  not a CORBA object — paper section 3).
+* hosts the local replicas of application (and manager) object groups;
+* dispatches totally-ordered delivered invocations to those replicas,
+  detecting and suppressing duplicate invocations via the
+  (source group, client id, operation id) key and caching responses so
+  duplicates can be answered without re-execution;
+* multicasts replica responses back to the invoking group or gateway,
+  withdrawing its own still-queued copy when a sibling replica's
+  identical one is delivered first (sender-side duplicate suppression);
+* drives nested invocations (generator servants) with deterministic
+  Figure 6 identifiers;
+* asks each group's engine (:mod:`.engines`, one per replication style
+  family) everything its style decides — who executes, who responds,
+  what an execution owes the backups, what a primary change does — and
+  hands a group from one engine to the other at a live style switch;
+* transfers state to joining replicas;
+* maintains the group registry from idempotent control messages so all
+  processors share an identical directory;
+* hands gateway-targeted traffic to an attached gateway (the gateway is
+  infrastructure, not a CORBA object — paper section 3).
 
-Delivered messages are shared in memory across hosts; the only mutation
-ever made to one is stamping ``timestamp`` with its Totem sequence
-number, the same value at every receiver.
+Determinism note: delivered messages are shared in-memory across hosts
+by the simulated transport; the only mutation ever performed on one is
+stamping ``timestamp`` with the Totem sequence number, which every
+receiver sets to the same value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
 from ..core.duplicates import DuplicateSuppressor
 from ..core.identifiers import (
@@ -124,24 +133,32 @@ class _Waiter:
     promise: Optional[Promise] = None
     execution: Optional[Execution] = None
     original: Optional[DomainMessage] = None   # the parent invocation
-    # The nested invocation (None for egress waits), which a promoted
-    # leader multicasts again: the dead one may never have sent it.
+    # The multicast-ready nested invocation (None for egress waits).  A
+    # leader-follower promotion re-multicasts it (engines.SemiActive):
+    # the dead leader may have crashed before issuing it, and targets
+    # deduplicate anyway.
     message: Optional[DomainMessage] = None
 
 
 class ReplicationMechanisms(Process):
     """Per-processor replication engine of the Eternal system."""
 
-    def __init__(self, host: Host, totem: TotemMember, domain_name: str,
-                 interfaces: Dict[str, Interface],
-                 factories: Dict[str, Callable[[], Servant]],
-                 synced: bool = True) -> None:
+    def __init__(
+        self,
+        host: Host,
+        totem: TotemMember,
+        domain_name: str,
+        interfaces: Dict[str, Interface],
+        factories: Dict[str, Callable[[], Servant]],
+        synced: bool = True,
+    ) -> None:
         super().__init__(host, f"rm@{host.name}")
         self.totem = totem
         self.domain_name = domain_name
         self.interfaces = interfaces
         self.factories = factories
-        # World-shared; hot paths check ``.enabled`` before span work.
+        # Causal-trace collector (world-shared); hot paths check
+        # ``.enabled`` before doing any span work.
         self._span_collector = host.network.spans
 
         self.registry = GroupRegistry()
@@ -150,25 +167,34 @@ class ReplicationMechanisms(Process):
         self.live_hosts: Tuple[str, ...] = ()
         self._last_primary: Dict[int, Optional[str]] = {}
 
-        # A processor joining a running domain buffers deliveries until an
-        # incumbent sends it the directory snapshot.
+        # Registry synchronization: processors that join a running domain
+        # (new gateways, recovered hosts) buffer deliveries until an
+        # incumbent sends them the directory snapshot.
         self.synced = synced
         self._presync_buffer: List[DomainMessage] = []
 
         # Duplicate invocation detection: group -> dedup key -> record.
         self._invocations_seen: Dict[int, Dict[Tuple, _InvocationRecord]] = {}
-        # Responses awaited here, each expectation holding its _Waiter:
-        # (responder group, invoking group id or client uid, op id).
+        # Duplicate response suppression / voting for nested + external
+        # calls; each expectation holds its _Waiter and ends in _settle.
+        # Keys: (responder group, invoking group id, op id) for a
+        # suspended execution, (responder group, client uid, op id) for
+        # an ambassador call — group ids are ints and client uids
+        # strings, so never equal.
         self._response_filter = DuplicateSuppressor(settle=self._settle)
         # Leader-follower followers' withheld responses, group -> parent
-        # dedup key -> original invocation, retired when the leader's
-        # response is delivered (engines.SemiActive).
+        # dedup key -> original invocation.  An entry retires when the
+        # leader's response for the same operation is delivered in total
+        # order; on promotion the survivor resends the cached replies
+        # (engines.SemiActive).
         self._lf_unacked: Dict[int, Dict[Tuple, DomainMessage]] = {}
-        # Our own copies still in the Totem send queue, by copy_key(),
-        # where the engine withdraws copies (see _on_deliver).
+        # Our own RESPONSE / nested INVOCATION copies still in the Totem
+        # send queue, by DomainMessage.copy_key(), for groups whose
+        # engine withdraws copies.  Consulted in _on_deliver.
         self._outbound_copies: Dict[Tuple, Queued] = {}
-        # Replicas awaiting their state, alike everywhere: group -> host
-        # -> (the ADD_REPLICA's timestamp, the processor owing it).
+        # Replicas made by an ADD_REPLICA and still waiting for their
+        # state, kept alike everywhere: group -> joining host -> (the
+        # ADD_REPLICA's timestamp, the processor owing the transfer).
         self._joining: Dict[int, Dict[str, Tuple[int, str]]] = {}
 
         self._gateway = None               # attached repro.core.gateway.Gateway
@@ -178,8 +204,10 @@ class ReplicationMechanisms(Process):
         # reprolint: disable=AUD001 -- listener list, fixed at wiring time
         self._replica_ready_listeners: List[Callable[[int, str, int], None]] = []
 
+        # One engine per style (built from the ENGINES table), asked
+        # whatever the group's style decides.
         # reprolint: disable=AUD001 -- one engine per style, never grows
-        self._engines = {style: family(self)
+        self._engines = {style: family(self, style)
                          for style, family in ENGINES.items()}
 
         self.stats = dict.fromkeys(_STATS, 0)
@@ -188,7 +216,9 @@ class ReplicationMechanisms(Process):
         self._m_transfer_bytes = m.histogram("fault.state_transfer.bytes", unit="B")
         self._m_recovery_duration = m.histogram("fault.recovery.duration", unit="s")
 
-        # Exhaustive kind -> handler table (SM001 checks it).
+        # Exhaustive kind -> handler table for :meth:`_dispatch` (hot
+        # path, and the SM001 contract: adding a MsgKind without wiring
+        # a handler here fails lint instead of falling through).
         # reprolint: disable=AUD001 -- fixed message-kind table, never grows
         self._kind_dispatch = {
             MsgKind.INVOCATION: self._on_invocation,
@@ -219,9 +249,14 @@ class ReplicationMechanisms(Process):
         if self.synced or not self.alive:
             return
         self.multicast(DomainMessage(
-            MsgKind.REGISTRY_SYNC_REQUEST, 0, 0,
-            data={"requester": self.host.name}))
+            kind=MsgKind.REGISTRY_SYNC_REQUEST, source_group=0, target_group=0,
+            data={"requester": self.host.name},
+        ))
         self.after(0.05, self._request_sync)
+
+    # ==================================================================
+    # Wiring
+    # ==================================================================
 
     def attach_gateway(self, gateway: Any) -> None:
         """Attach the co-located gateway (receives gateway-group traffic)."""
@@ -238,13 +273,22 @@ class ReplicationMechanisms(Process):
         """``fn(group_id, host_name, version)`` on REPLICA_READY delivery."""
         self._replica_ready_listeners.append(fn)
 
+    # ==================================================================
+    # Outbound multicast helpers
+    # ==================================================================
+
     def multicast(self, message: DomainMessage) -> Queued:
         return self.totem.multicast(message, size=message.size_hint())
 
     def _multicast_copy(self, message: DomainMessage) -> None:
-        """Multicast a message every replica of ``message.source_group``
-        computes alike; where the engine withdraws copies, remember ours
-        while queued (see :meth:`_on_deliver`)."""
+        """Multicast a local replica's RESPONSE or nested INVOCATION (or
+        a Replication Manager replica's GROUP_ANNOUNCE of a group it
+        creates): a message every replica of the sending group
+        (``message.source_group``) computes identically.
+
+        Where any one copy serves the receiver, ours is remembered
+        while it waits for the token so that :meth:`_on_deliver` can
+        withdraw it if a sibling's copy is agreed first."""
         entry = self.totem.multicast(message, size=message.size_hint())
         info = self.registry.get(message.source_group)
         if info is not None and self._engines[info.style].withdraws_copies:
@@ -253,20 +297,27 @@ class ReplicationMechanisms(Process):
 
     def _respond(self, invocation: DomainMessage, reply_iiop: bytes,
                  carried: Optional[Dict[str, Any]] = None) -> None:
-        """Multicast the reply, with the checkpoint a passive primary owes
-        its backups ``carried`` on it (applied in :meth:`_on_response`)."""
+        """Multicast the reply; ``carried`` is what a passive primary
+        owes its backups for this operation (``Passive.completed``),
+        applied in :meth:`_on_response` at the reply's own position."""
         data: Dict[str, Any] = {"responder": self.host.name}
         if carried:
             data.update(carried)
             self.stats["states_carried"] += 1
         response = DomainMessage(
-            kind=MsgKind.RESPONSE, source_group=invocation.target_group,
+            kind=MsgKind.RESPONSE,
+            source_group=invocation.target_group,
             target_group=invocation.source_group,
-            client_id=invocation.client_id, op_id=invocation.op_id,
-            iiop=reply_iiop, data=data)
+            client_id=invocation.client_id,
+            op_id=invocation.op_id,
+            iiop=reply_iiop,
+            data=data,
+        )
         tr = invocation.trace
         if tr is not None and self._span_collector.enabled:
-            # The ordering wait, closed by the first receiver to see it.
+            # The response's ordering wait: opened here at multicast,
+            # closed by whichever receiver observes the delivery first
+            # (the span id rides out-of-band on the message).
             response.trace = tr
             response._trace_order = self._span_collector.start(
                 tr[0], "totem.order.response", parent=tr[1],
@@ -285,8 +336,12 @@ class ReplicationMechanisms(Process):
                 if self._outbound_copies else None)
         if (mine is not None and mine.payload is not payload
                 and self.totem.withdraw(mine)):
-            # A sibling's identical copy was agreed first everywhere, so
-            # ours never takes a sequence number.
+            # A sibling replica's identical copy was agreed first, here
+            # and at every other live member: ours would only be thrown
+            # away on receipt, so it never takes a sequence number.
+            # (Delivery of our own copy just retires the entry; a copy
+            # already sequenced crosses on the ring and the receiver's
+            # DuplicateSuppressor drops it, as it always has.)
             self.stats["copies_withdrawn"] += 1
             if mine.payload._trace_order:
                 self._span_collector.end(mine.payload._trace_order,
@@ -295,7 +350,10 @@ class ReplicationMechanisms(Process):
             if payload.kind is MsgKind.REGISTRY_SYNC:
                 self._apply_registry_sync(payload)
             elif payload.data.get("requester") != self.host.name:
-                # Our own sync requests would replay as no-ops.
+                # Not our own REGISTRY_SYNC_REQUESTs: replayed after the
+                # sync they would be no-ops (_on_registry_sync_request
+                # skips its own requester), and a retry every 50 ms
+                # would only grow the buffer.
                 self._presync_buffer.append(payload)
             return
         # _dispatch, inlined on the per-delivery path.
@@ -304,9 +362,11 @@ class ReplicationMechanisms(Process):
             self._gateway.observe_delivered(payload)
 
     def _dispatch(self, payload: DomainMessage) -> None:
-        """Hand a delivered message to its kind's handler, then to the
-        gateway (the pre-sync replay's path; _on_deliver inlines it)."""
+        """Hand a delivered message to its kind's handler (the pre-sync
+        replay's path; :meth:`_on_deliver` inlines it)."""
         self._kind_dispatch[payload.kind](payload)
+        # Gateways observe their own group's forwarded invocations and all
+        # gateway-coordination traffic.
         if self._gateway is not None:
             self._gateway.observe_delivered(payload)
 
@@ -348,6 +408,8 @@ class ReplicationMechanisms(Process):
                 # Re-send the cached response: the duplicate may stem from
                 # a reinvocation whose original response was lost with a
                 # crashed gateway or primary (sections 3.3-3.5).
+                # Leader-follower followers hold the same cache but stay
+                # silent unless promoted.
                 self.stats["responses_resent"] += 1
                 self._respond(msg, existing.response_iiop)
             return
@@ -361,6 +423,7 @@ class ReplicationMechanisms(Process):
             status="executing", response_expected=request.response_expected)
         while len(seen) > DEDUP_TABLE_LIMIT:
             seen.pop(next(iter(seen)))  # FIFO eviction, bounded memory
+        # Execute, or (a passive backup) only log.
         self._engines[info.style].deliver(msg, record, info, request, key)
 
     def _register_audit(self) -> None:
@@ -372,10 +435,16 @@ class ReplicationMechanisms(Process):
             return self.alive
 
         def log_floor() -> int:
-            # A log holds at most one checkpoint interval of suffix, plus
-            # the op that triggered the in-flight checkpoint.
-            known = [self.registry.get(group_id) for group_id in self.logs]
-            return sum(1 + (i.checkpoint_interval if i else 10) for i in known)
+            # Each logged group may legitimately hold up to one
+            # checkpoint interval of suffix (plus the op that triggered
+            # the in-flight checkpoint); anything beyond that was never
+            # truncated.
+            total = 0
+            for group_id in self.logs:
+                info = self.registry.get(group_id)
+                total += 1 + (info.checkpoint_interval
+                              if info is not None else 10)
+            return total
 
         scope.register("rm.logs",
                        lambda: sum(len(log) for log in self.logs.values()),
@@ -402,12 +471,14 @@ class ReplicationMechanisms(Process):
         scope.register("rm.joining",
                        lambda: sum(len(d) for d in self._joining.values()),
                        floor=0, owner=owner, active=alive)
-        # Capacity, not churn: snapshot-only.
+        # Hosted replicas are capacity, not churn: one entry per group
+        # this processor hosts, so the registration is snapshot-only.
         scope.register("rm.replicas", lambda: len(self.replicas),
                        floor=None, owner=owner, active=alive,
                        gauge="rm.state.replicas")
-        # One entry per *current* group: an entry outliving its group's
-        # removal is a leak (regression-pinned in test_style_switch.py).
+        # Primary memory floors at the directory size: one entry per
+        # *current* group.  An entry outliving its group's removal is a
+        # leak (regression-pinned in tests/test_style_switch.py).
         scope.register("rm.last_primary", lambda: len(self._last_primary),
                        floor=lambda: len(self.registry), owner=owner,
                        active=alive)
@@ -440,6 +511,7 @@ class ReplicationMechanisms(Process):
         if outcome.kind == Outcome.NESTED:
             self._issue_nested(execution, outcome.nested, original, info, key)
             return
+        # Terminal: build the reply.
         if outcome.kind == Outcome.DONE:
             reply = reply_for_result(execution.request.request_id,
                                      execution.op, outcome.value)
@@ -453,6 +525,8 @@ class ReplicationMechanisms(Process):
         seen = self._invocations_seen.setdefault(original.target_group, {})
         seen[key] = _InvocationRecord(status="done", response_iiop=reply,
                                       response_expected=execution.request.response_expected)
+        # Who responds, what a silent replica keeps, and what the
+        # backups are owed: the engine's answer.
         self._engines[info.style].completed(execution, original, info, key,
                                             reply)
 
@@ -460,7 +534,9 @@ class ReplicationMechanisms(Process):
                    logged: List[DomainMessage], silent: bool) -> int:
         """Execute logged invocations again; returns how many.  Audibly
         on promotion (the dead primary's responses may be lost), silently
-        (``Execution.silent``) in a switch's catch-up."""
+        in a switch's catch-up: nested calls are still multicast to
+        solicit their targets' cached responses; terminal responses are
+        not (``Execution.silent``), the old primary served them."""
         seen = self._invocations_seen.setdefault(info.group_id, {})
         for msg in logged:
             request = msg.request()
@@ -468,7 +544,7 @@ class ReplicationMechanisms(Process):
             seen[key] = _InvocationRecord(
                 status="executing",
                 response_expected=request.response_expected)
-            self._execute(msg, record, info, request, key, silent)
+            self._execute(msg, record, info, request, key, silent=silent)
         return len(logged)
 
     # ==================================================================
@@ -501,15 +577,22 @@ class ReplicationMechanisms(Process):
             response_expected=not nested_op.oneway,
             object_key=make_object_key(self.domain_name, target_info.group_id),
             operation=nested_op.name,
-            body=encode_arguments(nested_op, call.args))
+            body=encode_arguments(nested_op, call.args),
+        )
         message = DomainMessage(
-            kind=MsgKind.INVOCATION, source_group=info.group_id,
-            target_group=target_info.group_id, client_id=UNUSED_CLIENT_ID,
-            op_id=op_id, iiop=encode_request(request))
+            kind=MsgKind.INVOCATION,
+            source_group=info.group_id,
+            target_group=target_info.group_id,
+            client_id=UNUSED_CLIENT_ID,
+            op_id=op_id,
+            iiop=encode_request(request),
+        )
         tr = original.trace
         if tr is not None and self._span_collector.enabled:
-            # The child parents under the live rm.execute span (Figure 6
-            # in the exported tree); the hop count stays: same domain.
+            # Nested hop: the child invocation parents under the live
+            # rm.execute span, so Figure 6's parent/child structure is
+            # visible in the exported tree.  Hop count is unchanged —
+            # the call stays inside this domain.
             message.trace = (tr[0], execution.trace_span or tr[1], tr[2])
         if not nested_op.oneway:
             self._response_filter.expect(
@@ -533,7 +616,8 @@ class ReplicationMechanisms(Process):
             # Leaving the domain through the remote gateway: hop + 1.
             trace = (tr[0], execution.trace_span or tr[1], tr[2] + 1)
         op = self._egress.issue(info.group_id, op_id, call, trace=trace)
-        if op.oneway:  # best-effort, as in-domain: no response will come
+        if op.oneway:
+            # Best-effort, as in-domain: no response will come.
             outcome = execution.resume(None)
             self._handle_outcome(execution, outcome, original, info, key)
             return
@@ -542,11 +626,18 @@ class ReplicationMechanisms(Process):
             _Waiter(op=op, execution=execution, original=original))
 
     def votes_needed(self, info: GroupInfo) -> Optional[int]:
-        """Votes a response needs before delivery, shared with this
-        host's gateway: one, or where the engine votes a majority of the
-        *live* replicas.  None when no replica is live: nobody will ever
-        answer, so the caller fails fast.  Before the first membership
-        install the placement stands in for the live set."""
+        """Votes a response needs before delivery; None = unservable.
+        Shared by intra-domain invocations and this host's gateway.
+
+        One copy suffices unless the engine votes, where it is the
+        majority of the *live* replicas.  With zero live replicas
+        nobody will ever answer, whatever the style (and the old voting
+        fallback to ``len(placement)`` demanded a quorum of dead
+        hosts), so the caller must fail fast instead (None); for one
+        copy that is exactly when the group has no primary.  Before
+        the first membership install the full placement stands in for
+        the live set (nothing can be delivered yet anyway).
+        """
         live_hosts = self.live_hosts or info.placement
         if not self._engines[info.style].voting:
             return None if info.primary(live_hosts) is None else 1
@@ -554,15 +645,17 @@ class ReplicationMechanisms(Process):
         return live // 2 + 1 if live else None
 
     def votes_now(self, group_id: int) -> Optional[float]:
-        """:meth:`votes_needed` by group id, for ``requorum``: no opinion
-        on a group the registry lacks (removed, or EXTERNAL egress)."""
+        """:meth:`votes_needed` by group id, as ``requorum`` asks it: no
+        opinion on a group the registry does not hold (a removed group,
+        the EXTERNAL pseudo-group of egress waits)."""
         info = self.registry.get(group_id)
         if info is None:
             return DuplicateSuppressor.UNCHANGED
         return self.votes_needed(info)
 
     def _unservable(self, call: str, group: Any) -> TransientError:
-        """The error for a wait no live replica can ever end."""
+        """Fail fast instead of registering a wait no live replica can
+        ever end (see :meth:`votes_needed`): the error to raise."""
         self.stats["invocations_unservable"] += 1
         return TransientError(f"group {group} has no live replicas")
 
@@ -576,14 +669,18 @@ class ReplicationMechanisms(Process):
         # "the reply was delivered" implies "every backup holds it".
         if "state" in msg.data:
             self._apply_checkpoint(msg)
-        # The leader's response retires the followers' withheld copies.
+        # Leader-follower ack: the leader's response, delivered in total
+        # order, retires every follower's withheld copy of the same
+        # operation — whatever group the response is addressed to.
         unacked = self._lf_unacked.get(msg.source_group)
         if unacked is not None:
             unacked.pop(
                 dedup_key(msg.target_group, msg.client_id, msg.op_id), None)
         if msg.target_group == GATEWAY_GROUP:
             return  # handled by the attached gateway via observe_delivered
-        if msg._trace_order:  # the first receiver closes the wait span
+        if msg._trace_order:
+            # Close the response's ordering-wait span at delivery (first
+            # receiver wins; every receiver observes the same instant).
             self._span_collector.end(msg._trace_order, seq=msg.timestamp)
         if (msg.target_group == EXTERNAL_GROUP
                 and msg.client_id != UNUSED_CLIENT_ID):
@@ -593,15 +690,19 @@ class ReplicationMechanisms(Process):
             wait_key = (msg.source_group, msg.target_group, msg.op_id)
         verdict, _ = self._response_filter.offer(
             wait_key, msg.iiop, responder=msg.data.get("responder"))
-        if verdict == DuplicateSuppressor.DUPLICATE:  # DELIVER ends in _settle
+        if verdict == DuplicateSuppressor.DUPLICATE:
             self.stats["responses_suppressed"] += 1
+        # DELIVER is settled in _settle; a vote short of its quorum, or
+        # a response nobody waits for here, needs nothing.
 
     def _settle(self, wait_key: Tuple, waiter: _Waiter, outcome: str,
                 payload: Optional[bytes]) -> None:
-        """End ``waiter``'s wait (the filter calls it when ``wait_key``
-        stops being expected) with the payload agreed on, or a TRANSIENT
-        when the responder group lost every replica: resolve the
-        ambassador's promise or resume the suspended execution."""
+        """End ``waiter``'s wait, called by the filter whenever
+        ``wait_key`` stops being expected: with the payload it agreed on
+        (delivered, or freed by a lowered quorum), or with a TRANSIENT
+        when no payload will come (the responder group lost every
+        replica).  Resolves the ambassador's promise or resumes the
+        suspended execution."""
         if payload is None:
             self.stats["invocations_unservable"] += 1
             result: Any = TransientError(
@@ -636,11 +737,15 @@ class ReplicationMechanisms(Process):
             dedup_key(original.source_group, original.client_id,
                       original.op_id))
 
+    # ==================================================================
+    # Ambassador: locally-originated invocations (testing/driver API)
+    # ==================================================================
+
     def external_invoke(self, target_group_id: int, operation: str,
                         args: Sequence[Any], client_uid: str,
                         request_seq: int) -> Promise:
-        """The ambassador: invoke a replicated group from this processor,
-        outside any group (the domain driver API and managers)."""
+        """Invoke a replicated group from this processor, outside any
+        group context (used by the domain driver API and managers)."""
         promise = Promise()
         info = self.registry.get(target_group_id)
         if info is None:
@@ -651,13 +756,20 @@ class ReplicationMechanisms(Process):
         op = interface.operation(operation)
         op_id = external_operation_id(request_seq)
         request = RequestMessage(
-            request_id=request_seq, response_expected=not op.oneway,
+            request_id=request_seq,
+            response_expected=not op.oneway,
             object_key=make_object_key(self.domain_name, target_group_id),
-            operation=op.name, body=encode_arguments(op, args))
+            operation=op.name,
+            body=encode_arguments(op, args),
+        )
         message = DomainMessage(
-            kind=MsgKind.INVOCATION, source_group=EXTERNAL_GROUP,
-            target_group=target_group_id, client_id=client_uid,
-            op_id=op_id, iiop=encode_request(request))
+            kind=MsgKind.INVOCATION,
+            source_group=EXTERNAL_GROUP,
+            target_group=target_group_id,
+            client_id=client_uid,
+            op_id=op_id,
+            iiop=encode_request(request),
+        )
         if op.oneway:
             self.multicast(message)
             promise.resolve(None)
@@ -681,40 +793,51 @@ class ReplicationMechanisms(Process):
             fn(msg.data["group_id"], msg.data["host"], msg.data["version"])
 
     def _on_gateway_kind(self, msg: DomainMessage) -> None:
-        """CLIENT_GONE: the attached gateway's (see :meth:`_dispatch`)."""
+        """CLIENT_GONE: owned by the attached gateway, which observes
+        every delivery through :meth:`_dispatch`."""
 
     def _on_registry_sync_delivered(self, msg: DomainMessage) -> None:
-        """Incumbents hold the directory; joiners apply it pre-sync."""
+        """Incumbents already hold the directory (joiners apply the
+        snapshot pre-sync, in :meth:`_on_deliver`)."""
 
     def _on_registry_sync_request(self, msg: DomainMessage) -> None:
-        # Every synced member answers; the requester takes the first.
+        # Every synced member answers; the requester applies the
+        # first snapshot and ignores the rest (idempotent).
         if self.synced and msg.data.get("requester") != self.host.name:
             self._send_registry([msg.data.get("requester")])
 
     def _send_registry(self, recipients: Sequence[str]) -> None:
         """The directory snapshot, id high-water mark included."""
         self.multicast(DomainMessage(
-            MsgKind.REGISTRY_SYNC, 0, 0, data={
-                "groups": self.registry.all_groups(),
-                "high_water": self.registry.high_water,
-                "for": list(recipients)}))
+            kind=MsgKind.REGISTRY_SYNC, source_group=0, target_group=0,
+            data={"groups": self.registry.all_groups(),
+                  "high_water": self.registry.high_water,
+                  "for": list(recipients)},
+        ))
 
     def _apply_registry_sync(self, msg: DomainMessage) -> None:
-        """Adopt the directory snapshot, then replay buffered deliveries:
-        the snapshot covers what was ordered before it, the buffer what
-        came between our membership install and it, live delivery the
-        rest — a gap-free view of the directory's history."""
+        """Adopt the directory snapshot, then replay buffered deliveries.
+
+        The snapshot covers everything ordered before it; the buffered
+        messages cover everything ordered between our membership install
+        and the snapshot's delivery; live delivery covers the rest —
+        together a gap-free view of the directory's history.
+        """
         for info in msg.data["groups"]:
             if info.group_id not in self.registry:
                 self.registry.announce(info)
                 self._last_primary[info.group_id] = info.primary(
                     self.live_hosts or info.placement)
             if info.factory_name and self.host.name in info.placement:
-                # Our previous incarnation's, which the ring never saw
-                # leave: this one hosts nothing, so it leaves as well.
+                # A replica of this processor's previous incarnation,
+                # which the ring never saw leave (restarted before it was
+                # excluded): this one hosts nothing, so it leaves the
+                # placement as a departed host would.
                 self.multicast(DomainMessage(
-                    MsgKind.REMOVE_REPLICA, 0, 0, data={
-                        "group_id": info.group_id, "host": self.host.name}))
+                    kind=MsgKind.REMOVE_REPLICA, source_group=0,
+                    target_group=0,
+                    data={"group_id": info.group_id,
+                          "host": self.host.name}))
         self.registry.high_water = max(self.registry.high_water,
                                        msg.data["high_water"])
         self.synced = True
@@ -753,6 +876,9 @@ class ReplicationMechanisms(Process):
         self.logs.pop(group_id, None)
         self._invocations_seen.pop(group_id, None)
         self._joining.pop(group_id, None)
+        # The primary memory and withheld-response tracking are keyed by
+        # group too; without these pops a removed group's entries lived
+        # forever (the rm.last_primary leak this line fixes).
         self._last_primary.pop(group_id, None)
         self._lf_unacked.pop(group_id, None)
 
@@ -770,13 +896,15 @@ class ReplicationMechanisms(Process):
         group_id = msg.data["group_id"]
         new_host = msg.data["host"]
         info_before = self.registry.get(group_id)
-        # A host that left before this was ordered was already pruned.
+        # A host that left before this was ordered was already pruned:
+        # placing a replica there would keep it in the placement forever.
         if info_before is None or new_host not in self.live_hosts:
             return
         if msg.data.get("replace"):
-            # A rolling-upgrade step replaces: the old replica goes first,
-            # in this delivery (no membership change between), and a peer
-            # donates.
+            # A rolling-upgrade step replaces, never adds: the host's old
+            # replica goes first, in this same delivery, so that no
+            # membership change falls between the two halves, and the
+            # donor is one of the others.
             if new_host not in info_before.placement:
                 return
             self._apply_remove_replica(msg)
@@ -792,7 +920,8 @@ class ReplicationMechanisms(Process):
         if new_host == self.host.name and group_id not in self.replicas:
             self._create_local_replica(info, ready=not has_donor,
                                        added_at=msg.timestamp)
-            if not has_donor:  # the first or only replica
+            if not has_donor:
+                # Nothing to transfer (first/only replica): announce ready.
                 self._announce_ready(group_id, info.version)
         if has_donor and donor == self.host.name:
             self._send_state(group_id, new_host, msg.timestamp)
@@ -805,11 +934,12 @@ class ReplicationMechanisms(Process):
             return
         self.stats["state_transfers_sent"] += 1
         transfer = DomainMessage(
-            MsgKind.STATE_TRANSFER, group_id, group_id, data={
-                "group_id": group_id, "recipient": recipient,
-                "state": record.servant.get_state(),
-                "version": record.version, "cut_ts": cut_ts,
-                "dedup": dict(self._invocations_seen.get(group_id, {}))})
+            kind=MsgKind.STATE_TRANSFER, source_group=group_id,
+            target_group=group_id,
+            data={"group_id": group_id, "recipient": recipient,
+                  "state": record.servant.get_state(),
+                  "version": record.version, "cut_ts": cut_ts,
+                  "dedup": dict(self._invocations_seen.get(group_id, {}))})
         self._m_transfer_bytes.observe(transfer.size_hint())
         self.multicast(transfer)
 
@@ -822,9 +952,11 @@ class ReplicationMechanisms(Process):
             joining.pop(host, None)
 
     def _redonate_state(self) -> None:
-        """A joiner whose donor left before its STATE_TRANSFER was
-        sequenced gets the state from the group's primary now (the dedup
-        table the later snapshot carries skips what it already covers)."""
+        """A joiner whose donor left the group (or the ring) before its
+        STATE_TRANSFER was sequenced gets the state from the group's
+        primary now.  A snapshot taken after the cut is safe: the dedup
+        table it carries makes the joiner skip the buffered invocations
+        it already holds."""
         for group_id, joining in list(self._joining.items()):
             info = self.registry.get(group_id)
             placement = info.placement if info is not None else ()
@@ -865,16 +997,23 @@ class ReplicationMechanisms(Process):
                 or record.added_at != msg.data["cut_ts"]):
             return
         self.stats["state_transfers_received"] += 1
-        # record.version stays: during a live upgrade the donor may run
-        # old code, but its state is version-compatible by contract.
         record.servant.set_state(msg.data["state"])
+        # record.version stays at the registry version it was created
+        # with: during a live upgrade the donor may still run old code,
+        # but the transferred *state* is version-compatible by contract.
         self._invocations_seen[group_id] = dict(msg.data["dedup"])
         record.ready = True
         info = self.registry.get(group_id)
         buffered, record.buffered = record.buffered, []
         if info is not None:
-            # The replica holds its state as of the cut, as after a
-            # switch there (the donor's log is not transferred).
+            # The snapshot covers everything ordered before the cut: the
+            # engine adopts it there, as at a switch's cut (a passive one
+            # records it as a checkpoint, so a later promotion replays
+            # only what this replica logs *after* the transfer).  It
+            # supersedes any log a checkpoint opened while the replica
+            # waited; the donor's log is NOT transferred: every entry
+            # predates the cut by construction.
+            self.logs.pop(group_id, None)
             self._engines[info.style].adopt(info, record, msg.data["cut_ts"])
             for queued in buffered:
                 self._process_invocation(queued, record, info)
@@ -882,26 +1021,42 @@ class ReplicationMechanisms(Process):
 
     def _announce_ready(self, group_id: int, version: int) -> None:
         self.multicast(DomainMessage(
-            kind=MsgKind.REPLICA_READY, source_group=group_id,
-            target_group=group_id, data={
-                "group_id": group_id, "host": self.host.name,
-                "version": version}))
+            kind=MsgKind.REPLICA_READY,
+            source_group=group_id,
+            target_group=group_id,
+            data={"group_id": group_id, "host": self.host.name,
+                  "version": version},
+        ))
 
     def _apply_checkpoint(self, msg: DomainMessage) -> None:
         """A passive primary's checkpoint, standalone or riding its
-        reply, for the group's engine where the group is hosted."""
-        record = self.replicas.get(msg.source_group)
-        info = self.registry.get(msg.source_group)
+        reply, for the group's engine where the group is hosted (see
+        ``Passive.apply_checkpoint``; an executing engine ignores one
+        sequenced behind a live switch out of the passive styles)."""
+        group_id = msg.source_group
+        record = self.replicas.get(group_id)
+        info = self.registry.get(group_id)
         if record is not None and info is not None:
             self._engines[info.style].apply_checkpoint(msg, info, record)
 
+    # ==================================================================
+    # Runtime style switching
+    # ==================================================================
+
     def _apply_style_switch(self, msg: DomainMessage) -> None:
-        """Apply a runtime replication-style change at its place in the
-        total order, identical everywhere: operations ordered before it
-        complete under the old engine, later ones run under the new one.
-        A hosted replica is handed over at the cut: the old engine
-        exports its state, the new one adopts it.  Epoch-guarded, so the
-        managers' redundant copies apply exactly once."""
+        """Apply a runtime replication-style change.
+
+        The switch point is the message's position in the total order,
+        so every processor partitions the group's history identically:
+        operations ordered before it complete under the old engine (the
+        closing quorum sweep lowers a dropped voting requirement, so
+        nothing strands), operations after it run entirely under the
+        new one.  A hosted replica is handed over at that cut, whatever
+        the two styles: the old engine exports it as of the cut and the
+        new one adopts it (see ``engines.ExecuteEverywhere.export``).
+        Epoch-guarded via the registry, so the redundant copies emitted
+        by replicated managers apply exactly once.
+        """
         group_id = msg.data["group_id"]
         new_style = ReplicationStyle(msg.data["style"])
         epoch = msg.data["epoch"]
@@ -922,14 +1077,17 @@ class ReplicationMechanisms(Process):
         record = self.replicas.get(group_id)
         replayed = 0
         if record is not None:
-            replayed = self._engines[old_style].export(info, record)
-            self._engines[new_style].adopt(info, record, msg.timestamp)
+            old, new = self._engines[old_style], self._engines[new_style]
+            replayed = old.export(info, record, new)
+            new.adopt(info, record, msg.timestamp)
         fl = self.flight
         if fl.enabled:
             fl.record("flight.style_switch", rm=self.name, group=group_id,
                       old=old_style.value, new=new_style.value, epoch=epoch,
                       replayed=replayed)
-        # A dropped vote frees the majority waits no one will fill.
+        # Voting dropped: in-flight majority expectations can never
+        # fill once only the leader speaks — votes_needed says so from
+        # here on, which is all the sweep needs to know.
         self._response_filter.requorum(self.votes_now)
 
     # ==================================================================
@@ -937,30 +1095,43 @@ class ReplicationMechanisms(Process):
     # ==================================================================
 
     def _on_membership(self, members: Tuple[str, ...], ring_id) -> None:
-        previous, self.live_hosts = self.live_hosts, tuple(members)
+        previous = self.live_hosts
+        self.live_hosts = tuple(members)
         # The cut delivered or dropped everything sequenced on the old
-        # ring: an own copy no longer queued will never retire its entry.
+        # ring: an own copy that left the queue without coming back to
+        # retire its entry never will now.
         self._outbound_copies = {
             key: entry for key, entry in self._outbound_copies.items()
             if entry.queued}
-        # The lowest-named incumbent sends joiners the directory snapshot
-        # and measures recovery: crash to the reformation excluding it.
-        incumbents = [m for m in members if m in previous]
-        if incumbents and incumbents[0] == self.host.name:
+        # Registry synchronization for joiners: the lowest-named incumbent
+        # (present in both the old and new membership) multicasts the
+        # directory snapshot; every incumbent computes the same incumbent.
+        if self.synced and previous:
             newcomers = [m for m in members if m not in previous]
-            if newcomers and self.synced:
+            incumbents = [m for m in members if m in previous]
+            if newcomers and incumbents and incumbents[0] == self.host.name:
                 self._send_registry(newcomers)
-            for name in previous:
-                dead = self.host.network.hosts.get(name)
-                if (name not in members and dead is not None
-                        and not dead.alive and dead.last_crash_at is not None):
-                    self._m_recovery_duration.observe(
-                        self.scheduler.now - dead.last_crash_at)
+        # Recovery duration: crash to the reformation that excludes the
+        # crashed processor (service is consistent again from here on).
+        # The lowest-named incumbent records, so each departure is
+        # measured exactly once however many processors survive.
+        if previous:
+            departed = [m for m in previous if m not in members]
+            incumbents = [m for m in members if m in previous]
+            if departed and incumbents and incumbents[0] == self.host.name:
+                hosts = self.host.network.hosts
+                for name in departed:
+                    dead = hosts.get(name)
+                    if (dead is not None and not dead.alive
+                            and dead.last_crash_at is not None):
+                        self._m_recovery_duration.observe(
+                            self.scheduler.now - dead.last_crash_at)
         self.registry.prune_dead_hosts(members)
         self._check_primary_changes()
         self._redonate_state()
-        # Re-decide every wait, alike everywhere: fail those whose group
-        # lost every replica, resume those a lowered quorum satisfies.
+        # Re-decide every wait (every processor settles the same waits
+        # at this point): fail those whose responder group lost every
+        # replica, resume those a lowered quorum already satisfies.
         self._response_filter.requorum(self.votes_now)
         for fn in list(self._membership_listeners):
             fn(self.live_hosts)
@@ -971,11 +1142,13 @@ class ReplicationMechanisms(Process):
             new_primary = info.primary(self.live_hosts)
             old_primary = self._last_primary.get(info.group_id)
             self._last_primary[info.group_id] = new_primary
-            record = self.replicas.get(info.group_id)
             if (new_primary == self.host.name
                     and old_primary != self.host.name
-                    and record is not None):
-                self._engines[info.style].promote(info, record)
+                    and info.group_id in self.replicas):
+                # A passive engine restores and replays, the semi-active
+                # one re-transmits; executing everywhere needs nothing.
+                self._engines[info.style].promote(
+                    info, self.replicas[info.group_id])
 
 
 def _call_factory(factory: Callable[..., Servant],
@@ -985,10 +1158,12 @@ def _call_factory(factory: Callable[..., Servant],
     access to the local registry; plain application factories do not)."""
     import inspect
     try:
+        params = inspect.signature(factory).parameters.values()
         takes_rm = any(
-            p.default is p.empty
-            and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-            for p in inspect.signature(factory).parameters.values())
+            p.default is inspect.Parameter.empty
+            and p.kind in (inspect.Parameter.POSITIONAL_ONLY,
+                           inspect.Parameter.POSITIONAL_OR_KEYWORD)
+            for p in params)
     except (TypeError, ValueError):
         takes_rm = False
     return factory(rm) if takes_rm else factory()

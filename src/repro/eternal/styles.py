@@ -42,22 +42,33 @@ LEADER_FOLLOWER
 Each family is one engine in :mod:`.engines`, chosen by the table
 :data:`~repro.eternal.engines.ENGINES`:
 
-* execute-everywhere — STATELESS, ACTIVE (``ExecuteEverywhere``) and
-  ACTIVE_WITH_VOTING (``Voting``);
-* passive — COLD_PASSIVE (``Passive``) and WARM_PASSIVE
-  (``WarmPassive``);
+* execute-everywhere — STATELESS, ACTIVE and ACTIVE_WITH_VOTING
+  (``ExecuteEverywhere``);
+* passive — COLD_PASSIVE and WARM_PASSIVE (``Passive``);
 * semi-active — LEADER_FOLLOWER (``SemiActive``).
 
 The Replication Mechanisms branch on no style: they ask the group's
-engine.  Each member still carries its row of the matrix below as plain
-attributes, describing the style: ``executes_everywhere``,
-``responds_from_all``, ``is_semi_active``, ``is_passive``,
-``needs_voting``, ``has_state`` (the Replication Manager switches only
-between stateful styles), ``any_copy_suffices`` (a replica may withdraw
-its still-queued copy once a sibling's is delivered) and
-``loads_backups`` (backups load each checkpoint into their servants;
-the primary checkpoints after every operation,
-``GroupInfo.checkpoint_every``).
+engine, which reads what varies within its family from its style's row
+(``needs_voting``, ``any_copy_suffices``, ``loads_backups``).  The full
+matrix is :class:`ReplicationStyle`'s member table; each member carries
+its row as plain attributes:
+
+* ``executes_everywhere`` — every live replica runs the servant for
+  every delivered invocation.
+* ``responds_from_all`` — every executing replica multicasts its
+  response; the receiver deduplicates (and, for voting, counts).
+* ``is_semi_active`` — executes everywhere but only the leader speaks;
+  followers withhold responses and check the leader's nested calls.
+* ``is_passive`` — only the primary executes; backups log.
+* ``any_copy_suffices`` — every replica queues the same RESPONSE or
+  nested INVOCATION and the receiver wants just one of them, so a
+  replica that sees a sibling's copy delivered in total order while its
+  own is still in the Totem send queue withdraws it (sender-side
+  duplicate suppression).  Voting needs every copy; the passive and
+  semi-active styles only ever queue one.
+* ``loads_backups`` — a passive backup installs each checkpoint into
+  its servant, not only into its log; the primary checkpoints after
+  every operation (``GroupInfo.checkpoint_every``).
 """
 
 from __future__ import annotations
@@ -66,8 +77,10 @@ import enum
 
 
 class ReplicationStyle(enum.Enum):
-    """A style and its row of the matrix.  Members hash by identity, so
-    the style-keyed tables (``ENGINES``) cost no Python call."""
+    """A style and its row of the matrix.  Members hash by identity and
+    read their predicates as attributes, so the style-keyed tables
+    (``ENGINES``) and the engines' reads of their row cost no Python
+    call."""
 
     #                     value                 executes_ responds_ is_semi_ needs_ has_  loads_
     #                                           everywhere from_all active   voting state backups

@@ -59,8 +59,8 @@ def test_removing_a_dispatch_entry_fires_sm001(mutated):
 
 
 def test_removing_a_style_engine_fires_sm001(mutated):
-    """The style -> engine table is the one place a style picks
-    behaviour; a style left out of it must fail lint."""
+    """The style -> engine table picks each style's engine family; a
+    style left out of it must fail lint."""
     result = mutated(lambda dst: rewrite(
         dst / "repro/eternal/engines.py",
         "    ReplicationStyle.LEADER_FOLLOWER: SemiActive,\n", ""))

@@ -1,6 +1,8 @@
 """Every live style switch hands a group over without losing, doubling
 or diverging an operation: each ordered pair of the five switchable
-styles, with the new primary's host crashed after the switch."""
+styles, with the new primary's host crashed after the switch, and an
+operation suspended on its nested calls across each switch between the
+two passive styles."""
 
 import itertools
 
@@ -62,3 +64,39 @@ def test_backups_finishing_a_call_begun_before_a_switch_owe_no_checkpoint(
     assert grown("eternal.checkpoint.multicasts") == 1
     assert grown("eternal.state.carried") == 1
     assert grown("eternal.state.updates") == 0
+
+
+PASSIVE_PAIRS = [(ReplicationStyle.WARM_PASSIVE, ReplicationStyle.COLD_PASSIVE),
+                 (ReplicationStyle.COLD_PASSIVE, ReplicationStyle.WARM_PASSIVE)]
+
+
+@pytest.mark.parametrize("old,new", PASSIVE_PAIRS,
+                         ids=[f"{a.value}-{b.value}" for a, b in PASSIVE_PAIRS])
+def test_passive_to_passive_switch_keeps_a_suspended_transfer(world, old, new):
+    """A ``transfer`` suspended on its nested calls across a switch
+    between the two passive styles survives the primary's crash: the
+    log, its checkpoint and its suffix carry over the switch, so the new
+    primary's promotion still covers the transfer."""
+    domain = make_domain(world, num_hosts=4)
+    _, _, agent = make_bank(domain, old, min_replicas=2)
+    grown = counters_from_here(world)
+    transfer = agent.invoke("transfer", "alice", "bob", 10)
+    world.run(until=world.now + 0.0015)
+    assert grown("eternal.invocations.executed") == 1   # the primary's
+    domain.switch_style(agent, new)
+    assert world.await_promise(transfer, timeout=5) == 10
+    world.run(until=world.now + 0.2)
+    world.faults.crash_now(
+        agent.info().primary(domain.coordinator_rm().live_hosts))
+    # Past the promotion and its replay: a read ordered while the replayed
+    # transfer still waits on its nested calls would overtake it.
+    world.run(until=world.now + 1.0)
+    assert world.await_promise(agent.invoke("transfers_done"),
+                               timeout=600) == 1
+    world.run(until=world.now + 0.5)
+    done = replica_counts(domain, agent, "completed")
+    if new is ReplicationStyle.COLD_PASSIVE:
+        primary = agent.info().primary(domain.coordinator_rm().live_hosts)
+        done = {primary: done[primary]}
+    assert set(done.values()) == {1}, done
+    world.audit(strict=True)
