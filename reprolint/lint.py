@@ -49,6 +49,11 @@ SIM_ONLY_PREFIXES: Tuple[str, ...] = (
     "repro.sim", "repro.totem", "repro.core", "repro.eternal",
 )
 
+#: Protocol packages: they learn of a crash or a recovery only from a
+#: membership change delivered in the total order, never from the
+#: simulator's own record of it.
+MEMBERSHIP_ONLY_PREFIXES: Tuple[str, ...] = ("repro.core", "repro.eternal")
+
 #: Modules whose classes own audit-registered stateful collections.
 AUDIT_MODULES: Tuple[str, ...] = (
     "repro.core.gateway", "repro.core.duplicates",
@@ -148,6 +153,7 @@ class LintConfig:
 
     deterministic_prefixes: Tuple[str, ...] = DETERMINISTIC_PREFIXES
     sim_only_prefixes: Tuple[str, ...] = SIM_ONLY_PREFIXES
+    membership_only_prefixes: Tuple[str, ...] = MEMBERSHIP_ONLY_PREFIXES
     audit_modules: Tuple[str, ...] = AUDIT_MODULES
     #: Modules holding GIOP wire codecs: top-level ``encode_X``/
     #: ``decode_X`` functions here must pair up (FLOW003), and the

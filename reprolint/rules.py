@@ -404,6 +404,43 @@ class SimDisciplineRule(LintRule):
 
 
 # ----------------------------------------------------------------------
+# SIM002 — the simulator's crash record used as a failure detector
+# ----------------------------------------------------------------------
+
+_CRASH_HOOKS = frozenset({"on_crash", "on_host_crash", "on_host_recovery"})
+
+
+class CrashHookRule(LintRule):
+    """SIM002: a protocol package subscribing to the simulator's record
+    of a crash or a recovery.
+
+    No processor sees another one crash: it learns of a failure from a
+    membership change delivered in the total order, and every recovery
+    duty of the gateway and the Eternal layer runs there.  A hook on
+    ``Host.on_crash`` or ``Network.on_host_crash`` / ``on_host_recovery``
+    acts on knowledge the protocol cannot have.  Tests, fault injection
+    and tools may use them.
+    """
+
+    code = "SIM002"
+    name = "crash-hook"
+    description = ("simulator crash/recovery hook in a protocol package")
+
+    def check(self, ctx: LintContext) -> Iterator[Violation]:
+        if not ctx.module_in(ctx.config.membership_only_prefixes):
+            return
+        for node in ast.walk(ctx.tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _CRASH_HOOKS):
+                yield ctx.violation(
+                    self.code,
+                    f"calls `{node.func.attr}`: a protocol package learns "
+                    "of a crash or recovery from a membership change, "
+                    "not from the simulator", node)
+
+
+# ----------------------------------------------------------------------
 # OBS001 — uncatalogued metric / span names
 # ----------------------------------------------------------------------
 

@@ -79,9 +79,8 @@ REPLY_MEMORY = 10_000
 # made.
 RETENTION_TTL = 30.0
 # Gateway.drain: wait for requests still on the wire (> a client round
-# trip), then poll for the last in-flight one to resolve.
+# trip), then for the last in-flight one to resolve.
 DRAIN_GRACE = 0.25
-DRAIN_POLL = 0.01
 
 # ``Gateway.stats`` key -> the world counter summing it over gateways
 # (None: per gateway only).  Responses partition: received ==
@@ -169,6 +168,8 @@ class Gateway(Process):
         self._span_collector = host.network.spans
 
         self._listener = None
+        # Gateway.drain's promise, once its grace has passed.
+        self._drain: Optional[Promise] = None
         # Per-server-group client-id counters (section 3.2); the counter
         # space is partitioned per gateway so concurrent gateways never
         # accidentally alias (a crash/restart still reuses ids, which is
@@ -329,18 +330,25 @@ class Gateway(Process):
             self._listener.close()
             self._listener = None
 
-        def check_drained() -> None:
-            if not self.alive:
-                promise.resolve(None)
-                return
-            if not self._admission_queue and not self._filter.waiters():
-                self.stop()
-                promise.resolve(None)
-            else:
-                self.after(DRAIN_POLL, check_drained)
+        def grace_over() -> None:
+            self._drain = promise
+            self._end_drain()
 
-        self.after(DRAIN_GRACE, check_drained)
+        self.after(DRAIN_GRACE, grace_over)
         return promise
+
+    def _end_drain(self) -> None:
+        """Stop a draining gateway once nothing waits or queues here.
+        Checked after the grace and at each admission release
+        (:meth:`_release_admission`, the one place a waiter or a queued
+        request leaves), from an event of its own at the same instant:
+        a quorum sweep settles several waiters in one event, and the
+        last of them must still reach its client."""
+        if (self._drain is not None and not self._admission_queue
+                and not self._filter.waiters()):
+            promise, self._drain = self._drain, None
+            self.stop()
+            promise.resolve(None)
 
     # ==================================================================
     # TCP side (outside the domain)
@@ -638,6 +646,8 @@ class Gateway(Process):
         relies on.  Queued entries whose client connection has since
         closed are dropped — their reply could never be written.
         """
+        if self._drain is not None:
+            self.soon(self._end_drain)
         if not record.admitted:
             return
         record.admitted = False

@@ -98,15 +98,16 @@ class FaultToleranceDomain:
         self.members: Dict[str, TotemMember] = {}
         self.rms: Dict[str, ReplicationMechanisms] = {}
         self.egresses: Dict[str, DomainEgress] = {}
-        self.resource_managers: Dict[str, ResourceManager] = {}
         self.fault_detectors: Dict[str, FaultDetector] = {}
         self.gateways: List[Any] = []          # repro.core.gateway.Gateway
         self.replica_host_names: List[str] = []
         self.interceptor = EternalInterceptor(self)
         self.evolution = EvolutionManager(self)
         self._invoke_seq = itertools.count(1)
-        # Unanswered driver calls: seq -> (issuing processor, reissue).
-        self._calls: Dict[int, Tuple[str, Callable[[], None]]] = {}
+        # Unanswered driver calls: seq -> (issuing RM, or None while the
+        # group has no ready replica; issue again).
+        self._calls: Dict[int, Tuple[Optional[ReplicationMechanisms],
+                                     Callable[[], None]]] = {}
         world.audit_scope.register("domain.calls", lambda: len(self._calls),
                                    owner=f"domain/{name}")
         self._handles: Dict[int, GroupHandle] = {}
@@ -132,7 +133,6 @@ class FaultToleranceDomain:
     def _add_processor(self, host_name: str, replica_host: bool) -> Host:
         host = self.world.add_host(host_name, site=self.site)
         self.hosts.append(host)
-        host.on_crash(self._reissue_calls)
         if replica_host:
             # The live list object is shared so later-added replica hosts
             # become replacement candidates everywhere.
@@ -145,8 +145,8 @@ class FaultToleranceDomain:
     def _start_software(self, host: Host,
                         synced: bool) -> ReplicationMechanisms:
         """Start one processor's Eternal stack: its Totem member,
-        Replication Mechanisms, egress and Evolution Manager hook, and on
-        a replica host its Resource Manager and FaultDetector."""
+        Replication Mechanisms, egress and the domain's recovery hooks,
+        and on a replica host its Resource Manager and FaultDetector."""
         name = host.name
         member = TotemMember(host, name, self.transport,
                              config=self.totem_config)
@@ -154,12 +154,12 @@ class FaultToleranceDomain:
             host, member, self.name, self.interfaces, self.factories,
             synced=synced)
         self.egresses[name] = DomainEgress(rm, self.world)
-        self.evolution.attach(rm)
+        rm.on_membership_change(lambda live, rm=rm: self._on_membership(rm))
+        rm.on_directory_change(self._on_directory_change)
         self.members[name] = member
         self.rms[name] = rm
         if name in self.replica_host_names:
-            self.resource_managers[name] = ResourceManager(
-                rm, self.replica_host_names)
+            ResourceManager(rm, self.replica_host_names)  # held by rm's hooks
             self.fault_detectors[name] = FaultDetector(rm)
         member.start()
         return rm
@@ -346,15 +346,22 @@ class FaultToleranceDomain:
     def invoke(self, group: Union[GroupHandle, str, int], operation: str,
                args: Sequence[Any], settle_timeout: float = 10.0) -> Promise:
         """Invoke a replicated group from the domain driver: issued from
-        the coordinator once a replica is ready, and issued again from
-        the next live processor under the same ``(driver uid, request
-        seq)`` key if the issuing one dies before the reply.  Replicas
-        deduplicate by that key, so the call executes once."""
+        the coordinator once a replica is ready (tried again at each
+        directory change, for ``settle_timeout`` at most), and issued
+        again from the coordinator under the same ``(driver uid,
+        request seq)`` key if the issuing processor leaves before the
+        reply.  Replicas deduplicate by that key, so the call executes
+        once."""
         handle = self.resolve(group)
         promise = Promise()
         seq = next(self._invoke_seq)
         promise.on_done(lambda _: self._calls.pop(seq, None))
-        deadline = self.world.scheduler.now + settle_timeout
+        deadline = None                 # the readiness wait's one timer
+
+        def expire() -> None:
+            if not promise.done and self._calls[seq][0] is None:
+                promise.reject(TransientError(
+                    f"group {handle.name} never became ready"))
 
         def settle(inner: Promise) -> None:
             # Only one settles: a dead issuer's promise never does.
@@ -364,6 +371,7 @@ class FaultToleranceDomain:
                 promise.resolve(inner.value)
 
         def try_issue() -> None:
+            nonlocal deadline
             if promise.done:
                 return
             try:
@@ -372,13 +380,12 @@ class FaultToleranceDomain:
                 promise.reject(exc)
                 return
             if not handle.ready_hosts():
-                if self.world.scheduler.now >= deadline:
-                    promise.reject(TransientError(
-                        f"group {handle.name} never became ready"))
-                else:
-                    self.world.scheduler.call_after(0.002, try_issue)
+                self._calls[seq] = (None, try_issue)
+                if deadline is None:
+                    deadline = self.world.scheduler.call_after(
+                        settle_timeout, expire)
                 return
-            self._calls[seq] = (rm.host.name, try_issue)
+            self._calls[seq] = (rm, try_issue)
             rm.external_invoke(
                 handle.group_id, operation, list(args),
                 client_uid=f"driver/{self.name}", request_seq=seq
@@ -387,10 +394,36 @@ class FaultToleranceDomain:
         try_issue()
         return promise
 
-    def _reissue_calls(self, host: Host) -> None:
-        """Reissue the calls ``host`` issued: their replies went there."""
+    def _on_membership(self, rm: ReplicationMechanisms) -> None:
+        """At the coordinator's membership change, what a departed
+        processor issued is issued again from the coordinator: driver
+        calls here, rolling-upgrade steps in the Evolution Manager."""
+        try:
+            if rm is not self.coordinator_rm():
+                return
+        except ConfigurationError:
+            return
         for issuer, issue in list(self._calls.values()):
-            if issuer == host.name:
+            if issuer is not None and self.departed(issuer, rm):
+                issue()
+        self.evolution.on_membership(rm)
+
+    def departed(self, issuer: ReplicationMechanisms,
+                 rm: ReplicationMechanisms) -> bool:
+        """Has ``issuer``'s processor left ``rm``'s membership, or come
+        back as a new incarnation (restarted before the ring excluded
+        it), so that what it had queued or awaited is lost?"""
+        name = issuer.host.name
+        return name not in rm.live_hosts or self.rms.get(name) is not issuer
+
+    def _on_directory_change(self, msg: DomainMessage) -> None:
+        """A directory change may end a rolling-upgrade step, or give a
+        waiting call's group its first ready replica."""
+        if msg.kind is MsgKind.REPLICA_READY:
+            self.evolution.on_ready(msg.data["group_id"], msg.data["host"],
+                                    msg.data["version"])
+        for issuer, issue in list(self._calls.values()):
+            if issuer is None:
                 issue()
 
     # ==================================================================

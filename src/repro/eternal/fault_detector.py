@@ -15,7 +15,9 @@ restores the replication degree elsewhere — with state transferred from
 a healthy replica, not the faulty one.
 
 Servants without a ``health_check`` method are not monitored (crash
-faults still covered by membership).
+faults still covered by membership): the probe is armed only while a
+local replica has one, and re-armed when a delivery changes the
+directory (a replica made or replaced here).
 """
 
 from __future__ import annotations
@@ -34,31 +36,34 @@ _STATS = {
     "faults_detected": "fault.detector.faults",
 }
 
+# Seconds between two probes of the local replicas.
+PROBE_INTERVAL = 0.5
+
 
 class FaultDetector:
     """Per-processor health monitor over the local replicas."""
 
-    def __init__(self, rm: "ReplicationMechanisms",
-                 interval: float = 0.5) -> None:
+    def __init__(self, rm: "ReplicationMechanisms") -> None:
         self.rm = rm
-        self.interval = interval
         self.stats = dict.fromkeys(_STATS, 0)
         rm.metrics.register_stats(self.stats, _STATS)
         # group id -> id() of the servant we reported faulty: a freshly
         # created replacement replica (new servant object) re-arms
         # monitoring for the group.
         self._reported: dict = {}
-        self._schedule()
+        self._probe = None
+        rm.on_directory_change(lambda msg: self._arm())
 
-    def _schedule(self) -> None:
-        if self.rm.alive:
-            self.rm.after(self.interval, self._tick)
+    def _arm(self) -> None:
+        """Probe in one interval, unless a probe is due already or no
+        local replica has a health check."""
+        if self._probe is not None and self._probe.active:
+            return
+        if any(hasattr(record.servant, "health_check")
+               for record in self.rm.replicas.values()):
+            self._probe = self.rm.after(PROBE_INTERVAL, self._tick)
 
     def _tick(self) -> None:
-        self._probe_all()
-        self._schedule()
-
-    def _probe_all(self) -> None:
         for group_id, record in list(self.rm.replicas.items()):
             if not record.ready:
                 continue
@@ -75,6 +80,7 @@ class FaultDetector:
                 healthy = False
             if healthy is False:
                 self._report_fault(group_id, record.servant)
+        self._arm()
 
     def _report_fault(self, group_id: int, servant) -> None:
         if group_id in self._reported:

@@ -3,10 +3,15 @@
 FT-CORBA pairs its FaultDetectors with a Fault Notifier that fans fault
 reports out to interested consumers (the Replication Manager being the
 primary one).  This reproduction's equivalent collects every fault-
-relevant event in one place — processor crashes and recoveries, ring
-membership changes, replica removals (both crash-pruned and health-
-detected), groups dropping below their minimum — as typed records that
+relevant event in one place — ring membership changes (who left, who
+joined), replica removals (both crash-pruned and health-detected),
+groups dropping below their minimum and back — as typed records that
 operational tooling and tests can subscribe to or query.
+
+It reports what the ring reports: a processor crash is news only once
+a membership change excludes it, and the group checks run at the two
+points where a processor's view can change — a membership install and
+a delivery that changes the directory.
 
 The notifier is an *observer*: it never changes system behaviour, so it
 can be attached to any domain without perturbing the experiments.
@@ -25,8 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class FaultKind(enum.Enum):
-    HOST_CRASHED = "host_crashed"
-    HOST_RECOVERED = "host_recovered"
     MEMBERSHIP_CHANGED = "membership_changed"
     REPLICA_REMOVED = "replica_removed"
     GROUP_DEGRADED = "group_degraded"        # below its minimum replicas
@@ -37,7 +40,7 @@ class FaultKind(enum.Enum):
 class FaultReport:
     time: float
     kind: FaultKind
-    subject: str                              # host or group name
+    subject: str                              # domain or group name
     detail: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -50,34 +53,17 @@ class FaultNotifier:
         self._consumers: List[Callable[[FaultReport], None]] = []
         self._degraded: set = set()
         self._placements: Dict[int, set] = {}
-        self._last_members: Tuple[str, ...] = ()
-        network = domain.world.network
-        network.on_host_crash(self._on_host_crash)
-        network.on_host_recovery(self._on_host_recovery)
-        # Observe membership through whichever RM survives; seed the
-        # baseline from the current view so the first change after
-        # attachment reports a correct joined/left diff.
+        # Observe through whichever RM survives; seed the baseline from
+        # the current view so the first change after attachment reports
+        # a correct joined/left diff.
         for rm in domain.rms.values():
             rm.on_membership_change(self._on_membership)
+            rm.on_directory_change(lambda msg: self._check_group_health())
         try:
             self._last_members = tuple(sorted(
                 domain.coordinator_rm().live_hosts))
         except ConfigurationError:      # no live host yet
             self._last_members = ()
-        # Slow poll: catches replica removals that do not change the
-        # ring membership (e.g. a fault detector evicting a sick
-        # replica on a live processor).
-        self._poll_interval = 0.25
-        self._schedule_poll()
-
-    def _schedule_poll(self) -> None:
-        if any(host.alive for host in self.domain.hosts):
-            self.domain.world.scheduler.call_after(self._poll_interval,
-                                                   self._poll)
-
-    def _poll(self) -> None:
-        self._check_group_health()
-        self._schedule_poll()
 
     # ------------------------------------------------------------------
     # Subscription and queries
@@ -103,27 +89,14 @@ class FaultNotifier:
         for consumer in list(self._consumers):
             consumer(report)
 
-    def _domain_host_names(self) -> set:
-        return {host.name for host in self.domain.hosts}
-
-    def _on_host_crash(self, host) -> None:
-        if host.name in self._domain_host_names():
-            self._emit(FaultKind.HOST_CRASHED, host.name)
-
-    def _on_host_recovery(self, host) -> None:
-        if host.name in self._domain_host_names():
-            self._emit(FaultKind.HOST_RECOVERED, host.name)
-
     def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
         members = tuple(sorted(live_hosts))
-        if members == self._last_members:
-            self._check_group_health()
-            return
-        previous, self._last_members = self._last_members, members
-        joined = sorted(set(members) - set(previous))
-        left = sorted(set(previous) - set(members))
-        self._emit(FaultKind.MEMBERSHIP_CHANGED, self.domain.name,
-                   members=list(members), joined=joined, left=left)
+        if members != self._last_members:
+            previous, self._last_members = self._last_members, members
+            self._emit(FaultKind.MEMBERSHIP_CHANGED, self.domain.name,
+                       members=list(members),
+                       joined=sorted(set(members) - set(previous)),
+                       left=sorted(set(previous) - set(members)))
         self._check_group_health()
 
     def _check_group_health(self) -> None:

@@ -12,10 +12,10 @@ is the one management path: the domain driver's ``create_group`` and
 
 *Resource Manager* — "monitors the system resources, and maintains the
 initial and minimum number of replicas."  Implemented as a per-host
-infrastructure component: after every membership change (and on a slow
-periodic tick) each host deterministically computes the same
-replacement placements from the shared registry and multicasts
-idempotent ADD_REPLICA messages.
+infrastructure component: after every membership change and every
+delivery that changes the directory, each host deterministically
+computes the same replacement placements from the shared registry and
+multicasts idempotent ADD_REPLICA messages.
 
 *Evolution Manager* — "exploits object replication to support upgrades
 to the CORBA application objects."  Implemented as a rolling-upgrade
@@ -214,53 +214,47 @@ class ResourceManager:
     """Per-host replica-count maintenance (idempotent, leaderless)."""
 
     def __init__(self, rm: "ReplicationMechanisms",
-                 replica_hosts: Sequence[str],
-                 check_interval: float = 0.5) -> None:
+                 replica_hosts: Sequence[str]) -> None:
         self.rm = rm
         self.replica_hosts = replica_hosts
-        self.check_interval = check_interval
-        self.stats = {"replacements_requested": 0}
-        rm.on_membership_change(self._on_membership)
-        self._schedule_tick()
+        # (group id, host) of the ADD_REPLICAs asked here and not yet
+        # delivered, counted as placed: a re-check in between would
+        # otherwise ask again, for another host once loads moved.
+        self._asked: Dict[Tuple[int, str], None] = {}
+        rm.on_membership_change(lambda live: self._maintain())
+        rm.on_directory_change(self._on_directory_change)
 
-    def _schedule_tick(self) -> None:
-        if self.rm.alive:
-            self.rm.after(self.check_interval, self._tick)
-
-    def _tick(self) -> None:
-        self._maintain()
-        self._schedule_tick()
-
-    def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
+    def _on_directory_change(self, msg: DomainMessage) -> None:
+        if msg.kind is MsgKind.ADD_REPLICA:
+            self._asked.pop((msg.data["group_id"], msg.data["host"]), None)
         self._maintain()
 
     def _maintain(self) -> None:
         """Request replacements for groups below their minimum.
 
-        Every host computes the same candidate from the same registry
-        and membership, so the redundant ADD_REPLICA multicasts are
-        identical and idempotent at every receiver.
+        Every host computes the same candidate from the same registry,
+        membership and asked-for replicas, so the redundant ADD_REPLICA
+        multicasts are identical and idempotent at every receiver.
         """
         live = set(self.rm.live_hosts)
         for info in self.rm.registry.all_groups():
             if info.factory_name == "":
                 continue  # infrastructure pseudo-groups (gateways)
-            alive = [h for h in info.placement if h in live]
-            want = max(info.min_replicas, 0)
-            if len(alive) >= want:
+            placed = [h for h in info.placement if h in live] + [
+                h for g, h in self._asked if g == info.group_id and h in live]
+            needed = max(info.min_replicas, 0) - len(placed)
+            if needed <= 0:
                 continue
-            candidates = self._candidates(info, live)
-            needed = want - len(alive)
-            for host in candidates[:needed]:
-                self.stats["replacements_requested"] += 1
+            for host in self._candidates(placed, live)[:needed]:
+                self._asked[(info.group_id, host)] = None
                 self.rm.multicast(DomainMessage(
                     kind=MsgKind.ADD_REPLICA, source_group=0, target_group=0,
                     data={"group_id": info.group_id, "host": host}))
 
-    def _candidates(self, info: GroupInfo, live: set) -> List[str]:
+    def _candidates(self, placed: List[str], live: set) -> List[str]:
         load: Dict[str, int] = {}
         for host in self.replica_hosts:
-            if host in live and host not in info.placement:
+            if host in live and host not in placed:
                 load[host] = 0
         for other in self.rm.registry.all_groups():
             for host in other.placement:
@@ -274,13 +268,14 @@ class EvolutionManager:
 
     Each step — one ADD_REPLICA that replaces one host's replica, its
     removal and re-creation applied in one delivery — is multicast from
-    whichever processor is coordinator then, and every
-    processor reports readiness here (:meth:`attach`, at wiring time).
-    Who is live is the coordinator's view: at each of its membership
-    changes a host being replaced that left is skipped, and a step still
-    in a departed issuer's send queue is issued again.  A joiner whose
-    donor died gets its state from the group's next primary, as any
-    joiner does.
+    whichever processor is coordinator then, and every processor's
+    REPLICA_READY deliveries reach :meth:`on_ready` (the domain wires
+    both hooks).  Who is live is the coordinator's view: at each of its
+    membership changes (:meth:`on_membership`) a host being replaced
+    that left is skipped, and a step still in a departed issuer's send
+    queue is issued again, the rule the domain's driver calls follow.
+    A joiner whose donor died gets its state from the group's next
+    primary, as any joiner does.
     """
 
     def __init__(self, domain: "FaultToleranceDomain") -> None:
@@ -290,10 +285,6 @@ class EvolutionManager:
         domain.world.audit_scope.register(
             "evolution.rolls", lambda: len(self._rolls),
             owner=f"domain/{domain.name}")
-
-    def attach(self, rm: "ReplicationMechanisms") -> None:
-        rm.on_replica_ready(self._on_ready)
-        rm.on_membership_change(lambda live, rm=rm: self._on_membership(rm))
 
     def upgrade_group(self, group_name: str,
                       new_factory_name: str) -> Promise:
@@ -326,23 +317,19 @@ class EvolutionManager:
                            [group_name, new_factory_name]).on_done(start)
         return promise
 
-    def _on_ready(self, group_id: int, host: str, version: int) -> None:
+    def on_ready(self, group_id: int, host: str, version: int) -> None:
         for roll in list(self._rolls.values()):
             if (roll.group_id == group_id and host == roll.current
                     and version >= roll.version):
                 self._advance(roll)
 
-    def _on_membership(self, rm: "ReplicationMechanisms") -> None:
-        try:
-            if rm is not self.domain.coordinator_rm():
-                return
-        except ConfigurationError:
-            return
+    def on_membership(self, rm: "ReplicationMechanisms") -> None:
+        """The coordinator ``rm`` installed a membership."""
         for roll in list(self._rolls.values()):
             if roll.current and roll.current not in rm.live_hosts:
                 self._advance(roll)
-            elif (roll.issuer not in rm.live_hosts and roll.add is not None
-                  and roll.add.queued):
+            elif (roll.add is not None and roll.add.queued
+                  and self.domain.departed(roll.issuer, rm)):
                 self._issue(roll)
 
     def _advance(self, roll: "_Roll") -> None:
@@ -359,9 +346,8 @@ class EvolutionManager:
         self._issue(roll)
 
     def _issue(self, roll: "_Roll") -> None:
-        rm = self.domain.coordinator_rm()
-        roll.issuer = rm.host.name
-        roll.add = rm.multicast(DomainMessage(
+        roll.issuer = self.domain.coordinator_rm()
+        roll.add = roll.issuer.multicast(DomainMessage(
             kind=MsgKind.ADD_REPLICA, source_group=0, target_group=0,
             data={"group_id": roll.group_id, "host": roll.current,
                   "replace": True}))
@@ -386,5 +372,5 @@ class _Roll:
     version: int = 0
     remaining: List[str] = field(default_factory=list)
     current: str = ""
-    issuer: str = ""
+    issuer: Optional["ReplicationMechanisms"] = None
     add: Optional[Queued] = None

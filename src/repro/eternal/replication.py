@@ -71,6 +71,12 @@ from .styles import ReplicationStyle
 # the simulation honest about memory without that machinery.)
 DEDUP_TABLE_LIMIT = 100_000
 
+# Deliveries that change the directory: each is announced to the
+# ``on_directory_change`` listeners once applied.
+DIRECTORY_KINDS = frozenset((
+    MsgKind.GROUP_ANNOUNCE, MsgKind.GROUP_REMOVE, MsgKind.ADD_REPLICA,
+    MsgKind.REMOVE_REPLICA, MsgKind.REPLICA_READY))
+
 # ``ReplicationMechanisms.stats`` key -> the world counter summing it
 # over processors (None: per processor only).
 _STATS = {
@@ -169,8 +175,11 @@ class ReplicationMechanisms(Process):
 
         # Registry synchronization: processors that join a running domain
         # (new gateways, recovered hosts) buffer deliveries until an
-        # incumbent sends them the directory snapshot.
+        # incumbent sends them the directory snapshot.  One request is
+        # asked at start; another only at a membership change after the
+        # last one was delivered unanswered.
         self.synced = synced
+        self._sync_requested = not synced
         self._presync_buffer: List[DomainMessage] = []
 
         # Duplicate invocation detection: group -> dedup key -> record.
@@ -202,7 +211,7 @@ class ReplicationMechanisms(Process):
         # reprolint: disable=AUD001 -- listener list, fixed at wiring time
         self._membership_listeners: List[Callable[[Tuple[str, ...]], None]] = []
         # reprolint: disable=AUD001 -- listener list, fixed at wiring time
-        self._replica_ready_listeners: List[Callable[[int, str, int], None]] = []
+        self._directory_listeners: List[Callable[[DomainMessage], None]] = []
 
         # One engine per style (built from the ENGINES table), asked
         # whatever the group's style decides.
@@ -245,14 +254,12 @@ class ReplicationMechanisms(Process):
             self.soon(self._request_sync)
 
     def _request_sync(self) -> None:
-        """Ask incumbents for the directory snapshot; retry until synced."""
-        if self.synced or not self.alive:
-            return
+        """Ask incumbents for the directory snapshot."""
+        self._sync_requested = True
         self.multicast(DomainMessage(
             kind=MsgKind.REGISTRY_SYNC_REQUEST, source_group=0, target_group=0,
             data={"requester": self.host.name},
         ))
-        self.after(0.05, self._request_sync)
 
     # ==================================================================
     # Wiring
@@ -269,9 +276,10 @@ class ReplicationMechanisms(Process):
     def on_membership_change(self, fn: Callable[[Tuple[str, ...]], None]) -> None:
         self._membership_listeners.append(fn)
 
-    def on_replica_ready(self, fn: Callable[[int, str, int], None]) -> None:
-        """``fn(group_id, host_name, version)`` on REPLICA_READY delivery."""
-        self._replica_ready_listeners.append(fn)
+    def on_directory_change(self, fn: Callable[[DomainMessage], None]) -> None:
+        """``fn(message)`` once a delivery of one of the
+        :data:`DIRECTORY_KINDS` is applied here."""
+        self._directory_listeners.append(fn)
 
     # ==================================================================
     # Outbound multicast helpers
@@ -349,22 +357,25 @@ class ReplicationMechanisms(Process):
         if not self.synced:
             if payload.kind is MsgKind.REGISTRY_SYNC:
                 self._apply_registry_sync(payload)
-            elif payload.data.get("requester") != self.host.name:
-                # Not our own REGISTRY_SYNC_REQUESTs: replayed after the
-                # sync they would be no-ops (_on_registry_sync_request
-                # skips its own requester), and a retry every 50 ms
-                # would only grow the buffer.
+            elif payload.data.get("requester") == self.host.name:
+                # Our own request, delivered unanswered so far: the next
+                # membership change asks again.  (Replayed after the sync
+                # it would be a no-op: _on_registry_sync_request skips
+                # its own requester.)
+                self._sync_requested = False
+            else:
                 self._presync_buffer.append(payload)
             return
-        # _dispatch, inlined on the per-delivery path.
-        self._kind_dispatch[payload.kind](payload)
-        if self._gateway is not None:
-            self._gateway.observe_delivered(payload)
+        self._dispatch(payload)
 
     def _dispatch(self, payload: DomainMessage) -> None:
-        """Hand a delivered message to its kind's handler (the pre-sync
-        replay's path; :meth:`_on_deliver` inlines it)."""
+        """Hand a delivered message to its kind's handler, then to the
+        directory listeners and the gateway (live, or replayed after
+        the registry sync)."""
         self._kind_dispatch[payload.kind](payload)
+        if payload.kind in DIRECTORY_KINDS:
+            for fn in self._directory_listeners:
+                fn(payload)
         # Gateways observe their own group's forwarded invocations and all
         # gateway-coordination traffic.
         if self._gateway is not None:
@@ -789,8 +800,7 @@ class ReplicationMechanisms(Process):
     # ==================================================================
 
     def _on_replica_ready_delivered(self, msg: DomainMessage) -> None:
-        for fn in list(self._replica_ready_listeners):
-            fn(msg.data["group_id"], msg.data["host"], msg.data["version"])
+        """REPLICA_READY: news for the directory listeners only."""
 
     def _on_gateway_kind(self, msg: DomainMessage) -> None:
         """CLIENT_GONE: owned by the attached gateway, which observes
@@ -1103,6 +1113,8 @@ class ReplicationMechanisms(Process):
         self._outbound_copies = {
             key: entry for key, entry in self._outbound_copies.items()
             if entry.queued}
+        if not self.synced and not self._sync_requested:
+            self._request_sync()
         # Registry synchronization for joiners: the lowest-named incumbent
         # (present in both the old and new membership) multicasts the
         # directory snapshot; every incumbent computes the same incumbent.

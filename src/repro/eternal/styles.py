@@ -48,18 +48,14 @@ Each family is one engine in :mod:`.engines`, chosen by the table
 * semi-active — LEADER_FOLLOWER (``SemiActive``).
 
 The Replication Mechanisms branch on no style: they ask the group's
-engine, which reads what varies within its family from its style's row
-(``needs_voting``, ``any_copy_suffices``, ``loads_backups``).  The full
-matrix is :class:`ReplicationStyle`'s member table; each member carries
-its row as plain attributes:
+engine, which reads what varies within its family from its style's row.
+The rows are :class:`ReplicationStyle`'s member table; each member
+carries its row as plain attributes:
 
-* ``executes_everywhere`` — every live replica runs the servant for
-  every delivered invocation.
-* ``responds_from_all`` — every executing replica multicasts its
-  response; the receiver deduplicates (and, for voting, counts).
-* ``is_semi_active`` — executes everywhere but only the leader speaks;
-  followers withhold responses and check the leader's nested calls.
-* ``is_passive`` — only the primary executes; backups log.
+* ``needs_voting`` — the receiver delivers a response once a majority
+  of the live replicas sent identical ones.
+* ``has_state`` — the servant holds state (a live style switch is
+  defined between stateful styles only).
 * ``any_copy_suffices`` — every replica queues the same RESPONSE or
   nested INVOCATION and the receiver wants just one of them, so a
   replica that sees a sibling's copy delivered in total order while its
@@ -77,40 +73,29 @@ import enum
 
 
 class ReplicationStyle(enum.Enum):
-    """A style and its row of the matrix.  Members hash by identity and
-    read their predicates as attributes, so the style-keyed tables
-    (``ENGINES``) and the engines' reads of their row cost no Python
-    call."""
+    """A style and its row.  Members hash by identity and read their
+    row as attributes, so the style-keyed tables (``ENGINES``) and the
+    engines' reads of their row cost no Python call."""
 
-    #                     value                 executes_ responds_ is_semi_ needs_ has_  loads_
-    #                                           everywhere from_all active   voting state backups
-    STATELESS =          ("stateless",          True,  True,  False, False, False, False)
-    COLD_PASSIVE =       ("cold_passive",       False, False, False, False, True,  False)
-    WARM_PASSIVE =       ("warm_passive",       False, False, False, False, True,  True)
-    ACTIVE =             ("active",             True,  True,  False, False, True,  False)
-    ACTIVE_WITH_VOTING = ("active_with_voting", True,  True,  False, True,  True,  False)
-    LEADER_FOLLOWER =    ("leader_follower",    True,  False, True,  False, True,  False)
+    #                     value                 needs_ has_  loads_  any_copy_
+    #                                           voting state backups suffices
+    STATELESS =          ("stateless",          False, False, False, True)
+    COLD_PASSIVE =       ("cold_passive",       False, True,  False, False)
+    WARM_PASSIVE =       ("warm_passive",       False, True,  True,  False)
+    ACTIVE =             ("active",             False, True,  False, True)
+    ACTIVE_WITH_VOTING = ("active_with_voting", True,  True,  False, False)
+    LEADER_FOLLOWER =    ("leader_follower",    False, True,  False, False)
 
-    executes_everywhere: bool
-    responds_from_all: bool
-    is_semi_active: bool
     needs_voting: bool
     has_state: bool
     loads_backups: bool
-    is_passive: bool
     any_copy_suffices: bool
 
     def __new__(cls, value: str, *row: bool) -> "ReplicationStyle":
         style = object.__new__(cls)
         style._value_ = value
-        (style.executes_everywhere, style.responds_from_all,
-         style.is_semi_active, style.needs_voting, style.has_state,
-         style.loads_backups) = row
-        style.is_passive = not style.executes_everywhere
-        # Every replica sends and the receiver takes the first copy, so
-        # a still-queued copy is redundant once a sibling's is agreed.
-        style.any_copy_suffices = (style.responds_from_all
-                                   and not style.needs_voting)
+        (style.needs_voting, style.has_state, style.loads_backups,
+         style.any_copy_suffices) = row
         return style
 
     __hash__ = object.__hash__

@@ -25,6 +25,7 @@ from repro import (
 )
 from repro.apps import COUNTER_INTERFACE, CounterServant
 from repro.errors import CommFailure, ConfigurationError
+from repro.eternal.engines import ENGINES, Passive
 from repro.iiop import TC_LONG, TC_VOID, encode_cancel_request
 from repro.orb import Interface, Operation, Param
 
@@ -322,7 +323,7 @@ def test_every_call_is_answered_whatever_dies_or_switches_property(steps):
     survivor = next((rm for name, rm in domain.rms.items()
                      if rm.alive and name not in cut_off), None)
     info = survivor and survivor.registry.get(group.group_id)
-    if info is not None and info.style.is_passive:
+    if info is not None and ENGINES[info.style] is Passive:
         # A passive backup holds the last checkpoint, not the last
         # operation: the group's end state is its primary's.
         primary = info.primary(survivor.live_hosts)

@@ -159,6 +159,23 @@ def test_cold_failover_after_out_of_order_completions(world):
                                timeout=600) == 1
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a promoted passive primary does not fence its replay: the replayed "
+    "transfer suspends on its nested calls and a read ordered after the "
+    "crash runs first (ROADMAP 1 (c))"))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_promoted_primary_reads_what_its_predecessor_answered(seed):
+    world = World(seed=seed)
+    domain = make_domain(world, num_hosts=4)
+    _, _, agent = make_bank(domain, ReplicationStyle.COLD_PASSIVE,
+                            min_replicas=2)
+    assert world.await_promise(agent.invoke("transfer", "alice", "bob", 10),
+                               timeout=60) == 10
+    world.faults.crash_now(primary_of(domain, agent))
+    assert world.await_promise(agent.invoke("transfers_done"),
+                               timeout=600) == 1
+
+
 def test_warm_passive_replacement_backup_receives_state(world):
     domain = make_domain(world, num_hosts=4)
     group = make_counter_group(domain, style=ReplicationStyle.WARM_PASSIVE,

@@ -83,6 +83,37 @@ def test_servants_without_health_check_are_not_probed(world):
     assert len(group.info().placement) == 3
 
 
+def test_evicted_replica_is_replaced_at_its_removal(world):
+    """The Resource Manager re-checks the minimum when the eviction's
+    REMOVE_REPLICA is delivered, not at a later tick."""
+    domain = make_domain(world, num_hosts=4)
+    group = domain.create_group("Mon", COUNTER_INTERFACE, MonitoredCounter,
+                                num_replicas=3, min_replicas=3)
+    world.await_promise(group.invoke("increment", 1))
+    victim = group.info().placement[1]
+    domain.rms[victim].replicas[group.group_id].servant.healthy = False
+    world.scheduler.run_until(
+        lambda: victim not in group.info().placement, timeout=5.0)
+    evicted_at = world.now
+    world.scheduler.run_until(
+        lambda: len(group.info().placement) == 3, timeout=5.0)
+    assert world.now - evicted_at < 0.02
+
+
+def test_detector_is_idle_without_health_checks(world):
+    """No local servant has a health check: nothing is probed and no
+    probe is armed; a group whose servants have one arms it."""
+    domain = make_domain(world, num_hosts=3)
+    group = domain.create_group("Plain", COUNTER_INTERFACE, CounterServant)
+    world.await_promise(group.invoke("increment", 1))
+    assert all(d._probe is None for d in domain.fault_detectors.values())
+    domain.create_group("Mon", COUNTER_INTERFACE, MonitoredCounter)
+    world.run(until=world.now + 1.0)
+    assert all(d._probe.active for d in domain.fault_detectors.values())
+    assert all(d.stats["probes"] > 0
+               for d in domain.fault_detectors.values())
+
+
 def test_healthy_replicas_stay_put(world):
     domain = make_domain(world, num_hosts=3)
     group = domain.create_group("Mon", COUNTER_INTERFACE, MonitoredCounter)

@@ -68,3 +68,33 @@ def test_unsynced_joiner_does_not_act_on_invocations(world):
     assert rm.stats["invocations_executed"] == 0
     domain.await_stable()
     assert rm.stats["invocations_executed"] == 0  # still hosts no replicas
+
+
+def test_joiner_asks_again_only_at_a_membership_change(world):
+    """A restarted processor cut off from every incumbent asks for the
+    directory once; its request comes back unanswered, and it asks
+    again at the next membership change, not on a timer."""
+    from repro.eternal import DomainMessage, MsgKind
+    domain = make_domain(world, num_hosts=3)
+    world.faults.crash_now("dom-h2")
+    world.run(until=world.now + 1.0)
+    world.faults.recover_now("dom-h2")
+    world.network.partition({"dom-h2"}, {"dom-h0", "dom-h1"})
+    rm = domain.restart_host("dom-h2")
+    asked = []
+    multicast = rm.totem.multicast
+
+    def spy(payload, size=64):
+        if (isinstance(payload, DomainMessage)
+                and payload.kind is MsgKind.REGISTRY_SYNC_REQUEST):
+            asked.append(world.now)
+        return multicast(payload, size)
+
+    rm.totem.multicast = spy        # before the start-up request leaves
+    world.run(until=world.now + 1.0)
+    assert len(asked) == 1 and not rm.synced
+    world.network.heal_partitions()
+    domain.members["dom-h2"]._enter_gather("test heal")
+    domain.await_stable()
+    assert rm.synced and len(asked) == 2
+    assert not rm._presync_buffer

@@ -139,6 +139,20 @@ def test_routing_a_helper_through_wall_time_fires_det101(mutated):
                for v in result.violations)
 
 
+def test_reissuing_on_a_simulated_crash_fires_sim002(mutated):
+    """Driver calls are reissued at the coordinator's membership change;
+    putting the simulator's crash hook back into the domain must fail
+    lint."""
+    result = mutated(lambda dst: rewrite(
+        dst / "repro/eternal/domain.py",
+        "        self.hosts.append(host)\n",
+        "        self.hosts.append(host)\n"
+        "        host.on_crash(lambda crashed: None)\n"))
+    hits = [v for v in result.violations if v.code == "SIM002"]
+    assert any("on_crash" in v.message and v.path.endswith("domain.py")
+               for v in hits), codes_with_messages(result)
+
+
 def test_unmutated_copy_stays_clean(mutated):
     """Control: the copy/relint harness itself introduces nothing."""
     result = mutated(lambda dst: None)

@@ -36,6 +36,7 @@ def codes(result):
     ("DET003", "det003_bad.py", "det003_good.py"),
     ("DET004", "det004_bad.py", "det004_good.py"),
     ("SIM001", "sim001_bad.py", "sim001_good.py"),
+    ("SIM002", "sim002_bad.py", "sim002_good.py"),
     ("OBS001", "obs001_bad.py", "obs001_good.py"),
     ("AUD001", "aud001_bad.py", "aud001_good.py"),
     ("EXC001", "exc001_bad.py", "exc001_good.py"),
@@ -61,6 +62,8 @@ def test_bad_fixtures_flag_every_offending_construct():
     assert len([v for v in det1.violations if v.code == "DET001"]) >= 3
     sim1 = lint_fixture("sim001_bad.py")
     assert len([v for v in sim1.violations if v.code == "SIM001"]) >= 3
+    sim2 = lint_fixture("sim002_bad.py")
+    assert len([v for v in sim2.violations if v.code == "SIM002"]) == 3
     obs1 = lint_fixture("obs001_bad.py")
     flagged = {v.message for v in obs1.violations if v.code == "OBS001"}
     assert any("definitely.not.in.catalogue" in m for m in flagged)

@@ -14,6 +14,8 @@ import pytest
 
 from repro import ReplicationStyle, World
 from repro.errors import CorbaSystemException, InvocationFailure
+from repro.eternal.engines import (
+    ENGINES, ExecuteEverywhere, Passive, SemiActive)
 from repro.eternal.messages import MsgKind
 
 from tests.helpers import (
@@ -33,32 +35,22 @@ from tests.helpers import (
 # ======================================================================
 
 def test_style_property_matrix():
-    """Each engine decision has its own named property; the old
-    ``is_active`` conflation (executes-everywhere vs responds-from-all)
-    is gone."""
+    """Each style's engine family and the facts the code reads from its
+    row; the old ``is_active`` conflation is gone."""
     S = ReplicationStyle
     matrix = {
-        # style:            (executes_everywhere, responds_from_all,
-        #                    is_semi_active, is_passive, needs_voting,
-        #                    has_state, any_copy_suffices, loads_backups)
-        S.STATELESS:         (True, True, False, False, False, False, True,
-                              False),
-        S.COLD_PASSIVE:      (False, False, False, True, False, True, False,
-                              False),
-        S.WARM_PASSIVE:      (False, False, False, True, False, True, False,
-                              True),
-        S.ACTIVE:            (True, True, False, False, False, True, True,
-                              False),
-        S.ACTIVE_WITH_VOTING: (True, True, False, False, True, True, False,
-                               False),
-        S.LEADER_FOLLOWER:   (True, False, True, False, False, True, False,
-                              False),
+        # style:             (family, needs_voting, has_state,
+        #                     loads_backups, any_copy_suffices)
+        S.STATELESS:          (ExecuteEverywhere, False, False, False, True),
+        S.COLD_PASSIVE:       (Passive, False, True, False, False),
+        S.WARM_PASSIVE:       (Passive, False, True, True, False),
+        S.ACTIVE:             (ExecuteEverywhere, False, True, False, True),
+        S.ACTIVE_WITH_VOTING: (ExecuteEverywhere, True, True, False, False),
+        S.LEADER_FOLLOWER:    (SemiActive, False, True, False, False),
     }
     for style, expected in matrix.items():
-        got = (style.executes_everywhere, style.responds_from_all,
-               style.is_semi_active, style.is_passive, style.needs_voting,
-               style.has_state, style.any_copy_suffices,
-               style.loads_backups)
+        got = (ENGINES[style], style.needs_voting, style.has_state,
+               style.loads_backups, style.any_copy_suffices)
         assert got == expected, style
     assert not hasattr(S.ACTIVE, "is_active")
 
@@ -562,21 +554,20 @@ def failover_replays(style):
 @pytest.mark.parametrize("style", COMPARED_STYLES, ids=lambda s: s.value)
 def test_styles_steady_state_cost(style):
     row = steady_state_cost(style)
-    if style.executes_everywhere:
-        assert row["executions_per_op"] == 3.0       # every replica executes
-    else:
+    if ENGINES[style] is Passive:
         assert row["executions_per_op"] == 1.0       # primary only
-    if style.is_passive:
         # Invocation + response: the state update / checkpoint rides
         # the response, so a passive style costs what active does.
         assert row["broadcasts_per_op"] == 2.0
+    else:
+        assert row["executions_per_op"] == 3.0       # every replica executes
 
 
 @pytest.mark.parametrize("style", COMPARED_STYLES, ids=lambda s: s.value)
 def test_styles_failover(style):
     value, replayed = failover_replays(style)
     assert value == COMPARED_OPERATIONS + 1
-    if style.executes_everywhere:
+    if ENGINES[style] is not Passive:
         assert replayed == 0                         # nothing to replay
     if style is ReplicationStyle.COLD_PASSIVE:
         assert replayed >= 1                         # log suffix replayed
