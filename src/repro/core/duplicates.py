@@ -83,18 +83,6 @@ class DuplicateSuppressor:
             return displaced
         return None
 
-    def detach(self, key: Hashable) -> Any:
-        """Take the waiter off ``key``'s expectation and return it; the
-        expectation stays, so a late response is still remembered."""
-        pending = self._pending.get(key)
-        if pending is None:
-            return None
-        waiter, pending.waiter = pending.waiter, None
-        return waiter
-
-    def cancel(self, key: Hashable) -> None:
-        self._pending.pop(key, None)
-
     def is_expected(self, key: Hashable) -> bool:
         return key in self._pending
 
@@ -150,7 +138,7 @@ class DuplicateSuppressor:
         """Declare this suppressor's two maps to a resource-audit scope.
 
         Every expectation must eventually resolve (response delivered,
-        cancelled, or purged with its client), so ``_pending`` floors at
+        dropped, or purged with its client), so ``_pending`` floors at
         zero; the delivered-memory is legitimately full up to its
         remember window."""
         gp = gauge_prefix

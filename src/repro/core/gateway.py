@@ -74,10 +74,6 @@ Member = Tuple[int, ClientId]
 # this many delivered operations, payload and all (FIFO — the oldest are
 # the least likely to be reclaimed by a reissue).
 REPLY_MEMORY = 10_000
-# Cancel tombstones and one-way pending records have no response to
-# resolve them; each is reaped this many simulated seconds after it was
-# made.
-RETENTION_TTL = 30.0
 # Gateway.drain: wait for requests still on the wire (> a client round
 # trip), then for the last in-flight one to resolve.
 DRAIN_GRACE = 0.25
@@ -100,9 +96,6 @@ _STATS = {
     "clients_gone": "gateway.clients.gone",
     "bad_object_key": "gateway.req.bad_object_key",
     "cancels": "gateway.req.cancelled",
-    "cancels_reaped": "gateway.reap.cancelled",
-    "oneways_completed": "gateway.oneway.completed",
-    "oneways_reaped": "gateway.reap.oneway",
     "client_gone_deferred": "gateway.clients.gone_deferred",
     "queued_dropped": None,
     "requests_unservable": "gateway.req.unservable",
@@ -119,8 +112,8 @@ _ADMISSION_STATS = {
 @dataclass
 class _PendingRequest:
     """A client request forwarded into the domain: the waiter of a
-    two-way request's expectation in the duplicate filter, or a one-way
-    request's record until its forward is seen delivered."""
+    two-way request's expectation in the duplicate filter.  A one-way
+    request is forgotten once forwarded."""
 
     key: DedupKey
     iiop: bytes
@@ -149,9 +142,7 @@ class Gateway(Process):
     """One gateway processor on the edge of a fault tolerance domain."""
 
     def __init__(self, domain: "FaultToleranceDomain", host: Host, port: int,
-                 mirror_requests: bool = True,
-                 admission_window: Optional[int] = None,
-                 admission_queue_limit: int = 64) -> None:
+                 mirror_requests: bool = True) -> None:
         super().__init__(host, f"gateway@{host.name}:{port}")
         self.domain = domain
         self.port = port
@@ -168,8 +159,11 @@ class Gateway(Process):
         self._span_collector = host.network.spans
 
         self._listener = None
-        # Gateway.drain's promise, once its grace has passed.
-        self._drain: Optional[Promise] = None
+        # Resolved when the gateway stops (Gateway.drain's promise).
+        self._stopped = Promise()
+        # Set once a drain's grace has passed: the gateway then stops as
+        # soon as nothing waits or queues here.
+        self._drain_due = False
         # Per-server-group client-id counters (section 3.2); the counter
         # space is partitioned per gateway so concurrent gateways never
         # accidentally alias (a crash/restart still reuses ids, which is
@@ -185,12 +179,10 @@ class Gateway(Process):
         self._conn_clients: Dict[IiopServerConnection,
                                  Dict[Member, None]] = {}
         self._routing: Dict[Member, IiopServerConnection] = {}
-        # One-way requests whose forward is not yet seen delivered.
-        self._oneways: Dict[DedupKey, _PendingRequest] = {}
-        self._cancelled: set = set()
-        # A two-way request's record is the waiter of its expectation
-        # here, and every expectation ends in _settle.  Its delivered
-        # memory is also the reply store for reissues.
+        # The gateway's only per-operation record: a two-way request is
+        # the waiter of its expectation here, and every expectation ends
+        # in _settle.  Its delivered memory is also the reply store for
+        # reissues.
         self._filter = DuplicateSuppressor(remember_delivered=REPLY_MEMORY,
                                            settle=self._settle)
         # Clients that closed their connection while operations were
@@ -198,19 +190,14 @@ class Gateway(Process):
         # until the last one resolves, so peers keep the expectations
         # they need to collect the responses (section 3.5).
         self._gone_pending: set = set()
-        # Retention layer: cancel tombstones and one-way pending records
-        # are reaped after RETENTION_TTL.  Entries expire in the order
-        # they were queued; one on-demand timer serves the whole queue,
-        # and nothing is armed while it is empty.
-        self._reap_queue: Deque[Tuple[float, str, DedupKey, Any]] = deque()
-        self._reap_timer = None
 
         # Admission control (gateway farm, paper section 3.3 scaled
         # out): a bounded in-flight window for two-way requests plus a
-        # bounded overflow queue.  ``None`` disables the gate entirely —
-        # the pre-farm behaviour, byte-identical event ordering.
+        # bounded overflow queue, armed by :meth:`arm_admission`.
+        # ``None`` disables the gate entirely — the pre-farm behaviour,
+        # byte-identical event ordering.
         self.admission_window: Optional[int] = None
-        self.admission_queue_limit = admission_queue_limit
+        self.admission_queue_limit = 0
         self._admission_queue: Deque[
             Tuple[Any, bytes, IiopServerConnection, float]] = deque()
         self._own_inflight = 0
@@ -222,8 +209,6 @@ class Gateway(Process):
 
         m = self.metrics
         m.register_stats(self.stats, _STATS)
-        if admission_window is not None:
-            self.arm_admission(admission_window, admission_queue_limit)
         self._m_req_latency = m.histogram("gateway.req.latency", unit="s")
         # Always 0, read by bench/ledger.py; goes with that row in
         # the `benchmark` PR (ROADMAP item 1).
@@ -246,12 +231,6 @@ class Gateway(Process):
         def alive() -> bool:
             return self.alive
 
-        scope.register("gateway.pending", lambda: len(self._oneways),
-                       floor=0, owner=owner, active=alive,
-                       gauge="gateway.state.pending")
-        scope.register("gateway.cancelled", lambda: len(self._cancelled),
-                       floor=0, owner=owner, active=alive,
-                       gauge="gateway.state.cancelled")
         scope.register("gateway.routing", lambda: len(self._routing),
                        floor=lambda: sum(
                            1 for c in self._routing.values() if c.open),
@@ -282,11 +261,6 @@ class Gateway(Process):
                        lambda: len(self._gone_pending),
                        floor=0, owner=owner, active=alive,
                        gauge="gateway.state.gone_pending")
-        # The reap queue is lazily drained, so it may hold entries whose
-        # target is already resolved: snapshot-only.
-        scope.register("gateway.reap_queue", lambda: len(self._reap_queue),
-                       floor=None, owner=owner, active=alive,
-                       gauge="gateway.state.reap_queue")
         # One client-id counter per server group ever addressed through
         # this gateway: bounded by the directory, snapshot-only.
         scope.register("gateway.counters", lambda: len(self._counters),
@@ -315,27 +289,28 @@ class Gateway(Process):
         if self.host.alive:
             for connection in list(self._conn_clients):
                 connection.close()
+        self._stopped.resolve(None)
 
-    def drain(self):
+    def drain(self) -> Promise:
         """Graceful shutdown: stop accepting new clients, serve out the
         requests already in flight, then stop the gateway.
 
-        Returns a promise resolved once the gateway has stopped.  With
+        Returns a promise resolved once the gateway has stopped — by
+        the drain, by :meth:`stop` or by its host's crash.  With
         redundant gateways this lets an operator retire a gateway with
         zero client-visible failures (enhanced clients reconnect to the
         remaining profiles on their next invocation).
         """
-        promise = Promise()
         if self._listener is not None:
             self._listener.close()
             self._listener = None
 
         def grace_over() -> None:
-            self._drain = promise
+            self._drain_due = True
             self._end_drain()
 
         self.after(DRAIN_GRACE, grace_over)
-        return promise
+        return self._stopped
 
     def _end_drain(self) -> None:
         """Stop a draining gateway once nothing waits or queues here.
@@ -344,11 +319,9 @@ class Gateway(Process):
         request leaves), from an event of its own at the same instant:
         a quorum sweep settles several waiters in one event, and the
         last of them must still reach its client."""
-        if (self._drain is not None and not self._admission_queue
+        if (self._drain_due and not self._admission_queue
                 and not self._filter.waiters()):
-            promise, self._drain = self._drain, None
             self.stop()
-            promise.resolve(None)
 
     # ==================================================================
     # TCP side (outside the domain)
@@ -375,7 +348,10 @@ class Gateway(Process):
             self._on_locate_request(message, connection)
             return
         if message_type == MsgType.CANCEL_REQUEST:
-            self._on_cancel_request(message, connection)
+            # Advisory in GIOP, and a client that cancels has stopped
+            # waiting (its ORB drops the reply): counted, nothing more.
+            decode_cancel_request(message)
+            self.stats["cancels"] += 1
             return
         if message_type != MsgType.REQUEST:
             return
@@ -518,19 +494,19 @@ class Gateway(Process):
             # Figure 4 header) happens here, within the receipt event.
             spans.instant(trace_id, "gateway.translate", parent=container,
                           source=self.name, group=target_group)
-        if request.response_expected:
-            # A failed-over client's reissue attaches to the expectation
-            # its peer-forwarded first copy left here; the same request
-            # id again while its first copy is held here replaces it.
-            held = self._filter.expect(key, votes or 1, pending)
-            if held is not None:
-                self._let_go(held, "superseded")
-        else:
-            # One-way: no response will ever settle this record.  It is
-            # dropped when the forwarded INVOCATION is observed
-            # delivered, or by TTL if the forward is lost.
-            self._oneways[key] = pending
-            self._schedule_reap("oneway", key, pending)
+        if not request.response_expected:
+            # One-way: no reply is owed, so nothing is kept; its handling
+            # ends at the forward, as the client's at transmission.
+            self._forward(pending)
+            if container:
+                spans.end(container, outcome="oneway", by=self.name)
+            return
+        # A failed-over client's reissue attaches to the expectation its
+        # peer-forwarded first copy left here; the same request id again
+        # while its first copy is held here replaces it.
+        held = self._filter.expect(key, votes or 1, pending)
+        if held is not None:
+            self._let_go(held, "superseded")
         self._forward(pending)
 
     def _on_locate_request(self, message: bytes,
@@ -556,43 +532,6 @@ class Gateway(Process):
         status = LocateStatus.OBJECT_HERE if here else LocateStatus.UNKNOWN_OBJECT
         connection.send(encode_locate_reply(request_id, status))
 
-    def _on_cancel_request(self, message: bytes,
-                           connection: IiopServerConnection) -> None:
-        """Best-effort CancelRequest: drop the gateway's routing intent
-        for the request so a late response is not written to the socket.
-        The invocation may already have executed inside the domain (the
-        CORBA spec makes no promise there, and neither does the paper)."""
-        carried = self._conn_clients.get(connection)
-        if not carried:
-            return
-        op_id = external_operation_id(decode_cancel_request(message))
-        # The request id names the operation on this connection; which
-        # of its Members sent it is whichever one knows the operation
-        # (the most recent one, when none does).
-        keys = (member + (op_id,) for member in reversed(carried))
-        key = next((k for k in keys if k in self._oneways
-                    or self._filter.waiter(k) is not None
-                    or self._filter.was_delivered(k)),
-                   next(reversed(carried)) + (op_id,))
-        # A two-way's expectation stays: a late response is remembered.
-        record = self._oneways.pop(key, None) or self._filter.detach(key)
-        self.stats["cancels"] += 1
-        if record is None and self._filter.was_delivered(key):
-            # The cancel raced the reply over the WAN and lost: the
-            # response was already written back.  A tombstone now could
-            # never be consumed — late duplicates are suppressed by the
-            # delivered-filter before the tombstone is consulted — and
-            # would sit until its TTL.
-            return
-        self._cancelled.add(key)
-        # The tombstone is discarded when the operation is settled (a
-        # late response, or its target lost) or, failing both, by TTL.
-        self._schedule_reap("cancel", key, record)
-        if record is not None:
-            # This gateway's handling ends here, whatever becomes of
-            # the invocation inside the domain.
-            self._let_go(record, "cancelled")
-
     def _forward(self, pending: _PendingRequest) -> None:
         self.stats["requests_forwarded"] += 1
         group, client_id, op_id = pending.key
@@ -608,6 +547,7 @@ class Gateway(Process):
         if pending.trace_span:
             message.trace = (pending.trace_id, pending.trace_span,
                              pending.trace_hop)
+        if pending.trace_span and pending.request.response_expected:
             # Ordering wait: multicast into the ring until this
             # gateway observes the agreed delivery (ended in
             # observe_delivered).
@@ -641,12 +581,12 @@ class Gateway(Process):
         requests into the freed capacity.
 
         Queue drains happen inside the event that resolved the slot
-        (response delivery, cancel, client purge), so admission keeps
+        (response delivery, client purge), so admission keeps
         the deterministic same-event ordering the rest of the gateway
         relies on.  Queued entries whose client connection has since
         closed are dropped — their reply could never be written.
         """
-        if self._drain is not None:
+        if self._drain_due:
             self.soon(self._end_drain)
         if not record.admitted:
             return
@@ -728,9 +668,7 @@ class Gateway(Process):
             self._on_domain_response(msg)
         elif kind is MsgKind.INVOCATION and msg.source_group == GATEWAY_GROUP:
             key = (msg.target_group, msg.client_id, msg.op_id)
-            oneway = key in self._oneways
-            record = (self._oneways.pop(key) if oneway
-                      else self._filter.waiter(key))
+            record = self._filter.waiter(key)
             if record is None:
                 # A peer's forward: section 3.5's gateway group (unlike
                 # section 3.4's isolated gateway) takes it as its record.
@@ -742,11 +680,6 @@ class Gateway(Process):
                 # back in the total order: the ordering wait is over.
                 self._span_collector.end(record.order_span,
                                          seq=msg.timestamp)
-            if oneway:
-                # One-way: the delivered forward *is* the operation's
-                # completion — no response will ever settle the record.
-                self.stats["oneways_completed"] += 1
-                self._maybe_flush_client_gone(key[:2])
         elif kind is MsgKind.STYLE_SWITCH:
             # Applied to the registry by the Replication Mechanisms just
             # before this call: a dropped voting requirement is simply
@@ -795,9 +728,8 @@ class Gateway(Process):
                 outcome: str, payload: Optional[bytes]) -> None:
         """The one way a two-way operation leaves this gateway, called
         by the filter whenever ``key`` stops being expected: let go of
-        ``record`` (the waiter; None for a peer's request mirrored here,
-        or after a cancel) and hand the reply to the client if it is
-        still here to take it.
+        ``record`` (the waiter; None for a peer's request mirrored here)
+        and hand the reply to the client if it is still here to take it.
 
         The causes differ in data only: the agreed response (DELIVER),
         one a lowered vote requirement freed (RELAXED), a TRANSIENT made
@@ -835,15 +767,7 @@ class Gateway(Process):
         member = key[:2]
         connection = self._routing.get(member)
         sent = False
-        if key in self._cancelled:
-            # The client withdrew interest (CancelRequest): a response
-            # stays remembered (a reissue may still claim it) but
-            # nothing is written to the socket.  The tombstone has now
-            # served its purpose — discard it, or it pins this key
-            # forever.
-            self._cancelled.discard(key)
-            spans.end(container, outcome="cancelled", by=self.name)
-        elif connection is not None and connection.open:
+        if connection is not None and connection.open:
             connection.send(payload)
             sent = True
             if outcome != DuplicateSuppressor.DROPPED and record is not None:
@@ -867,8 +791,8 @@ class Gateway(Process):
         if sent:
             self.stats["responses_delivered"] += 1
         else:
-            # Cancelled, or the client's socket is not (or no longer) at
-            # this gateway — the normal case at a peer of the forwarder.
+            # The client's socket is not (or no longer) at this gateway —
+            # the normal case at a peer of the forwarder.
             self.stats["responses_unroutable"] += 1
 
     def _on_membership(self, live_hosts: Tuple[str, ...]) -> None:
@@ -883,9 +807,9 @@ class Gateway(Process):
         remembered for a client that fails over to this gateway.
 
         A forward with no waiter here is not always a peer's: this
-        gateway's own comes back to none after a cancel or after an
-        earlier copy's response settled it (a reissue's duplicate), and
-        a peer's reissue repeats a request already recorded.  In each
+        gateway's own comes back to none after an earlier copy's
+        response settled it (a reissue's duplicate), and a peer's
+        reissue repeats a request already recorded.  In each
         the filter knows the key, so nothing new is recorded.  (After
         ``_purge_client`` the own forward cannot be told from a peer's;
         it is then recorded here exactly as every peer records it.)"""
@@ -910,8 +834,6 @@ class Gateway(Process):
             # it moved, and what is held for it here is still owed.
             return
         self.stats["clients_gone"] += 1
-        for key in [k for k in self._oneways if k[:2] == member]:
-            self._let_go(self._oneways.pop(key), "client_gone")
         # Forget the filter's memory as well — each expectation's waiter
         # is let go in _settle — replies included: if the "client"
         # returns with the same identifiers (e.g. an egress successor
@@ -919,51 +841,4 @@ class Gateway(Process):
         # duplicates.
         self._filter.forget_where(lambda key: key[:2] == member)
         self._routing.pop(member, None)
-        self._cancelled = {k for k in self._cancelled if k[:2] != member}
         self._gone_pending.discard(member)
-
-    # ==================================================================
-    # Retention: TTL reaping of tombstones and one-way records
-    # ==================================================================
-
-    def _schedule_reap(self, kind: str, key: DedupKey, record) -> None:
-        """Queue one entry for TTL reaping and arm the shared timer.
-
-        Entries are reaped lazily: by the time one expires its target
-        may already have been resolved (one-way observed delivered,
-        tombstone discarded by a late response), in which case the
-        expiry is a no-op.  The single timer always sleeps until the
-        earliest queued expiry, which an armed timer already covers."""
-        self._reap_queue.append(
-            (self.scheduler.now + RETENTION_TTL, kind, key, record))
-        timer = self._reap_timer
-        if timer is None or not timer.active:
-            self._reap_timer = self.after(RETENTION_TTL, self._run_reaper)
-
-    def _run_reaper(self) -> None:
-        now = self.scheduler.now
-        queue = self._reap_queue
-        while queue and queue[0][0] <= now:
-            _, kind, key, record = queue.popleft()
-            if kind == "cancel":
-                if key in self._cancelled:
-                    # No response ever arrived for the cancelled
-                    # operation (e.g. its server group died): drop the
-                    # tombstone and the filter expectation that was
-                    # waiting for the response.
-                    self._cancelled.discard(key)
-                    if record is not None:
-                        self._filter.cancel(key)
-                    self.stats["cancels_reaped"] += 1
-            else:  # "oneway"
-                if self._oneways.get(key) is record:
-                    # The forwarded INVOCATION was never observed
-                    # delivered (lost to a crash or partition): give up
-                    # rather than pin the record forever.
-                    del self._oneways[key]
-                    self.stats["oneways_reaped"] += 1
-                    self._maybe_flush_client_gone(key[:2])
-        if queue:
-            self._reap_timer = self.after(queue[0][0] - now, self._run_reaper)
-        else:
-            self._reap_timer = None

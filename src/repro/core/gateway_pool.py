@@ -15,10 +15,10 @@ and partitions the external client population across them:
   enhanced client's normal profile traversal (section 3.5) lands it on
   exactly the sibling that inherits its key range after a failure —
   rebalancing without any coordination message.
-* **Admission control** — pool gateways are constructed with a bounded
-  in-flight window plus overflow queue (see
-  :class:`~repro.core.gateway.Gateway`); beyond both, requests are shed
-  with a TRANSIENT exception.
+* **Admission control** — the pool arms every gateway it adopts with a
+  bounded in-flight window plus overflow queue (see
+  :meth:`~repro.core.gateway.Gateway.arm_admission`); beyond both,
+  requests are shed with a TRANSIENT exception.
 * **Circuit breakers** — each gateway's shed/served signals feed a
   per-gateway :class:`CircuitBreaker`.  A tripped breaker takes the
   gateway out of routing until a lazy reset timeout admits a bounded
@@ -82,12 +82,12 @@ def ring_hash(key: str) -> int:
 class CircuitBreaker:
     """Per-gateway overload breaker with lazy clock-driven transitions.
 
-    CLOSED -> OPEN after ``failure_threshold`` consecutive failures (or
+    CLOSED -> OPEN after ``FAILURE_THRESHOLD`` consecutive failures (or
     immediately via :meth:`force_open` when the gateway's host dies);
-    OPEN -> HALF_OPEN once ``reset_timeout`` simulated seconds elapse
-    (evaluated lazily at the next :meth:`allow` — no timer event, so a
-    pool changes nothing about event ordering); HALF_OPEN admits up to
-    ``probe_quota`` probe requests and closes after ``close_after``
+    OPEN -> HALF_OPEN once ``RESET_TIMEOUT`` simulated seconds elapse
+    (evaluated lazily at the next :meth:`can_accept` — no timer event,
+    so a pool changes nothing about event ordering); HALF_OPEN admits up
+    to ``PROBE_QUOTA`` probe requests and closes after ``CLOSE_AFTER``
     of them succeed, or re-opens on any probe failure.
     """
 
@@ -95,14 +95,13 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, clock, failure_threshold: int = 8,
-                 reset_timeout: float = 0.25, probe_quota: int = 4,
-                 close_after: int = 2, listener=None) -> None:
+    FAILURE_THRESHOLD = 8
+    RESET_TIMEOUT = 0.25
+    PROBE_QUOTA = 4
+    CLOSE_AFTER = 2
+
+    def __init__(self, clock, listener=None) -> None:
         self._clock = clock
-        self.failure_threshold = failure_threshold
-        self.reset_timeout = reset_timeout
-        self.probe_quota = probe_quota
-        self.close_after = close_after
         self._listener = listener or (lambda event: None)
         self._state = CircuitBreaker.CLOSED
         self._failures = 0
@@ -113,9 +112,9 @@ class CircuitBreaker:
     @property
     def state(self) -> str:
         if (self._state == CircuitBreaker.OPEN
-                and self._clock() - self._opened_at >= self.reset_timeout):
+                and self._clock() - self._opened_at >= self.RESET_TIMEOUT):
             self._state = CircuitBreaker.HALF_OPEN
-            self._probes_left = self.probe_quota
+            self._probes_left = self.PROBE_QUOTA
             self._probe_successes = 0
         return self._state
 
@@ -137,7 +136,7 @@ class CircuitBreaker:
     def record_success(self) -> None:
         if self._state == CircuitBreaker.HALF_OPEN:
             self._probe_successes += 1
-            if self._probe_successes >= self.close_after:
+            if self._probe_successes >= self.CLOSE_AFTER:
                 self._state = CircuitBreaker.CLOSED
                 self._failures = 0
                 self._listener("close")
@@ -153,7 +152,7 @@ class CircuitBreaker:
         if state == CircuitBreaker.OPEN:
             return
         self._failures += 1
-        if self._failures >= self.failure_threshold:
+        if self._failures >= self.FAILURE_THRESHOLD:
             self._open("trip")
 
     def force_open(self) -> None:
@@ -182,11 +181,7 @@ class GatewayPool:
     def __init__(self, domain: "FaultToleranceDomain",
                  size: Optional[int] = None,
                  admission_window: int = 64,
-                 admission_queue_limit: int = 64,
-                 failure_threshold: int = 8,
-                 reset_timeout: float = 0.25,
-                 probe_quota: int = 4,
-                 close_after: int = 2) -> None:
+                 admission_queue_limit: int = 64) -> None:
         self.domain = domain
         self.admission_window = admission_window
         self.admission_queue_limit = admission_queue_limit
@@ -201,8 +196,6 @@ class GatewayPool:
         # of the ring, so dropped whenever it is rebuilt.
         self._iors: Dict[Tuple[int, int], Ior] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._breaker_config = (failure_threshold, reset_timeout,
-                                probe_quota, close_after)
 
         self.stats = dict.fromkeys(_STATS, 0)
         domain.world.metrics.register_stats(self.stats, _STATS)
@@ -224,29 +217,21 @@ class GatewayPool:
             return gateway
         gateway.pool = self
         if gateway.admission_window is None:
-            # Adopted gateways predate the pool; arm their gate so the
-            # farm's backpressure story is uniform.
+            # Arm the gate here, the one place a gateway joins the farm,
+            # so the farm's backpressure story is uniform.
             gateway.arm_admission(self.admission_window,
                                   self.admission_queue_limit)
         self.gateways.append(gateway)
         host_name = gateway.host.name
         self._breakers[host_name] = CircuitBreaker(
             clock=lambda: self.domain.world.scheduler.now,
-            failure_threshold=self._breaker_config[0],
-            reset_timeout=self._breaker_config[1],
-            probe_quota=self._breaker_config[2],
-            close_after=self._breaker_config[3],
             listener=self._on_breaker)
         self._rebuild_ring()
         return gateway
 
     def add_gateway(self, port: int = 2809) -> Gateway:
         """Grow the pool by one gateway processor."""
-        gateway = self.domain.add_gateway(
-            port=port,
-            admission_window=self.admission_window,
-            admission_queue_limit=self.admission_queue_limit)
-        return self.adopt(gateway)
+        return self.adopt(self.domain.add_gateway(port=port))
 
     def _rebuild_ring(self) -> None:
         ring: List[Tuple[int, Gateway]] = []

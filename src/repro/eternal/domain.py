@@ -234,22 +234,20 @@ class FaultToleranceDomain:
                     [handle.name, self.ior_for(handle).to_string()])
 
     def add_gateway(self, port: int = 2809, mirror_requests: bool = True,
-                    host_name: Optional[str] = None,
-                    **gateway_kwargs: Any) -> Any:
+                    host_name: Optional[str] = None) -> Any:
         """Add a gateway processor on the domain's edge (section 3).
 
         ``mirror_requests``: does this gateway record the requests its
         peers forward (section 3.5's gateway group, the default) or
-        only its own (section 3.4's isolated gateway)?
-        ``gateway_kwargs`` pass through to :class:`repro.core.gateway.
-        Gateway` (admission window and queue limit) — the gateway-pool
-        seam.
+        only its own (section 3.4's isolated gateway)?  Its admission
+        gate is armed by :meth:`Gateway.arm_admission` (a
+        :class:`~repro.core.gateway_pool.GatewayPool` arms every gateway
+        it adopts).
         """
         from ..core.gateway import Gateway  # local import: layering
         host_name = host_name or f"{self.name}-gw{len(self.gateways)}"
         host = self._add_processor(host_name, replica_host=False)
-        gateway = Gateway(self, host, port, mirror_requests=mirror_requests,
-                          **gateway_kwargs)
+        gateway = Gateway(self, host, port, mirror_requests=mirror_requests)
         self.gateways.append(gateway)
         gateway.start()
         self._announce(GroupInfo(

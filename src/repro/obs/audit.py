@@ -44,7 +44,7 @@ ActiveFn = Callable[[], bool]
 class AuditEntry:
     """One registered stateful collection and its reclamation contract."""
 
-    name: str                      # collection name, e.g. "gateway.pending"
+    name: str                      # collection name, e.g. "gateway.routing"
     owner: str                     # owning component, e.g. "gateway@dom-gw0:2809"
     size_fn: SizeFn
     floor_fn: Optional[FloorFn]    # None: snapshot-only, never a violation

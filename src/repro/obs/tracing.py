@@ -137,7 +137,7 @@ class TraceCollector:
         whose recorded end precedes ``t``: a parent's end is the max of
         its own completion and its children's, which keeps the exported
         tree properly nested even for late asynchronous children
-        (duplicate responses, TTL-reaped one-ways).
+        (duplicate responses, a one-way's execution).
         """
         if not self.enabled or span_id == 0:
             return

@@ -7,7 +7,7 @@ _STATS = {"requests_received": "gateway.req.received", "local": None}
 
 def record(metrics, spans, trace_id, action):
     metrics.counter_fn("gateway.req.received", int)
-    metrics.gauge("gateway.state.pending").set(0)
+    metrics.gauge("gateway.state.routing").set(0)
     metrics.gauge(f"fault.injected.{action}").set(0)
     spans.start(trace_id, "gateway.request")
 

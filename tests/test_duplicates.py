@@ -74,13 +74,6 @@ def test_expect_after_delivery_is_ignored():
     assert s.offer("op", b"x")[0] == DuplicateSuppressor.DUPLICATE
 
 
-def test_cancel_removes_expectation():
-    s = DuplicateSuppressor()
-    s.expect("op")
-    s.cancel("op")
-    assert s.offer("op", b"x")[0] == DuplicateSuppressor.UNEXPECTED
-
-
 def test_delivered_memory_is_bounded():
     s = DuplicateSuppressor(remember_delivered=10)
     for i in range(25):
@@ -273,15 +266,3 @@ def test_a_waiter_attaches_to_an_expectation_registered_without_one():
     assert s.offer("op", b"x", responder="r1")[0] == D.DELIVER
     assert handed == [("op", "w2", D.DELIVER, b"x")]
     assert s.waiters() == []
-
-
-def test_detach_keeps_the_expectation():
-    """A cancelled request's waiter leaves; the response is still
-    remembered when it comes, settled with no waiter."""
-    handed = []
-    s = DuplicateSuppressor(settle=lambda *args: handed.append(args))
-    s.expect("op", waiter="w")
-    assert s.detach("op") == "w"
-    assert s.is_expected("op") and s.waiter("op") is None
-    assert s.offer("op", b"x")[0] == D.DELIVER
-    assert handed == [("op", None, D.DELIVER, b"x")]

@@ -61,6 +61,25 @@ def test_drain_idle_gateway_stops_immediately(world):
     assert not gateway.alive
 
 
+@pytest.mark.parametrize("how", ["host_crash", "stop"])
+def test_drain_promise_settles_however_the_gateway_stops(world, how):
+    """The promise is resolved once the gateway has stopped, whatever
+    stopped it: a host crash or a plain stop during the grace ends the
+    drain too."""
+    domain = make_domain(world, gateways=2)
+    gateway = domain.gateways[0]
+    drained = gateway.drain()
+    world.run(until=world.now + 0.1)
+    if how == "host_crash":
+        world.faults.crash_now(gateway.host.name)
+    else:
+        gateway.stop()
+    world.run(until=world.now + 5.0)
+    assert drained.done and not drained.failed
+    assert not gateway.alive
+    assert gateway.drain() is drained
+
+
 def idle_connection(world, gateway, host_name="idler"):
     """A raw TCP connection to ``gateway`` that never sends a byte —
     what an enhanced client's warm standby looks like from here."""

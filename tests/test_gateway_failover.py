@@ -197,7 +197,7 @@ def test_oneway_accepted_but_never_sequenced_executes_at_most_once(world):
              if rm.alive and group.group_id in rm.replicas}
     assert len(notes) == 1
     assert notes.pop().count("caught in the window") <= 1
-    assert peer._oneways == {} and peer._filter.waiters() == []
+    assert peer._filter.waiters() == []
     world.audit(strict=True)
 
 

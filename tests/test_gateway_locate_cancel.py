@@ -1,5 +1,7 @@
 """Tests: GIOP LocateRequest / CancelRequest handling at the gateway."""
 
+import struct
+
 import pytest
 
 from repro import World
@@ -70,77 +72,56 @@ def test_locate_request_for_foreign_domain_key(world):
     assert status == LocateStatus.UNKNOWN_OBJECT
 
 
-def test_cancel_request_drops_pending_routing(world):
-    """After a CancelRequest, the gateway no longer routes the response
-    to the client socket (best-effort cancellation)."""
+def gateway_state(gateway):
+    """Every table a gateway keeps, as comparable values."""
+    return (dict(gateway._filter._pending), dict(gateway._filter._delivered),
+            dict(gateway._routing),
+            {conn: dict(ids) for conn, ids in gateway._conn_clients.items()},
+            set(gateway._gone_pending), list(gateway._admission_queue),
+            gateway._own_inflight)
+
+
+def test_a_cancel_request_is_counted_and_changes_nothing_else(world):
+    """GIOP cancellation is advisory: the gateway counts a CancelRequest
+    in ``gateway.req.cancelled`` and changes nothing else.  The request
+    runs on, its reply is written to the socket, and the client ORB,
+    which stopped waiting when it cancelled, drops it."""
+    from tests.helpers import replica_counts
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain)
     gateway = domain.gateways[0]
     orb, stub, _ = external_client(world, domain, group, enhanced=False)
     world.await_promise(stub.call("increment", 1))
 
-    # Next request: intercept the gateway's forward so the response is
-    # delayed until the cancel lands first.
-    original_forward = gateway._forward
-    held = []
-    gateway._forward = lambda pending: held.append(pending)
+    # Next request: hold the gateway's forward so the cancel lands while
+    # the request is still in flight.
+    forward, held = gateway._forward, []
+    gateway._forward = held.append
     promise = stub.call("increment", 10)
-    world.run(until=world.now + 0.1)  # request reaches gateway, is held
+    world.run(until=world.now + 0.1)
     assert held
+    stats, state = dict(gateway.stats), gateway_state(gateway)
     # The client cancels (same connection, same request id).
     connection = orb._connections[next(iter(orb._connections))]
     request_id = connection.pending_request_ids()[-1]
     connection.abandon(request_id)  # a client that cancels stops waiting
     connection.endpoint.send(encode_cancel_request(request_id))
     world.run(until=world.now + 0.1)
-    assert gateway.stats.get("cancels") == 1
-    # Now let the invocation proceed: it executes in the domain, but the
-    # gateway has no pending entry; the response is cached, not routed.
-    gateway._forward = original_forward
-    gateway._forward(held[0])
+    assert {key: value - stats[key] for key, value in gateway.stats.items()
+            if value != stats[key]} == {"cancels": 1}
+    assert world.metrics.value("gateway.req.cancelled") == 1
+    assert gateway_state(gateway) == state
+    assert gateway._filter.waiter(held[0].key) is held[0]
+
+    # The invocation proceeds: it executes, and its reply is written to
+    # the client's socket like any other.
+    gateway._forward = forward
+    forward(held[0])
     world.run(until=world.now + 1.0)
-    assert not promise.done  # no reply was written to the client socket
-    from tests.helpers import replica_counts
+    assert gateway.stats["responses_delivered"] == 2
+    assert not promise.done  # ...where the client ORB dropped it
+    assert connection.pending_request_ids() == []
     assert set(replica_counts(domain, group).values()) == {11}
-
-
-def test_cancel_finds_its_group_on_a_connection_carrying_two(world):
-    """A plain ORB's one connection carries a (server group, client id)
-    pair per group it calls.  A CancelRequest names only the request
-    id, so the gateway cancels the pair that holds that operation — not
-    merely the most recent pair."""
-    from repro import Orb
-    from tests.helpers import replica_counts
-    domain = make_domain(world, gateways=1)
-    a = make_counter_group(domain, name="A")
-    b = make_counter_group(domain, name="B")
-    gateway = domain.gateways[0]
-    orb = Orb(world, world.add_host("browser"), request_timeout=None)
-    stub_a, stub_b = (orb.string_to_object(
-        domain.ior_for(g).to_string(), g.interface) for g in (a, b))
-    world.await_promise(stub_a.call("increment", 1))
-    original_forward = gateway._forward
-    held = []
-    gateway._forward = held.append
-    promise = stub_a.call("increment", 10)
-    world.run(until=world.now + 0.1)
-    gateway._forward = original_forward
-    assert world.await_promise(stub_b.call("increment", 1)) == 1
-    # B is now the connection's most recent pair; A's call is the one
-    # pending.
-    connection = orb._connections[next(iter(orb._connections))]
-    request_id = connection.pending_request_ids()[-1]
-    connection.abandon(request_id)
-    connection.endpoint.send(encode_cancel_request(request_id))
-    world.run(until=world.now + 0.1)
-    assert gateway._cancelled == {held[0].key}
-    assert held[0].key[0] == a.group_id
-    gateway._forward(held[0])
-    world.run(until=world.now + 1.0)
-    assert not promise.done
-    assert gateway._cancelled == set()
-    assert set(replica_counts(domain, a).values()) == {11}
-    assert set(replica_counts(domain, b).values()) == {1}
     world.audit(strict=True)
 
 
@@ -151,9 +132,30 @@ def test_cancel_for_unknown_connection_is_ignored(world):
     endpoint, replies = raw_gateway_connection(world, domain)
     endpoint.send(encode_cancel_request(5))
     world.run(until=world.now + 0.2)
-    # The stat is declared up front (no lazy creation) and must not
-    # move for a cancel on a connection with no identified client.
-    assert domain.gateways[0].stats["cancels"] == 0
+    # Counted like any other, and nothing else: no reply, and the
+    # gateway did not kill the connection.
+    assert domain.gateways[0].stats["cancels"] == 1
     assert domain.gateways[0].metrics.get(
-        "gateway.req.cancelled").value == 0
-    assert endpoint.open  # the gateway did not kill the connection
+        "gateway.req.cancelled").value == 1
+    assert replies == []
+    assert endpoint.open
+
+
+def test_a_malformed_cancel_request_is_a_message_error(world):
+    """A CancelRequest whose body is too short for a request id is
+    unintelligible input: the gateway answers MessageError and hangs
+    up, and counts no cancel."""
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    gateway = domain.gateways[0]
+    orb, stub, _ = external_client(world, domain, group, enhanced=False)
+    world.await_promise(stub.call("increment", 1))
+    connection = orb._connections[next(iter(orb._connections))]
+    header = encode_cancel_request(5)[:8]
+    connection.endpoint.send(header + struct.pack(">I", 2) + b"\0\0")
+    world.run(until=world.now + 0.2)
+    assert world.metrics.value("giop.msg.message_error") == 1
+    assert not connection.endpoint.open
+    assert gateway.stats["cancels"] == 0
+    world.run(until=world.now + 1.0)
+    world.audit(strict=True)

@@ -50,18 +50,22 @@ from tests.helpers import (
 # Circuit breaker units (manual clock)
 # ----------------------------------------------------------------------
 
-def make_breaker(**kwargs):
+def make_breaker():
     clock = {"now": 0.0}
     events = []
     breaker = CircuitBreaker(clock=lambda: clock["now"],
-                             listener=events.append, **kwargs)
+                             listener=events.append)
     return breaker, clock, events
 
 
+THRESHOLD = CircuitBreaker.FAILURE_THRESHOLD
+RESET = CircuitBreaker.RESET_TIMEOUT
+
+
 def test_breaker_trips_after_consecutive_failures():
-    breaker, _, events = make_breaker(failure_threshold=3)
-    breaker.record_failure()
-    breaker.record_failure()
+    breaker, _, events = make_breaker()
+    for _ in range(THRESHOLD - 1):
+        breaker.record_failure()
     assert breaker.state == CircuitBreaker.CLOSED and breaker.can_accept()
     breaker.record_failure()
     assert breaker.state == CircuitBreaker.OPEN
@@ -70,36 +74,39 @@ def test_breaker_trips_after_consecutive_failures():
 
 
 def test_breaker_success_resets_the_failure_count():
-    breaker, _, _ = make_breaker(failure_threshold=2)
-    breaker.record_failure()
+    breaker, _, _ = make_breaker()
+    for _ in range(THRESHOLD - 1):
+        breaker.record_failure()
     breaker.record_success()
-    breaker.record_failure()
+    for _ in range(THRESHOLD - 1):
+        breaker.record_failure()
     assert breaker.state == CircuitBreaker.CLOSED
+    breaker.record_failure()
+    assert breaker.state == CircuitBreaker.OPEN
 
 
 def test_breaker_half_opens_lazily_and_bounds_probes():
-    breaker, clock, events = make_breaker(
-        failure_threshold=1, reset_timeout=0.25, probe_quota=2)
-    breaker.record_failure()
+    breaker, clock, events = make_breaker()
+    breaker.force_open()
     assert breaker.state == CircuitBreaker.OPEN
-    clock["now"] = 0.24
+    clock["now"] = RESET - 0.01
     assert not breaker.can_accept()          # not yet
-    clock["now"] = 0.25
+    clock["now"] = RESET
     assert breaker.state == CircuitBreaker.HALF_OPEN
     assert breaker.can_accept()
-    breaker.note_routed()
-    breaker.note_routed()
+    for _ in range(CircuitBreaker.PROBE_QUOTA):
+        breaker.note_routed()
     assert not breaker.can_accept()          # probe quota exhausted
-    assert events == ["trip", "probe", "probe"]
+    assert events == ["trip"] + ["probe"] * CircuitBreaker.PROBE_QUOTA
 
 
 def test_breaker_closes_after_enough_probe_successes():
-    breaker, clock, events = make_breaker(
-        failure_threshold=1, reset_timeout=0.1, close_after=2)
-    breaker.record_failure()
-    clock["now"] = 0.1
-    breaker.note_routed()
-    breaker.record_success()
+    breaker, clock, events = make_breaker()
+    breaker.force_open()
+    clock["now"] = RESET
+    for _ in range(CircuitBreaker.CLOSE_AFTER - 1):
+        breaker.note_routed()
+        breaker.record_success()
     assert breaker.state == CircuitBreaker.HALF_OPEN
     breaker.note_routed()
     breaker.record_success()
@@ -108,23 +115,22 @@ def test_breaker_closes_after_enough_probe_successes():
 
 
 def test_breaker_reopens_on_probe_failure():
-    breaker, clock, events = make_breaker(failure_threshold=1,
-                                          reset_timeout=0.1)
-    breaker.record_failure()
-    clock["now"] = 0.1
+    breaker, clock, events = make_breaker()
+    breaker.force_open()
+    clock["now"] = RESET
     assert breaker.state == CircuitBreaker.HALF_OPEN
     breaker.record_failure()
     assert breaker.state == CircuitBreaker.OPEN
     assert events[-1] == "reopen"
     # The reset window restarts from the re-open instant.
-    clock["now"] = 0.15
+    clock["now"] = RESET + RESET / 2
     assert breaker.state == CircuitBreaker.OPEN
-    clock["now"] = 0.2
+    clock["now"] = 2 * RESET
     assert breaker.state == CircuitBreaker.HALF_OPEN
 
 
 def test_breaker_force_open_is_immediate():
-    breaker, _, events = make_breaker(failure_threshold=100)
+    breaker, _, events = make_breaker()
     breaker.force_open()
     assert breaker.state == CircuitBreaker.OPEN
     assert events == ["trip"]
@@ -164,37 +170,37 @@ def test_route_prefers_the_hash_owner(world):
 
 
 def test_route_skips_open_breakers_then_goes_unroutable(world):
-    _, pool = make_pool(world, size=2, failure_threshold=2)
+    _, pool = make_pool(world, size=2)
     key = "client/breaker#1"
     owner = pool.hash_owner(key)
     sibling = next(g for g in pool.gateways if g is not owner)
-    for _ in range(2):
+    for _ in range(THRESHOLD):
         pool.on_shed(owner)
     assert pool.breaker(owner).state == CircuitBreaker.OPEN
     assert pool.route(key) is sibling
     snapshot = world.metrics.snapshot()
     assert snapshot["pool.breaker.trips"]["value"] == 1
     assert snapshot["pool.route.reroutes"]["value"] == 1
-    for _ in range(2):
+    for _ in range(THRESHOLD):
         pool.on_shed(sibling)
     assert pool.route(key) is None
     assert world.metrics.snapshot()["pool.route.unroutable"]["value"] == 1
 
 
 def test_breaker_probes_and_recloses_through_the_pool(world):
-    _, pool = make_pool(world, size=2, failure_threshold=1,
-                        reset_timeout=0.25, close_after=2)
+    _, pool = make_pool(world, size=2)
     key = "client/recovery#1"
     owner = pool.hash_owner(key)
-    pool.on_shed(owner)
+    for _ in range(THRESHOLD):
+        pool.on_shed(owner)
     assert pool.breaker(owner).state == CircuitBreaker.OPEN
     assert pool.route(key) is not owner
-    world.run(until=world.now + 0.3)
-    # Lazy half-open: the next route is a probe back to the owner.
-    assert pool.route(key) is owner
-    pool.on_served(owner)
-    assert pool.route(key) is owner
-    pool.on_served(owner)
+    world.run(until=world.now + RESET + 0.05)
+    # Lazy half-open: each next route is a probe back to the owner,
+    # until enough of them were served.
+    for _ in range(CircuitBreaker.CLOSE_AFTER):
+        assert pool.route(key) is owner
+        pool.on_served(owner)
     assert pool.breaker(owner).state == CircuitBreaker.CLOSED
     snapshot = world.metrics.snapshot()
     assert snapshot["pool.breaker.probes"]["value"] >= 1

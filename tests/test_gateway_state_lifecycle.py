@@ -5,9 +5,8 @@ resource-leak audit.  All of them were invisible to the functional
 suite — responses still flowed correctly — while a per-client table
 grew without bound:
 
-* cancel tombstones in ``_cancelled`` survived the late response;
-* one-way requests parked in ``_pending`` were never popped (no
-  response ever arrives to pop them);
+* one-way requests and cancels left records that no reply ever
+  ended (the gateway now keeps a record only while a reply is owed);
 * a client closing with operations still pending suppressed the
   CLIENT_GONE broadcast forever, stranding its state at every gateway;
 * the warm-passive primary logged every invocation but never truncated
@@ -46,63 +45,10 @@ def send_cancel_for_last_request(world, orb, settle=0.1):
     world.run(until=world.now + settle)
 
 
-def test_cancelled_entry_discarded_when_response_arrives(world):
-    """A CancelRequest leaves a tombstone so the late response is not
-    written to the socket — but the response's arrival must also
-    consume the tombstone."""
-    domain = make_domain(world, gateways=1)
-    group = make_counter_group(domain)
-    gateway = domain.gateways[0]
-    orb, stub, _ = external_client(world, domain, group, enhanced=False)
-    world.await_promise(stub.call("increment", 1))
-    held, original = hold_forward(gateway)
-    promise = stub.call("increment", 10)
-    world.run(until=world.now + 0.1)
-    send_cancel_for_last_request(world, orb)
-    assert len(gateway._cancelled) == 1
-    # Release the invocation: it executes, the response arrives late.
-    gateway._forward = original
-    gateway._forward(held[0])
-    world.run(until=world.now + 1.0)
-    assert not promise.done          # still not routed to the socket
-    assert gateway._cancelled == set()  # ...and the tombstone is gone
-    assert gateway.stats["responses_unroutable"] == 1
-    world.audit(strict=True)
-
-
-def test_cancel_tombstone_reaped_by_ttl_when_no_response_comes(
-        world, monkeypatch):
-    """If the cancelled operation's response never arrives (its server
-    group died), the tombstone and its filter expectation are reclaimed
-    by TTL instead."""
-    import repro.core.gateway as gateway_module
-    monkeypatch.setattr(gateway_module, "RETENTION_TTL", 5.0)
-    domain = make_domain(world, gateways=1)
-    group = make_counter_group(domain)
-    gateway = domain.gateways[0]
-    orb, stub, _ = external_client(world, domain, group, enhanced=False)
-    world.await_promise(stub.call("increment", 1))
-    hold_forward(gateway)  # the invocation is never multicast
-    stub.call("increment", 10)
-    world.run(until=world.now + 0.1)
-    send_cancel_for_last_request(world, orb)
-    assert gateway.stats["cancels"] == 1
-    assert len(gateway._cancelled) == 1
-    assert gateway._filter.pending_count == 1
-    world.run(until=world.now + 4.0)
-    assert len(gateway._cancelled) == 1  # not yet due
-    world.run(until=world.now + 2.0)
-    assert gateway._cancelled == set()
-    assert gateway.stats["cancels_reaped"] == 1
-    assert gateway._filter.pending_count == 0
-    assert gateway._reap_timer is None  # nothing left to reap
-    world.audit(strict=True)
-
-
-def test_cancel_churn_tombstones_consumed_by_responses():
-    """Pipelined requests cancelled in flight: the responses still
-    arrive, are dropped as unroutable, and consume their tombstones —
-    the TTL reaper never has to fire."""
+def test_cancel_churn_leaves_nothing_behind():
+    """Pipelined requests cancelled in flight: the cancels change
+    nothing at the gateway, the replies are written back as usual, the
+    client ORB drops them, and nothing is left anywhere."""
     cancels = 10
     world = World(seed=11)
     domain = make_domain(world, gateways=1)
@@ -121,37 +67,42 @@ def test_cancel_churn_tombstones_consumed_by_responses():
         connection.endpoint.send(encode_cancel_request(request_id))
     world.run(until=world.now + 2.0)
     world.audit(strict=True)
-    assert gateway._cancelled == set()
     assert gateway.stats["cancels"] == cancels
-    assert gateway.stats["responses_unroutable"] == cancels
-    assert gateway.stats["cancels_reaped"] == 0
+    assert gateway.stats["responses_delivered"] == cancels + 1
+    assert connection.pending_request_ids() == []
 
 
-def test_oneway_pending_records_reclaimed_on_observed_delivery(world):
-    """One-way requests get a ``_oneways`` record at the gateway that
-    accepted them but no response ever settles it; observing the
-    forwarded INVOCATION's delivery must.  Peers hold nothing for a
-    one-way."""
+def test_a_oneway_through_two_gateways_leaves_no_state_and_no_open_span():
+    """No reply is owed for a one-way, so no gateway keeps anything for
+    it: the gateway that reads it off the socket forwards it and closes
+    its ``gateway.request`` span at once, with outcome ``oneway`` and no
+    ordering wait, as the client closes its root at transmission."""
+    world = World(seed=11, trace_spans=True)
     domain = make_domain(world, gateways=2)
     group = domain.create_group("Events", EVENTS, EventSinkServant)
     _, stub, _ = external_client(world, domain, group)
-    for i in range(20):
+    spans = world.trace_collector
+    for i in range(3):
         stub.call("emit", f"note-{i}")
-    assert world.await_promise(stub.call("count"), timeout=600) == 20
     world.run(until=world.now + 1.0)
-    completed = 0
     for gateway in domain.gateways:
-        assert gateway._oneways == {}
-        completed += gateway.stats["oneways_completed"]
-    assert completed == 20
+        assert gateway._filter.pending_count == 0
+        assert gateway.stats["mirrors_recorded"] == 0
+    containers = spans.select(name="gateway.request")
+    assert len(containers) == 3
+    assert all(span.closed for span in containers)
+    assert {span.attrs["outcome"] for span in containers} == {"oneway"}
+    assert spans.select(name="totem.order.invocation") == []
+    assert world.await_promise(stub.call("count"), timeout=600) == 3
+    world.run(until=world.now + 1.0)
     world.audit(strict=True)
 
 
 def test_a_oneway_in_flight_does_not_defer_client_gone(world):
     """Only a two-way request's waiter defers a departing client's
     CLIENT_GONE: a one-way needs nothing from the peers, so the purge
-    goes out at once and lets go of the one-way's record, while the
-    forward already handed to the domain is still executed."""
+    goes out at once, while the forward already handed to the domain is
+    still executed."""
     domain = make_domain(world, gateways=2)
     group = domain.create_group("Events", EVENTS, EventSinkServant)
     orb, stub, _ = external_client(world, domain, group, enhanced=False)
@@ -161,12 +112,11 @@ def test_a_oneway_in_flight_does_not_defer_client_gone(world):
     held, forward = hold_forward(origin)
     stub.call("emit", "in flight at the close")
     world.run(until=world.now + 0.1)
-    assert len(origin._oneways) == 1
+    assert held
     orb._connections[next(iter(orb._connections))].close()
     world.run(until=world.now + 0.5)
     assert origin.stats["client_gone_deferred"] == 0
     assert [gw.stats["clients_gone"] for gw in domain.gateways] == [1, 1]
-    assert origin._oneways == {}
     forward(held[0])
     world.run(until=world.now + 1.0)
     notes = {tuple(rm.replicas[group.group_id].servant.notes)
@@ -260,7 +210,7 @@ def test_client_gone_from_the_gateway_a_client_left_spares_the_one_it_moved_to()
     world = World(seed=7)
     domain = make_domain(world, gateways=0)
     for _ in range(2):
-        domain.add_gateway(admission_window=2)
+        domain.add_gateway().arm_admission(2, 64)
     domain.await_stable()
     group = make_counter_group(
         domain, style=ReplicationStyle.ACTIVE_WITH_VOTING, min_replicas=2)
@@ -286,7 +236,8 @@ def test_a_repeated_request_id_keeps_one_record_per_key():
     ``gateway.request`` span — instead of being overwritten and leaked."""
     world = World(seed=3, trace_spans=True)
     domain = make_domain(world, gateways=0)
-    gateway = domain.add_gateway(admission_window=2)
+    gateway = domain.add_gateway()
+    gateway.arm_admission(2, 64)
     domain.await_stable()
     group = ready_counter_group(domain)
     orb, stub, _ = external_client(world, domain, group, enhanced=False)
@@ -311,8 +262,7 @@ def test_a_repeated_request_id_keeps_one_record_per_key():
 
 def test_cancel_after_response_delivery_leaves_no_tombstone(world):
     """A CancelRequest that loses the race against the reply (the
-    response was already written back) must not leave a tombstone —
-    nothing would ever consume it but the TTL."""
+    response was already written back) is counted and leaves nothing."""
     domain = make_domain(world, gateways=1)
     group = make_counter_group(domain)
     gateway = domain.gateways[0]
@@ -322,8 +272,6 @@ def test_cancel_after_response_delivery_leaves_no_tombstone(world):
     connection.endpoint.send(encode_cancel_request(1))  # the completed call
     world.run(until=world.now + 0.5)
     assert gateway.stats["cancels"] == 1
-    assert gateway._cancelled == set()
-    assert gateway._reap_timer is None
     world.audit(strict=True)
 
 
@@ -390,13 +338,15 @@ def test_warm_passive_primary_log_is_truncated_by_its_own_updates(world):
 
 # How a two-way operation can end at the gateway that read it off its
 # client socket -> the outcome its gateway.request container closes with.
+# A cancel changes nothing there: the operation ends as it would have
+# without one, and the client ORB drops the reply.
 EXITS = {
     "response": "delivered",
     "style_switch": "vote_relaxed",
     "membership_shrink": "vote_relaxed",
     "unanswerable": "unservable",
-    "cancel_then_response": "cancelled",
-    "cancel_then_unanswerable": "cancelled",
+    "cancel_then_response": "delivered",
+    "cancel_then_unanswerable": "unservable",
     "close_then_response": "unroutable",
     "client_gone": "client_gone",
 }
@@ -512,10 +462,6 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         send_cancel_for_last_request(world, orb)
         for host in placement:
             world.faults.crash_now(host)
-        # Settled with the membership install, not by the 30 s reaper.
-        world.run(until=world.now + 2.0)
-        assert origin._cancelled == set()
-        assert origin.stats["cancels_reaped"] == 0
     elif cause == "close_then_response":
         orb._connections[next(iter(orb._connections))].close()
         world.run(until=world.now + 0.2)
@@ -541,13 +487,11 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
     elif cause in ("close_then_response", "client_gone"):
         assert isinstance(first.error, CommFailure)   # A hung up itself
     else:
-        assert not first.done           # withdrawn: no reply
+        assert not first.done           # the client stopped waiting
     if unanswerable:
         # Counted once per operation, cancelled or not.
         assert origin.stats["requests_unservable"] == 1 + windowed
     for gateway in (origin, peer):
-        assert gateway._oneways == {}
-        assert gateway._cancelled == set()
         assert gateway._gone_pending == set()
         assert not gateway._admission_queue
         assert gateway._filter.pending_count == 0
@@ -565,7 +509,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
         else:
             assert second.value == executed + 1
         admitted = metrics.value("gateway.adm.admitted") - admitted_before
-        assert admitted == 2 - (cause == "unanswerable")
+        assert admitted == 2 - unanswerable
         assert (metrics.value("pool.admission.served") - served_before
                 == admitted)
     world.audit(strict=True)

@@ -56,7 +56,7 @@ def test_gateway_client_of_a_lost_group_gets_transient(world, style):
     included."""
     domain = FaultToleranceDomain(world, "dom", totem_config=SLOW_TOTEM)
     for _ in range(2):
-        domain.add_gateway(admission_window=4)
+        domain.add_gateway().arm_admission(4, 64)
     domain.await_stable()
     group = make_counter_group(domain, style=style, min_replicas=1)
     domain.await_ready(group)
