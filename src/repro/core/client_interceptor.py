@@ -11,7 +11,10 @@ client side that:
   IOR named that gateway at bind time, so a failover need not wait out
   a TCP handshake across the WAN;
 * inserts a **unique client identifier** into the service context of
-  every IIOP request (safely ignored by ORBs that don't understand it);
+  every IIOP request (safely ignored by ORBs that don't understand it),
+  with the client's **floor** — the lowest request id it still awaits
+  a reply for — so the domain can forget what it keeps for the
+  requests below it;
 * on gateway failure, **transparently skips to the next profile** —
   promoting the standby connection when it is usable, connecting to
   the next profile when it is not — and **reissues every pending
@@ -98,7 +101,11 @@ class FtRequester(Requester):
 
     def service_contexts(self,
                          request_id: Optional[int] = None) -> List[ServiceContext]:
-        contexts = [self.layer.context.to_service_context()]
+        ctx = self.layer.context
+        if request_id is not None:
+            ctx = ClientIdContext(ctx.client_uid, ctx.incarnation,
+                                  self.layer.floor(request_id))
+        contexts = [ctx.to_service_context()]
         spans = self.orb.spans
         if request_id is not None and spans.enabled:
             # Root the invocation's trace here, at request marshalling:
@@ -355,6 +362,16 @@ class FtClientLayer:
     @property
     def client_uid(self) -> str:
         return self.context.client_uid
+
+    def floor(self, request_id: int) -> int:
+        """The lowest request id this client awaits a reply for once
+        ``request_id`` is sent.  A reissue resends its original bytes,
+        so it carries an older, lower floor: that retires less."""
+        floor = request_id
+        for requester in self.requesters:
+            if requester.pending:
+                floor = min(floor, min(requester.pending))
+        return floor
 
     def string_to_object(self, ior: Any, interface: Interface,
                          multiplexed: bool = False) -> Stub:

@@ -11,7 +11,11 @@ majority of replicas, masking value faults of a minority.
 the (source group, client id, operation id) deduplication key, and
 remembers recently delivered operations with their agreed payload, so
 that late duplicates — even ones arriving after delivery — are still
-recognised, and a reissue can be answered from that memory.
+recognised, and a reissue can be answered from that memory.  The
+memory is a :class:`DedupTable`: kept per client, and retired by the
+client's own progress — its *floor*, the lowest operation it still
+awaits — so what a receiver holds is bounded by its live clients, not
+by its history.
 
 An expectation is also the receiver's wait: it holds the receiver's
 *waiter* (or none — a gateway mirroring a peer's request) and hands it
@@ -20,9 +24,204 @@ to the owner's one settle function when the key stops being expected.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Set, Tuple
+
+
+def _join(client: Hashable, op: Any) -> Hashable:
+    return client + (op,) if type(client) is tuple else client
+
+
+class _Records(dict):
+    """A client's records, operation -> value, once it holds more than
+    one or carried a floor here; ``floor`` is the lowest operation it
+    still awaits (None: it never carried one)."""
+
+    __slots__ = ("floor",)
+
+    def __init__(self, *args: Any, floor: Any = None) -> None:
+        super().__init__(*args)
+        self.floor = floor
+
+
+class DedupTable(Mapping):
+    """What a receiver remembers of completed operations, client by
+    client: the dedup key -> value map of a duplicate filter's delivered
+    memory and of a replica's invocation records.
+
+    A key names its client and its operation: a tuple's last item is
+    the operation and the rest the client; any other key is a client of
+    one operation.  A client's records are retired by its **floor**, the
+    lowest operation it still awaits, which its requests carry
+    (:meth:`retire`).  An operation below its client's floor is a
+    duplicate by definition and is never recorded again; the floor is
+    kept from the client's second request on.  Retiring costs the
+    client's own records, never a scan of the table.
+
+    ``limit`` records in all is the backstop for clients that never
+    return: beyond it the client that least recently carried a floor
+    (or, carrying none, came first) loses its oldest record — its floor
+    goes with its last one — counted in ``stats["evicted"]``;
+    ``stats["retired"]`` counts records retired.
+    """
+
+    def __init__(self, limit: int) -> None:
+        # client -> its records, the client first to lose one first: an
+        # (op, value) pair while it holds one record and no floor (a
+        # one-shot client costs no dict of its own), else _Records.
+        self._clients: Dict[Hashable, Any] = {}
+        self._size = 0
+        self.limit = limit
+        self.stats = {"retired": 0, "evicted": 0}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[Hashable]:
+        for client, held in self._clients.items():
+            for op in ((held[0],) if type(held) is tuple else held):
+                yield _join(client, op)
+
+    def __getitem__(self, key: Hashable) -> Any:
+        value = self.get(key)
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def get(self, key: Hashable, default: Any = None,
+            retired: Any = None) -> Any:
+        """The value held for ``key``; else ``retired`` if it is below
+        its client's floor (and ``retired`` is given); else
+        ``default``."""
+        if type(key) is tuple:
+            client, op = key[:-1], key[-1]
+        else:
+            client, op = key, None
+        held = self._clients.get(client)
+        if held is None:
+            return default
+        if type(held) is tuple:
+            return held[1] if held[0] == op else default
+        value = held.get(op)
+        if value is not None:
+            return value
+        if retired is not None and held.floor is not None and op < held.floor:
+            return retired
+        return default
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Record ``value`` for ``key`` (one below its client's floor is
+        not recorded)."""
+        if type(key) is tuple:
+            client, op = key[:-1], key[-1]
+        else:
+            client, op = key, None
+        clients = self._clients
+        held = clients.get(client)
+        if held is None:
+            clients[client] = (op, value)
+            self._size += 1
+        elif type(held) is tuple:
+            if held[0] == op:
+                clients[client] = (op, value)
+            else:
+                clients[client] = _Records((held, (op, value)))
+                self._size += 1
+        elif held.floor is None or not op < held.floor:
+            if op not in held:
+                self._size += 1
+            held[op] = value
+        if self._size > self.limit:
+            self._evict()
+
+    def retire(self, client: Hashable, floor: Any) -> int:
+        """Raise ``client``'s floor to ``floor`` and drop its records
+        below it; returns how many went.  A client that holds nothing
+        here stores no floor: a one-shot client costs no more than its
+        record."""
+        clients = self._clients
+        held = clients.get(client)
+        if held is None:
+            return 0
+        if type(held) is tuple:
+            gone = 1 if held[0] < floor else 0
+            records = _Records(() if gone else (held,), floor=floor)
+        else:
+            if held.floor is not None and not held.floor < floor:
+                return 0
+            held.floor, records, gone = floor, held, 0
+            for op in list(held):
+                if op < floor:
+                    del held[op]
+                    gone += 1
+        # A client whose floor moves is alive: the backstop reaches it
+        # last.
+        del clients[client]
+        clients[client] = records
+        self._size -= gone
+        self.stats["retired"] += gone
+        return gone
+
+    def forget_where(self, predicate) -> int:
+        """Drop the records whose key matches ``predicate``, and the
+        floor of each client left with none; returns records dropped."""
+        dropped = 0
+        for client, held in list(self._clients.items()):
+            if type(held) is tuple:
+                if predicate(_join(client, held[0])):
+                    del self._clients[client]
+                    dropped += 1
+                continue
+            for op in [op for op in held if predicate(_join(client, op))]:
+                del held[op]
+                dropped += 1
+            if not held and (held.floor is None
+                             or predicate(_join(client, held.floor))):
+                del self._clients[client]
+        self._size -= dropped
+        return dropped
+
+    def clients(self) -> Iterator[Tuple[Hashable, int, Any]]:
+        """``(client, records held, floor)`` for every client here."""
+        for client, held in self._clients.items():
+            if type(held) is tuple:
+                yield client, 1, None
+            else:
+                yield client, len(held), held.floor
+
+    def snapshot(self) -> Dict[Hashable, Tuple[Any, Dict[Any, Any]]]:
+        """client -> (floor, {op: value}): plain data for a state
+        transfer (values are shared, never mutated in place)."""
+        return {client: ((None, dict((held,))) if type(held) is tuple
+                         else (held.floor, dict(held)))
+                for client, held in self._clients.items()}
+
+    def install(self, snapshot: Dict[Hashable, Tuple[Any, Dict[Any, Any]]]
+                ) -> None:
+        """Replace this table's contents with a :meth:`snapshot`."""
+        self._clients = {}
+        self._size = 0
+        for client, (floor, records) in snapshot.items():
+            if floor is None and len(records) == 1:
+                self._clients[client] = next(iter(records.items()))
+            else:
+                self._clients[client] = _Records(records, floor=floor)
+            self._size += len(records)
+
+    def _evict(self) -> None:
+        clients = self._clients
+        while self._size > self.limit:
+            client = next(iter(clients))
+            held = clients[client]
+            if type(held) is tuple or len(held) <= 1:
+                del clients[client]      # its last record, and its floor
+                lost = 1 if type(held) is tuple else len(held)
+            else:
+                del held[next(iter(held))]
+                lost = 1
+            self._size -= lost
+            self.stats["evicted"] += lost
 
 
 @dataclass
@@ -38,7 +237,7 @@ class DuplicateSuppressor:
 
     # offer() verdicts
     DELIVER = "deliver"        # deliver this payload now (exactly once)
-    DUPLICATE = "duplicate"    # already delivered: suppress
+    DUPLICATE = "duplicate"    # delivered, or below its floor: suppress
     PENDING = "pending"        # voting: not enough agreeing votes yet
     UNEXPECTED = "unexpected"  # no expectation registered for this key
 
@@ -54,9 +253,10 @@ class DuplicateSuppressor:
     def __init__(self, remember_delivered: int = 100_000,
                  settle=None) -> None:
         self._pending: Dict[Hashable, _Pending] = {}
-        # Delivered key -> the payload delivered for it, oldest first.
-        self._delivered: "OrderedDict[Hashable, bytes]" = OrderedDict()
-        self._remember = remember_delivered
+        # Delivered key -> the payload delivered for it, client by client.
+        self._delivered = DedupTable(remember_delivered)
+        # ``retired`` / ``evicted`` records of the delivered memory.
+        self.stats = self._delivered.stats
         # settle(key, waiter, outcome, payload), once per key that stops
         # being expected, after the filter's own state has moved.
         self._settle = settle or (lambda *settlement: None)
@@ -71,9 +271,9 @@ class DuplicateSuppressor:
         ``votes_needed`` is 1 for plain active/passive replication and
         the majority size for active-with-voting.  Expecting a key again
         keeps its requirement and votes; a waiter given then replaces
-        the one attached, which is returned.  A delivered key is not
-        expected again."""
-        if key in self._delivered:
+        the one attached, which is returned.  A delivered key, or one
+        below its client's floor, is not expected again."""
+        if self.was_delivered(key):
             return None
         if key not in self._pending:
             self._pending[key] = _Pending(max(1, votes_needed), waiter)
@@ -98,7 +298,14 @@ class DuplicateSuppressor:
                 if pending.waiter is not None]
 
     def was_delivered(self, key: Hashable) -> bool:
-        return key in self._delivered
+        """Delivered here, or below its client's floor: retired, a
+        duplicate by definition."""
+        return self._delivered.get(key, None, True) is not None
+
+    def retire(self, client: Hashable, floor: Any) -> int:
+        """``client`` awaits nothing below ``floor``: forget what was
+        delivered to it below that (:meth:`DedupTable.retire`)."""
+        return self._delivered.retire(client, floor)
 
     def delivered(self, key: Hashable) -> Optional[bytes]:
         """The payload delivered for ``key``, while it is remembered."""
@@ -108,10 +315,10 @@ class DuplicateSuppressor:
               responder: Optional[Hashable] = None) -> Tuple[str, Optional[bytes]]:
         """Offer one response copy; returns (verdict, payload-to-deliver).
         A ``DELIVER`` is settled before this returns."""
-        if key in self._delivered:
-            return (DuplicateSuppressor.DUPLICATE, None)
         pending = self._pending.get(key)
         if pending is None:
+            if self.was_delivered(key):
+                return (DuplicateSuppressor.DUPLICATE, None)
             return (DuplicateSuppressor.UNEXPECTED, None)
         if responder is not None:
             if responder in pending.responders:
@@ -146,7 +353,7 @@ class DuplicateSuppressor:
                        floor=0, owner=owner, active=active,
                        gauge=None if gp is None else f"{gp}.pending")
         scope.register(f"{prefix}.delivered", lambda: len(self._delivered),
-                       floor=lambda: self._remember, owner=owner,
+                       floor=lambda: self._delivered.limit, owner=owner,
                        active=active,
                        gauge=None if gp is None else f"{gp}.delivered")
 
@@ -192,8 +399,9 @@ class DuplicateSuppressor:
 
     def forget_where(self, predicate) -> int:
         """Drop pending expectations (each settled ``FORGOTTEN``) and
-        delivered-memory whose key matches ``predicate``; returns how
-        many entries were removed.
+        delivered-memory whose key matches ``predicate`` — with the floor
+        of a client left with none; returns how many entries were
+        removed.
 
         Used when all state for a client is purged (CLIENT_GONE): a
         later reincarnation of the same identifiers must be re-servable,
@@ -201,17 +409,13 @@ class DuplicateSuppressor:
         """
         dropped = [(key, self._pending.pop(key).waiter)
                    for key in [k for k in self._pending if predicate(k)]]
-        forgotten = [k for k in self._delivered if predicate(k)]
-        for key in forgotten:
-            del self._delivered[key]
+        forgotten = self._delivered.forget_where(predicate)
         for key, waiter in dropped:
             self._settle(key, waiter, DuplicateSuppressor.FORGOTTEN, None)
-        return len(dropped) + len(forgotten)
+        return len(dropped) + forgotten
 
     # ------------------------------------------------------------------
 
     def _mark_delivered(self, key: Hashable, payload: bytes) -> None:
         self._pending.pop(key, None)
-        self._delivered[key] = payload
-        while len(self._delivered) > self._remember:
-            self._delivered.popitem(last=False)
+        self._delivered.put(key, payload)

@@ -59,7 +59,8 @@ from ..sim.host import Host, Process
 from ..sim.tcp import TcpEndpoint
 from ..sim.world import Promise
 from .duplicates import DuplicateSuppressor
-from .identifiers import ClientId, DedupKey, external_operation_id
+from .identifiers import (
+    ClientId, DedupKey, OperationId, external_operation_id)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..eternal.domain import FaultToleranceDomain
@@ -70,9 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # the operation id — the duplicate filter's key (``DedupKey``).
 Member = Tuple[int, ClientId]
 
-# Replies remembered for reissues: the gateway's duplicate filter keeps
-# this many delivered operations, payload and all (FIFO — the oldest are
-# the least likely to be reclaimed by a reissue).
+# Replies remembered for reissues: each client's progress (its floor)
+# retires its own; beyond this many in all — clients that never return —
+# the least recently served client loses its oldest (DedupTable).
 REPLY_MEMORY = 10_000
 # Gateway.drain: wait for requests still on the wire (> a client round
 # trip), then for the last in-flight one to resolve.
@@ -101,6 +102,12 @@ _STATS = {
     "requests_unservable": "gateway.req.unservable",
     "votes_relaxed": "gateway.style.vote_relaxed",
 }
+# The duplicate filter's ``stats`` (its delivered memory's) -> the world
+# counter summing it over gateways.
+_FILTER_STATS = {
+    "retired": "gateway.filter.retired",
+    "evicted": "dedup.evicted",
+}
 # Summed once the gate is armed, so a farm-free world lacks the series.
 _ADMISSION_STATS = {
     "requests_admitted": "gateway.adm.admitted",
@@ -124,6 +131,8 @@ class _PendingRequest:
     # Simulated receipt time at the gateway that read the request off its
     # client socket.
     received_at: float
+    # The client's floor, stamped on the forwarded INVOCATION.
+    floor: Optional[OperationId] = None
     # Causal tracing (repro.obs.tracing): the invocation's trace id,
     # hop count, container span (gateway.request, receipt -> egress)
     # and the open ordering-wait span of the forward.  All zero when
@@ -209,6 +218,7 @@ class Gateway(Process):
 
         m = self.metrics
         m.register_stats(self.stats, _STATS)
+        m.register_stats(self._filter.stats, _FILTER_STATS)
         self._m_req_latency = m.histogram("gateway.req.latency", unit="s")
         # Always 0, read by bench/ledger.py; goes with that row in
         # the `benchmark` PR (ROADMAP item 1).
@@ -386,7 +396,8 @@ class Gateway(Process):
             return
         target_group = info.group_id
 
-        member = self._identify_client(request, connection, target_group)
+        member, carried = self._identify_client(request, connection,
+                                                target_group)
         client_id = member[1]
         # A returning client (e.g. an egress successor reusing the same
         # identifiers) voids any deferred departure broadcast: purging
@@ -433,6 +444,12 @@ class Gateway(Process):
                 spans.instant(trace_id, "gateway.cache.replay",
                               parent=container, source=self.name)
                 spans.end(container, outcome="cache_replay")
+            return
+        if self._filter.was_delivered(key):
+            # Below the floor the client itself raised: it said it holds
+            # this reply, so it is owed nothing more.
+            if container:
+                spans.end(container, outcome="retired")
             return
 
         # Unservable fail-fast: a target with zero live replicas can
@@ -487,6 +504,7 @@ class Gateway(Process):
 
         pending = _PendingRequest(
             key=key, iiop=message, request=request, received_at=received_at,
+            floor=self._floor(member, key[2], carried),
             admitted=admitted,
             trace_id=trace_id, trace_hop=trace_hop, trace_span=container)
         if container:
@@ -542,6 +560,7 @@ class Gateway(Process):
             client_id=client_id,
             op_id=op_id,
             iiop=pending.iiop,
+            floor=pending.floor,
             _request=pending.request,
         )
         if pending.trace_span:
@@ -557,10 +576,10 @@ class Gateway(Process):
         self.rm.multicast(message)
 
     def _identify_client(self, request, connection: IiopServerConnection,
-                         target_group: int) -> Member:
-        """Enhanced clients carry their identity; a plain connection
-        gets one counter id per server group it addresses (section
-        3.2)."""
+                         target_group: int) -> Tuple[Member, Optional[int]]:
+        """Enhanced clients carry their identity, and their floor (the
+        second item; None for a plain client); a plain connection gets
+        one counter id per server group it addresses (section 3.2)."""
         carried = self._conn_clients[connection]
         ctx = extract_client_id(request)
         if ctx is not None:
@@ -569,12 +588,28 @@ class Gateway(Process):
         else:
             for member in reversed(carried):
                 if member[0] == target_group:
-                    return member
+                    return member, None
             counter = self._counters.setdefault(target_group,
                                                 itertools.count(1))
             member = (target_group, self.index * 1_000_000 + next(counter))
         carried[member] = None
-        return member
+        return member, None if ctx is None else ctx.floor
+
+    def _floor(self, member: Member, op: OperationId,
+               carried: Optional[int]) -> Optional[OperationId]:
+        """The floor a request ``op`` carries into the ring: an
+        enhanced client's own (0, the old context form: none), clamped
+        to the request itself, so it can neither suppress its own
+        request nor reach another client's; a plain client's, the
+        lowest of its requests this gateway has not answered yet — it
+        cannot reissue anywhere else."""
+        if carried is None:
+            return min([op, *(key[2] for key, _ in self._filter.waiters()
+                              if key[:2] == member)])
+        if not carried:
+            return None
+        return op if carried >= op.child_seq else external_operation_id(
+            carried)
 
     def _release_admission(self, record: _PendingRequest) -> None:
         """Free the window slot an admitted request held and pull queued
@@ -667,6 +702,12 @@ class Gateway(Process):
         if kind is MsgKind.RESPONSE and msg.target_group == GATEWAY_GROUP:
             self._on_domain_response(msg)
         elif kind is MsgKind.INVOCATION and msg.source_group == GATEWAY_GROUP:
+            if msg.floor is not None:
+                # Every gateway, serving or mirroring, forgets the
+                # client's replies below its floor at the same point of
+                # the total order.
+                self._filter.retire((msg.target_group, msg.client_id),
+                                    msg.floor)
             key = (msg.target_group, msg.client_id, msg.op_id)
             record = self._filter.waiter(key)
             if record is None:

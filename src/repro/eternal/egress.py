@@ -115,13 +115,20 @@ class DomainEgress:
         across the domain boundary.
         """
         op = self.operation_for(call)
+        request_id = _deterministic_request_id(op_id)
+        # The lowest call of this group still outstanding: every host of
+        # the group holds the same ones, so all marshal the same bytes.
+        floor = min([request_id, *(
+            record.request.request_id
+            for (group, _), record in self.outstanding.items()
+            if group == source_group)])
         contexts = [ClientIdContext(
-            self._client_uid(source_group)).to_service_context()]
+            self._client_uid(source_group), floor=floor).to_service_context()]
         if trace is not None:
             contexts.append(SpanContext(
                 trace[0], trace[1], hop=trace[2]).to_service_context())
         request = RequestMessage(
-            request_id=_deterministic_request_id(op_id),
+            request_id=request_id,
             response_expected=not op.oneway,
             object_key=Ior.from_string(call.target).primary_profile().object_key,
             operation=op.name,

@@ -79,6 +79,10 @@ class DomainMessage:
     timestamp: int = 0
     iiop: bytes = b""
     data: Dict[str, Any] = field(default_factory=dict)
+    # A client's INVOCATION: the lowest operation that client still
+    # awaits, below which receivers forget its records (None: the
+    # request carries no floor, and retires nothing).
+    floor: Optional[OperationId] = None
     _size_hint: Optional[int] = field(default=None, repr=False, compare=False)
     # Causal-trace propagation (repro.obs.tracing): a
     # (trace_id, parent_span_id, hop) tuple, or None when tracing is
@@ -131,6 +135,7 @@ class DomainMessage:
         size = self._size_hint
         if size is None:
             size = self._size_hint = (40 + len(self.iiop)
+                                      + (8 if self.floor is not None else 0)
                                       + _items_weight(self.data.values()))
         return size
 

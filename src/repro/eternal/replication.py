@@ -7,7 +7,9 @@ a fault tolerance domain, layered on the local Totem member.  It:
 * dispatches totally-ordered delivered invocations to those replicas,
   detecting and suppressing duplicate invocations via the
   (source group, client id, operation id) key and caching responses so
-  duplicates can be answered without re-execution;
+  duplicates can be answered without re-execution — a client's records
+  kept only from its floor up (the lowest operation it still awaits,
+  carried by its requests);
 * multicasts replica responses back to the invoking group or gateway,
   withdrawing its own still-queued copy when a sibling replica's
   identical one is delivered first (sender-side duplicate suppression);
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from typing import (
     Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
-from ..core.duplicates import DuplicateSuppressor
+from ..core.duplicates import DedupTable, DuplicateSuppressor
 from ..core.identifiers import (
     OperationId,
     UNUSED_CLIENT_ID,
@@ -64,11 +66,10 @@ from .naming import (
 from .registry import GroupInfo, GroupRegistry
 from .styles import ReplicationStyle
 
-# Bound on the per-group duplicate-detection table.  Entries are evicted
-# FIFO; by the time 100k newer operations have been ordered after an
-# invocation, any legitimate reissue of it has long been answered.
-# (Production Totem GCs at message stability instead; a size bound keeps
-# the simulation honest about memory without that machinery.)
+# Backstop on the per-group duplicate-detection table.  A client's
+# floor retires its records; only clients that carry none (nested calls,
+# the driver, old client contexts) or never return reach this bound,
+# where the least recently recorded client loses its oldest record.
 DEDUP_TABLE_LIMIT = 100_000
 
 # Deliveries that change the directory: each is announced to the
@@ -105,6 +106,12 @@ _STATS = {
     "log_appends": "eternal.log.appends",
     "checkpoint_installs": "eternal.checkpoint.installs",
 }
+# Each dedup table's (and the response filter's delivered memory's)
+# ``stats`` -> the world counter summing it over tables and processors.
+_DEDUP_STATS = {
+    "retired": "rm.dedup.retired",
+    "evicted": "dedup.evicted",
+}
 
 
 @dataclass
@@ -120,13 +127,31 @@ class ReplicaRecord:
     added_at: int = 0                  # timestamp of the ADD_REPLICA that made it
 
 
-@dataclass
+@dataclass(slots=True)
 class _InvocationRecord:
     """Dedup-table entry for one (source, client, op) invocation."""
 
-    status: str                        # "executing" | "done"
+    status: str                        # "executing" | "done" | "retired"
     response_iiop: Optional[bytes] = None
-    response_expected: bool = True
+
+
+# What a duplicate below its client's floor finds: never executed again,
+# and no response to resend.
+_RETIRED = _InvocationRecord(status="retired")
+
+
+class _DedupTables(dict):
+    """group id -> the group's :class:`DedupTable`, made on first use,
+    its counts summed into the world counters from then on."""
+
+    def __init__(self, metrics: Any) -> None:
+        super().__init__()
+        self._metrics = metrics
+
+    def __missing__(self, group_id: int) -> DedupTable:
+        table = self[group_id] = DedupTable(DEDUP_TABLE_LIMIT)
+        self._metrics.register_stats(table.stats, _DEDUP_STATS)
+        return table
 
 
 @dataclass
@@ -183,7 +208,7 @@ class ReplicationMechanisms(Process):
         self._presync_buffer: List[DomainMessage] = []
 
         # Duplicate invocation detection: group -> dedup key -> record.
-        self._invocations_seen: Dict[int, Dict[Tuple, _InvocationRecord]] = {}
+        self._invocations_seen = _DedupTables(self.metrics)
         # Duplicate response suppression / voting for nested + external
         # calls; each expectation holds its _Waiter and ends in _settle.
         # Keys: (responder group, invoking group id, op id) for a
@@ -222,6 +247,7 @@ class ReplicationMechanisms(Process):
         self.stats = dict.fromkeys(_STATS, 0)
         m = self.metrics
         m.register_stats(self.stats, _STATS)
+        m.register_stats(self._response_filter.stats, _DEDUP_STATS)
         self._m_transfer_bytes = m.histogram("fault.state_transfer.bytes", unit="B")
         self._m_recovery_duration = m.histogram("fault.recovery.duration", unit="s")
 
@@ -404,8 +430,12 @@ class ReplicationMechanisms(Process):
     def _process_invocation(self, msg: DomainMessage, record: ReplicaRecord,
                             info: GroupInfo) -> None:
         key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
-        seen = self._invocations_seen.setdefault(msg.target_group, {})
-        existing = seen.get(key)
+        seen = self._invocations_seen[msg.target_group]
+        if msg.floor is not None:
+            # The client awaits nothing below its floor: its records
+            # there go, and a late copy of any of them is a duplicate.
+            seen.retire(key[:2], msg.floor)
+        existing = seen.get(key, None, _RETIRED)
         tr = msg.trace if self._span_collector.enabled else None
         if existing is not None:
             self.stats["invocations_duplicate"] += 1
@@ -430,10 +460,7 @@ class ReplicationMechanisms(Process):
                 seq=msg.timestamp)
         # Record before executing so re-entrant deliveries see it.
         request = msg.request()
-        seen[key] = _InvocationRecord(
-            status="executing", response_expected=request.response_expected)
-        while len(seen) > DEDUP_TABLE_LIMIT:
-            seen.pop(next(iter(seen)))  # FIFO eviction, bounded memory
+        seen.put(key, _InvocationRecord(status="executing"))
         # Execute, or (a passive backup) only log.
         self._engines[info.style].deliver(msg, record, info, request, key)
 
@@ -461,12 +488,23 @@ class ReplicationMechanisms(Process):
                        lambda: sum(len(log) for log in self.logs.values()),
                        floor=log_floor, owner=owner, active=alive,
                        gauge="rm.state.log_entries")
+
+        def dedup_floor() -> int:
+            # A gateway client holds one record at quiescence — more only
+            # if its newest floor left a window open (calls that
+            # overlapped) — and without a floor, one at most.  Nested
+            # calls and the driver carry none: theirs keep the backstop.
+            allowed = 0
+            for table in self._invocations_seen.values():
+                for client, held, floor in table.clients():
+                    external = client[0] == GATEWAY_GROUP
+                    allowed += 1 if external and floor is None else held
+            return allowed
+
         scope.register("rm.dedup",
                        lambda: sum(len(t)
                                    for t in self._invocations_seen.values()),
-                       floor=lambda: (DEDUP_TABLE_LIMIT
-                                      * max(1, len(self._invocations_seen))),
-                       owner=owner, active=alive,
+                       floor=dedup_floor, owner=owner, active=alive,
                        gauge="rm.state.dedup_entries")
         scope.register("rm.presync_buffer",
                        lambda: len(self._presync_buffer),
@@ -533,9 +571,8 @@ class ReplicationMechanisms(Process):
             self._span_collector.end(execution.trace_span,
                                      outcome=outcome.kind)
             execution.trace_span = 0
-        seen = self._invocations_seen.setdefault(original.target_group, {})
-        seen[key] = _InvocationRecord(status="done", response_iiop=reply,
-                                      response_expected=execution.request.response_expected)
+        self._invocations_seen[original.target_group].put(
+            key, _InvocationRecord(status="done", response_iiop=reply))
         # Who responds, what a silent replica keeps, and what the
         # backups are owed: the engine's answer.
         self._engines[info.style].completed(execution, original, info, key,
@@ -548,13 +585,11 @@ class ReplicationMechanisms(Process):
         in a switch's catch-up: nested calls are still multicast to
         solicit their targets' cached responses; terminal responses are
         not (``Execution.silent``), the old primary served them."""
-        seen = self._invocations_seen.setdefault(info.group_id, {})
+        seen = self._invocations_seen[info.group_id]
         for msg in logged:
             request = msg.request()
             key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
-            seen[key] = _InvocationRecord(
-                status="executing",
-                response_expected=request.response_expected)
+            seen.put(key, _InvocationRecord(status="executing"))
             self._execute(msg, record, info, request, key, silent=silent)
         return len(logged)
 
@@ -949,7 +984,7 @@ class ReplicationMechanisms(Process):
             data={"group_id": group_id, "recipient": recipient,
                   "state": record.servant.get_state(),
                   "version": record.version, "cut_ts": cut_ts,
-                  "dedup": dict(self._invocations_seen.get(group_id, {}))})
+                  "dedup": self._invocations_seen[group_id].snapshot()})
         self._m_transfer_bytes.observe(transfer.size_hint())
         self.multicast(transfer)
 
@@ -1011,7 +1046,7 @@ class ReplicationMechanisms(Process):
         # record.version stays at the registry version it was created
         # with: during a live upgrade the donor may still run old code,
         # but the transferred *state* is version-compatible by contract.
-        self._invocations_seen[group_id] = dict(msg.data["dedup"])
+        self._invocations_seen[group_id].install(msg.data["dedup"])
         record.ready = True
         info = self.registry.get(group_id)
         buffered, record.buffered = record.buffered, []

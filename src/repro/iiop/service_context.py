@@ -7,9 +7,13 @@ client first connected to — can recognise the client and detect
 reinvocations.  ORBs that do not understand the context ignore it.
 
 The context id uses the vendor range; the body is a CDR encapsulation
-carrying the client's globally unique identifier string and an
+carrying the client's globally unique identifier string, an
 incarnation number (bumped when the client process restarts, so a
-restarted client is not mistaken for its former self).
+restarted client is not mistaken for its former self) and the client's
+*floor*: the lowest request id it still awaits a reply for, so that
+the domain may forget what it keeps for the requests below it (the
+role of the retention id in FT-CORBA's ``FT_REQUEST`` context).  The
+older two-field body decodes with floor 0: it retires nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ TRACE_CONTEXT = 0x45540002
 
 # Each context's data is a CDR encapsulation: its byte-order octet, then
 # the fields, aligned from the encapsulation's first octet.
-_CLIENT_ID = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG])
+_CLIENT_ID = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG, TC_ULONG])
+_CLIENT_ID_OLD = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG])
 _SPAN = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG, TC_ULONG])
 
 
@@ -43,19 +48,25 @@ def _open(codec: Codec, data: bytes) -> List[Any]:
 
 @dataclass(frozen=True)
 class ClientIdContext:
-    """Unique client identity carried end-to-end in IIOP requests."""
+    """Unique client identity carried end-to-end in IIOP requests, with
+    the client's floor (0: none)."""
 
     client_uid: str
     incarnation: int = 1
+    floor: int = 0
 
     def to_service_context(self) -> ServiceContext:
         return ServiceContext(ETERNAL_CLIENT_ID_CONTEXT, _CLIENT_ID.encode(
-            (False, self.client_uid, self.incarnation)))
+            (False, self.client_uid, self.incarnation, self.floor)))
 
     @staticmethod
     def from_bytes(data: bytes) -> "ClientIdContext":
-        uid, incarnation = _open(_CLIENT_ID, data)
-        return ClientIdContext(client_uid=uid, incarnation=incarnation)
+        try:
+            uid, incarnation, floor = _open(_CLIENT_ID, data)
+        except MarshalError:
+            (uid, incarnation), floor = _open(_CLIENT_ID_OLD, data), 0
+        return ClientIdContext(client_uid=uid, incarnation=incarnation,
+                               floor=floor)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,19 @@
 import pytest
 
 from repro import CommFailure, FtClientLayer, GatewayPool, Orb, World
+from repro.core import external_operation_id
 from repro.iiop import (
     ETERNAL_CLIENT_ID_CONTEXT,
+    TC_BOOLEAN,
+    TC_STRING,
+    TC_ULONG,
     ClientIdContext,
+    Codec,
     Ior,
     extract_client_id,
 )
-from repro.iiop.giop import RequestMessage
+from repro.iiop.giop import RequestMessage, ServiceContext
+from repro.orb.orb import PlainRequester, Stub
 
 from tests.helpers import external_client, make_counter_group, make_domain
 
@@ -139,3 +145,95 @@ def test_failover_stats_track_reissues(world):
     world.await_promise(stub.call("increment", 1), timeout=240)
     assert requester.stats["failovers"] >= 1
     assert requester.stats["sent"] > sent_before
+
+
+# ----------------------------------------------------------------------
+# The floor: old and hostile contexts
+# ----------------------------------------------------------------------
+
+OLD_CLIENT_ID = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG])
+
+
+class ContextRequester(PlainRequester):
+    """A plain requester that stamps the client-id context ``make(id)``
+    builds for each request id: a hand-made client, old or hostile."""
+
+    def __init__(self, orb, make):
+        super().__init__(orb)
+        self.make = make
+
+    def service_contexts(self, request_id=None):
+        return [ServiceContext(ETERNAL_CLIENT_ID_CONTEXT,
+                               self.make(request_id))]
+
+
+def context_stub(world, domain, group, host_name, make):
+    orb = Orb(world, world.add_host(host_name), request_timeout=None)
+    return Stub(orb, domain.ior_for(group), group.interface,
+                requester=ContextRequester(orb, make))
+
+
+def records_of(domain, group, client_id):
+    """How many records each replica of ``group`` keeps for the gateway
+    client ``client_id``, and the floor it holds for it."""
+    held = set()
+    for rm in domain.rms.values():
+        table = rm._invocations_seen.get(group.group_id)
+        if table is not None and group.group_id in rm.replicas:
+            held |= {(count, floor) for client, count, floor
+                     in table.clients() if client == (1, client_id)}
+    return held
+
+
+def test_floor_rides_the_client_id_context(world):
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    _, stub, _ = external_client(world, domain, group, enhanced=True)
+    first = stub.call("increment", 1)
+    (context,) = stub.requester.service_contexts(7)
+    # Request 1 still awaits its reply: the floor stays at it.
+    assert ClientIdContext.from_bytes(context.data).floor == 1
+    world.await_promise(first)
+    (context,) = stub.requester.service_contexts(7)
+    assert ClientIdContext.from_bytes(context.data).floor == 7
+
+
+def test_old_two_field_context_decodes_and_retires_nothing(world):
+    old = OLD_CLIENT_ID.encode((False, "legacy", 4))
+    assert ClientIdContext.from_bytes(old) == ClientIdContext("legacy", 4, 0)
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    stub = context_stub(world, domain, group, "legacy-host", lambda _: old)
+    for expected in (1, 2, 3):
+        assert world.await_promise(stub.call("increment", 1)) == expected
+    world.run(until=world.now + 0.5)
+    assert records_of(domain, group, "legacy#4") == {(3, None)}
+    assert world.metrics.value("rm.dedup.retired") == 0
+    assert world.metrics.value("gateway.filter.retired") == 0
+    # A client whose records never retire is what the audit looks for.
+    assert {row.name for row in world.audit().violations} == {"rm.dedup"}
+
+
+def test_a_floor_above_its_own_request_is_clamped(world):
+    """A hostile floor can neither suppress its own request nor reach
+    another client's records."""
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    _, honest, _ = external_client(world, domain, group, enhanced=True)
+    assert world.await_promise(honest.call("increment", 1)) == 1
+    honest_uid = honest.requester.layer.context.client_uid
+    hostile = context_stub(
+        world, domain, group, "hostile-host",
+        lambda request_id: ClientIdContext(
+            "hostile", 1, request_id if request_id == 1 else 10 ** 6)
+        .to_service_context().data)
+    assert world.await_promise(hostile.call("increment", 10)) == 11
+    assert world.await_promise(hostile.call("increment", 10)) == 21
+    world.run(until=world.now + 0.5)
+    # Its own second request ran, and set the floor at itself.
+    assert records_of(domain, group, "hostile#1") == {
+        (1, external_operation_id(2))}
+    assert records_of(domain, group, f"{honest_uid}#1") == {(1, None)}
+    world.audit(strict=True)

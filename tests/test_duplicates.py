@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import DuplicateSuppressor
+from repro.core.duplicates import DedupTable
 
 
 def test_first_response_delivered_rest_suppressed():
@@ -266,3 +267,59 @@ def test_a_waiter_attaches_to_an_expectation_registered_without_one():
     assert s.offer("op", b"x", responder="r1")[0] == D.DELIVER
     assert handed == [("op", "w2", D.DELIVER, b"x")]
     assert s.waiters() == []
+
+
+# ----------------------------------------------------------------------
+# DedupTable: records per client, retired by the client's floor
+# ----------------------------------------------------------------------
+
+def test_a_floor_retires_its_clients_records_and_no_one_elses():
+    table = DedupTable(limit=100)
+    for op in (1, 2, 3):
+        table.put(("g", "a", op), f"a{op}")
+    table.put(("g", "b", 1), "b1")
+    assert table.retire(("g", "a"), 3) == 2
+    assert sorted(table) == [("g", "a", 3), ("g", "b", 1)]
+    assert table.get(("g", "a", 1)) is None
+    assert table.get(("g", "a", 1), None, "retired") == "retired"
+    assert table.get(("g", "b", 1), None, "retired") == "b1"
+    table.put(("g", "a", 2), "late")          # below the floor: not kept
+    assert len(table) == 2 and table.stats == {"retired": 2, "evicted": 0}
+    # A floor never falls back.
+    assert table.retire(("g", "a"), 1) == 0
+    assert table.get(("g", "a", 2), None, "retired") == "retired"
+
+
+def test_the_backstop_evicts_the_client_whose_floor_moved_least_recently():
+    table = DedupTable(limit=3)
+    for client in "abc":
+        table.put(("g", client, 1), client)
+    table.retire(("g", "a"), 1)               # a is alive: last in line
+    table.put(("g", "d", 1), "d")
+    assert sorted(key[1] for key in table) == ["a", "c", "d"]
+    assert table.stats["evicted"] == 1
+
+
+def test_a_snapshot_carries_records_and_floors():
+    table = DedupTable(limit=100)
+    table.put(("g", "a", 1), "a1")
+    table.put(("g", "a", 2), "a2")
+    table.retire(("g", "a"), 2)
+    table.put(("g", "b", 7), "b7")
+    joiner = DedupTable(limit=100)
+    joiner.install(table.snapshot())
+    assert dict(joiner.items()) == dict(table.items()) == {
+        ("g", "a", 2): "a2", ("g", "b", 7): "b7"}
+    assert joiner.get(("g", "a", 1), None, "retired") == "retired"
+    assert list(joiner.clients()) == list(table.clients())
+
+
+def test_a_response_below_the_floor_is_a_duplicate():
+    s = DuplicateSuppressor()
+    s.expect(("g", "c", 1))
+    s.offer(("g", "c", 1), b"r1")
+    s.retire(("g", "c"), 2)
+    assert not s.delivered(("g", "c", 1))
+    assert s.offer(("g", "c", 1), b"r1")[0] == DuplicateSuppressor.DUPLICATE
+    assert s.offer(("g", "c", 2), b"r2")[0] == DuplicateSuppressor.UNEXPECTED
+    assert s.expect(("g", "c", 1)) is None and not s.is_expected(("g", "c", 1))

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 
 from repro.errors import MarshalError
 from repro.iiop import (
+    ETERNAL_CLIENT_ID_CONTEXT,
     CdrInputStream,
+    ClientIdContext,
     GiopFramer,
     Ior,
     decode_reply,
     decode_request,
     encode_request,
+    extract_client_id,
     parse_header,
     RequestMessage,
+    ServiceContext,
 )
 
 
@@ -106,3 +110,37 @@ def test_valid_message_after_valid_message_with_fuzzed_middle_rejected():
     assert framer.feed(good) == [good]
     with pytest.raises(MarshalError):
         framer.feed(b"JUNK" + good)
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=64))
+@example(ClientIdContext("u", 1, 9).to_service_context().data[:-1])
+def test_client_id_context_rejects_or_decodes(data):
+    """A client-id context body, floor and all, decodes or raises
+    MarshalError; the gateway then treats the context as absent."""
+    request = RequestMessage(
+        request_id=1, response_expected=True, object_key=b"k",
+        operation="op",
+        service_contexts=[ServiceContext(ETERNAL_CLIENT_ID_CONTEXT, data)])
+    try:
+        ctx = ClientIdContext.from_bytes(data)
+    except MarshalError:
+        assert extract_client_id(request) is None
+        return
+    assert extract_client_id(request) == ctx
+    assert ctx.floor >= 0
+
+
+def test_a_cut_client_id_context_never_carries_a_floor():
+    """A body cut short is rejected, or — cut inside the floor — read as
+    the two-field form: floor 0, which retires nothing."""
+    data = ClientIdContext("client/9", 3, 41).to_service_context().data
+    decoded = set()
+    for end in range(len(data)):
+        try:
+            decoded.add(ClientIdContext.from_bytes(data[:end]))
+        except MarshalError:
+            pass
+    assert decoded == {ClientIdContext("client/9", 3, 0)}
+    assert ClientIdContext.from_bytes(data) == ClientIdContext(
+        "client/9", 3, 41)

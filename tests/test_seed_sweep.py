@@ -1,8 +1,8 @@
 """Smoke tests of ``tools/seed_sweep.py``: two seeds of the quick-scale
 ``bank_styles`` against this very checkout as its own "parent", so every
 simulated row must read equal, seed by seed; one ``--pairs`` pair the
-same way; the claim rule ``--pairs`` applies, and the verdict a
-``SPREAD`` row prints."""
+same way, with its host rows and ``peak_rss_mb``; the claim rule
+``--pairs`` applies, and the verdict a ``SPREAD`` row prints."""
 
 import importlib.util
 import pathlib
@@ -86,7 +86,10 @@ def test_pairs_against_itself_prints_both_host_metrics():
     assert lines[0] == ("steady_closed: 1 alternating pairs at seed 11, "
                         "sim_digest equal to the parent's")
     assert [line.split()[0] for line in lines[1:]] == [
-        "host_ops_per_s", "host_cpu_us_per_op"]      # BENCHMARK.json order
+        "host_ops_per_s", "host_cpu_us_per_op",
+        "peak_rss_mb"]                               # BENCHMARK.json order
+    assert all("parent median" in line and "change median" in line
+               and "won " in line for line in lines[1:])
     assert all(line.endswith(("gain holds", "no claim"))
                for line in lines[1:])
 

@@ -27,8 +27,8 @@ The host-clock rows (``host_*``, ``setup_s``, ``peak_rss_mb``) come from
 one repetition each and are as noisy as the machine; trust the simulated
 rows.  For them, ``--pairs N`` runs N pairs of dark repetitions of the
 parent and this checkout at one seed, alternating which side goes
-first, and prints for ``host_cpu_us_per_op`` and ``host_ops_per_s``
-each side's median and quartiles, the pairs this checkout won (ties
+first, and prints for ``host_cpu_us_per_op``, ``host_ops_per_s`` and
+``peak_rss_mb`` each side's median and quartiles, the pairs this checkout won (ties
 count for neither) and whether a gain may be claimed: at least nine
 tenths of the pairs won and a median gap wider than the distance
 between the parent's quartiles.  This tool only calls ``bench``; it is
@@ -48,8 +48,8 @@ sys.path.insert(0, str(ROOT))
 from bench import catalogue  # noqa: E402
 from bench.__main__ import end_to_end, host_samples, problems_of  # noqa: E402
 
-#: The host-clock metrics ``--pairs`` compares.
-PAIRED = ("host_cpu_us_per_op", "host_ops_per_s")
+#: The host metrics ``--pairs`` compares.
+PAIRED = ("host_cpu_us_per_op", "host_ops_per_s", "peak_rss_mb")
 
 
 def run_rep(checkout, workload, seed, scale):
