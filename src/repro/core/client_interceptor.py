@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..errors import CommFailure
 from ..iiop.giop import RequestMessage, ServiceContext
 from ..iiop.ior import Ior
-from ..iiop.service_context import ClientIdContext, SpanContext
+from ..iiop.service_context import ClientIdContext, SpanContext, stamped
 from ..orb.connection import IiopClientConnection
 from ..orb.dispatch import decode_result
 from ..orb.idl import Interface, Operation
@@ -101,11 +101,9 @@ class FtRequester(Requester):
 
     def service_contexts(self,
                          request_id: Optional[int] = None) -> List[ServiceContext]:
-        ctx = self.layer.context
-        if request_id is not None:
-            ctx = ClientIdContext(ctx.client_uid, ctx.incarnation,
-                                  self.layer.floor(request_id))
-        contexts = [ctx.to_service_context()]
+        layer = self.layer
+        contexts = [stamped(layer.unstamped, 0 if request_id is None
+                            else layer.floor(request_id))]
         spans = self.orb.spans
         if request_id is not None and spans.enabled:
             # Root the invocation's trace here, at request marshalling:
@@ -349,6 +347,10 @@ class MuxRequester(FtRequester):
 class FtClientLayer:
     """Factory for fault-tolerance-aware stubs over a plain ORB."""
 
+    # A farm holds thousands of layers, one per logical client.
+    __slots__ = ("orb", "context", "unstamped", "requesters",
+                 "failover_log")
+
     def __init__(self, orb: Orb, client_uid: Optional[str] = None,
                  incarnation: int = 1) -> None:
         self.orb = orb
@@ -356,6 +358,9 @@ class FtClientLayer:
         # one is numbered by the client's host, not by the process.
         uid = client_uid or f"ftclient/{orb.host.name}/{orb.host.next_serial()}"
         self.context = ClientIdContext(client_uid=uid, incarnation=incarnation)
+        # The context's uid and incarnation, marshalled once: each
+        # request stamps its floor after them.
+        self.unstamped = self.context.unstamped()
         self.requesters: List[FtRequester] = []
         self.failover_log: List[Tuple[float, Tuple[str, int]]] = []
 

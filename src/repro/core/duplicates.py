@@ -12,10 +12,11 @@ the (source group, client id, operation id) deduplication key, and
 remembers recently delivered operations with their agreed payload, so
 that late duplicates — even ones arriving after delivery — are still
 recognised, and a reissue can be answered from that memory.  The
-memory is a :class:`DedupTable`: kept per client, and retired by the
-client's own progress — its *floor*, the lowest operation it still
-awaits — so what a receiver holds is bounded by its live clients, not
-by its history.
+memory is a :class:`DedupTable`: one dict keyed by the dedup key, so a
+lookup is one dict operation, retired client by client by the client's
+own progress — its *floor*, the lowest operation it still awaits — so
+what a receiver holds is bounded by its live clients, not by its
+history.
 
 An expectation is also the receiver's wait: it holds the receiver's
 *waiter* (or none — a gateway mirroring a peer's request) and hands it
@@ -24,212 +25,227 @@ to the owner's one settle function when the key stops being expected.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
 
-def _join(client: Hashable, op: Any) -> Hashable:
-    return client + (op,) if type(client) is tuple else client
+class DedupTable(dict):
+    """What a receiver remembers of completed operations: the dedup key
+    -> value map of a duplicate filter's delivered memory and of a
+    replica's invocation records.  The table *is* that dict, so whether
+    a key is held is one dict operation (``key in table``,
+    ``table.get(key)``).
 
-
-class _Records(dict):
-    """A client's records, operation -> value, once it holds more than
-    one or carried a floor here; ``floor`` is the lowest operation it
-    still awaits (None: it never carried one)."""
-
-    __slots__ = ("floor",)
-
-    def __init__(self, *args: Any, floor: Any = None) -> None:
-        super().__init__(*args)
-        self.floor = floor
-
-
-class DedupTable(Mapping):
-    """What a receiver remembers of completed operations, client by
-    client: the dedup key -> value map of a duplicate filter's delivered
-    memory and of a replica's invocation records.
-
-    A key names its client and its operation: a tuple's last item is
-    the operation and the rest the client; any other key is a client of
-    one operation.  A client's records are retired by its **floor**, the
+    A key ``(group, client, op)`` names its client, the pair ``(group,
+    client)``, and its operation; any other key is kept as it is, never
+    retired.  A client's records are retired by its **floor**, the
     lowest operation it still awaits, which its requests carry
-    (:meth:`retire`).  An operation below its client's floor is a
-    duplicate by definition and is never recorded again; the floor is
-    kept from the client's second request on.  Retiring costs the
-    client's own records, never a scan of the table.
+    (:meth:`admit`).  An operation below its client's floor is a
+    duplicate by definition and is never recorded again.  ``floors``
+    holds a client's floor from the first request that found a record
+    of it here, so a one-shot client costs its record and nothing more.
+    Retiring costs the client's own records, never a scan of the table.
 
     ``limit`` records in all is the backstop for clients that never
-    return: beyond it the client that least recently carried a floor
-    (or, carrying none, came first) loses its oldest record — its floor
-    goes with its last one — counted in ``stats["evicted"]``;
+    return: beyond it the oldest record goes (a client's records count
+    as new each time its floor moves), and a client's floor goes with
+    its last record, counted in ``stats["evicted"]``;
     ``stats["retired"]`` counts records retired.
     """
 
+    __slots__ = ("floors", "_keys", "limit", "_room", "stats")
+
     def __init__(self, limit: int) -> None:
-        # client -> its records, the client first to lose one first: an
-        # (op, value) pair while it holds one record and no floor (a
-        # one-shot client costs no dict of its own), else _Records.
-        self._clients: Dict[Hashable, Any] = {}
-        self._size = 0
+        super().__init__()
+        # (group, client) -> the client's floor.
+        self.floors: Dict[Tuple[Any, Any], Any] = {}
+        # group -> client -> the key of the client's one record, or the
+        # list of its records' keys: what retiring reads.  The keys are
+        # the records' own, and the two levels spare a one-shot client
+        # a tuple of its own.
+        self._keys: Dict[Any, Dict[Any, Any]] = {}
         self.limit = limit
+        # Records the table may still take before the backstop evicts.
+        self._room = limit
         self.stats = {"retired": 0, "evicted": 0}
 
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self) -> Iterator[Hashable]:
-        for client, held in self._clients.items():
-            for op in ((held[0],) if type(held) is tuple else held):
-                yield _join(client, op)
-
-    def __getitem__(self, key: Hashable) -> Any:
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def get(self, key: Hashable, default: Any = None,
-            retired: Any = None) -> Any:
-        """The value held for ``key``; else ``retired`` if it is below
-        its client's floor (and ``retired`` is given); else
-        ``default``."""
+    def admit(self, key: Hashable, floor: Any = None, record: Any = None,
+              retired: Any = True) -> Any:
+        """An operation ``key`` arrives carrying its client's ``floor``
+        (None: none): raise the floor if it rose, then look the key up.
+        Returns the value held for ``key``; else ``retired`` if it is
+        below its client's floor; else None, having recorded ``record``
+        for it if one is given."""
         if type(key) is tuple:
-            client, op = key[:-1], key[-1]
-        else:
-            client, op = key, None
-        held = self._clients.get(client)
-        if held is None:
-            return default
-        if type(held) is tuple:
-            return held[1] if held[0] == op else default
-        value = held.get(op)
-        if value is not None:
-            return value
-        if retired is not None and held.floor is not None and op < held.floor:
-            return retired
-        return default
+            floors = self.floors
+            client = stored = None
+            if floors:
+                client = key[:2]
+                if client in floors:
+                    stored = floors[client]
+            if floor is None:
+                pass
+            elif stored is not None:
+                if stored < floor:
+                    self.retire(client, floor)
+                    stored = floor
+            elif key[0] in self._keys and key[1] in self._keys[key[0]]:
+                self.retire(key[:2], floor)    # stores its first floor
+                stored = floor
+            if key in self:
+                return self[key]
+            if stored is not None and key[2] < stored:
+                return retired
+            if record is None:
+                return None
+            if key[0] in self._keys:
+                held = self._keys[key[0]]
+            else:
+                held = self._keys[key[0]] = {}
+            who = key[1]
+            if who not in held:
+                held[who] = key
+            elif type(held[who]) is list:
+                held[who].append(key)
+            else:
+                held[who] = [held[who], key]
+        elif key in self:
+            return self[key]
+        elif record is None:
+            return None
+        self[key] = record
+        self._room -= 1
+        if self._room < 0:
+            self._evict()
+        return None
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Record ``value`` for ``key`` (one below its client's floor is
-        not recorded)."""
-        if type(key) is tuple:
-            client, op = key[:-1], key[-1]
+        """Record ``value`` for ``key``, in place of what is held for it
+        (one below its client's floor is not recorded)."""
+        if key in self:
+            self[key] = value
         else:
-            client, op = key, None
-        clients = self._clients
-        held = clients.get(client)
-        if held is None:
-            clients[client] = (op, value)
-            self._size += 1
-        elif type(held) is tuple:
-            if held[0] == op:
-                clients[client] = (op, value)
-            else:
-                clients[client] = _Records((held, (op, value)))
-                self._size += 1
-        elif held.floor is None or not op < held.floor:
-            if op not in held:
-                self._size += 1
-            held[op] = value
-        if self._size > self.limit:
-            self._evict()
+            self.admit(key, None, value)
 
-    def retire(self, client: Hashable, floor: Any) -> int:
+    def retire(self, client: Tuple[Any, Any], floor: Any) -> int:
         """Raise ``client``'s floor to ``floor`` and drop its records
-        below it; returns how many went.  A client that holds nothing
-        here stores no floor: a one-shot client costs no more than its
-        record."""
-        clients = self._clients
-        held = clients.get(client)
-        if held is None:
+        below it; returns how many went.  The records it keeps count as
+        new for the backstop: a client whose floor moves is alive.  A
+        floor never falls, and a client that holds nothing here and has
+        no floor yet stores none."""
+        floors = self.floors
+        floored = client in floors
+        if floored and not floors[client] < floor:
             return 0
-        if type(held) is tuple:
-            gone = 1 if held[0] < floor else 0
-            records = _Records(() if gone else (held,), floor=floor)
+        group, who = client
+        if group not in self._keys or who not in self._keys[group]:
+            if floored:
+                floors[client] = floor
+            return 0
+        floors[client] = floor
+        held = self._keys[group]
+        keys = held[who] if type(held[who]) is list else (held[who],)
+        kept = []
+        for key in keys:
+            if key[2] < floor:
+                del self[key]
+            else:
+                value = self[key]
+                del self[key]
+                self[key] = value
+                kept.append(key)
+        if not kept:
+            del held[who]
         else:
-            if held.floor is not None and not held.floor < floor:
-                return 0
-            held.floor, records, gone = floor, held, 0
-            for op in list(held):
-                if op < floor:
-                    del held[op]
-                    gone += 1
-        # A client whose floor moves is alive: the backstop reaches it
-        # last.
-        del clients[client]
-        clients[client] = records
-        self._size -= gone
+            held[who] = kept if kept[1:] else kept[0]
+        gone = len(keys) - len(kept)
+        self._room += gone
         self.stats["retired"] += gone
         return gone
 
-    def forget_where(self, predicate) -> int:
-        """Drop the records whose key matches ``predicate``, and the
-        floor of each client left with none; returns records dropped."""
-        dropped = 0
-        for client, held in list(self._clients.items()):
-            if type(held) is tuple:
-                if predicate(_join(client, held[0])):
-                    del self._clients[client]
-                    dropped += 1
-                continue
-            for op in [op for op in held if predicate(_join(client, op))]:
-                del held[op]
-                dropped += 1
-            if not held and (held.floor is None
-                             or predicate(_join(client, held.floor))):
-                del self._clients[client]
-        self._size -= dropped
-        return dropped
+    def forget(self, client: Tuple[Any, Any]) -> int:
+        """Drop ``client``'s records and its floor; returns how many
+        records went."""
+        self.floors.pop(client, None)
+        held = self._keys.get(client[0])
+        keys = None if held is None else held.pop(client[1], None)
+        if keys is None:
+            return 0
+        keys = keys if type(keys) is list else (keys,)
+        for key in keys:
+            del self[key]
+        self._room += len(keys)
+        return len(keys)
 
-    def clients(self) -> Iterator[Tuple[Hashable, int, Any]]:
-        """``(client, records held, floor)`` for every client here."""
-        for client, held in self._clients.items():
-            if type(held) is tuple:
-                yield client, 1, None
-            else:
-                yield client, len(held), held.floor
+    def clients(self) -> Iterator[Tuple[Tuple[Any, Any], int, Any]]:
+        """``(client, records held, floor)`` for every client with a
+        record or a floor here."""
+        floors = self.floors
+        for group, held in self._keys.items():
+            for who, keys in held.items():
+                client = (group, who)
+                yield (client, len(keys) if type(keys) is list else 1,
+                       floors.get(client))
+        for client, floor in floors.items():
+            if client[1] not in self._keys.get(client[0], ()):
+                yield client, 0, floor
 
-    def snapshot(self) -> Dict[Hashable, Tuple[Any, Dict[Any, Any]]]:
+    def snapshot(self) -> Dict[Tuple[Any, Any], Tuple[Any, Dict[Any, Any]]]:
         """client -> (floor, {op: value}): plain data for a state
         transfer (values are shared, never mutated in place)."""
-        return {client: ((None, dict((held,))) if type(held) is tuple
-                         else (held.floor, dict(held)))
-                for client, held in self._clients.items()}
+        snapshot = {}
+        for group, held in self._keys.items():
+            for who, keys in held.items():
+                client = (group, who)
+                snapshot[client] = (self.floors.get(client), {
+                    key[2]: self[key]
+                    for key in (keys if type(keys) is list else (keys,))})
+        for client, floor in self.floors.items():
+            snapshot.setdefault(client, (floor, {}))
+        return snapshot
 
-    def install(self, snapshot: Dict[Hashable, Tuple[Any, Dict[Any, Any]]]
-                ) -> None:
+    def install(self, snapshot: Dict[Tuple[Any, Any],
+                                     Tuple[Any, Dict[Any, Any]]]) -> None:
         """Replace this table's contents with a :meth:`snapshot`."""
-        self._clients = {}
-        self._size = 0
-        for client, (floor, records) in snapshot.items():
-            if floor is None and len(records) == 1:
-                self._clients[client] = next(iter(records.items()))
-            else:
-                self._clients[client] = _Records(records, floor=floor)
-            self._size += len(records)
+        self.clear()
+        self._room = self.limit
+        self.floors = {client: floor
+                       for client, (floor, _) in snapshot.items()
+                       if floor is not None}
+        self._keys = {}
+        for client, (_, records) in snapshot.items():
+            for op, value in records.items():
+                self.put(client + (op,), value)
 
     def _evict(self) -> None:
-        clients = self._clients
-        while self._size > self.limit:
-            client = next(iter(clients))
-            held = clients[client]
-            if type(held) is tuple or len(held) <= 1:
-                del clients[client]      # its last record, and its floor
-                lost = 1 if type(held) is tuple else len(held)
+        while self._room < 0:
+            key = next(iter(self))
+            del self[key]
+            self._room += 1
+            self.stats["evicted"] += 1
+            if type(key) is not tuple:
+                continue
+            held = self._keys[key[0]]
+            keys = held[key[1]]
+            if type(keys) is not list:
+                del held[key[1]]
+                self.floors.pop(key[:2], None)   # its last record
             else:
-                del held[next(iter(held))]
-                lost = 1
-            self._size -= lost
-            self.stats["evicted"] += lost
+                keys.remove(key)
+                if len(keys) == 1:
+                    held[key[1]] = keys[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     votes_needed: int
     waiter: Any = None
-    counts: Dict[bytes, int] = field(default_factory=dict)
-    responders: Set[Hashable] = field(default_factory=set)
+    # The waiter's client, as the suppressor indexes it (None: no waiter).
+    client: Any = None
+    # Votes per payload and who cast them, kept only while more than one
+    # vote is needed: a single-vote expectation delivers its first copy.
+    counts: Optional[Dict[bytes, int]] = None
+    responders: Optional[Set[Hashable]] = None
 
 
 class DuplicateSuppressor:
@@ -242,7 +258,7 @@ class DuplicateSuppressor:
     UNEXPECTED = "unexpected"  # no expectation registered for this key
 
     # How an expectation ends, besides DELIVER (see requorum and
-    # forget_where); the last two carry no payload.
+    # forget); the last two carry no payload.
     RELAXED = "vote_relaxed"
     DROPPED = "unservable"
     FORGOTTEN = "forgotten"
@@ -253,10 +269,15 @@ class DuplicateSuppressor:
     def __init__(self, remember_delivered: int = 100_000,
                  settle=None) -> None:
         self._pending: Dict[Hashable, _Pending] = {}
-        # Delivered key -> the payload delivered for it, client by client.
+        # Delivered key -> the payload delivered for it, retired client by
+        # client.
         self._delivered = DedupTable(remember_delivered)
         # ``retired`` / ``evicted`` records of the delivered memory.
         self.stats = self._delivered.stats
+        # client -> {key: None} of its expectations that have a waiter,
+        # in registration order (a (group, client, op) key's client is
+        # its first two items; any other key is its own client).
+        self._waiting: Dict[Hashable, Dict[Hashable, None]] = {}
         # settle(key, waiter, outcome, payload), once per key that stops
         # being expected, after the filter's own state has moved.
         self._settle = settle or (lambda *settlement: None)
@@ -273,22 +294,38 @@ class DuplicateSuppressor:
         keeps its requirement and votes; a waiter given then replaces
         the one attached, which is returned.  A delivered key, or one
         below its client's floor, is not expected again."""
-        if self.was_delivered(key):
+        delivered = self._delivered
+        if key in delivered:
+            return None
+        floors = delivered.floors
+        if floors and type(key) is tuple and key[:2] in floors and (
+                key[2] < floors[key[:2]]):
             return None
         if key not in self._pending:
-            self._pending[key] = _Pending(max(1, votes_needed), waiter)
-        elif waiter is not None:
+            if votes_needed > 1:
+                pending = _Pending(votes_needed, counts={}, responders=set())
+            else:
+                pending = _Pending(1)
+            self._pending[key] = pending
+            displaced = None
+        elif waiter is None:
+            return None
+        else:
             pending = self._pending[key]
-            displaced, pending.waiter = pending.waiter, waiter
-            return displaced
-        return None
+            displaced = pending.waiter
+        if waiter is not None:
+            pending.waiter = waiter
+            if displaced is None:
+                client = pending.client = (
+                    key[:2] if type(key) is tuple else key)
+                if client in self._waiting:
+                    self._waiting[client][key] = None
+                else:
+                    self._waiting[client] = {key: None}
+        return displaced
 
     def is_expected(self, key: Hashable) -> bool:
         return key in self._pending
-
-    def waiter(self, key: Hashable) -> Any:
-        """The waiter attached to ``key``'s expectation, if any."""
-        return self._pending[key].waiter if key in self._pending else None
 
     def waiters(self) -> List[Tuple[Hashable, Any]]:
         """``(key, waiter)`` of every expectation with a waiter, in
@@ -297,19 +334,20 @@ class DuplicateSuppressor:
                 for key, pending in self._pending.items()
                 if pending.waiter is not None]
 
+    def awaited(self, client: Hashable) -> Dict[Hashable, None]:
+        """The keys of ``client``'s expectations that have a waiter, in
+        registration order (empty: none)."""
+        return self._waiting.get(client, {})
+
     def was_delivered(self, key: Hashable) -> bool:
         """Delivered here, or below its client's floor: retired, a
         duplicate by definition."""
-        return self._delivered.get(key, None, True) is not None
-
-    def retire(self, client: Hashable, floor: Any) -> int:
-        """``client`` awaits nothing below ``floor``: forget what was
-        delivered to it below that (:meth:`DedupTable.retire`)."""
-        return self._delivered.retire(client, floor)
-
-    def delivered(self, key: Hashable) -> Optional[bytes]:
-        """The payload delivered for ``key``, while it is remembered."""
-        return self._delivered.get(key)
+        delivered = self._delivered
+        if key in delivered:
+            return True
+        floors = delivered.floors
+        return (type(key) is tuple and key[:2] in floors
+                and key[2] < floors[key[:2]])
 
     def offer(self, key: Hashable, payload: bytes,
               responder: Optional[Hashable] = None) -> Tuple[str, Optional[bytes]]:
@@ -317,22 +355,30 @@ class DuplicateSuppressor:
         A ``DELIVER`` is settled before this returns."""
         pending = self._pending.get(key)
         if pending is None:
-            if self.was_delivered(key):
+            if key in self._delivered or self.was_delivered(key):
                 return (DuplicateSuppressor.DUPLICATE, None)
             return (DuplicateSuppressor.UNEXPECTED, None)
-        if responder is not None:
-            if responder in pending.responders:
-                # The same replica re-sent its response (e.g. recovery
-                # replay): not a fresh vote.
-                return (DuplicateSuppressor.DUPLICATE, None)
-            pending.responders.add(responder)
-        pending.counts[payload] = pending.counts.get(payload, 0) + 1
-        if pending.counts[payload] >= pending.votes_needed:
-            self._mark_delivered(key, payload)
-            self._settle(key, pending.waiter, DuplicateSuppressor.DELIVER,
-                         payload)
-            return (DuplicateSuppressor.DELIVER, payload)
-        return (DuplicateSuppressor.PENDING, None)
+        counts = pending.counts
+        if counts is not None:
+            if responder is not None:
+                if responder in pending.responders:
+                    # The same replica re-sent its response (e.g.
+                    # recovery replay): not a fresh vote.
+                    return (DuplicateSuppressor.DUPLICATE, None)
+                pending.responders.add(responder)
+            votes = counts[payload] = counts.get(payload, 0) + 1
+            if votes < pending.votes_needed:
+                return (DuplicateSuppressor.PENDING, None)
+        del self._pending[key]
+        self._delivered.admit(key, None, payload)
+        if pending.client is not None:
+            keys = self._waiting[pending.client]
+            del keys[key]
+            if not keys:
+                del self._waiting[pending.client]
+        self._settle(key, pending.waiter, DuplicateSuppressor.DELIVER,
+                     payload)
+        return (DuplicateSuppressor.DELIVER, payload)
 
     @property
     def pending_count(self) -> int:
@@ -342,7 +388,7 @@ class DuplicateSuppressor:
     def register_audit(self, scope, owner: str = "", active=None,
                        prefix: str = "filter",
                        gauge_prefix: Optional[str] = None) -> None:
-        """Declare this suppressor's two maps to a resource-audit scope.
+        """Declare this suppressor's maps to a resource-audit scope.
 
         Every expectation must eventually resolve (response delivered,
         dropped, or purged with its client), so ``_pending`` floors at
@@ -356,6 +402,9 @@ class DuplicateSuppressor:
                        floor=lambda: self._delivered.limit, owner=owner,
                        active=active,
                        gauge=None if gp is None else f"{gp}.delivered")
+        # A waiter's index entry goes with its expectation.
+        scope.register(f"{prefix}.waiting", lambda: len(self._waiting),
+                       floor=0, owner=owner, active=active)
 
     def requorum(self, votes_needed) -> None:
         """Re-decide every pending expectation against what its
@@ -383,39 +432,46 @@ class DuplicateSuppressor:
                 needs[group] = votes_needed(group)
             need = needs[group]
             if need is None:
-                del self._pending[key]
+                self._end(key)
                 settled.append((key, pending.waiter,
                                 DuplicateSuppressor.DROPPED, None))
             elif need < pending.votes_needed:
                 pending.votes_needed = need
-                for payload, count in pending.counts.items():
+                for payload, count in (pending.counts or {}).items():
                     if count >= need:
-                        self._mark_delivered(key, payload)
+                        self._end(key)
+                        self._delivered.admit(key, None, payload)
                         settled.append((key, pending.waiter,
                                         DuplicateSuppressor.RELAXED, payload))
                         break
         for settlement in settled:
             self._settle(*settlement)
 
-    def forget_where(self, predicate) -> int:
-        """Drop pending expectations (each settled ``FORGOTTEN``) and
-        delivered-memory whose key matches ``predicate`` — with the floor
-        of a client left with none; returns how many entries were
-        removed.
+    def forget(self, client: Tuple[Any, Any]) -> int:
+        """Drop ``client``'s pending expectations (each settled
+        ``FORGOTTEN``), its delivered memory and its floor; returns how
+        many entries were removed.
 
         Used when all state for a client is purged (CLIENT_GONE): a
         later reincarnation of the same identifiers must be re-servable,
         not silently suppressed.
         """
-        dropped = [(key, self._pending.pop(key).waiter)
-                   for key in [k for k in self._pending if predicate(k)]]
-        forgotten = self._delivered.forget_where(predicate)
+        dropped = [(key, self._end(key).waiter) for key in [
+            key for key in self._pending
+            if type(key) is tuple and key[:2] == client]]
+        forgotten = self._delivered.forget(client)
         for key, waiter in dropped:
             self._settle(key, waiter, DuplicateSuppressor.FORGOTTEN, None)
         return len(dropped) + forgotten
 
     # ------------------------------------------------------------------
 
-    def _mark_delivered(self, key: Hashable, payload: bytes) -> None:
-        self._pending.pop(key, None)
-        self._delivered.put(key, payload)
+    def _end(self, key: Hashable) -> _Pending:
+        """Stop expecting ``key``; its expectation, unindexed."""
+        pending = self._pending.pop(key)
+        if pending.client is not None:
+            keys = self._waiting[pending.client]
+            del keys[key]
+            if not keys:
+                del self._waiting[pending.client]
+        return pending

@@ -434,18 +434,19 @@ class Gateway(Process):
                 spans.instant(trace_id, "pool.reroute", parent=container,
                               source=self.name)
 
-        cached = self._filter.delivered(key)
-        if cached is not None:
+        replies = self._filter._delivered
+        if key in replies:
             # A reinvocation whose response we already hold (the client
             # failed over to us, or retried): answer locally.
             self.stats["cache_replays"] += 1
-            connection.send(cached)
+            connection.send(replies[key])
             if container:
                 spans.instant(trace_id, "gateway.cache.replay",
                               parent=container, source=self.name)
                 spans.end(container, outcome="cache_replay")
             return
-        if self._filter.was_delivered(key):
+        floors = replies.floors
+        if floors and member in floors and key[2] < floors[member]:
             # Below the floor the client itself raised: it said it holds
             # this reply, so it is owed nothing more.
             if container:
@@ -502,10 +503,21 @@ class Gateway(Process):
             admitted = True
             self.stats["requests_admitted"] += 1
 
+        # The floor the request carries into the ring: an enhanced
+        # client's own (0, the old context form: none), clamped to the
+        # request itself, so it can neither suppress its own request nor
+        # reach another client's; a plain client's, worked out here.
+        if carried is None:
+            floor = self._plain_floor(member, key[2])
+        elif not carried:
+            floor = None
+        elif carried >= key[2].child_seq:
+            floor = key[2]
+        else:
+            floor = external_operation_id(carried)
         pending = _PendingRequest(
             key=key, iiop=message, request=request, received_at=received_at,
-            floor=self._floor(member, key[2], carried),
-            admitted=admitted,
+            floor=floor, admitted=admitted,
             trace_id=trace_id, trace_hop=trace_hop, trace_span=container)
         if container:
             # IIOP -> Totem translation (Figure 5a: identify, build the
@@ -595,21 +607,11 @@ class Gateway(Process):
         carried[member] = None
         return member, None if ctx is None else ctx.floor
 
-    def _floor(self, member: Member, op: OperationId,
-               carried: Optional[int]) -> Optional[OperationId]:
-        """The floor a request ``op`` carries into the ring: an
-        enhanced client's own (0, the old context form: none), clamped
-        to the request itself, so it can neither suppress its own
-        request nor reach another client's; a plain client's, the
-        lowest of its requests this gateway has not answered yet — it
-        cannot reissue anywhere else."""
-        if carried is None:
-            return min([op, *(key[2] for key, _ in self._filter.waiters()
-                              if key[:2] == member)])
-        if not carried:
-            return None
-        return op if carried >= op.child_seq else external_operation_id(
-            carried)
+    def _plain_floor(self, member: Member, op: OperationId) -> OperationId:
+        """A plain client's floor for its request ``op``: the lowest of
+        its requests this gateway has not answered yet — it cannot
+        reissue anywhere else."""
+        return min([op, *(key[2] for key in self._filter.awaited(member))])
 
     def _release_admission(self, record: _PendingRequest) -> None:
         """Free the window slot an admitted request held and pull queued
@@ -658,7 +660,7 @@ class Gateway(Process):
         for member in sorted(carried, key=str):
             if self._routing.get(member) is connection:
                 del self._routing[member]
-            if any(k[:2] == member for k, _ in self._filter.waiters()):
+            if self._filter.awaited(member):
                 # Two-way requests still wait here: defer the domain-wide
                 # purge until the last one resolves, so peers keep the
                 # expectations they need to collect the responses
@@ -685,8 +687,7 @@ class Gateway(Process):
     def _maybe_flush_client_gone(self, member: Member) -> None:
         """Fire a deferred CLIENT_GONE once the departed client's last
         operation in flight here has resolved."""
-        if member not in self._gone_pending or any(
-                k[:2] == member for k, _ in self._filter.waiters()):
+        if member not in self._gone_pending or self._filter.awaited(member):
             return
         self._gone_pending.discard(member)
         self._broadcast_client_gone(member)
@@ -702,18 +703,18 @@ class Gateway(Process):
         if kind is MsgKind.RESPONSE and msg.target_group == GATEWAY_GROUP:
             self._on_domain_response(msg)
         elif kind is MsgKind.INVOCATION and msg.source_group == GATEWAY_GROUP:
-            if msg.floor is not None:
-                # Every gateway, serving or mirroring, forgets the
-                # client's replies below its floor at the same point of
-                # the total order.
-                self._filter.retire((msg.target_group, msg.client_id),
-                                    msg.floor)
             key = (msg.target_group, msg.client_id, msg.op_id)
-            record = self._filter.waiter(key)
+            # Every gateway, serving or mirroring, forgets the client's
+            # replies below its floor at the same point of the total
+            # order.
+            known = self._filter._delivered.admit(key, msg.floor)
+            expected = key in self._filter._pending
+            record = self._filter._pending[key].waiter if expected else None
             if record is None:
                 # A peer's forward: section 3.5's gateway group (unlike
-                # section 3.4's isolated gateway) takes it as its record.
-                if self.mirror_requests:
+                # section 3.4's isolated gateway) takes it as its record
+                # — unless the filter knows the key already.
+                if self.mirror_requests and not expected and known is None:
                     self._record_peer_request(key, msg)
                 return
             if record.order_span:
@@ -799,7 +800,8 @@ class Gateway(Process):
         if record is not None:
             # Resolving the slot *before* routing the reply lets the
             # freed window capacity pull queued work in this same event.
-            self._release_admission(record)
+            if record.admitted or self._drain_due:
+                self._release_admission(record)
             if record.order_span:
                 # Settled before this gateway saw its own forward come
                 # back in the total order (a reissue's duplicate).
@@ -826,7 +828,8 @@ class Gateway(Process):
                 spans.end(container, outcome=outcome, by=self.name)
         elif container:
             spans.end(container, outcome="unroutable", by=self.name)
-        self._maybe_flush_client_gone(member)
+        if self._gone_pending:
+            self._maybe_flush_client_gone(member)
         if outcome != "delivered":
             return
         if sent:
@@ -850,14 +853,12 @@ class Gateway(Process):
         A forward with no waiter here is not always a peer's: this
         gateway's own comes back to none after an earlier copy's
         response settled it (a reissue's duplicate), and a peer's
-        reissue repeats a request already recorded.  In each
-        the filter knows the key, so nothing new is recorded.  (After
+        reissue repeats a request already recorded.  In each the filter
+        knows the key, and the caller records nothing.  (After
         ``_purge_client`` the own forward cannot be told from a peer's;
         it is then recorded here exactly as every peer records it.)"""
         if not msg.request().response_expected:
             return  # one-way: no response to collect, nothing to hold
-        if self._filter.is_expected(key) or self._filter.was_delivered(key):
-            return
         info = self.rm.registry.get(key[0])
         votes = self.rm.votes_needed(info) if info is not None else None
         if votes is None:
@@ -880,6 +881,6 @@ class Gateway(Process):
         # returns with the same identifiers (e.g. an egress successor
         # host), its reissues must be re-servable, not suppressed as
         # duplicates.
-        self._filter.forget_where(lambda key: key[:2] == member)
+        self._filter.forget(member)
         self._routing.pop(member, None)
         self._gone_pending.discard(member)

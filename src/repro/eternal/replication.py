@@ -41,7 +41,6 @@ from ..core.duplicates import DedupTable, DuplicateSuppressor
 from ..core.identifiers import (
     OperationId,
     UNUSED_CLIENT_ID,
-    dedup_key,
     external_operation_id,
 )
 from ..errors import ConfigurationError, TransientError
@@ -135,6 +134,9 @@ class _InvocationRecord:
     response_iiop: Optional[bytes] = None
 
 
+# The record of an invocation admitted and not yet complete (shared:
+# records are replaced, never changed in place).
+_EXECUTING = _InvocationRecord(status="executing")
 # What a duplicate below its client's floor finds: never executed again,
 # and no response to resend.
 _RETIRED = _InvocationRecord(status="retired")
@@ -429,13 +431,12 @@ class ReplicationMechanisms(Process):
 
     def _process_invocation(self, msg: DomainMessage, record: ReplicaRecord,
                             info: GroupInfo) -> None:
-        key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
-        seen = self._invocations_seen[msg.target_group]
-        if msg.floor is not None:
-            # The client awaits nothing below its floor: its records
-            # there go, and a late copy of any of them is a duplicate.
-            seen.retire(key[:2], msg.floor)
-        existing = seen.get(key, None, _RETIRED)
+        key = (msg.source_group, msg.client_id, msg.op_id)
+        # The client awaits nothing below its floor: its records there
+        # go, and a late copy of any of them is a duplicate.  A new key
+        # is recorded before executing, so re-entrant deliveries see it.
+        existing = self._invocations_seen[msg.target_group].admit(
+            key, msg.floor, _EXECUTING, _RETIRED)
         tr = msg.trace if self._span_collector.enabled else None
         if existing is not None:
             self.stats["invocations_duplicate"] += 1
@@ -458,11 +459,9 @@ class ReplicationMechanisms(Process):
             self._span_collector.instant(
                 tr[0], "rm.delivery", parent=tr[1], source=self.name,
                 seq=msg.timestamp)
-        # Record before executing so re-entrant deliveries see it.
-        request = msg.request()
-        seen.put(key, _InvocationRecord(status="executing"))
         # Execute, or (a passive backup) only log.
-        self._engines[info.style].deliver(msg, record, info, request, key)
+        self._engines[info.style].deliver(msg, record, info, msg.request(),
+                                          key)
 
     def _register_audit(self) -> None:
         """Declare this processor's stateful collections to the world
@@ -571,8 +570,12 @@ class ReplicationMechanisms(Process):
             self._span_collector.end(execution.trace_span,
                                      outcome=outcome.kind)
             execution.trace_span = 0
-        self._invocations_seen[original.target_group].put(
-            key, _InvocationRecord(status="done", response_iiop=reply))
+        seen = self._invocations_seen[original.target_group]
+        done = _InvocationRecord(status="done", response_iiop=reply)
+        if key in seen:
+            seen[key] = done
+        else:
+            seen.put(key, done)
         # Who responds, what a silent replica keeps, and what the
         # backups are owed: the engine's answer.
         self._engines[info.style].completed(execution, original, info, key,
@@ -588,8 +591,8 @@ class ReplicationMechanisms(Process):
         seen = self._invocations_seen[info.group_id]
         for msg in logged:
             request = msg.request()
-            key = dedup_key(msg.source_group, msg.client_id, msg.op_id)
-            seen.put(key, _InvocationRecord(status="executing"))
+            key = (msg.source_group, msg.client_id, msg.op_id)
+            seen.put(key, _EXECUTING)
             self._execute(msg, record, info, request, key, silent=silent)
         return len(logged)
 
@@ -720,8 +723,7 @@ class ReplicationMechanisms(Process):
         # operation — whatever group the response is addressed to.
         unacked = self._lf_unacked.get(msg.source_group)
         if unacked is not None:
-            unacked.pop(
-                dedup_key(msg.target_group, msg.client_id, msg.op_id), None)
+            unacked.pop((msg.target_group, msg.client_id, msg.op_id), None)
         if msg.target_group == GATEWAY_GROUP:
             return  # handled by the attached gateway via observe_delivered
         if msg._trace_order:
@@ -780,8 +782,7 @@ class ReplicationMechanisms(Process):
                    else execution.resume(result))
         self._handle_outcome(
             execution, resumed, original, info,
-            dedup_key(original.source_group, original.client_id,
-                      original.op_id))
+            (original.source_group, original.client_id, original.op_id))
 
     # ==================================================================
     # Ambassador: locally-originated invocations (testing/driver API)
@@ -838,8 +839,15 @@ class ReplicationMechanisms(Process):
         """REPLICA_READY: news for the directory listeners only."""
 
     def _on_gateway_kind(self, msg: DomainMessage) -> None:
-        """CLIENT_GONE: owned by the attached gateway, which observes
-        every delivery through :meth:`_dispatch`."""
+        """CLIENT_GONE: a plain client left its gateway, which numbered
+        it (section 3.2) and is the only one it could ever reach again,
+        so its records and floor go here at the point of the total
+        order where every gateway purges it (the attached gateway
+        observes the delivery through :meth:`_dispatch`).  An enhanced
+        client may fail over and reissue: its records stay."""
+        table = self._invocations_seen.get(msg.target_group)
+        if table is not None and type(msg.client_id) is int:
+            table.forget((GATEWAY_GROUP, msg.client_id))
 
     def _on_registry_sync_delivered(self, msg: DomainMessage) -> None:
         """Incumbents already hold the directory (joiners apply the

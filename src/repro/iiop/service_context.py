@@ -13,11 +13,15 @@ restarted client is not mistaken for its former self) and the client's
 *floor*: the lowest request id it still awaits a reply for, so that
 the domain may forget what it keeps for the requests below it (the
 role of the retention id in FT-CORBA's ``FT_REQUEST`` context).  The
-older two-field body decodes with floor 0: it retires nothing.
+older two-field body decodes with floor 0: it retires nothing.  The
+floor is the last field, at a 4-aligned offset, so a client marshals
+its uid and incarnation once (:meth:`ClientIdContext.unstamped`) and
+each request's context is those bytes and its floor (:func:`stamped`).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
@@ -35,6 +39,7 @@ TRACE_CONTEXT = 0x45540002
 # the fields, aligned from the encapsulation's first octet.
 _CLIENT_ID = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG, TC_ULONG])
 _CLIENT_ID_OLD = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG])
+_ULONG_BE = struct.Struct(">L")
 _SPAN = Codec([TC_BOOLEAN, TC_STRING, TC_ULONG, TC_ULONG])
 
 
@@ -46,7 +51,7 @@ def _open(codec: Codec, data: bytes) -> List[Any]:
     return codec.decode(data, data[0] != 0)[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientIdContext:
     """Unique client identity carried end-to-end in IIOP requests, with
     the client's floor (0: none)."""
@@ -56,8 +61,13 @@ class ClientIdContext:
     floor: int = 0
 
     def to_service_context(self) -> ServiceContext:
-        return ServiceContext(ETERNAL_CLIENT_ID_CONTEXT, _CLIENT_ID.encode(
-            (False, self.client_uid, self.incarnation, self.floor)))
+        return stamped(self.unstamped(), self.floor)
+
+    def unstamped(self) -> bytes:
+        """This context's data up to its floor: the old two-field form,
+        whose incarnation ends at a 4-aligned offset."""
+        return _CLIENT_ID_OLD.encode(
+            (False, self.client_uid, self.incarnation))
 
     @staticmethod
     def from_bytes(data: bytes) -> "ClientIdContext":
@@ -93,6 +103,14 @@ class SpanContext:
     def from_bytes(data: bytes) -> "SpanContext":
         trace_id, span_id, hop = _open(_SPAN, data)
         return SpanContext(trace_id=trace_id, span_id=span_id, hop=hop)
+
+
+def stamped(unstamped: bytes, floor: int) -> ServiceContext:
+    """The client-id context whose data up to the floor is ``unstamped``
+    (:meth:`ClientIdContext.unstamped`, big-endian) and whose floor is
+    ``floor``."""
+    return ServiceContext(ETERNAL_CLIENT_ID_CONTEXT,
+                          unstamped + _ULONG_BE.pack(floor))
 
 
 def extract_client_id(request: RequestMessage) -> Optional[ClientIdContext]:

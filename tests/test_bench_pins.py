@@ -1,4 +1,4 @@
-"""The committed pin of the benchmark's quick dark pass.
+"""The committed pins of the benchmark's quick pass.
 
 ``python3 -m bench --quick`` runs each workload at a fiftieth of its
 operations.  Its simulated numbers are pure functions of the seed, so
@@ -9,10 +9,15 @@ and diffs every deterministic number against
 ``sim_digest``, the oracle failures (none), every ``sim`` field and
 every per-op ``counts`` field; no host-clock number is in it.
 
+A second pass, profiled, pins the host cost that a count can show:
+per workload, the calls to Python functions defined under each
+``src/repro/<layer>/`` (``tests/golden/bench_calls_seed11.json``).  It
+is each layer's row of a host-time change, exact on every run.
+
 A change that moves a simulated number on purpose says so up front
-(docs/PERFORMANCE.md, "The prime directive"), regenerates the file with
-``python tools/pin_bench.py --write`` and commits the diff, so the
-review sees which numbers moved.
+(docs/PERFORMANCE.md, "The prime directive"), regenerates the files
+with ``python tools/pin_bench.py --write`` and commits the diff, so the
+review sees which numbers moved; a host change moves only the calls.
 """
 
 import copy
@@ -23,37 +28,91 @@ import subprocess
 import sys
 from unittest import mock
 
-from bench import clock, rep
+from bench import clock, ledger, rep
 from bench.__main__ import DEFAULT_SEED, QUICK_SCALE
 from bench.inputs import WORKLOADS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PIN_PATH = (pathlib.Path(__file__).parent / "golden"
             / f"bench_quick_seed{DEFAULT_SEED}.json")
+CALLS_PATH = PIN_PATH.parent / f"bench_calls_seed{DEFAULT_SEED}.json"
 SECTIONS = ("sim", "counts")
+# Python 3.12 runs these inline (PEP 709), 3.10 and 3.11 as calls: left
+# out, the calls pin is the same on every interpreter CI runs.
+INLINED = ("<listcomp>", "<dictcomp>", "<setcomp>")
 
 
 def quick_pin():
     """The deterministic part of one quick dark repetition per workload,
-    as the pin file holds it.
-
-    A repetition times ``clock.reference_kernel`` (0.1 s of interpreter
-    work) before its load and after every slice of it, to calibrate
-    host seconds; the pin reads none of them, so the kernel is replaced
-    by one that reports a machine of reference speed at once.
-    """
+    as the pin file holds it."""
     pin = {}
-    with mock.patch.object(clock, "reference_kernel", lambda: (
-            clock.REFERENCE_S, clock.REFERENCE_S)):
+    with _reference_speed():
         for workload in WORKLOADS:
-            result = rep.run({"workload": workload, "seed": DEFAULT_SEED,
-                              "scale": QUICK_SCALE, "mode": "dark"})
+            result = rep.run(_job(workload, "dark"))
             pin[workload] = {"sim_digest": result["sim_digest"],
                              "oracle_failures": result["oracle_failures"],
                              **{section: result[section]
                                 for section in SECTIONS}}
     # Through JSON, so tuples compare equal to the file's lists.
     return json.loads(render(pin))
+
+
+def calls_pin():
+    """Per workload and layer, the calls one quick profiled repetition
+    makes to Python functions defined under ``src/repro/<layer>/``, in
+    an interpreter of its own: what earlier work left in this one's
+    caches (compiled codecs, parsed IORs) would move the counts."""
+    run = subprocess.run(
+        [sys.executable, "-c", "import json, tests.test_bench_pins as t; "
+         "print(json.dumps(t.profiled_calls()))"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            (str(ROOT), str(ROOT / "src")))})
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def profiled_calls():
+    """:func:`calls_pin`, in this interpreter.  The repetition is
+    ``quick_pin``'s, with ``cProfile`` around the load; its ``pstats``
+    table is read where ``bench.ledger.attribute`` receives it."""
+    tables, attribute = [], ledger.attribute
+
+    def keep(stats):
+        tables.append(stats)
+        return attribute(stats)
+
+    pin = {}
+    with _reference_speed(), mock.patch.object(ledger, "attribute", keep):
+        for workload in WORKLOADS:
+            rep.run(_job(workload, "profiled"))
+            pin[workload] = layer_calls(tables.pop())
+    return pin
+
+
+def layer_calls(stats):
+    """layer -> calls to the Python functions of ``src/repro/<layer>/``
+    in a ``pstats`` table, comprehensions left out."""
+    calls = dict.fromkeys(ledger.LAYERS, 0)
+    for (filename, _, name), row in stats.items():
+        if filename.startswith(ledger.REPRO_DIR) and name not in INLINED:
+            layer = filename[len(ledger.REPRO_DIR):].split(os.sep)[0]
+            if layer in calls:
+                calls[layer] += row[1]
+    return calls
+
+
+def _job(workload, mode):
+    return {"workload": workload, "seed": DEFAULT_SEED,
+            "scale": QUICK_SCALE, "mode": mode}
+
+
+def _reference_speed():
+    """A repetition times ``clock.reference_kernel`` (0.1 s of
+    interpreter work) before its load and after every slice of it; no
+    pin reads those samples, so the kernel reports a machine of
+    reference speed at once."""
+    return mock.patch.object(clock, "reference_kernel", lambda: (
+        clock.REFERENCE_S, clock.REFERENCE_S))
 
 
 def render(pin):
@@ -85,11 +144,31 @@ def diff(pinned, measured):
     return lines
 
 
+def diff_calls(pinned, measured):
+    """One line per workload and layer whose calls differ."""
+    lines = []
+    for workload in sorted(set(pinned) | set(measured)):
+        before, after = pinned.get(workload, {}), measured.get(workload, {})
+        for layer in sorted(set(before) | set(after)):
+            if before.get(layer) != after.get(layer):
+                lines.append(f"{workload}: calls {layer}: pinned "
+                             f"{before.get(layer)!r}, measured "
+                             f"{after.get(layer)!r}")
+    return lines
+
+
 def test_quick_pass_matches_the_pin():
     pinned = json.loads(PIN_PATH.read_text())
     assert all(row["oracle_failures"] == [] for row in pinned.values())
     moved = diff(pinned, quick_pin())
     assert not moved, ("the quick dark pass moved; if on purpose, run "
+                       "`python tools/pin_bench.py --write`:\n"
+                       + "\n".join(moved))
+
+
+def test_each_layers_calls_match_the_pin():
+    moved = diff_calls(json.loads(CALLS_PATH.read_text()), calls_pin())
+    assert not moved, ("calls per layer moved; if on purpose, run "
                        "`python tools/pin_bench.py --write`:\n"
                        + "\n".join(moved))
 

@@ -1,5 +1,7 @@
 """Unit tests for duplicate response suppression and voting (section 3.3)."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ def test_first_response_delivered_rest_suppressed():
         assert verdict == DuplicateSuppressor.DUPLICATE
         assert payload is None
     # The delivered memory keeps the one payload that was delivered.
-    assert s.delivered("op1") == b"reply"
+    assert s._delivered.get("op1") == b"reply"
 
 
 def test_unexpected_response_reported():
@@ -27,7 +29,7 @@ def test_unexpected_response_reported():
     verdict, payload = s.offer("unknown", b"x")
     assert verdict == DuplicateSuppressor.UNEXPECTED
     assert payload is None
-    assert s.delivered("unknown") is None
+    assert s._delivered.get("unknown") is None
     assert s.pending_count == 0
 
 
@@ -82,9 +84,9 @@ def test_delivered_memory_is_bounded():
         s.offer(i, b"r")
     # The oldest delivered keys have been evicted, payload and all.
     assert not s.was_delivered(0)
-    assert s.delivered(0) is None
+    assert s._delivered.get(0) is None
     assert s.was_delivered(24)
-    assert s.delivered(24) == b"r"
+    assert s._delivered.get(24) == b"r"
 
 
 def test_independent_keys_do_not_interfere():
@@ -204,7 +206,7 @@ def test_requorum(expectations, needs, settled, late):
     assert sorted(asked) == sorted(needs)
     freed = {key: payload for key, payload in settled if payload is not None}
     # Exactly the freed keys are delivered, each with its agreed payload.
-    assert {key: s.delivered(key) for key, _, _ in expectations
+    assert {key: s._delivered.get(key) for key, _, _ in expectations
             if s.was_delivered(key)} == freed
     assert s.pending_count == len(expectations) - len(settled)
     # A second sweep with the same answers settles nothing more.
@@ -220,8 +222,8 @@ def test_requorum(expectations, needs, settled, late):
 def test_every_waiter_comes_back_exactly_once_property(steps):
     """However expectations, copies, quorum sweeps and purges interleave,
     every waiter attached is handed back exactly once: to the settle
-    function by ``offer``, ``requorum`` or ``forget_where``, or by the
-    ``expect`` that displaced it."""
+    function by ``offer``, ``requorum`` or ``forget``, or by the
+    ``expect`` that displaced it — and the waiter index ends empty."""
     back = []
     s = DuplicateSuppressor(
         settle=lambda key, waiter, outcome, payload: back.append(
@@ -229,7 +231,7 @@ def test_every_waiter_comes_back_exactly_once_property(steps):
     attached = []
     needs = [None, 1, 2, D.UNCHANGED]
     for action, a, b in steps:
-        key = (a % 2, a)
+        key = (a % 2, "c", a)
         if action == "expect":
             if s.was_delivered(key):
                 continue  # not expected again: nothing would attach
@@ -243,9 +245,10 @@ def test_every_waiter_comes_back_exactly_once_property(steps):
         elif action == "requorum":
             s.requorum({0: needs[a], 1: needs[b]}.__getitem__)
         else:
-            s.forget_where(lambda k: k[1] == a)
-    s.forget_where(lambda k: True)
-    assert s.pending_count == 0
+            s.forget((a % 2, "c"))
+    s.forget((0, "c"))
+    s.forget((1, "c"))
+    assert s.pending_count == 0 and s._waiting == {}
     assert sorted(waiter for waiter, _, _ in back) == attached
     for _, outcome, payload in back:
         assert (payload is not None) == (outcome in (D.DELIVER, D.RELAXED))
@@ -259,7 +262,7 @@ def test_a_waiter_attaches_to_an_expectation_registered_without_one():
     s = DuplicateSuppressor(settle=lambda *args: handed.append(args))
     s.expect("op", votes_needed=2)
     assert s.offer("op", b"x", responder="r0")[0] == D.PENDING
-    assert s.waiter("op") is None and s.waiters() == []
+    assert s._pending["op"].waiter is None and s.waiters() == []
     assert s.expect("op", votes_needed=1, waiter="w") is None
     assert s.waiters() == [("op", "w")]
     # A second waiter displaces the first, which comes back.
@@ -281,13 +284,13 @@ def test_a_floor_retires_its_clients_records_and_no_one_elses():
     assert table.retire(("g", "a"), 3) == 2
     assert sorted(table) == [("g", "a", 3), ("g", "b", 1)]
     assert table.get(("g", "a", 1)) is None
-    assert table.get(("g", "a", 1), None, "retired") == "retired"
-    assert table.get(("g", "b", 1), None, "retired") == "b1"
+    assert table.admit(("g", "a", 1), None, None, "retired") == "retired"
+    assert table.admit(("g", "b", 1), None, None, "retired") == "b1"
     table.put(("g", "a", 2), "late")          # below the floor: not kept
     assert len(table) == 2 and table.stats == {"retired": 2, "evicted": 0}
     # A floor never falls back.
     assert table.retire(("g", "a"), 1) == 0
-    assert table.get(("g", "a", 2), None, "retired") == "retired"
+    assert table.admit(("g", "a", 2), 1, None, "retired") == "retired"
 
 
 def test_the_backstop_evicts_the_client_whose_floor_moved_least_recently():
@@ -310,7 +313,7 @@ def test_a_snapshot_carries_records_and_floors():
     joiner.install(table.snapshot())
     assert dict(joiner.items()) == dict(table.items()) == {
         ("g", "a", 2): "a2", ("g", "b", 7): "b7"}
-    assert joiner.get(("g", "a", 1), None, "retired") == "retired"
+    assert joiner.admit(("g", "a", 1), None, None, "retired") == "retired"
     assert list(joiner.clients()) == list(table.clients())
 
 
@@ -318,8 +321,163 @@ def test_a_response_below_the_floor_is_a_duplicate():
     s = DuplicateSuppressor()
     s.expect(("g", "c", 1))
     s.offer(("g", "c", 1), b"r1")
-    s.retire(("g", "c"), 2)
-    assert not s.delivered(("g", "c", 1))
+    s._delivered.admit(("g", "c", 2), 2)
+    assert not s._delivered.get(("g", "c", 1))
     assert s.offer(("g", "c", 1), b"r1")[0] == DuplicateSuppressor.DUPLICATE
     assert s.offer(("g", "c", 2), b"r2")[0] == DuplicateSuppressor.UNEXPECTED
     assert s.expect(("g", "c", 1)) is None and not s.is_expected(("g", "c", 1))
+
+
+def test_a_one_shot_client_stores_no_floor():
+    """A farm client makes one call: its request carries a floor, and
+    the table keeps its record and nothing else for it."""
+    table = DedupTable(limit=100)
+    for client in ("a", "b", "c"):
+        key = ("g", client, 1)
+        assert table.admit(key, 1) is None              # its INVOCATION
+        table.put(key, f"reply {client}")               # its response
+    assert table.floors == {} and len(table) == 3
+    assert list(table.clients()) == [
+        (("g", client), 1, None) for client in ("a", "b", "c")]
+
+
+def test_a_floor_that_did_not_rise_touches_nothing():
+    table = DedupTable(limit=100)
+    table.put(("g", "a", 1), "a1")
+    table.admit(("g", "a", 2), 2, "a2")                 # retires a1
+    table.put(("g", "b", 1), "b1")
+    before = (list(table.items()), dict(table.floors), dict(table.stats))
+    with mock.patch.object(DedupTable, "retire",
+                           side_effect=AssertionError("retire called")):
+        for floor in (2, 1, None):                      # equal, lower, none
+            assert table.admit(("g", "a", 2), floor, "again") == "a2"
+            assert table.admit(("g", "a", 3), floor) is None
+    assert (list(table.items()), table.floors, table.stats) == before
+
+
+class TableModel:
+    """The dedup table's semantics on plain dicts: records in the order
+    the backstop reaches them, and floors."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.records = {}
+        self.floors = {}
+        self.retired = self.evicted = 0
+
+    def held(self, client):
+        return [key for key in self.records if key[:2] == client]
+
+    def put(self, key, value):
+        floor = self.floors.get(key[:2])
+        if key not in self.records and floor is not None and key[2] < floor:
+            return
+        self.records[key] = value
+        while len(self.records) > self.limit:
+            gone = next(iter(self.records))
+            del self.records[gone]
+            self.evicted += 1
+            if not self.held(gone[:2]):
+                self.floors.pop(gone[:2], None)
+
+    def retire(self, client, floor):
+        stored = self.floors.get(client)
+        if stored is not None and not stored < floor:
+            return 0
+        held = self.held(client)
+        if held or stored is not None:
+            self.floors[client] = floor
+        gone = 0
+        for key in held:
+            value = self.records.pop(key)
+            if key[2] < floor:
+                gone += 1
+            else:
+                self.records[key] = value
+        self.retired += gone
+        return gone
+
+    def admit(self, key, floor, record):
+        if floor is not None:
+            self.retire(key[:2], floor)
+        if key in self.records:
+            return self.records[key]
+        stored = self.floors.get(key[:2])
+        if stored is not None and key[2] < stored:
+            return "retired"
+        if record is not None:
+            self.put(key, record)
+        return None
+
+    def forget(self, client):
+        self.floors.pop(client, None)
+        held = self.held(client)
+        for key in held:
+            del self.records[key]
+        return len(held)
+
+    def install(self, snapshot):
+        self.records, self.floors = {}, {}
+        for client, (floor, records) in snapshot.items():
+            if floor is not None:
+                self.floors[client] = floor
+        for client, (_, records) in snapshot.items():
+            for op, value in records.items():
+                self.put(client + (op,), value)
+
+
+CLIENTS = st.tuples(st.sampled_from([1, 2]), st.sampled_from(["a", "b"]))
+OPS = st.integers(0, 5)
+
+
+@given(st.lists(st.one_of(
+    st.tuples(st.just("put"), CLIENTS, OPS, st.integers(0, 9)),
+    st.tuples(st.just("admit"), CLIENTS, OPS,
+              st.one_of(st.none(), OPS), st.booleans()),
+    st.tuples(st.just("retire"), CLIENTS, OPS),
+    st.tuples(st.just("forget"), CLIENTS),
+    st.tuples(st.just("transfer"))), max_size=60),
+    st.integers(1, 8))
+def test_the_table_behaves_as_its_model_property(steps, limit):
+    """Records, floors, the order the backstop evicts in and the counts
+    all follow the plain model, whatever puts, admissions, retirements,
+    purges and state transfers (snapshot, then install at a joiner that
+    carries on) interleave."""
+    table, model = DedupTable(limit), TableModel(limit)
+    for step in steps:
+        action, args = step[0], step[1:]
+        if action == "put":
+            client, op, value = args
+            table.put(client + (op,), value)
+            model.put(client + (op,), value)
+        elif action == "admit":
+            client, op, floor, records = args
+            record = f"new {op}" if records else None
+            assert (table.admit(client + (op,), floor, record, "retired")
+                    == model.admit(client + (op,), floor, record))
+        elif action == "retire":
+            client, floor = args
+            assert table.retire(client, floor) == model.retire(client, floor)
+        elif action == "forget":
+            assert table.forget(args[0]) == model.forget(args[0])
+        else:
+            snapshot = table.snapshot()
+            assert snapshot == {
+                client: (model.floors.get(client),
+                         {key[2]: model.records[key]
+                          for key in model.held(client)})
+                for client in {key[:2] for key in model.records}
+                | set(model.floors)}
+            table = DedupTable(limit)
+            table.install(snapshot)
+            model.install(snapshot)
+            table.stats.update(retired=model.retired, evicted=model.evicted)
+        assert list(table.items()) == list(model.records.items())
+        assert table.floors == model.floors
+        assert table._room == limit - len(table)
+        assert table.stats == {"retired": model.retired,
+                               "evicted": model.evicted}
+        assert sorted(table.clients()) == sorted(
+            (client, len(model.held(client)), model.floors.get(client))
+            for client in {key[:2] for key in model.records}
+            | set(model.floors))

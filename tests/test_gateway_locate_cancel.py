@@ -111,7 +111,7 @@ def test_a_cancel_request_is_counted_and_changes_nothing_else(world):
             if value != stats[key]} == {"cancels": 1}
     assert world.metrics.value("gateway.req.cancelled") == 1
     assert gateway_state(gateway) == state
-    assert gateway._filter.waiter(held[0].key) is held[0]
+    assert dict(gateway._filter.waiters())[held[0].key] is held[0]
 
     # The invocation proceeds: it executes, and its reply is written to
     # the client's socket like any other.

@@ -290,7 +290,7 @@ def test_response_overtaking_a_reforward_closes_its_ordering_wait():
     on_domain_response = origin._on_domain_response
 
     def reforward_then_observe(msg):
-        record = origin._filter.waiter(
+        record = dict(origin._filter.waiters()).get(
             (msg.source_group, msg.client_id, msg.op_id))
         if record is not None:
             origin._forward(record)
@@ -434,7 +434,7 @@ def test_every_exit_lets_go_of_everything(cause, windowed):
                 lambda invocation, reply, carried=None: None)
         release(held)
         world.run(until=world.now + 0.5)
-        assert origin._filter.waiter(key) is not None
+        assert dict(origin._filter.waiters()).get(key) is not None
         assert peer._filter.is_expected(key)
 
     placement = group.info().placement

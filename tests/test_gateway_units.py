@@ -1,5 +1,8 @@
 """Unit-level tests of gateway internals (bookkeeping, not scenarios)."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro import ReplicationStyle, World
@@ -68,8 +71,56 @@ def test_peer_expects_response_when_invocation_observed(world):
     assert peer.stats["mirrors_recorded"] == 1
     assert gateway.stats["mirrors_recorded"] == 0    # its own forward
     assert peer._filter.was_delivered(key)
-    assert peer._filter.delivered(key) == gateway._filter.delivered(key)
+    assert (peer._filter._delivered.get(key)
+            == gateway._filter._delivered.get(key))
     assert peer._filter.waiters() == []
+
+
+def work_of_a_plain_request(in_flight):
+    """Python calls and lines the gateway runs to take in one request of
+    a plain client while ``in_flight`` other clients' requests wait on
+    it."""
+    world = World(seed=1234)
+    domain = make_domain(world, gateways=1)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    gateway = domain.gateways[0]
+    _, stub, _ = external_client(world, domain, group, enhanced=False)
+    world.await_promise(stub.call("increment", 1))   # numbers the client
+    for i in range(in_flight):
+        gateway._filter.expect(
+            (group.group_id, f"other/{i}#1", external_operation_id(1)),
+            waiter=f"waiter {i}")
+    events = Counter()
+
+    def tally(frame, event, arg):
+        events[event] += 1
+        return tally
+
+    process = gateway._process_request
+
+    def traced(*args, **kwargs):
+        sys.settrace(tally)
+        try:
+            return process(*args, **kwargs)
+        finally:
+            sys.settrace(None)
+
+    gateway._process_request = traced
+    stub.call("increment", 1)
+    world.run(until=world.now + 0.5)
+    assert events["call"] > 0
+    return events["call"], events["line"]
+
+
+def test_a_plain_clients_floor_costs_the_same_however_busy_the_gateway():
+    """A plain client's floor is the lowest of its own requests still
+    unanswered here: the gateway reads the client's own waiters, never
+    every waiter it holds."""
+    idle = work_of_a_plain_request(0)
+    busy = work_of_a_plain_request(200)
+    assert busy[0] <= idle[0]           # calls
+    assert busy[1] <= idle[1]           # lines
 
 
 def test_only_a_peers_first_forward_is_recorded(world):

@@ -164,7 +164,7 @@ def test_a_late_response_for_a_retired_reply_is_a_duplicate(world):
     assert world.await_promise(stub.call("increment", 1)) == 2
     world.run(until=world.now + 0.5)
     (key,) = first
-    assert all(not gateway._filter.delivered(key)
+    assert all(not gateway._filter._delivered.get(key)
                and gateway._filter.was_delivered(key)
                for gateway in domain.gateways)
     before = [dict(gateway.stats) for gateway in domain.gateways]
@@ -235,4 +235,34 @@ def test_a_reissue_then_a_floor_raising_call_executes_each_once(world):
         table = rm._invocations_seen[group.group_id]
         assert [held for client, held, _ in table.clients()
                 if client[0] == GATEWAY_GROUP] == [1]
+    world.audit(strict=True)
+
+
+def test_replicas_forget_a_plain_client_that_left(world):
+    """A plain client can only ever return through the gateway that
+    numbered it, so when it closes its connection every replica drops
+    its last record and its floor, at the CLIENT_GONE delivery where
+    every gateway purges it."""
+    domain = make_domain(world, gateways=2)
+    group = make_counter_group(domain)
+    domain.await_ready(group)
+    orb, stub, _ = external_client(world, domain, group, enhanced=False)
+    for expected in (1, 2, 3):
+        assert world.await_promise(stub.call("increment", 1)) == expected
+    (member,) = {member for carried in domain.gateways[0]._conn_clients
+                 .values() for member in carried}
+    client = (GATEWAY_GROUP, member[1])
+
+    def held():
+        return {(rm.host.name, count, floor) for rm in replicas(domain, group)
+                for who, count, floor
+                in rm._invocations_seen[group.group_id].clients()
+                if who == client}
+
+    assert {(count, floor) for _, count, floor in held()} == {
+        (1, external_operation_id(3))}
+    orb._connections[next(iter(orb._connections))].close()
+    world.run(until=world.now + 0.5)
+    assert world.metrics.value("gateway.clients.gone") == 2
+    assert held() == set()
     world.audit(strict=True)
