@@ -1,7 +1,8 @@
 """The Eternal fault tolerance infrastructure (paper Figure 2).
 
 Everything inside a fault tolerance domain: the per-processor
-Replication Mechanisms over Totem, logging/recovery, the replicated
+Replication Mechanisms over Totem, with their style engines (the
+passive one is the Logging-Recovery Mechanisms), the replicated
 Replication Manager, the Resource and Evolution managers, the IOR
 interceptor, cross-domain egress, and the domain orchestration object.
 """
@@ -11,7 +12,6 @@ from .egress import DomainEgress
 from .fault_detector import FaultDetector
 from .fault_notifier import FaultKind, FaultNotifier, FaultReport
 from .interceptor import EternalInterceptor
-from .logging_recovery import Checkpoint, GroupLog
 from .managers import (
     EvolutionManager,
     REPLICATION_MANAGER_INTERFACE,
@@ -33,7 +33,6 @@ from .report import domain_report, format_report
 from .styles import ReplicationStyle
 
 __all__ = [
-    "Checkpoint",
     "DomainEgress",
     "DomainMessage",
     "EXTERNAL_GROUP",
@@ -48,7 +47,6 @@ __all__ = [
     "GATEWAY_GROUP",
     "GroupHandle",
     "GroupInfo",
-    "GroupLog",
     "GroupRegistry",
     "MsgKind",
     "REPLICATION_MANAGER_GROUP",

@@ -8,6 +8,11 @@ only logs, who responds and what a silent replica keeps, what an
 execution owes the backups, what becoming primary means, and the
 nested-order check.
 
+An engine holds no table: what its family keeps for a replica is a
+field of the replica's :class:`~.replication.ReplicaRecord`, so it goes
+with the replica and stays across a switch between two engines that
+keep it (the passive styles' log).
+
 A live style switch is one hand-over at its cut: the old engine's
 :meth:`~ExecuteEverywhere.export`, then the new one's
 :meth:`~ExecuteEverywhere.adopt`.  A state transfer ends in the same
@@ -23,7 +28,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..iiop.giop import RequestMessage
-from .logging_recovery import GroupLog
 from .messages import DomainMessage, MsgKind
 from .registry import GroupInfo
 from .styles import ReplicationStyle
@@ -41,9 +45,6 @@ class ExecuteEverywhere:
     reply once a majority of the live replicas sent identical ones, so
     every copy counts.  The other families override what they decide
     otherwise."""
-
-    # A passive engine keeps the group's invocation log.
-    keeps_log = False
 
     def __init__(self, rm: "ReplicationMechanisms",
                  style: ReplicationStyle) -> None:
@@ -115,33 +116,39 @@ class ExecuteEverywhere:
 
 
 class Passive(ExecuteEverywhere):
-    """COLD_PASSIVE and WARM_PASSIVE: only the primary executes; every
-    replica logs each delivered invocation.  Every
-    ``GroupInfo.checkpoint_every``-th completed operation the primary's
-    state rides that operation's reply (or a CHECKPOINT of its own when
-    there is none) into every log; a new primary restores the log's
-    checkpoint and replays the suffix.  Where the style loads backups
-    (WARM_PASSIVE: a checkpoint after every operation), each backup also
-    installs each checkpoint into its servant, so promotion restores
-    nothing."""
+    """COLD_PASSIVE and WARM_PASSIVE, with the Logging-Recovery
+    Mechanisms (paper section 2.2): only the primary executes; every
+    replica logs each delivered invocation on its record
+    (``ReplicaRecord.log``).  Every ``GroupInfo.checkpoint_every``-th
+    completed operation the primary's state rides that operation's reply
+    (or a CHECKPOINT of its own when there is none) into every record's
+    ``checkpoint``, which truncates the log it covers; a new primary
+    restores the checkpoint and replays the log.  Where the style loads
+    backups (WARM_PASSIVE: a checkpoint after every operation), each
+    backup also installs each checkpoint into its servant, so promotion
+    restores nothing.  A replayed invocation keeps its timestamp, so its
+    nested calls regenerate the *same* operation identifiers (Figure 6)
+    and their targets answer them from their dedup tables."""
 
-    keeps_log = True
-
-    def _log(self, group_id: int) -> GroupLog:
-        """The group's invocation log, created on demand."""
-        log = self.rm.logs.get(group_id)
-        if log is None:
-            log = self.rm.logs[group_id] = GroupLog(group_id)
-        return log
-
-    def _checkpoint(self, group_id: int, state: Dict, ts: int) -> None:
-        if self._log(group_id).install_checkpoint(state, ts):
-            self.rm.stats["checkpoint_installs"] += 1
+    def _checkpoint(self, record: "ReplicaRecord", state: Dict,
+                    ts: int) -> None:
+        """Adopt a checkpoint at least as new as the record's, dropping
+        the log prefix it covers (or starting the log).  An older one —
+        a replayed control message, or an operation that completed after
+        a later-ordered one — is refused."""
+        if record.checkpoint is not None and ts < record.checkpoint[1]:
+            return
+        record.checkpoint = (state, ts)
+        record.log = [m for m in record.log or () if m.timestamp > ts]
+        self.rm.stats["checkpoint_installs"] += 1
 
     def deliver(self, msg: DomainMessage, record: "ReplicaRecord",
                 info: GroupInfo, request: RequestMessage, key: tuple) -> None:
         rm = self.rm
-        self._log(info.group_id).record_invocation(msg)
+        if record.log is None:
+            record.log = [msg]
+        else:
+            record.log.append(msg)
         rm.stats["log_appends"] += 1
         if info.primary(rm.live_hosts) == rm.host.name:
             rm._execute(msg, record, info, request, key)
@@ -179,15 +186,15 @@ class Passive(ExecuteEverywhere):
     def apply_checkpoint(self, msg: DomainMessage, info: GroupInfo,
                          record: "ReplicaRecord") -> None:
         """Every replica logs it, the primary included; a loaded backup
-        also sets its servant, even when the log refuses the checkpoint
-        as older — an operation completing out of order carries the
-        newest state."""
+        also sets its servant, even when the record refuses the
+        checkpoint as older — an operation completing out of order
+        carries the newest state."""
         state = msg.data["state"]
         rm = self.rm
         if (self.style.loads_backups
                 and info.primary(rm.live_hosts) != rm.host.name):
             record.servant.set_state(state)
-        self._checkpoint(info.group_id, state, msg.data["upto_ts"])
+        self._checkpoint(record, state, msg.data["upto_ts"])
 
     def promote(self, info: GroupInfo, record: "ReplicaRecord") -> None:
         """Restore the state, replay the log audibly: the dead
@@ -206,13 +213,13 @@ class Passive(ExecuteEverywhere):
         backup replays its log suffix silently (the old primary served
         those operations) and the log goes: executing styles keep hot
         state instead."""
-        if successor.keeps_log:
+        if isinstance(successor, Passive):
             return 0
         replayed = 0
         if not self._leads(info):
             replayed = self._replay(info, record, silent=True)
             self.rm.stats["catchup_replays"] += replayed
-        self.rm.logs.pop(info.group_id, None)
+        record.log = record.checkpoint = None
         return replayed
 
     def adopt(self, info: GroupInfo, record: "ReplicaRecord",
@@ -222,23 +229,32 @@ class Passive(ExecuteEverywhere):
         other passive style stays as it is; where this style loads
         backups, a backup loads its checkpoint, as promotion here
         restores nothing."""
-        log = self.rm.logs.get(info.group_id)
-        if log is None:
-            self._checkpoint(info.group_id, record.servant.get_state(), cut_ts)
-        elif (self.style.loads_backups and log.checkpoint is not None
+        if record.log is None:
+            self._checkpoint(record, record.servant.get_state(), cut_ts)
+        elif (self.style.loads_backups and record.checkpoint is not None
                 and not self._leads(info)):
-            record.servant.set_state(log.checkpoint.state)
+            record.servant.set_state(record.checkpoint[0])
 
     def _replay(self, info: GroupInfo, record: "ReplicaRecord",
                 silent: bool) -> int:
-        """Restore the log's checkpoint — unless the servant loaded each
-        one as it came and may be newer, as the log refuses a later
-        checkpoint with a lower ``upto_ts`` — and re-execute the suffix."""
-        log = self._log(info.group_id)
-        if log.checkpoint is not None and not self.style.loads_backups:
-            record.servant.set_state(log.checkpoint.state)
-        return self.rm._reexecute(
-            info, record, log.replay_after(log.latest_covered_ts()), silent)
+        """Restore the checkpoint — unless the servant loaded each one as
+        it came and may be newer, as the record refuses a later
+        checkpoint with a lower ``upto_ts`` — and execute the log again;
+        returns how many.  Silently in a switch's catch-up: nested calls
+        are still multicast to solicit their targets' cached responses;
+        terminal responses are not, the old primary served them."""
+        if record.checkpoint is not None and not self.style.loads_backups:
+            record.servant.set_state(record.checkpoint[0])
+        if record.log is None:
+            record.log = []
+        rm = self.rm
+        seen = rm._invocations_seen[info.group_id]
+        logged = list(record.log)
+        for msg in logged:
+            key = (msg.source_group, msg.client_id, msg.op_id)
+            seen.put(key, "executing")
+            rm._execute(msg, record, info, msg.request(), key, silent=silent)
+        return len(logged)
 
 
 class SemiActive(ExecuteEverywhere):
@@ -258,9 +274,11 @@ class SemiActive(ExecuteEverywhere):
         if info.primary(rm.live_hosts) == rm.host.name:
             rm._respond(original, reply)
             return
-        # Tracked until the leader's response is delivered, so a promoted
+        # Withheld until the leader's response is delivered, so a promoted
         # survivor can resend every reply the dead leader never delivered.
-        rm._lf_unacked.setdefault(info.group_id, {})[key] = original
+        record = rm.replicas.get(info.group_id)
+        if record is not None:
+            record.withheld[key] = original
         rm.stats["responses_withheld"] += 1
 
     def sends_nested(self, execution: "Execution", info: GroupInfo) -> bool:
@@ -306,13 +324,11 @@ class SemiActive(ExecuteEverywhere):
         rm.stats["promotions"] += 1
         seen = rm._invocations_seen.get(info.group_id, {})
         resent = 0
-        for key, original in list(rm._lf_unacked.get(info.group_id,
-                                                     {}).items()):
-            cached = seen.get(key)
-            if (cached is not None and cached.status == "done"
-                    and cached.response_iiop is not None):
+        for key, original in list(record.withheld.items()):
+            reply = seen.get(key)
+            if type(reply) is bytes:
                 rm.stats["responses_resent"] += 1
-                rm._respond(original, cached.response_iiop)
+                rm._respond(original, reply)
                 resent += 1
         # The resends retire their own entries when they come back
         # around in total order (_on_response pops them).

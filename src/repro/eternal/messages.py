@@ -140,6 +140,8 @@ class DomainMessage:
         return size
 
     def describe(self) -> str:
+        """One line per delivery, without the out-of-band trace: what
+        ``reprolint.scenarios`` records to compare delivery orders."""
         return (f"{self.kind.value} {self.source_group}->{self.target_group} "
                 f"client={self.client_id!r} op={self.op_id} ts={self.timestamp}")
 

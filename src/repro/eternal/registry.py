@@ -85,9 +85,6 @@ class GroupRegistry:
     def all_groups(self) -> List[GroupInfo]:
         return [self._groups[g] for g in sorted(self._groups)]
 
-    def groups_on(self, host_name: str) -> List[GroupInfo]:
-        return [info for info in self.all_groups() if host_name in info.placement]
-
     def __contains__(self, group_id: int) -> bool:
         return group_id in self._groups
 

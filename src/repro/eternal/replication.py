@@ -19,6 +19,8 @@ a fault tolerance domain, layered on the local Totem member.  It:
   family) everything its style decides — who executes, who responds,
   what an execution owes the backups, what a primary change does — and
   hands a group from one engine to the other at a live style switch;
+  what an engine keeps for a replica (a passive log and checkpoint, a
+  follower's withheld replies) lives on its :class:`ReplicaRecord`;
 * transfers state to joining replicas;
 * maintains the group registry from idempotent control messages so all
   processors share an identical directory;
@@ -58,7 +60,6 @@ from ..sim.world import Promise
 from ..totem.member import Queued, TotemMember
 from .engines import ENGINES
 from .execution import Execution, Outcome
-from .logging_recovery import GroupLog
 from .messages import DomainMessage, MsgKind
 from .naming import (
     EXTERNAL_GROUP, FIRST_APPLICATION_GROUP, GATEWAY_GROUP, make_object_key)
@@ -115,7 +116,7 @@ _DEDUP_STATS = {
 
 @dataclass
 class ReplicaRecord:
-    """One local replica of a group."""
+    """One local replica of a group, and what its engine keeps for it."""
 
     group_id: int
     servant: Servant
@@ -124,22 +125,13 @@ class ReplicaRecord:
     buffered: List[DomainMessage] = field(default_factory=list)
     since_checkpoint: int = 0          # completions since the last checkpoint
     added_at: int = 0                  # timestamp of the ADD_REPLICA that made it
-
-
-@dataclass(slots=True)
-class _InvocationRecord:
-    """Dedup-table entry for one (source, client, op) invocation."""
-
-    status: str                        # "executing" | "done" | "retired"
-    response_iiop: Optional[bytes] = None
-
-
-# The record of an invocation admitted and not yet complete (shared:
-# records are replaced, never changed in place).
-_EXECUTING = _InvocationRecord(status="executing")
-# What a duplicate below its client's floor finds: never executed again,
-# and no response to resend.
-_RETIRED = _InvocationRecord(status="retired")
+    # Passive styles (engines.Passive): the invocations delivered after
+    # the checkpoint, in total order (None: no log); (state, upto_ts).
+    log: Optional[List[DomainMessage]] = None
+    checkpoint: Optional[Tuple[Dict[str, Any], int]] = None
+    # A leader-follower follower's withheld replies (engines.SemiActive):
+    # dedup key -> invocation, until the leader's reply is delivered.
+    withheld: Dict[Tuple, DomainMessage] = field(default_factory=dict)
 
 
 class _DedupTables(dict):
@@ -196,7 +188,6 @@ class ReplicationMechanisms(Process):
 
         self.registry = GroupRegistry()
         self.replicas: Dict[int, ReplicaRecord] = {}
-        self.logs: Dict[int, GroupLog] = {}
         self.live_hosts: Tuple[str, ...] = ()
         self._last_primary: Dict[int, Optional[str]] = {}
 
@@ -209,7 +200,9 @@ class ReplicationMechanisms(Process):
         self._sync_requested = not synced
         self._presync_buffer: List[DomainMessage] = []
 
-        # Duplicate invocation detection: group -> dedup key -> record.
+        # Duplicate invocation detection: group -> dedup key -> the reply
+        # once executed here, else "executing" (admitted), or "retired"
+        # for one below its client's floor (never executed again).
         self._invocations_seen = _DedupTables(self.metrics)
         # Duplicate response suppression / voting for nested + external
         # calls; each expectation holds its _Waiter and ends in _settle.
@@ -218,12 +211,6 @@ class ReplicationMechanisms(Process):
         # an ambassador call — group ids are ints and client uids
         # strings, so never equal.
         self._response_filter = DuplicateSuppressor(settle=self._settle)
-        # Leader-follower followers' withheld responses, group -> parent
-        # dedup key -> original invocation.  An entry retires when the
-        # leader's response for the same operation is delivered in total
-        # order; on promotion the survivor resends the cached replies
-        # (engines.SemiActive).
-        self._lf_unacked: Dict[int, Dict[Tuple, DomainMessage]] = {}
         # Our own RESPONSE / nested INVOCATION copies still in the Totem
         # send queue, by DomainMessage.copy_key(), for groups whose
         # engine withdraws copies.  Consulted in _on_deliver.
@@ -436,24 +423,23 @@ class ReplicationMechanisms(Process):
         # go, and a late copy of any of them is a duplicate.  A new key
         # is recorded before executing, so re-entrant deliveries see it.
         existing = self._invocations_seen[msg.target_group].admit(
-            key, msg.floor, _EXECUTING, _RETIRED)
+            key, msg.floor, "executing", "retired")
         tr = msg.trace if self._span_collector.enabled else None
         if existing is not None:
             self.stats["invocations_duplicate"] += 1
+            done = type(existing) is bytes
             if tr is not None:
                 self._span_collector.instant(
                     tr[0], "rm.duplicate", parent=tr[1], source=self.name,
-                    status=existing.status)
-            if (existing.status == "done"
-                    and existing.response_iiop is not None
-                    and self._engines[info.style].responds(info)):
+                    status="done" if done else existing)
+            if done and self._engines[info.style].responds(info):
                 # Re-send the cached response: the duplicate may stem from
                 # a reinvocation whose original response was lost with a
                 # crashed gateway or primary (sections 3.3-3.5).
                 # Leader-follower followers hold the same cache but stay
                 # silent unless promoted.
                 self.stats["responses_resent"] += 1
-                self._respond(msg, existing.response_iiop)
+                self._respond(msg, existing)
             return
         if tr is not None:
             self._span_collector.instant(
@@ -467,24 +453,25 @@ class ReplicationMechanisms(Process):
         """Declare this processor's stateful collections to the world
         audit scope (see :mod:`repro.obs.audit`)."""
         scope, owner = self.audit, self.name
+        records = self.replicas.values()    # a live view
 
         def alive() -> bool:
             return self.alive
 
         def log_floor() -> int:
-            # Each logged group may legitimately hold up to one
-            # checkpoint interval of suffix (plus the op that triggered
-            # the in-flight checkpoint); anything beyond that was never
-            # truncated.
+            # Each log may legitimately hold up to one checkpoint interval
+            # of suffix (plus the op that triggered the in-flight
+            # checkpoint); anything beyond that was never truncated.
             total = 0
-            for group_id in self.logs:
-                info = self.registry.get(group_id)
-                total += 1 + (info.checkpoint_interval
-                              if info is not None else 10)
+            for record in records:
+                if record.log is not None:
+                    info = self.registry.get(record.group_id)
+                    total += 1 + (info.checkpoint_interval
+                                  if info is not None else 10)
             return total
 
         scope.register("rm.logs",
-                       lambda: sum(len(log) for log in self.logs.values()),
+                       lambda: sum(len(r.log or ()) for r in records),
                        floor=log_floor, owner=owner, active=alive,
                        gauge="rm.state.log_entries")
 
@@ -510,7 +497,7 @@ class ReplicationMechanisms(Process):
                        floor=0, owner=owner, active=alive,
                        gauge="rm.state.presync_buffer")
         scope.register("rm.lf_unacked",
-                       lambda: sum(len(d) for d in self._lf_unacked.values()),
+                       lambda: sum(len(r.withheld) for r in records),
                        floor=0, owner=owner, active=alive,
                        gauge="rm.state.lf_unacked")
         scope.register("rm.outbound_copies", lambda: len(self._outbound_copies),
@@ -571,30 +558,14 @@ class ReplicationMechanisms(Process):
                                      outcome=outcome.kind)
             execution.trace_span = 0
         seen = self._invocations_seen[original.target_group]
-        done = _InvocationRecord(status="done", response_iiop=reply)
         if key in seen:
-            seen[key] = done
+            seen[key] = reply
         else:
-            seen.put(key, done)
+            seen.put(key, reply)
         # Who responds, what a silent replica keeps, and what the
         # backups are owed: the engine's answer.
         self._engines[info.style].completed(execution, original, info, key,
                                             reply)
-
-    def _reexecute(self, info: GroupInfo, record: ReplicaRecord,
-                   logged: List[DomainMessage], silent: bool) -> int:
-        """Execute logged invocations again; returns how many.  Audibly
-        on promotion (the dead primary's responses may be lost), silently
-        in a switch's catch-up: nested calls are still multicast to
-        solicit their targets' cached responses; terminal responses are
-        not (``Execution.silent``), the old primary served them."""
-        seen = self._invocations_seen[info.group_id]
-        for msg in logged:
-            request = msg.request()
-            key = (msg.source_group, msg.client_id, msg.op_id)
-            seen.put(key, _EXECUTING)
-            self._execute(msg, record, info, request, key, silent=silent)
-        return len(logged)
 
     # ==================================================================
     # Nested invocations (Figure 6)
@@ -721,9 +692,10 @@ class ReplicationMechanisms(Process):
         # Leader-follower ack: the leader's response, delivered in total
         # order, retires every follower's withheld copy of the same
         # operation — whatever group the response is addressed to.
-        unacked = self._lf_unacked.get(msg.source_group)
-        if unacked is not None:
-            unacked.pop((msg.target_group, msg.client_id, msg.op_id), None)
+        record = self.replicas.get(msg.source_group)
+        if record is not None and record.withheld:
+            record.withheld.pop((msg.target_group, msg.client_id, msg.op_id),
+                                None)
         if msg.target_group == GATEWAY_GROUP:
             return  # handled by the attached gateway via observe_delivered
         if msg._trace_order:
@@ -926,14 +898,11 @@ class ReplicationMechanisms(Process):
         group_id = msg.data["group_id"]
         self.registry.remove(group_id)
         self.replicas.pop(group_id, None)
-        self.logs.pop(group_id, None)
         self._invocations_seen.pop(group_id, None)
         self._joining.pop(group_id, None)
-        # The primary memory and withheld-response tracking are keyed by
-        # group too; without these pops a removed group's entries lived
-        # forever (the rm.last_primary leak this line fixes).
+        # The primary memory is keyed by group too; without this pop a
+        # removed group's entry lived forever (the rm.last_primary leak).
         self._last_primary.pop(group_id, None)
-        self._lf_unacked.pop(group_id, None)
 
     def _create_local_replica(self, info: GroupInfo, ready: bool,
                               added_at: int = 0) -> None:
@@ -1033,8 +1002,6 @@ class ReplicationMechanisms(Process):
         self._joined(group_id, host_name)
         if host_name == self.host.name:
             self.replicas.pop(group_id, None)
-            self.logs.pop(group_id, None)
-            self._lf_unacked.pop(group_id, None)
         self._check_primary_changes()
         self._redonate_state()
 
@@ -1063,10 +1030,10 @@ class ReplicationMechanisms(Process):
             # engine adopts it there, as at a switch's cut (a passive one
             # records it as a checkpoint, so a later promotion replays
             # only what this replica logs *after* the transfer).  It
-            # supersedes any log a checkpoint opened while the replica
+            # supersedes any checkpoint the replica logged while it
             # waited; the donor's log is NOT transferred: every entry
             # predates the cut by construction.
-            self.logs.pop(group_id, None)
+            record.log = record.checkpoint = None
             self._engines[info.style].adopt(info, record, msg.data["cut_ts"])
             for queued in buffered:
                 self._process_invocation(queued, record, info)

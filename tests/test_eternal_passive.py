@@ -3,7 +3,6 @@
 import pytest
 
 from repro import ReplicationStyle, World
-from repro.eternal import GroupLog
 
 from tests.helpers import (
     make_bank,
@@ -67,9 +66,9 @@ def test_cold_passive_checkpoints_are_periodic(world):
     assert rm.stats["checkpoints"] >= 2
     # A backup holds the checkpoint and only the log suffix.
     backup = [h for h in group.info().placement if h != primary][0]
-    log = domain.rms[backup].logs[group.group_id]
-    assert log.checkpoint is not None
-    assert len(log) < 7
+    record = domain.rms[backup].replicas[group.group_id]
+    assert record.checkpoint is not None
+    assert len(record.log) < 7
 
 
 def test_cold_passive_failover_replays_log_suffix(world):
@@ -114,7 +113,7 @@ def test_passive_backup_logs_but_does_not_respond(world):
     for backup in backups:
         rm = domain.rms[backup]
         assert rm.stats["invocations_executed"] == before[backup]
-        assert len(rm.logs[group.group_id]) >= 1
+        assert len(rm.replicas[group.group_id].log) >= 1
 
 
 def test_failover_resends_responses_for_unacknowledged_ops(world):
@@ -174,6 +173,50 @@ def test_promoted_primary_reads_what_its_predecessor_answered(seed):
     world.faults.crash_now(primary_of(domain, agent))
     assert world.await_promise(agent.invoke("transfers_done"),
                                timeout=600) == 1
+
+
+def test_no_log_holds_what_its_checkpoint_covers(world):
+    """Every replica's log starts strictly after its checkpoint's
+    ``upto_ts`` — so replaying the whole log replays the suffix — through
+    out-of-order completions, a COLD -> WARM -> COLD round trip and a
+    state transfer to a replacement replica."""
+    domain = make_domain(world, num_hosts=4)
+    bank = make_bank(domain, ReplicationStyle.COLD_PASSIVE, min_replicas=3,
+                     checkpoint_interval=3)
+    agent = bank[2]
+    logged = []
+
+    def check():
+        for rm in domain.rms.values():
+            for group in bank:
+                record = rm.replicas.get(group.group_id)
+                if record is None or record.checkpoint is None:
+                    continue
+                upto = record.checkpoint[1]
+                assert all(m.timestamp > upto for m in record.log)
+                logged.append(len(record.log))
+
+    transfer_then_read(world, agent)
+    check()
+    for style in (ReplicationStyle.WARM_PASSIVE,
+                  ReplicationStyle.COLD_PASSIVE):
+        world.await_promise(domain.switch_style(agent, style))
+        check()
+        transfer_then_read(world, agent)
+        check()
+    info = agent.info()
+    before = set(info.placement)
+    world.faults.crash_now(info.placement[1])           # a backup
+    world.run(until=world.now + 2.0)
+    replacement = (set(agent.info().placement) - before).pop()
+    record = domain.rms[replacement].replicas[agent.group_id]
+    assert record.ready and record.checkpoint is not None
+    check()
+    transfer_then_read(world, agent)
+    check()
+    assert max(logged) > 0
+    assert world.await_promise(agent.invoke("transfers_done"),
+                               timeout=600) == 4
 
 
 def test_warm_passive_replacement_backup_receives_state(world):

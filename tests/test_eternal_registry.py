@@ -89,14 +89,6 @@ def test_bump_version():
     assert reg.get(10).factory_name == "f2"
 
 
-def test_groups_on_host():
-    reg = GroupRegistry()
-    reg.announce(info(gid=10, name="A", placement=("h0", "h1")))
-    reg.announce(info(gid=11, name="B", placement=("h2",)))
-    assert [g.group_id for g in reg.groups_on("h1")] == [10]
-    assert [g.group_id for g in reg.groups_on("h2")] == [11]
-
-
 def test_all_groups_sorted_by_id():
     reg = GroupRegistry()
     reg.announce(info(gid=12, name="B"))

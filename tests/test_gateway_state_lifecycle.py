@@ -327,7 +327,7 @@ def test_warm_passive_primary_log_is_truncated_by_its_own_updates(world):
         world.await_promise(stub.call("increment", 1), timeout=600)
     world.run(until=world.now + 1.0)
     primary = group.info().primary(domain.coordinator_rm().live_hosts)
-    log = domain.rms[primary].logs[group.group_id]
+    log = domain.rms[primary].replicas[group.group_id].log
     assert len(log) <= group.info().checkpoint_interval + 1
     world.audit(strict=True)
 

@@ -86,7 +86,7 @@ def test_warm_passive_transfer_is_eight_messages(world):
     assert m.value("eternal.state.carried") - carried == 4 * transfers
     assert m.value("eternal.state.updates") == 0
     for rm in domain.rms.values():      # each reply truncated what it covers
-        assert all(len(log) == 0 for log in rm.logs.values())
+        assert all(not record.log for record in rm.replicas.values())
     world.audit(strict=True)
 
 
@@ -126,9 +126,9 @@ def test_cold_passive_checkpoints_ride_replies(world):
     assert world.metrics.value("eternal.checkpoint.multicasts") == 2
     assert world.metrics.value("eternal.state.carried") == 2
     for host in group.info().placement:
-        log = domain.rms[host].logs[group.group_id]
-        assert log.checkpoint.state == {"count": 10}
-        assert len(log) == 2            # the suffix after the 10th operation
+        record = domain.rms[host].replicas[group.group_id]
+        assert record.checkpoint[0] == {"count": 10}
+        assert len(record.log) == 2     # the suffix after the 10th operation
     # Backups stay cold: only the primary's servant moved.
     assert replica_counts(domain, group) == {
         host: (12 if host == primary else 0)

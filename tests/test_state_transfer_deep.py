@@ -38,7 +38,7 @@ def test_dedup_table_travels_with_state(world):
     seen = rm._invocations_seen.get(group.group_id, {})
     assert seen, "dedup table was not transferred"
     # Cached responses came along too (the reissue path depends on them).
-    assert any(entry.response_iiop for entry in seen.values())
+    assert any(type(entry) is bytes for entry in seen.values())
 
 
 def test_passive_transfer_records_snapshot_as_checkpoint(world):
@@ -56,10 +56,9 @@ def test_passive_transfer_records_snapshot_as_checkpoint(world):
     world.faults.crash_now(victim)
     world.run(until=world.now + 2.0)
     replacement = [h for h in group.info().placement][-1]
-    log = domain.rms[replacement].logs.get(group.group_id)
-    assert log is not None
-    assert len(log) == 0                       # covered by the snapshot
-    assert log.latest_covered_ts() > 0         # checkpoint at the cut
+    record = domain.rms[replacement].replicas[group.group_id]
+    assert record.log == []                    # covered by the snapshot
+    assert record.checkpoint[1] > 0            # checkpoint at the cut
     # Promotion after the transfer must not double-apply anything:
     # crash the primary; the fresh backup takes over exactly-once.
     primary = group.info().primary(domain.coordinator_rm().live_hosts)

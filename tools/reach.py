@@ -2,7 +2,8 @@
 """reach — which functions of ``src/repro`` a real run calls.
 
 Usage:
-    python tools/reach.py
+    python tools/reach.py           # the table, per package
+    python tools/reach.py --list    # every unreached function, one a line
 
 A ``sys.setprofile`` hook records the code of every Python call while
 this process runs the seven ``examples/`` scripts and one dark
@@ -13,7 +14,9 @@ enumerated from the source (every ``def``, methods and nested ones
 included), so a function no run calls is counted too.  Per package the
 table gives how many functions there are, how many were reached, and
 how many were not, with their lines (a function nested in an unreached
-one adds no lines of its own).
+one adds no lines of its own).  ``--list`` prints those unreached
+functions instead, as ``package  path:line  name  lines`` (the name
+qualified by its classes and functions), leaving out the nested ones.
 
 Code that runs in a subprocess is invisible to the hook.  Takes a few
 seconds.  Exit status 0; the table is advisory.
@@ -37,7 +40,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 class Function(NamedTuple):
     path: pathlib.Path
     first_line: int       # what the code object reports: the first decorator
-    name: str
+    name: str             # qualified: Class.method, outer.inner
     lines: int
     parent: Optional[Tuple[str, int]]   # the enclosing function's key
 
@@ -47,20 +50,22 @@ def functions() -> Dict[Tuple[str, int], Function]:
     found: Dict[Tuple[str, int], Function] = {}
 
     def visit(node: ast.AST, path: pathlib.Path,
-              parent: Optional[Tuple[str, int]]) -> None:
+              parent: Optional[Tuple[str, int]], scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [decorator.lineno for decorator
                                               in child.decorator_list])
                 key = (str(path), first)
-                found[key] = Function(path, first, child.name,
+                found[key] = Function(path, first, scope + child.name,
                                       child.end_lineno - first + 1, parent)
-                visit(child, path, key)
+                visit(child, path, key, f"{scope}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, parent, f"{scope}{child.name}.")
             else:
-                visit(child, path, parent)
+                visit(child, path, parent, scope)
 
     for path in sorted(PACKAGE.rglob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), path, None)
+        visit(ast.parse(path.read_text(), str(path)), path, None, "")
     return found
 
 
@@ -97,10 +102,21 @@ def package_of(path: pathlib.Path) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argparse.ArgumentParser(description=__doc__.splitlines()[1]).parse_args(
-        argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
+    parser.add_argument("--list", action="store_true",
+                        help="print every unreached function, not the table")
+    args = parser.parse_args(argv)
     every = functions()
     reached = reached_code() & every.keys()
+    if args.list:
+        for key, function in every.items():
+            if key not in reached and (function.parent is None
+                                       or function.parent in reached):
+                print(f"{package_of(function.path)}  "
+                      f"{function.path.relative_to(ROOT)}:"
+                      f"{function.first_line}  {function.name}  "
+                      f"{function.lines}")
+        return 0
     rows: Dict[str, List[int]] = {}
     for key, function in every.items():
         row = rows.setdefault(package_of(function.path), [0, 0, 0, 0])
