@@ -37,7 +37,6 @@ from .identifiers import (
     OperationId,
     ResponseId,
     UNUSED_CLIENT_ID,
-    dedup_key,
     external_operation_id,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "ResponseId",
     "UNUSED_CLIENT_ID",
     "decode_ft_header",
-    "dedup_key",
     "encode_ft_header",
     "encode_multicast_message",
     "external_operation_id",

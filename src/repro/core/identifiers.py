@@ -86,12 +86,6 @@ class ResponseId:
 DedupKey = Tuple[int, ClientId, OperationId]
 
 
-def dedup_key(source_group: int, client_id: ClientId,
-              op: OperationId) -> DedupKey:
-    """Build the (source group, client id, operation id) dedup key."""
-    return (source_group, client_id, op)
-
-
 def external_operation_id(request_seq: int) -> OperationId:
     """Operation id for a top-level invocation arriving from outside the
     domain: no parent message, sequenced by the client's request number."""

@@ -474,6 +474,3 @@ class FaultToleranceDomain:
             raise ConfigurationError(
                 "gateway processors are restarted via add_gateway")
         return self._start_software(host, synced=False)
-
-    def live_host_names(self) -> List[str]:
-        return [h.name for h in self.hosts if h.alive]

@@ -73,7 +73,6 @@ class Execution:
         self.op: Optional[Operation] = None  # resolved in start()
         self._generator = None
         self._child_counter = 0
-        self.finished = False
         # Open ``rm.execute`` span id while this execution is in flight
         # (0 when tracing is disabled or the invocation was untraced).
         self.trace_span = 0
@@ -104,12 +103,10 @@ class Execution:
                     f"method {self.op.name!r}")
             result = method(*args)
         except Exception as exc:
-            self.finished = True
             return Outcome.failed(exc)
         if inspect.isgenerator(result):
             self._generator = result
             return self._advance(lambda: next(self._generator))
-        self.finished = True
         return Outcome.done(result)
 
     def resume(self, value: Any) -> Outcome:
@@ -124,13 +121,10 @@ class Execution:
         try:
             yielded = step()
         except StopIteration as stop:
-            self.finished = True
             return Outcome.done(stop.value)
         except Exception as exc:
-            self.finished = True
             return Outcome.failed(exc)
         if not isinstance(yielded, NestedCall):
-            self.finished = True
             return Outcome.failed(BadOperation(
                 f"servant yielded {type(yielded).__name__}; "
                 "only NestedCall may be yielded"))

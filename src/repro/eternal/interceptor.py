@@ -84,10 +84,11 @@ class EternalInterceptor:
 
     def interpose_orb(self, orb: Orb) -> None:
         """Override the ORB's address query so that any IOR it publishes
-        carries the first gateway's address instead of its own."""
-        addresses = self.gateway_addresses()
+        carries the first gateway's address instead of its own.  Like
+        the paper's ``getsockname()`` hook, it answers at each query: an
+        IOR published after a gateway crash leads with a live one."""
 
         def published_address() -> Tuple[str, int]:
-            return addresses[0]
+            return self.gateway_addresses()[0]
 
         orb.published_address = published_address  # type: ignore[method-assign]

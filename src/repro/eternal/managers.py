@@ -154,7 +154,6 @@ class ReplicationManagerServant(Servant):
                 group_id=group_id, name=name, interface_name=interface_name,
                 factory_name=factory_name, style=chosen_style,
                 placement=tuple(live), min_replicas=min_replicas,
-                initial_replicas=num_replicas,
                 checkpoint_interval=checkpoint_interval)}))
         return self._ior_builder(group_id, interface_name)
 

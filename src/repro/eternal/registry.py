@@ -33,7 +33,6 @@ class GroupInfo:
     style: ReplicationStyle
     placement: Tuple[str, ...]      # host names, creation order preserved
     min_replicas: int = 1
-    initial_replicas: int = 0
     version: int = 1
     checkpoint_interval: int = 10   # ops between cold-passive checkpoints
     style_epoch: int = 0            # bumped by each runtime style switch

@@ -7,7 +7,9 @@ endpoint.  Two paper mechanisms live here:
 * **Address interposition** (section 3.1): Eternal publishes IORs whose
   profile addresses are the *gateway's* {host, port}, so unreplicated
   clients connect to the gateway while believing they talk to the
-  server.  :func:`replace_addresses` performs the substitution.
+  server.  The Eternal Interceptor puts the gateway's address in where
+  the server ORB asks for its own (``repro.eternal.interceptor``); no
+  IOR is rewritten.
 * **Multi-profile stitching** (section 3.5): the Eternal Interceptor
   "stitches" one profile per redundant gateway into a single IOR that an
   enhanced client layer can traverse on failure.  :func:`stitch_profiles`
@@ -178,26 +180,6 @@ class Ior:
             if len(_INTERNED) > INTERN_LIMIT:
                 _INTERNED.pop(next(iter(_INTERNED)))  # FIFO, bounded memory
         return ior
-
-
-def replace_addresses(ior: Ior, address: Tuple[str, int]) -> Ior:
-    """Rewrite every IIOP profile's {host, port} to ``address``.
-
-    Models the paper's interposition of ``getsockname()``/``sysinfo()``
-    (section 3.1): the published IOR carries the gateway's address while
-    the object key is preserved, so the gateway can still identify the
-    target server group.
-    """
-    host, port = address
-    new_profiles = []
-    for profile in ior.profiles:
-        if profile.tag == TAG_INTERNET_IOP:
-            old = IiopProfile.decode(profile.data)
-            replacement = IiopProfile(host, port, old.object_key, old.version)
-            new_profiles.append(TaggedProfile(TAG_INTERNET_IOP, replacement.encode()))
-        else:
-            new_profiles.append(profile)
-    return Ior(ior.type_id, tuple(new_profiles))
 
 
 def stitch_profiles(type_id: str, addresses: Sequence[Tuple[str, int]],

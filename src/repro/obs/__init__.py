@@ -10,8 +10,7 @@ docs/OBSERVABILITY.md for the metric catalogue and clock semantics.
 from .audit import AuditEntry, AuditReport, AuditRow, AuditScope
 from .export import canonical_json, parse_json, render_text, to_json
 from .flight import FlightRecorder
-from .hostclock import (override_wall_clock, reset_wall_clock,
-                        set_wall_clock, wall_clock)
+from .hostclock import wall_clock
 from .metrics import Gauge, Histogram, Metric, MetricsRegistry
 from .tracing import TraceCollector, TraceSpan
 
@@ -28,11 +27,8 @@ __all__ = [
     "TraceCollector",
     "TraceSpan",
     "canonical_json",
-    "override_wall_clock",
     "parse_json",
     "render_text",
-    "reset_wall_clock",
-    "set_wall_clock",
     "to_json",
     "wall_clock",
 ]

@@ -185,10 +185,6 @@ class Histogram(Metric):
             cumulative += in_bucket
         return hi  # pragma: no cover - unreachable (counts agree)
 
-    @property
-    def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "type": self.kind,

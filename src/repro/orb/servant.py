@@ -108,11 +108,3 @@ class Servant:
         """
         for name, value in _snapshot(state).items():
             setattr(self, name, value)
-
-    def dispatch_local(self, operation: str, args: Sequence[Any]) -> Any:
-        """Invoke ``operation`` directly (no marshalling, no nesting).
-
-        Raises AttributeError if the method is missing; callers that
-        need CORBA semantics go through the dispatcher instead.
-        """
-        return getattr(self, operation)(*args)

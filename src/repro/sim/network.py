@@ -15,7 +15,6 @@ LAN hops.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import AuditScope, FlightRecorder, MetricsRegistry, TraceCollector
@@ -111,7 +110,6 @@ class Network:
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.bytes_sent = 0
-        self._msg_counter = itertools.count()
         # Traffic counters are plain ints on the send/arrive hot paths,
         # exported lazily: the registry reads them through callbacks at
         # snapshot time, so per-datagram accounting costs two int adds.

@@ -39,8 +39,6 @@ class TcpEndpoint:
         self.conn_id = next(stack._conn_ids)
         self.open = True
         self.peer: Optional["TcpEndpoint"] = None
-        self.bytes_sent = 0
-        self.bytes_received = 0
         # Assignable callbacks; set before any data can arrive.
         self.on_data: Callable[[bytes], None] = lambda data: None
         self.on_close: Callable[[], None] = lambda: None
@@ -53,7 +51,6 @@ class TcpEndpoint:
             raise CommFailure(f"send from dead host {self.host.name}")
         if not data:
             return
-        self.bytes_sent += len(data)
         peer = self.peer
         if peer is None:
             return
@@ -72,7 +69,6 @@ class TcpEndpoint:
     def _deliver(self, data: bytes) -> None:
         if not self.open:
             return
-        self.bytes_received += len(data)
         self.on_data(data)
 
     def close(self) -> None:
@@ -113,7 +109,6 @@ class TcpListener:
         self.port = port
         self.on_accept = on_accept
         self.open = True
-        self.accepted_count = 0
 
     def close(self) -> None:
         if not self.open:
@@ -198,7 +193,6 @@ class TcpStack:
             server_end.peer = client_end
             self._endpoints_by_host.setdefault(host.name, []).append(client_end)
             self._endpoints_by_host.setdefault(target_name, []).append(server_end)
-            listener.accepted_count += 1
             listener.on_accept(server_end)
             on_connected(client_end)
 

@@ -4,9 +4,9 @@ Each processor in a fault tolerance domain runs one
 :class:`TotemMember`.  The protocol provides what Eternal consumes
 (paper section 2): reliable delivery, a single total order across the
 domain with system-wide unique, monotonically increasing sequence
-numbers (used as identifier timestamps), stability (aru) for log
-truncation, and membership change notifications on processor failure,
-recovery, and join.
+numbers (used as identifier timestamps), stability (aru), which frees
+each member's retransmission store, and membership change
+notifications on processor failure, recovery, and join.
 
 Protocol sketch (a faithful simplification of Totem's single-ring
 ordering and membership protocols):
@@ -150,8 +150,6 @@ class TotemMember(Process):
 
         # Ordering state.
         self.delivered_up_to = 0           # highest contiguously delivered seq
-        self.my_aru = 0                    # == delivered_up_to (agreed delivery)
-        self.stable_up_to = 0              # highest seq known stable (aru)
         self._buffer: Dict[int, RegularMessage] = {}   # undelivered, seq > aru
         self._store: Dict[int, RegularMessage] = {}    # for retransmission, GC'd at aru
         self._gap_age: Dict[int, int] = {}             # seq -> rotations waited
@@ -339,7 +337,6 @@ class TotemMember(Process):
             seq = self.delivered_up_to + 1
             msg = self._buffer.pop(seq)
             self.delivered_up_to = seq
-            self.my_aru = seq
             self._gap_age.pop(seq, None)
             self.stats["delivered"] += 1
             for fn in self._deliver_listeners:
@@ -411,11 +408,10 @@ class TotemMember(Process):
 
         # 4. Stability: aru is the minimum received-up-to over the
         #    previous full rotation, folded at the ring leader.
-        my_aru = self.my_aru
+        my_aru = self.delivered_up_to
         if my_aru < token.aru_candidate:
             token.aru_candidate = my_aru
         if self._index == 0:
-            token.rotation += 1
             self.stats["rotations"] += 1
             if token.aru_candidate > token.aru:
                 token.aru = token.aru_candidate
@@ -434,8 +430,6 @@ class TotemMember(Process):
         aru = token.aru
         if aru > self._gc_floor:
             self._gc_store(aru)
-        if aru > self.stable_up_to:
-            self.stable_up_to = aru
         if pending:
             token.idle = 0  # over quota: the rest waits for the next visit
 
@@ -554,7 +548,6 @@ class TotemMember(Process):
             fl.record("flight.totem_drop", member=self.name, cause="gap",
                       first_seq=seq, count=1)
         self.delivered_up_to = seq
-        self.my_aru = seq
         self._try_deliver()
 
     def _gc_store(self, aru: int) -> None:
@@ -763,8 +756,4 @@ class TotemMember(Process):
             self._buffer.clear()
         if self.delivered_up_to < start_seq:
             self.delivered_up_to = start_seq
-            self.my_aru = start_seq
         self._store.clear()
-        # The membership change is a stability cut: everything the
-        # survivors delivered from the old ring is final now.
-        self.stable_up_to = max(self.stable_up_to, self.delivered_up_to)

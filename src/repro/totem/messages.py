@@ -69,7 +69,6 @@ class Token:
     seq: int
     aru: int
     aru_candidate: int
-    rotation: int = 0
     rtr: Set[int] = field(default_factory=set)
     idle: int = 0
 

@@ -104,10 +104,3 @@ def test_two_domains_share_one_world_without_interference(world):
     from repro.eternal import make_object_key
     assert make_object_key("alpha", group_a.group_id) != \
         make_object_key("beta", group_b.group_id)
-
-
-def test_live_host_names_tracks_crashes(world):
-    domain = make_domain(world, num_hosts=3)
-    assert len(domain.live_host_names()) == 3
-    world.faults.crash_now("dom-h2")
-    assert "dom-h2" not in domain.live_host_names()

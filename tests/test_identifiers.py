@@ -9,7 +9,6 @@ from repro.core import (
     OperationId,
     ResponseId,
     UNUSED_CLIENT_ID,
-    dedup_key,
     external_operation_id,
 )
 
@@ -55,28 +54,6 @@ def test_external_operation_id_has_no_parent():
     op = external_operation_id(17)
     assert op.parent_ts == 0
     assert op.child_seq == 17
-
-
-def test_dedup_key_distinguishes_clients():
-    """Section 3.2: source group, client id and operation id are used
-    collectively — two clients with the same request numbers differ."""
-    op = external_operation_id(1)
-    key_a = dedup_key(1, 5, op)
-    key_b = dedup_key(1, 6, op)
-    assert key_a != key_b
-
-
-def test_dedup_key_distinguishes_source_groups():
-    op = OperationId(100, 1)
-    assert dedup_key(1, UNUSED_CLIENT_ID, op) != dedup_key(2, UNUSED_CLIENT_ID, op)
-
-
-def test_dedup_key_matches_for_reinvocation():
-    """A reissued request (same client uid, same request id) maps to the
-    same key — the property gateway failover relies on (section 3.5)."""
-    first = dedup_key(1, "ftclient/browser/1#1", external_operation_id(42))
-    reissued = dedup_key(1, "ftclient/browser/1#1", external_operation_id(42))
-    assert first == reissued
 
 
 def test_unused_client_id_collides_with_no_counter_or_uid():

@@ -1,4 +1,4 @@
-"""Tests for IORs: profiles, stringification, gateway address rewriting."""
+"""Tests for IORs: profiles, stringification, multi-profile stitching."""
 
 import pytest
 from hypothesis import given
@@ -11,7 +11,6 @@ from repro.iiop import (
     Ior,
     TAG_INTERNET_IOP,
     TaggedProfile,
-    replace_addresses,
     stitch_profiles,
 )
 
@@ -59,20 +58,6 @@ def test_primary_profile_requires_iiop_profile():
         ior.primary_profile()
 
 
-def test_replace_addresses_rewrites_every_profile():
-    """Section 3.1: the published IOR carries the gateway address but the
-    original object key, so the gateway can identify the target."""
-    ior = Ior.for_endpoints("IDL:repro/Trader:1.0",
-                            [("srv0", 9000), ("srv1", 9001)], b"group:12")
-    rewritten = replace_addresses(ior, ("gateway", 2809))
-    addresses = [p.address for p in rewritten.iiop_profiles()]
-    assert addresses == [("gateway", 2809), ("gateway", 2809)]
-    for profile in rewritten.iiop_profiles():
-        assert profile.object_key == b"group:12"
-    # The original IOR is untouched.
-    assert ior.primary_profile().address == ("srv0", 9000)
-
-
 def test_stitch_profiles_builds_multi_profile_ior():
     """Section 3.5: one profile per redundant gateway."""
     ior = stitch_profiles("IDL:repro/Trader:1.0",
@@ -87,15 +72,6 @@ def test_stitch_profiles_builds_multi_profile_ior():
 def test_stitch_requires_at_least_one_gateway():
     with pytest.raises(MarshalError):
         stitch_profiles("IDL:x:1.0", [], b"k")
-
-
-def test_non_iiop_profiles_are_preserved_by_replace():
-    endpoint = Ior.for_endpoints("IDL:x:1.0", [("h", 1)], b"k").profiles[0]
-    ior = Ior("IDL:x:1.0", [endpoint, TaggedProfile(99, b"opaque")])
-    rewritten = replace_addresses(ior, ("gw", 2))
-    assert rewritten.primary_profile().address == ("gw", 2)
-    assert rewritten.profiles[-1].tag == 99
-    assert rewritten.profiles[-1].data == b"opaque"
 
 
 # ----------------------------------------------------------------------
@@ -173,13 +149,3 @@ def test_ior_string_roundtrip_property(endpoints, object_key):
     decoded = Ior.from_string(ior.to_string())
     assert [p.address for p in decoded.iiop_profiles()] == endpoints
     assert all(p.object_key == object_key for p in decoded.iiop_profiles())
-
-
-@given(st.lists(st.tuples(host_names, ports), min_size=1, max_size=5),
-       host_names, ports)
-def test_replace_addresses_property(endpoints, new_host, new_port):
-    ior = Ior.for_endpoints("IDL:x:1.0", endpoints, b"key")
-    rewritten = replace_addresses(ior, (new_host, new_port))
-    assert all(p.address == (new_host, new_port)
-               for p in rewritten.iiop_profiles())
-    assert len(rewritten.profiles) == len(ior.profiles)

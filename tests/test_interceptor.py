@@ -77,3 +77,17 @@ def test_interpose_orb_overrides_published_address(world):
     intercepted_ior = orb.activate_object(CounterServant())
     assert intercepted_ior.primary_profile().address == (
         gateway.host.name, gateway.port)
+
+
+def test_interposed_orb_asks_for_the_gateway_at_each_publication(world):
+    """The hook answers when the ORB publishes, not when it was
+    interposed: after the first gateway crashes, a newly published IOR
+    leads with the live one, as ``published_ior`` does."""
+    domain = make_domain(world, gateways=2)
+    orb = Orb(world, world.add_host("legacy-server"))
+    orb.listen(9000)
+    domain.interceptor.interpose_orb(orb)
+    world.faults.crash_now(domain.gateways[0].host.name)
+    live = domain.gateways[1]
+    ior = orb.activate_object(CounterServant())
+    assert ior.primary_profile().address == (live.host.name, live.port)

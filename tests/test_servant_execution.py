@@ -75,7 +75,6 @@ def test_execution_simple_method_completes():
     outcome = execution.start()
     assert outcome.kind == Outcome.DONE
     assert outcome.value == 5
-    assert execution.finished
 
 
 def test_execution_decodes_arguments_in_order():
@@ -142,8 +141,3 @@ def test_yielding_non_nested_call_is_an_error():
     execution = Execution(BadServant(), BAD, request, 1)
     outcome = execution.start()
     assert outcome.kind == Outcome.ERROR
-
-
-def test_dispatch_local_bypasses_marshalling():
-    servant = CalcServant()
-    assert servant.dispatch_local("add", [1, 2]) == 3

@@ -328,7 +328,7 @@ def test_a_second_of_silence_costs_keepalives_and_nothing_else(world):
     assert m.histogram("totem.token.parked_time").max <= KEEPALIVE + 1e-9
     # The park declared everything stable; the keep-alive carried it.
     assert all(not member._store and not member._buffer
-               and member.stable_up_to == member.delivered_up_to
+               and member._gc_floor == member.delivered_up_to
                for member in members)
     assert holder.parked
     world.audit(strict=True)

@@ -4,6 +4,7 @@
 Usage:
     python tools/reach.py           # the table, per package
     python tools/reach.py --list    # every unreached function, one a line
+    python tools/reach.py --unread  # every attribute nothing reads
 
 A ``sys.setprofile`` hook records the code of every Python call while
 this process runs the seven ``examples/`` scripts and one dark
@@ -20,6 +21,17 @@ qualified by its classes and functions), leaving out the nested ones.
 
 Code that runs in a subprocess is invisible to the hook.  Takes a few
 seconds.  Exit status 0; the table is advisory.
+
+``--unread`` is a census of write-only state, from the AST alone (it
+runs nothing): every attribute stored, and every class-level annotated
+field declared, under ``src/repro`` whose name is never loaded as an
+attribute in ``src/``, ``tools/``, ``bench/``, ``examples/`` or
+``reprolint/``.  A string constant of the same name counts as a read,
+for ``getattr`` callers; sunder and dunder names are skipped.  Each is
+printed once, at its first store, as ``package  path:line  name``
+(``Class.name`` where the class is known).  The match is by name, so a
+write-only attribute that shares its name with one that is read
+elsewhere is missed.
 """
 
 import argparse
@@ -29,7 +41,7 @@ import io
 import pathlib
 import runpy
 import sys
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -69,6 +81,55 @@ def functions() -> Dict[Tuple[str, int], Function]:
     return found
 
 
+READERS = tuple(ROOT / part for part in
+                ("src", "tools", "bench", "examples", "reprolint"))
+
+
+def unread(package: pathlib.Path = PACKAGE,
+           readers: Sequence[pathlib.Path] = READERS,
+           ) -> List[Tuple[pathlib.Path, int, str]]:
+    """(path, line, name) of every attribute stored or class field
+    declared under ``package`` whose name nothing under ``readers``
+    loads."""
+    read: Set[str] = set()
+    for root in readers:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(
+                        node.value, str):
+                    read.add(node.value)
+    stored: Dict[str, Tuple[pathlib.Path, int, str]] = {}
+
+    def visit(node: ast.AST, path: pathlib.Path, cls: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = qualified = None
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, child.name)
+                continue
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.ctx, ast.Store)):
+                name = child.attr
+                on_self = (isinstance(child.value, ast.Name)
+                           and child.value.id == "self")
+                qualified = f"{cls}.{name}" if cls and on_self else name
+            elif (isinstance(child, ast.AnnAssign)
+                  and isinstance(node, ast.ClassDef)
+                  and isinstance(child.target, ast.Name)):
+                name = child.target.id
+                qualified = f"{cls}.{name}"
+            if (name is not None and name not in read
+                    and not (name.startswith("_") and name.endswith("_"))):
+                stored.setdefault(name, (path, child.lineno, qualified))
+            visit(child, path, cls)
+
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    return list(stored.values())
+
+
 def reached_code() -> Set[Tuple[str, int]]:
     """(file, first line) of every code object called during the runs."""
     from bench import clock, rep
@@ -105,7 +166,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     parser.add_argument("--list", action="store_true",
                         help="print every unreached function, not the table")
+    parser.add_argument("--unread", action="store_true",
+                        help="print every attribute stored that nothing "
+                             "reads (runs nothing)")
     args = parser.parse_args(argv)
+    if args.unread:
+        for path, line, name in unread():
+            print(f"{package_of(path)}  {path.relative_to(ROOT)}:{line}  "
+                  f"{name}")
+        return 0
     every = functions()
     reached = reached_code() & every.keys()
     if args.list:
